@@ -17,6 +17,19 @@ type Source interface {
 	Scan(yield func(Record) bool)
 }
 
+// FilterSource is implemented by sources that can test a predicate
+// before building whole records (the dataset package's generated
+// partitions). ScanWhere visits the records Scan would, in the same
+// order, but hands keep a reused scratch record in which only the
+// columns at the schema positions cols are guaranteed to be set; keep
+// must neither retain it nor read other columns. Only records keep
+// accepts are materialised in full and passed to yield, until yield
+// returns false. The first error keep returns stops the scan and is
+// returned.
+type FilterSource interface {
+	ScanWhere(cols []int, keep func(Record) (bool, error), yield func(Record) bool) error
+}
+
 // SliceSource is an in-memory Source backed by a slice of records.
 type SliceSource struct {
 	schema *Schema

@@ -280,14 +280,112 @@ func (p *Partition) row(gen *tpch.Generator, i int64, planted bool) data.Record 
 // Scan implements data.Source: every record in order, matches planted
 // in place.
 func (p *Partition) Scan(yield func(data.Record) bool) {
-	gen := p.ds.generator()
-	next := 0 // next planted position to watch for
-	for i := int64(0); i < p.numRows; i++ {
-		planted := next < len(p.matchPos) && p.matchPos[next] == i
-		if planted {
-			next++
+	p.newRowScan(yield).zones(false)
+}
+
+// ScanWhere implements data.FilterSource over the whole partition.
+func (p *Partition) ScanWhere(cols []int, keep func(data.Record) (bool, error), yield func(data.Record) bool) error {
+	return p.filterScan(cols, keep, yield, func(s *rowScan) { s.zones(false) })
+}
+
+// rowScan is one pass of the partition's row loop, shared by Scan,
+// ScanWhere and both pruned views. With keep set it materialises late:
+// a natural row is first filled with only the need columns into a
+// reused scratch record and tested, and only rows keep accepts are
+// built in full. Planted rows are always built in full before keep sees
+// them, since the plant transform rewrites a whole record. Every row is
+// still generated from the same counter-based stream, so the yielded
+// records equal a plain scan's, filtered.
+type rowScan struct {
+	p       *Partition
+	gen     *tpch.Generator
+	need    uint32                          // tpch.Fill mask of the columns keep reads
+	keep    func(data.Record) (bool, error) // nil: yield every row
+	vals    []data.Value                    // scratch's backing values, reused per row
+	scratch data.Record                     // keep's view of a natural row
+	yield   func(data.Record) bool
+	err     error // first keep error
+}
+
+func (p *Partition) newRowScan(yield func(data.Record) bool) *rowScan {
+	return &rowScan{p: p, gen: p.ds.generator(), yield: yield}
+}
+
+// filterScan is ScanWhere over the rows walk visits.
+func (p *Partition) filterScan(cols []int, keep func(data.Record) (bool, error), yield func(data.Record) bool, walk func(*rowScan)) error {
+	s := p.newRowScan(yield)
+	for _, c := range cols {
+		if c < 0 || c >= tpch.LineItemSchema.Len() {
+			return fmt.Errorf("dataset: column index %d out of range", c)
 		}
-		if !yield(p.row(gen, i, planted)) {
+		s.need |= 1 << c
+	}
+	s.keep = keep
+	s.vals = make([]data.Value, tpch.LineItemSchema.Len())
+	s.scratch = data.NewRecord(tpch.LineItemSchema, s.vals)
+	walk(s)
+	return s.err
+}
+
+// visit produces the partition's i-th row and reports whether the scan
+// goes on.
+func (s *rowScan) visit(i int64, planted bool) bool {
+	if s.keep != nil && !planted && !s.test(s.fill(i)) {
+		return s.err == nil
+	}
+	rec := s.p.row(s.gen, i, planted)
+	if s.keep != nil && planted && !s.test(rec) {
+		return s.err == nil
+	}
+	return s.yield(rec)
+}
+
+// fill writes the need columns of natural row i into the scratch record
+// (none for a predicate that reads no column, such as TRUE).
+func (s *rowScan) fill(i int64) data.Record {
+	if s.need != 0 {
+		s.gen.Fill(s.p.startRow+i, s.need, s.vals)
+	}
+	return s.scratch
+}
+
+// test applies keep, recording its first error.
+func (s *rowScan) test(r data.Record) bool {
+	ok, err := s.keep(r)
+	if err != nil {
+		s.err = err
+		return false
+	}
+	return ok
+}
+
+// zones visits every row of the partition's zones in order, skipping the
+// zones without planted rows when skipEmpty is set (the skip view).
+func (s *rowScan) zones(skipEmpty bool) {
+	p := s.p
+	next := 0 // index into matchPos of the next planted row
+	for _, z := range p.zones {
+		if skipEmpty && z.Matches == 0 {
+			continue
+		}
+		// Zones are visited in order and a skipped zone holds no planted
+		// row, so matchPos[next] is already >= z.FirstRow.
+		for i := z.FirstRow; i < z.FirstRow+z.Rows; i++ {
+			planted := next < len(p.matchPos) && p.matchPos[next] == i
+			if planted {
+				next++
+			}
+			if !s.visit(i, planted) {
+				return
+			}
+		}
+	}
+}
+
+// plantedOnly visits only the planted rows (the clustered-index view).
+func (s *rowScan) plantedOnly() {
+	for _, pos := range s.p.matchPos {
+		if !s.visit(pos, true) {
 			return
 		}
 	}
@@ -376,24 +474,16 @@ func (p *Partition) AcceleratedMatchCount(fingerprint string) (int64, bool) {
 	return p.NumMatches(), true
 }
 
-// ScanMatches runs the real filter path: full scan evaluating pred,
+// ScanMatches runs the real filter path: a scan evaluating pred,
 // collecting up to limit (<0 = all) matching records.
 func (p *Partition) ScanMatches(pred expr.Expr, limit int64) ([]data.Record, error) {
+	if limit == 0 {
+		return nil, nil
+	}
 	var out []data.Record
-	var scanErr error
-	p.Scan(func(r data.Record) bool {
-		ok, err := expr.EvalBool(pred, r)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if ok {
-			out = append(out, r)
-			if limit >= 0 && int64(len(out)) >= limit {
-				return false
-			}
-		}
-		return true
+	err := expr.ScanFilter(p, pred, func(r data.Record) bool {
+		out = append(out, r)
+		return limit < 0 || int64(len(out)) < limit
 	})
-	return out, scanErr
+	return out, err
 }

@@ -226,6 +226,15 @@ func TestScanMatchesLimit(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("limit=1 returned %d", len(got))
 	}
+	// limit=0 returns nothing, as AcceleratedMatches(fp, 0) does.
+	got, err = p.ScanMatches(ds.Predicate(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, _ := p.AcceleratedMatches(ds.PredicateFingerprint(), 0)
+	if len(got) != 0 || len(fast) != 0 {
+		t.Fatalf("limit=0 returned %d (accelerated %d)", len(got), len(fast))
+	}
 }
 
 func TestDeterministicRebuild(t *testing.T) {

@@ -136,36 +136,23 @@ func (v *prunedView) SizeBytes() int64 {
 	return v.p.stats.MatchBytes
 }
 
-// Scan yields the covered records in source order. The indexed view
-// walks matchPos directly; the skip view replays the partition's scan
-// loop zone by zone, skipping zones with no matches.
+// Scan yields the covered records in source order: the indexed view
+// visits the planted rows, the skip view the rows of every zone holding
+// one, both through the partition's own row loop.
 func (v *prunedView) Scan(yield func(data.Record) bool) {
-	p := v.p
-	gen := p.ds.generator()
+	v.walk(v.p.newRowScan(yield))
+}
+
+// ScanWhere implements data.FilterSource over the view's coverage.
+func (v *prunedView) ScanWhere(cols []int, keep func(data.Record) (bool, error), yield func(data.Record) bool) error {
+	return v.p.filterScan(cols, keep, yield, v.walk)
+}
+
+func (v *prunedView) walk(s *rowScan) {
 	if v.indexed {
-		for _, pos := range p.matchPos {
-			if !yield(p.row(gen, pos, true)) {
-				return
-			}
-		}
-		return
-	}
-	next := 0 // index into matchPos of the next planted row
-	for _, z := range p.zones {
-		if z.Matches == 0 {
-			continue
-		}
-		// Re-anchor next at the zone start: zones are visited in order,
-		// so matchPos[next] is already >= z.FirstRow.
-		for i := z.FirstRow; i < z.FirstRow+z.Rows; i++ {
-			planted := next < len(p.matchPos) && p.matchPos[next] == i
-			if planted {
-				next++
-			}
-			if !yield(p.row(gen, i, planted)) {
-				return
-			}
-		}
+		s.plantedOnly()
+	} else {
+		s.zones(true)
 	}
 }
 

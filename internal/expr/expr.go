@@ -37,6 +37,22 @@ func (c *Column) Eval(rec data.Record) (data.Value, error) {
 // String implements Expr.
 func (c *Column) String() string { return strings.ToUpper(c.Name) }
 
+// BoundColumn is a Column resolved to its position in a schema (see
+// Bind): it reads the field by index instead of by name. It renders
+// exactly as the Column it replaces, so binding never moves a
+// fingerprint.
+type BoundColumn struct {
+	Name  string
+	Index int
+}
+
+// Eval implements Expr. The record must have the schema the column was
+// bound against.
+func (c *BoundColumn) Eval(rec data.Record) (data.Value, error) { return rec.At(c.Index), nil }
+
+// String implements Expr.
+func (c *BoundColumn) String() string { return strings.ToUpper(c.Name) }
+
 // Literal is a constant value.
 type Literal struct{ Val data.Value }
 
@@ -374,35 +390,42 @@ func EvalBool(e Expr, rec data.Record) (bool, error) {
 	return truthy(v)
 }
 
+// walk calls fn on e and every sub-expression, parents first.
+func walk(e Expr, fn func(Expr)) {
+	fn(e)
+	switch x := e.(type) {
+	case *Binary:
+		walk(x.L, fn)
+		walk(x.R, fn)
+	case *Not:
+		walk(x.X, fn)
+	case *Neg:
+		walk(x.X, fn)
+	case *Between:
+		walk(x.X, fn)
+		walk(x.Lo, fn)
+		walk(x.Hi, fn)
+	case *In:
+		walk(x.X, fn)
+		for _, v := range x.List {
+			walk(v, fn)
+		}
+	case *Like:
+		walk(x.X, fn)
+	}
+}
+
 // Columns returns the set of column names referenced by the expression.
 func Columns(e Expr) []string {
 	set := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
+	walk(e, func(e Expr) {
 		switch x := e.(type) {
 		case *Column:
 			set[strings.ToUpper(x.Name)] = true
-		case *Binary:
-			walk(x.L)
-			walk(x.R)
-		case *Not:
-			walk(x.X)
-		case *Neg:
-			walk(x.X)
-		case *Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *In:
-			walk(x.X)
-			for _, v := range x.List {
-				walk(v)
-			}
-		case *Like:
-			walk(x.X)
+		case *BoundColumn:
+			set[strings.ToUpper(x.Name)] = true
 		}
-	}
-	walk(e)
+	})
 	out := make([]string, 0, len(set))
 	for c := range set {
 		out = append(out, c)
@@ -418,4 +441,86 @@ func Validate(e Expr, schema *data.Schema) error {
 		}
 	}
 	return nil
+}
+
+// Bind returns a copy of e with every Column replaced by a BoundColumn
+// resolved against schema, so evaluation reads fields by position. The
+// copy renders identically to e. It fails on a column the schema lacks
+// or a node type it does not know; e itself is never modified.
+func Bind(e Expr, schema *data.Schema) (Expr, error) {
+	var err error
+	bind := func(e Expr) Expr {
+		var b Expr
+		if err == nil {
+			b, err = Bind(e, schema)
+		}
+		return b
+	}
+	var out Expr
+	switch x := e.(type) {
+	case *Column:
+		i, ok := schema.Index(x.Name)
+		if !ok {
+			return nil, fmt.Errorf("expr: unknown column %q", x.Name)
+		}
+		return &BoundColumn{Name: x.Name, Index: i}, nil
+	case *BoundColumn, *Literal:
+		return e, nil
+	case *Binary:
+		out = &Binary{Op: x.Op, L: bind(x.L), R: bind(x.R)}
+	case *Not:
+		out = &Not{X: bind(x.X)}
+	case *Neg:
+		out = &Neg{X: bind(x.X)}
+	case *Between:
+		out = &Between{X: bind(x.X), Lo: bind(x.Lo), Hi: bind(x.Hi)}
+	case *In:
+		list := make([]Expr, len(x.List))
+		for i, v := range x.List {
+			list[i] = bind(v)
+		}
+		out = &In{X: bind(x.X), List: list}
+	case *Like:
+		out = &Like{X: bind(x.X), Pattern: x.Pattern}
+	default:
+		return nil, fmt.Errorf("expr: cannot bind %T", e)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ScanFilter streams the records of src that satisfy pred to yield, in
+// source order, until yield returns false or the records run out, and
+// returns the first predicate evaluation error. It is the one predicate
+// scan loop behind every filtering mapper. When src is a
+// data.FilterSource and pred binds against its schema, the predicate is
+// tested on the columns it reads before any record is built, and only
+// matches are materialised; otherwise it scans whole records and
+// evaluates pred on each, so output, order and errors are the same on
+// both paths.
+func ScanFilter(src data.Source, pred Expr, yield func(data.Record) bool) error {
+	if fs, ok := src.(data.FilterSource); ok {
+		if bound, err := Bind(pred, src.Schema()); err == nil {
+			var cols []int
+			walk(bound, func(e Expr) {
+				if c, ok := e.(*BoundColumn); ok {
+					cols = append(cols, c.Index)
+				}
+			})
+			keep := func(r data.Record) (bool, error) { return EvalBool(bound, r) }
+			return fs.ScanWhere(cols, keep, yield)
+		}
+	}
+	var scanErr error
+	src.Scan(func(r data.Record) bool {
+		ok, err := EvalBool(pred, r)
+		if err != nil {
+			scanErr = err
+			return false
+		}
+		return !ok || yield(r)
+	})
+	return scanErr
 }

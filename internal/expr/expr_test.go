@@ -278,3 +278,47 @@ func TestValidate(t *testing.T) {
 		t.Fatal("Validate accepted unknown column")
 	}
 }
+
+func TestBindKeepsFingerprintAndResults(t *testing.T) {
+	e := bin(OpOr,
+		&Between{X: col("a"), Lo: lint(1), Hi: &Neg{X: lint(-9)}},
+		bin(OpAnd, &Not{X: &In{X: col("s"), List: []Expr{lstr("AIR"), lstr("RAIL")}}},
+			&Like{X: col("S"), Pattern: "%O%"}))
+	b, err := Bind(e, testSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != e.String() {
+		t.Fatalf("Bind moved the fingerprint: %s -> %s", e, b)
+	}
+	if got, want := strings.Join(sorted(Columns(b)), ","), strings.Join(sorted(Columns(e)), ","); got != want {
+		t.Fatalf("Columns of bound tree %s, want %s", got, want)
+	}
+	for _, r := range []data.Record{rec(5, 0, "SHIP", 0), rec(20, 0, "RAIL", 0), rec(0, 0, "TRUCK", 0), rec(0, 0, "AIR", 0)} {
+		if evalB(t, b, r) != evalB(t, e, r) {
+			t.Fatalf("bound and unbound disagree on %s", r)
+		}
+	}
+	if _, err := Bind(bin(OpEq, col("nope"), lint(1)), testSchema); err == nil {
+		t.Fatal("Bind accepted an unknown column")
+	}
+}
+
+func sorted(s []string) []string { sort.Strings(s); return s }
+
+func TestScanFilterFallbackOnPlainSource(t *testing.T) {
+	src := data.NewSliceSource(testSchema, []data.Record{
+		rec(1, 0, "A", 0), rec(7, 0, "B", 0), rec(9, 0, "C", 0), rec(8, 0, "D", 0),
+	})
+	var got []string
+	err := ScanFilter(src, bin(OpGt, col("a"), lint(5)), func(r data.Record) bool {
+		got = append(got, r.MustGet("S").AsString())
+		return len(got) < 2
+	})
+	if err != nil || strings.Join(got, "") != "BC" {
+		t.Fatalf("ScanFilter = %v, %v; want [B C]", got, err)
+	}
+	if err := ScanFilter(src, col("s"), func(data.Record) bool { return true }); err == nil {
+		t.Fatal("non-boolean predicate accepted")
+	}
+}

@@ -265,12 +265,14 @@ func (m *aggMapper) group(key string, rec data.Record) *aggGroup {
 // Map implements mapreduce.Mapper (per-record path).
 func (m *aggMapper) Map(rec data.Record, out *mapreduce.Collector) error {
 	ok, err := expr.EvalBool(m.plan.pred, rec)
-	if err != nil {
+	if err != nil || !ok {
 		return err
 	}
-	if !ok {
-		return nil
-	}
+	return m.add(rec)
+}
+
+// add folds one matching record into its group's states.
+func (m *aggMapper) add(rec data.Record) error {
 	g := m.group(m.plan.groupKey(rec), rec)
 	for i, it := range m.plan.aggs {
 		if err := g.states[i].update(it, rec); err != nil {
@@ -280,40 +282,38 @@ func (m *aggMapper) Map(rec data.Record, out *mapreduce.Collector) error {
 	return nil
 }
 
-// MapSplit implements mapreduce.SplitMapper: scan (or accelerated
-// match retrieval) followed by one partial emission per group.
+// MapSplit implements mapreduce.SplitMapper: accelerated match
+// retrieval (or a filtered scan) followed by one partial emission per
+// group.
 func (m *aggMapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Collector) error {
 	m.groups = make(map[string]*aggGroup)
 	m.order = nil
 
+	var addErr error
+	add := func(rec data.Record) bool {
+		addErr = m.add(rec)
+		return addErr == nil
+	}
 	processed := false
 	if acc, ok := ctx.Source.(interface {
 		AcceleratedMatches(fingerprint string, limit int64) ([]data.Record, bool)
 	}); ok {
 		if matches, hit := acc.AcceleratedMatches(m.plan.pred.String(), -1); hit {
 			for _, rec := range matches {
-				g := m.group(m.plan.groupKey(rec), rec)
-				for i, it := range m.plan.aggs {
-					if err := g.states[i].update(it, rec); err != nil {
-						return err
-					}
+				if !add(rec) {
+					break
 				}
 			}
 			processed = true
 		}
 	}
 	if !processed {
-		var scanErr error
-		ctx.Source.Scan(func(rec data.Record) bool {
-			if err := m.Map(rec, out); err != nil {
-				scanErr = err
-				return false
-			}
-			return true
-		})
-		if scanErr != nil {
-			return scanErr
+		if err := expr.ScanFilter(ctx.Source, m.plan.pred, add); err != nil {
+			return err
 		}
+	}
+	if addErr != nil {
+		return addErr
 	}
 
 	for _, key := range m.order {

@@ -58,15 +58,10 @@ func (m *CountingMapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Col
 			return nil
 		}
 	}
-	var scanErr error
-	ctx.Source.Scan(func(rec data.Record) bool {
-		if err := m.Map(rec, out); err != nil {
-			scanErr = err
-			return false
-		}
+	return expr.ScanFilter(ctx.Source, m.Predicate, func(data.Record) bool {
+		out.Inc(CounterMatches, 1)
 		return true
 	})
-	return scanErr
 }
 
 // Estimate is the harness's result.

@@ -79,7 +79,7 @@ func (m *Mapper) Map(rec data.Record, out *mapreduce.Collector) error {
 
 // MapSplit implements mapreduce.SplitMapper: it uses the accelerated
 // match path when the split's source supports this predicate, falling
-// back to a full scan otherwise.
+// back to a filtered scan (expr.ScanFilter) otherwise.
 func (m *Mapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Collector) error {
 	if acc, ok := ctx.Source.(AcceleratedSource); ok {
 		if matches, hit := acc.AcceleratedMatches(m.Predicate.String(), m.K); hit {
@@ -92,18 +92,17 @@ func (m *Mapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Collector) 
 			return nil
 		}
 	}
-	var scanErr error
-	ctx.Source.Scan(func(rec data.Record) bool {
-		if m.found >= m.K {
-			return false
-		}
-		if err := m.Map(rec, out); err != nil {
-			scanErr = err
-			return false
-		}
-		return true
+	if m.found >= m.K {
+		return nil
+	}
+	err := expr.ScanFilter(ctx.Source, m.Predicate, func(rec data.Record) bool {
+		m.emit(rec, out)
+		return m.found < m.K
 	})
-	return scanErr
+	if err != nil {
+		return fmt.Errorf("sampling: predicate: %w", err)
+	}
+	return nil
 }
 
 // Reducer is Algorithm 2: receive the single (k_dummy, list) pair and

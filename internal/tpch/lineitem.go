@@ -142,22 +142,34 @@ func dateString(dayOffset int64) string {
 	return computeDateString(dayOffset)
 }
 
+// AllColumns is the Fill mask selecting every LINEITEM column.
+const AllColumns uint32 = 1<<16 - 1
+
 // Row generates row i (0-based). Rows are independent; generating row
 // 10^9 costs the same as row 0.
 func (g *Generator) Row(i int64) data.Record {
+	vals := make([]data.Value, LineItemSchema.Len())
+	g.Fill(i, AllColumns, vals)
+	return data.NewRecord(LineItemSchema, vals)
+}
+
+// Fill writes the columns of row i selected by need (bit c set for
+// column index c) into vals, leaving the other entries untouched. Every
+// random draw of the row still happens, in Row's order, so each filled
+// column equals Row(i)'s; what is skipped is writing the unselected
+// columns and, unless L_COMMENT is selected, building the comment. vals
+// must hold LineItemSchema.Len() values.
+func (g *Generator) Fill(i int64, need uint32, vals []data.Value) {
 	if i < 0 || i >= g.rows {
 		panic(fmt.Sprintf("tpch: row %d out of range [0,%d)", i, g.rows))
 	}
 	r := rowRNG(g.seed, uint64(i))
 
-	orderKey := i/4 + 1 // ~4 lineitems per order
-	lineNumber := i%4 + 1
 	partKey := r.rangeInt(1, int64(g.scale)*200_000)
 	suppKey := r.rangeInt(1, int64(g.scale)*10_000)
 	quantity := r.rangeInt(1, 50)
 	// retail price ~ 900..2100 scaled by quantity.
 	retail := 900.0 + r.float64n()*1200.0
-	extendedPrice := float64(quantity) * retail
 	discount := float64(r.rangeInt(0, 10)) / 100.0
 	tax := float64(r.rangeInt(0, 8)) / 100.0
 
@@ -168,40 +180,43 @@ func (g *Generator) Row(i int64) data.Record {
 	}
 	receiptDay := shipDay + r.rangeInt(1, 30)
 
-	var returnFlag string
+	// Older shipments are returned (R or A) and fulfilled (F); newer ones
+	// are not returned (N) and either open or fulfilled.
+	returnFlag, lineStatus := "N", "F"
 	if shipDay < 1700 {
-		returnFlag = returnFlags[r.intn(2)] // R or A for older shipments
-	} else {
-		returnFlag = "N"
-	}
-	var lineStatus string
-	if shipDay < 1700 {
-		lineStatus = "F"
+		returnFlag = returnFlags[r.intn(2)]
 	} else {
 		lineStatus = lineStatuses[r.intn(2)]
 	}
 
-	comment := pick(r, commentAdverbs) + " " + pick(r, commentNouns) + " " + pick(r, commentVerbs)
+	adverb, noun, verb := pick(r, commentAdverbs), pick(r, commentNouns), pick(r, commentVerbs)
+	shipInstruct, shipMode := pick(r, shipInstructs), pick(r, ShipModes)
 
-	vals := []data.Value{
-		data.Int(orderKey),
-		data.Int(partKey),
-		data.Int(suppKey),
-		data.Int(lineNumber),
-		data.Int(quantity),
-		data.Float(round2(extendedPrice)),
-		data.Float(discount),
-		data.Float(tax),
-		data.Str(returnFlag),
-		data.Str(lineStatus),
-		data.Str(dateString(shipDay)),
-		data.Str(dateString(commitDay)),
-		data.Str(dateString(receiptDay)),
-		data.Str(pick(r, shipInstructs)),
-		data.Str(pick(r, ShipModes)),
-		data.Str(comment),
+	// Building a scalar Value allocates nothing, so only the comment's
+	// concatenation is worth skipping beyond the write itself.
+	put := func(col int, v data.Value) {
+		if need&(1<<col) != 0 {
+			vals[col] = v
+		}
 	}
-	return data.NewRecord(LineItemSchema, vals)
+	put(ColOrderKey, data.Int(i/4+1)) // ~4 lineitems per order
+	put(ColPartKey, data.Int(partKey))
+	put(ColSuppKey, data.Int(suppKey))
+	put(ColLineNumber, data.Int(i%4+1))
+	put(ColQuantity, data.Int(quantity))
+	put(ColExtendedPrice, data.Float(round2(float64(quantity)*retail)))
+	put(ColDiscount, data.Float(discount))
+	put(ColTax, data.Float(tax))
+	put(ColReturnFlag, data.Str(returnFlag))
+	put(ColLineStatus, data.Str(lineStatus))
+	put(ColShipDate, data.Str(dateString(shipDay)))
+	put(ColCommitDate, data.Str(dateString(commitDay)))
+	put(ColReceiptDate, data.Str(dateString(receiptDay)))
+	put(ColShipInstruct, data.Str(shipInstruct))
+	put(ColShipMode, data.Str(shipMode))
+	if need&(1<<ColComment) != 0 {
+		vals[ColComment] = data.Str(adverb + " " + noun + " " + verb)
+	}
 }
 
 func round2(f float64) float64 {

@@ -246,3 +246,33 @@ func TestRecordFieldsMatchSchema(t *testing.T) {
 	}
 	var _ data.Record = r
 }
+
+func TestFillMatchesRowOnMaskedColumns(t *testing.T) {
+	g := NewGenerator(17, 2)
+	rng := rowRNG(99, 0)
+	sentinel := data.Str("unset")
+	for n := 0; n < 2000; n++ {
+		i := rng.intn(g.NumRows())
+		mask := uint32(rng.next()) & AllColumns
+		vals := make([]data.Value, LineItemSchema.Len())
+		for c := range vals {
+			vals[c] = sentinel
+		}
+		g.Fill(i, mask, vals)
+		row := g.Row(i)
+		for c, v := range vals {
+			if mask&(1<<c) == 0 {
+				if v != sentinel {
+					t.Fatalf("row %d mask %#x: unselected column %d written: %v", i, mask, c, v)
+				}
+				continue
+			}
+			if want := row.At(c); v != want {
+				t.Fatalf("row %d mask %#x column %d: Fill %v, Row %v", i, mask, c, v, want)
+			}
+		}
+	}
+	if AllColumns != 1<<LineItemSchema.Len()-1 {
+		t.Fatalf("AllColumns %#x does not cover the %d-column schema", AllColumns, LineItemSchema.Len())
+	}
+}
