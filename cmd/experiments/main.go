@@ -58,8 +58,9 @@
 // self-contained HTML run report into DIR (created if missing):
 // cluster/per-node time-series, a slot-occupancy Gantt joined from the
 // trace spans, and the Input Provider decision log. -sample-interval
-// overrides the sampler cadence (virtual seconds; default 5 s for the
-// single-user figure-5 cells, 30 s for the workload figures).
+// overrides the sampler cadence (virtual seconds; default 2 s for the
+// single-user figure-5 cells, 30 s for the workload figures) and the
+// -alert-rules collection tick.
 //
 // With -diag-out, every figure cell (5-8) additionally runs with
 // tracing enabled and writes its per-job diagnosis (critical path,
@@ -120,7 +121,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	traceOut := flag.String("trace-out", "", "directory for per-cell utilization timeline CSVs (figures 6-8)")
 	reportOut := flag.String("report-out", "", "directory for per-cell self-contained HTML run reports (figures 5-8)")
-	sampleInterval := flag.Float64("sample-interval", 0, "observability sampler cadence in virtual seconds for -report-out time-series (0 = per-figure default)")
+	sampleInterval := flag.Float64("sample-interval", 0, "observability sampler cadence in virtual seconds for -report-out time-series and -alert-rules ticks (0 = defaults)")
 	jobs := flag.Int("j", runtime.NumCPU(), "sweep cells to run concurrently (1 = sequential; output is identical either way)")
 	scanWorkers := flag.Int("scan-workers", runtime.NumCPU(), "scan-executor pool size for off-sim-thread map scans (0 = inline; output is identical either way)")
 	engineMode := flag.String("engine-mode", "baseline", "execution engine: baseline, or memory (resident map outputs reused across a sweep's jobs; output is identical either way)")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dynamicmr/internal/hive"
-	"dynamicmr/internal/metrics"
 	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/workload"
@@ -87,8 +86,7 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 			Session: sess,
 		}
 	}
-	sampler := metrics.NewSampler(r.jt, 30)
-	sampler.Start()
+	r.jt.SampleUtilization()
 	var osamp *obs.Sampler
 	if opt.reporting() {
 		osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: opt.sampleInterval(obs.DefaultIntervalS)})
@@ -98,8 +96,9 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 	if err != nil {
 		return Figure6Cell{}, fmt.Errorf("figure6 (z=%g policy=%s): %w", z, policy, err)
 	}
-	cpu, disk, occ := sampler.Averages(opt.WarmupS)
-	if err := writeCellTimeline(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), sampler); err != nil {
+	timeline := r.jt.UtilizationTimeline()
+	cpu, disk, occ := utilizationAverages(timeline, opt.WarmupS)
+	if err := writeCellTimeline(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), timeline); err != nil {
 		return Figure6Cell{}, err
 	}
 	if err := writeCellReport(opt, fmt.Sprintf("figure6_z%g_%s", z, policy),

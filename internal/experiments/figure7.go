@@ -5,7 +5,6 @@ import (
 
 	"dynamicmr/internal/hive"
 	"dynamicmr/internal/mapreduce"
-	"dynamicmr/internal/metrics"
 	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/workload"
@@ -128,8 +127,7 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 			})
 		}
 	}
-	sampler := metrics.NewSampler(r.jt, 30)
-	sampler.Start()
+	r.jt.SampleUtilization()
 	var osamp *obs.Sampler
 	if opt.reporting() {
 		osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: opt.sampleInterval(obs.DefaultIntervalS)})
@@ -139,12 +137,13 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 	if err != nil {
 		return Figure7Cell{}, fmt.Errorf("heterogeneous (frac=%g policy=%s): %w", frac, policy, err)
 	}
-	_, _, occ := sampler.Averages(opt.WarmupS)
+	timeline := r.jt.UtilizationTimeline()
+	_, _, occ := utilizationAverages(timeline, opt.WarmupS)
 	fig, figLabel := "figure7", "Figure 7"
 	if sched != nil {
 		fig, figLabel = "figure8", "Figure 8"
 	}
-	if err := writeCellTimeline(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), sampler); err != nil {
+	if err := writeCellTimeline(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), timeline); err != nil {
 		return Figure7Cell{}, err
 	}
 	if err := writeCellReport(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy),
@@ -176,12 +175,16 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 	}
 	samp, _ := results.Class("Sampling")
 	scan, _ := results.Class("Non-Sampling")
+	var locality float64
+	if local, nonLocal := r.jt.LocalityStats(); local+nonLocal > 0 {
+		locality = 100 * float64(local) / float64(local+nonLocal)
+	}
 	return Figure7Cell{
 		Fraction:              frac,
 		Policy:                policy,
 		SamplingThroughput:    samp.ThroughputJobsPerHour,
 		NonSamplingThroughput: scan.ThroughputJobsPerHour,
-		LocalityPct:           metrics.LocalityPct(r.jt),
+		LocalityPct:           locality,
 		OccupancyPct:          occ,
 	}, nil
 }

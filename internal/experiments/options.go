@@ -87,10 +87,14 @@ type Options struct {
 	LogWriter io.Writer
 	// LogLevel gates LogWriter records (default slog.LevelInfo).
 	LogLevel slog.Leveler
-	// SampleIntervalS overrides the observability sampler cadence used
-	// for ReportDir time-series; 0 picks a per-figure default (5 s for
-	// single-user Figure 5 cells, 30 s — the paper's §V-D monitoring
-	// cadence — for the workload figures).
+	// SampleIntervalS overrides two cadences, in virtual seconds (the
+	// cmd/experiments -sample-interval flag): the obs sampler behind
+	// the ReportDir time-series, where 0 picks a per-figure default
+	// (2 s for single-user Figure 5 cells, 30 s for the workload
+	// figures); and each rig's tsdb collection tick when alerting, where
+	// 0 picks tsdb.DefaultIntervalS. It never changes the §V-D
+	// utilization columns, which the runtime's fixed 30 s poll computes
+	// (mapreduce.UtilizationIntervalS).
 	SampleIntervalS float64
 	// ScanWorkers sizes the sweep-wide scan-executor pool that runs
 	// pure map record scans off the simulator goroutines (the

@@ -239,6 +239,11 @@ type JobTracker struct {
 	logger *slog.Logger
 
 	started bool
+
+	// polling is set once SampleUtilization has scheduled the
+	// utilization poll; utilization holds its readings.
+	polling     bool
+	utilization []trace.MetricSample
 }
 
 // NewJobTracker builds the tracker and its per-node TaskTrackers.
@@ -303,7 +308,8 @@ func (jt *JobTracker) logEnabled(level slog.Level) bool {
 	return jt.logger.Enabled(context.Background(), level)
 }
 
-// start launches staggered periodic heartbeats.
+// start launches staggered periodic heartbeats and, when tracing, the
+// utilization poll the tracer's timeline records.
 func (jt *JobTracker) start() {
 	if jt.started {
 		return
@@ -315,7 +321,9 @@ func (jt *JobTracker) start() {
 		offset := jt.cfg.HeartbeatIntervalS * float64(i+1) / float64(n)
 		jt.eng.After(offset, func() { jt.heartbeat(tt) })
 	}
-	jt.startTelemetry()
+	if jt.tracer.Enabled() {
+		jt.SampleUtilization()
+	}
 }
 
 func (jt *JobTracker) heartbeat(tt *TaskTracker) {

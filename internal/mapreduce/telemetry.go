@@ -2,22 +2,15 @@ package mapreduce
 
 import "dynamicmr/internal/trace"
 
-// UtilizationPoint is one interval-averaged utilization reading in the
-// units the paper reports (§V-D): CPU percent of total core capacity,
-// per-disk KB/s, and percent of map slots occupied.
-type UtilizationPoint struct {
-	// Time is the interval's end (virtual seconds).
-	Time             float64
-	CPUUtilPct       float64
-	DiskReadKBs      float64
-	SlotOccupancyPct float64
-}
+// UtilizationIntervalS is the utilization poll period: the paper's §V-D
+// "CPU utilization (%) and disk reads (Kbs/sec) at 30 second intervals".
+const UtilizationIntervalS = 30.0
 
 // UtilizationCursor turns the cluster's monotonic service integrals
 // into interval averages: each Advance reports the mean utilization
-// since the previous Advance (or since construction). It is the single
-// implementation behind both the tracer's telemetry poll and
-// metrics.Sampler's standalone mode, so the two can never drift.
+// since the previous Advance (or since construction), in the units the
+// paper reports — CPU percent of total core capacity, per-disk KB/s,
+// and percent of map slots occupied.
 type UtilizationCursor struct {
 	jt                                 *JobTracker
 	lastT, lastCPU, lastDisk, lastSlot float64
@@ -36,7 +29,7 @@ func (jt *JobTracker) NewUtilizationCursor() *UtilizationCursor {
 
 // Advance reads the integrals and returns the interval average since
 // the previous call; ok is false when no virtual time has passed.
-func (c *UtilizationCursor) Advance() (p UtilizationPoint, ok bool) {
+func (c *UtilizationCursor) Advance() (p trace.MetricSample, ok bool) {
 	jt := c.jt
 	now := jt.eng.Now()
 	dt := now - c.lastT
@@ -45,7 +38,7 @@ func (c *UtilizationCursor) Advance() (p UtilizationPoint, ok bool) {
 	slot := jt.MapSlotOccupancyIntegral()
 	if dt > 0 {
 		ok = true
-		p = UtilizationPoint{
+		p = trace.MetricSample{
 			Time:             now,
 			CPUUtilPct:       100 * (cpu - c.lastCPU) / (jt.cluster.CPUCapacity() * dt),
 			DiskReadKBs:      (disk - c.lastDisk) / dt / float64(jt.cluster.Cfg.TotalDisks()) / 1024,
@@ -56,26 +49,33 @@ func (c *UtilizationCursor) Advance() (p UtilizationPoint, ok bool) {
 	return p, ok
 }
 
-// startTelemetry launches the tracer's periodic utilization poll; it
-// runs alongside the heartbeats for the life of the engine and is the
-// event stream metrics.Sampler consumes when tracing is enabled.
-func (jt *JobTracker) startTelemetry() {
-	if !jt.tracer.Enabled() {
+// SampleUtilization starts the utilization poll: from now on, every
+// UtilizationIntervalS virtual seconds one interval-averaged reading is
+// appended to UtilizationTimeline (and, with tracing on, recorded into
+// the tracer). It is idempotent — a second call, or the traced runtime's
+// own start on first submission, never adds a second loop.
+//
+// The poll is opt-in because every reading splits the resources'
+// remaining-work accumulation; a runtime nobody polls keeps its virtual
+// timeline bit-for-bit.
+func (jt *JobTracker) SampleUtilization() {
+	if jt.polling {
 		return
 	}
-	interval := jt.cfg.Trace.SampleInterval()
+	jt.polling = true
 	cur := jt.NewUtilizationCursor()
 	var tick func()
 	tick = func() {
 		if p, ok := cur.Advance(); ok {
-			jt.tracer.RecordMetricSample(trace.MetricSample{
-				Time:             p.Time,
-				CPUUtilPct:       p.CPUUtilPct,
-				DiskReadKBs:      p.DiskReadKBs,
-				SlotOccupancyPct: p.SlotOccupancyPct,
-			})
+			jt.utilization = append(jt.utilization, p)
+			jt.tracer.RecordMetricSample(p)
 		}
-		jt.eng.After(interval, tick)
+		jt.eng.After(UtilizationIntervalS, tick)
 	}
-	jt.eng.After(interval, tick)
+	jt.eng.After(UtilizationIntervalS, tick)
 }
+
+// UtilizationTimeline returns the readings SampleUtilization has
+// collected so far, oldest first. The slice is the tracker's own:
+// callers must not mutate it.
+func (jt *JobTracker) UtilizationTimeline() []trace.MetricSample { return jt.utilization }

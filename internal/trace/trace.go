@@ -7,9 +7,9 @@
 //
 // The package is deliberately leaf-level: it knows nothing about the
 // runtime that feeds it, so internal/sim, internal/mapreduce,
-// internal/core, internal/metrics and internal/experiments can all
-// depend on it without cycles. All timestamps are virtual seconds as
-// reported by the discrete-event engine.
+// internal/core and internal/experiments can all depend on it without
+// cycles. All timestamps are virtual seconds as reported by the
+// discrete-event engine.
 //
 // Every method is safe on a nil *Tracer and does nothing, so
 // instrumentation sites call unconditionally; a disabled run costs one
@@ -18,15 +18,9 @@ package trace
 
 import "sync"
 
-// Default sizing for Config zero values.
-const (
-	// DefaultCapacity is the span ring capacity (oldest spans are
-	// evicted beyond it; see Tracer.Dropped).
-	DefaultCapacity = 1 << 16
-	// DefaultSampleIntervalS is the utilization poll period, the
-	// paper's §V-D 30-second monitoring interval.
-	DefaultSampleIntervalS = 30.0
-)
+// DefaultCapacity is the span ring capacity for a Config zero value
+// (oldest spans are evicted beyond it; see Tracer.Dropped).
+const DefaultCapacity = 1 << 16
 
 // Config tunes the tracing subsystem. It is embedded in
 // mapreduce.Config as the single switch for the whole layer.
@@ -39,9 +33,6 @@ type Config struct {
 	// they are the ground truth experiments re-read, and they grow by
 	// one entry per evaluation / poll interval, not per task.
 	Capacity int
-	// SampleIntervalS is the utilization poll period in virtual
-	// seconds (default DefaultSampleIntervalS).
-	SampleIntervalS float64
 }
 
 func (c Config) capacity() int {
@@ -49,14 +40,6 @@ func (c Config) capacity() int {
 		return c.Capacity
 	}
 	return DefaultCapacity
-}
-
-// SampleInterval returns the effective utilization poll period.
-func (c Config) SampleInterval() float64 {
-	if c.SampleIntervalS > 0 {
-		return c.SampleIntervalS
-	}
-	return DefaultSampleIntervalS
 }
 
 // Span names emitted by the runtime. A map attempt's timeline is
@@ -166,9 +149,8 @@ type Tracer struct {
 	n       int    // occupied entries (<= cap)
 	dropped int64
 
-	decisions  []PolicyDecision
-	samples    []MetricSample
-	sampleSubs []func(MetricSample)
+	decisions []PolicyDecision
+	samples   []MetricSample
 
 	reg registry
 }
@@ -306,19 +288,14 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// RecordMetricSample appends a utilization reading to the timeline and
-// fans it out to subscribers (e.g. metrics.Sampler).
+// RecordMetricSample appends a utilization reading to the timeline.
 func (t *Tracer) RecordMetricSample(m MetricSample) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.samples = append(t.samples, m)
-	subs := t.sampleSubs
-	t.mu.Unlock()
-	for _, fn := range subs {
-		fn(m)
-	}
 }
 
 // MetricSamples returns the utilization timeline collected so far.
@@ -329,15 +306,4 @@ func (t *Tracer) MetricSamples() []MetricSample {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]MetricSample(nil), t.samples...)
-}
-
-// OnMetricSample subscribes to future utilization readings. Callbacks
-// run synchronously on the engine goroutine that polled the sample.
-func (t *Tracer) OnMetricSample(fn func(MetricSample)) {
-	if t == nil || fn == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sampleSubs = append(t.sampleSubs, fn)
 }

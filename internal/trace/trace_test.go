@@ -18,7 +18,6 @@ func TestNilTracerIsSafeAndDisabled(t *testing.T) {
 	tr.Observe(HistMapDuration, 1)
 	tr.RecordPolicyDecision(PolicyDecision{})
 	tr.RecordMetricSample(MetricSample{Time: 1})
-	tr.OnMetricSample(func(MetricSample) {})
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil tracer has spans: %v", got)
 	}
@@ -49,12 +48,9 @@ func TestConfigDefaults(t *testing.T) {
 	if c.capacity() != DefaultCapacity {
 		t.Fatalf("capacity() = %d", c.capacity())
 	}
-	if c.SampleInterval() != DefaultSampleIntervalS {
-		t.Fatalf("SampleInterval() = %v", c.SampleInterval())
-	}
-	c = Config{Capacity: 8, SampleIntervalS: 5}
-	if c.capacity() != 8 || c.SampleInterval() != 5 {
-		t.Fatalf("overrides ignored: %d, %v", c.capacity(), c.SampleInterval())
+	c = Config{Capacity: 8}
+	if c.capacity() != 8 {
+		t.Fatalf("override ignored: %d", c.capacity())
 	}
 }
 
@@ -202,17 +198,17 @@ func TestPolicyLogCountsEvaluations(t *testing.T) {
 	}
 }
 
-func TestMetricSampleFanOut(t *testing.T) {
+func TestMetricSampleTimeline(t *testing.T) {
 	tr := New(Config{Enabled: true})
-	var got []MetricSample
-	tr.OnMetricSample(func(m MetricSample) { got = append(got, m) })
 	tr.RecordMetricSample(MetricSample{Time: 30, CPUUtilPct: 50})
 	tr.RecordMetricSample(MetricSample{Time: 60, CPUUtilPct: 25})
-	if len(got) != 2 || got[1].Time != 60 {
-		t.Fatalf("subscriber saw %+v", got)
+	got := tr.MetricSamples()
+	if len(got) != 2 || got[0].Time != 30 || got[1].Time != 60 {
+		t.Fatalf("timeline = %+v", got)
 	}
-	if len(tr.MetricSamples()) != 2 {
-		t.Fatalf("timeline = %+v", tr.MetricSamples())
+	got[0].Time = -1 // a copy: mutating it must not reach the tracer
+	if tr.MetricSamples()[0].Time != 30 {
+		t.Fatal("MetricSamples returned the tracer's own slice")
 	}
 }
 

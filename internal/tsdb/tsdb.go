@@ -68,7 +68,7 @@ type Config struct {
 
 // DB is one run's time-series engine. It is not internally locked: the
 // tick runs on the engine goroutine and snapshot callers hold the same
-// driver lock that gates engine stepping (the Sampler discipline). All
+// driver lock that gates engine stepping (the obs.Sampler discipline). All
 // methods are safe on a nil *DB — the disabled state costs a nil check.
 type DB struct {
 	jt  *mapreduce.JobTracker
