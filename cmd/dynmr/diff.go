@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"dynamicmr"
 	"dynamicmr/internal/diag"
 	"dynamicmr/internal/runarchive"
 )
@@ -71,24 +70,4 @@ func diffMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-}
-
-// writeArchive snapshots the cluster into a cross-run archive when
-// -archive-out is set; shared by the shell, serve and explain modes.
-func writeArchive(c *dynamicmr.Cluster, path, label string, cfg runarchive.RunConfig) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := c.WriteArchive(f, label, cfg); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote run archive to %s (compare with `dynmr diff`)\n", path)
 }

@@ -3,69 +3,36 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"dynamicmr"
-	"dynamicmr/internal/diag"
-	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/trace"
 )
 
 // explainMain runs `dynmr explain`: execute one or more sampling
 // queries on a freshly built cluster with tracing on, then run the
-// post-run diagnosis engine and render each job's critical path, time
-// breakdown and anomalies — as human-readable text by default, or as
-// schema-stable JSON with -json. The diagnosis invariants (critical
-// path tiles the makespan; breakdown components sum to it) are checked
-// before anything is printed; a violation exits non-zero, so the
-// command doubles as an end-to-end validation of the trace stream.
+// post-run diagnosis engine and print each job's critical path, time
+// breakdown and anomalies as text; `dynmr render diag-json` renders
+// the same report as schema-stable JSON from the -archive-out file.
+// The diagnosis invariants (critical path tiles the makespan;
+// breakdown components sum to it) are checked before anything is
+// printed; a violation exits non-zero, so the command doubles as an
+// end-to-end validation of the trace stream.
 func explainMain(args []string) {
 	fs := flag.NewFlagSet("dynmr explain", flag.ExitOnError)
-	scale := fs.Int("scale", 1, "TPC-H scale factor of the generated LINEITEM table")
-	skewZ := fs.Float64("skew", 1, "Zipf exponent of the planted-match distribution (0, 1 or 2)")
-	rows := fs.Int64("rows", 2_000_000, "row-count override (0 = full 6M x scale)")
-	multi := fs.Bool("multiuser", false, "use the 16-map-slots-per-node configuration")
-	fair := fs.Bool("fair", false, "use the Fair Scheduler instead of FIFO")
-	policy := fs.String("policy", "LA", "growth policy for the sampling queries")
-	k := fs.Int64("k", 1000, "required sample size per query")
-	queries := fs.Int("queries", 1, "number of sampling queries to run and diagnose")
+	rf := newRunFlags(fs, 0)
+	sf := newSampleFlags(fs, 1)
 	spec := fs.Bool("speculative", false, "enable speculative execution for straggling maps")
-	jsonOut := fs.Bool("json", false, "emit the diagnosis as JSON (schema "+diag.SchemaVersion+") instead of text")
-	out := fs.String("out", "", "write the diagnosis to FILE instead of stdout")
-	archiveOut := fs.String("archive-out", "", "also write a cross-run archive (dynamicmr.archive/1, for `dynmr diff`) to FILE")
-	logOut := fs.String("log-out", "", "write the virtual-clock NDJSON log stream to FILE")
-	logLevel := fs.String("log-level", "info", "log level for -log-out: debug, info, warn or error")
-	engineMode := fs.String("engine-mode", dynamicmr.EngineModeBaseline, "execution engine: baseline or memory (resident map outputs reused across queries)")
-	inputPath := fs.String("input-path", dynamicmr.InputPathFull, "map-task read path: full, skip (zone-map skip-scan) or index (clustered-index reads + informed grab ordering)")
 	fs.Parse(args)
 
-	opts := append(clusterOpts(*multi, *fair, *engineMode, *inputPath), dynamicmr.WithTracing(trace.Config{}))
+	opts := []dynamicmr.Option{dynamicmr.WithTracing(trace.Config{})}
 	if *spec {
 		opts = append(opts, dynamicmr.WithSpeculativeExecution())
 	}
-	opts, logClose := withLogFlags(opts, *logOut, *logLevel)
-	defer logClose()
-	c, err := dynamicmr.NewCluster(opts...)
-	if err != nil {
-		fatal(err)
-	}
-	defer c.Close()
-	ds, err := c.LoadLineItem("lineitem", dynamicmr.DatasetSpec{
-		Scale: *scale, Skew: *skewZ, Rows: *rows, Seed: 42,
-	})
-	if err != nil {
-		fatal(err)
-	}
+	c, ds := rf.cluster(opts...)
 	pred := ds.Predicate().String()
-	for n := 0; n < *queries; n++ {
-		res, err := c.Sample("lineitem", pred, *k, *policy, []string{"L_ORDERKEY", "L_PARTKEY", "L_SUPPKEY"})
-		if err != nil {
-			fatal(err)
-		}
-		job := res.Job
-		fmt.Fprintf(os.Stderr, "query %d: %d row(s), response %.2fs, %d/%d partitions, clock %.2fs\n",
-			n+1, len(res.Rows), job.ResponseTime(), job.CompletedMaps(), job.ScheduledMaps(), c.Now())
+	for n := 0; n < sf.queries; n++ {
+		sf.run(c, pred, n)
 	}
 
 	rep, err := c.Diagnose()
@@ -75,31 +42,8 @@ func explainMain(args []string) {
 	if err := rep.CheckInvariants(); err != nil {
 		fatal(fmt.Errorf("diagnosis invariants violated: %w", err))
 	}
-	writeArchive(c, *archiveOut, fmt.Sprintf("dynmr explain — policy %s", *policy), runarchive.RunConfig{
-		Policy: *policy,
-		Seed:   42,
-		Params: map[string]string{
-			"scale":   fmt.Sprintf("%d", *scale),
-			"skew":    fmt.Sprintf("%g", *skewZ),
-			"k":       fmt.Sprintf("%d", *k),
-			"queries": fmt.Sprintf("%d", *queries),
-		},
-	})
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if *jsonOut {
-		err = rep.WriteJSON(w)
-	} else {
-		err = rep.WriteText(w)
-	}
-	if err != nil {
+	if err := rep.WriteText(os.Stdout); err != nil {
 		fatal(err)
 	}
+	rf.finish(c, "dynmr explain — policy "+sf.policy, sf.config())
 }

@@ -5,31 +5,39 @@
 //
 // Usage:
 //
-//	dynmr [-scale N] [-skew 0|1|2] [-rows N] [-multiuser] [-fair]
-//	      [-engine-mode baseline|memory] [-input-path full|skip|index]
-//	      [-trace-out FILE] [-report-out FILE] [-sample-interval S]
-//	      [-qstats-out FILE] [-alert-rules FILE] [-alerts-out FILE]
-//	      [-log-out FILE] [-log-level LEVEL] [-e "SQL"]
-//	dynmr serve [-addr HOST:PORT] [-policy NAME] [-k N] [-queries N] [-pace-ms MS]
-//	      [-qstats-out FILE] [-pprof] ...
+//	dynmr [run flags] [-e "SQL"] [-maxrows N] [-trace]
+//	dynmr serve [run flags] [-addr HOST:PORT] [-policy NAME] [-k N] [-queries N]
+//	      [-pace-ms MS] [-pprof]
+//	dynmr explain [run flags] [-policy NAME] [-k N] [-queries N] [-speculative]
+//	dynmr render qstats|alerts|diag|diag-json|diag-csv|chrome A.archive.gz
 //	dynmr top [-addr HOST:PORT] [-follow] [-interval-ms MS]
-//	dynmr explain [-policy NAME] [-k N] [-queries N] [-json] [-out FILE] ...
 //	dynmr diff [-json | -html] [-out FILE] A.archive.gz B.archive.gz
 //
+// The shell, serve and explain modes share one set of run flags:
+//
+//	[-scale N] [-skew 0|1|2] [-rows N] [-multiuser] [-fair]
+//	[-engine-mode baseline|memory] [-input-path full|skip|index]
+//	[-archive-out FILE] [-report-out FILE] [-sample-interval S]
+//	[-alert-rules FILE] [-log-out FILE] [-log-level LEVEL]
+//
 // Without -e, statements are read from stdin (one per line, ';'
-// optional). With -trace-out, a Chrome trace-event JSON file covering
-// every task attempt, policy decision and utilization sample is
-// written at exit — load it in https://ui.perfetto.dev or
-// chrome://tracing. With -report-out, a self-contained HTML run report
-// (utilization time-series, slot-occupancy Gantt, policy decision log)
-// is written at exit. With -log-out, the runtime's structured log
-// stream (job lifecycle, Input Provider decisions, query execution) is
-// written as NDJSON, each record stamped with the virtual clock. With
-// -qstats-out, the per-query registry dump (schema dynamicmr.qstats/1)
-// is flushed at exit, like -archive-out. With -alert-rules, declarative
-// alert/SLO rules are evaluated on the virtual clock while statements
-// run; -alerts-out flushes the resulting alert dump (schema
-// dynamicmr.alerts/1) at exit.
+// optional). With -archive-out, the run archive (schema
+// dynamicmr.archive/1, gzip NDJSON: trace spans, policy decisions,
+// utilization samples, diagnoses, query stats, counters/gauges, the
+// time series and alert log when -alert-rules is set, and the run
+// config) is written at exit. It is the one output file every view
+// renders from: `dynmr render KIND ARCHIVE` writes the per-query stats
+// dump (qstats, schema dynamicmr.qstats/1), the alert dump (alerts,
+// dynamicmr.alerts/1), the job diagnosis as text, JSON or CSV (diag,
+// diag-json, diag-csv) or a Chrome trace-event file (chrome; load it
+// in https://ui.perfetto.dev or chrome://tracing) to stdout. With
+// -report-out, a self-contained HTML run report (utilization
+// time-series, slot-occupancy Gantt, policy decision log) is written
+// at exit. With -log-out, the runtime's structured log stream (job
+// lifecycle, Input Provider decisions, query execution) is written as
+// NDJSON, each record stamped with the virtual clock. With
+// -alert-rules, declarative alert/SLO rules are evaluated on the
+// virtual clock while statements run.
 //
 // The serve subcommand runs a paced loop of sampling queries while
 // exposing live observability over HTTP: Prometheus text exposition on
@@ -37,7 +45,7 @@
 // /queries (schema dynamicmr.qstats/1; ?id=q-000001 for one record)
 // and a self-refreshing HTML dashboard on /live (plus net/http/pprof
 // under /debug/pprof/ with -pprof). SIGINT/SIGTERM shut it down
-// gracefully, flushing -report-out, -log-out and -qstats-out.
+// gracefully through the same exit flush as the other modes.
 //
 // The top subcommand renders a text view of a running serve instance
 // from its /status and /queries endpoints; -follow refreshes it like
@@ -47,14 +55,10 @@
 // prints the post-run job diagnosis: per-job critical path, time
 // breakdown and anomalies.
 //
-// With -archive-out (shell, serve and explain modes), a self-contained
-// cross-run archive (schema dynamicmr.archive/1: trace spans, policy
-// decisions, diagnoses, query stats, counters/gauges and run config,
-// as gzip NDJSON) is written at exit. The diff subcommand compares two
-// such archives: jobs are aligned by query ID, the nine-component time
-// breakdowns are differenced (the per-component deltas sum to the
-// makespan delta by construction), and the first divergent provider
-// decision between twin runs is located.
+// The diff subcommand compares two run archives: jobs are aligned by
+// query ID, the nine-component time breakdowns are differenced (the
+// per-component deltas sum to the makespan delta by construction), and
+// the first divergent provider decision between twin runs is located.
 package main
 
 import (
@@ -68,8 +72,6 @@ import (
 	"dynamicmr/internal/hive"
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/runarchive"
-	"dynamicmr/internal/trace"
-	"dynamicmr/internal/vlog"
 )
 
 func main() {
@@ -87,63 +89,22 @@ func main() {
 		case "diff":
 			diffMain(os.Args[2:])
 			return
+		case "render":
+			renderMain(os.Args[2:])
+			return
 		}
 	}
-	scale := flag.Int("scale", 1, "TPC-H scale factor of the generated LINEITEM table")
-	skewZ := flag.Float64("skew", 1, "Zipf exponent of the planted-match distribution (0, 1 or 2)")
-	rows := flag.Int64("rows", 2_000_000, "row-count override (0 = full 6M x scale)")
-	multi := flag.Bool("multiuser", false, "use the 16-map-slots-per-node configuration")
-	fair := flag.Bool("fair", false, "use the Fair Scheduler instead of FIFO")
+	rf := newRunFlags(flag.CommandLine, 0)
 	exec := flag.String("e", "", "execute this statement and exit")
 	maxRows := flag.Int("maxrows", 20, "result rows to print")
 	eventLog := flag.Bool("trace", false, "print the task-level event log for each job")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (Perfetto-loadable) at exit")
-	reportOut := flag.String("report-out", "", "write a self-contained HTML run report at exit")
-	archiveOut := flag.String("archive-out", "", "write a cross-run archive (dynamicmr.archive/1 gzip NDJSON, for `dynmr diff`) at exit")
-	qstatsOut := flag.String("qstats-out", "", "write the per-query stats dump (dynamicmr.qstats/1 JSON) at exit")
-	alertRules := flag.String("alert-rules", "", "load declarative alert/SLO rules from FILE (JSON {\"rules\": [...]}) and evaluate them on the virtual clock")
-	alertsOut := flag.String("alerts-out", "", "write the alert dump (dynamicmr.alerts/1 JSON) at exit")
-	sampleInterval := flag.Float64("sample-interval", 0, "utilization sampler cadence in virtual seconds for -report-out (0 = 30s default)")
-	logOut := flag.String("log-out", "", "write the virtual-clock NDJSON log stream to FILE")
-	logLevel := flag.String("log-level", "info", "log level for -log-out: debug, info, warn or error")
-	engineMode := flag.String("engine-mode", dynamicmr.EngineModeBaseline, "execution engine: baseline or memory (resident map outputs reused across queries)")
-	inputPath := flag.String("input-path", dynamicmr.InputPathFull, "map-task read path: full, skip (zone-map skip-scan) or index (clustered-index reads + informed grab ordering)")
 	flag.Parse()
 
-	opts := clusterOpts(*multi, *fair, *engineMode, *inputPath)
-	if *traceOut != "" || *reportOut != "" || *archiveOut != "" {
-		opts = append(opts, dynamicmr.WithTracing(trace.Config{}))
-	}
-	if *reportOut != "" {
-		opts = append(opts, dynamicmr.WithUtilizationSampling(*sampleInterval))
-	}
-	if *qstatsOut != "" {
-		opts = append(opts, dynamicmr.WithQueryStats())
-	}
-	if rules := loadAlertRules(*alertRules); len(rules) > 0 {
-		opts = append(opts, dynamicmr.WithAlertRules(rules...))
-	} else if *alertsOut != "" {
-		// -alerts-out without rules still gets a schema-valid (empty)
-		// dump, so pipelines can pass the flag unconditionally.
-		opts = append(opts, dynamicmr.WithTimeSeries(0))
-	}
-	opts, logClose := withLogFlags(opts, *logOut, *logLevel)
-	defer logClose()
-	c, err := dynamicmr.NewCluster(opts...)
-	if err != nil {
-		fatal(err)
-	}
-	defer c.Close()
+	c, ds := rf.cluster()
 	if *eventLog {
 		c.JobTracker().Subscribe(func(e mapreduce.TaskEvent) {
 			fmt.Fprintln(os.Stderr, e)
 		})
-	}
-	ds, err := c.LoadLineItem("lineitem", dynamicmr.DatasetSpec{
-		Scale: *scale, Skew: *skewZ, Rows: *rows, Seed: 42,
-	})
-	if err != nil {
-		fatal(err)
 	}
 	fmt.Printf("loaded table lineitem: %d rows, %d partitions, %d records matching %s\n",
 		ds.TotalRows(), ds.NumPartitions(), ds.TotalMatches(), ds.Predicate())
@@ -162,54 +123,18 @@ func main() {
 		printResult(c, res, *maxRows)
 	}
 
-	shellConfig := runarchive.RunConfig{
-		Seed: 42,
-		Params: map[string]string{
-			"scale": fmt.Sprintf("%d", *scale),
-			"skew":  fmt.Sprintf("%g", *skewZ),
-			"rows":  fmt.Sprintf("%d", *rows),
-		},
-	}
 	if *exec != "" {
 		runOne(*exec)
-		writeTrace(c, *traceOut)
-		writeReport(c, *reportOut, "dynmr session", reportParams(*scale, *skewZ, *rows))
-		writeQStats(c, *qstatsOut)
-		writeAlerts(c, *alertsOut)
-		writeArchive(c, *archiveOut, "dynmr session", shellConfig)
-		return
-	}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	fmt.Print("dynmr> ")
-	for sc.Scan() {
-		runOne(sc.Text())
+	} else {
+		sc := bufio.NewScanner(os.Stdin)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
 		fmt.Print("dynmr> ")
+		for sc.Scan() {
+			runOne(sc.Text())
+			fmt.Print("dynmr> ")
+		}
 	}
-	writeTrace(c, *traceOut)
-	writeReport(c, *reportOut, "dynmr session", reportParams(*scale, *skewZ, *rows))
-	writeQStats(c, *qstatsOut)
-	writeAlerts(c, *alertsOut)
-	writeArchive(c, *archiveOut, "dynmr session", shellConfig)
-}
-
-// writeTrace exports the session's Chrome trace when -trace-out is set.
-func writeTrace(c *dynamicmr.Cluster, path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := c.Tracer().WriteChromeTrace(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote Chrome trace to %s (open in https://ui.perfetto.dev)\n", path)
+	rf.finish(c, "dynmr session", runarchive.RunConfig{})
 }
 
 func printResult(c *dynamicmr.Cluster, res *hive.Result, maxRows int) {
@@ -234,28 +159,6 @@ func printResult(c *dynamicmr.Cluster, res *hive.Result, maxRows int) {
 			fmt.Printf("; policy %s, %d provider evaluations", res.Client.Policy().Name, res.Client.Evaluations())
 		}
 		fmt.Printf("; cluster clock %.2fs\n", c.Now())
-	}
-}
-
-// withLogFlags appends WithLogging when -log-out is set; the returned
-// closer flushes the log file at exit.
-func withLogFlags(opts []dynamicmr.Option, path, levelName string) ([]dynamicmr.Option, func()) {
-	if path == "" {
-		return opts, func() {}
-	}
-	level, err := vlog.ParseLevel(levelName)
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	return append(opts, dynamicmr.WithLogging(f, level)), func() {
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote virtual-clock log to %s\n", path)
 	}
 }
 

@@ -1,0 +1,216 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"sort"
+	"strconv"
+
+	"dynamicmr"
+	"dynamicmr/internal/dataset"
+	"dynamicmr/internal/runarchive"
+	"dynamicmr/internal/trace"
+	"dynamicmr/internal/tsdb"
+	"dynamicmr/internal/vlog"
+)
+
+// datasetSeed seeds every mode's generated LINEITEM table.
+const datasetSeed = 42
+
+// runFlags is the run configuration the shell, serve and explain modes
+// share: the dataset, the cluster, and the files written at exit. Each
+// mode registers it on its FlagSet, builds its cluster with cluster and
+// ends with one call to finish.
+type runFlags struct {
+	scale          int
+	skew           float64
+	rows           int64
+	multiuser      bool
+	fair           bool
+	engineMode     string
+	inputPath      string
+	logOut         string
+	logLevel       string
+	archiveOut     string
+	reportOut      string
+	alertRules     string
+	sampleInterval float64
+
+	logFile *os.File
+}
+
+// newRunFlags registers the run flags on fs; sampleIntervalS is the
+// mode's -sample-interval default.
+func newRunFlags(fs *flag.FlagSet, sampleIntervalS float64) *runFlags {
+	rf := &runFlags{}
+	fs.IntVar(&rf.scale, "scale", 1, "TPC-H scale factor of the generated LINEITEM table")
+	fs.Float64Var(&rf.skew, "skew", 1, "Zipf exponent of the planted-match distribution (0, 1 or 2)")
+	fs.Int64Var(&rf.rows, "rows", 2_000_000, "row-count override (0 = full 6M x scale)")
+	fs.BoolVar(&rf.multiuser, "multiuser", false, "use the 16-map-slots-per-node configuration")
+	fs.BoolVar(&rf.fair, "fair", false, "use the Fair Scheduler instead of FIFO")
+	fs.StringVar(&rf.engineMode, "engine-mode", dynamicmr.EngineModeBaseline, "execution engine: baseline or memory (resident map outputs reused across queries)")
+	fs.StringVar(&rf.inputPath, "input-path", dynamicmr.InputPathFull, "map-task read path: full, skip (zone-map skip-scan) or index (clustered-index reads + informed grab ordering)")
+	fs.StringVar(&rf.logOut, "log-out", "", "write the virtual-clock NDJSON log stream to FILE")
+	fs.StringVar(&rf.logLevel, "log-level", "info", "log level for -log-out: debug, info, warn or error")
+	fs.StringVar(&rf.archiveOut, "archive-out", "", "write the run archive (dynamicmr.archive/1 gzip NDJSON; view it with `dynmr render`, compare two with `dynmr diff`) at exit")
+	fs.StringVar(&rf.reportOut, "report-out", "", "write a self-contained HTML run report at exit")
+	fs.StringVar(&rf.alertRules, "alert-rules", "", "load declarative alert/SLO rules from FILE (JSON {\"rules\": [...]}) and evaluate them on the virtual clock")
+	fs.Float64Var(&rf.sampleInterval, "sample-interval", sampleIntervalS, "utilization sampler cadence in virtual seconds (0 = 30s default; serve also collects /tsdb at this cadence)")
+	return rf
+}
+
+// cluster builds the cluster the flags describe, with the mode's own
+// options appended, and loads the LINEITEM table. -archive-out turns on
+// query stats (and with them tracing), so every `dynmr render` kind
+// finds its section; -report-out turns on tracing and the utilization
+// sampler the report draws.
+func (rf *runFlags) cluster(mode ...dynamicmr.Option) (*dynamicmr.Cluster, *dataset.Dataset) {
+	opts := []dynamicmr.Option{dynamicmr.WithEngineMode(rf.engineMode), dynamicmr.WithInputPath(rf.inputPath)}
+	if rf.multiuser {
+		opts = append(opts, dynamicmr.WithMultiUserSlots())
+	}
+	if rf.fair {
+		opts = append(opts, dynamicmr.WithFairScheduler(5))
+	}
+	if rf.archiveOut != "" {
+		opts = append(opts, dynamicmr.WithQueryStats())
+	}
+	if rf.reportOut != "" {
+		opts = append(opts, dynamicmr.WithTracing(trace.Config{}), dynamicmr.WithUtilizationSampling(rf.sampleInterval))
+	}
+	if rf.alertRules != "" {
+		// A parse error is fatal: a typoed rule must not silently
+		// disable alerting.
+		data, err := os.ReadFile(rf.alertRules)
+		if err != nil {
+			fatal(err)
+		}
+		rules, err := tsdb.ParseRules(data)
+		if err != nil {
+			fatal(err)
+		}
+		if len(rules) > 0 {
+			opts = append(opts, dynamicmr.WithAlertRules(rules...))
+		}
+	}
+	opts = append(opts, mode...)
+	if rf.logOut != "" {
+		level, err := vlog.ParseLevel(rf.logLevel)
+		if err != nil {
+			fatal(err)
+		}
+		if rf.logFile, err = os.Create(rf.logOut); err != nil {
+			fatal(err)
+		}
+		opts = append(opts, dynamicmr.WithLogging(rf.logFile, level))
+	}
+	c, err := dynamicmr.NewCluster(opts...)
+	if err != nil {
+		fatal(err)
+	}
+	ds, err := c.LoadLineItem("lineitem", dynamicmr.DatasetSpec{
+		Scale: rf.scale, Skew: rf.skew, Rows: rf.rows, Seed: datasetSeed,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	return c, ds
+}
+
+// finish is every run mode's exit path, serve's signal handler
+// included: it writes the HTML report and the run archive the flags
+// name, closes the cluster, then closes the log stream. label names
+// the run in both files; cfg, completed with the dataset flags,
+// describes it in the archive and heads the report.
+func (rf *runFlags) finish(c *dynamicmr.Cluster, label string, cfg runarchive.RunConfig) {
+	cfg.Seed = datasetSeed
+	if cfg.Params == nil {
+		cfg.Params = map[string]string{}
+	}
+	cfg.Params["scale"] = strconv.Itoa(rf.scale)
+	cfg.Params["skew"] = strconv.FormatFloat(rf.skew, 'g', -1, 64)
+	cfg.Params["rows"] = strconv.FormatInt(rf.rows, 10)
+	if rf.reportOut != "" {
+		var params [][2]string
+		if cfg.Policy != "" {
+			params = append(params, [2]string{"policy", cfg.Policy})
+		}
+		keys := make([]string, 0, len(cfg.Params))
+		for k := range cfg.Params {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			params = append(params, [2]string{k, cfg.Params[k]})
+		}
+		writeFile(rf.reportOut, func(w io.Writer) error { return c.WriteReport(w, label, params) })
+		fmt.Fprintf(os.Stderr, "wrote run report to %s\n", rf.reportOut)
+	}
+	if rf.archiveOut != "" {
+		writeFile(rf.archiveOut, func(w io.Writer) error { return c.WriteArchive(w, label, cfg) })
+		fmt.Fprintf(os.Stderr, "wrote run archive to %s (view with `dynmr render`, compare with `dynmr diff`)\n", rf.archiveOut)
+	}
+	// Release session state: resident map outputs, pinned blocks and
+	// scan workers all go with the cluster.
+	c.Close()
+	if rf.logFile != nil {
+		if err := rf.logFile.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote virtual-clock log to %s\n", rf.logOut)
+	}
+}
+
+// writeFile creates path and fills it with write; any error is fatal.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+}
+
+// sampleFlags are the sampling-query flags serve and explain share.
+type sampleFlags struct {
+	policy  string
+	k       int64
+	queries int
+}
+
+// newSampleFlags registers the sampling flags on fs; queries is the
+// mode's -queries default.
+func newSampleFlags(fs *flag.FlagSet, queries int) *sampleFlags {
+	sf := &sampleFlags{}
+	fs.StringVar(&sf.policy, "policy", "LA", "growth policy for the sampling queries")
+	fs.Int64Var(&sf.k, "k", 1000, "required sample size per query")
+	fs.IntVar(&sf.queries, "queries", queries, "number of sampling queries to run (serve: 0 = loop until interrupted)")
+	return sf
+}
+
+// run executes sampling query n (0-based) over pred and logs its
+// outcome to stderr.
+func (sf *sampleFlags) run(c *dynamicmr.Cluster, pred string, n int) {
+	res, err := c.Sample("lineitem", pred, sf.k, sf.policy, []string{"L_ORDERKEY", "L_PARTKEY", "L_SUPPKEY"})
+	if err != nil {
+		fatal(err)
+	}
+	job := res.Job
+	fmt.Fprintf(os.Stderr, "query %d: %d row(s), response %.2fs, %d/%d partitions, clock %.2fs\n",
+		n+1, len(res.Rows), job.ResponseTime(), job.CompletedMaps(), job.ScheduledMaps(), c.Now())
+}
+
+// config describes the sampling run for finish.
+func (sf *sampleFlags) config() runarchive.RunConfig {
+	return runarchive.RunConfig{Policy: sf.policy, Params: map[string]string{
+		"k":       strconv.FormatInt(sf.k, 10),
+		"queries": strconv.Itoa(sf.queries),
+	}}
+}

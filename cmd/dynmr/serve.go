@@ -13,8 +13,6 @@ import (
 
 	"dynamicmr"
 	"dynamicmr/internal/obs"
-	"dynamicmr/internal/runarchive"
-	"dynamicmr/internal/tsdb"
 )
 
 // serveMain runs `dynmr serve`: a paced closed loop of sampling queries
@@ -34,53 +32,24 @@ import (
 // firing set and the transition log (schema dynamicmr.alerts/1).
 //
 // SIGINT/SIGTERM shut the loop down gracefully: the current query
-// finishes, every -*-out sink (-report-out, -log-out, -qstats-out,
-// -alerts-out, -archive-out) is flushed schema-complete, the HTTP
-// server drains, and the process exits 0.
+// finishes, the run flags' exit flush writes -report-out and
+// -archive-out schema-complete and closes -log-out, the HTTP server
+// drains, and the process exits 0.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("dynmr serve", flag.ExitOnError)
+	// Single queries are short, so the sampler default is denser than
+	// the workload figures' 30 s.
+	rf := newRunFlags(fs, 5)
+	sf := newSampleFlags(fs, 0)
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address for /metrics, /status, /queries and /live")
-	scale := fs.Int("scale", 1, "TPC-H scale factor of the generated LINEITEM table")
-	skewZ := fs.Float64("skew", 1, "Zipf exponent of the planted-match distribution (0, 1 or 2)")
-	rows := fs.Int64("rows", 2_000_000, "row-count override (0 = full 6M x scale)")
-	multi := fs.Bool("multiuser", false, "use the 16-map-slots-per-node configuration")
-	fair := fs.Bool("fair", false, "use the Fair Scheduler instead of FIFO")
-	policy := fs.String("policy", "LA", "growth policy for the sampling queries")
-	k := fs.Int64("k", 1000, "required sample size per query")
-	queries := fs.Int("queries", 0, "number of queries to run before idling (0 = loop until interrupted)")
 	paceMS := fs.Int("pace-ms", 500, "real milliseconds to sleep between queries (scrape window)")
-	sampleInterval := fs.Float64("sample-interval", 5, "utilization sampler cadence in virtual seconds (single queries are short, so the default is denser than the workload figures' 30s)")
-	reportOut := fs.String("report-out", "", "write the HTML run report to FILE on shutdown")
-	qstatsOut := fs.String("qstats-out", "", "write the per-query stats dump (dynamicmr.qstats/1 JSON) to FILE on shutdown")
-	alertRules := fs.String("alert-rules", "", "load declarative alert/SLO rules from FILE (JSON {\"rules\": [...]}) and evaluate them on the virtual clock")
-	alertsOut := fs.String("alerts-out", "", "write the alert dump (dynamicmr.alerts/1 JSON) to FILE on shutdown")
-	archiveOut := fs.String("archive-out", "", "write a cross-run archive (dynamicmr.archive/1, for `dynmr diff`) to FILE on shutdown")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ (off by default)")
-	logOut := fs.String("log-out", "", "write the virtual-clock NDJSON log stream to FILE")
-	logLevel := fs.String("log-level", "info", "log level for -log-out: debug, info, warn or error")
-	engineMode := fs.String("engine-mode", dynamicmr.EngineModeBaseline, "execution engine: baseline or memory (resident map outputs reused across queries)")
-	inputPath := fs.String("input-path", dynamicmr.InputPathFull, "map-task read path: full, skip (zone-map skip-scan) or index (clustered-index reads + informed grab ordering)")
 	fs.Parse(args)
 
-	opts := append(clusterOpts(*multi, *fair, *engineMode, *inputPath),
+	c, ds := rf.cluster(
 		dynamicmr.WithQueryStats(),
-		dynamicmr.WithUtilizationSampling(*sampleInterval),
-		dynamicmr.WithTimeSeries(*sampleInterval))
-	if rules := loadAlertRules(*alertRules); len(rules) > 0 {
-		opts = append(opts, dynamicmr.WithAlertRules(rules...))
-	}
-	opts, logClose := withLogFlags(opts, *logOut, *logLevel)
-	defer logClose()
-	c, err := dynamicmr.NewCluster(opts...)
-	if err != nil {
-		fatal(err)
-	}
-	ds, err := c.LoadLineItem("lineitem", dynamicmr.DatasetSpec{
-		Scale: *scale, Skew: *skewZ, Rows: *rows, Seed: 42,
-	})
-	if err != nil {
-		fatal(err)
-	}
+		dynamicmr.WithUtilizationSampling(rf.sampleInterval),
+		dynamicmr.WithTimeSeries(rf.sampleInterval))
 
 	srv := obs.NewServer(c.Sampler())
 	srv.SetQueryStats(c.QueryStats())
@@ -106,7 +75,7 @@ func serveMain(args []string) {
 		}
 	}()
 	fmt.Fprintf(os.Stderr, "dynmr serve: listening on http://%s (/metrics, /status, /queries, /tsdb, /alerts, /live); policy %s, k=%d\n",
-		*addr, *policy, *k)
+		*addr, sf.policy, sf.k)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -114,17 +83,11 @@ func serveMain(args []string) {
 	pred := ds.Predicate().String()
 	interrupted := false
 loop:
-	for n := 0; *queries == 0 || n < *queries; n++ {
+	for n := 0; sf.queries == 0 || n < sf.queries; n++ {
 		srv.Lock()
-		res, err := c.Sample("lineitem", pred, *k, *policy, []string{"L_ORDERKEY", "L_PARTKEY", "L_SUPPKEY"})
+		sf.run(c, pred, n)
 		srv.Unlock()
-		if err != nil {
-			fatal(err)
-		}
 		srv.Publish()
-		job := res.Job
-		fmt.Fprintf(os.Stderr, "query %d: %d row(s), response %.2fs, %d/%d partitions, clock %.2fs\n",
-			n+1, len(res.Rows), job.ResponseTime(), job.CompletedMaps(), job.ScheduledMaps(), c.Now())
 		select {
 		case <-ctx.Done():
 			interrupted = true
@@ -140,141 +103,12 @@ loop:
 	fmt.Fprintln(os.Stderr, "dynmr serve: shutting down")
 
 	srv.Lock()
-	writeReport(c, *reportOut, fmt.Sprintf("dynmr serve — policy %s, scale %dx, z=%g", *policy, *scale, *skewZ),
-		[][2]string{
-			{"policy", *policy},
-			{"scale", fmt.Sprintf("%dx", *scale)},
-			{"skew z", fmt.Sprintf("%g", *skewZ)},
-			{"sample k", fmt.Sprintf("%d", *k)},
-			{"queries", fmt.Sprintf("%d", *queries)},
-		})
-	writeQStats(c, *qstatsOut)
-	writeAlerts(c, *alertsOut)
-	writeArchive(c, *archiveOut, fmt.Sprintf("dynmr serve — policy %s", *policy), runarchive.RunConfig{
-		Policy: *policy,
-		Seed:   42,
-		Params: map[string]string{
-			"scale":   fmt.Sprintf("%d", *scale),
-			"skew":    fmt.Sprintf("%g", *skewZ),
-			"k":       fmt.Sprintf("%d", *k),
-			"queries": fmt.Sprintf("%d", *queries),
-		},
-	})
+	rf.finish(c, "dynmr serve — policy "+sf.policy, sf.config())
 	srv.Unlock()
-	// Release session state: resident map outputs, pinned blocks and
-	// scan workers all go with the cluster.
-	c.Close()
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "dynmr serve: http shutdown: %v\n", err)
-	}
-}
-
-// writeQStats flushes the per-query registry dump when -qstats-out is
-// set. Caller holds the server lock (Dump reads the virtual clock).
-func writeQStats(c *dynamicmr.Cluster, path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := c.QueryStats().WriteJSON(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote per-query stats to %s\n", path)
-}
-
-// loadAlertRules parses the -alert-rules file; a parse error is fatal
-// (a typoed rule must not silently disable alerting).
-func loadAlertRules(path string) []tsdb.Rule {
-	if path == "" {
-		return nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	rules, err := tsdb.ParseRules(data)
-	if err != nil {
-		fatal(err)
-	}
-	return rules
-}
-
-// writeAlerts flushes the alert dump when -alerts-out is set. Caller
-// holds the server lock (AlertsDump reads the virtual clock).
-func writeAlerts(c *dynamicmr.Cluster, path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	c.TSDB().Flush() // catch queries that finished after the last tick
-	a := c.TSDB().AlertsDump()
-	if err := a.WriteJSON(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote alert dump to %s\n", path)
-}
-
-// clusterOpts assembles the hardware/scheduler/engine options shared
-// with the shell mode.
-func clusterOpts(multi, fair bool, engineMode, inputPath string) []dynamicmr.Option {
-	var opts []dynamicmr.Option
-	if multi {
-		opts = append(opts, dynamicmr.WithMultiUserSlots())
-	}
-	if fair {
-		opts = append(opts, dynamicmr.WithFairScheduler(5))
-	}
-	if engineMode != "" {
-		opts = append(opts, dynamicmr.WithEngineMode(engineMode))
-	}
-	if inputPath != "" {
-		opts = append(opts, dynamicmr.WithInputPath(inputPath))
-	}
-	return opts
-}
-
-// writeReport renders the HTML run report when -report-out is set.
-func writeReport(c *dynamicmr.Cluster, path, title string, params [][2]string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := c.WriteReport(f, title, params); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote run report to %s\n", path)
-}
-
-// reportParams summarises the shell session for its report header.
-func reportParams(scale int, skew float64, rows int64) [][2]string {
-	return [][2]string{
-		{"mode", "interactive shell"},
-		{"scale", fmt.Sprintf("%dx", scale)},
-		{"skew z", fmt.Sprintf("%g", skew)},
-		{"rows", fmt.Sprintf("%d", rows)},
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -30,16 +31,14 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// TestServeSignalFlushesSinks is the graceful-shutdown satellite: a
-// SIGINT landing mid-run must let the current query finish and flush
-// every -*-out sink schema-complete — the qstats dump, the alert dump
-// (with the SLO rule that fired during the run), the run archive and
-// the HTML report are all valid files, not torn writes.
+// TestServeSignalFlushesSinks: a SIGINT landing mid-run must let the
+// current query finish and flush every output file schema-complete —
+// the run archive and the HTML report are valid files, not torn
+// writes, and the qstats dump and alert dump (with the SLO rule that
+// fired during the run) rendered from the archive are complete.
 func TestServeSignalFlushesSinks(t *testing.T) {
 	dir := t.TempDir()
 	rulesPath := filepath.Join(dir, "rules.json")
-	qstatsPath := filepath.Join(dir, "qstats.json")
-	alertsPath := filepath.Join(dir, "alerts.json")
 	archivePath := filepath.Join(dir, "run.archive.gz")
 	reportPath := filepath.Join(dir, "report.html")
 	// A 1ms latency objective every query breaches, so the rule fires
@@ -57,8 +56,6 @@ func TestServeSignalFlushesSinks(t *testing.T) {
 			"-addr", addr,
 			"-rows", "400000", "-k", "200", "-pace-ms", "10",
 			"-alert-rules", rulesPath,
-			"-qstats-out", qstatsPath,
-			"-alerts-out", alertsPath,
 			"-archive-out", archivePath,
 			"-report-out", reportPath,
 		})
@@ -90,14 +87,22 @@ func TestServeSignalFlushesSinks(t *testing.T) {
 		t.Fatal("serve did not shut down after SIGINT")
 	}
 
-	// Every sink is schema-complete.
+	// The archive loads, and the dumps rendered from it are
+	// schema-complete.
+	a, err := runarchive.LoadFile(archivePath)
+	if err != nil {
+		t.Fatalf("flushed archive does not load: %v", err)
+	}
+	if a.Alerts == nil || len(a.Alerts.Events) == 0 || a.Series == nil {
+		t.Fatal("flushed archive lost the tsdb layers")
+	}
 	var qd qstats.Dump
-	mustJSON(t, qstatsPath, &qd)
+	renderJSON(t, a, "qstats", &qd)
 	if qd.Schema != qstats.SchemaVersion || qd.Finished < 2 {
 		t.Fatalf("qstats dump: schema %q, finished %d", qd.Schema, qd.Finished)
 	}
 	var ad tsdb.AlertsDump
-	mustJSON(t, alertsPath, &ad)
+	renderJSON(t, a, "alerts", &ad)
 	if ad.Schema != tsdb.AlertsSchemaVersion {
 		t.Fatalf("alerts dump schema %q", ad.Schema)
 	}
@@ -111,19 +116,6 @@ func TestServeSignalFlushesSinks(t *testing.T) {
 		t.Fatalf("alert dump has no firing event: %+v", ad.Events)
 	}
 
-	f, err := os.Open(archivePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	a, err := runarchive.Load(f)
-	if err != nil {
-		t.Fatalf("flushed archive does not load: %v", err)
-	}
-	if a.Alerts == nil || len(a.Alerts.Events) == 0 || a.Series == nil {
-		t.Fatal("flushed archive lost the tsdb layers")
-	}
-
 	html, err := os.ReadFile(reportPath)
 	if err != nil {
 		t.Fatal(err)
@@ -135,13 +127,14 @@ func TestServeSignalFlushesSinks(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, path string, v any) {
+// renderJSON renders one JSON view of a and decodes it into v.
+func renderJSON(t *testing.T, a *runarchive.Archive, kind string, v any) {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := a.Render(&buf, kind); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		t.Fatalf("%s: %v", path, err)
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+		t.Fatalf("render %s: %v", kind, err)
 	}
 }

@@ -9,8 +9,7 @@
 //	            [-mode quick|paper] [-j N] [-scan-workers N] [-engine-mode baseline|memory]
 //	            [-input-path full|skip|index] [-policies LIST] [-csv]
 //	            [-trace-out DIR] [-report-out DIR] [-sample-interval S]
-//	            [-diag-out DIR] [-archive-out DIR]
-//	            [-alert-rules FILE] [-alerts-out DIR]
+//	            [-archive-out DIR] [-alert-rules FILE]
 //	            [-log-out FILE] [-log-level LEVEL]
 //	            [-bench-json FILE]
 //
@@ -62,32 +61,26 @@
 // single-user figure-5 cells, 30 s for the workload figures) and the
 // -alert-rules collection tick.
 //
-// With -diag-out, every figure cell (5-8) additionally runs with
-// tracing enabled and writes its per-job diagnosis (critical path,
-// time breakdown, anomalies) as a CSV file into DIR (created if
-// missing). The diagnosis invariants — critical path tiles the
-// makespan, breakdown components sum to it — are enforced per cell.
-//
 // With -archive-out, every figure cell (5-8) additionally runs with
 // tracing enabled and writes one cross-run archive into DIR (created
 // if missing): <cell>.archive.gz, schema dynamicmr.archive/1, holding
 // the cell's trace spans, Input Provider decisions, per-job diagnoses,
-// counters/gauges and run config. Archives from two sweeps feed
+// counters/gauges and run config. The diagnosis invariants — critical
+// path tiles the makespan, breakdown components sum to it — are
+// enforced per cell. `dynmr render diag-csv` turns an archive into the
+// cell's per-job diagnosis CSV; archives from two sweeps feed
 // `dynmr diff` for regression attribution. Cell archives are
 // unstamped, so their bytes are deterministic across reruns.
 //
 // With -alert-rules, every figure cell (5-8) runs a private
 // time-series engine (internal/tsdb) on its own virtual clock,
 // evaluating the file's declarative alert/SLO rules (JSON
-// {"rules": [...]}; threshold, rate_of_change, slo_burn); -alerts-out
-// writes each archived cell's alert dump into DIR (created if
-// missing) as <cell>.alerts.json, schema dynamicmr.alerts/1.
-// -alerts-out without -alert-rules still runs the engine, so the
-// dumps are schema-valid with an empty rule set. When -archive-out is
-// also set, the cell archives carry the series and alert log, and
-// `dynmr diff` between two sweeps attributes alert-set differences.
-// Alert dumps carry only virtual timestamps, so cell bytes stay
-// deterministic across reruns.
+// {"rules": [...]}; threshold, rate_of_change, slo_burn). When
+// -archive-out is also set, the cell archives carry the series and
+// alert log: `dynmr render alerts` prints a cell's alert dump (schema
+// dynamicmr.alerts/1), and `dynmr diff` between two sweeps attributes
+// alert-set differences. Alert dumps carry only virtual timestamps, so
+// cell bytes stay deterministic across reruns.
 //
 // With -log-out, the sweeps' structured log stream (job lifecycle,
 // Input Provider decisions, query execution) is written to FILE as
@@ -128,10 +121,8 @@ func main() {
 	inputPath := flag.String("input-path", "full", "map-task input path: full (every block read; seed-identical output), skip (zone-map skip-scan) or index (clustered-index reads + informed grab ordering)")
 	policies := flag.String("policies", "", "comma-separated subset of Table I policies to sweep (default: all)")
 	benchJSON := flag.String("bench-json", "", "write per-artifact wall-clock timings as JSON to FILE")
-	diagOut := flag.String("diag-out", "", "directory for per-cell job-diagnosis CSVs (figures 5-8; enables tracing and enforces the diagnosis invariants)")
-	archiveOut := flag.String("archive-out", "", "directory for per-cell cross-run archives (figures 5-8; *.archive.gz, compare with `dynmr diff`)")
+	archiveOut := flag.String("archive-out", "", "directory for per-cell cross-run archives (figures 5-8; *.archive.gz, view with `dynmr render`, compare with `dynmr diff`)")
 	alertRules := flag.String("alert-rules", "", "load declarative alert/SLO rules from FILE (JSON {\"rules\": [...]}) and evaluate them on every cell's virtual clock")
-	alertsOut := flag.String("alerts-out", "", "directory for per-cell alert dumps (figures 5-8; *.alerts.json, schema dynamicmr.alerts/1)")
 	logOut := flag.String("log-out", "", "write the sweeps' virtual-clock NDJSON log stream to FILE")
 	logLevel := flag.String("log-level", "info", "log level for -log-out: debug, info, warn or error")
 	flag.Parse()
@@ -160,13 +151,6 @@ func main() {
 		}
 		opt.ReportDir = *reportOut
 	}
-	if *diagOut != "" {
-		if err := os.MkdirAll(*diagOut, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		opt.DiagDir = *diagOut
-	}
 	if *archiveOut != "" {
 		if err := os.MkdirAll(*archiveOut, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -186,13 +170,6 @@ func main() {
 			os.Exit(2)
 		}
 		opt.AlertRules = rules
-	}
-	if *alertsOut != "" {
-		if err := os.MkdirAll(*alertsOut, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		opt.AlertsDir = *alertsOut
 	}
 	if *logOut != "" {
 		level, err := vlog.ParseLevel(*logLevel)

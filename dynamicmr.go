@@ -415,8 +415,9 @@ func (c *Cluster) JobTracker() *mapreduce.JobTracker { return c.jt }
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
 // Tracer returns the cluster's tracer; nil unless built WithTracing.
-// Use it to export a Chrome trace (WriteChromeTrace), the policy audit
-// log (WritePolicyCSV) or the utilization timeline (WriteTimelineCSV).
+// Use it to export a Chrome trace (trace.WriteChromeTrace over its
+// spans, decisions and samples), the policy audit log (WritePolicyCSV)
+// or the utilization timeline (WriteTimelineCSV).
 func (c *Cluster) Tracer() *trace.Tracer { return c.jt.Tracer() }
 
 // Sampler returns the utilization sampler; nil unless built

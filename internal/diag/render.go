@@ -56,7 +56,7 @@ func (r *Report) WriteText(w io.Writer) error {
 				n.Start, n.End, n.Duration(), n.Kind, id, det)
 		}
 		if extra := len(j.CriticalPath) - len(shown); extra > 0 {
-			bw.printf("    … %d more node(s) elided (see -json)\n", extra)
+			bw.printf("    … %d more node(s) elided (see dynmr render diag-json)\n", extra)
 		}
 		for _, a := range j.Anomalies {
 			bw.printf("  anomaly [%s]: %s\n", a.Kind, a.Detail)
@@ -100,8 +100,8 @@ func (b Breakdown) Components() []Component {
 	}
 }
 
-// csvHeader is the per-job diagnosis CSV schema used by
-// cmd/experiments -diag-out.
+// csvHeader is the per-job diagnosis CSV schema (`dynmr render
+// diag-csv`).
 var csvHeader = []string{
 	"job", "outcome", "submit_s", "finish_s", "makespan_s",
 	"slot_wait_s", "provider_wait_s", "startup_s",

@@ -2,26 +2,25 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
-	"dynamicmr/internal/diag"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/tsdb"
 )
 
 // writeCellArchive snapshots one cell's trace into a cross-run archive
 // (<name>.archive.gz, schema dynamicmr.archive/1) in opt.ArchiveDir;
-// no-op when archiving is off. When the sweep is alerting, the cell's
-// time-series dump and alert log ride along, so `dynmr diff` between
-// two sweeps attributes alert-set differences too. The manifest is
-// left unstamped (CreatedUnixMS 0) so a cell's archive bytes are
-// deterministic across reruns, matching the sweep's byte-identical
-// output contract — two archives of the same cell differ only where
-// the runs truly differed. rep is the cell's already-computed diag
-// report when -diag-out also ran; nil makes New run the analyzer
-// itself.
-func writeCellArchive(opt Options, name string, r *rig, rep *diag.Report, cfg runarchive.RunConfig) error {
+// no-op when archiving is off. The archive carries the cell's per-job
+// diagnosis, invariant-checked by runarchive.New so a cell that
+// violates them fails its sweep loudly (`dynmr render diag-csv` turns
+// it into the per-job breakdown CSV). When the sweep is alerting, the
+// cell's time-series dump and alert log ride along (`dynmr render
+// alerts`), so `dynmr diff` between two sweeps attributes alert-set
+// differences too. The manifest is left unstamped (CreatedUnixMS 0) so
+// a cell's archive bytes are deterministic across reruns, matching the
+// sweep's byte-identical output contract — two archives of the same
+// cell differ only where the runs truly differed.
+func writeCellArchive(opt Options, name string, r *rig, cfg runarchive.RunConfig) error {
 	if opt.ArchiveDir == "" {
 		return nil
 	}
@@ -43,7 +42,7 @@ func writeCellArchive(opt Options, name string, r *rig, rep *diag.Report, cfg ru
 	if r.db.Enabled() {
 		// The cell's clock stopped with its last job, after the last
 		// scheduled tick — flush so that job reaches the series and the
-		// slo_burn windows (idempotent across the alerts writer below).
+		// slo_burn windows.
 		r.db.Flush()
 		sd := r.db.Dump()
 		ad := r.db.AlertsDump()
@@ -52,7 +51,6 @@ func writeCellArchive(opt Options, name string, r *rig, rep *diag.Report, cfg ru
 	a, err := runarchive.New(runarchive.Source{
 		Label:        name,
 		Tracer:       tr,
-		Diagnosis:    rep,
 		Series:       series,
 		Alerts:       alerts,
 		VirtualTimeS: r.jt.Engine().Now(),
@@ -62,25 +60,4 @@ func writeCellArchive(opt Options, name string, r *rig, rep *diag.Report, cfg ru
 		return fmt.Errorf("experiments: archive (%s): %w", name, err)
 	}
 	return a.WriteFile(filepath.Join(opt.ArchiveDir, name+".archive.gz"))
-}
-
-// writeCellAlerts flushes one cell's alert dump (<name>.alerts.json,
-// schema dynamicmr.alerts/1) into opt.AlertsDir; no-op when off. The
-// dump carries only virtual timestamps, so its bytes are deterministic
-// across reruns.
-func writeCellAlerts(opt Options, name string, r *rig) error {
-	if opt.AlertsDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(opt.AlertsDir, name+".alerts.json"))
-	if err != nil {
-		return fmt.Errorf("experiments: alerts (%s): %w", name, err)
-	}
-	r.db.Flush() // catch jobs that finished after the last tick
-	a := r.db.AlertsDump()
-	if err := a.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("experiments: alerts (%s): %w", name, err)
-	}
-	return f.Close()
 }

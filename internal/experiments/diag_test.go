@@ -1,79 +1,85 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
 	"dynamicmr/internal/core"
+	"dynamicmr/internal/runarchive"
 )
 
-// checkDiagCSV parses one per-cell diagnosis CSV and verifies the
+// checkDiagCSV loads one cell's archive from dir, renders its per-job
+// diagnosis CSV the way `dynmr render diag-csv` does, and verifies the
 // breakdown property on every job row: the nine breakdown components
-// sum to the makespan (writeCellDiag already enforced the full
-// invariant set in-process; this re-checks it from the file the way a
-// downstream consumer would read it). Returns the number of job rows.
-func checkDiagCSV(t *testing.T, dir, name string) int {
+// sum to the makespan (runarchive.New already enforced the full
+// invariant set in-process; this re-checks it from the rendered file
+// the way a downstream consumer would read it). Returns the number of
+// job rows.
+func checkDiagCSV(t *testing.T, dir, cell string) int {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, name))
+	a, err := runarchive.LoadFile(filepath.Join(dir, cell+".archive.gz"))
 	if err != nil {
-		t.Fatalf("diagnosis CSV missing: %v", err)
+		t.Fatalf("cell archive: %v", err)
 	}
-	defer f.Close()
-	recs, err := csv.NewReader(f).ReadAll()
+	var buf bytes.Buffer
+	if err := a.Render(&buf, "diag-csv"); err != nil {
+		t.Fatalf("%s: %v", cell, err)
+	}
+	recs, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+		t.Fatalf("%s: %v", cell, err)
 	}
 	if len(recs) < 2 {
-		t.Fatalf("%s has no job rows (the cell finished no jobs?)", name)
+		t.Fatalf("%s has no job rows (the cell finished no jobs?)", cell)
 	}
 	if recs[0][0] != "job" || recs[0][4] != "makespan_s" || recs[0][14] != "path_nodes" {
-		t.Fatalf("%s header wrong: %v", name, recs[0])
+		t.Fatalf("%s header wrong: %v", cell, recs[0])
 	}
 	num := func(row []string, i int) float64 {
 		v, err := strconv.ParseFloat(row[i], 64)
 		if err != nil {
-			t.Fatalf("%s: column %d not numeric: %v", name, i, err)
+			t.Fatalf("%s: column %d not numeric: %v", cell, i, err)
 		}
 		return v
 	}
 	for r, row := range recs[1:] {
 		makespan := num(row, 4)
 		if makespan <= 0 {
-			t.Errorf("%s row %d: non-positive makespan %g", name, r, makespan)
+			t.Errorf("%s row %d: non-positive makespan %g", cell, r, makespan)
 		}
 		sum := 0.0
 		for i := 5; i <= 13; i++ { // slot_wait_s .. untraced_s
 			sum += num(row, i)
 		}
 		if tol := 1e-6 * makespan; sum < makespan-tol || sum > makespan+tol {
-			t.Errorf("%s row %d: breakdown sums to %g, makespan %g", name, r, sum, makespan)
+			t.Errorf("%s row %d: breakdown sums to %g, makespan %g", cell, r, sum, makespan)
 		}
 		if num(row, 14) <= 0 {
-			t.Errorf("%s row %d: empty critical path", name, r)
+			t.Errorf("%s row %d: empty critical path", cell, r)
 		}
 	}
 	return len(recs) - 1
 }
 
-// TestFigure5DiagDir: every figure-5 cell writes a diagnosis CSV whose
-// breakdowns sum to the makespan; cells run in parallel so this also
-// exercises per-cell tracer isolation under -race.
+// TestFigure5DiagDir: every figure-5 cell archive renders a diagnosis
+// CSV whose breakdowns sum to the makespan; cells run in parallel so
+// this also exercises per-cell tracer isolation under -race.
 func TestFigure5DiagDir(t *testing.T) {
 	opt := tinyOptions()
 	opt.Scales = []int{2}
 	opt.Policies = []string{core.PolicyLA, core.PolicyHadoop}
-	opt.DiagDir = t.TempDir()
+	opt.ArchiveDir = t.TempDir()
 	opt.Parallelism = 4
 	if _, err := Figure5(opt); err != nil {
 		t.Fatal(err)
 	}
 	for _, z := range []float64{0, 1, 2} {
 		for _, pol := range opt.Policies {
-			n := checkDiagCSV(t, opt.DiagDir, fmt.Sprintf("figure5_z%g_2x_%s_diag.csv", z, pol))
+			n := checkDiagCSV(t, opt.ArchiveDir, fmt.Sprintf("figure5_z%g_2x_%s", z, pol))
 			if n != 1 {
 				t.Errorf("figure5 z=%g %s: want 1 diagnosed job, got %d", z, pol, n)
 			}
@@ -86,12 +92,12 @@ func TestFigure5DiagDir(t *testing.T) {
 func TestFigure6DiagDir(t *testing.T) {
 	opt := tinyOptions()
 	opt.Policies = []string{core.PolicyLA}
-	opt.DiagDir = t.TempDir()
+	opt.ArchiveDir = t.TempDir()
 	if _, err := Figure6(opt); err != nil {
 		t.Fatal(err)
 	}
 	for _, z := range []float64{0, 2} {
-		checkDiagCSV(t, opt.DiagDir, fmt.Sprintf("figure6_z%g_LA_diag.csv", z))
+		checkDiagCSV(t, opt.ArchiveDir, fmt.Sprintf("figure6_z%g_LA", z))
 	}
 }
 
@@ -101,27 +107,28 @@ func TestFigure7And8DiagDir(t *testing.T) {
 	opt := tinyOptions()
 	opt.Policies = []string{core.PolicyLA}
 	opt.SamplingFractions = []float64{0.5}
-	opt.DiagDir = t.TempDir()
+	opt.ArchiveDir = t.TempDir()
 	if _, err := Figure7(opt); err != nil {
 		t.Fatal(err)
 	}
-	checkDiagCSV(t, opt.DiagDir, "figure7_frac0.5_LA_diag.csv")
+	checkDiagCSV(t, opt.ArchiveDir, "figure7_frac0.5_LA")
 
 	if _, err := Figure8(opt); err != nil {
 		t.Fatal(err)
 	}
-	checkDiagCSV(t, opt.DiagDir, "figure8_frac0.5_LA_diag.csv")
+	checkDiagCSV(t, opt.ArchiveDir, "figure8_frac0.5_LA")
 }
 
-// TestWriteCellDiagRequiresTracing: asking for diagnosis on an
-// untraced rig is a loud error, not an empty CSV.
-func TestWriteCellDiagRequiresTracing(t *testing.T) {
+// TestWriteCellArchiveRequiresTracing: asking for an archive (and with
+// it the cell's diagnosis) on an untraced rig is a loud error, not an
+// empty file.
+func TestWriteCellArchiveRequiresTracing(t *testing.T) {
 	opt := tinyOptions()
-	opt.DiagDir = t.TempDir()
+	opt.ArchiveDir = t.TempDir()
 	sh := opt.newSweepShared()
 	defer sh.close()
 	r := newRig(nil, false, sh, false) // traced=false
-	if _, err := writeCellDiag(opt, "untraced_cell", r.jt); err == nil {
-		t.Fatal("writeCellDiag on an untraced rig must error")
+	if err := writeCellArchive(opt, "untraced_cell", r, runarchive.RunConfig{}); err == nil {
+		t.Fatal("writeCellArchive on an untraced rig must error")
 	}
 }

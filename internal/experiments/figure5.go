@@ -152,11 +152,7 @@ func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 		cell.SampleSize += float64(len(job.Output()))
 		if run == opt.Runs-1 {
 			name := fmt.Sprintf("figure5_z%g_%dx_%s", z, scale, pol.Name)
-			rep, err := writeCellDiag(opt, name, r.jt)
-			if err != nil {
-				return Figure5Cell{}, err
-			}
-			if err := writeCellArchive(opt, name, r, rep, runarchive.RunConfig{
+			if err := writeCellArchive(opt, name, r, runarchive.RunConfig{
 				Policy: pol.Name,
 				Params: map[string]string{
 					"figure": "5",
@@ -164,9 +160,6 @@ func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 					"scale":  fmt.Sprintf("%d", scale),
 				},
 			}); err != nil {
-				return Figure5Cell{}, err
-			}
-			if err := writeCellAlerts(opt, name, r); err != nil {
 				return Figure5Cell{}, err
 			}
 		}

@@ -111,11 +111,7 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 		}); err != nil {
 		return Figure6Cell{}, err
 	}
-	rep, err := writeCellDiag(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), r.jt)
-	if err != nil {
-		return Figure6Cell{}, err
-	}
-	if err := writeCellArchive(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), r, rep, runarchive.RunConfig{
+	if err := writeCellArchive(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), r, runarchive.RunConfig{
 		Policy: policy,
 		Params: map[string]string{
 			"figure": "6",
@@ -123,9 +119,6 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 			"users":  fmt.Sprintf("%d", opt.Users),
 		},
 	}); err != nil {
-		return Figure6Cell{}, err
-	}
-	if err := writeCellAlerts(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), r); err != nil {
 		return Figure6Cell{}, err
 	}
 	cs, _ := results.Class("Sampling")

@@ -156,11 +156,7 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 		}); err != nil {
 		return Figure7Cell{}, err
 	}
-	rep, err := writeCellDiag(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), r.jt)
-	if err != nil {
-		return Figure7Cell{}, err
-	}
-	if err := writeCellArchive(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), r, rep, runarchive.RunConfig{
+	if err := writeCellArchive(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), r, runarchive.RunConfig{
 		Policy: policy,
 		Params: map[string]string{
 			"figure":   fig,
@@ -168,9 +164,6 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 			"users":    fmt.Sprintf("%d", opt.Users),
 		},
 	}); err != nil {
-		return Figure7Cell{}, err
-	}
-	if err := writeCellAlerts(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), r); err != nil {
 		return Figure7Cell{}, err
 	}
 	samp, _ := results.Class("Sampling")

@@ -64,21 +64,16 @@ type Options struct {
 	// Each cell owns a private tracer and observability sampler, so
 	// reports stay isolated under Parallelism > 1.
 	ReportDir string
-	// DiagDir, when set, enables tracing inside every cell's rig and
-	// writes one per-job diagnosis CSV per cell (figure5_*_diag.csv,
-	// ...) from internal/diag: makespan broken down into slot-wait /
-	// provider-wait / read / compute / shuffle / reduce, critical-path
-	// length, straggler and speculative-waste counts. The directory
-	// must exist. Diagnosis invariants (breakdown sums to makespan) are
-	// checked on every cell; a violation fails the sweep.
-	DiagDir string
 	// ArchiveDir, when set, enables tracing inside every cell's rig and
 	// writes one cross-run archive per cell (figure5_*.archive.gz, ...;
 	// schema dynamicmr.archive/1) capturing the cell's spans, policy
-	// decisions, diagnoses, counters/gauges and run config, for
-	// `dynmr diff` regression attribution between sweeps. The directory
-	// must exist. Archives are unstamped, so a cell's bytes are
-	// deterministic across reruns.
+	// decisions, diagnoses, counters/gauges, alert log (with
+	// AlertRules) and run config, for `dynmr render` views and
+	// `dynmr diff` regression attribution between sweeps. Diagnosis
+	// invariants (breakdown sums to makespan) are checked on every
+	// cell; a violation fails the sweep. The directory must exist.
+	// Archives are unstamped, so a cell's bytes are deterministic
+	// across reruns.
 	ArchiveDir string
 	// LogWriter, when non-nil, receives the virtual-clock NDJSON
 	// structured log stream (internal/vlog) from every cell's runtime
@@ -121,16 +116,9 @@ type Options struct {
 	// are fed from the trace counters/gauges — and wires a per-cell
 	// qstats registry so slo_burn rules see finished queries. Like the
 	// reporting options, alerting changes real wall-clock time only;
-	// tables and CSVs stay byte-identical.
+	// tables and CSVs stay byte-identical. With ArchiveDir, each cell's
+	// archive carries the series and the alert log.
 	AlertRules []tsdb.Rule
-	// AlertsDir, when set, writes one alert dump per archived cell
-	// (<cell>.alerts.json, schema dynamicmr.alerts/1) from the cell's
-	// alert layer (the cmd/experiments -alerts-out flag). The directory
-	// must exist. AlertsDir alone (no rules) still runs the engine, so
-	// the dumps are schema-valid with an empty rule set. Dumps carry
-	// only virtual timestamps, so a cell's bytes are deterministic
-	// across reruns.
-	AlertsDir string
 	// InputPath selects how map tasks read their splits in every cell
 	// (the cmd/experiments -input-path flag): "" or "full" is the seed
 	// behaviour (every block read, byte-identical output); "skip" reads
@@ -230,16 +218,15 @@ func (o Options) workloadSpec(z float64, name string, seedOffset int64) dataset.
 func (o Options) reporting() bool { return o.ReportDir != "" }
 
 // traced reports whether cells run with tracing enabled — needed by
-// the HTML reports, the per-cell diagnosis CSVs, the per-cell
-// cross-run archives and the alert layer (whose series come from the
-// trace counters/gauges).
+// the HTML reports, the per-cell cross-run archives and the alert
+// layer (whose series come from the trace counters/gauges).
 func (o Options) traced() bool {
-	return o.ReportDir != "" || o.DiagDir != "" || o.ArchiveDir != "" || o.alerting()
+	return o.ReportDir != "" || o.ArchiveDir != "" || o.alerting()
 }
 
 // alerting reports whether cells run with a time-series engine and
 // alert layer attached.
-func (o Options) alerting() bool { return len(o.AlertRules) > 0 || o.AlertsDir != "" }
+func (o Options) alerting() bool { return len(o.AlertRules) > 0 }
 
 // sampleInterval returns the report-sampler cadence, falling back to
 // the given per-figure default.

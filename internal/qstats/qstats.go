@@ -37,8 +37,8 @@ import (
 )
 
 // SchemaVersion identifies the JSON layout of Dump (the /queries
-// payload and the -qstats-out file); see DESIGN.md "Per-query
-// observability".
+// payload, the archive's qstats record and `dynmr render qstats`); see
+// DESIGN.md "Per-query observability".
 const SchemaVersion = "dynamicmr.qstats/1"
 
 // Query states.
@@ -621,10 +621,14 @@ func (r *Registry) Dump() Dump {
 	return d
 }
 
-// WriteJSON writes the Dump as indented JSON (the -qstats-out file
-// format, schema SchemaVersion).
-func (r *Registry) WriteJSON(w io.Writer) error {
+// WriteJSON writes the registry's Dump as indented JSON (schema
+// SchemaVersion); see Dump.WriteJSON.
+func (r *Registry) WriteJSON(w io.Writer) error { return r.Dump().WriteJSON(w) }
+
+// WriteJSON writes the dump as indented JSON (the `dynmr render qstats`
+// output, schema SchemaVersion).
+func (d Dump) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.Dump())
+	return enc.Encode(d)
 }

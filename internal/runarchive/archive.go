@@ -4,9 +4,11 @@
 // decision audit log, the utilization timeline, the counter/gauge
 // registry, per-job diagnoses and the per-query registry dump — plus
 // the run configuration that produced it (policy, engine mode, scan
-// workers, seed, git revision). Two archives are the inputs to
-// diag.Compare / `dynmr diff`, which attributes a regression or a win
-// between runs instead of eyeballing two `dynmr explain` outputs.
+// workers, seed, git revision). It is the one output file of a run:
+// Render regenerates each single-run view from it (`dynmr render`),
+// and two archives are the inputs to diag.Compare / `dynmr diff`,
+// which attributes a regression or a win between runs instead of
+// eyeballing two `dynmr explain` outputs.
 //
 // The on-disk format is gzip-compressed NDJSON: the first record is
 // the manifest (schema SchemaVersion), every following record is a

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"io"
+	"sort"
 	"strconv"
 )
 
@@ -19,18 +20,18 @@ const (
 	chromeMicrosPerSec = 1e6
 )
 
-// WriteChromeTrace exports the buffered spans, the policy audit log
-// and the utilization timeline as Chrome trace-event JSON, loadable in
-// Perfetto or chrome://tracing. Virtual seconds map to trace
-// microseconds, so one virtual second reads as 1 ms in the UI's
-// default display unit.
-//
-// A nil (disabled) tracer writes a valid empty trace.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+// WriteChromeTrace exports spans, the policy audit log and the
+// utilization timeline as Chrome trace-event JSON, loadable in Perfetto
+// or chrome://tracing; dropped is the span ring's eviction count.
+// Virtual seconds map to trace microseconds, so one virtual second
+// reads as 1 ms in the UI's default display unit. The output is a pure
+// function of its inputs, so a tracer and the run archive cut from it
+// export the same bytes. Empty inputs write a valid empty trace.
+func WriteChromeTrace(w io.Writer, spans []Span, decisions []PolicyDecision, samples []MetricSample, dropped int64) error {
 	var events []map[string]any
 	jobs := map[int]bool{}
 
-	for _, s := range t.Spans() {
+	for _, s := range spans {
 		pid, tid := chromeLane(s)
 		if s.Job >= 0 {
 			jobs[s.Job] = true
@@ -74,7 +75,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		events = append(events, ev)
 	}
 
-	for _, d := range t.PolicyDecisions() {
+	for _, d := range decisions {
 		jobs[d.JobID] = true
 		events = append(events, map[string]any{
 			"name": d.Verdict,
@@ -103,7 +104,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		})
 	}
 
-	for _, m := range t.MetricSamples() {
+	for _, m := range samples {
 		for _, c := range []struct {
 			name string
 			v    float64
@@ -130,7 +131,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	events = append(events, meta(chromePidCluster, "cluster"))
+	ids := make([]int, 0, len(jobs))
 	for id := range jobs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
 		events = append(events, meta(id+1, "job "+strconv.Itoa(id)))
 	}
 
@@ -139,7 +145,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		"displayTimeUnit": "ms",
 		"otherData": map[string]any{
 			"clock":         "virtual-seconds-as-microseconds",
-			"dropped_spans": t.Dropped(),
+			"dropped_spans": dropped,
 		},
 	}
 	return json.NewEncoder(w).Encode(doc)

@@ -101,7 +101,7 @@ func TestChromeTraceCrossChecksRuntime(t *testing.T) {
 
 	// Export and parse back: the JSON must round-trip the same counts.
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := trace.WriteChromeTrace(&buf, tr.Spans(), tr.PolicyDecisions(), tr.MetricSamples(), tr.Dropped()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -25,7 +25,7 @@ func TestNilTracerIsSafeAndDisabled(t *testing.T) {
 		t.Fatal("nil tracer accumulated state")
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, tr.Spans(), tr.PolicyDecisions(), tr.MetricSamples(), tr.Dropped()); err != nil {
 		t.Fatalf("nil WriteChromeTrace: %v", err)
 	}
 	var doc map[string]any
@@ -220,7 +220,7 @@ func TestWriteChromeTraceUnitsAndLanes(t *testing.T) {
 	tr.RecordMetricSample(MetricSample{Time: 30, CPUUtilPct: 42})
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, tr.Spans(), tr.PolicyDecisions(), tr.MetricSamples(), tr.Dropped()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -37,7 +37,7 @@ import (
 const SchemaVersion = "dynamicmr.tsdb/1"
 
 // AlertsSchemaVersion identifies the JSON layout of AlertsDump (the
-// /alerts payload, the -alerts-out file and the archive's alert log).
+// /alerts payload, the archive's alert log and `dynmr render alerts`).
 const AlertsSchemaVersion = "dynamicmr.alerts/1"
 
 // DefaultIntervalS is the collection cadence in virtual seconds.
@@ -430,8 +430,8 @@ func (d Dump) WriteJSON(w io.Writer) error {
 	return enc.Encode(d)
 }
 
-// WriteJSON writes the alerts dump as indented JSON (the -alerts-out
-// file format).
+// WriteJSON writes the alerts dump as indented JSON (the `dynmr render
+// alerts` output).
 func (a AlertsDump) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
