@@ -1,6 +1,8 @@
 package data
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -65,15 +67,6 @@ func TestValueString(t *testing.T) {
 	}
 }
 
-func TestEncodedSizeMatchesString(t *testing.T) {
-	vals := []Value{Int(0), Int(123456), Int(-9), Float(3.14), Str("hello"), Bool(true), Bool(false), Null()}
-	for _, v := range vals {
-		if v.EncodedSize() != len(v.String()) {
-			t.Errorf("EncodedSize(%v) = %d, len(String) = %d", v, v.EncodedSize(), len(v.String()))
-		}
-	}
-}
-
 func TestEncodedSizeIntProperty(t *testing.T) {
 	f := func(x int64) bool {
 		v := Int(x)
@@ -81,6 +74,38 @@ func TestEncodedSizeIntProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// EncodedSize must agree with the text form for every kind — ints at
+// every digit-count boundary with both signs and the int64 extremes
+// included — and must not allocate.
+func TestEncodedSizeMatchesString(t *testing.T) {
+	vals := []Value{Null(), Bool(true), Bool(false), Str(""), Str("hello"), Float(3.14),
+		Int(math.MinInt64), Int(math.MaxInt64), Int(math.MinInt64 + 1),
+		Float(0), Float(-0.5), Float(1e21), Float(123456.789), Float(math.SmallestNonzeroFloat64)}
+	for p := int64(1); ; p *= 10 {
+		for _, x := range []int64{p - 1, p, p + 1} {
+			vals = append(vals, Int(x), Int(-x))
+		}
+		if p > math.MaxInt64/10 {
+			break
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, Int(int64(rng.Uint64())), Int(rng.Int63n(1<<uint(rng.Intn(62)+1))),
+			Float(rng.NormFloat64()*math.Pow(10, float64(rng.Intn(12)-4))))
+	}
+	for _, v := range vals {
+		if got, want := v.EncodedSize(), len(v.String()); got != want {
+			t.Errorf("%s %q: EncodedSize = %d, len(String) = %d", v.Kind(), v.String(), got, want)
+		}
+	}
+	for _, v := range []Value{Null(), Bool(true), Str("abc"), Int(math.MinInt64), Int(-42), Float(-1234.5678)} {
+		if a := testing.AllocsPerRun(100, func() { _ = v.EncodedSize() }); a != 0 {
+			t.Errorf("%s %q: EncodedSize allocates %v times", v.Kind(), v.String(), a)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ package data
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 )
 
@@ -126,19 +127,15 @@ func (v Value) EncodedSize() int {
 	case KindNull:
 		return 2
 	case KindInt:
-		n := 1
-		x := v.i
-		if x < 0 {
-			n++
-			x = -x
+		// Negate as uint64 so MinInt64 keeps its magnitude.
+		x := uint64(v.i)
+		if v.i < 0 {
+			return 1 + decimalDigits(-x)
 		}
-		for x >= 10 {
-			n++
-			x /= 10
-		}
-		return n
+		return decimalDigits(x)
 	case KindFloat:
-		return len(strconv.FormatFloat(v.f, 'f', -1, 64))
+		var buf [64]byte
+		return len(strconv.AppendFloat(buf[:0], v.f, 'f', -1, 64))
 	case KindString:
 		return len(v.s)
 	case KindBool:
@@ -149,6 +146,24 @@ func (v Value) EncodedSize() int {
 	default:
 		return 1
 	}
+}
+
+// pow10 holds 10^0 … 10^19, every power of ten a uint64 can hold.
+var pow10 = [20]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// decimalDigits returns the number of decimal digits in x (1 for 0) in
+// constant time. A number of bit length L has floor(L·log10 2) or one
+// more digits; 1233/4096 approximates log10 2 closely enough for every
+// L up to 64, and one table lookup settles which.
+func decimalDigits(x uint64) int {
+	n := bits.Len64(x) * 1233 >> 12
+	if x >= pow10[n] {
+		n++
+	}
+	return max(n, 1)
 }
 
 // Compare orders two values: -1, 0, +1. Numeric kinds compare by value

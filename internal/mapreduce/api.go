@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"slices"
+
 	"dynamicmr/internal/data"
 	"dynamicmr/internal/dfs"
 )
@@ -38,6 +40,10 @@ func (c *Collector) Emit(key string, value data.Record) {
 	c.pairs = append(c.pairs, KeyValue{Key: key, Value: value})
 	c.bytes += int64(len(key) + value.EncodedSize())
 }
+
+// Grow ensures room for n more pairs without reallocating, so a reduce
+// function that knows its output size sizes the array once.
+func (c *Collector) Grow(n int) { c.pairs = slices.Grow(c.pairs, n) }
 
 // Pairs returns everything emitted so far.
 func (c *Collector) Pairs() []KeyValue { return c.pairs }
@@ -109,6 +115,7 @@ func (f ReducerFunc) Reduce(key string, values []data.Record, out *Collector) er
 
 // IdentityReducer passes every (key, value) through unchanged.
 var IdentityReducer = ReducerFunc(func(key string, values []data.Record, out *Collector) error {
+	out.Grow(len(values))
 	for _, v := range values {
 		out.Emit(key, v)
 	}

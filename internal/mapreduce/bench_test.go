@@ -146,6 +146,61 @@ func BenchmarkDeltaShuffle(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleReduceShuffle measures a static job shaped like a
+// full-result SELECT (160 splits of 150 matches each, every pair under
+// one key, one reduce) with every map output already memoised: the
+// per-iteration cost is the single-reduce shuffle hot path — chunks
+// referencing the memoised pairs, the in-place walk over in-order
+// chunks, and the reduce output handed to the job without a copy.
+func BenchmarkSingleReduceShuffle(b *testing.B) {
+	eng := sim.NewEngine()
+	cl := cluster.New(eng, cluster.PaperConfig())
+	fs := dfs.New(cl)
+	schema := data.NewSchema("K", "V")
+	var srcs []data.Source
+	for p := 0; p < 160; p++ {
+		recs := make([]data.Record, 150)
+		for j := range recs {
+			recs[j] = data.NewRecord(schema, []data.Value{
+				data.Int(int64(p)), data.Int(int64(j)),
+			})
+		}
+		srcs = append(srcs, data.NewSliceSource(schema, recs))
+	}
+	f, err := fs.Create("in", srcs, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MapOutputCache = NewMapOutputCache()
+	jt := NewJobTracker(cl, cfg, nil)
+	spec := JobSpec{
+		NewMapper: func(*JobConf) Mapper {
+			return MapperFunc(func(rec data.Record, out *Collector) error {
+				out.Emit("k_dummy", rec)
+				return nil
+			})
+		},
+		MemoKey: "bench|single-reduce",
+	}
+	// Warm the memo so every timed iteration maps from it.
+	warm := jt.Submit(spec, SplitsForFile(f))
+	if !RunUntilDone(eng, warm, eng.Now()+1e6) {
+		b.Fatal("warm job stuck")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job := jt.Submit(spec, SplitsForFile(f))
+		if !RunUntilDone(eng, job, eng.Now()+1e6) {
+			b.Fatal("job stuck")
+		}
+		if err := jt.Retire(job); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSkipScan measures a fingerprinted job reading through the
 // zone-map skip path: every attempt consults block statistics, scans
 // the pruned match-admitting view (20 of 100 records per block here)

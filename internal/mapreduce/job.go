@@ -162,7 +162,7 @@ type Job struct {
 	// resident is set at submission when the runtime has a ResidentStore
 	// and the job declared a MemoKey: map completions then consult the
 	// store for already-partitioned output, and every chunk in mapOutput
-	// is a stably-sorted run (see execReducer's merge path). held are the
+	// is a stably-sorted run (see reduceGroups). held are the
 	// resident parts this job references, released at termination.
 	resident bool
 	held     []*residentPart

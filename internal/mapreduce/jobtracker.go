@@ -720,8 +720,9 @@ func (jt *JobTracker) completeJob(j *Job) {
 		jt.logger.Info("job finished", args...)
 	}
 	jt.emit(TaskEvent{Type: EventJobFinished, JobID: j.ID, TaskIndex: -1, Node: -1})
-	// Deterministic output order: by reduce partition, then emit order
-	// (already appended per-reduce in completion order).
+	// Output order is deterministic: reduces append to j.output in the
+	// order they complete (a function of the virtual timeline), each in
+	// its reducer's emit order.
 	if j.Spec.OnComplete != nil {
 		j.Spec.OnComplete(j)
 	}

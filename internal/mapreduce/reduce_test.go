@@ -1,0 +1,317 @@
+package mapreduce
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"dynamicmr/internal/cluster"
+	"dynamicmr/internal/data"
+	"dynamicmr/internal/dfs"
+	"dynamicmr/internal/mapreduce/executor"
+	"dynamicmr/internal/sim"
+)
+
+// Chunk geometries for the reduce-input property.
+const (
+	geomInOrder     = iota // every chunk sorted, key ranges in order
+	geomOverlapping        // every chunk sorted, key ranges overlapping
+	geomUnsorted           // chunks in emit order
+)
+
+// randomChunks builds 0–40 chunks of 0–60 pairs over 1–6 distinct keys
+// ("" among the candidates). Every value is a distinct record, so any
+// reordering within a key shows in the output.
+func randomChunks(rng *rand.Rand, geom int) []mapChunk {
+	pool := []string{"", "a", "ab", "b", "c", "zz"}
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	keys := pool[:1+rng.Intn(len(pool))]
+	chunks := make([]mapChunk, rng.Intn(41))
+	var all []string
+	for c := range chunks {
+		n := rng.Intn(61)
+		for i := 0; i < n; i++ {
+			all = append(all, keys[rng.Intn(len(keys))])
+		}
+		chunks[c].pairs = make([]KeyValue, n)
+	}
+	if geom == geomInOrder {
+		sort.Strings(all)
+	}
+	seq := 0
+	for c := range chunks {
+		ks := all[:len(chunks[c].pairs)]
+		all = all[len(ks):]
+		if geom == geomOverlapping {
+			sort.Strings(ks)
+		}
+		for i, k := range ks {
+			chunks[c].pairs[i] = KeyValue{Key: k,
+				Value: data.NewRecord(kvSchema, []data.Value{data.Int(int64(seq)), data.Int(int64(c))})}
+			seq++
+		}
+	}
+	return chunks
+}
+
+// refGroup is one key group of the reference reduce input.
+type refGroup struct {
+	key  string
+	vals []data.Record
+}
+
+// referenceGroups is the reduce input by definition, computed the plain
+// way: a stable key sort of the chunks' concatenation, then a fresh
+// values slice per key group.
+func referenceGroups(chunks []mapChunk) []refGroup {
+	var pairs []KeyValue
+	for _, c := range chunks {
+		pairs = append(pairs, c.pairs...)
+	}
+	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].Key < pairs[b].Key })
+	var groups []refGroup
+	for i := 0; i < len(pairs); {
+		g := refGroup{key: pairs[i].Key}
+		for ; i < len(pairs) && pairs[i].Key == g.key; i++ {
+			g.vals = append(g.vals, pairs[i].Value)
+		}
+		groups = append(groups, g)
+	}
+	return groups
+}
+
+func sameRecords(a, b []data.Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].String() != b[i].String() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReduceGroupsProperty runs random chunk geometries — sorted and in
+// order, sorted but overlapping, unsorted — through execReducer in both
+// engine modes and checks every reducer sees exactly the reference
+// groups. Memory mode gets each chunk stably sorted first, as resident
+// admission leaves it, against the same reference. Three reducers run:
+// identity; one that appends to its values and keeps the result (the
+// append must neither reach the next group nor be overwritten by it);
+// and one that keeps every values slice, re-checked after the task.
+func TestReduceGroupsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	r := newRig(t, nil)
+	sentinel := data.NewRecord(kvSchema, []data.Value{data.Int(-1), data.Int(-1)})
+	for trial := 0; trial < 300; trial++ {
+		geom := trial % 3
+		chunks := randomChunks(rng, geom)
+		want := referenceGroups(chunks)
+		for _, resident := range []bool{false, true} {
+			in := chunks
+			if resident {
+				in = make([]mapChunk, len(chunks))
+				for c := range chunks {
+					in[c].pairs = append([]KeyValue(nil), chunks[c].pairs...)
+					sortPairsStable(in[c].pairs)
+				}
+			}
+			var seen []refGroup
+			reducers := map[string]ReducerFunc{
+				"identity": IdentityReducer,
+				"append": func(key string, values []data.Record, out *Collector) error {
+					values = append(values, sentinel)
+					seen = append(seen, refGroup{key, values})
+					for _, v := range values {
+						out.Emit(key, v)
+					}
+					return nil
+				},
+				"keep": func(key string, values []data.Record, out *Collector) error {
+					seen = append(seen, refGroup{key, values})
+					out.Emit(key, values[0])
+					return nil
+				},
+			}
+			for name, red := range reducers {
+				seen = nil
+				j := &Job{Conf: NewJobConf(), resident: resident,
+					Spec: JobSpec{NewReducer: func(*JobConf) Reducer { return red }}}
+				out, err := r.jt.execReducer(&ReduceTask{Job: j}, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := fmt.Sprintf("trial %d geom %d resident %v reducer %s", trial, geom, resident, name)
+				var wantOut []KeyValue
+				for _, g := range want {
+					switch name {
+					case "identity":
+						for _, v := range g.vals {
+							wantOut = append(wantOut, KeyValue{g.key, v})
+						}
+					case "append":
+						for _, v := range append(g.vals[:len(g.vals):len(g.vals)], sentinel) {
+							wantOut = append(wantOut, KeyValue{g.key, v})
+						}
+					case "keep":
+						wantOut = append(wantOut, KeyValue{g.key, g.vals[0]})
+					}
+				}
+				got := out.Pairs()
+				if len(got) != len(wantOut) {
+					t.Fatalf("%s: %d output pairs, want %d", ctx, len(got), len(wantOut))
+				}
+				for i := range got {
+					if got[i].Key != wantOut[i].Key || got[i].Value.String() != wantOut[i].Value.String() {
+						t.Fatalf("%s: output %d = (%q, %s), want (%q, %s)", ctx, i,
+							got[i].Key, got[i].Value, wantOut[i].Key, wantOut[i].Value)
+					}
+				}
+				if name == "identity" {
+					continue
+				}
+				// Re-check what the reducer kept, now the task is over.
+				if len(seen) != len(want) {
+					t.Fatalf("%s: %d groups, want %d", ctx, len(seen), len(want))
+				}
+				for g := range want {
+					wantVals := want[g].vals
+					if name == "append" {
+						wantVals = append(wantVals[:len(wantVals):len(wantVals)], sentinel)
+					}
+					if seen[g].key != want[g].key || !sameRecords(seen[g].vals, wantVals) {
+						t.Fatalf("%s: kept group %d (%q) changed after the task", ctx, g, want[g].key)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSharedMapOutputUnmodified memoises a job's map output, then runs
+// further jobs over the same MapOutputCache in every combination of 1
+// and 4 reduces, default and memory mode, scan pool off and on. The
+// memoised collectors — which single-reduce chunks now reference
+// instead of copying — must come out unchanged, and no job's Output()
+// may share a backing array with another job's or with the memo.
+func TestSharedMapOutputUnmodified(t *testing.T) {
+	const memo = "shared|v1"
+	srcs := makeSrcs(12, 40)
+	// Map output in descending key order per split, so a sort in place
+	// anywhere downstream would show in the memo.
+	spec := func(reduces int, reducer ReducerFunc) JobSpec {
+		conf := NewJobConf()
+		conf.SetInt(ConfNumReduces, int64(reduces))
+		return JobSpec{
+			Conf: conf,
+			NewMapper: func(*JobConf) Mapper {
+				return MapperFunc(func(rec data.Record, out *Collector) error {
+					v := rec.MustGet("K").AsInt()
+					out.Emit(fmt.Sprintf("k%d", 9-v%10), rec)
+					return nil
+				})
+			},
+			NewReducer: func(*JobConf) Reducer { return reducer },
+			MemoKey:    memo,
+		}
+	}
+	appending := ReducerFunc(func(key string, values []data.Record, out *Collector) error {
+		values = append(values, values[0])
+		for _, v := range values {
+			out.Emit(key, v)
+		}
+		return nil
+	})
+	run := func(cache *MapOutputCache, reduces int, memory bool, pool *executor.Pool, red ReducerFunc) *Job {
+		eng := sim.NewEngine()
+		cl := cluster.New(eng, cluster.PaperConfig())
+		f, err := dfs.New(cl).Create("in", srcs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.MapOutputCache = cache
+		cfg.ScanExecutor = pool
+		if memory {
+			cfg.ResidentStore = NewResidentStore(cache, 0)
+		}
+		j := NewJobTracker(cl, cfg, nil).Submit(spec(reduces, red), SplitsForFile(f))
+		if !RunUntilDone(eng, j, 1e7) || j.State() != StateSucceeded {
+			t.Fatalf("reduces=%d memory=%v pool=%v: state %v (%s)", reduces, memory, pool != nil, j.State(), j.Failure())
+		}
+		return j
+	}
+	snapshot := func(cache *MapOutputCache) map[memoKey]string {
+		cache.mu.Lock()
+		defer cache.mu.Unlock()
+		snap := make(map[memoKey]string, len(cache.m))
+		for k, c := range cache.m {
+			var b strings.Builder
+			for _, kv := range c.Pairs() {
+				fmt.Fprintf(&b, "%q=%s;", kv.Key, kv.Value)
+			}
+			snap[k] = b.String()
+		}
+		return snap
+	}
+
+	cache := NewMapOutputCache()
+	jobs := []*Job{run(cache, 1, false, nil, IdentityReducer)}
+	before := snapshot(cache)
+	if len(before) != len(srcs) {
+		t.Fatalf("memoised %d splits, want %d", len(before), len(srcs))
+	}
+	pool := executor.NewPool(2)
+	defer pool.Close()
+	for _, reduces := range []int{1, 4} {
+		for _, memory := range []bool{false, true} {
+			for _, p := range []*executor.Pool{nil, pool} {
+				for _, red := range []ReducerFunc{IdentityReducer, appending} {
+					jobs = append(jobs, run(cache, reduces, memory, p, red))
+				}
+			}
+		}
+	}
+	after := snapshot(cache)
+	for k, s := range before {
+		if after[k] != s {
+			t.Fatalf("memoised output of %v changed:\nbefore %s\nafter  %s", k, s, after[k])
+		}
+	}
+
+	// Backing arrays, as [start, end) address ranges.
+	type span struct {
+		name       string
+		start, end uintptr
+	}
+	var spans []span
+	add := func(name string, s []KeyValue) {
+		if cap(s) == 0 {
+			return
+		}
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+		spans = append(spans, span{name, start, start + uintptr(cap(s))*unsafe.Sizeof(KeyValue{})})
+	}
+	for i, j := range jobs {
+		if len(j.Output()) == 0 {
+			t.Fatalf("job %d: empty output", i)
+		}
+		add(fmt.Sprintf("job %d output", i), j.Output())
+	}
+	cache.mu.Lock()
+	for k, c := range cache.m {
+		add(fmt.Sprintf("memo %v", k.src), c.Pairs())
+	}
+	cache.mu.Unlock()
+	for a := range spans {
+		for b := a + 1; b < len(spans); b++ {
+			if spans[a].start < spans[b].end && spans[b].start < spans[a].end {
+				t.Fatalf("%s and %s share a backing array", spans[a].name, spans[b].name)
+			}
+		}
+	}
+}

@@ -29,7 +29,9 @@ import (
 // The reduce-side equivalence is the classic stable-merge identity:
 // a stable key sort of chunks concatenated in completion order equals
 // the k-way merge of the per-chunk stably-sorted runs with ties broken
-// by chunk position (see mergeSortedChunks).
+// by chunk position (see mergeSortedChunks), and equals the plain
+// concatenation of those runs when their key ranges do not overlap
+// (see reduceGroups).
 //
 // Resident parts are immutable once admitted and may be shared by any
 // number of in-flight jobs (and by JobTrackers sharing the store, as a
@@ -350,36 +352,17 @@ func newResidentPart(key residentKey, block *dfs.Block, byPart []mapChunk, out *
 	return p
 }
 
-// mergeSortedChunks merges one partition's stably-sorted chunk runs
-// into a single key-sorted slice with exact preallocation. Ties across
-// chunks resolve to the lower chunk position, which together with the
-// per-run stability reproduces exactly what sortPairs (stable sort of
-// the concatenation in chunk order) would produce — without the O(n
-// log n) sort on the reduce hot path. The single-key case (the paper's
-// sampling jobs: every pair under DummyKey) degenerates to a straight
-// concatenation.
-func mergeSortedChunks(chunks []mapChunk, total int64) []KeyValue {
+// mergeSortedChunks merges one partition's key-sorted chunk runs, total
+// pairs in all, into a single key-sorted slice with exact
+// preallocation: a k-way merge on a binary min-heap of chunk heads,
+// O(n log k). Ties across chunks resolve to the lower chunk position,
+// which together with the per-run order reproduces exactly what
+// sortPairs (stable sort of the concatenation in chunk order) would
+// produce — without the O(n log n) sort on the reduce hot path. Chunks
+// whose key ranges are already in order need no merge at all;
+// reduceGroups walks them in place.
+func mergeSortedChunks(chunks []mapChunk, total int) []KeyValue {
 	pairs := make([]KeyValue, 0, total)
-	// Fast path: successive chunk key ranges already in order (always
-	// true when every key is equal), so concatenation is the merge.
-	ordered := true
-	for i := 1; i < len(chunks); i++ {
-		prev := chunks[i-1].pairs
-		cur := chunks[i].pairs
-		if prev[len(prev)-1].Key > cur[0].Key {
-			ordered = false
-			break
-		}
-	}
-	if ordered {
-		for _, c := range chunks {
-			pairs = append(pairs, c.pairs...)
-		}
-		return pairs
-	}
-	// General k-way merge on a binary min-heap of chunk heads, O(n log
-	// k). Ordering is (key, chunk position): ties resolve to the lower
-	// chunk, preserving stability.
 	type head struct {
 		chunk int
 		idx   int
@@ -416,7 +399,7 @@ func mergeSortedChunks(chunks []mapChunk, total int64) []KeyValue {
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		siftDown(i)
 	}
-	for len(heap) > 0 && int64(len(pairs)) < total {
+	for len(heap) > 0 && len(pairs) < total {
 		top := heap[0]
 		run := chunks[top.chunk].pairs
 		// Gallop: drain the winning chunk while its next key still beats

@@ -54,8 +54,9 @@ func sortPairsStable(pairs []KeyValue) {
 // attempts: every map and reduce attempt allocates a collector whose
 // pairs array is copied out (into shuffle chunks or job output) before
 // the attempt finishes, so the array itself is reusable. Collectors
-// that escape — memoised in a MapOutputCache or shared through a scan
-// future — are never recycled; see the recycleCollector call sites.
+// that escape — memoised in a MapOutputCache, shared through a scan
+// future, or taken whole as a single-reduce job's output — are never
+// recycled; see the recycleCollector call sites.
 var collectorPool = sync.Pool{New: func() any { return new(Collector) }}
 
 // newCollector returns an empty collector, reusing a recycled backing

@@ -337,12 +337,24 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 		// the producing node. byPart is indexed by partition (a map here
 		// was allocation-heavy — see BenchmarkMapCompletion); chunks are
 		// counted first so each backing array is allocated exactly once.
+		//
+		// A shared collector — an async-scan result the cache or a
+		// singleflight future may hold, or an inline scan memoised in
+		// the cache — is immutable and outlives this job, so a
+		// single-reduce chunk references its pairs (capacity-capped)
+		// instead of copying them. Memory mode copies anyway: the
+		// resident part sorts its chunks in place.
 		pairs := out.Pairs()
+		shared := scan != nil || (jt.cfg.MapOutputCache != nil && j.Spec.MemoKey != "")
 		byPart := make([]mapChunk, j.numReduces)
 		if j.numReduces == 1 {
 			c := &byPart[0]
 			c.node = tt.node.ID
-			c.pairs = append(make([]KeyValue, 0, len(pairs)), pairs...)
+			if shared && !j.resident {
+				c.pairs = pairs[:len(pairs):len(pairs)]
+			} else {
+				c.pairs = append(make([]KeyValue, 0, len(pairs)), pairs...)
+			}
 			c.bytes = out.Bytes()
 		} else {
 			counts := make([]int, j.numReduces)
@@ -388,11 +400,9 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 		j.Counters.MapOutputRecords += int64(out.Len())
 		j.Counters.MapOutputBytes += out.Bytes()
 		j.Counters.mergeUser(out.UserCounters())
-		// The collector's pairs were copied into the chunks above;
-		// recycle its backing array unless it is shared — an async-scan
-		// result may be held by the cache or a singleflight future, and
-		// the inline path memoises when a cache is configured.
-		if scan == nil && (jt.cfg.MapOutputCache == nil || j.Spec.MemoKey == "") {
+		// An exclusively owned collector's pairs were copied into the
+		// chunks above; recycle its backing array.
+		if !shared {
 			recycleCollector(out)
 		}
 	}
@@ -626,12 +636,16 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 		t.Job.Counters.ReduceInputRecs += totalPairs
 		t.Job.Counters.ReduceOutputRecs += int64(out.Len())
 		t.Job.Counters.mergeUser(out.UserCounters())
-		j.output = append(j.output, out.Pairs()...)
-		// Reduce CPU for the user function, then the output write. The
-		// collector's pairs were copied into j.output; recycle it.
-		work := float64(totalPairs) * costs.ReduceCPUPerRecordS
 		outBytes := out.Bytes()
-		recycleCollector(out)
+		if j.numReduces == 1 {
+			// The only reduce's output is the job's: take the pairs.
+			j.output = out.Pairs()
+		} else {
+			j.output = append(j.output, out.Pairs()...)
+			recycleCollector(out)
+		}
+		// Reduce CPU for the user function, then the output write.
+		work := float64(totalPairs) * costs.ReduceCPUPerRecordS
 		tt.node.CPU.Submit(work, writeOutput(outBytes))
 	}
 	sortPhase := func() {
@@ -659,49 +673,74 @@ func (jt *JobTracker) execReducer(t *ReduceTask, chunks []mapChunk) (*Collector,
 		reducer = IdentityReducer
 	}
 	out := newCollector()
-	if j.resident {
-		// Memory engine mode: every chunk is a stably-sorted resident
-		// run, so a tie-breaking merge replaces the O(n log n) stable
-		// sort, and one exactly-sized values buffer replaces the
-		// per-group append chains. The values slice handed to Reduce is
-		// valid only for the duration of the call (Hadoop's iterator
-		// contract) and capacity-capped so an appending reducer
-		// reallocates instead of scribbling on the buffer.
-		var total int64
-		for _, c := range chunks {
-			total += int64(len(c.pairs))
-		}
-		pairs := mergeSortedChunks(chunks, total)
-		valsBuf := make([]data.Record, len(pairs))
-		for i := range pairs {
-			valsBuf[i] = pairs[i].Value
-		}
-		for i := 0; i < len(pairs); {
-			k := pairs[i].Key
-			end := i + 1
-			for end < len(pairs) && pairs[end].Key == k {
-				end++
-			}
-			if err := reducer.Reduce(k, valsBuf[i:end:end], out); err != nil {
-				return nil, err
-			}
-			i = end
-		}
-		return out, nil
-	}
-	pairs := sortPairs(chunks)
-	for i := 0; i < len(pairs); {
-		k := pairs[i].Key
-		var vals []data.Record
-		for i < len(pairs) && pairs[i].Key == k {
-			vals = append(vals, pairs[i].Value)
-			i++
-		}
-		if err := reducer.Reduce(k, vals, out); err != nil {
-			return nil, err
-		}
+	if err := reduceGroups(chunks, reducer, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// reduceGroups feeds one partition's chunks to reducer key group by key
+// group, in the order a stable key sort of the chunks'
+// concatenation gives (Hadoop's merge: equal keys keep chunk order).
+// When every chunk is key-sorted — memory-mode runs always are, and so
+// is any single-key chunk — and successive chunks' key ranges are in
+// order, the concatenation already is that order and the chunks are
+// walked in place; sorted chunks with overlapping ranges are merged
+// (mergeSortedChunks); anything else is sorted (sortPairs).
+//
+// Values go into one exactly sized buffer, and each group is a
+// capacity-capped sub-slice of it, so a reducer that appends to its
+// values reallocates instead of overwriting the next group. Groups stay
+// valid after the call: nothing reuses the buffer.
+func reduceGroups(chunks []mapChunk, reducer Reducer, out *Collector) error {
+	total, sorted, ordered := 0, true, true
+	var last *KeyValue // the previous non-empty chunk's last pair
+	for _, c := range chunks {
+		if len(c.pairs) == 0 {
+			continue
+		}
+		total += len(c.pairs)
+		if !sorted {
+			continue
+		}
+		for i := 1; i < len(c.pairs); i++ {
+			if c.pairs[i-1].Key > c.pairs[i].Key {
+				sorted = false
+				break
+			}
+		}
+		if last != nil && last.Key > c.pairs[0].Key {
+			ordered = false
+		}
+		last = &c.pairs[len(c.pairs)-1]
+	}
+	runs := chunks
+	switch {
+	case !sorted:
+		runs = []mapChunk{{pairs: sortPairs(chunks)}}
+	case !ordered:
+		runs = []mapChunk{{pairs: mergeSortedChunks(chunks, total)}}
+	}
+	vals := make([]data.Record, total)
+	n, start := 0, 0
+	var key string
+	for _, c := range runs {
+		for _, kv := range c.pairs {
+			if n > start && kv.Key != key {
+				if err := reducer.Reduce(key, vals[start:n:n], out); err != nil {
+					return err
+				}
+				start = n
+			}
+			key = kv.Key
+			vals[n] = kv.Value
+			n++
+		}
+	}
+	if n > start {
+		return reducer.Reduce(key, vals[start:n:n], out)
+	}
+	return nil
 }
 
 // finishReduce reports a reduce completion and finalises the job when

@@ -132,6 +132,7 @@ func NewReducerFactory(k int64) func(*mapreduce.JobConf) mapreduce.Reducer {
 
 // Reduce implements Algorithm 2.
 func (r *Reducer) Reduce(key string, values []data.Record, out *mapreduce.Collector) error {
+	out.Grow(int(min(int64(len(values)), r.K)))
 	if int64(len(values)) <= r.K {
 		for _, v := range values {
 			out.Emit(key, v)
