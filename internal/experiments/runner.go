@@ -5,6 +5,11 @@ import (
 	"sync/atomic"
 )
 
+// onCellFailed, when set, is called after a failed cell's index has
+// been recorded in runCells' lowest failed index; tests use it to
+// observe that moment.
+var onCellFailed func(i int)
+
 // runCells executes cells 0..n-1 on a bounded worker pool. Each cell
 // must be independent of the others — in this package every cell
 // builds its own rig (engine, cluster, DFS, JobTracker), so cells
@@ -16,8 +21,10 @@ import (
 // inside a cell never observes the pool.
 //
 // parallelism <= 1 runs the cells sequentially on the calling
-// goroutine. On error no new cells are started, in-flight cells drain,
-// and the lowest-index recorded error is returned.
+// goroutine. On error no cell above the lowest failed index so far is
+// started, in-flight cells drain, and the lowest-index error is
+// returned: a cell is skipped only when a lower one failed, so the
+// lowest failing cell always runs.
 func runCells(parallelism, n int, cell func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -34,7 +41,8 @@ func runCells(parallelism, n int, cell func(i int) error) error {
 		return nil
 	}
 	errs := make([]error, n)
-	var failed atomic.Bool
+	var lowest atomic.Int64 // lowest failed index so far; n while none
+	lowest.Store(int64(n))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(parallelism)
@@ -42,12 +50,20 @@ func runCells(parallelism, n int, cell func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if failed.Load() {
+				if int64(i) > lowest.Load() {
 					continue
 				}
 				if err := cell(i); err != nil {
 					errs[i] = err
-					failed.Store(true)
+					for {
+						cur := lowest.Load()
+						if int64(i) >= cur || lowest.CompareAndSwap(cur, int64(i)) {
+							break
+						}
+					}
+					if onCellFailed != nil {
+						onCellFailed(i)
+					}
 				}
 			}
 		}()

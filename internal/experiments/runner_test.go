@@ -30,22 +30,37 @@ func TestRunCellsExecutesAllInAnyOrder(t *testing.T) {
 	}
 }
 
+// TestRunCellsStopsSchedulingOnError checks a property that holds under
+// any schedule. Every cell above the failing cell 3 holds its worker
+// until the failure is recorded, so before that moment each of the other
+// par-1 workers can have taken at most one of them. If no cell above 3
+// is taken after the failure is recorded, at most par-1 start in all.
 func TestRunCellsStopsSchedulingOnError(t *testing.T) {
+	const fail, par = 3, 4
 	boom := errors.New("boom")
-	var ran atomic.Int64
-	err := runCells(2, 100, func(i int) error {
-		ran.Add(1)
-		if i == 3 {
+	recorded := make(chan struct{})
+	onCellFailed = func(i int) {
+		if i == fail {
+			close(recorded)
+		}
+	}
+	defer func() { onCellFailed = nil }()
+	var above atomic.Int64
+	err := runCells(par, 100, func(i int) error {
+		switch {
+		case i == fail:
 			return boom
+		case i > fail:
+			above.Add(1)
+			<-recorded
 		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	// In-flight cells drain but the queue stops: far fewer than all 100.
-	if n := ran.Load(); n >= 100 {
-		t.Fatalf("all %d cells ran despite an early error", n)
+	if n := above.Load(); n > par-1 {
+		t.Fatalf("%d cells above the failing one started, want at most %d", n, par-1)
 	}
 
 	// Sequential keeps fail-fast semantics.

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"math"
 	"slices"
 
 	"dynamicmr/internal/data"
@@ -22,6 +23,9 @@ type Collector struct {
 	pairs    []KeyValue
 	bytes    int64
 	counters map[string]int64
+	// unsorted is set once an emitted key is less than its predecessor;
+	// map completion hands the hint on to the shuffle chunks.
+	unsorted bool
 }
 
 // Inc adds delta to the named user counter.
@@ -37,6 +41,9 @@ func (c *Collector) UserCounters() map[string]int64 { return c.counters }
 
 // Emit outputs one pair.
 func (c *Collector) Emit(key string, value data.Record) {
+	if n := len(c.pairs); n > 0 && key < c.pairs[n-1].Key {
+		c.unsorted = true
+	}
 	c.pairs = append(c.pairs, KeyValue{Key: key, Value: value})
 	c.bytes += int64(len(key) + value.EncodedSize())
 }
@@ -99,6 +106,19 @@ type Reducer interface {
 	Reduce(key string, values []data.Record, out *Collector) error
 }
 
+// PrefixReducer is an optional extension through which a reducer
+// declares that its output for each key group is the group's first
+// limit values, unchanged, in reduce-input order, each emitted under
+// the group's key. When PrefixLimit reports ok, the runtime copies
+// those pairs straight from the shuffled runs to the output and never
+// calls Reduce, so a prefix reducer must set no user counters; Reduce
+// stays for direct callers and must produce the same output. A reducer
+// that reports !ok takes the ordinary values path.
+type PrefixReducer interface {
+	Reducer
+	PrefixLimit() (limit int64, ok bool)
+}
+
 // MapperFunc adapts a function to Mapper.
 type MapperFunc func(rec data.Record, out *Collector) error
 
@@ -113,14 +133,23 @@ func (f ReducerFunc) Reduce(key string, values []data.Record, out *Collector) er
 	return f(key, values, out)
 }
 
-// IdentityReducer passes every (key, value) through unchanged.
-var IdentityReducer = ReducerFunc(func(key string, values []data.Record, out *Collector) error {
+// IdentityReducer passes every (key, value) through unchanged. It is a
+// PrefixReducer with no limit.
+var IdentityReducer Reducer = identityReducer{}
+
+type identityReducer struct{}
+
+// Reduce implements Reducer.
+func (identityReducer) Reduce(key string, values []data.Record, out *Collector) error {
 	out.Grow(len(values))
 	for _, v := range values {
 		out.Emit(key, v)
 	}
 	return nil
-})
+}
+
+// PrefixLimit implements PrefixReducer: every value is kept.
+func (identityReducer) PrefixLimit() (int64, bool) { return math.MaxInt64, true }
 
 // Split is one unit of map input: a DFS block.
 type Split struct {

@@ -151,8 +151,20 @@ func BenchmarkDeltaShuffle(b *testing.B) {
 // one key, one reduce) with every map output already memoised: the
 // per-iteration cost is the single-reduce shuffle hot path — chunks
 // referencing the memoised pairs, the in-place walk over in-order
-// chunks, and the reduce output handed to the job without a copy.
+// chunks, and the identity reduce's prefix path copying every pair
+// straight from the runs into the job's output.
 func BenchmarkSingleReduceShuffle(b *testing.B) {
+	benchSingleReduce(b, "bench|single-reduce", nil)
+}
+
+// BenchmarkFirstKShuffle is BenchmarkSingleReduceShuffle with a first-k
+// prefix reducer at k = 1000, the sample-skew LIMIT: six runs are kept
+// whole, the seventh in part, and the other 153 are skipped.
+func BenchmarkFirstKShuffle(b *testing.B) {
+	benchSingleReduce(b, "bench|first-k", &firstK{k: 1000})
+}
+
+func benchSingleReduce(b *testing.B, memo string, reducer Reducer) {
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.PaperConfig())
 	fs := dfs.New(cl)
@@ -181,7 +193,10 @@ func BenchmarkSingleReduceShuffle(b *testing.B) {
 				return nil
 			})
 		},
-		MemoKey: "bench|single-reduce",
+		MemoKey: memo,
+	}
+	if reducer != nil {
+		spec.NewReducer = func(*JobConf) Reducer { return reducer }
 	}
 	// Warm the memo so every timed iteration maps from it.
 	warm := jt.Submit(spec, SplitsForFile(f))

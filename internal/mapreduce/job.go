@@ -124,10 +124,14 @@ type ReduceTask struct {
 
 // mapChunk is one completed map task's output destined for a reduce
 // partition, tagged with the producing node for shuffle cost accounting.
+// bytes is the encoded size of pairs (the sum of len(key) +
+// EncodedSize), and sorted is set when the pairs are known to be in
+// key order, so reduceGroups need not check them.
 type mapChunk struct {
-	node  int
-	pairs []KeyValue
-	bytes int64
+	node   int
+	pairs  []KeyValue
+	bytes  int64
+	sorted bool
 }
 
 // Job is a submitted MapReduce job.

@@ -24,7 +24,9 @@ const (
 
 // randomChunks builds 0–40 chunks of 0–60 pairs over 1–6 distinct keys
 // ("" among the candidates). Every value is a distinct record, so any
-// reordering within a key shows in the output.
+// reordering within a key shows in the output. Each chunk carries its
+// real byte count, as map completion computes it, and about half the
+// chunks that really are key-sorted carry the sorted hint.
 func randomChunks(rng *rand.Rand, geom int) []mapChunk {
 	pool := []string{"", "a", "ab", "b", "c", "zz"}
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
@@ -49,10 +51,13 @@ func randomChunks(rng *rand.Rand, geom int) []mapChunk {
 			sort.Strings(ks)
 		}
 		for i, k := range ks {
-			chunks[c].pairs[i] = KeyValue{Key: k,
+			kv := KeyValue{Key: k,
 				Value: data.NewRecord(kvSchema, []data.Value{data.Int(int64(seq)), data.Int(int64(c))})}
+			chunks[c].pairs[i] = kv
+			chunks[c].bytes += int64(len(kv.Key) + kv.Value.EncodedSize())
 			seq++
 		}
+		chunks[c].sorted = sort.StringsAreSorted(ks) && rng.Intn(2) == 0
 	}
 	return chunks
 }
@@ -121,21 +126,21 @@ func TestReduceGroupsProperty(t *testing.T) {
 				}
 			}
 			var seen []refGroup
-			reducers := map[string]ReducerFunc{
+			reducers := map[string]Reducer{
 				"identity": IdentityReducer,
-				"append": func(key string, values []data.Record, out *Collector) error {
+				"append": ReducerFunc(func(key string, values []data.Record, out *Collector) error {
 					values = append(values, sentinel)
 					seen = append(seen, refGroup{key, values})
 					for _, v := range values {
 						out.Emit(key, v)
 					}
 					return nil
-				},
-				"keep": func(key string, values []data.Record, out *Collector) error {
+				}),
+				"keep": ReducerFunc(func(key string, values []data.Record, out *Collector) error {
 					seen = append(seen, refGroup{key, values})
 					out.Emit(key, values[0])
 					return nil
-				},
+				}),
 			}
 			for name, red := range reducers {
 				seen = nil
@@ -192,6 +197,114 @@ func TestReduceGroupsProperty(t *testing.T) {
 	}
 }
 
+// firstK is a prefix reducer keeping each key group's first k values,
+// as sampling.Reducer does without Random. calls counts Reduce calls,
+// which the runtime never makes.
+type firstK struct {
+	k     int64
+	calls int
+}
+
+func (r *firstK) Reduce(key string, values []data.Record, out *Collector) error {
+	r.calls++
+	for _, v := range values[:min(len(values), int(r.k))] {
+		out.Emit(key, v)
+	}
+	return nil
+}
+
+func (r *firstK) PrefixLimit() (int64, bool) { return r.k, true }
+
+// TestReducePrefixProperty runs the random chunk geometries of
+// TestReduceGroupsProperty through the prefix path — the identity and
+// first-k at limits 0, 1, a random value below the total and one at or
+// above it — and requires the same output pairs, in the same order, and
+// the same byte count as the values path gives for the same reducer
+// wrapped in a plain ReducerFunc, which the runtime cannot recognise.
+func TestReducePrefixProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	r := newRig(t, nil)
+	for trial := 0; trial < 600; trial++ {
+		geom := trial % 3
+		chunks := randomChunks(rng, geom)
+		total := 0
+		for _, c := range chunks {
+			total += len(c.pairs)
+		}
+		var below int64
+		if total > 0 {
+			below = rng.Int63n(int64(total))
+		}
+		reducers := []struct {
+			name string
+			red  PrefixReducer
+		}{
+			{"identity", IdentityReducer.(PrefixReducer)},
+			{"first-0", &firstK{k: 0}},
+			{"first-1", &firstK{k: 1}},
+			{"first-below", &firstK{k: below}},
+			{"first-above", &firstK{k: int64(total) + rng.Int63n(3)}},
+		}
+		for _, tc := range reducers {
+			ctx := fmt.Sprintf("trial %d geom %d reducer %s", trial, geom, tc.name)
+			run := func(red Reducer) *Collector {
+				j := &Job{Conf: NewJobConf(), Spec: JobSpec{NewReducer: func(*JobConf) Reducer { return red }}}
+				out, err := r.jt.execReducer(&ReduceTask{Job: j}, chunks)
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				return out
+			}
+			got := run(tc.red)
+			if fk, ok := tc.red.(*firstK); ok && fk.calls != 0 {
+				t.Fatalf("%s: the prefix path called Reduce %d times", ctx, fk.calls)
+			}
+			want := run(ReducerFunc(tc.red.Reduce))
+			if got.Len() != want.Len() {
+				t.Fatalf("%s: %d output pairs, want %d", ctx, got.Len(), want.Len())
+			}
+			for i, kv := range got.Pairs() {
+				w := want.Pairs()[i]
+				if kv.Key != w.Key || kv.Value.String() != w.Value.String() {
+					t.Fatalf("%s: output %d = (%q, %s), want (%q, %s)", ctx, i, kv.Key, kv.Value, w.Key, w.Value)
+				}
+			}
+			if got.Bytes() != want.Bytes() {
+				t.Fatalf("%s: %d output bytes, want %d", ctx, got.Bytes(), want.Bytes())
+			}
+		}
+	}
+}
+
+// TestCollectorSortedHint checks the collector's sorted hint against a
+// brute-force order check over random emit sequences, and that a
+// recycled collector starts without a stale hint.
+func TestCollectorSortedHint(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	pool := []string{"", "a", "ab", "b"}
+	rec := data.NewRecord(kvSchema, []data.Value{data.Int(0), data.Int(0)})
+	for trial := 0; trial < 1000; trial++ {
+		keys := make([]string, rng.Intn(8))
+		for i := range keys {
+			keys[i] = pool[rng.Intn(len(pool))]
+		}
+		if trial%2 == 0 {
+			sort.Strings(keys) // sorted sequences as often as not
+		}
+		c := newCollector()
+		for _, k := range keys {
+			c.Emit(k, rec)
+		}
+		if want := sort.StringsAreSorted(keys); c.unsorted == want {
+			t.Fatalf("trial %d: keys %q: unsorted hint %v, want %v", trial, keys, c.unsorted, !want)
+		}
+		recycleCollector(c)
+		if c.unsorted {
+			t.Fatalf("trial %d: a recycled collector kept the unsorted hint", trial)
+		}
+	}
+}
+
 // TestSharedMapOutputUnmodified memoises a job's map output, then runs
 // further jobs over the same MapOutputCache in every combination of 1
 // and 4 reduces, default and memory mode, scan pool off and on. The
@@ -203,7 +316,7 @@ func TestSharedMapOutputUnmodified(t *testing.T) {
 	srcs := makeSrcs(12, 40)
 	// Map output in descending key order per split, so a sort in place
 	// anywhere downstream would show in the memo.
-	spec := func(reduces int, reducer ReducerFunc) JobSpec {
+	spec := func(reduces int, reducer Reducer) JobSpec {
 		conf := NewJobConf()
 		conf.SetInt(ConfNumReduces, int64(reduces))
 		return JobSpec{
@@ -226,7 +339,7 @@ func TestSharedMapOutputUnmodified(t *testing.T) {
 		}
 		return nil
 	})
-	run := func(cache *MapOutputCache, reduces int, memory bool, pool *executor.Pool, red ReducerFunc) *Job {
+	run := func(cache *MapOutputCache, reduces int, memory bool, pool *executor.Pool, red Reducer) *Job {
 		eng := sim.NewEngine()
 		cl := cluster.New(eng, cluster.PaperConfig())
 		f, err := dfs.New(cl).Create("in", srcs, 1)
@@ -270,7 +383,7 @@ func TestSharedMapOutputUnmodified(t *testing.T) {
 	for _, reduces := range []int{1, 4} {
 		for _, memory := range []bool{false, true} {
 			for _, p := range []*executor.Pool{nil, pool} {
-				for _, red := range []ReducerFunc{IdentityReducer, appending} {
+				for _, red := range []Reducer{IdentityReducer, appending} {
 					jobs = append(jobs, run(cache, reduces, memory, p, red))
 				}
 			}

@@ -74,5 +74,6 @@ func recycleCollector(c *Collector) {
 	c.pairs = c.pairs[:0]
 	c.bytes = 0
 	c.counters = nil
+	c.unsorted = false
 	collectorPool.Put(c)
 }

@@ -344,6 +344,9 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 		// single-reduce chunk references its pairs (capacity-capped)
 		// instead of copying them. Memory mode copies anyway: the
 		// resident part sorts its chunks in place.
+		//
+		// Every chunk inherits the collector's sorted hint: a partition
+		// of a key-sorted output is key-sorted too.
 		pairs := out.Pairs()
 		shared := scan != nil || (jt.cfg.MapOutputCache != nil && j.Spec.MemoKey != "")
 		byPart := make([]mapChunk, j.numReduces)
@@ -356,6 +359,7 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 				c.pairs = append(make([]KeyValue, 0, len(pairs)), pairs...)
 			}
 			c.bytes = out.Bytes()
+			c.sorted = !out.unsorted
 		} else {
 			counts := make([]int, j.numReduces)
 			for _, kv := range pairs {
@@ -363,7 +367,7 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 			}
 			for p, n := range counts {
 				if n > 0 {
-					byPart[p] = mapChunk{node: tt.node.ID, pairs: make([]KeyValue, 0, n)}
+					byPart[p] = mapChunk{node: tt.node.ID, pairs: make([]KeyValue, 0, n), sorted: !out.unsorted}
 				}
 			}
 			for _, kv := range pairs {
@@ -682,28 +686,31 @@ func (jt *JobTracker) execReducer(t *ReduceTask, chunks []mapChunk) (*Collector,
 // reduceGroups feeds one partition's chunks to reducer key group by key
 // group, in the order a stable key sort of the chunks'
 // concatenation gives (Hadoop's merge: equal keys keep chunk order).
-// When every chunk is key-sorted — memory-mode runs always are, and so
-// is any single-key chunk — and successive chunks' key ranges are in
-// order, the concatenation already is that order and the chunks are
-// walked in place; sorted chunks with overlapping ranges are merged
+// When every chunk is key-sorted — hinted sorted at map completion, or
+// checked here — and successive chunks' key ranges are in order, the
+// concatenation already is that order and the chunks are walked in
+// place; sorted chunks with overlapping ranges are merged
 // (mergeSortedChunks); anything else is sorted (sortPairs).
 //
-// Values go into one exactly sized buffer, and each group is a
-// capacity-capped sub-slice of it, so a reducer that appends to its
-// values reallocates instead of overwriting the next group. Groups stay
-// valid after the call: nothing reuses the buffer.
+// A PrefixReducer's output is copied from those runs by reducePrefix.
+// Any other reducer gets its values in one exactly sized buffer, and
+// each group is a capacity-capped sub-slice of it, so a reducer that
+// appends to its values reallocates instead of overwriting the next
+// group. Groups stay valid after the call: nothing reuses the buffer.
 func reduceGroups(chunks []mapChunk, reducer Reducer, out *Collector) error {
 	total, sorted, ordered := 0, true, true
+	var bytes int64
 	var last *KeyValue // the previous non-empty chunk's last pair
 	for _, c := range chunks {
 		if len(c.pairs) == 0 {
 			continue
 		}
 		total += len(c.pairs)
+		bytes += c.bytes
 		if !sorted {
 			continue
 		}
-		for i := 1; i < len(c.pairs); i++ {
+		for i := 1; !c.sorted && i < len(c.pairs); i++ {
 			if c.pairs[i-1].Key > c.pairs[i].Key {
 				sorted = false
 				break
@@ -717,9 +724,15 @@ func reduceGroups(chunks []mapChunk, reducer Reducer, out *Collector) error {
 	runs := chunks
 	switch {
 	case !sorted:
-		runs = []mapChunk{{pairs: sortPairs(chunks)}}
+		runs = []mapChunk{{pairs: sortPairs(chunks), bytes: bytes}}
 	case !ordered:
-		runs = []mapChunk{{pairs: mergeSortedChunks(chunks, total)}}
+		runs = []mapChunk{{pairs: mergeSortedChunks(chunks, total), bytes: bytes}}
+	}
+	if pr, ok := reducer.(PrefixReducer); ok {
+		if limit, ok := pr.PrefixLimit(); ok {
+			reducePrefix(runs, total, limit, out)
+			return nil
+		}
 	}
 	vals := make([]data.Record, total)
 	n, start := 0, 0
@@ -741,6 +754,51 @@ func reduceGroups(chunks []mapChunk, reducer Reducer, out *Collector) error {
 		return reducer.Reduce(key, vals[start:n:n], out)
 	}
 	return nil
+}
+
+// reducePrefix appends each key group's first limit pairs of the
+// key-sorted, in-order runs (total pairs in all) to out. A run in which
+// no group can pass limit is appended whole and adds its byte count;
+// only the kept pairs of any other run are sized, through Emit.
+func reducePrefix(runs []mapChunk, total int, limit int64, out *Collector) {
+	grow := int64(total)
+	if limit < grow {
+		grow = max(limit, 0)
+	}
+	out.Grow(int(grow))
+	var key string // the current group's key
+	var seen int64 // the current group's values so far
+	for _, c := range runs {
+		n := int64(len(c.pairs))
+		if n == 0 {
+			continue
+		}
+		if first := c.pairs[0].Key; first != key {
+			key, seen = first, 0
+		}
+		if seen+n > limit {
+			for _, kv := range c.pairs {
+				if kv.Key != key {
+					key, seen = kv.Key, 0
+				}
+				if seen < limit {
+					out.Emit(kv.Key, kv.Value)
+				}
+				seen++
+			}
+			continue
+		}
+		out.pairs = append(out.pairs, c.pairs...)
+		out.bytes += c.bytes
+		if last := c.pairs[n-1].Key; last == key {
+			seen += n
+		} else {
+			key, seen = last, 0
+			for i := n - 1; i >= 0 && c.pairs[i].Key == last; i-- {
+				seen++
+			}
+		}
+	}
 }
 
 // finishReduce reports a reduce completion and finalises the job when

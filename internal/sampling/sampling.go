@@ -108,6 +108,11 @@ func (m *Mapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Collector) 
 // Reducer is Algorithm 2: receive the single (k_dummy, list) pair and
 // output the first k values — or, with Random set, a uniform random k
 // of them (the paper's footnote 1 variant, via reservoir sampling).
+//
+// Without Random it is a mapreduce.PrefixReducer: the runtime copies
+// the first k pairs straight from the shuffled map runs and never calls
+// Reduce. Reduce stays the reference for that path, the entry point for
+// direct callers, and the random path.
 type Reducer struct {
 	// K is the required sample size.
 	K int64
@@ -129,6 +134,10 @@ func NewReducerFactory(k int64) func(*mapreduce.JobConf) mapreduce.Reducer {
 		return r
 	}
 }
+
+// PrefixLimit implements mapreduce.PrefixReducer: the first K values,
+// unless Random is set.
+func (r *Reducer) PrefixLimit() (int64, bool) { return r.K, !r.Random }
 
 // Reduce implements Algorithm 2.
 func (r *Reducer) Reduce(key string, values []data.Record, out *mapreduce.Collector) error {
