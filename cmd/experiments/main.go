@@ -11,7 +11,7 @@
 //	            [-trace-out DIR] [-report-out DIR] [-sample-interval S]
 //	            [-archive-out DIR] [-alert-rules FILE]
 //	            [-log-out FILE] [-log-level LEVEL]
-//	            [-bench-json FILE]
+//	            [-bench-json FILE] [-cpuprofile FILE]
 //
 // -j runs up to N sweep cells concurrently (default runtime.NumCPU).
 // Parallelism is across cells only: each cell owns a private simulated
@@ -47,6 +47,10 @@
 //
 // -bench-json writes per-artifact wall-clock timings as JSON to FILE
 // (the BENCH_results.json perf trajectory).
+//
+// -cpuprofile writes a CPU profile of the whole run to FILE, for
+// `go tool pprof`. It is flushed before the command exits, on failure
+// too.
 //
 // With -trace-out, each multi-user workload cell (figures 6-8) writes
 // its 30-second utilization timeline as a CSV file into DIR (created
@@ -95,11 +99,13 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -125,6 +131,7 @@ func main() {
 	alertRules := flag.String("alert-rules", "", "load declarative alert/SLO rules from FILE (JSON {\"rules\": [...]}) and evaluate them on every cell's virtual clock")
 	logOut := flag.String("log-out", "", "write the sweeps' virtual-clock NDJSON log stream to FILE")
 	logLevel := flag.String("log-level", "info", "log level for -log-out: debug, info, warn or error")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to FILE")
 	flag.Parse()
 
 	var opt experiments.Options
@@ -195,6 +202,24 @@ func main() {
 		opt.Policies = strings.Split(*policies, ",")
 	}
 
+	// stopProfile stops and flushes the CPU profile, if one runs, and
+	// reports whether it was written.
+	stopProfile := func() bool { return true }
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+		stopProfile = func() bool {
+			if err := stop(); err != nil {
+				fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
+				return false
+			}
+			return true
+		}
+	}
+
 	targets := strings.Split(strings.ToLower(*run), ",")
 	want := func(name string) bool {
 		for _, t := range targets {
@@ -216,6 +241,7 @@ func main() {
 	}
 	fail := func(name string, err error) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		stopProfile()
 		os.Exit(1)
 	}
 	type artifactTiming struct {
@@ -340,4 +366,31 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[benchmark timings written to %s]\n", *benchJSON)
 	}
+	if !stopProfile() {
+		os.Exit(1)
+	}
+}
+
+// startCPUProfile starts a CPU profile written to path and returns the
+// function that stops it, flushes it and closes the file. The profile
+// goes through a bufio.Writer because pprof drops write errors, and
+// Flush returns the first one.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	w := bufio.NewWriter(f)
+	if err := pprof.StartCPUProfile(w); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		err := w.Flush()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }

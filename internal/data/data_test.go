@@ -124,6 +124,28 @@ func TestCompareNumericCrossKind(t *testing.T) {
 	}
 }
 
+// Two INTs compare as int64: float64 would merge neighbours beyond 2^53
+// and at the int64 limits. INT against FLOAT still compares as float64.
+func TestCompareIntsExactly(t *testing.T) {
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{Int(1<<53 + 1), Int(1 << 53), 1},
+		{Int(1 << 53), Int(1<<53 + 1), -1},
+		{Int(-(1 << 53) - 1), Int(-(1 << 53)), -1},
+		{Int(math.MinInt64), Int(math.MinInt64 + 1), -1},
+		{Int(math.MaxInt64), Int(math.MaxInt64 - 1), 1},
+		{Int(math.MinInt64), Int(math.MaxInt64), -1},
+		{Int(math.MaxInt64), Int(math.MaxInt64), 0},
+		{Int(1<<53 + 1), Float(1 << 53), 0},
+	} {
+		if got, err := Compare(c.a, c.b); err != nil || got != c.want {
+			t.Errorf("Compare(%s %v, %s %v) = %d, %v; want %d", c.a.Kind(), c.a, c.b.Kind(), c.b, got, err, c.want)
+		}
+	}
+}
+
 func TestCompareStrings(t *testing.T) {
 	c, err := Compare(Str("1994-01-01"), Str("1995-06-30"))
 	if err != nil || c != -1 {

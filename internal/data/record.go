@@ -10,6 +10,11 @@ import (
 type Schema struct {
 	cols  []string
 	index map[string]int
+	// from and pos are set on a schema built by Project: column i is
+	// column pos[i] of from, so projecting a record of from copies by
+	// position.
+	from *Schema
+	pos  []int
 }
 
 // NewSchema builds a schema from column names. Names are matched
@@ -49,12 +54,17 @@ func (s *Schema) Has(name string) bool {
 
 // Project returns a new schema with the given columns (which must exist).
 func (s *Schema) Project(cols ...string) (*Schema, error) {
-	for _, c := range cols {
-		if !s.Has(c) {
+	pos := make([]int, len(cols))
+	for i, c := range cols {
+		j, ok := s.Index(c)
+		if !ok {
 			return nil, fmt.Errorf("data: unknown column %q", c)
 		}
+		pos[i] = j
 	}
-	return NewSchema(cols...), nil
+	p := NewSchema(cols...)
+	p.from, p.pos = s, pos
+	return p, nil
 }
 
 // Record is a flat row: values positionally aligned with a Schema.
@@ -99,11 +109,19 @@ func (r Record) MustGet(col string) Value {
 }
 
 // Project returns a record containing only the given columns, bound to
-// the provided projected schema (obtained from Schema.Project).
+// the provided projected schema (obtained from Schema.Project). A
+// record of the schema proj was projected from is copied by position;
+// any other is matched by name.
 func (r Record) Project(proj *Schema) Record {
 	vals := make([]Value, proj.Len())
-	for i, c := range proj.Columns() {
-		vals[i] = r.MustGet(c)
+	if proj.from != nil && proj.from == r.schema {
+		for i, j := range proj.pos {
+			vals[i] = r.vals[j]
+		}
+	} else {
+		for i, c := range proj.cols {
+			vals[i] = r.MustGet(c)
+		}
 	}
 	return Record{schema: proj, vals: vals}
 }

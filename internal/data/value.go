@@ -166,9 +166,11 @@ func decimalDigits(x uint64) int {
 	return max(n, 1)
 }
 
-// Compare orders two values: -1, 0, +1. Numeric kinds compare by value
-// (INT vs FLOAT allowed); strings compare lexicographically; NULL sorts
-// before everything; comparing incompatible kinds returns an error.
+// Compare orders two values: -1, 0, +1. Two INTs compare as int64; any
+// other numeric pair (INT vs FLOAT allowed) compares as float64, where
+// NaN compares equal to everything; strings compare lexicographically;
+// NULL sorts before everything; comparing incompatible kinds returns an
+// error.
 func Compare(a, b Value) (int, error) {
 	switch {
 	case a.IsNull() && b.IsNull():
@@ -177,6 +179,17 @@ func Compare(a, b Value) (int, error) {
 		return -1, nil
 	case b.IsNull():
 		return 1, nil
+	}
+	if a.kind == b.kind && (a.kind == KindInt || a.kind == KindBool) {
+		// Exact for INTs: float64 would merge those beyond 2^53.
+		switch {
+		case a.i < b.i:
+			return -1, nil
+		case a.i > b.i:
+			return 1, nil
+		default:
+			return 0, nil
+		}
 	}
 	if a.IsNumeric() && b.IsNumeric() {
 		af, bf := a.AsFloat(), b.AsFloat()
@@ -194,16 +207,6 @@ func Compare(a, b Value) (int, error) {
 		case a.s < b.s:
 			return -1, nil
 		case a.s > b.s:
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	if a.kind == KindBool && b.kind == KindBool {
-		switch {
-		case a.i < b.i:
-			return -1, nil
-		case a.i > b.i:
 			return 1, nil
 		default:
 			return 0, nil

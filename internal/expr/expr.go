@@ -494,28 +494,38 @@ func Bind(e Expr, schema *data.Schema) (Expr, error) {
 // ScanFilter streams the records of src that satisfy pred to yield, in
 // source order, until yield returns false or the records run out, and
 // returns the first predicate evaluation error. It is the one predicate
-// scan loop behind every filtering mapper. When src is a
-// data.FilterSource and pred binds against its schema, the predicate is
-// tested on the columns it reads before any record is built, and only
-// matches are materialised; otherwise it scans whole records and
-// evaluates pred on each, so output, order and errors are the same on
-// both paths.
+// scan loop behind every filtering mapper. When pred binds against
+// src's schema it is compiled once into a test that reads columns by
+// position. A data.FilterSource then applies that test to the columns
+// it reads before any record is built, and materialises only matches;
+// any other source scans whole records and tests each. A record whose
+// schema is not src's, which breaks the Source contract, and every
+// record of a predicate that does not bind are evaluated by name with
+// EvalBool. Output, order and errors are the same on every path.
 func ScanFilter(src data.Source, pred Expr, yield func(data.Record) bool) error {
-	if fs, ok := src.(data.FilterSource); ok {
-		if bound, err := Bind(pred, src.Schema()); err == nil {
+	schema := src.Schema()
+	var keep test
+	if bound, err := Bind(pred, schema); err == nil {
+		keep = compile(bound)
+		if fs, ok := src.(data.FilterSource); ok {
 			var cols []int
 			walk(bound, func(e Expr) {
 				if c, ok := e.(*BoundColumn); ok {
 					cols = append(cols, c.Index)
 				}
 			})
-			keep := func(r data.Record) (bool, error) { return EvalBool(bound, r) }
 			return fs.ScanWhere(cols, keep, yield)
 		}
 	}
 	var scanErr error
 	src.Scan(func(r data.Record) bool {
-		ok, err := EvalBool(pred, r)
+		var ok bool
+		var err error
+		if keep != nil && r.Schema() == schema {
+			ok, err = keep(r)
+		} else {
+			ok, err = EvalBool(pred, r)
+		}
 		if err != nil {
 			scanErr = err
 			return false

@@ -56,6 +56,15 @@ func TestComparisons(t *testing.T) {
 	}
 }
 
+func TestIntComparisonsAreExact(t *testing.T) {
+	r := rec(1<<53+1, 0, "", 0)
+	for _, e := range []Expr{bin(OpGt, col("A"), lint(1<<53)), bin(OpNe, col("A"), lint(1<<53))} {
+		if !evalB(t, e, r) {
+			t.Errorf("%s is false for A = 2^53+1", e)
+		}
+	}
+}
+
 func TestBooleanConnectives(t *testing.T) {
 	r := rec(5, 10, "RAIL", 0.05)
 	tr := bin(OpEq, lint(1), lint(1))

@@ -144,8 +144,11 @@ type SetStmt struct {
 	Value string
 }
 
-// String implements Statement.
-func (s *SetStmt) String() string { return fmt.Sprintf("SET %s = %s", s.Key, s.Value) }
+// String implements Statement. The value renders quoted, so it parses
+// back to itself whatever characters it holds.
+func (s *SetStmt) String() string {
+	return fmt.Sprintf("SET %s = '%s'", s.Key, strings.ReplaceAll(s.Value, "'", "''"))
+}
 
 // ExplainStmt is EXPLAIN <select>.
 type ExplainStmt struct {

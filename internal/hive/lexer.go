@@ -11,7 +11,6 @@ package hive
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexer output.
@@ -42,6 +41,12 @@ var keywords = map[string]bool{
 	"ORDER": true, "ASC": true, "DESC": true,
 }
 
+// isLetter and isDigit accept ASCII only: lex reads bytes, and a byte
+// of a multi-byte character is no character at all.
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
 // lex tokenises a statement. SQL strings use single quotes with ”
 // escaping; -- starts a line comment.
 func lex(src string) ([]token, error) {
@@ -56,12 +61,12 @@ func lex(src string) ([]token, error) {
 			for i < len(src) && src[i] != '\n' {
 				i++
 			}
-		case unicode.IsDigit(rune(c)) || (c == '.' && i+1 < len(src) && unicode.IsDigit(rune(src[i+1]))):
+		case isDigit(c) || (c == '.' && i+1 < len(src) && isDigit(src[i+1])):
 			j := i
 			seenDot := false
 			for j < len(src) {
 				d := src[j]
-				if unicode.IsDigit(rune(d)) {
+				if isDigit(d) {
 					j++
 				} else if d == '.' && !seenDot {
 					seenDot = true
@@ -72,9 +77,9 @@ func lex(src string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tkNumber, text: src[i:j], pos: i})
 			i = j
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case isLetter(c) || c == '_':
 			j := i
-			for j < len(src) && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_' || src[j] == '.') {
+			for j < len(src) && (isLetter(src[j]) || isDigit(src[j]) || src[j] == '_' || src[j] == '.') {
 				j++
 			}
 			word := src[i:j]

@@ -468,12 +468,14 @@ func (p *parser) parseUnary() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Fold literal negation so "-5" prints as -5, not (-5).
+		// Fold literal negation so "-5" prints as -5, not (-5). A float
+		// is subtracted from 0, so "-0.0" folds to 0, which renders as
+		// "0" and parses back to a zero, not to "-0", which would not.
 		if lit, ok := x.(*expr.Literal); ok && lit.Val.IsNumeric() {
 			if lit.Val.Kind() == data.KindInt {
 				return &expr.Literal{Val: data.Int(-lit.Val.AsInt())}, nil
 			}
-			return &expr.Literal{Val: data.Float(-lit.Val.AsFloat())}, nil
+			return &expr.Literal{Val: data.Float(0 - lit.Val.AsFloat())}, nil
 		}
 		return &expr.Neg{X: x}, nil
 	}
@@ -484,18 +486,18 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 	t := p.next()
 	switch t.kind {
 	case tkNumber:
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
+		if !strings.Contains(t.text, ".") {
+			if n, err := strconv.ParseInt(t.text, 10, 64); err == nil {
+				return &expr.Literal{Val: data.Int(n)}, nil
 			}
-			return &expr.Literal{Val: data.Float(f)}, nil
+			// Too large for an INT: a FLOAT, which is also how a
+			// FLOAT literal of that size renders.
 		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, p.errf("bad number %q", t.text)
 		}
-		return &expr.Literal{Val: data.Int(n)}, nil
+		return &expr.Literal{Val: data.Float(f)}, nil
 	case tkString:
 		return &expr.Literal{Val: data.Str(t.text)}, nil
 	case tkIdent:

@@ -1,0 +1,47 @@
+package sampling
+
+import (
+	"math"
+	"testing"
+
+	"dynamicmr/internal/data"
+	"dynamicmr/internal/dataset"
+	"dynamicmr/internal/expr"
+	"dynamicmr/internal/mapreduce"
+	"dynamicmr/internal/tpch"
+)
+
+// BenchmarkAdhocScan is one map of dynbench's adhoc-scan shape: the
+// z=1 scale-5 table of 40 partitions, here of 20k rows each, and a
+// predicate that is not the planted one, so MapSplit scans for real,
+// emitting every match with the 4-column projection. Each op is one map
+// task's mapper, built by the job's factory, over the whole partition.
+func BenchmarkAdhocScan(b *testing.B) {
+	ds, err := dataset.Build(dataset.Spec{Scale: 5, Seed: 18, Z: 1, Partitions: 40, RowsOverride: 800_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := ds.Partition(0)
+	pred := &expr.Binary{Op: expr.OpAnd,
+		L: &expr.Between{X: &expr.Column{Name: "L_QUANTITY"},
+			Lo: &expr.Literal{Val: data.Int(12)}, Hi: &expr.Literal{Val: data.Int(16)}},
+		R: &expr.Binary{Op: expr.OpLe, L: &expr.Column{Name: "L_DISCOUNT"},
+			R: &expr.Literal{Val: data.Float(0.03)}}}
+	proj, err := tpch.LineItemSchema.Project("L_ORDERKEY", "L_LINENUMBER", "L_QUANTITY", "L_DISCOUNT")
+	if err != nil {
+		b.Fatal(err)
+	}
+	newMapper := NewMapperFactory(pred, math.MaxInt64, proj)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := newMapper(nil).(*Mapper)
+		out := &mapreduce.Collector{}
+		if err := m.MapSplit(&mapreduce.TaskContext{Source: p}, out); err != nil {
+			b.Fatal(err)
+		}
+		if out.Len() == 0 {
+			b.Fatal("no matches")
+		}
+	}
+}

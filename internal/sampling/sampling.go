@@ -43,14 +43,17 @@ type Mapper struct {
 	// Hive SELECT list).
 	Projection *data.Schema
 
-	found int64
+	fingerprint string // Predicate.String(), when the factory rendered it
+	found       int64
 }
 
 // NewMapperFactory returns a mapreduce.JobSpec mapper factory for the
-// predicate/k/projection triple.
+// predicate/k/projection triple. It renders the predicate's fingerprint
+// once, for every map task of the job.
 func NewMapperFactory(pred expr.Expr, k int64, projection *data.Schema) func(*mapreduce.JobConf) mapreduce.Mapper {
+	fp := pred.String()
 	return func(*mapreduce.JobConf) mapreduce.Mapper {
-		return &Mapper{Predicate: pred, K: k, Projection: projection}
+		return &Mapper{Predicate: pred, K: k, Projection: projection, fingerprint: fp}
 	}
 }
 
@@ -82,7 +85,11 @@ func (m *Mapper) Map(rec data.Record, out *mapreduce.Collector) error {
 // back to a filtered scan (expr.ScanFilter) otherwise.
 func (m *Mapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Collector) error {
 	if acc, ok := ctx.Source.(AcceleratedSource); ok {
-		if matches, hit := acc.AcceleratedMatches(m.Predicate.String(), m.K); hit {
+		fp := m.fingerprint
+		if fp == "" {
+			fp = m.Predicate.String()
+		}
+		if matches, hit := acc.AcceleratedMatches(fp, m.K); hit {
 			for _, rec := range matches {
 				if m.found >= m.K {
 					break

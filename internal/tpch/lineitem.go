@@ -153,69 +153,109 @@ func (g *Generator) Row(i int64) data.Record {
 	return data.NewRecord(LineItemSchema, vals)
 }
 
+// Draw numbers: each random choice of a row reads its own fixed draw of
+// the row's stream, numbered in the order the choices were once drawn
+// sequentially, so every value equals the sequential generator's.
+const (
+	drawPartKey = iota + 1
+	drawSuppKey
+	drawQuantity
+	drawRetail
+	drawDiscount
+	drawTax
+	drawShipDay
+	drawCommit
+	drawReceipt
+	drawFlagStatus // L_RETURNFLAG or L_LINESTATUS, whichever the ship date leaves random
+	drawAdverb
+	drawNoun
+	drawVerb
+	drawShipInstruct
+	drawShipMode
+)
+
 // Fill writes the columns of row i selected by need (bit c set for
-// column index c) into vals, leaving the other entries untouched. Every
-// random draw of the row still happens, in Row's order, so each filled
-// column equals Row(i)'s; what is skipped is writing the unselected
-// columns and, unless L_COMMENT is selected, building the comment. vals
-// must hold LineItemSchema.Len() values.
+// column index c) into vals, leaving the other entries untouched. It
+// computes only the draws the selected columns read, so each filled
+// column equals Row(i)'s at a fraction of its cost. vals must hold
+// LineItemSchema.Len() values.
 func (g *Generator) Fill(i int64, need uint32, vals []data.Value) {
 	if i < 0 || i >= g.rows {
 		panic(fmt.Sprintf("tpch: row %d out of range [0,%d)", i, g.rows))
 	}
-	r := rowRNG(g.seed, uint64(i))
+	s := rowStream(g.seed, uint64(i))
+	has := func(col int) bool { return need&(1<<col) != 0 }
 
-	partKey := r.rangeInt(1, int64(g.scale)*200_000)
-	suppKey := r.rangeInt(1, int64(g.scale)*10_000)
-	quantity := r.rangeInt(1, 50)
-	// retail price ~ 900..2100 scaled by quantity.
-	retail := 900.0 + r.float64n()*1200.0
-	discount := float64(r.rangeInt(0, 10)) / 100.0
-	tax := float64(r.rangeInt(0, 8)) / 100.0
-
-	shipDay := r.rangeInt(1, 2526)
-	commitDay := shipDay + r.rangeInt(-30, 30)
-	if commitDay < 0 {
-		commitDay = 0
+	if has(ColOrderKey) {
+		vals[ColOrderKey] = data.Int(i/4 + 1) // ~4 lineitems per order
 	}
-	receiptDay := shipDay + r.rangeInt(1, 30)
-
-	// Older shipments are returned (R or A) and fulfilled (F); newer ones
-	// are not returned (N) and either open or fulfilled.
-	returnFlag, lineStatus := "N", "F"
-	if shipDay < 1700 {
-		returnFlag = returnFlags[r.intn(2)]
-	} else {
-		lineStatus = lineStatuses[r.intn(2)]
+	if has(ColPartKey) {
+		vals[ColPartKey] = data.Int(s.between(drawPartKey, 1, int64(g.scale)*200_000))
 	}
-
-	adverb, noun, verb := pick(r, commentAdverbs), pick(r, commentNouns), pick(r, commentVerbs)
-	shipInstruct, shipMode := pick(r, shipInstructs), pick(r, ShipModes)
-
-	// Building a scalar Value allocates nothing, so only the comment's
-	// concatenation is worth skipping beyond the write itself.
-	put := func(col int, v data.Value) {
-		if need&(1<<col) != 0 {
-			vals[col] = v
+	if has(ColSuppKey) {
+		vals[ColSuppKey] = data.Int(s.between(drawSuppKey, 1, int64(g.scale)*10_000))
+	}
+	if has(ColLineNumber) {
+		vals[ColLineNumber] = data.Int(i%4 + 1)
+	}
+	if has(ColQuantity) || has(ColExtendedPrice) {
+		quantity := s.between(drawQuantity, 1, 50)
+		if has(ColQuantity) {
+			vals[ColQuantity] = data.Int(quantity)
+		}
+		if has(ColExtendedPrice) {
+			// retail price ~ 900..2100 scaled by quantity.
+			retail := 900.0 + s.unit(drawRetail)*1200.0
+			vals[ColExtendedPrice] = data.Float(round2(float64(quantity) * retail))
 		}
 	}
-	put(ColOrderKey, data.Int(i/4+1)) // ~4 lineitems per order
-	put(ColPartKey, data.Int(partKey))
-	put(ColSuppKey, data.Int(suppKey))
-	put(ColLineNumber, data.Int(i%4+1))
-	put(ColQuantity, data.Int(quantity))
-	put(ColExtendedPrice, data.Float(round2(float64(quantity)*retail)))
-	put(ColDiscount, data.Float(discount))
-	put(ColTax, data.Float(tax))
-	put(ColReturnFlag, data.Str(returnFlag))
-	put(ColLineStatus, data.Str(lineStatus))
-	put(ColShipDate, data.Str(dateString(shipDay)))
-	put(ColCommitDate, data.Str(dateString(commitDay)))
-	put(ColReceiptDate, data.Str(dateString(receiptDay)))
-	put(ColShipInstruct, data.Str(shipInstruct))
-	put(ColShipMode, data.Str(shipMode))
-	if need&(1<<ColComment) != 0 {
-		vals[ColComment] = data.Str(adverb + " " + noun + " " + verb)
+	if has(ColDiscount) {
+		vals[ColDiscount] = data.Float(float64(s.between(drawDiscount, 0, 10)) / 100.0)
+	}
+	if has(ColTax) {
+		vals[ColTax] = data.Float(float64(s.between(drawTax, 0, 8)) / 100.0)
+	}
+
+	const dated = 1<<ColReturnFlag | 1<<ColLineStatus | 1<<ColShipDate | 1<<ColCommitDate | 1<<ColReceiptDate
+	if need&dated != 0 {
+		shipDay := s.between(drawShipDay, 1, 2526)
+		if has(ColShipDate) {
+			vals[ColShipDate] = data.Str(dateString(shipDay))
+		}
+		if has(ColCommitDate) {
+			vals[ColCommitDate] = data.Str(dateString(max(shipDay+s.between(drawCommit, -30, 30), 0)))
+		}
+		if has(ColReceiptDate) {
+			vals[ColReceiptDate] = data.Str(dateString(shipDay + s.between(drawReceipt, 1, 30)))
+		}
+		if has(ColReturnFlag) || has(ColLineStatus) {
+			// Older shipments are returned (R or A) and fulfilled (F);
+			// newer ones are not returned (N) and either open or
+			// fulfilled.
+			returnFlag, lineStatus := "N", "F"
+			if shipDay < 1700 {
+				returnFlag = pick(s, drawFlagStatus, returnFlags[:2])
+			} else {
+				lineStatus = pick(s, drawFlagStatus, lineStatuses)
+			}
+			if has(ColReturnFlag) {
+				vals[ColReturnFlag] = data.Str(returnFlag)
+			}
+			if has(ColLineStatus) {
+				vals[ColLineStatus] = data.Str(lineStatus)
+			}
+		}
+	}
+
+	if has(ColShipInstruct) {
+		vals[ColShipInstruct] = data.Str(pick(s, drawShipInstruct, shipInstructs))
+	}
+	if has(ColShipMode) {
+		vals[ColShipMode] = data.Str(pick(s, drawShipMode, ShipModes))
+	}
+	if has(ColComment) {
+		vals[ColComment] = data.Str(pick(s, drawAdverb, commentAdverbs) + " " +
+			pick(s, drawNoun, commentNouns) + " " + pick(s, drawVerb, commentVerbs))
 	}
 }
 

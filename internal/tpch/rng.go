@@ -14,42 +14,33 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// rng is a cheap counter-based random stream for one row: successive
-// calls hash an incrementing counter against the row's base state.
-type rng struct {
-	state uint64
-	ctr   uint64
+// stream is one row's counter-based random stream, held as its base
+// state. Draw k hashes the state plus k times a fixed odd constant, so
+// draws are random access: each random choice of a row reads its own
+// fixed draw, and a caller computes only the draws it needs.
+type stream uint64
+
+// rowStream returns the random stream for row `row` of stream `seed`.
+func rowStream(seed, row uint64) stream {
+	return stream(mix(seed ^ mix(row+0x51ed2701)))
 }
 
-// rowRNG returns the random stream for row `row` of stream `seed`.
-func rowRNG(seed, row uint64) *rng {
-	return &rng{state: mix(seed ^ mix(row+0x51ed2701)), ctr: 0}
+// draw returns draw k of the stream; draws are numbered from 1.
+func (s stream) draw(k uint64) uint64 {
+	return mix(uint64(s) + k*0x632be59bd9b4e019)
 }
 
-func (r *rng) next() uint64 {
-	r.ctr++
-	return mix(r.state + r.ctr*0x632be59bd9b4e019)
+// between returns draw k as a uniform integer in [lo, hi] inclusive.
+func (s stream) between(k uint64, lo, hi int64) int64 {
+	return lo + int64(s.draw(k)%uint64(hi-lo+1))
 }
 
-// intn returns a uniform integer in [0, n).
-func (r *rng) intn(n int64) int64 {
-	if n <= 0 {
-		panic("tpch: intn on non-positive bound")
-	}
-	return int64(r.next() % uint64(n))
+// unit returns draw k as a uniform float in [0, 1).
+func (s stream) unit(k uint64) float64 {
+	return float64(s.draw(k)>>11) / float64(1<<53)
 }
 
-// rangeInt returns a uniform integer in [lo, hi] inclusive.
-func (r *rng) rangeInt(lo, hi int64) int64 {
-	return lo + r.intn(hi-lo+1)
-}
-
-// float64n returns a uniform float in [0, 1).
-func (r *rng) float64n() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}
-
-// pick returns a uniformly chosen element of list.
-func pick[T any](r *rng, list []T) T {
-	return list[r.intn(int64(len(list)))]
+// pick returns the element of list that draw k chooses uniformly.
+func pick[T any](s stream, k uint64, list []T) T {
+	return list[s.between(k, 0, int64(len(list))-1)]
 }

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -210,9 +211,7 @@ func TestRowRNGIndependenceProperty(t *testing.T) {
 		if a == b {
 			return true
 		}
-		r1 := rowRNG(seed, uint64(a))
-		r2 := rowRNG(seed, uint64(b))
-		return r1.next() != r2.next()
+		return rowStream(seed, uint64(a)).draw(1) != rowStream(seed, uint64(b)).draw(1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -249,11 +248,11 @@ func TestRecordFieldsMatchSchema(t *testing.T) {
 
 func TestFillMatchesRowOnMaskedColumns(t *testing.T) {
 	g := NewGenerator(17, 2)
-	rng := rowRNG(99, 0)
+	rng := rowStream(99, 0)
 	sentinel := data.Str("unset")
-	for n := 0; n < 2000; n++ {
-		i := rng.intn(g.NumRows())
-		mask := uint32(rng.next()) & AllColumns
+	for n := uint64(0); n < 2000; n++ {
+		i := rng.between(2*n+1, 0, g.NumRows()-1)
+		mask := uint32(rng.draw(2*n+2)) & AllColumns
 		vals := make([]data.Value, LineItemSchema.Len())
 		for c := range vals {
 			vals[c] = sentinel
@@ -274,5 +273,46 @@ func TestFillMatchesRowOnMaskedColumns(t *testing.T) {
 	}
 	if AllColumns != 1<<LineItemSchema.Len()-1 {
 		t.Fatalf("AllColumns %#x does not cover the %d-column schema", AllColumns, LineItemSchema.Len())
+	}
+}
+
+// TestGeneratorGolden pins the generator's output: digests of whole row
+// ranges at two (seed, scale) pairs, and three literal rows covering
+// both sides of the ship-date branch, all recorded from the sequential
+// generator the per-column draws replaced.
+func TestGeneratorGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed        uint64
+		scale       int
+		first, rows int64
+		digest      uint64
+	}{
+		{1, 1, 0, 5000, 0x25e4280305910e46},
+		{7, 3, 17_995_000, 5000, 0x1b5c3a07e0c33ed6},
+	} {
+		g := NewGenerator(c.seed, c.scale)
+		h := fnv.New64a()
+		for i := c.first; i < c.first+c.rows; i++ {
+			h.Write([]byte(g.Row(i).String()))
+			h.Write([]byte{'\n'})
+		}
+		if got := h.Sum64(); got != c.digest {
+			t.Errorf("seed %d scale %d rows [%d,%d): digest %#016x, want %#016x",
+				c.seed, c.scale, c.first, c.first+c.rows, got, c.digest)
+		}
+	}
+	for _, c := range []struct {
+		seed  uint64
+		scale int
+		row   int64
+		want  string
+	}{
+		{1, 1, 0, "1|129967|6423|1|4|7405.41|0.01|0.03|A|F|1995-12-12|1995-11-18|1996-01-08|NONE|RAIL|ruthlessly theodolites nag"},
+		{1, 1, 4, "2|199894|2225|1|39|78058.03|0.05|0.05|N|O|1998-05-01|1998-05-24|1998-05-08|TAKE BACK RETURN|SHIP|daringly excuses haggle"},
+		{42, 100, 123_456_789, "30864198|2537292|925218|2|50|55501.21|0.01|0.07|R|F|1993-03-24|1993-03-04|1993-04-09|DELIVER IN PERSON|SHIP|slowly accounts engage"},
+	} {
+		if got := NewGenerator(c.seed, c.scale).Row(c.row).String(); got != c.want {
+			t.Errorf("seed %d scale %d row %d:\n got %s\nwant %s", c.seed, c.scale, c.row, got, c.want)
+		}
 	}
 }
