@@ -65,6 +65,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -110,55 +111,63 @@ func main() {
 		ds.TotalRows(), ds.NumPartitions(), ds.TotalMatches(), ds.Predicate())
 	fmt.Printf("policies: %s (SET dynamic.job.policy = <name>)\n\n", strings.Join(c.Policies().Names(), ", "))
 
-	runOne := func(sql string) {
-		sql = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
-		if sql == "" {
-			return
-		}
-		res, err := c.Query(sql)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			return
-		}
-		printResult(c, res, *maxRows)
-	}
-
 	if *exec != "" {
-		runOne(*exec)
+		runStatement(c, *exec, os.Stdout, os.Stderr, *maxRows)
 	} else {
-		sc := bufio.NewScanner(os.Stdin)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		fmt.Print("dynmr> ")
-		for sc.Scan() {
-			runOne(sc.Text())
-			fmt.Print("dynmr> ")
-		}
+		shell(c, os.Stdin, os.Stdout, os.Stderr, *maxRows)
 	}
 	rf.finish(c, "dynmr session", runarchive.RunConfig{})
 }
 
-func printResult(c *dynamicmr.Cluster, res *hive.Result, maxRows int) {
+// shell runs the statements of in, one a line, after a prompt each. A
+// statement that fails prints its error and the session goes on.
+func shell(c *dynamicmr.Cluster, in io.Reader, out, errOut io.Writer, maxRows int) {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	fmt.Fprint(out, "dynmr> ")
+	for sc.Scan() {
+		runStatement(c, sc.Text(), out, errOut, maxRows)
+		fmt.Fprint(out, "dynmr> ")
+	}
+}
+
+// runStatement executes one statement, a trailing semicolon allowed, and
+// prints its result to out or its error to errOut.
+func runStatement(c *dynamicmr.Cluster, sql string, out, errOut io.Writer, maxRows int) {
+	sql = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
+	if sql == "" {
+		return
+	}
+	res, err := c.Query(sql)
+	if err != nil {
+		fmt.Fprintf(errOut, "error: %v\n", err)
+		return
+	}
+	printResult(out, c, res, maxRows)
+}
+
+func printResult(w io.Writer, c *dynamicmr.Cluster, res *hive.Result, maxRows int) {
 	switch res.Kind {
 	case hive.ResultOK:
-		fmt.Printf("OK (%s)\n", res.Text)
+		fmt.Fprintf(w, "OK (%s)\n", res.Text)
 	case hive.ResultText:
-		fmt.Println(res.Text)
+		fmt.Fprintln(w, res.Text)
 	case hive.ResultRows:
-		fmt.Println(strings.Join(res.Columns, " | "))
+		fmt.Fprintln(w, strings.Join(res.Columns, " | "))
 		for i, r := range res.Rows {
 			if i >= maxRows {
-				fmt.Printf("... (%d more rows)\n", len(res.Rows)-maxRows)
+				fmt.Fprintf(w, "... (%d more rows)\n", len(res.Rows)-maxRows)
 				break
 			}
-			fmt.Println(r.String())
+			fmt.Fprintln(w, r.String())
 		}
 		job := res.Job
-		fmt.Printf("-- %d row(s); response time %.2fs (virtual); %d/%d partitions processed",
+		fmt.Fprintf(w, "-- %d row(s); response time %.2fs (virtual); %d/%d partitions processed",
 			len(res.Rows), job.ResponseTime(), job.CompletedMaps(), job.ScheduledMaps())
 		if res.Client != nil {
-			fmt.Printf("; policy %s, %d provider evaluations", res.Client.Policy().Name, res.Client.Evaluations())
+			fmt.Fprintf(w, "; policy %s, %d provider evaluations", res.Client.Policy().Name, res.Client.Evaluations())
 		}
-		fmt.Printf("; cluster clock %.2fs\n", c.Now())
+		fmt.Fprintf(w, "; cluster clock %.2fs\n", c.Now())
 	}
 }
 

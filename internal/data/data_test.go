@@ -212,6 +212,18 @@ func TestSchemaProject(t *testing.T) {
 	if _, err := s.Project("nope"); err == nil {
 		t.Fatal("projecting unknown column did not error")
 	}
+	if _, err := s.Project("a", "b", "A"); err == nil || !strings.Contains(err.Error(), `duplicate column "A"`) {
+		t.Fatalf("projecting a repeated column: %v", err)
+	}
+	if pos, ok := p.Positions(s); !ok || len(pos) != 2 || pos[0] != 2 || pos[1] != 0 {
+		t.Fatalf("Positions(source) = %v, %v", pos, ok)
+	}
+	if _, ok := p.Positions(NewSchema("a", "b", "c")); ok {
+		t.Fatal("Positions answered for a schema p was not projected from")
+	}
+	if _, ok := s.Positions(s); ok {
+		t.Fatal("Positions answered for a schema not made by Project")
+	}
 }
 
 func TestRecordAccess(t *testing.T) {

@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -52,7 +53,8 @@ func (s *Schema) Has(name string) bool {
 	return ok
 }
 
-// Project returns a new schema with the given columns (which must exist).
+// Project returns a new schema with the given columns, which must exist
+// and be distinct.
 func (s *Schema) Project(cols ...string) (*Schema, error) {
 	pos := make([]int, len(cols))
 	for i, c := range cols {
@@ -60,11 +62,24 @@ func (s *Schema) Project(cols ...string) (*Schema, error) {
 		if !ok {
 			return nil, fmt.Errorf("data: unknown column %q", c)
 		}
+		if slices.Contains(pos[:i], j) {
+			return nil, fmt.Errorf("data: duplicate column %q", c)
+		}
 		pos[i] = j
 	}
 	p := NewSchema(cols...)
 	p.from, p.pos = s, pos
 	return p, nil
+}
+
+// Positions returns, for a schema that src.Project made, the position
+// in src of each of its columns, and false for any other schema. The
+// caller must not modify the returned slice.
+func (s *Schema) Positions(src *Schema) ([]int, bool) {
+	if s.from == nil || s.from != src {
+		return nil, false
+	}
+	return s.pos, true
 }
 
 // Record is a flat row: values positionally aligned with a Schema.
@@ -114,8 +129,8 @@ func (r Record) MustGet(col string) Value {
 // any other is matched by name.
 func (r Record) Project(proj *Schema) Record {
 	vals := make([]Value, proj.Len())
-	if proj.from != nil && proj.from == r.schema {
-		for i, j := range proj.pos {
+	if pos, ok := proj.Positions(r.schema); ok {
+		for i, j := range pos {
 			vals[i] = r.vals[j]
 		}
 	} else {

@@ -23,11 +23,15 @@ type Source interface {
 // order, but hands keep a reused scratch record in which only the
 // columns at the schema positions cols are guaranteed to be set; keep
 // must neither retain it nor read other columns. Only records keep
-// accepts are materialised in full and passed to yield, until yield
-// returns false. The first error keep returns stops the scan and is
-// returned.
+// accepts are passed to yield, until yield returns false. The first
+// error keep returns stops the scan and is returned.
+//
+// With a nil proj each yielded record is the whole record Scan yields
+// at that position. Otherwise it equals that record's Project(proj),
+// and only the projected columns need be built. Either way every
+// yielded record owns a fresh values slice, so yield may keep it.
 type FilterSource interface {
-	ScanWhere(cols []int, keep func(Record) (bool, error), yield func(Record) bool) error
+	ScanWhere(cols []int, keep func(Record) (bool, error), proj *Schema, yield func(Record) bool) error
 }
 
 // SliceSource is an in-memory Source backed by a slice of records.

@@ -284,23 +284,29 @@ func (p *Partition) Scan(yield func(data.Record) bool) {
 }
 
 // ScanWhere implements data.FilterSource over the whole partition.
-func (p *Partition) ScanWhere(cols []int, keep func(data.Record) (bool, error), yield func(data.Record) bool) error {
-	return p.filterScan(cols, keep, yield, func(s *rowScan) { s.zones(false) })
+func (p *Partition) ScanWhere(cols []int, keep func(data.Record) (bool, error), proj *data.Schema, yield func(data.Record) bool) error {
+	return p.filterScan(cols, keep, proj, yield, func(s *rowScan) { s.zones(false) })
 }
 
 // rowScan is one pass of the partition's row loop, shared by Scan,
 // ScanWhere and both pruned views. With keep set it materialises late:
 // a natural row is first filled with only the need columns into a
-// reused scratch record and tested, and only rows keep accepts are
-// built in full. Planted rows are always built in full before keep sees
-// them, since the plant transform rewrites a whole record. Every row is
-// still generated from the same counter-based stream, so the yielded
-// records equal a plain scan's, filtered.
+// reused scratch record and tested. A row keep accepts then gets only
+// its projected columns filled and copied out by position, or is built
+// in full when there is no projection or the projection was not made
+// from the partition's schema. Planted rows are always built in full
+// before keep sees them, since the plant transform rewrites a whole
+// record, and projected only after. Every row is still generated from
+// the same counter-based stream, so the yielded records equal a plain
+// scan's, filtered and projected.
 type rowScan struct {
 	p       *Partition
 	gen     *tpch.Generator
 	need    uint32                          // tpch.Fill mask of the columns keep reads
 	keep    func(data.Record) (bool, error) // nil: yield every row
+	proj    *data.Schema                    // nil: yield whole rows
+	pos     []int                           // proj's positions in the partition's schema; nil: build in full
+	rest    uint32                          // tpch.Fill mask of the projected columns need lacks
 	vals    []data.Value                    // scratch's backing values, reused per row
 	scratch data.Record                     // keep's view of a natural row
 	yield   func(data.Record) bool
@@ -312,7 +318,7 @@ func (p *Partition) newRowScan(yield func(data.Record) bool) *rowScan {
 }
 
 // filterScan is ScanWhere over the rows walk visits.
-func (p *Partition) filterScan(cols []int, keep func(data.Record) (bool, error), yield func(data.Record) bool, walk func(*rowScan)) error {
+func (p *Partition) filterScan(cols []int, keep func(data.Record) (bool, error), proj *data.Schema, yield func(data.Record) bool, walk func(*rowScan)) error {
 	s := p.newRowScan(yield)
 	for _, c := range cols {
 		if c < 0 || c >= tpch.LineItemSchema.Len() {
@@ -320,7 +326,14 @@ func (p *Partition) filterScan(cols []int, keep func(data.Record) (bool, error),
 		}
 		s.need |= 1 << c
 	}
-	s.keep = keep
+	s.keep, s.proj = keep, proj
+	if proj != nil {
+		s.pos, _ = proj.Positions(tpch.LineItemSchema)
+		for _, c := range s.pos {
+			s.rest |= 1 << c
+		}
+		s.rest &^= s.need
+	}
 	s.vals = make([]data.Value, tpch.LineItemSchema.Len())
 	s.scratch = data.NewRecord(tpch.LineItemSchema, s.vals)
 	walk(s)
@@ -330,12 +343,20 @@ func (p *Partition) filterScan(cols []int, keep func(data.Record) (bool, error),
 // visit produces the partition's i-th row and reports whether the scan
 // goes on.
 func (s *rowScan) visit(i int64, planted bool) bool {
-	if s.keep != nil && !planted && !s.test(s.fill(i)) {
-		return s.err == nil
+	if s.keep != nil && !planted {
+		if !s.test(s.fill(i)) {
+			return s.err == nil
+		}
+		if s.pos != nil {
+			return s.yield(s.project(i))
+		}
 	}
 	rec := s.p.row(s.gen, i, planted)
 	if s.keep != nil && planted && !s.test(rec) {
 		return s.err == nil
+	}
+	if s.proj != nil {
+		rec = rec.Project(s.proj)
 	}
 	return s.yield(rec)
 }
@@ -347,6 +368,20 @@ func (s *rowScan) fill(i int64) data.Record {
 		s.gen.Fill(s.p.startRow+i, s.need, s.vals)
 	}
 	return s.scratch
+}
+
+// project builds the projected record of natural row i, whose need
+// columns fill has just written: it fills the rest of the projection
+// into the scratch values and copies the projection out by position.
+func (s *rowScan) project(i int64) data.Record {
+	if s.rest != 0 {
+		s.gen.Fill(s.p.startRow+i, s.rest, s.vals)
+	}
+	vals := make([]data.Value, len(s.pos))
+	for k, c := range s.pos {
+		vals[k] = s.vals[c]
+	}
+	return data.NewRecord(s.proj, vals)
 }
 
 // test applies keep, recording its first error.
@@ -481,7 +516,7 @@ func (p *Partition) ScanMatches(pred expr.Expr, limit int64) ([]data.Record, err
 		return nil, nil
 	}
 	var out []data.Record
-	err := expr.ScanFilter(p, pred, func(r data.Record) bool {
+	err := expr.ScanFilter(p, pred, nil, func(r data.Record) bool {
 		out = append(out, r)
 		return limit < 0 || int64(len(out)) < limit
 	})

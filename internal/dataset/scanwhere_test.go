@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dynamicmr/internal/data"
@@ -19,7 +20,7 @@ func bin(op expr.BinaryOp, l, r expr.Expr) expr.Expr {
 // equivalencePredicates covers the adhoc-scan shape, the three planted
 // predicates, string predicates built from OR/NOT/IN/LIKE, predicates a
 // planted row's natural values would answer differently, arithmetic, an
-// unknown column and a type error.
+// unknown column, a type error and TRUE, which reads no column.
 func equivalencePredicates(rng *rand.Rand) []expr.Expr {
 	lo := 1 + rng.Int63n(45)
 	adhoc := bin(expr.OpAnd,
@@ -43,25 +44,92 @@ func equivalencePredicates(rng *rand.Rand) []expr.Expr {
 		bin(expr.OpGt, bin(expr.OpDiv, col("L_EXTENDEDPRICE"), col("L_QUANTITY")), lit(data.Int(2000))),
 		bin(expr.OpEq, col("L_NO_SUCH_COLUMN"), lit(data.Int(1))),
 		bin(expr.OpGt, col("L_SHIPMODE"), lit(data.Int(5))),
+		lit(data.Bool(true)),
 	)
 }
 
-// filterResult is a filtered scan's rendered output and error text.
+// projection is a SELECT list a filtered scan is checked under.
+type projection struct {
+	name   string
+	schema *data.Schema // nil: whole records
+}
+
+// projections draws the SELECT lists checked with pred: none, empty,
+// exactly pred's columns, columns disjoint from them, an overlapping
+// set, all 16 columns, a random subset in random order, and a random
+// subset in a schema not made by Project, which a partition builds in
+// full and projects by name.
+func projections(rng *rand.Rand, pred expr.Expr) []projection {
+	var in, out []string
+	for _, c := range tpch.LineItemSchema.Columns() {
+		if slices.Contains(expr.Columns(pred), c) {
+			in = append(in, c)
+		} else {
+			out = append(out, c)
+		}
+	}
+	shuffled := func(cols []string) []string {
+		cols = slices.Clone(cols)
+		rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+		return cols
+	}
+	overlap := shuffled(out)[:1+rng.Intn(3)]
+	if len(in) > 0 {
+		overlap = shuffled(append(overlap, in[rng.Intn(len(in))]))
+	}
+	lists := []struct {
+		name string
+		cols []string
+	}{
+		{"empty", nil},
+		{"predicate", shuffled(in)},
+		{"disjoint", shuffled(out)[:1+rng.Intn(len(out))]},
+		{"overlapping", overlap},
+		{"all", tpch.LineItemSchema.Columns()},
+		{"random", shuffled(tpch.LineItemSchema.Columns())[:rng.Intn(17)]},
+	}
+	projs := []projection{{name: "none"}}
+	for _, l := range lists {
+		s, err := tpch.LineItemSchema.Project(l.cols...)
+		if err != nil {
+			panic(err)
+		}
+		projs = append(projs, projection{fmt.Sprintf("%s%v", l.name, l.cols), s})
+	}
+	foreign := shuffled(tpch.LineItemSchema.Columns())[:1+rng.Intn(16)]
+	return append(projs, projection{fmt.Sprintf("foreign%v", foreign), data.NewSchema(foreign...)})
+}
+
+// filterResult is a filtered scan's output and error text. The records
+// are kept as yielded and compared only after the scan has ended, so a
+// record whose values a later row overwrote shows.
 type filterResult struct {
-	rows []string
+	recs []data.Record
 	err  string
 }
 
 func (r filterResult) String() string {
-	return fmt.Sprintf("%d rows, err %q", len(r.rows), r.err)
+	return fmt.Sprintf("%d rows, err %q", len(r.recs), r.err)
 }
 
-// collect returns a yield that renders records into res up to limit
-// (<0 = all). limit must not be 0.
+// project returns r with every record projected to proj (nil: whole).
+func (r filterResult) project(proj *data.Schema) filterResult {
+	if proj == nil {
+		return r
+	}
+	out := filterResult{err: r.err}
+	for _, rec := range r.recs {
+		out.recs = append(out.recs, rec.Project(proj))
+	}
+	return out
+}
+
+// collect returns a yield that keeps records in res up to limit (<0 =
+// all). limit must not be 0.
 func collect(res *filterResult, limit int64) func(data.Record) bool {
 	return func(r data.Record) bool {
-		res.rows = append(res.rows, r.String())
-		return limit < 0 || int64(len(res.rows)) < limit
+		res.recs = append(res.recs, r)
+		return limit < 0 || int64(len(res.recs)) < limit
 	}
 }
 
@@ -92,7 +160,7 @@ func scanEvalReference(src data.Source, pred expr.Expr, limit int64) filterResul
 }
 
 // scanWhereDirect calls ScanWhere with the bound predicate as keep.
-func scanWhereDirect(t *testing.T, src data.FilterSource, pred expr.Expr, limit int64) filterResult {
+func scanWhereDirect(t *testing.T, src data.FilterSource, pred expr.Expr, proj *data.Schema, limit int64) filterResult {
 	t.Helper()
 	var res filterResult
 	if limit == 0 {
@@ -111,25 +179,39 @@ func scanWhereDirect(t *testing.T, src data.FilterSource, pred expr.Expr, limit 
 		cols = append(cols, i)
 	}
 	keep := func(r data.Record) (bool, error) { return expr.EvalBool(bound, r) }
-	res.err = errText(src.ScanWhere(cols, keep, collect(&res, limit)))
+	res.err = errText(src.ScanWhere(cols, keep, proj, collect(&res, limit)))
 	return res
 }
 
-func scanFilter(src data.Source, pred expr.Expr, limit int64) filterResult {
+func scanFilter(src data.Source, pred expr.Expr, proj *data.Schema, limit int64) filterResult {
 	var res filterResult
 	if limit == 0 {
 		return res
 	}
-	res.err = errText(expr.ScanFilter(src, pred, collect(&res, limit)))
+	res.err = errText(expr.ScanFilter(src, pred, proj, collect(&res, limit)))
 	return res
 }
 
 func sameResult(a, b filterResult) bool {
-	if a.err != b.err || len(a.rows) != len(b.rows) {
+	if a.err != b.err || len(a.recs) != len(b.recs) {
 		return false
 	}
-	for i := range a.rows {
-		if a.rows[i] != b.rows[i] {
+	for i, r := range a.recs {
+		if !sameRecord(r, b.recs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRecord reports whether two records share one schema and hold equal
+// values.
+func sameRecord(a, b data.Record) bool {
+	if a.Schema() != b.Schema() || a.Len() != b.Len() {
+		return false
+	}
+	for j := 0; j < a.Len(); j++ {
+		if a.At(j) != b.At(j) {
 			return false
 		}
 	}
@@ -138,10 +220,12 @@ func sameResult(a, b filterResult) bool {
 
 // TestScanWhereEqualsScanEval is the late-materialisation property: over
 // random seeds, skew levels and partition geometries, a ScanWhere with
-// the predicate as keep yields exactly what Scan+EvalBool yields, in the
-// same order and with the same error, on the partition and on both of
-// its pruned views, through ScanWhere directly, expr.ScanFilter and
-// ScanMatches, at limits 0, 1, k and -1.
+// the predicate as keep and a projection yields exactly what
+// Scan+EvalBool+Project yields, in the same order, with the same schema
+// and the same error, on the partition and on both of its pruned views,
+// planted rows included, through ScanWhere directly, expr.ScanFilter and
+// ScanMatches, at limits 0, 1, k and -1. Every yielded record is
+// compared only after its scan has ended, so it must own its values.
 func TestScanWhereEqualsScanEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(20120401))
 	for trial := 0; trial < 6; trial++ {
@@ -169,28 +253,29 @@ func TestScanWhereEqualsScanEval(t *testing.T) {
 		limits := []int64{0, 1, 2 + rng.Int63n(40), -1}
 		for _, pred := range equivalencePredicates(rng) {
 			_, bindErr := expr.Bind(pred, tpch.LineItemSchema)
+			projs := projections(rng, pred)
 			for name, src := range sources {
 				for _, limit := range limits {
-					where := fmt.Sprintf("spec %+v %s pred %s limit %d", spec, name, pred, limit)
-					want := scanEvalReference(src, pred, limit)
-					if got := scanFilter(src, pred, limit); !sameResult(got, want) {
-						t.Fatalf("%s: ScanFilter %v, Scan+EvalBool %v", where, got, want)
-					}
-					if bindErr == nil {
-						if got := scanWhereDirect(t, src.(data.FilterSource), pred, limit); !sameResult(got, want) {
-							t.Fatalf("%s: ScanWhere %v, Scan+EvalBool %v", where, got, want)
+					whole := scanEvalReference(src, pred, limit)
+					for _, proj := range projs {
+						where := fmt.Sprintf("spec %+v %s pred %s proj %s limit %d", spec, name, pred, proj.name, limit)
+						want := whole.project(proj.schema)
+						if got := scanFilter(src, pred, proj.schema, limit); !sameResult(got, want) {
+							t.Fatalf("%s: ScanFilter %v, Scan+EvalBool+Project %v", where, got, want)
+						}
+						if bindErr == nil {
+							if got := scanWhereDirect(t, src.(data.FilterSource), pred, proj.schema, limit); !sameResult(got, want) {
+								t.Fatalf("%s: ScanWhere %v, Scan+EvalBool+Project %v", where, got, want)
+							}
 						}
 					}
 					if name != "partition" {
 						continue
 					}
+					where := fmt.Sprintf("spec %+v pred %s limit %d", spec, pred, limit)
 					recs, err := p.ScanMatches(pred, limit)
-					got := filterResult{err: errText(err)}
-					for _, r := range recs {
-						got.rows = append(got.rows, r.String())
-					}
-					if !sameResult(got, want) {
-						t.Fatalf("%s: ScanMatches %v, Scan+EvalBool %v", where, got, want)
+					if got := (filterResult{recs: recs, err: errText(err)}); !sameResult(got, whole) {
+						t.Fatalf("%s: ScanMatches %v, Scan+EvalBool %v", where, got, whole)
 					}
 				}
 			}
@@ -219,7 +304,7 @@ func TestScanWhereMaterialisesLate(t *testing.T) {
 		}
 		return false, nil
 	}
-	if err := p.ScanWhere([]int{tpch.ColQuantity}, keep, func(data.Record) bool {
+	if err := p.ScanWhere([]int{tpch.ColQuantity}, keep, nil, func(data.Record) bool {
 		t.Fatal("yield called for a rejected row")
 		return false
 	}); err != nil {
@@ -229,7 +314,7 @@ func TestScanWhereMaterialisesLate(t *testing.T) {
 		t.Fatalf("keep saw %d full and %d partial rows; want %d planted of %d",
 			full, natural, p.NumMatches(), p.NumRecords())
 	}
-	if err := p.ScanWhere([]int{tpch.LineItemSchema.Len()}, keep, nil); err == nil {
+	if err := p.ScanWhere([]int{tpch.LineItemSchema.Len()}, keep, nil, nil); err == nil {
 		t.Fatal("out-of-range column index accepted")
 	}
 }

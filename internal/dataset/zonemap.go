@@ -144,8 +144,8 @@ func (v *prunedView) Scan(yield func(data.Record) bool) {
 }
 
 // ScanWhere implements data.FilterSource over the view's coverage.
-func (v *prunedView) ScanWhere(cols []int, keep func(data.Record) (bool, error), yield func(data.Record) bool) error {
-	return v.p.filterScan(cols, keep, yield, v.walk)
+func (v *prunedView) ScanWhere(cols []int, keep func(data.Record) (bool, error), proj *data.Schema, yield func(data.Record) bool) error {
+	return v.p.filterScan(cols, keep, proj, yield, v.walk)
 }
 
 func (v *prunedView) walk(s *rowScan) {

@@ -191,16 +191,23 @@ func TestCompiledTestAllocatesNothing(t *testing.T) {
 
 // A record whose schema is not the source's breaks the Source contract;
 // ScanFilter evaluates it by name, as EvalBool would, not by the
-// positions the predicate was bound to.
+// positions the predicate was bound to, and projects it by name too.
 func TestScanFilterEvaluatesForeignRecordsByName(t *testing.T) {
 	other := data.NewSchema("S", "A")
 	src := &data.FuncSource{Sch: testSchema, N: 2, Gen: func(yield func(data.Record) bool) {
 		_ = yield(data.NewRecord(other, []data.Value{data.Str("X"), data.Int(9)})) &&
 			yield(rec(9, 0, "Y", 0))
 	}}
+	proj, err := testSchema.Project("S")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []string
-	err := ScanFilter(src, bin(OpGt, col("A"), lint(5)), func(r data.Record) bool {
-		got = append(got, r.MustGet("S").AsString())
+	err = ScanFilter(src, bin(OpGt, col("A"), lint(5)), proj, func(r data.Record) bool {
+		if r.Schema() != proj || r.Len() != 1 {
+			t.Fatalf("yielded %v with columns %v, want the projection %v", r, r.Schema().Columns(), proj.Columns())
+		}
+		got = append(got, r.At(0).AsString())
 		return true
 	})
 	if err != nil || len(got) != 2 || got[0] != "X" || got[1] != "Y" {

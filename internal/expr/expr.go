@@ -494,15 +494,19 @@ func Bind(e Expr, schema *data.Schema) (Expr, error) {
 // ScanFilter streams the records of src that satisfy pred to yield, in
 // source order, until yield returns false or the records run out, and
 // returns the first predicate evaluation error. It is the one predicate
-// scan loop behind every filtering mapper. When pred binds against
-// src's schema it is compiled once into a test that reads columns by
-// position. A data.FilterSource then applies that test to the columns
-// it reads before any record is built, and materialises only matches;
-// any other source scans whole records and tests each. A record whose
+// scan loop behind every filtering mapper. With a nil proj it yields
+// whole records; otherwise each accepted record r is yielded as
+// r.Project(proj), in a values slice of its own that yield may keep.
+//
+// When pred binds against src's schema it is compiled once into a test
+// that reads columns by position. A data.FilterSource then applies that
+// test to the columns it reads before any record is built, and builds
+// only the projected columns of matches; any other source scans whole
+// records, tests each and projects the accepted ones. A record whose
 // schema is not src's, which breaks the Source contract, and every
 // record of a predicate that does not bind are evaluated by name with
 // EvalBool. Output, order and errors are the same on every path.
-func ScanFilter(src data.Source, pred Expr, yield func(data.Record) bool) error {
+func ScanFilter(src data.Source, pred Expr, proj *data.Schema, yield func(data.Record) bool) error {
 	schema := src.Schema()
 	var keep test
 	if bound, err := Bind(pred, schema); err == nil {
@@ -514,7 +518,7 @@ func ScanFilter(src data.Source, pred Expr, yield func(data.Record) bool) error 
 					cols = append(cols, c.Index)
 				}
 			})
-			return fs.ScanWhere(cols, keep, yield)
+			return fs.ScanWhere(cols, keep, proj, yield)
 		}
 	}
 	var scanErr error
@@ -530,7 +534,13 @@ func ScanFilter(src data.Source, pred Expr, yield func(data.Record) bool) error 
 			scanErr = err
 			return false
 		}
-		return !ok || yield(r)
+		if !ok {
+			return true
+		}
+		if proj != nil {
+			r = r.Project(proj)
+		}
+		return yield(r)
 	})
 	return scanErr
 }

@@ -320,14 +320,14 @@ func TestScanFilterFallbackOnPlainSource(t *testing.T) {
 		rec(1, 0, "A", 0), rec(7, 0, "B", 0), rec(9, 0, "C", 0), rec(8, 0, "D", 0),
 	})
 	var got []string
-	err := ScanFilter(src, bin(OpGt, col("a"), lint(5)), func(r data.Record) bool {
+	err := ScanFilter(src, bin(OpGt, col("a"), lint(5)), nil, func(r data.Record) bool {
 		got = append(got, r.MustGet("S").AsString())
 		return len(got) < 2
 	})
 	if err != nil || strings.Join(got, "") != "BC" {
 		t.Fatalf("ScanFilter = %v, %v; want [B C]", got, err)
 	}
-	if err := ScanFilter(src, col("s"), func(data.Record) bool { return true }); err == nil {
+	if err := ScanFilter(src, col("s"), nil, func(data.Record) bool { return true }); err == nil {
 		t.Fatal("non-boolean predicate accepted")
 	}
 }

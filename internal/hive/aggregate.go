@@ -308,7 +308,7 @@ func (m *aggMapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Collecto
 		}
 	}
 	if !processed {
-		if err := expr.ScanFilter(ctx.Source, m.plan.pred, add); err != nil {
+		if err := expr.ScanFilter(ctx.Source, m.plan.pred, nil, add); err != nil {
 			return err
 		}
 	}

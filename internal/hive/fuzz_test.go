@@ -4,17 +4,25 @@ import (
 	"strings"
 	"testing"
 
+	"dynamicmr/internal/cluster"
 	"dynamicmr/internal/data"
 	"dynamicmr/internal/dataset"
+	"dynamicmr/internal/dfs"
 	"dynamicmr/internal/expr"
+	"dynamicmr/internal/sim"
+	"dynamicmr/internal/tpch"
 )
 
 // FuzzParse checks that Parse never panics, that an accepted statement
-// re-renders to a fixpoint, and that a WHERE over lineitem filters a
-// generated partition of about 2,000 rows the same through
-// expr.ScanFilter (bound, compiled, late-materialising) as through a
-// plain Scan with EvalBool: the same rows in the same order, and the
-// same error.
+// re-renders to a fixpoint, and that semantic analysis (Session.plan)
+// of a SELECT, or of an EXPLAIN's SELECT, returns a plan or an error
+// and never panics. A query over lineitem then filters a generated
+// partition of about 2,000 rows the same through expr.ScanFilter
+// (bound, compiled, late-materialising) as through a plain Scan with
+// EvalBool and Record.Project: the same rows in the same order, and the
+// same error. A plan of plain columns brings its predicate (TRUE
+// without a WHERE) and its projection; otherwise the WHERE runs alone
+// and yields whole rows.
 func FuzzParse(f *testing.F) {
 	for _, q := range []string{
 		"SELECT L_ORDERKEY, L_LINENUMBER FROM lineitem WHERE L_QUANTITY BETWEEN 12 AND 16 AND L_DISCOUNT <= 0.03 LIMIT 10",
@@ -38,6 +46,19 @@ func FuzzParse(f *testing.F) {
 		f.Fatal(err)
 	}
 	part := ds.Partition(0)
+	srcs := make([]data.Source, ds.NumPartitions())
+	for i, p := range ds.Partitions() {
+		srcs[i] = p
+	}
+	file, err := dfs.New(cluster.New(sim.NewEngine(), cluster.PaperConfig())).Create("lineitem", srcs, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	catalog := NewCatalog()
+	if err := catalog.Register(&Table{Name: "lineitem", Schema: tpch.LineItemSchema, File: file}); err != nil {
+		f.Fatal(err)
+	}
+	session := NewSession(nil, catalog, nil, "fuzz")
 	f.Fuzz(func(t *testing.T, sql string) {
 		st, err := Parse(sql)
 		if err != nil {
@@ -58,35 +79,57 @@ func FuzzParse(f *testing.F) {
 		case *ExplainStmt:
 			sel = s.Select
 		}
-		if sel == nil || sel.Where == nil || !strings.EqualFold(sel.Table, "lineitem") {
+		if sel == nil {
 			return
 		}
-		var got []string
-		gotErr := expr.ScanFilter(part, sel.Where, func(r data.Record) bool {
-			got = append(got, r.String())
+		pred, proj := sel.Where, (*data.Schema)(nil)
+		if plan, err := session.plan(sel); err == nil && plan.agg == nil {
+			pred, proj = plan.pred, plan.projection
+		}
+		if pred == nil || !strings.EqualFold(sel.Table, "lineitem") {
+			return
+		}
+		var got []data.Record
+		gotErr := expr.ScanFilter(part, pred, proj, func(r data.Record) bool {
+			got = append(got, r)
 			return true
 		})
-		var want []string
+		var want []data.Record
 		var wantErr error
 		part.Scan(func(r data.Record) bool {
-			ok, err := expr.EvalBool(sel.Where, r)
+			ok, err := expr.EvalBool(pred, r)
 			if err != nil {
 				wantErr = err
 				return false
 			}
 			if ok {
-				want = append(want, r.String())
+				if proj != nil {
+					r = r.Project(proj)
+				}
+				want = append(want, r)
 			}
 			return true
 		})
 		if errText(gotErr) != errText(wantErr) {
-			t.Fatalf("WHERE %s: ScanFilter error %q, Scan + EvalBool %q", sel.Where, errText(gotErr), errText(wantErr))
+			t.Fatalf("WHERE %s: ScanFilter error %q, Scan + EvalBool %q", pred, errText(gotErr), errText(wantErr))
 		}
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Fatalf("WHERE %s: ScanFilter yields %d rows, Scan + EvalBool %d, or in another order",
-				sel.Where, len(got), len(want))
+		if render(got) != render(want) {
+			t.Fatalf("WHERE %s, projection %v: ScanFilter yields %d rows, Scan + EvalBool + Project %d, or other rows",
+				pred, proj != nil, len(got), len(want))
 		}
 	})
+}
+
+// render lists records one a line, each after its schema's columns.
+func render(recs []data.Record) string {
+	var b strings.Builder
+	for _, r := range recs {
+		b.WriteString(strings.Join(r.Schema().Columns(), ","))
+		b.WriteByte('\t')
+		b.WriteString(r.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 func errText(err error) string {

@@ -309,6 +309,9 @@ func (s *Session) plan(sel *SelectStmt) (*queryPlan, error) {
 	} else {
 		p.pred = &expr.Literal{Val: data.Bool(true)}
 	}
+	if err := distinctOutputs(sel.Items); err != nil {
+		return nil, err
+	}
 
 	if sel.HasAggregates() {
 		agg, err := newAggPlan(sel, tab.Schema, p.pred)
@@ -372,6 +375,20 @@ func (s *Session) plan(sel *SelectStmt) (*queryPlan, error) {
 	}
 	p.splits = mapreduce.SplitsForFile(tab.File)
 	return p, nil
+}
+
+// distinctOutputs rejects a SELECT list that names one output column
+// twice: no output schema can hold it.
+func distinctOutputs(items []SelectItem) error {
+	seen := make(map[string]bool, len(items))
+	for _, it := range items {
+		name := strings.ToUpper(it.Name())
+		if seen[name] {
+			return fmt.Errorf("hive: output column %q appears more than once in the SELECT list", it.Name())
+		}
+		seen[name] = true
+	}
+	return nil
 }
 
 func (s *Session) confBool(key string, def bool) bool {

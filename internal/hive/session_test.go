@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -203,6 +204,30 @@ func TestSessionErrors(t *testing.T) {
 		if _, err := s.Execute(q); err == nil {
 			t.Errorf("Execute(%q) succeeded", q)
 		}
+	}
+}
+
+// TestSessionRepeatedOutputColumn: a SELECT list that names an output
+// column twice, in any case, is a semantic error naming the column, and
+// the session still runs the next statement.
+func TestSessionRepeatedOutputColumn(t *testing.T) {
+	r := newSessionRig(t, 0)
+	s := r.session("erin")
+	for q, col := range map[string]string{
+		"SELECT L_ORDERKEY, l_orderkey FROM lineitem WHERE L_QUANTITY > 50 LIMIT 3": "L_ORDERKEY",
+		"EXPLAIN SELECT L_ORDERKEY, l_orderkey FROM lineitem LIMIT 3":               "L_ORDERKEY",
+		"SELECT COUNT(*), COUNT(*) FROM lineitem":                                   "COUNT(*)",
+		"SELECT SUM(L_QUANTITY), SUM(l_quantity) FROM lineitem":                     "SUM(L_QUANTITY)",
+		"SELECT L_SHIPMODE, L_SHIPMODE, COUNT(*) FROM lineitem GROUP BY L_SHIPMODE": "L_SHIPMODE",
+	} {
+		_, err := s.Execute(q)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q appears more than once", col)) {
+			t.Errorf("Execute(%q) = %v, want an error naming %q", q, err, col)
+		}
+	}
+	res, err := s.Execute("SELECT COUNT(*) FROM lineitem")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("session after the errors: %v, %v", res, err)
 	}
 }
 

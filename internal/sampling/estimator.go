@@ -58,7 +58,7 @@ func (m *CountingMapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Col
 			return nil
 		}
 	}
-	return expr.ScanFilter(ctx.Source, m.Predicate, func(data.Record) bool {
+	return expr.ScanFilter(ctx.Source, m.Predicate, nil, func(data.Record) bool {
 		out.Inc(CounterMatches, 1)
 		return true
 	})

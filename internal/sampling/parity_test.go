@@ -34,7 +34,10 @@ func render(out *mapreduce.Collector) string {
 // over a partition (late-materialising ScanWhere) is byte-identical to
 // the output over a decorator hiding FilterSource (Scan fallback), for
 // the planted predicate (accelerated on both), scan-only predicates and
-// a failing one.
+// a failing one, whole and under two projections. A SliceSource of the
+// partition's records, which offers neither FilterSource nor the
+// accelerated path, gives the same output too, so the fallback projects
+// what ScanWhere projects.
 func TestMapperParityWithoutFilterSource(t *testing.T) {
 	ds, err := dataset.Build(dataset.Spec{
 		Scale: 1, Seed: 61, Z: 1, Selectivity: 0.01, Partitions: 8, RowsOverride: 40_000,
@@ -43,6 +46,10 @@ func TestMapperParityWithoutFilterSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	proj, err := tpch.LineItemSchema.Project("L_ORDERKEY", "L_LINENUMBER", "L_QUANTITY", "L_DISCOUNT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	strs, err := tpch.LineItemSchema.Project("L_COMMENT", "L_SHIPMODE", "L_QUANTITY", "L_RETURNFLAG", "L_SHIPDATE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,20 +75,28 @@ func TestMapperParityWithoutFilterSource(t *testing.T) {
 		if _, ok := data.Source(hidden).(data.FilterSource); ok {
 			t.Fatal("decorator exposes FilterSource")
 		}
+		var recs []data.Record
+		p.Scan(func(r data.Record) bool {
+			recs = append(recs, r)
+			return true
+		})
+		sliced := data.NewSliceSource(p.Schema(), recs)
 		for _, pred := range preds {
 			for _, k := range []int64{1, 1_000_000} {
-				for _, pj := range []*data.Schema{nil, proj} {
+				for _, pj := range []*data.Schema{nil, proj, strs} {
 					a := run(&Mapper{Predicate: pred, K: k, Projection: pj}, p)
 					b := run(&Mapper{Predicate: pred, K: k, Projection: pj}, hidden)
-					if a != b {
-						t.Fatalf("p%d %s k=%d: sampling output differs:\n%s\n---\n%s", p.Index(), pred, k, a, b)
+					c := run(&Mapper{Predicate: pred, K: k, Projection: pj}, sliced)
+					if a != b || a != c {
+						t.Fatalf("p%d %s k=%d: sampling output differs:\n%s\n---\n%s\n---\n%s", p.Index(), pred, k, a, b, c)
 					}
 				}
 			}
 			a := run(&CountingMapper{Predicate: pred}, p)
 			b := run(&CountingMapper{Predicate: pred}, hidden)
-			if a != b {
-				t.Fatalf("p%d %s: counting output differs:\n%s\n---\n%s", p.Index(), pred, a, b)
+			c := run(&CountingMapper{Predicate: pred}, sliced)
+			if a != b || a != c {
+				t.Fatalf("p%d %s: counting output differs:\n%s\n---\n%s\n---\n%s", p.Index(), pred, a, b, c)
 			}
 		}
 	}

@@ -82,7 +82,8 @@ func (m *Mapper) Map(rec data.Record, out *mapreduce.Collector) error {
 
 // MapSplit implements mapreduce.SplitMapper: it uses the accelerated
 // match path when the split's source supports this predicate, falling
-// back to a filtered scan (expr.ScanFilter) otherwise.
+// back to a filtered scan (expr.ScanFilter) otherwise. The scan builds
+// the Projection itself, so its matches are emitted as they come.
 func (m *Mapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Collector) error {
 	if acc, ok := ctx.Source.(AcceleratedSource); ok {
 		fp := m.fingerprint
@@ -102,8 +103,9 @@ func (m *Mapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Collector) 
 	if m.found >= m.K {
 		return nil
 	}
-	err := expr.ScanFilter(ctx.Source, m.Predicate, func(rec data.Record) bool {
-		m.emit(rec, out)
+	err := expr.ScanFilter(ctx.Source, m.Predicate, m.Projection, func(rec data.Record) bool {
+		out.Emit(DummyKey, rec)
+		m.found++
 		return m.found < m.K
 	})
 	if err != nil {
