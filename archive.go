@@ -15,7 +15,7 @@ import (
 // log, the utilization timeline, counters/gauges, the invariant-checked
 // per-job diagnosis, the per-query registry dump when WithQueryStats
 // was on, and the run configuration. Fields of cfg the cluster knows
-// better than the caller — engine mode, scan workers, git revision —
+// better than the caller — input path, scan workers, git revision —
 // are filled in when left zero. It requires WithTracing (or an option
 // that forces it).
 //
@@ -25,9 +25,6 @@ func (c *Cluster) BuildArchive(label string, cfg runarchive.RunConfig) (*runarch
 	tr := c.jt.Tracer()
 	if !tr.Enabled() {
 		return nil, fmt.Errorf("dynamicmr: BuildArchive requires WithTracing")
-	}
-	if cfg.EngineMode == "" {
-		cfg.EngineMode = c.EngineMode()
 	}
 	if cfg.InputPath == "" {
 		// Full-scan stays the empty default so full-mode archive bytes

@@ -2,6 +2,7 @@ package dynamicmr
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -11,16 +12,17 @@ import (
 	"dynamicmr/internal/trace"
 )
 
-// archiveTwinRun executes the canned three-query session under one
-// engine mode and returns its archive after a bytes round-trip, so the
-// comparison below exercises the wire format, not just the in-memory
-// structs.
-func archiveTwinRun(t *testing.T, mode string) *runarchive.Archive {
+// archiveTwinRun executes the canned three-query session with an
+// n-worker scan-executor pool (0: inline scans) and returns its archive
+// after a bytes round-trip, so the comparison below exercises the wire
+// format, not just the in-memory structs.
+func archiveTwinRun(t *testing.T, workers int) *runarchive.Archive {
 	t.Helper()
-	c, err := NewCluster(WithTracing(trace.Config{}), WithQueryStats(), WithEngineMode(mode))
+	c, err := NewCluster(WithTracing(trace.Config{}), WithQueryStats(), WithScanWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if _, err := c.LoadLineItem("lineitem", DatasetSpec{
 		Scale: 2, Skew: 1, Selectivity: 0.005, Rows: 400_000, Seed: 42,
 	}); err != nil {
@@ -31,7 +33,7 @@ func archiveTwinRun(t *testing.T, mode string) *runarchive.Archive {
 			t.Fatal(err)
 		}
 	}
-	a, err := c.BuildArchive(mode+" twin", runarchive.RunConfig{Policy: "LA", Seed: 42})
+	a, err := c.BuildArchive(fmt.Sprintf("scan-workers %d twin", workers), runarchive.RunConfig{Policy: "LA", Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func archiveTwinRun(t *testing.T, mode string) *runarchive.Archive {
 	}
 	loaded, err := runarchive.Load(&buf)
 	if err != nil {
-		t.Fatalf("%s archive does not round-trip: %v", mode, err)
+		t.Fatalf("scan-workers %d archive does not round-trip: %v", workers, err)
 	}
 	return loaded
 }
@@ -107,19 +109,19 @@ func TestArchiveOverhead(t *testing.T) {
 	t.Logf("traced quickstart min-of-%d: %v; with BuildArchive+Write: %v", runs, base, on)
 }
 
-// TestDiffBaselineVsMemoryTwinRuns is the acceptance pin for `dynmr
-// diff`: a baseline and a memory-engine run of the same session are
+// TestDiffScanWorkersTwinRuns is the acceptance pin for `dynmr diff`:
+// an inline-scan and a pooled-scan run of the same session are
 // virtual-time twins, so the diff must align every query, report
 // per-component deltas summing to the makespan delta (here all zero),
-// find no divergent provider decision — while the engine counters
-// still reveal which run used the resident store.
-func TestDiffBaselineVsMemoryTwinRuns(t *testing.T) {
-	a := archiveTwinRun(t, EngineModeBaseline)
-	b := archiveTwinRun(t, EngineModeMemory)
+// find no divergent provider decision — while the scan counters still
+// reveal which run used the pool.
+func TestDiffScanWorkersTwinRuns(t *testing.T) {
+	a := archiveTwinRun(t, 0)
+	b := archiveTwinRun(t, 2)
 
-	if a.Manifest.Config.EngineMode != EngineModeBaseline || b.Manifest.Config.EngineMode != EngineModeMemory {
-		t.Fatalf("engine modes not recorded: %q / %q",
-			a.Manifest.Config.EngineMode, b.Manifest.Config.EngineMode)
+	if a.Manifest.Config.ScanWorkers != 0 || b.Manifest.Config.ScanWorkers != 2 {
+		t.Fatalf("scan workers not recorded: %d / %d",
+			a.Manifest.Config.ScanWorkers, b.Manifest.Config.ScanWorkers)
 	}
 
 	rep, err := runarchive.Compare(a, b)
@@ -145,9 +147,9 @@ func TestDiffBaselineVsMemoryTwinRuns(t *testing.T) {
 		if math.Abs(sum-j.MakespanDeltaS) > 1e-6*math.Max(1, j.AMakespanS) {
 			t.Errorf("query %s: component deltas sum to %g, makespan delta %g", j.Key, sum, j.MakespanDeltaS)
 		}
-		// Engine modes are virtual-time byte-identical: every delta zero.
+		// The pool is invisible to virtual time: every delta zero.
 		if j.MakespanDeltaS != 0 {
-			t.Errorf("query %s: makespan delta %g between twin engine modes", j.Key, j.MakespanDeltaS)
+			t.Errorf("query %s: makespan delta %g between scan-worker twins", j.Key, j.MakespanDeltaS)
 		}
 		if j.FirstDivergence != nil {
 			t.Errorf("query %s: unexpected provider divergence %+v", j.Key, j.FirstDivergence)
@@ -157,17 +159,17 @@ func TestDiffBaselineVsMemoryTwinRuns(t *testing.T) {
 		}
 	}
 	if rep.TotalMakespanDeltaS != 0 {
-		t.Errorf("total makespan delta %g between twin engine modes", rep.TotalMakespanDeltaS)
+		t.Errorf("total makespan delta %g between scan-worker twins", rep.TotalMakespanDeltaS)
 	}
 
-	// The runs are simulation twins but not execution twins: the memory
-	// side must show resident-store activity in the counter deltas.
+	// The runs are simulation twins but not execution twins: the pooled
+	// side must show joined async scans in the counter deltas.
 	deltas := map[string]int64{}
 	for _, cd := range rep.CounterDeltas {
 		deltas[cd.Name] = cd.Delta
 	}
-	if deltas[trace.CounterDeltaShuffleHits] <= 0 {
-		t.Errorf("memory run should add delta-shuffle hits; counter deltas: %v", deltas)
+	if deltas[trace.CounterScanAsync] <= 0 {
+		t.Errorf("pooled run should join async scans; counter deltas: %v", deltas)
 	}
 }
 

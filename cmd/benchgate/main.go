@@ -95,7 +95,6 @@ type suiteTiming struct {
 // suiteReport is the subset of the -bench-json file the trend keeps.
 type suiteReport struct {
 	Mode         string        `json:"mode,omitempty"`
-	EngineMode   string        `json:"engine_mode,omitempty"`
 	ScanWorkers  int           `json:"scan_workers,omitempty"`
 	Artifacts    []suiteTiming `json:"artifacts,omitempty"`
 	TotalSeconds float64       `json:"total_seconds"`

@@ -16,9 +16,8 @@
 // The shell, serve and explain modes share one set of run flags:
 //
 //	[-scale N] [-skew 0|1|2] [-rows N] [-multiuser] [-fair]
-//	[-engine-mode baseline|memory] [-input-path full|skip|index]
-//	[-archive-out FILE] [-report-out FILE] [-sample-interval S]
-//	[-alert-rules FILE] [-log-out FILE] [-log-level LEVEL]
+//	[-input-path full|skip|index] [-archive-out FILE] [-report-out FILE]
+//	[-sample-interval S] [-alert-rules FILE] [-log-out FILE] [-log-level LEVEL]
 //
 // Without -e, statements are read from stdin (one per line, ';'
 // optional). With -archive-out, the run archive (schema

@@ -29,7 +29,6 @@ type runFlags struct {
 	rows           int64
 	multiuser      bool
 	fair           bool
-	engineMode     string
 	inputPath      string
 	logOut         string
 	logLevel       string
@@ -50,7 +49,6 @@ func newRunFlags(fs *flag.FlagSet, sampleIntervalS float64) *runFlags {
 	fs.Int64Var(&rf.rows, "rows", 2_000_000, "row-count override (0 = full 6M x scale)")
 	fs.BoolVar(&rf.multiuser, "multiuser", false, "use the 16-map-slots-per-node configuration")
 	fs.BoolVar(&rf.fair, "fair", false, "use the Fair Scheduler instead of FIFO")
-	fs.StringVar(&rf.engineMode, "engine-mode", dynamicmr.EngineModeBaseline, "execution engine: baseline or memory (resident map outputs reused across queries)")
 	fs.StringVar(&rf.inputPath, "input-path", dynamicmr.InputPathFull, "map-task read path: full, skip (zone-map skip-scan) or index (clustered-index reads + informed grab ordering)")
 	fs.StringVar(&rf.logOut, "log-out", "", "write the virtual-clock NDJSON log stream to FILE")
 	fs.StringVar(&rf.logLevel, "log-level", "info", "log level for -log-out: debug, info, warn or error")
@@ -67,7 +65,7 @@ func newRunFlags(fs *flag.FlagSet, sampleIntervalS float64) *runFlags {
 // finds its section; -report-out turns on tracing and the utilization
 // sampler the report draws.
 func (rf *runFlags) cluster(mode ...dynamicmr.Option) (*dynamicmr.Cluster, *dataset.Dataset) {
-	opts := []dynamicmr.Option{dynamicmr.WithEngineMode(rf.engineMode), dynamicmr.WithInputPath(rf.inputPath)}
+	opts := []dynamicmr.Option{dynamicmr.WithInputPath(rf.inputPath)}
 	if rf.multiuser {
 		opts = append(opts, dynamicmr.WithMultiUserSlots())
 	}
@@ -152,8 +150,6 @@ func (rf *runFlags) finish(c *dynamicmr.Cluster, label string, cfg runarchive.Ru
 		writeFile(rf.archiveOut, func(w io.Writer) error { return c.WriteArchive(w, label, cfg) })
 		fmt.Fprintf(os.Stderr, "wrote run archive to %s (view with `dynmr render`, compare with `dynmr diff`)\n", rf.archiveOut)
 	}
-	// Release session state: resident map outputs, pinned blocks and
-	// scan workers all go with the cluster.
 	c.Close()
 	if rf.logFile != nil {
 		if err := rf.logFile.Close(); err != nil {

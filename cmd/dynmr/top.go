@@ -88,11 +88,6 @@ func renderTop(client *http.Client, addr string) (string, error) {
 		status.QueuedMaps, status.QueuedReduces, status.RunningJobs)
 	fmt.Fprintf(&b, "queries: %d started, %d finished, %d failed, %d in flight\n",
 		dump.Started, dump.Finished, dump.Failed, len(dump.InFlight))
-	if e := status.Engine; e != nil {
-		fmt.Fprintf(&b, "engine: %.1f MB resident, %.1f MB pinned; %d delta-shuffle hit(s), %d stored, %d evicted, %d memo hit(s)\n",
-			e.ResidentBytes/(1<<20), e.PinnedBytes/(1<<20),
-			e.DeltaShuffleHits, e.ResidentStores, e.ResidentEvictions, e.MemoHits)
-	}
 	if sc := status.Scan; sc != nil {
 		pct := 0.0
 		if total := sc.BlocksRead + sc.BlocksSkipped; total > 0 {

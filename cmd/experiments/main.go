@@ -6,7 +6,7 @@
 // Usage:
 //
 //	experiments [-run all|tableI|tableII|tableIII|figure4|figure5|figure6|figure7|figure8]
-//	            [-mode quick|paper] [-j N] [-scan-workers N] [-engine-mode baseline|memory]
+//	            [-mode quick|paper] [-j N] [-scan-workers N]
 //	            [-input-path full|skip|index] [-policies LIST] [-csv]
 //	            [-trace-out DIR] [-report-out DIR] [-sample-interval S]
 //	            [-archive-out DIR] [-alert-rules FILE]
@@ -24,13 +24,6 @@
 // simulated I/O time; simulated costs come from split metadata and
 // results are joined at completion-event time, so output is
 // byte-identical at any setting.
-//
-// -engine-mode memory attaches a sweep-wide resident store (the
-// in-memory session engine): repeated jobs over the same splits reuse
-// partitioned, pre-sorted map outputs instead of rebuilding them, so a
-// GROW round only shuffles its newly grabbed splits. Simulated costs
-// are untouched, so output is byte-identical to baseline; only real
-// wall-clock time and allocations improve.
 //
 // -input-path selects how map tasks read their splits: full (the
 // default) reads every block and is byte-identical to the seed; skip
@@ -115,7 +108,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated artifacts to regenerate: all, tableI, tableII, tableIII, figure4, figure5, figure6, figure7, figure8, ablationInterval, ablationThreshold, ablationGrab, ablationAdaptive, ablationEngine, ablationInputPath")
+	run := flag.String("run", "all", "comma-separated artifacts to regenerate: all, tableI, tableII, tableIII, figure4, figure5, figure6, figure7, figure8, ablationInterval, ablationThreshold, ablationGrab, ablationAdaptive, ablationInputPath")
 	mode := flag.String("mode", "quick", "quick (scaled-down, minutes) or paper (full §V parameters)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	traceOut := flag.String("trace-out", "", "directory for per-cell utilization timeline CSVs (figures 6-8)")
@@ -123,7 +116,6 @@ func main() {
 	sampleInterval := flag.Float64("sample-interval", 0, "observability sampler cadence in virtual seconds for -report-out time-series and -alert-rules ticks (0 = defaults)")
 	jobs := flag.Int("j", runtime.NumCPU(), "sweep cells to run concurrently (1 = sequential; output is identical either way)")
 	scanWorkers := flag.Int("scan-workers", runtime.NumCPU(), "scan-executor pool size for off-sim-thread map scans (0 = inline; output is identical either way)")
-	engineMode := flag.String("engine-mode", "baseline", "execution engine: baseline, or memory (resident map outputs reused across a sweep's jobs; output is identical either way)")
 	inputPath := flag.String("input-path", "full", "map-task input path: full (every block read; seed-identical output), skip (zone-map skip-scan) or index (clustered-index reads + informed grab ordering)")
 	policies := flag.String("policies", "", "comma-separated subset of Table I policies to sweep (default: all)")
 	benchJSON := flag.String("bench-json", "", "write per-artifact wall-clock timings as JSON to FILE")
@@ -196,7 +188,6 @@ func main() {
 	opt.SampleIntervalS = *sampleInterval
 	opt.Parallelism = *jobs
 	opt.ScanWorkers = *scanWorkers
-	opt.EngineMode = *engineMode
 	opt.InputPath = *inputPath
 	if *policies != "" {
 		opt.Policies = strings.Split(*policies, ",")
@@ -321,7 +312,6 @@ func main() {
 		{"ablationThreshold", experiments.AblationThreshold},
 		{"ablationGrab", experiments.AblationGrabScale},
 		{"ablationAdaptive", experiments.AblationAdaptive},
-		{"ablationEngine", experiments.AblationEngineMode},
 		{"ablationInputPath", experiments.AblationInputPath},
 	} {
 		abl := abl
@@ -340,7 +330,6 @@ func main() {
 			Mode         string           `json:"mode"`
 			Parallelism  int              `json:"parallelism"`
 			ScanWorkers  int              `json:"scan_workers"`
-			EngineMode   string           `json:"engine_mode"`
 			InputPath    string           `json:"input_path"`
 			GOMAXPROCS   int              `json:"gomaxprocs"`
 			Policies     []string         `json:"policies"`
@@ -350,7 +339,6 @@ func main() {
 			Mode:         *mode,
 			Parallelism:  *jobs,
 			ScanWorkers:  *scanWorkers,
-			EngineMode:   *engineMode,
 			InputPath:    *inputPath,
 			GOMAXPROCS:   runtime.GOMAXPROCS(0),
 			Policies:     opt.Policies,

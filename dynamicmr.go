@@ -44,20 +44,6 @@ type DatasetSpec struct {
 	Partitions int
 }
 
-// Engine modes selectable with WithEngineMode.
-const (
-	// EngineModeBaseline is the stock runtime: map outputs are built,
-	// partitioned and sorted from scratch for every job.
-	EngineModeBaseline = "baseline"
-	// EngineModeMemory keeps session state resident across the jobs of
-	// a query (the M3R idea): partitioned, pre-sorted map outputs are
-	// reused by later jobs over the same splits (delta-shuffle), and the
-	// dataset blocks behind grabbed splits stay pinned hot. Query
-	// results and virtual timings are byte-identical to baseline; only
-	// real wall-clock time and allocations improve.
-	EngineModeMemory = "memory"
-)
-
 // Input paths selectable with WithInputPath.
 const (
 	// InputPathFull is the stock read path: every map task reads its
@@ -79,10 +65,6 @@ const (
 	InputPathIndex = mapreduce.InputPathIndex
 )
 
-// defaultResidentCap bounds the memory engine mode's resident bytes
-// (encoded map-output size) unless WithRuntime supplied a store.
-const defaultResidentCap = 512 << 20
-
 // Option configures NewCluster.
 type Option func(*config)
 
@@ -91,7 +73,6 @@ type config struct {
 	runtime        mapreduce.Config
 	scheduler      mapreduce.TaskScheduler
 	policies       *core.Registry
-	engineMode     string
 	sample         bool
 	sampleInterval float64
 	qstats         bool
@@ -147,17 +128,6 @@ func WithPolicies(r *core.Registry) Option {
 // Close when done to stop the workers.
 func WithScanWorkers(n int) Option {
 	return func(c *config) { c.runtime.ScanExecutor = executor.NewPool(n) }
-}
-
-// WithEngineMode selects the execution engine mode: EngineModeBaseline
-// (the default) or EngineModeMemory, which keeps per-session map
-// outputs resident and partition-stable across the jobs of a query so
-// GROW rounds only shuffle newly grabbed splits. NewCluster rejects
-// unknown modes. Memory mode changes real wall-clock time and
-// allocations only — the virtual timeline and every query result stay
-// byte-identical to baseline.
-func WithEngineMode(mode string) Option {
-	return func(c *config) { c.engineMode = mode }
 }
 
 // WithInputPath selects the map-task read path: InputPathFull (the
@@ -270,8 +240,6 @@ type Cluster struct {
 	qstats   *qstats.Registry
 	tsdb     *tsdb.DB
 	scanPool *executor.Pool
-	resident *mapreduce.ResidentStore
-	closed   bool
 	seed     int64
 }
 
@@ -296,23 +264,6 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		return nil, fmt.Errorf("dynamicmr: unknown input path %q (want %q, %q or %q)",
 			cfg.runtime.InputPath, InputPathFull, InputPathSkip, InputPathIndex)
 	}
-	var resident *mapreduce.ResidentStore
-	switch cfg.engineMode {
-	case "", EngineModeBaseline:
-		// stock runtime
-	case EngineModeMemory:
-		resident = cfg.runtime.ResidentStore
-		if resident == nil {
-			resident = mapreduce.NewResidentStore(cfg.runtime.MapOutputCache, defaultResidentCap)
-			cfg.runtime.ResidentStore = resident
-		}
-		// The cluster itself holds a claim so resident state survives
-		// individual session churn; Close releases it.
-		resident.Retain()
-	default:
-		return nil, fmt.Errorf("dynamicmr: unknown engine mode %q (want %q or %q)",
-			cfg.engineMode, EngineModeBaseline, EngineModeMemory)
-	}
 	eng := sim.NewEngine()
 	hw := cluster.New(eng, cfg.hw)
 	if cfg.logW != nil {
@@ -336,7 +287,6 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		policies: cfg.policies,
 		sessions: make(map[string]*hive.Session),
 		scanPool: cfg.runtime.ScanExecutor,
-		resident: resident,
 	}
 	if cfg.sample {
 		c.sampler = obs.NewSampler(c.jt, obs.Config{IntervalS: cfg.sampleInterval})
@@ -360,46 +310,14 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 // Now returns the cluster's virtual time in seconds.
 func (c *Cluster) Now() float64 { return c.eng.Now() }
 
-// Close releases the cluster's background resources: every open
-// session's per-session state, the memory engine mode's resident store
-// (parts purged, blocks unpinned) and the scan-executor pool's workers
-// when built WithScanWorkers. Idempotent and safe to call on any
-// cluster; queries submitted after Close fall back to inline scans
-// with no resident reuse.
-func (c *Cluster) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	for _, s := range c.sessions {
-		s.Close()
-	}
-	if c.resident != nil {
-		c.resident.Release()
-	}
-	c.scanPool.Close()
-}
-
-// EngineMode reports the mode the cluster was built with.
-func (c *Cluster) EngineMode() string {
-	if c.resident != nil {
-		return EngineModeMemory
-	}
-	return EngineModeBaseline
-}
+// Close stops the scan-executor pool's workers when the cluster was
+// built WithScanWorkers. Idempotent and safe to call on any cluster;
+// queries submitted after Close fall back to inline scans.
+func (c *Cluster) Close() { c.scanPool.Close() }
 
 // InputPath reports the map-task read path the cluster was built with
 // (InputPathFull unless WithInputPath chose otherwise).
 func (c *Cluster) InputPath() string { return c.jt.InputPath() }
-
-// ResidentStats snapshots the memory engine mode's resident store; ok
-// is false (and the stats zero) in baseline mode.
-func (c *Cluster) ResidentStats() (mapreduce.ResidentStats, bool) {
-	if c.resident == nil {
-		return mapreduce.ResidentStats{}, false
-	}
-	return c.resident.Stats(), true
-}
 
 // Policies returns the policy registry (the policy.xml contents).
 func (c *Cluster) Policies() *core.Registry { return c.policies }
@@ -416,8 +334,8 @@ func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
 // Tracer returns the cluster's tracer; nil unless built WithTracing.
 // Use it to export a Chrome trace (trace.WriteChromeTrace over its
-// spans, decisions and samples), the policy audit log (WritePolicyCSV)
-// or the utilization timeline (WriteTimelineCSV).
+// spans, decisions and samples) or the utilization timeline
+// (trace.WriteMetricCSV over its metric samples).
 func (c *Cluster) Tracer() *trace.Tracer { return c.jt.Tracer() }
 
 // Sampler returns the utilization sampler; nil unless built
@@ -512,7 +430,6 @@ func (c *Cluster) Session(user string) *hive.Session {
 	if !ok {
 		s = hive.NewSession(c.jt, c.catalog, c.policies, user)
 		s.SetQueryStats(c.qstats)
-		s.SetResidentStore(c.resident)
 		c.sessions[user] = s
 	}
 	return s

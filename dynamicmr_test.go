@@ -1,7 +1,6 @@
 package dynamicmr
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -148,6 +147,42 @@ func TestParsePolicyXMLFacade(t *testing.T) {
 	}
 }
 
+// TestQueryOutOfRangeGrabLimit drives policy.xml grab limits outside
+// int range through the whole stack: a NaN limit fails the query, and a
+// finite one beyond math.MaxInt runs it unbounded. Both used to panic
+// Query on a negative slice bound.
+func TestQueryOutOfRangeGrabLimit(t *testing.T) {
+	reg, err := ParsePolicyXML([]byte(`<policies>
+  <policy name="nan"><evaluationIntervalSeconds>4</evaluationIntervalSeconds><grabLimit>inf-inf</grabLimit></policy>
+  <policy name="huge"><evaluationIntervalSeconds>4</evaluationIntervalSeconds><grabLimit>TS*1e18</grabLimit></policy>
+</policies>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(WithPolicies(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.LoadLineItem("lineitem", DatasetSpec{
+		Scale: 1, Skew: 1, Selectivity: 0.002, Rows: 200_000, Partitions: 40, Seed: 5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT L_ORDERKEY FROM lineitem WHERE L_QUANTITY > 50 LIMIT 10"
+	c.Session("default").Set("dynamic.job.policy", "huge")
+	res, err := c.Query(q)
+	if err != nil {
+		t.Fatalf("huge grab limit: %v", err)
+	}
+	if len(res.Rows) != 10 {
+		t.Fatalf("huge grab limit: rows = %d, want 10", len(res.Rows))
+	}
+	c.Session("default").Set("dynamic.job.policy", "nan")
+	if _, err := c.Query(q); err == nil {
+		t.Fatal("NaN grab limit: query succeeded, want an error")
+	}
+}
+
 func TestDuplicateTable(t *testing.T) {
 	c := demoCluster(t)
 	if _, err := c.LoadLineItem("lineitem", DatasetSpec{Scale: 1, Rows: 1000, Partitions: 2}); err == nil {
@@ -238,94 +273,6 @@ func TestEstimateSelectivityErrors(t *testing.T) {
 	}
 	if _, err := c.EstimateSelectivity("lineitem", "L_DISCOUNT = 0.11", 0.1, "bogus"); err == nil {
 		t.Error("unknown policy accepted")
-	}
-}
-
-func TestEngineModeMemoryLifecycle(t *testing.T) {
-	c, err := NewCluster(WithEngineMode(EngineModeMemory))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.EngineMode(); got != EngineModeMemory {
-		t.Fatalf("EngineMode = %q", got)
-	}
-	if _, err := c.LoadLineItem("lineitem", DatasetSpec{
-		Scale: 1, Skew: 1, Selectivity: 0.002, Rows: 200_000, Partitions: 40, Seed: 5,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		res, err := c.Query("SELECT L_ORDERKEY FROM lineitem WHERE L_QUANTITY > 50 LIMIT 50")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 50 {
-			t.Fatalf("query %d: rows = %d", i, len(res.Rows))
-		}
-	}
-	st, ok := c.ResidentStats()
-	if !ok {
-		t.Fatal("memory-mode cluster reports no resident stats")
-	}
-	if st.Stores == 0 || st.Parts == 0 {
-		t.Fatalf("queries left nothing resident: %+v", st)
-	}
-	c.Close()
-	st, _ = c.ResidentStats()
-	if st.Parts != 0 || st.ResidentBytes != 0 || st.PinnedBlocks != 0 || st.Sessions != 0 {
-		t.Fatalf("Close did not purge the resident store: %+v", st)
-	}
-	c.Close() // idempotent
-}
-
-func TestEngineModeMatchesBaselineThroughFacade(t *testing.T) {
-	run := func(mode string) (string, float64) {
-		c, err := NewCluster(WithEngineMode(mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if _, err := c.LoadLineItem("lineitem", DatasetSpec{
-			Scale: 1, Skew: 1, Selectivity: 0.002, Rows: 200_000, Partitions: 40, Seed: 5,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for i := 0; i < 2; i++ {
-			res, err := c.Query("SELECT L_ORDERKEY, L_PARTKEY FROM lineitem WHERE L_QUANTITY > 50 LIMIT 50")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range res.Rows {
-				fmt.Fprintf(&sb, "%v\n", r)
-			}
-		}
-		return sb.String(), c.Now()
-	}
-	baseRows, baseNow := run(EngineModeBaseline)
-	memRows, memNow := run(EngineModeMemory)
-	if baseRows != memRows {
-		t.Error("memory engine changed query output")
-	}
-	if baseNow != memNow {
-		t.Errorf("memory engine changed virtual clock: baseline %v, memory %v", baseNow, memNow)
-	}
-}
-
-func TestEngineModeErrors(t *testing.T) {
-	if _, err := NewCluster(WithEngineMode("turbo")); err == nil {
-		t.Fatal("unknown engine mode accepted")
-	}
-	c, err := NewCluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.EngineMode(); got != EngineModeBaseline {
-		t.Fatalf("default EngineMode = %q", got)
-	}
-	if _, ok := c.ResidentStats(); ok {
-		t.Fatal("baseline cluster reports resident stats")
 	}
 }
 

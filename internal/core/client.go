@@ -100,9 +100,6 @@ func SubmitDynamic(jt *mapreduce.JobTracker, spec mapreduce.JobSpec, allSplits [
 	c.addedSplits = len(initial)
 
 	c.job = jt.Submit(spec, initial)
-	// Residency hint: the splits this session has grabbed are its hot
-	// working set (no-op unless the runtime has a resident store).
-	jt.HintResidency(initial)
 	c.auditDecision(trace.VerdictInit, jt.Status(c.job), cs, grab, c.addedSplits, 0)
 
 	if c.providerErr != nil || c.addedSplits >= c.totalSplits {
@@ -287,9 +284,6 @@ func (c *JobClient) evaluate() {
 				return
 			}
 			c.addedSplits += len(splits)
-			// GROW verdict: keep the session's expanding working set hot
-			// in the resident store.
-			c.jt.HintResidency(splits)
 		}
 		d.Added = len(splits)
 		c.decisions = append(c.decisions, d)

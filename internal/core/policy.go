@@ -51,11 +51,12 @@ func (p *Policy) Compile() error {
 	if p.Name == "" {
 		return fmt.Errorf("core: policy needs a name")
 	}
-	if p.EvaluationIntervalS <= 0 {
-		return fmt.Errorf("core: policy %q needs a positive evaluation interval", p.Name)
+	// The negated range tests reject NaN too.
+	if iv := p.EvaluationIntervalS; !(iv > 0 && iv <= math.MaxFloat64) {
+		return fmt.Errorf("core: policy %q needs a positive, finite evaluation interval, got %v", p.Name, iv)
 	}
-	if p.WorkThresholdPct < 0 || p.WorkThresholdPct > 100 {
-		return fmt.Errorf("core: policy %q work threshold %v outside [0,100]", p.Name, p.WorkThresholdPct)
+	if w := p.WorkThresholdPct; !(w >= 0 && w <= 100) {
+		return fmt.Errorf("core: policy %q work threshold %v outside [0,100]", p.Name, w)
 	}
 	if e := p.compiled.Load(); e != nil && e.String() == p.GrabLimitExpr {
 		return nil
@@ -70,7 +71,9 @@ func (p *Policy) Compile() error {
 
 // GrabLimit evaluates the policy's grab limit for the given slot
 // availability. The result is a whole number of partitions (ceil of the
-// formula), never negative; math.MaxInt for unbounded.
+// formula), never negative; math.MaxInt for unbounded, which is also
+// what any value too large for an int means. A formula that evaluates
+// to NaN (inf-inf, 0*inf) is an error.
 func (p *Policy) GrabLimit(availableSlots, totalSlots int) (int, error) {
 	return p.GrabLimitWith(availableSlots, totalSlots, 0)
 }
@@ -95,10 +98,13 @@ func (p *Policy) GrabLimitWith(availableSlots, totalSlots, queuedTasks int) (int
 	if err != nil {
 		return 0, err
 	}
-	if math.IsInf(v, 1) {
+	switch {
+	case math.IsNaN(v):
+		return 0, fmt.Errorf("core: policy %q grab limit %q is NaN at AS=%d TS=%d QT=%d",
+			p.Name, p.GrabLimitExpr, availableSlots, totalSlots, queuedTasks)
+	case v >= math.MaxInt:
 		return math.MaxInt, nil
-	}
-	if v < 0 {
+	case v < 0:
 		return 0, nil
 	}
 	return int(math.Ceil(v - 1e-9)), nil

@@ -118,6 +118,53 @@ func TestPolicyValidation(t *testing.T) {
 	}
 }
 
+// TestGrabLimitNaNIsError: a formula that evaluates to NaN used to
+// convert to math.MinInt64, which the JobClient then used as a slice
+// bound.
+func TestGrabLimitNaNIsError(t *testing.T) {
+	for _, expr := range []string{"inf-inf", "AS*inf"} {
+		p := &Policy{Name: "nan", EvaluationIntervalS: 4, GrabLimitExpr: expr}
+		if got, err := p.GrabLimit(0, 40); err == nil {
+			t.Errorf("%s: GrabLimit = %d, want an error", expr, got)
+		}
+	}
+}
+
+// TestGrabLimitClampsToMaxInt: a finite formula value too large for an
+// int means unbounded, not math.MinInt64.
+func TestGrabLimitClampsToMaxInt(t *testing.T) {
+	for _, expr := range []string{"1e300", "TS*1e18", "9.3e18"} {
+		p := &Policy{Name: "big", EvaluationIntervalS: 4, GrabLimitExpr: expr}
+		got, err := p.GrabLimit(10, 40)
+		if err != nil {
+			t.Fatalf("%s: %v", expr, err)
+		}
+		if got != math.MaxInt {
+			t.Errorf("%s: GrabLimit = %d, want math.MaxInt", expr, got)
+		}
+	}
+}
+
+// TestPolicyRejectsNonFiniteInterval: NaN and +Inf evaluation intervals
+// used to pass the positivity check.
+func TestPolicyRejectsNonFiniteInterval(t *testing.T) {
+	for _, iv := range []float64{math.NaN(), math.Inf(1)} {
+		p := &Policy{Name: "x", EvaluationIntervalS: iv, GrabLimitExpr: "1"}
+		if err := p.Compile(); err == nil {
+			t.Errorf("evaluation interval %v accepted", iv)
+		}
+	}
+}
+
+// TestPolicyRejectsNaNThreshold: a NaN work threshold used to pass the
+// [0,100] range check.
+func TestPolicyRejectsNaNThreshold(t *testing.T) {
+	p := &Policy{Name: "x", EvaluationIntervalS: 4, WorkThresholdPct: math.NaN(), GrabLimitExpr: "1"}
+	if err := p.Compile(); err == nil {
+		t.Error("NaN work threshold accepted")
+	}
+}
+
 func TestRegistryLookup(t *testing.T) {
 	r := DefaultRegistry()
 	if _, err := r.Get("la"); err != nil {

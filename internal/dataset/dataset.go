@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dynamicmr/internal/data"
 	"dynamicmr/internal/expr"
@@ -54,11 +52,7 @@ type Dataset struct {
 }
 
 // Partition is one input partition (one DFS block's worth of rows). It
-// implements data.Source; records are generated on demand. While
-// pinned (dfs.Pinner — the memory engine mode pins the blocks behind
-// resident splits) the partition keeps its planted-match records
-// materialised, so repeated AcceleratedMatches calls within a session
-// pay the generator cost once instead of once per query.
+// implements data.Source; records are generated on demand.
 type Partition struct {
 	ds       *Dataset
 	index    int
@@ -71,16 +65,6 @@ type Partition struct {
 	// min/max + exact match counts); stats is its aggregate summary.
 	zones []ZoneEntry
 	stats data.BlockStats
-
-	// pinMu guards pins; hot is read lock-free by AcceleratedMatches,
-	// which may run on scan-executor workers concurrently with a Pin on
-	// a simulator goroutine.
-	pinMu sync.Mutex
-	pins  int
-	hot   atomic.Pointer[[]data.Record]
-	// hotServes counts AcceleratedMatches calls served from the pinned
-	// materialisation, for residency tests.
-	hotServes atomic.Int64
 }
 
 // Build constructs the dataset: partition sizes (with ±2% deterministic
@@ -426,51 +410,12 @@ func (s *rowScan) plantedOnly() {
 	}
 }
 
-// Pin implements dfs.Pinner: it opens a hot-residency window. The
-// planted-match record list is materialised lazily, by the first
-// AcceleratedMatches call inside the window — a pinned partition the
-// engine never re-reads costs nothing — and stays hot until the
-// matching Unpin, so repeat calls serve slices of the cached records
-// instead of re-running the generator. The cached records are the same
-// pure-generator output a cold call produces, so results stay
-// byte-identical.
-func (p *Partition) Pin() {
-	p.pinMu.Lock()
-	defer p.pinMu.Unlock()
-	p.pins++
-}
-
-// Unpin implements dfs.Pinner, dropping the hot materialisation with
-// the last claim.
-func (p *Partition) Unpin() {
-	p.pinMu.Lock()
-	defer p.pinMu.Unlock()
-	if p.pins == 0 {
-		return
-	}
-	p.pins--
-	if p.pins == 0 {
-		p.hot.Store(nil)
-	}
-}
-
-// Pinned reports whether the partition currently holds the hot
-// materialisation.
-func (p *Partition) Pinned() bool { return p.hot.Load() != nil }
-
-// HotServes returns how many AcceleratedMatches calls were served from
-// the pinned materialisation.
-func (p *Partition) HotServes() int64 { return p.hotServes.Load() }
-
 // AcceleratedMatches returns the partition's matching records for the
 // given predicate fingerprint without a full scan, or ok=false when the
 // predicate is not the dataset's planted one. The returned records are
 // byte-identical to what Scan would yield at the planted positions
 // (property-tested), so a map task may use this as a shortcut while the
-// simulator still charges full-scan I/O and CPU for the split. While
-// the partition is pinned the records come from the hot
-// materialisation; the returned slice is capacity-capped and must be
-// treated as read-only either way.
+// simulator still charges full-scan I/O and CPU for the split.
 func (p *Partition) AcceleratedMatches(fingerprint string, limit int64) ([]data.Record, bool) {
 	if fingerprint != p.ds.fp {
 		return nil, false
@@ -479,23 +424,11 @@ func (p *Partition) AcceleratedMatches(fingerprint string, limit int64) ([]data.
 	if limit >= 0 && limit < n {
 		n = limit
 	}
-	if hot := p.hot.Load(); hot != nil && int64(len(*hot)) >= n {
-		p.hotServes.Add(1)
-		return (*hot)[:n:n], true
-	}
 	gen := p.ds.generator()
 	out := make([]data.Record, 0, n)
 	for _, pos := range p.matchPos[:n] {
 		out = append(out, p.row(gen, pos, true))
 	}
-	p.pinMu.Lock()
-	if p.pins > 0 {
-		if hot := p.hot.Load(); hot == nil || int64(len(*hot)) < n {
-			recs := out[:n:n]
-			p.hot.Store(&recs)
-		}
-	}
-	p.pinMu.Unlock()
 	return out, true
 }
 

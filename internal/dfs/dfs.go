@@ -32,49 +32,7 @@ type Block struct {
 	Source data.Source
 	// Replicas are the locations holding the block, primary first.
 	Replicas []Location
-	// pins counts residency claims on the block (the memory engine
-	// mode's session store pins the blocks behind resident splits).
-	pins int
 }
-
-// Pinner is implemented by record sources that can keep hot state
-// materialised while pinned (the dataset package's partitions cache
-// their planted-match records). Pin/Unpin calls are refcount-collapsed
-// by the block: the source sees only the first Pin and the last Unpin.
-type Pinner interface {
-	Pin()
-	Unpin()
-}
-
-// Pin takes one residency claim on the block, forwarding the first
-// claim to the source when it supports pinning. Pinning is a *real*
-// memory residency signal only — it never changes the simulated I/O
-// the runtime charges for reading the block.
-func (b *Block) Pin() {
-	b.pins++
-	if b.pins == 1 {
-		if p, ok := b.Source.(Pinner); ok {
-			p.Pin()
-		}
-	}
-}
-
-// Unpin drops one residency claim, releasing the source's hot state
-// with the last claim. Unpin without a matching Pin is a no-op.
-func (b *Block) Unpin() {
-	if b.pins == 0 {
-		return
-	}
-	b.pins--
-	if b.pins == 0 {
-		if p, ok := b.Source.(Pinner); ok {
-			p.Unpin()
-		}
-	}
-}
-
-// Pinned reports whether the block holds at least one residency claim.
-func (b *Block) Pinned() bool { return b.pins > 0 }
 
 // BlockStats returns the block's load-time zone-map summary for a
 // predicate fingerprint, when the source computed one. Any replica can
@@ -131,18 +89,6 @@ func (f *File) TotalBytes() int64 {
 		t += b.SizeBytes()
 	}
 	return t
-}
-
-// PinnedBlocks returns how many of the file's blocks currently hold a
-// residency claim; leak tests assert it returns to zero at teardown.
-func (f *File) PinnedBlocks() int {
-	n := 0
-	for _, b := range f.Blocks {
-		if b.Pinned() {
-			n++
-		}
-	}
-	return n
 }
 
 // TotalRecords sums block record counts.

@@ -260,53 +260,6 @@ func AblationAdaptive(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationEngineMode runs the Figure 6 homogeneous workload (LA
-// policy, uniform distribution) under both engine modes. The throughput
-// column must be identical across rows — the memory engine never
-// touches virtual time, so any divergence is a determinism regression —
-// while the resident-store columns quantify the reuse the baseline pays
-// for from scratch every round: delta-shuffle hits (map completions
-// served from resident parts), admitted parts, their encoded bytes and
-// the dataset blocks kept pinned hot. Cells run sequentially with a
-// private store per mode, so every column is deterministic and the
-// table can be pinned golden.
-func AblationEngineMode(opt Options) (*Table, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:   "Ablation: engine mode (Figure 6 workload, LA policy, uniform distribution)",
-		Columns: []string{"Engine", "Throughput (jobs/hour)", "Delta hits", "Parts", "Resident (MB)", "Pinned blocks"},
-		Notes: []string{
-			"throughput must match across modes: the memory engine reuses resident map outputs for real wall-clock time only, never virtual time",
-		},
-	}
-	for _, mode := range []string{"baseline", "memory"} {
-		mopt := opt
-		mopt.EngineMode = mode
-		mopt.Parallelism = 1 // sequential cells keep the resident counters schedule-deterministic
-		sh := mopt.newSweepShared()
-		cell, err := figure6Cell(mopt, sh, 0, core.PolicyLA)
-		if err != nil {
-			sh.close()
-			return nil, fmt.Errorf("ablation engine mode (%s): %w", mode, err)
-		}
-		var hits uint64
-		var parts, pinned int
-		var mb float64
-		if sh.resident != nil {
-			st := sh.resident.Stats()
-			hits = st.Hits
-			parts = st.Parts
-			pinned = st.PinnedBlocks
-			mb = float64(st.ResidentBytes) / (1 << 20)
-		}
-		sh.close()
-		t.AddRow(mode, cell.Throughput, hits, parts, mb, pinned)
-	}
-	return t, nil
-}
-
 // adaptiveWorkloadThroughput runs the Figure 6 homogeneous workload
 // under the named policy ("Adaptive" routes through the adaptive
 // provider) and returns jobs/hour.

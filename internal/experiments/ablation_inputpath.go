@@ -17,10 +17,10 @@ import (
 // matches alone, and grabs statistically promising splits first. The
 // interesting regime is z >= 1, where matches concentrate in few
 // partitions and most zones admit none: skip-scan leaves those blocks
-// unread and response times drop accordingly. Unlike the engine-mode
-// ablation, the non-full rows are NOT expected to match full — skip
-// and index change simulated costs and the selectivity the providers
-// observe, which is exactly the policy-game shift the flag opts into.
+// unread and response times drop accordingly. The non-full rows are
+// NOT expected to match full — skip and index change simulated costs
+// and the selectivity the providers observe, which is exactly the
+// policy-game shift the flag opts into.
 // Cells run sequentially with a private runtime per mode, so every
 // column is deterministic and the full rows can be pinned golden.
 func AblationInputPath(opt Options) (*Table, error) {

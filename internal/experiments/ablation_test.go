@@ -76,33 +76,6 @@ func TestAblationGrabScale(t *testing.T) {
 	}
 }
 
-func TestAblationEngineMode(t *testing.T) {
-	opt := tinyOptions()
-	opt.MeasureS = 300
-	tb, err := AblationEngineMode(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	// Virtual time must not observe the engine mode: identical throughput.
-	if base, mem := tb.Rows[0][1], tb.Rows[1][1]; base != mem {
-		t.Errorf("throughput diverged across engine modes: baseline %s, memory %s", base, mem)
-	}
-	// Baseline reports no resident activity; memory mode must have
-	// actually served map completions from resident parts.
-	if hits := cellFloat(t, tb, 0, 2); hits != 0 {
-		t.Errorf("baseline row reports %v delta hits", hits)
-	}
-	if hits := cellFloat(t, tb, 1, 2); hits <= 0 {
-		t.Errorf("memory row reports %v delta hits, want > 0", hits)
-	}
-	if parts := cellFloat(t, tb, 1, 3); parts <= 0 {
-		t.Errorf("memory row reports %v resident parts, want > 0", parts)
-	}
-}
-
 func TestAblationAdaptive(t *testing.T) {
 	opt := tinyOptions()
 	opt.MeasureS = 300

@@ -28,10 +28,6 @@ func writeCellArchive(opt Options, name string, r *rig, cfg runarchive.RunConfig
 	if !tr.Enabled() {
 		return fmt.Errorf("experiments: archive requested but cell %s ran untraced", name)
 	}
-	cfg.EngineMode = opt.EngineMode
-	if cfg.EngineMode == "" {
-		cfg.EngineMode = "baseline"
-	}
 	cfg.ScanWorkers = opt.ScanWorkers
 	cfg.Seed = opt.Seed
 	if cfg.GitRev == "" {

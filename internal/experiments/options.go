@@ -100,15 +100,6 @@ type Options struct {
 	// completion-event time — so all tables and CSVs are byte-identical
 	// at any setting.
 	ScanWorkers int
-	// EngineMode selects the runtime engine for every cell (the
-	// cmd/experiments -engine-mode flag): "" or "baseline" is the stock
-	// runtime; "memory" attaches a sweep-wide resident store so repeated
-	// jobs over the same splits reuse partitioned, pre-sorted map
-	// outputs (delta-shuffle) and keep their dataset blocks pinned hot.
-	// Like the scan executor, the store changes real wall-clock time and
-	// allocations only: all tables and CSVs are byte-identical in either
-	// mode.
-	EngineMode string
 	// AlertRules, when non-empty, runs a per-cell time-series engine
 	// (internal/tsdb) evaluating these declarative alert/SLO rules on
 	// the cell's virtual clock (the cmd/experiments -alert-rules flag).
@@ -124,9 +115,9 @@ type Options struct {
 	// behaviour (every block read, byte-identical output); "skip" reads
 	// only zone-map-promising sub-blocks; "index" additionally grabs
 	// statistically promising splits first (informed grab ordering).
-	// Unlike ScanWorkers/EngineMode, skip and index change simulated
-	// costs and provider decisions — that is the point — so their
-	// tables are NOT byte-identical to full's.
+	// Unlike ScanWorkers, skip and index change simulated costs and
+	// provider decisions — that is the point — so their tables are NOT
+	// byte-identical to full's.
 	InputPath string
 }
 
@@ -171,11 +162,6 @@ func (o Options) validate() error {
 	if len(o.Policies) == 0 {
 		return fmt.Errorf("experiments: no policies selected")
 	}
-	switch o.EngineMode {
-	case "", "baseline", "memory":
-	default:
-		return fmt.Errorf("experiments: unknown engine mode %q (want baseline or memory)", o.EngineMode)
-	}
 	if !mapreduce.ValidInputPath(o.InputPath) {
 		return fmt.Errorf("experiments: unknown input path %q (want full, skip or index)", o.InputPath)
 	}
@@ -184,9 +170,6 @@ func (o Options) validate() error {
 	}
 	return nil
 }
-
-// memoryEngine reports whether cells run with a resident store.
-func (o Options) memoryEngine() bool { return o.EngineMode == "memory" }
 
 // datasetSpec builds the Spec for one (scale, z) cell.
 func (o Options) datasetSpec(scale int, z float64, name string, seedOffset int64) dataset.Spec {

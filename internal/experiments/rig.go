@@ -30,10 +30,6 @@ type sweepShared struct {
 	cache *dsCache
 	memo  *mapreduce.MapOutputCache
 	pool  *executor.Pool
-	// resident is the sweep-wide resident store of the memory engine
-	// mode (nil in baseline mode): partitioned, pre-sorted map outputs
-	// shared across every cell's JobTracker, released by close.
-	resident *mapreduce.ResidentStore
 	// logW, when non-nil, is the sweep-wide structured-log sink
 	// (already wrapped for line-atomic concurrent writes); each rig
 	// binds its own virtual clock to it via a private vlog handler.
@@ -62,12 +58,6 @@ func (o Options) newSweepShared() *sweepShared {
 		alerting:       o.alerting(),
 		alertIntervalS: o.SampleIntervalS,
 	}
-	if o.memoryEngine() {
-		// Unbounded within a sweep: resident bytes are bounded by the
-		// memo the store wraps, and close() purges everything.
-		sh.resident = mapreduce.NewResidentStore(sh.memo, 0)
-		sh.resident.Retain()
-	}
 	if o.LogWriter != nil {
 		sh.logW = vlog.LockWriter(o.LogWriter)
 		sh.logLevel = o.LogLevel
@@ -78,14 +68,9 @@ func (o Options) newSweepShared() *sweepShared {
 	return sh
 }
 
-// close stops the pool's workers and purges the resident store once
-// the sweep's cells have drained. Safe on a sweep without either.
-func (s *sweepShared) close() {
-	if s.resident != nil {
-		s.resident.Release()
-	}
-	s.pool.Close()
-}
+// close stops the pool's workers once the sweep's cells have drained.
+// Safe on a sweep without a pool.
+func (s *sweepShared) close() { s.pool.Close() }
 
 // rig is one experiment's simulated test bench.
 type rig struct {
@@ -118,7 +103,6 @@ func newRig(sched mapreduce.TaskScheduler, multiUser bool, sh *sweepShared, trac
 	mrCfg := mapreduce.DefaultConfig()
 	mrCfg.MapOutputCache = sh.memo
 	mrCfg.ScanExecutor = sh.pool
-	mrCfg.ResidentStore = sh.resident
 	mrCfg.InputPath = sh.inputPath
 	if traced {
 		mrCfg.Trace = trace.Config{Enabled: true}

@@ -67,10 +67,6 @@ type Session struct {
 	seed     int64
 	queries  int64
 	stats    *qstats.Registry
-	// resident is the session's claim on the runtime's resident store
-	// (memory engine mode); released by Close.
-	resident *mapreduce.ResidentStore
-	closed   bool
 }
 
 // NewSession creates a session for the given user. policies may be nil
@@ -101,35 +97,6 @@ func (s *Session) Get(key, def string) string {
 		return v
 	}
 	return def
-}
-
-// SetResidentStore attaches the runtime's resident store to the
-// session's lifecycle: the session takes a retain claim that Close
-// releases, so per-session resident state (partitioned map outputs,
-// pinned blocks) is dropped when the last session using the store goes
-// away. A nil store is a no-op.
-func (s *Session) SetResidentStore(rs *mapreduce.ResidentStore) {
-	if rs == nil || s.resident != nil {
-		return
-	}
-	s.resident = rs
-	rs.Retain()
-}
-
-// Close releases the session's per-session resources — today its
-// resident-store claim; the store purges resident parts and unpins
-// blocks when the last claim drops. Idempotent; the session must not
-// be used after Close.
-func (s *Session) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.resident != nil {
-		s.resident.Release()
-		s.resident = nil
-	}
-	return nil
 }
 
 // SetQueryStats wires the per-query observability registry into the

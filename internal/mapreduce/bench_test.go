@@ -90,62 +90,6 @@ func BenchmarkMapCompletion(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaShuffle measures a repeat job served from a resident
-// store: every map attempt hits an already-partitioned, pre-sorted
-// part, so the per-iteration cost is the delta-shuffle hot path —
-// chunk handoff, k-way reduce merge, no scan and no re-sort. Compare
-// ns/op and allocs/op against BenchmarkMapCompletion, the cold path
-// over the same geometry.
-func BenchmarkDeltaShuffle(b *testing.B) {
-	eng := sim.NewEngine()
-	cl := cluster.New(eng, cluster.PaperConfig())
-	fs := dfs.New(cl)
-	schema := data.NewSchema("K", "V")
-	var srcs []data.Source
-	for p := 0; p < 8; p++ {
-		recs := make([]data.Record, 500)
-		for j := range recs {
-			recs[j] = data.NewRecord(schema, []data.Value{
-				data.Int(int64(j % 16)), data.Int(int64(j)),
-			})
-		}
-		srcs = append(srcs, data.NewSliceSource(schema, recs))
-	}
-	f, err := fs.Create("in", srcs, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.ResidentStore = NewResidentStore(nil, 0)
-	jt := NewJobTracker(cl, cfg, nil)
-	conf := NewJobConf()
-	conf.SetInt(ConfNumReduces, 4)
-	spec := JobSpec{
-		Conf: conf,
-		NewMapper: func(*JobConf) Mapper {
-			return MapperFunc(func(rec data.Record, out *Collector) error {
-				out.Emit(rec.MustGet("K").String(), rec)
-				return nil
-			})
-		},
-		NewReducer: func(*JobConf) Reducer { return IdentityReducer },
-		MemoKey:    "bench|delta",
-	}
-	// Warm the store so every timed iteration runs resident.
-	warm := jt.Submit(spec, SplitsForFile(f))
-	if !RunUntilDone(eng, warm, eng.Now()+1e6) {
-		b.Fatal("warm job stuck")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		job := jt.Submit(spec, SplitsForFile(f))
-		if !RunUntilDone(eng, job, eng.Now()+1e6) {
-			b.Fatal("job stuck")
-		}
-	}
-}
-
 // BenchmarkSingleReduceShuffle measures a static job shaped like a
 // full-result SELECT (160 splits of 150 matches each, every pair under
 // one key, one reduce) with every map output already memoised: the

@@ -11,7 +11,7 @@ import (
 // is prunable, real scan work — for just the blocks actually read.
 const (
 	// InputPathFull reads every block of every split: the seed
-	// behaviour, byte-identical at every worker count and engine mode.
+	// behaviour, byte-identical at every worker count.
 	InputPathFull = "full"
 	// InputPathSkip reads only the statistics sub-blocks that admit at
 	// least one record matching the job's FilterFingerprint.
@@ -102,8 +102,8 @@ func (jt *JobTracker) scanCharge(j *Job, sp Split) scanCharge {
 // scanSource returns the source a map attempt's real record scan runs
 // over: the block's source, or its pruned view under skip/index when
 // the job declares a filter fingerprint the source has statistics for.
-// Block identity — memo-cache, scan-executor and resident-store keys —
-// always uses the original source; only the scan itself is narrowed.
+// Block identity — memo-cache and scan-executor keys — always uses the
+// original source; only the scan itself is narrowed.
 func (jt *JobTracker) scanSource(j *Job, sp Split) data.Source {
 	src := sp.Block.Source
 	mode := jt.inputPath(j)

@@ -163,14 +163,6 @@ type Job struct {
 
 	output []KeyValue
 
-	// resident is set at submission when the runtime has a ResidentStore
-	// and the job declared a MemoKey: map completions then consult the
-	// store for already-partitioned output, and every chunk in mapOutput
-	// is a stably-sorted run (see reduceGroups). held are the
-	// resident parts this job references, released at termination.
-	resident bool
-	held     []*residentPart
-
 	// mapDurations records completed map attempt durations, feeding the
 	// speculative-execution median.
 	mapDurations []float64

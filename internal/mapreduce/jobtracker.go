@@ -7,7 +7,6 @@ import (
 	"log/slog"
 
 	"dynamicmr/internal/cluster"
-	"dynamicmr/internal/data"
 	"dynamicmr/internal/mapreduce/executor"
 	"dynamicmr/internal/sim"
 	"dynamicmr/internal/trace"
@@ -90,14 +89,6 @@ type Config struct {
 	// computation. Virtual-time costs are charged either way, so a hit
 	// saves real wall-clock without perturbing simulated results.
 	MapOutputCache *MapOutputCache
-	// ResidentStore, when non-nil, enables the memory engine mode: jobs
-	// that declare a MemoKey keep their map outputs resident in the
-	// store, already partitioned and sorted, across the jobs of a
-	// session (see ResidentStore). Like the MapOutputCache it only saves
-	// real wall-clock and allocations — virtual time and output are
-	// byte-identical to a nil-store runtime. When set and MapOutputCache
-	// is nil, the store's own memo cache is used.
-	ResidentStore *ResidentStore
 	// ScanExecutor, when non-nil, runs the real record scans of pure
 	// map tasks (jobs declaring a MemoKey) on a worker pool off the
 	// simulator thread: the scan is submitted when an attempt's phase
@@ -257,9 +248,6 @@ func NewJobTracker(c *cluster.Cluster, cfg Config, sched TaskScheduler) *JobTrac
 	}
 	if sched == nil {
 		sched = NewFIFOScheduler()
-	}
-	if cfg.ResidentStore != nil && cfg.MapOutputCache == nil {
-		cfg.MapOutputCache = cfg.ResidentStore.Memo()
 	}
 	jt := &JobTracker{eng: c.Eng, cluster: c, cfg: cfg, sched: sched,
 		tracer: trace.New(cfg.Trace), logger: vlog.Or(cfg.Logger)}
@@ -421,7 +409,6 @@ func (jt *JobTracker) Submit(spec JobSpec, splits []Split) *Job {
 	if j.numReduces < 1 {
 		j.numReduces = 1
 	}
-	j.resident = jt.cfg.ResidentStore != nil && spec.MemoKey != ""
 	j.mapOutput = make([][]mapChunk, j.numReduces)
 	for r := 0; r < j.numReduces; r++ {
 		j.reduceTasks = append(j.reduceTasks, &ReduceTask{Job: j, Index: r, Node: -1})
@@ -618,7 +605,6 @@ func (jt *JobTracker) failJob(j *Job, why string) {
 	j.pendingMaps = nil
 	j.pendingReduces = nil
 	j.FinishTime = jt.eng.Now()
-	jt.releaseResident(j)
 	jt.traceJobEnd(j, trace.OutcomeFailed, mapDone)
 	if jt.logEnabled(slog.LevelWarn) {
 		args := []any{
@@ -672,39 +658,10 @@ func (jt *JobTracker) traceJobEnd(j *Job, outcome string, mapDone bool) {
 	tr.Inc(trace.CounterJobsFinished, 1)
 }
 
-// releaseResident drops the job's references on resident parts once no
-// further task of the job can read its shuffle state.
-func (jt *JobTracker) releaseResident(j *Job) {
-	if len(j.held) == 0 {
-		return
-	}
-	jt.cfg.ResidentStore.releaseParts(j.held)
-	j.held = nil
-}
-
-// HintResidency marks the splits' sources as session-hot in the
-// resident store (no-op without one): the Input Provider's round loop
-// calls it as GROW verdicts hand the job more splits, so the LRU
-// standing of a session's working set tracks the query's growth rather
-// than only completion order.
-func (jt *JobTracker) HintResidency(splits []Split) {
-	rs := jt.cfg.ResidentStore
-	if rs == nil || len(splits) == 0 {
-		return
-	}
-	srcs := make([]data.Source, len(splits))
-	for i, s := range splits {
-		srcs[i] = s.Block.Source
-	}
-	rs.touch(srcs)
-	jt.tracer.Inc(trace.CounterResidencyHints, 1)
-}
-
 // completeJob finalises a successful job.
 func (jt *JobTracker) completeJob(j *Job) {
 	j.state = StateSucceeded
 	j.FinishTime = jt.eng.Now()
-	jt.releaseResident(j)
 	jt.traceJobEnd(j, trace.OutcomeOK, true)
 	if jt.logEnabled(slog.LevelInfo) {
 		args := []any{

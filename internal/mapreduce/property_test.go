@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -96,74 +95,6 @@ func TestRandomJobGeometryProperty(t *testing.T) {
 		cs := jt.ClusterStatus()
 		if cs.OccupiedMapSlots != 0 || cs.OccupiedReduces != 0 {
 			t.Fatalf("trial %d: slots leaked: %+v", trial, cs)
-		}
-	}
-}
-
-// TestResidentReuseProperty checks, over randomised job geometries,
-// that resident-part reuse never aliases memory another job mutates.
-// Each trial replays the same submission sequence on a baseline rig
-// and a memory-mode rig: two keyed jobs (store, then serve resident),
-// a burst of keyless churn jobs (these recycle collector buffers —
-// the aliasing hazard), then a final keyed job served from parts that
-// survived the churn. Every position must be byte-identical across
-// modes, and the store must end with zero live part references.
-func TestResidentReuseProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 10; trial++ {
-		blocks := 1 + rng.Intn(20)
-		recsEach := 1 + rng.Intn(30)
-		reduces := 1 + rng.Intn(4)
-		churn := 1 + rng.Intn(3)
-		srcs := makeSrcs(blocks, recsEach)
-
-		keyed := func() JobSpec {
-			conf := NewJobConf()
-			conf.SetInt(ConfNumReduces, int64(reduces))
-			return JobSpec{
-				Conf:      conf,
-				NewMapper: func(*JobConf) Mapper { return countMapper{} },
-				MemoKey:   "prop|keyed",
-			}
-		}
-		keyless := func() JobSpec {
-			return JobSpec{
-				Conf:      NewJobConf(),
-				NewMapper: func(*JobConf) Mapper { return dummyKeyMapper{} },
-			}
-		}
-
-		run := func(store *ResidentStore) []*Job {
-			var r *testRig
-			if store != nil {
-				r = newResidentRig(t, store)
-			} else {
-				r = newRig(t, nil)
-			}
-			f, err := r.fs.Create("in", srcs, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var jobs []*Job
-			jobs = append(jobs, runOK(t, r, keyed(), f), runOK(t, r, keyed(), f))
-			for i := 0; i < churn; i++ {
-				jobs = append(jobs, runOK(t, r, keyless(), f))
-			}
-			return append(jobs, runOK(t, r, keyed(), f))
-		}
-
-		base := run(nil)
-		store := NewResidentStore(nil, 0)
-		mem := run(store)
-		st := store.Stats()
-		if st.Hits == 0 {
-			t.Fatalf("trial %d: no resident hits (blocks=%d reduces=%d)", trial, blocks, reduces)
-		}
-		if st.LiveRefs != 0 {
-			t.Fatalf("trial %d: %d live part references leaked", trial, st.LiveRefs)
-		}
-		for i := range base {
-			mustMatch(t, fmt.Sprintf("trial %d job %d", trial, i+1), base[i], mem[i])
 		}
 	}
 }

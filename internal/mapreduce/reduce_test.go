@@ -101,13 +101,12 @@ func sameRecords(a, b []data.Record) bool {
 }
 
 // TestReduceGroupsProperty runs random chunk geometries — sorted and in
-// order, sorted but overlapping, unsorted — through execReducer in both
-// engine modes and checks every reducer sees exactly the reference
-// groups. Memory mode gets each chunk stably sorted first, as resident
-// admission leaves it, against the same reference. Three reducers run:
-// identity; one that appends to its values and keeps the result (the
-// append must neither reach the next group nor be overwritten by it);
-// and one that keeps every values slice, re-checked after the task.
+// order, sorted but overlapping, unsorted — through execReducer and
+// checks every reducer sees exactly the reference groups. Three
+// reducers run: identity; one that appends to its values and keeps the
+// result (the append must neither reach the next group nor be
+// overwritten by it); and one that keeps every values slice, re-checked
+// after the task.
 func TestReduceGroupsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	r := newRig(t, nil)
@@ -116,81 +115,71 @@ func TestReduceGroupsProperty(t *testing.T) {
 		geom := trial % 3
 		chunks := randomChunks(rng, geom)
 		want := referenceGroups(chunks)
-		for _, resident := range []bool{false, true} {
-			in := chunks
-			if resident {
-				in = make([]mapChunk, len(chunks))
-				for c := range chunks {
-					in[c].pairs = append([]KeyValue(nil), chunks[c].pairs...)
-					sortPairsStable(in[c].pairs)
+		var seen []refGroup
+		reducers := map[string]Reducer{
+			"identity": IdentityReducer,
+			"append": ReducerFunc(func(key string, values []data.Record, out *Collector) error {
+				values = append(values, sentinel)
+				seen = append(seen, refGroup{key, values})
+				for _, v := range values {
+					out.Emit(key, v)
+				}
+				return nil
+			}),
+			"keep": ReducerFunc(func(key string, values []data.Record, out *Collector) error {
+				seen = append(seen, refGroup{key, values})
+				out.Emit(key, values[0])
+				return nil
+			}),
+		}
+		for name, red := range reducers {
+			seen = nil
+			j := &Job{Conf: NewJobConf(),
+				Spec: JobSpec{NewReducer: func(*JobConf) Reducer { return red }}}
+			out, err := r.jt.execReducer(&ReduceTask{Job: j}, chunks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("trial %d geom %d reducer %s", trial, geom, name)
+			var wantOut []KeyValue
+			for _, g := range want {
+				switch name {
+				case "identity":
+					for _, v := range g.vals {
+						wantOut = append(wantOut, KeyValue{g.key, v})
+					}
+				case "append":
+					for _, v := range append(g.vals[:len(g.vals):len(g.vals)], sentinel) {
+						wantOut = append(wantOut, KeyValue{g.key, v})
+					}
+				case "keep":
+					wantOut = append(wantOut, KeyValue{g.key, g.vals[0]})
 				}
 			}
-			var seen []refGroup
-			reducers := map[string]Reducer{
-				"identity": IdentityReducer,
-				"append": ReducerFunc(func(key string, values []data.Record, out *Collector) error {
-					values = append(values, sentinel)
-					seen = append(seen, refGroup{key, values})
-					for _, v := range values {
-						out.Emit(key, v)
-					}
-					return nil
-				}),
-				"keep": ReducerFunc(func(key string, values []data.Record, out *Collector) error {
-					seen = append(seen, refGroup{key, values})
-					out.Emit(key, values[0])
-					return nil
-				}),
+			got := out.Pairs()
+			if len(got) != len(wantOut) {
+				t.Fatalf("%s: %d output pairs, want %d", ctx, len(got), len(wantOut))
 			}
-			for name, red := range reducers {
-				seen = nil
-				j := &Job{Conf: NewJobConf(), resident: resident,
-					Spec: JobSpec{NewReducer: func(*JobConf) Reducer { return red }}}
-				out, err := r.jt.execReducer(&ReduceTask{Job: j}, in)
-				if err != nil {
-					t.Fatal(err)
+			for i := range got {
+				if got[i].Key != wantOut[i].Key || got[i].Value.String() != wantOut[i].Value.String() {
+					t.Fatalf("%s: output %d = (%q, %s), want (%q, %s)", ctx, i,
+						got[i].Key, got[i].Value, wantOut[i].Key, wantOut[i].Value)
 				}
-				ctx := fmt.Sprintf("trial %d geom %d resident %v reducer %s", trial, geom, resident, name)
-				var wantOut []KeyValue
-				for _, g := range want {
-					switch name {
-					case "identity":
-						for _, v := range g.vals {
-							wantOut = append(wantOut, KeyValue{g.key, v})
-						}
-					case "append":
-						for _, v := range append(g.vals[:len(g.vals):len(g.vals)], sentinel) {
-							wantOut = append(wantOut, KeyValue{g.key, v})
-						}
-					case "keep":
-						wantOut = append(wantOut, KeyValue{g.key, g.vals[0]})
-					}
+			}
+			if name == "identity" {
+				continue
+			}
+			// Re-check what the reducer kept, now the task is over.
+			if len(seen) != len(want) {
+				t.Fatalf("%s: %d groups, want %d", ctx, len(seen), len(want))
+			}
+			for g := range want {
+				wantVals := want[g].vals
+				if name == "append" {
+					wantVals = append(wantVals[:len(wantVals):len(wantVals)], sentinel)
 				}
-				got := out.Pairs()
-				if len(got) != len(wantOut) {
-					t.Fatalf("%s: %d output pairs, want %d", ctx, len(got), len(wantOut))
-				}
-				for i := range got {
-					if got[i].Key != wantOut[i].Key || got[i].Value.String() != wantOut[i].Value.String() {
-						t.Fatalf("%s: output %d = (%q, %s), want (%q, %s)", ctx, i,
-							got[i].Key, got[i].Value, wantOut[i].Key, wantOut[i].Value)
-					}
-				}
-				if name == "identity" {
-					continue
-				}
-				// Re-check what the reducer kept, now the task is over.
-				if len(seen) != len(want) {
-					t.Fatalf("%s: %d groups, want %d", ctx, len(seen), len(want))
-				}
-				for g := range want {
-					wantVals := want[g].vals
-					if name == "append" {
-						wantVals = append(wantVals[:len(wantVals):len(wantVals)], sentinel)
-					}
-					if seen[g].key != want[g].key || !sameRecords(seen[g].vals, wantVals) {
-						t.Fatalf("%s: kept group %d (%q) changed after the task", ctx, g, want[g].key)
-					}
+				if seen[g].key != want[g].key || !sameRecords(seen[g].vals, wantVals) {
+					t.Fatalf("%s: kept group %d (%q) changed after the task", ctx, g, want[g].key)
 				}
 			}
 		}
@@ -307,7 +296,7 @@ func TestCollectorSortedHint(t *testing.T) {
 
 // TestSharedMapOutputUnmodified memoises a job's map output, then runs
 // further jobs over the same MapOutputCache in every combination of 1
-// and 4 reduces, default and memory mode, scan pool off and on. The
+// and 4 reduces, scan pool off and on, and two reducers. The
 // memoised collectors — which single-reduce chunks now reference
 // instead of copying — must come out unchanged, and no job's Output()
 // may share a backing array with another job's or with the memo.
@@ -339,7 +328,7 @@ func TestSharedMapOutputUnmodified(t *testing.T) {
 		}
 		return nil
 	})
-	run := func(cache *MapOutputCache, reduces int, memory bool, pool *executor.Pool, red Reducer) *Job {
+	run := func(cache *MapOutputCache, reduces int, pool *executor.Pool, red Reducer) *Job {
 		eng := sim.NewEngine()
 		cl := cluster.New(eng, cluster.PaperConfig())
 		f, err := dfs.New(cl).Create("in", srcs, 1)
@@ -349,12 +338,9 @@ func TestSharedMapOutputUnmodified(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.MapOutputCache = cache
 		cfg.ScanExecutor = pool
-		if memory {
-			cfg.ResidentStore = NewResidentStore(cache, 0)
-		}
 		j := NewJobTracker(cl, cfg, nil).Submit(spec(reduces, red), SplitsForFile(f))
 		if !RunUntilDone(eng, j, 1e7) || j.State() != StateSucceeded {
-			t.Fatalf("reduces=%d memory=%v pool=%v: state %v (%s)", reduces, memory, pool != nil, j.State(), j.Failure())
+			t.Fatalf("reduces=%d pool=%v: state %v (%s)", reduces, pool != nil, j.State(), j.Failure())
 		}
 		return j
 	}
@@ -373,7 +359,7 @@ func TestSharedMapOutputUnmodified(t *testing.T) {
 	}
 
 	cache := NewMapOutputCache()
-	jobs := []*Job{run(cache, 1, false, nil, IdentityReducer)}
+	jobs := []*Job{run(cache, 1, nil, IdentityReducer)}
 	before := snapshot(cache)
 	if len(before) != len(srcs) {
 		t.Fatalf("memoised %d splits, want %d", len(before), len(srcs))
@@ -381,11 +367,9 @@ func TestSharedMapOutputUnmodified(t *testing.T) {
 	pool := executor.NewPool(2)
 	defer pool.Close()
 	for _, reduces := range []int{1, 4} {
-		for _, memory := range []bool{false, true} {
-			for _, p := range []*executor.Pool{nil, pool} {
-				for _, red := range []Reducer{IdentityReducer, appending} {
-					jobs = append(jobs, run(cache, reduces, memory, p, red))
-				}
+		for _, p := range []*executor.Pool{nil, pool} {
+			for _, red := range []Reducer{IdentityReducer, appending} {
+				jobs = append(jobs, run(cache, reduces, p, red))
 			}
 		}
 	}

@@ -249,7 +249,6 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 
 	failed := false
 	var out *Collector
-	var rp *residentPart
 	var err error
 	switch {
 	case jt.cfg.FailureInjector != nil && jt.cfg.FailureInjector(j, t):
@@ -257,20 +256,6 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 		// result stays reusable via the cache for the retry).
 		failed = true
 		err = fmt.Errorf("injected failure")
-	case j.resident:
-		// Memory engine mode: a resident part from a prior job of the
-		// session replaces both the scan join and the mapper run — the
-		// delta-shuffle hit. A miss takes the baseline path and admits
-		// the freshly partitioned output below.
-		rp = jt.cfg.ResidentStore.acquire(t.Split.Block.Source, jt.effMemo(j), j.numReduces)
-		if rp == nil {
-			if scan != nil {
-				out, err = jt.joinScan(scan)
-			} else {
-				out, err = jt.execMapper(t)
-			}
-			failed = err != nil
-		}
 	case scan != nil:
 		// Event-order join of the scan submitted at attempt start.
 		out, err = jt.joinScan(scan)
@@ -314,101 +299,60 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 		jt.killAttempt(t.running[0])
 	}
 
-	if rp != nil {
-		// Delta-shuffle hit: the split's output is already partitioned
-		// (and each partition stably sorted) in the resident store;
-		// reference the shared runs directly instead of re-partitioning.
-		// Only the node tag is per-job — chunk content and byte counts
-		// are identical to what the baseline build would produce, so
-		// shuffle accounting and reduce input are unchanged.
-		for p := range rp.chunks {
-			if len(rp.chunks[p].pairs) > 0 {
-				j.mapOutput[p] = append(j.mapOutput[p], mapChunk{
-					node: tt.node.ID, pairs: rp.chunks[p].pairs, bytes: rp.chunks[p].bytes})
-			}
-		}
-		j.held = append(j.held, rp)
-		j.Counters.MapOutputRecords += rp.records
-		j.Counters.MapOutputBytes += rp.bytes
-		j.Counters.mergeUser(rp.user)
-		jt.tracer.Inc(trace.CounterDeltaShuffleHits, 1)
-	} else {
-		// Partition output by key and stash for the shuffle, tagged with
-		// the producing node. byPart is indexed by partition (a map here
-		// was allocation-heavy — see BenchmarkMapCompletion); chunks are
-		// counted first so each backing array is allocated exactly once.
-		//
-		// A shared collector — an async-scan result the cache or a
-		// singleflight future may hold, or an inline scan memoised in
-		// the cache — is immutable and outlives this job, so a
-		// single-reduce chunk references its pairs (capacity-capped)
-		// instead of copying them. Memory mode copies anyway: the
-		// resident part sorts its chunks in place.
-		//
-		// Every chunk inherits the collector's sorted hint: a partition
-		// of a key-sorted output is key-sorted too.
-		pairs := out.Pairs()
-		shared := scan != nil || (jt.cfg.MapOutputCache != nil && j.Spec.MemoKey != "")
-		byPart := make([]mapChunk, j.numReduces)
-		if j.numReduces == 1 {
-			c := &byPart[0]
-			c.node = tt.node.ID
-			if shared && !j.resident {
-				c.pairs = pairs[:len(pairs):len(pairs)]
-			} else {
-				c.pairs = append(make([]KeyValue, 0, len(pairs)), pairs...)
-			}
-			c.bytes = out.Bytes()
-			c.sorted = !out.unsorted
+	// Partition output by key and stash for the shuffle, tagged with
+	// the producing node. byPart is indexed by partition (a map here
+	// was allocation-heavy — see BenchmarkMapCompletion); chunks are
+	// counted first so each backing array is allocated exactly once.
+	//
+	// A shared collector — an async-scan result the cache or a
+	// singleflight future may hold, or an inline scan memoised in
+	// the cache — is immutable and outlives this job, so a
+	// single-reduce chunk references its pairs (capacity-capped)
+	// instead of copying them.
+	//
+	// Every chunk inherits the collector's sorted hint: a partition
+	// of a key-sorted output is key-sorted too.
+	pairs := out.Pairs()
+	shared := scan != nil || (jt.cfg.MapOutputCache != nil && j.Spec.MemoKey != "")
+	byPart := make([]mapChunk, j.numReduces)
+	if j.numReduces == 1 {
+		c := &byPart[0]
+		c.node = tt.node.ID
+		if shared {
+			c.pairs = pairs[:len(pairs):len(pairs)]
 		} else {
-			counts := make([]int, j.numReduces)
-			for _, kv := range pairs {
-				counts[partition(kv.Key, j.numReduces)]++
-			}
-			for p, n := range counts {
-				if n > 0 {
-					byPart[p] = mapChunk{node: tt.node.ID, pairs: make([]KeyValue, 0, n), sorted: !out.unsorted}
-				}
-			}
-			for _, kv := range pairs {
-				c := &byPart[partition(kv.Key, j.numReduces)]
-				c.pairs = append(c.pairs, kv)
-				c.bytes += int64(len(kv.Key) + kv.Value.EncodedSize())
+			c.pairs = append(make([]KeyValue, 0, len(pairs)), pairs...)
+		}
+		c.bytes = out.Bytes()
+		c.sorted = !out.unsorted
+	} else {
+		counts := make([]int, j.numReduces)
+		for _, kv := range pairs {
+			counts[partition(kv.Key, j.numReduces)]++
+		}
+		for p, n := range counts {
+			if n > 0 {
+				byPart[p] = mapChunk{node: tt.node.ID, pairs: make([]KeyValue, 0, n), sorted: !out.unsorted}
 			}
 		}
-		if j.resident {
-			// Sort each partition's run in place and admit the part; the
-			// job's own chunks reference the same arrays, so the store
-			// and the shuffle share one copy. If a concurrent runtime
-			// admitted this split first, its (identical) part wins and
-			// this job still uses the local arrays.
-			store := jt.cfg.ResidentStore
-			part := newResidentPart(
-				residentKey{t.Split.Block.Source, jt.effMemo(j), j.numReduces},
-				t.Split.Block, byPart, out)
-			part, evicted := store.admit(part)
-			j.held = append(j.held, part)
-			if tr := jt.tracer; tr.Enabled() {
-				tr.Inc(trace.CounterResidentStores, 1)
-				tr.Inc(trace.CounterResidentEvicted, int64(evicted))
-				st := store.Stats()
-				tr.SetGauge(trace.GaugeResidentBytes, float64(st.ResidentBytes))
-				tr.SetGauge(trace.GaugePinnedBytes, float64(st.PinnedBytes))
-			}
+		for _, kv := range pairs {
+			c := &byPart[partition(kv.Key, j.numReduces)]
+			c.pairs = append(c.pairs, kv)
+			c.bytes += int64(len(kv.Key) + kv.Value.EncodedSize())
 		}
-		for p := range byPart {
-			if len(byPart[p].pairs) > 0 {
-				j.mapOutput[p] = append(j.mapOutput[p], byPart[p])
-			}
+	}
+	for p := range byPart {
+		if len(byPart[p].pairs) > 0 {
+			j.mapOutput[p] = append(j.mapOutput[p], byPart[p])
 		}
-		j.Counters.MapOutputRecords += int64(out.Len())
-		j.Counters.MapOutputBytes += out.Bytes()
-		j.Counters.mergeUser(out.UserCounters())
-		// An exclusively owned collector's pairs were copied into the
-		// chunks above; recycle its backing array.
-		if !shared {
-			recycleCollector(out)
-		}
+	}
+	j.Counters.MapOutputRecords += int64(out.Len())
+	j.Counters.MapOutputBytes += out.Bytes()
+	j.Counters.mergeUser(out.UserCounters())
+	// An exclusively owned collector's pairs were copied into the
+	// chunks above; recycle its backing array.
+	if !shared {
+		recycleCollector(out)
 	}
 
 	// Input accounting matches what the attempt's read phase charged:
@@ -754,6 +698,88 @@ func reduceGroups(chunks []mapChunk, reducer Reducer, out *Collector) error {
 		return reducer.Reduce(key, vals[start:n:n], out)
 	}
 	return nil
+}
+
+// mergeSortedChunks merges one partition's key-sorted chunk runs, total
+// pairs in all, into a single key-sorted slice with exact
+// preallocation: a k-way merge on a binary min-heap of chunk heads,
+// O(n log k). Ties across chunks resolve to the lower chunk position,
+// which together with the per-run order reproduces exactly what
+// sortPairs (stable sort of the concatenation in chunk order) would
+// produce — without the O(n log n) sort on the reduce hot path. Chunks
+// whose key ranges are already in order need no merge at all;
+// reduceGroups walks them in place.
+func mergeSortedChunks(chunks []mapChunk, total int) []KeyValue {
+	pairs := make([]KeyValue, 0, total)
+	type head struct {
+		chunk int
+		idx   int
+	}
+	heap := make([]head, 0, len(chunks))
+	less := func(a, b head) bool {
+		ka, kb := chunks[a.chunk].pairs[a.idx].Key, chunks[b.chunk].pairs[b.idx].Key
+		if ka != kb {
+			return ka < kb
+		}
+		return a.chunk < b.chunk
+	}
+	siftDown := func(i int) {
+		for {
+			l := 2*i + 1
+			if l >= len(heap) {
+				return
+			}
+			if r := l + 1; r < len(heap) && less(heap[r], heap[l]) {
+				l = r
+			}
+			if !less(heap[l], heap[i]) {
+				return
+			}
+			heap[i], heap[l] = heap[l], heap[i]
+			i = l
+		}
+	}
+	for c := range chunks {
+		if len(chunks[c].pairs) > 0 {
+			heap = append(heap, head{chunk: c})
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	for len(heap) > 0 && len(pairs) < total {
+		top := heap[0]
+		run := chunks[top.chunk].pairs
+		// Gallop: drain the winning chunk while its next key still beats
+		// every other head (only the runner-up matters in a binary heap).
+		stop := len(run)
+		if len(heap) > 1 {
+			next := heap[1]
+			if len(heap) > 2 && less(heap[2], next) {
+				next = heap[2]
+			}
+			nk := chunks[next.chunk].pairs[next.idx].Key
+			for i := top.idx; i < stop; i++ {
+				k := run[i].Key
+				if k > nk || (k == nk && top.chunk > next.chunk) {
+					stop = i
+					break
+				}
+			}
+		}
+		pairs = append(pairs, run[top.idx:stop]...)
+		if stop < len(run) {
+			heap[0].idx = stop
+			siftDown(0)
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+			if len(heap) > 0 {
+				siftDown(0)
+			}
+		}
+	}
+	return pairs
 }
 
 // reducePrefix appends each key group's first limit pairs of the

@@ -20,19 +20,17 @@ func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
 		dump   qstats.Dump
 		vt     float64
 		recent []Snapshot
-		engine *EngineStats
 		scan   *ScanStats
 		trends tsdb.Dump
 		alerts tsdb.AlertsDump
 	)
 	if p := s.publishedState(); p != nil {
-		dump, vt, recent, engine = p.dump, p.vt, p.recent, p.engine
+		dump, vt, recent = p.dump, p.vt, p.recent
 		scan, trends, alerts = p.scan, p.trends, p.alerts
 	} else {
 		s.mu.Lock()
 		dump = s.qs.Dump()
 		vt = s.samp.JobTracker().Engine().Now()
-		engine = engineStats(s.samp.JobTracker().Tracer())
 		scan = scanStats(s.samp.JobTracker())
 		if s.db.Enabled() {
 			trends = s.db.Dump()
@@ -100,14 +98,6 @@ th { background: #1b2128; color: #8fbcbb; } td:first-child, th:first-child { tex
 		}
 		fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%.1f%%</td></tr>\n",
 			html.EscapeString(scan.InputPath), scan.BlocksRead, scan.BlocksSkipped, pct)
-		b.WriteString("</table>\n")
-	}
-
-	if engine != nil {
-		b.WriteString("<h2>Session engine (memory mode)</h2>\n<table><tr><th>resident</th><th>pinned</th><th>delta-shuffle hits</th><th>parts stored</th><th>parts evicted</th><th>memo hits</th></tr>\n")
-		fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n",
-			fmtBytes(engine.ResidentBytes), fmtBytes(engine.PinnedBytes),
-			engine.DeltaShuffleHits, engine.ResidentStores, engine.ResidentEvictions, engine.MemoHits)
 		b.WriteString("</table>\n")
 	}
 
@@ -186,8 +176,6 @@ var liveTrendSeries = []struct {
 	{"cluster.running_jobs", "running jobs"},
 	{"scan.blocks_read", "blocks read"},
 	{"scan.blocks_skipped", "blocks skipped"},
-	{"engine.resident_bytes", "resident bytes"},
-	{"engine.pinned_bytes", "pinned bytes"},
 }
 
 // writeTrendPanels renders the tsdb-backed sparkline history panels:
@@ -275,20 +263,6 @@ func writeSparkline(b *strings.Builder, label string, snaps []Snapshot, val func
 		fmt.Fprintf(b, `<text x="4" y="12" fill="#616e7c" font-size="9">%.0f</text>`, ceil)
 	}
 	b.WriteString(`</svg></span>`)
-}
-
-// fmtBytes renders a byte level compactly (512 B, 37.2 KB, 4.1 MB).
-func fmtBytes(v float64) string {
-	switch {
-	case v >= 1<<30:
-		return fmt.Sprintf("%.2f GB", v/(1<<30))
-	case v >= 1<<20:
-		return fmt.Sprintf("%.1f MB", v/(1<<20))
-	case v >= 1<<10:
-		return fmt.Sprintf("%.1f KB", v/(1<<10))
-	default:
-		return fmt.Sprintf("%.0f B", v)
-	}
 }
 
 func clip(s string, n int) string {

@@ -2,9 +2,9 @@
 // a sampler driven by the simulated clock that periodically snapshots
 // every node's CPU and disk use, map/reduce slot occupancy, queue
 // depths, and per-policy Input Provider state — plus exporters for the
-// artifacts those snapshots feed: per-node time-series CSVs, a
-// slot-occupancy Gantt joined from trace spans, a self-contained HTML
-// run report, and a Prometheus/JSON HTTP surface (see server.go).
+// artifacts those snapshots feed: a slot-occupancy Gantt joined from
+// trace spans, a self-contained HTML run report, and a Prometheus/JSON
+// HTTP surface (see server.go).
 //
 // The sampler reads the same monotonic service integrals the paper's
 // §V-D monitoring tables are computed from, so a snapshot's interval
@@ -14,11 +14,6 @@
 package obs
 
 import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"sort"
-
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/trace"
 )
@@ -363,79 +358,3 @@ func (s *Sampler) Latest() (Snapshot, bool) {
 
 // JobTracker returns the runtime the sampler observes.
 func (s *Sampler) JobTracker() *mapreduce.JobTracker { return s.jt }
-
-// WriteNodeCSV writes the per-node time series in long form, one row
-// per (sample, node).
-func (s *Sampler) WriteNodeCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"time_s", "node", "cpu_util_pct", "disk_read_kb_s",
-		"map_slot_pct", "map_slots_used", "map_slots",
-		"reduce_slot_pct", "reduce_slots_used", "reduce_slots",
-	}); err != nil {
-		return err
-	}
-	f := func(v float64) string { return fmt.Sprintf("%.3f", v) }
-	for _, snap := range s.snaps {
-		for _, ns := range snap.Nodes {
-			if err := cw.Write([]string{
-				f(snap.Time), fmt.Sprint(ns.Node), f(ns.CPUUtilPct), f(ns.DiskReadKBs),
-				f(ns.MapSlotPct), fmt.Sprint(ns.MapSlotsUsed), fmt.Sprint(ns.MapSlots),
-				f(ns.ReduceSlotPct), fmt.Sprint(ns.ReduceSlotsUsed), fmt.Sprint(ns.ReduceSlots),
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteClusterCSV writes the cluster-level time series, one row per
-// sample, with queue depths and per-policy splits-granted columns.
-func (s *Sampler) WriteClusterCSV(w io.Writer) error {
-	// Stable policy column set: union over all snapshots, sorted.
-	polSet := map[string]bool{}
-	for _, snap := range s.snaps {
-		for _, ps := range snap.Policies {
-			polSet[ps.Policy] = true
-		}
-	}
-	policies := make([]string, 0, len(polSet))
-	for p := range polSet {
-		policies = append(policies, p)
-	}
-	sort.Strings(policies)
-
-	header := []string{
-		"time_s", "cpu_util_pct", "disk_read_kb_s", "network_util_pct",
-		"map_slot_pct", "reduce_slot_pct", "queued_maps", "queued_reduces", "running_jobs",
-	}
-	for _, p := range policies {
-		header = append(header, "splits_granted_"+p)
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return fmt.Sprintf("%.3f", v) }
-	for _, snap := range s.snaps {
-		row := []string{
-			f(snap.Time), f(snap.CPUUtilPct), f(snap.DiskReadKBs), f(snap.NetworkUtilPct),
-			f(snap.MapSlotPct), f(snap.ReduceSlotPct),
-			fmt.Sprint(snap.QueuedMaps), fmt.Sprint(snap.QueuedReduces), fmt.Sprint(snap.RunningJobs),
-		}
-		granted := map[string]int{}
-		for _, ps := range snap.Policies {
-			granted[ps.Policy] = ps.SplitsGranted
-		}
-		for _, p := range policies {
-			row = append(row, fmt.Sprint(granted[p]))
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"dynamicmr/internal/cluster"
@@ -163,35 +162,6 @@ func TestSamplerIdleAndRestart(t *testing.T) {
 	}
 }
 
-func TestNodeCSV(t *testing.T) {
-	eng, _, fs, jt := rig(t, true)
-	f := mkFile(t, fs, "in", 8, 200)
-	s := NewSampler(jt, Config{IntervalS: 5})
-	s.Start()
-	job := jt.Submit(mapreduce.JobSpec{NewMapper: nopMapper}, mapreduce.SplitsForFile(f))
-	mapreduce.RunUntilDone(eng, job, 1e6)
-	eng.RunUntil(eng.Now() + 10)
-
-	var nodeBuf, clusterBuf strings.Builder
-	if err := s.WriteNodeCSV(&nodeBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteClusterCSV(&clusterBuf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(nodeBuf.String()), "\n")
-	wantRows := len(s.Snapshots())*10 + 1
-	if len(lines) != wantRows {
-		t.Fatalf("node CSV rows = %d, want %d", len(lines), wantRows)
-	}
-	if !strings.HasPrefix(lines[0], "time_s,node,cpu_util_pct") {
-		t.Fatalf("node CSV header = %q", lines[0])
-	}
-	if !strings.HasPrefix(clusterBuf.String(), "time_s,cpu_util_pct") {
-		t.Fatalf("cluster CSV header = %q", strings.SplitN(clusterBuf.String(), "\n", 2)[0])
-	}
-}
-
 // TestGaugesPublished: sampling with tracing on mirrors cluster-level
 // readings into the tracer's gauge registry.
 func TestGaugesPublished(t *testing.T) {
@@ -203,14 +173,14 @@ func TestGaugesPublished(t *testing.T) {
 	mapreduce.RunUntilDone(eng, job, 1e6)
 	eng.RunUntil(eng.Now() + 2)
 
-	g, ok := jt.Tracer().Gauge(trace.GaugeCPUUtilPct)
+	g, ok := jt.Tracer().Gauges()[trace.GaugeCPUUtilPct]
 	if !ok {
 		t.Fatal("CPU gauge never set")
 	}
 	if g.Max <= 0 {
 		t.Fatalf("CPU gauge max = %v, want > 0 during a job", g.Max)
 	}
-	if _, ok := jt.Tracer().Gauge(trace.GaugeVirtualTime); !ok {
+	if _, ok := jt.Tracer().Gauges()[trace.GaugeVirtualTime]; !ok {
 		t.Fatal("virtual-time gauge never set")
 	}
 }

@@ -53,7 +53,6 @@ type published struct {
 	dump    qstats.Dump
 	vt      float64
 	recent  []Snapshot
-	engine  *EngineStats
 	scan    *ScanStats
 	// tsdbJSON / alertsJSON are the pre-rendered /tsdb and /alerts
 	// payloads; nil when no time-series engine is attached. trends and
@@ -116,7 +115,7 @@ func (s *Server) Publish() {
 		return
 	}
 	p := &published{metrics: metrics.Bytes(), status: statusJSON, dump: dump, vt: vt, recent: recent,
-		engine: status.Engine, scan: status.Scan}
+		scan: status.Scan}
 	if s.db.Enabled() {
 		p.trends, p.alerts = trends, alerts
 		p.tsdbJSON, _ = json.MarshalIndent(trends, "", "  ")
@@ -237,19 +236,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // StatusPayload is the /status JSON document.
 type StatusPayload struct {
-	VirtualTimeS    float64      `json:"virtual_time_s"`
-	ProcessedEvents int64        `json:"processed_events"`
-	RunningJobs     int          `json:"running_jobs"`
-	MapSlots        int          `json:"map_slots"`
-	MapSlotsUsed    int          `json:"map_slots_used"`
-	ReduceSlots     int          `json:"reduce_slots"`
-	ReduceSlotsUsed int          `json:"reduce_slots_used"`
-	QueuedMaps      int          `json:"queued_map_tasks"`
-	QueuedReduces   int          `json:"queued_reduce_tasks"`
-	Samples         int          `json:"samples"`
-	Engine          *EngineStats `json:"engine,omitempty"`
-	Scan            *ScanStats   `json:"scan,omitempty"`
-	Latest          *Snapshot    `json:"latest,omitempty"`
+	VirtualTimeS    float64    `json:"virtual_time_s"`
+	ProcessedEvents int64      `json:"processed_events"`
+	RunningJobs     int        `json:"running_jobs"`
+	MapSlots        int        `json:"map_slots"`
+	MapSlotsUsed    int        `json:"map_slots_used"`
+	ReduceSlots     int        `json:"reduce_slots"`
+	ReduceSlotsUsed int        `json:"reduce_slots_used"`
+	QueuedMaps      int        `json:"queued_map_tasks"`
+	QueuedReduces   int        `json:"queued_reduce_tasks"`
+	Samples         int        `json:"samples"`
+	Scan            *ScanStats `json:"scan,omitempty"`
+	Latest          *Snapshot  `json:"latest,omitempty"`
 }
 
 // ScanStats surfaces the input-path mode and its block-level effect:
@@ -279,39 +277,6 @@ func scanStats(jt *mapreduce.JobTracker) *ScanStats {
 	return &ScanStats{InputPath: mode, BlocksRead: read, BlocksSkipped: skipped}
 }
 
-// EngineStats surfaces the in-memory session engine's residency levels
-// (memory engine mode): bytes of resident shuffle partitions, modeled
-// bytes of pinned DFS blocks, and the cumulative reuse counters.
-// Present only when the runtime has set the residency gauges — a
-// baseline run reports no engine section at all.
-type EngineStats struct {
-	ResidentBytes     float64 `json:"resident_bytes"`
-	PinnedBytes       float64 `json:"pinned_bytes"`
-	DeltaShuffleHits  int64   `json:"delta_shuffle_hits"`
-	ResidentStores    int64   `json:"resident_stores"`
-	ResidentEvictions int64   `json:"resident_evictions"`
-	MemoHits          int64   `json:"memo_hits"`
-}
-
-// engineStats reads the session-engine gauges off a tracer, returning
-// nil when the residency gauges were never set (baseline mode or
-// tracing off).
-func engineStats(tr *trace.Tracer) *EngineStats {
-	resident, okR := tr.Gauge(trace.GaugeResidentBytes)
-	pinned, okP := tr.Gauge(trace.GaugePinnedBytes)
-	if !okR && !okP {
-		return nil
-	}
-	return &EngineStats{
-		ResidentBytes:     resident.Last,
-		PinnedBytes:       pinned.Last,
-		DeltaShuffleHits:  tr.Counter(trace.CounterDeltaShuffleHits),
-		ResidentStores:    tr.Counter(trace.CounterResidentStores),
-		ResidentEvictions: tr.Counter(trace.CounterResidentEvicted),
-		MemoHits:          tr.Counter(trace.CounterMemoHits),
-	}
-}
-
 // statusPayload builds the /status document. Caller holds the lock.
 func (s *Server) statusPayload() StatusPayload {
 	jt := s.samp.JobTracker()
@@ -327,7 +292,6 @@ func (s *Server) statusPayload() StatusPayload {
 		QueuedMaps:      st.QueuedMapTasks,
 		QueuedReduces:   st.QueuedReduceTasks,
 		Samples:         s.samp.SnapshotCount(),
-		Engine:          engineStats(jt.Tracer()),
 		Scan:            scanStats(jt),
 	}
 	if snap, ok := s.samp.Latest(); ok {

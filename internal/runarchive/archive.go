@@ -3,7 +3,7 @@
 // observability stack produced — trace spans, the Input Provider
 // decision audit log, the utilization timeline, the counter/gauge
 // registry, per-job diagnoses and the per-query registry dump — plus
-// the run configuration that produced it (policy, engine mode, scan
+// the run configuration that produced it (policy, input path, scan
 // workers, seed, git revision). It is the one output file of a run:
 // Render regenerates each single-run view from it (`dynmr render`),
 // and two archives are the inputs to diag.Compare / `dynmr diff`,
@@ -61,8 +61,6 @@ type RunConfig struct {
 	// Policy is the growth policy the run's queries used ("" when the
 	// run mixed policies; see Params).
 	Policy string `json:"policy,omitempty"`
-	// EngineMode is "baseline" or "memory".
-	EngineMode string `json:"engine_mode,omitempty"`
 	// InputPath is the map-task read path ("skip" or "index"; empty
 	// means the full-scan default, keeping full-mode archives
 	// byte-identical to those written before the field existed).

@@ -74,7 +74,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 			Tracer:       tr,
 			VirtualTimeS: vt,
 			Config: RunConfig{
-				Policy: "LA", EngineMode: "memory", ScanWorkers: r.Intn(8),
+				Policy: "LA", ScanWorkers: r.Intn(8),
 				Seed: seed, GitRev: "abc123def456",
 				Params: map[string]string{"figure": "6", "z": "2"},
 			},

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"os"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -45,4 +49,36 @@ func rewrite(t *testing.T, a *Archive) []byte {
 		t.Fatalf("rewriting an accepted archive: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// TestLoadAcceptsEngineMode pins backward compatibility: archives from
+// runtimes that still had an engine-mode choice carry "engine_mode" in
+// their manifest config. Load must accept them and keep every other
+// config field. The archive is FuzzLoad's engine_mode seed.
+func TestLoadAcceptsEngineMode(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzLoad/engine_mode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	ndjson, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("corpus entry: %v", err)
+	}
+	if !strings.Contains(ndjson, `"engine_mode":"memory"`) {
+		t.Fatal("seed no longer carries an engine_mode field")
+	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write([]byte(ndjson))
+	zw.Close()
+	a, err := Load(&gz)
+	if err != nil {
+		t.Fatalf("archive with engine_mode rejected: %v", err)
+	}
+	want := RunConfig{Policy: "LA", InputPath: "skip", ScanWorkers: 4, Seed: 7,
+		GitRev: "abc123", Params: map[string]string{"figure": "6"}}
+	if !reflect.DeepEqual(a.Manifest.Config, want) {
+		t.Fatalf("config = %+v, want %+v", a.Manifest.Config, want)
+	}
 }

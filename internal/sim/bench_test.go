@@ -46,16 +46,3 @@ func BenchmarkEventCancelChurn(b *testing.B) {
 	}
 	e.Run()
 }
-
-func BenchmarkFIFOQueue(b *testing.B) {
-	e := NewEngine()
-	q := NewFIFOQueue(e, "disk", 100)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Submit(1, nil)
-		if q.QueueLength() > 256 {
-			e.Run()
-		}
-	}
-	e.Run()
-}

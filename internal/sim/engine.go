@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock, an event queue, and contended resources (processor
-// sharing and FIFO). It is the substrate under the simulated cluster on
-// which the mini MapReduce runtime executes.
+// a virtual clock, an event queue, and processor-sharing contended
+// resources. It is the substrate under the simulated cluster on which
+// the mini MapReduce runtime executes.
 //
 // All times are in seconds of virtual time, represented as float64. The
 // engine is single-threaded; callbacks scheduled on the engine run one at

@@ -184,58 +184,3 @@ func TestWorkConservationProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestFIFOQueueServesInOrder(t *testing.T) {
-	e := NewEngine()
-	q := NewFIFOQueue(e, "disk", 10)
-	var order []int
-	var times []float64
-	for i := 0; i < 3; i++ {
-		i := i
-		q.Submit(10, func() { order = append(order, i); times = append(times, e.Now()) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order = %v, want FIFO", order)
-		}
-	}
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !almostEqual(times[i], want[i], 1e-9) {
-			t.Fatalf("completion times = %v, want %v", times, want)
-		}
-	}
-}
-
-func TestFIFOQueueLengthAndBusy(t *testing.T) {
-	e := NewEngine()
-	q := NewFIFOQueue(e, "disk", 1)
-	q.Submit(10, nil)
-	q.Submit(10, nil)
-	q.Submit(10, nil)
-	if !q.Busy() {
-		t.Fatal("queue should be busy")
-	}
-	if q.QueueLength() != 2 {
-		t.Fatalf("QueueLength = %d, want 2", q.QueueLength())
-	}
-	e.Run()
-	if q.Busy() || q.QueueLength() != 0 {
-		t.Fatal("queue should be drained")
-	}
-	if !almostEqual(q.UsedIntegral(), 30, 1e-9) {
-		t.Fatalf("UsedIntegral = %v, want 30", q.UsedIntegral())
-	}
-}
-
-func TestFIFOZeroWork(t *testing.T) {
-	e := NewEngine()
-	q := NewFIFOQueue(e, "disk", 1)
-	done := false
-	q.Submit(0, func() { done = true })
-	e.Run()
-	if !done {
-		t.Fatal("zero-work request never completed")
-	}
-}

@@ -30,21 +30,12 @@ const (
 	// skip/index input paths); under the full path nothing is skipped.
 	CounterScanBlocksRead    = "scan.blocks_read"
 	CounterScanBlocksSkipped = "scan.blocks_skipped"
-	// Session-engine residency metrics (internal/mapreduce.ResidentStore
-	// and the MapOutputCache). memo_hits/memo_misses surface the memo
-	// cache's Stats() per runtime: one increment per lookup, from either
-	// the scan-executor submit path or the inline execMapper path.
-	// delta_shuffle_hits counts map completions served from an already
-	// partitioned resident part (memory engine mode), resident_stores
-	// counts parts admitted, resident_evictions counts parts dropped by
-	// the bounded-memory policy, and residency_hints counts split batches
-	// the Input Provider round loop marked session-hot.
-	CounterMemoHits         = "engine.memo_hits"
-	CounterMemoMisses       = "engine.memo_misses"
-	CounterDeltaShuffleHits = "engine.delta_shuffle_hits"
-	CounterResidentStores   = "engine.resident_stores"
-	CounterResidentEvicted  = "engine.resident_evictions"
-	CounterResidencyHints   = "engine.residency_hints"
+	// Map-output memo metrics (internal/mapreduce.MapOutputCache):
+	// memo_hits/memo_misses surface the memo cache's Stats() per
+	// runtime: one increment per lookup, from either the scan-executor
+	// submit path or the inline execMapper path.
+	CounterMemoHits   = "engine.memo_hits"
+	CounterMemoMisses = "engine.memo_misses"
 
 	HistMapDuration    = "map.duration_s"
 	HistMapQueueWait   = "map.queue_wait_s"
@@ -60,10 +51,6 @@ const (
 	GaugeRunningJobs     = "cluster.running_jobs"
 	GaugeVirtualTime     = "sim.virtual_time_s"
 	GaugeProcessedEvents = "sim.processed_events"
-	// Residency levels: encoded bytes of resident shuffle partitions in
-	// the store, and modeled bytes of the DFS blocks it has pinned.
-	GaugeResidentBytes = "engine.resident_bytes"
-	GaugePinnedBytes   = "engine.pinned_bytes"
 )
 
 // HistogramSnapshot summarises one histogram's observations.
@@ -175,20 +162,6 @@ func (t *Tracer) SetGauge(name string, v float64) {
 	if v > g.Max {
 		g.Max = v
 	}
-}
-
-// Gauge returns the named gauge's snapshot and whether it was ever set.
-func (t *Tracer) Gauge(name string) (GaugeSnapshot, bool) {
-	if t == nil {
-		return GaugeSnapshot{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	g := t.reg.gauges[name]
-	if g == nil {
-		return GaugeSnapshot{}, false
-	}
-	return *g, true
 }
 
 // Gauges returns a copy of every gauge snapshot.

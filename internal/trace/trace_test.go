@@ -280,26 +280,13 @@ func TestWriteChromeTraceUnitsAndLanes(t *testing.T) {
 func TestCSVExports(t *testing.T) {
 	tr := New(Config{Enabled: true})
 	tr.RecordMetricSample(MetricSample{Time: 30, CPUUtilPct: 10, DiskReadKBs: 20, SlotOccupancyPct: 30})
-	tr.RecordPolicyDecision(PolicyDecision{Time: 4, JobID: 1, Policy: "MA", Verdict: VerdictWait, GrabLimit: 8})
 
 	var buf bytes.Buffer
-	if err := tr.WriteTimelineCSV(&buf); err != nil {
+	if err := WriteMetricCSV(&buf, tr.MetricSamples()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 || !strings.HasPrefix(lines[0], "time_s,") || lines[1] != "30,10,20,30" {
 		t.Fatalf("timeline CSV = %q", buf.String())
-	}
-
-	buf.Reset()
-	if err := tr.WritePolicyCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 || !strings.Contains(lines[1], ",MA,WAIT,") {
-		t.Fatalf("policy CSV = %q", buf.String())
-	}
-	if got := len(strings.Split(lines[0], ",")); got != len(strings.Split(lines[1], ",")) {
-		t.Fatalf("policy CSV header/row column mismatch: %q", buf.String())
 	}
 }

@@ -240,9 +240,9 @@ func (db *DB) collect(now float64) {
 
 	if tr := db.jt.Tracer(); tr.Enabled() {
 		// Every registry counter and gauge becomes a series under its
-		// own name: scan.blocks_read/skipped, engine.resident_bytes /
-		// engine.pinned_bytes, and the cluster utilization gauges the
-		// obs sampler publishes all arrive through this one path.
+		// own name: scan.blocks_read/skipped, engine.memo_hits/misses
+		// and the cluster utilization gauges the obs sampler publishes
+		// all arrive through this one path.
 		for name, v := range tr.Counters() {
 			db.put(now, name, float64(v))
 		}
