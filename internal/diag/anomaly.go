@@ -9,7 +9,7 @@ import (
 
 // jobAnomalies runs the per-job detectors: map-attempt stragglers and
 // speculative-kill waste.
-func jobAnomalies(j *jobData, cfg Config) []Anomaly {
+func jobAnomalies(j *JobTrace, cfg Config) []Anomaly {
 	var out []Anomaly
 	if n := len(j.okMaps); n >= cfg.StragglerMinAttempts {
 		mean, sd := meanStd(j.okMaps)

@@ -215,11 +215,31 @@ func FromTracer(tr *trace.Tracer) *Report {
 func Analyze(spans []trace.Span, decisions []trace.PolicyDecision,
 	counters map[string]int64, dropped int64, cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	jobs := collectJobs(spans, decisions)
+	byID := make(map[int]*JobTrace)
+	get := func(id int) *JobTrace {
+		j := byID[id]
+		if j == nil {
+			j = new(JobTrace)
+			j.Reset(id)
+			byID[id] = j
+		}
+		return j
+	}
+	for _, s := range spans {
+		if s.Job >= 0 {
+			get(s.Job).Add(s)
+		}
+	}
+	for _, d := range decisions {
+		get(d.JobID).AddDecision(d)
+	}
 	rep := &Report{Schema: SchemaVersion, Counters: counters, DroppedSpans: dropped}
-	for _, j := range jobs {
-		d := diagnoseJob(j, cfg)
-		rep.Jobs = append(rep.Jobs, d)
+	for _, j := range byID {
+		// Jobs without an enclosing job span (still running, or the
+		// span was evicted) cannot be diagnosed; skip them.
+		if j.finished() {
+			rep.Jobs = append(rep.Jobs, j.diagnose(cfg))
+		}
 	}
 	sort.Slice(rep.Jobs, func(a, b int) bool { return rep.Jobs[a].JobID < rep.Jobs[b].JobID })
 	rep.ClusterAnomalies = clusterAnomalies(counters, cfg)
@@ -234,117 +254,160 @@ type attempt struct {
 	queueWait *trace.Span
 }
 
-// jobData is everything collectJobs gathered for one job.
-type jobData struct {
-	id       int
-	span     trace.Span // the enclosing SpanJob span
-	attempts []attempt  // ok + failed attempts, both kinds
-	killed   []trace.Span
-	// okMapDurations feeds the straggler detector.
-	okMaps []trace.Span
-	// growTimes / waitTimes are decision timestamps for gap
-	// classification, sorted ascending.
-	growTimes []float64
-	waitTimes []float64
-}
-
 type attemptKey struct {
 	task, att int
 	cat       string
 }
 
-func collectJobs(spans []trace.Span, decisions []trace.PolicyDecision) []*jobData {
-	byID := make(map[int]*jobData)
-	get := func(id int) *jobData {
-		j := byID[id]
-		if j == nil {
-			j = &jobData{id: id, span: trace.Span{Job: id, Start: math.NaN()}}
-			byID[id] = j
-		}
-		return j
-	}
-	phases := make(map[int]map[attemptKey][]trace.Span)
-	queueWaits := make(map[int]map[attemptKey]trace.Span)
-	isPhase := func(name string) bool {
-		switch name {
-		case trace.SpanStartup, trace.SpanDiskRead, trace.SpanNetRead, trace.SpanMapCPU,
-			trace.SpanShuffle, trace.SpanSort, trace.SpanReduceCPU, trace.SpanOutputWrite:
-			return true
-		}
-		return false
-	}
-	for _, s := range spans {
-		if s.Job < 0 {
-			continue
-		}
-		switch {
-		case s.Name == trace.SpanJob:
-			j := get(s.Job)
-			j.span = s
-		case s.Name == trace.SpanMapAttempt || s.Name == trace.SpanReduceAttempt:
-			j := get(s.Job)
-			switch s.Outcome {
-			case trace.OutcomeOK, trace.OutcomeFailed:
-				j.attempts = append(j.attempts, attempt{span: s, kind: s.Cat})
-				if s.Name == trace.SpanMapAttempt && s.Outcome == trace.OutcomeOK {
-					j.okMaps = append(j.okMaps, s)
-				}
-			case trace.OutcomeKilled:
-				j.killed = append(j.killed, s)
-			}
-		case s.Name == trace.SpanQueueWait:
-			m := queueWaits[s.Job]
-			if m == nil {
-				m = make(map[attemptKey]trace.Span)
-				queueWaits[s.Job] = m
-			}
-			m[attemptKey{s.Task, s.Attempt, s.Cat}] = s
-		case isPhase(s.Name) && (s.Cat == trace.CatMap || s.Cat == trace.CatReduce):
-			m := phases[s.Job]
-			if m == nil {
-				m = make(map[attemptKey][]trace.Span)
-				phases[s.Job] = m
-			}
-			k := attemptKey{s.Task, s.Attempt, s.Cat}
-			m[k] = append(m[k], s)
-		}
-	}
-	for _, d := range decisions {
-		j := get(d.JobID)
-		switch d.Verdict {
-		case trace.VerdictGrow, trace.VerdictInit:
-			j.growTimes = append(j.growTimes, d.Time)
-		case trace.VerdictWait, trace.VerdictSkip:
-			j.waitTimes = append(j.waitTimes, d.Time)
-		}
-	}
-	var out []*jobData
-	for _, j := range byID {
-		// Jobs without an enclosing job span (still running, or the
-		// span was evicted) cannot be diagnosed; skip them.
-		if math.IsNaN(j.span.Start) {
-			continue
-		}
-		for i := range j.attempts {
-			a := &j.attempts[i]
-			k := attemptKey{a.span.Task, a.span.Attempt, a.span.Cat}
-			ph := phases[j.id][k]
-			sort.Slice(ph, func(x, y int) bool { return ph[x].Start < ph[y].Start })
-			a.phases = ph
-			if qw, ok := queueWaits[j.id][k]; ok {
-				q := qw
-				a.queueWait = &q
-			}
-		}
-		sort.Float64s(j.growTimes)
-		sort.Float64s(j.waitTimes)
-		out = append(out, j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
-	return out
+// attemptTrace is the phase chain and queue wait recorded under one
+// attempt key, in recording order.
+type attemptTrace struct {
+	phases       []trace.Span
+	queueWait    trace.Span
+	hasQueueWait bool
 }
 
-func diagnoseJob(j *jobData, cfg Config) JobDiagnosis {
+// JobTrace collects one job's spans and policy decisions and diagnoses
+// the job from them. Analyze keeps one per job; the qstats registry
+// keeps a single one and Resets it for every finished query, so its
+// buffers are reused instead of rebuilt. The zero value must be Reset
+// before use, and a JobTrace is not safe for concurrent use.
+type JobTrace struct {
+	id     int
+	span   trace.Span // the enclosing SpanJob span; Start is NaN until seen
+	nspans int        // spans added, for the no-job-span error
+	// attempts holds ok and failed attempts of both kinds, in recording
+	// order; killed holds killed ones.
+	attempts []attempt
+	killed   []trace.Span
+	// okMaps feeds the straggler detector.
+	okMaps []trace.Span
+	// growTimes / waitTimes are decision timestamps for gap
+	// classification, sorted ascending by diagnose.
+	growTimes []float64
+	waitTimes []float64
+	// traces holds phases and queue waits per attempt key; byKey
+	// indexes it. Entries past len(traces) keep their phase buffers for
+	// reuse.
+	traces []attemptTrace
+	byKey  map[attemptKey]int
+}
+
+// Reset empties the collector for job id, keeping its buffers.
+func (j *JobTrace) Reset(id int) {
+	j.id = id
+	j.span = trace.Span{Job: id, Start: math.NaN()}
+	j.nspans = 0
+	j.attempts = j.attempts[:0]
+	j.killed = j.killed[:0]
+	j.okMaps = j.okMaps[:0]
+	j.growTimes = j.growTimes[:0]
+	j.waitTimes = j.waitTimes[:0]
+	j.traces = j.traces[:0]
+	clear(j.byKey)
+}
+
+// Add records one of the job's spans. Spans must arrive in recording
+// order: the last job span and the last queue wait of an attempt win,
+// and phases that share a Start keep their recording order.
+func (j *JobTrace) Add(s trace.Span) {
+	j.nspans++
+	switch s.Name {
+	case trace.SpanJob:
+		j.span = s
+	case trace.SpanMapAttempt, trace.SpanReduceAttempt:
+		switch s.Outcome {
+		case trace.OutcomeOK, trace.OutcomeFailed:
+			j.attempts = append(j.attempts, attempt{span: s, kind: s.Cat})
+			if s.Name == trace.SpanMapAttempt && s.Outcome == trace.OutcomeOK {
+				j.okMaps = append(j.okMaps, s)
+			}
+		case trace.OutcomeKilled:
+			j.killed = append(j.killed, s)
+		}
+	case trace.SpanQueueWait:
+		at := j.attemptTrace(attemptKey{s.Task, s.Attempt, s.Cat})
+		at.queueWait, at.hasQueueWait = s, true
+	case trace.SpanStartup, trace.SpanDiskRead, trace.SpanNetRead, trace.SpanMapCPU,
+		trace.SpanShuffle, trace.SpanSort, trace.SpanReduceCPU, trace.SpanOutputWrite:
+		if s.Cat == trace.CatMap || s.Cat == trace.CatReduce {
+			at := j.attemptTrace(attemptKey{s.Task, s.Attempt, s.Cat})
+			at.phases = append(at.phases, s)
+		}
+	}
+}
+
+// attemptTrace returns the entry for k, opening it on first use.
+func (j *JobTrace) attemptTrace(k attemptKey) *attemptTrace {
+	if i, ok := j.byKey[k]; ok {
+		return &j.traces[i]
+	}
+	if j.byKey == nil {
+		j.byKey = make(map[attemptKey]int)
+	}
+	j.byKey[k] = len(j.traces)
+	if len(j.traces) < cap(j.traces) {
+		j.traces = j.traces[:len(j.traces)+1]
+		at := &j.traces[len(j.traces)-1]
+		at.phases, at.hasQueueWait = at.phases[:0], false
+		return at
+	}
+	j.traces = append(j.traces, attemptTrace{})
+	return &j.traces[len(j.traces)-1]
+}
+
+// AddDecision records one of the job's policy decisions.
+func (j *JobTrace) AddDecision(d trace.PolicyDecision) {
+	switch d.Verdict {
+	case trace.VerdictGrow, trace.VerdictInit:
+		j.growTimes = append(j.growTimes, d.Time)
+	case trace.VerdictWait, trace.VerdictSkip:
+		j.waitTimes = append(j.waitTimes, d.Time)
+	}
+}
+
+// finished reports whether the job's enclosing span has been added.
+func (j *JobTrace) finished() bool { return !math.IsNaN(j.span.Start) }
+
+// Diagnose diagnoses the collected job with cfg. The returned
+// diagnosis has passed CheckInvariants; it shares no memory with the
+// collector, so the collector can be Reset while the diagnosis is in
+// use.
+func (j *JobTrace) Diagnose(cfg Config) (*JobDiagnosis, error) {
+	if !j.finished() {
+		return nil, fmt.Errorf("diag: no finished job %d in trace slice (%d spans)", j.id, j.nspans)
+	}
+	d := j.diagnose(cfg.withDefaults())
+	if err := d.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("job %d: %w", j.id, err)
+	}
+	return &d, nil
+}
+
+// diagnose attaches each attempt's phase chain (sorted by Start) and
+// queue wait, sorts the decision times, and runs diagnoseJob.
+func (j *JobTrace) diagnose(cfg Config) JobDiagnosis {
+	for i := range j.attempts {
+		a := &j.attempts[i]
+		a.phases, a.queueWait = nil, nil
+		k, ok := j.byKey[attemptKey{a.span.Task, a.span.Attempt, a.span.Cat}]
+		if !ok {
+			continue
+		}
+		at := &j.traces[k]
+		ph := at.phases
+		sort.Slice(ph, func(x, y int) bool { return ph[x].Start < ph[y].Start })
+		a.phases = ph
+		if at.hasQueueWait {
+			a.queueWait = &at.queueWait
+		}
+	}
+	sort.Float64s(j.growTimes)
+	sort.Float64s(j.waitTimes)
+	return diagnoseJob(j, cfg)
+}
+
+func diagnoseJob(j *JobTrace, cfg Config) JobDiagnosis {
 	d := JobDiagnosis{
 		JobID:     j.id,
 		Outcome:   j.span.Outcome,
@@ -361,27 +424,6 @@ func diagnoseJob(j *jobData, cfg Config) JobDiagnosis {
 	}
 	d.Anomalies = jobAnomalies(j, cfg)
 	return d
-}
-
-// AnalyzeJob diagnoses a single job from a pre-filtered trace slice:
-// the spans and decisions belonging to (or at least containing) the
-// job. It is the incremental entry point the qstats registry calls as
-// each query finishes, so a serve loop streams breakdowns out live
-// instead of re-analyzing the whole ring post-run. The returned
-// diagnosis has already passed CheckInvariants.
-func AnalyzeJob(jobID int, spans []trace.Span, decisions []trace.PolicyDecision, cfg Config) (*JobDiagnosis, error) {
-	rep := Analyze(spans, decisions, nil, 0, cfg)
-	for i := range rep.Jobs {
-		if rep.Jobs[i].JobID != jobID {
-			continue
-		}
-		d := rep.Jobs[i]
-		if err := d.CheckInvariants(); err != nil {
-			return nil, fmt.Errorf("job %d: %w", jobID, err)
-		}
-		return &d, nil
-	}
-	return nil, fmt.Errorf("diag: no finished job %d in trace slice (%d spans)", jobID, len(spans))
 }
 
 // CheckInvariants verifies the pinned diagnosis contract for every

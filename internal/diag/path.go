@@ -16,7 +16,7 @@ import (
 // wait (scheduling latency). The returned nodes tile
 // [submit, finish] exactly, which is what makes the breakdown sum to
 // the makespan by construction.
-func criticalPath(j *jobData) []PathNode {
+func criticalPath(j *JobTrace) []PathNode {
 	submit, finish := j.span.Start, j.span.End
 	tol := pathTol(finish)
 	if finish-submit <= tol {
@@ -102,7 +102,7 @@ func pathTol(at float64) float64 { return 1e-9 * math.Max(1, math.Abs(at)) }
 // then; WAIT/SKIP verdicts inside the gap mean the provider was
 // explicitly idling the job. Everything else is scheduling latency
 // (heartbeat wait, slot contention).
-func classifyGap(j *jobData, start, end float64) (string, string) {
+func classifyGap(j *JobTrace, start, end float64) (string, string) {
 	tol := pathTol(end)
 	i := sort.SearchFloat64s(j.growTimes, end-tol)
 	if i < len(j.growTimes) && j.growTimes[i] <= end+tol {

@@ -4,17 +4,25 @@
 // the wall clock), attributes resources to it (splits grabbed, records
 // read, map/shuffle/reduce seconds, overshoot versus k), folds finished
 // queries into rolling log-bucketed latency histograms and windowed QPS
-// per policy, and runs internal/diag incrementally over just that
-// query's trace slice as it finishes — so the nine-component breakdown
-// streams out live instead of only post-run.
+// per policy, and diagnoses each finished query with internal/diag
+// over just that query's trace entries — so the nine-component
+// breakdown streams out live instead of only post-run.
 //
 // The registry hangs off the JobTracker event bus: the Hive session
 // allocates an ID before submitting (so the ID rides the JobConf and
 // the structured-log stream, vlog key "qid"), registers the job, and
 // the registry does the rest from EventMapFinished/EventJobFinished
 // callbacks on the engine goroutine. Trace spans and policy decisions
-// are consumed through the incremental SpansSince /
+// are consumed through the incremental AppendSpansSince /
 // PolicyDecisionsSince cursors, never by copying the whole ring.
+//
+// The diagnosis is the one part of a finish that does not run on the
+// engine goroutine. A finish publishes every other field and queues the
+// record with the trace entries drained for it; a goroutine that runs
+// only while that queue is non-empty diagnoses queued records oldest
+// first with one reusable diag.JobTrace and sets Diagnosis or
+// DiagError. Dump, Summaries, FinishedSince and Find wait for the queue
+// to empty, so no view shows a finished record without its diagnosis.
 //
 // Consumers: internal/obs serves the registry on /queries, /live and
 // /metrics; cmd/dynmr dumps it on shutdown and renders `dynmr top`;
@@ -101,13 +109,19 @@ type QueryRecord struct {
 
 	// Diagnosis is the per-query diag breakdown (critical path,
 	// nine-component breakdown summing to the makespan, anomalies),
-	// produced incrementally at finish; nil when tracing was disabled
-	// or the job's spans were evicted before finish (DiagError says
-	// why).
+	// computed from the query's trace entries after it finishes and
+	// present in every finished record a view returns; nil when tracing
+	// was disabled or the job's spans were evicted before finish
+	// (DiagError says why).
 	Diagnosis *diag.JobDiagnosis `json:"diagnosis,omitempty"`
 	DiagError string             `json:"diag_error,omitempty"`
 
 	job *mapreduce.Job // engine-goroutine use only; not marshaled
+	// spans and decisions are the trace entries drained for the query
+	// while it runs. At finish they pass to the diagnosis goroutine,
+	// which returns them to the registry's free lists.
+	spans     []trace.Span
+	decisions []trace.PolicyDecision
 }
 
 // PolicyLatency is the rolling per-policy latency/QPS aggregate.
@@ -173,8 +187,19 @@ type Registry struct {
 
 	spanCursor     int64
 	decisionCursor int
-	spans          map[int][]trace.Span
-	decisions      map[int][]trace.PolicyDecision
+	drained        []trace.Span // AppendSpansSince buffer, reused per drain
+
+	// Finished records awaiting their diagnosis, oldest first, are
+	// diagQueue[diagHead:]; a goroutine runs exactly while it is
+	// non-empty and broadcasts diagDone (on mu) when it empties.
+	// collector is that goroutine's; freeSpans and freeDecisions hold
+	// per-query buffers for reuse.
+	diagQueue     []*QueryRecord
+	diagHead      int
+	diagDone      sync.Cond
+	collector     diag.JobTrace
+	freeSpans     [][]trace.Span
+	freeDecisions [][]trace.PolicyDecision
 
 	policies []*policyAgg
 	byPolicy map[string]*policyAgg
@@ -191,10 +216,9 @@ func NewRegistry(jt *mapreduce.JobTracker) *Registry {
 		now:        func() float64 { return time.Since(start).Seconds() },
 		maxRecords: DefaultMaxRecords,
 		inflight:   make(map[int]*QueryRecord),
-		spans:      make(map[int][]trace.Span),
-		decisions:  make(map[int][]trace.PolicyDecision),
 		byPolicy:   make(map[string]*policyAgg),
 	}
+	r.diagDone.L = &r.mu
 	jt.Subscribe(r.onEvent)
 	return r
 }
@@ -313,17 +337,12 @@ func (r *Registry) onFinished(e mapreduce.TaskEvent) {
 }
 
 // finishLocked finalises a query: closes the lifecycle, attributes
-// resources and phase seconds from the query's span slice, runs the
-// incremental diagnosis, and folds the latency into the per-policy
-// aggregates.
+// resources and phase seconds from the query's span slice, queues the
+// diagnosis, and folds the latency into the per-policy aggregates.
 func (r *Registry) finishLocked(rec *QueryRecord, vt float64) {
 	// Bucket any trace entries produced since the last finish while the
-	// job is still in the inflight set, then take this job's slices.
+	// job is still in the inflight set.
 	r.drainLocked()
-	spans := r.spans[rec.JobID]
-	decs := r.decisions[rec.JobID]
-	delete(r.spans, rec.JobID)
-	delete(r.decisions, rec.JobID)
 	delete(r.inflight, rec.JobID)
 
 	job := rec.job
@@ -358,8 +377,8 @@ func (r *Registry) finishLocked(rec *QueryRecord, vt float64) {
 		rec.Error = job.Failure()
 	}
 
-	rec.ProviderEvals = len(decs)
-	for _, s := range spans {
+	rec.ProviderEvals = len(rec.decisions)
+	for _, s := range rec.spans {
 		switch s.Name {
 		case trace.SpanMapAttempt:
 			rec.MapSeconds += s.Duration()
@@ -370,12 +389,10 @@ func (r *Registry) finishLocked(rec *QueryRecord, vt float64) {
 		}
 	}
 
-	if tr := r.jt.Tracer(); tr.Enabled() {
-		d, err := diag.AnalyzeJob(rec.JobID, spans, decs, diag.Config{})
-		if err != nil {
-			rec.DiagError = err.Error()
-		} else {
-			rec.Diagnosis = d
+	if r.jt.Tracer().Enabled() {
+		r.diagQueue = append(r.diagQueue, rec)
+		if len(r.diagQueue) == 1 { // the queue was empty
+			go r.diagnoseQueued()
 		}
 	}
 
@@ -419,8 +436,7 @@ func (r *Registry) Abandon(job *mapreduce.Job, reason string) {
 		return
 	}
 	delete(r.inflight, job.ID)
-	delete(r.spans, job.ID)
-	delete(r.decisions, job.ID)
+	r.recycleLocked(rec)
 	rec.job = nil
 	rec.SplitsGrabbed = job.ScheduledMaps()
 	rec.SplitsScanned = job.CompletedMaps()
@@ -437,8 +453,8 @@ func (r *Registry) Abandon(job *mapreduce.Job, reason string) {
 	r.records = append(r.records, rec)
 }
 
-// drainLocked advances the trace cursors, bucketing fresh spans and
-// policy decisions by the in-flight job they belong to. Entries for
+// drainLocked advances the trace cursors, appending fresh spans and
+// policy decisions to the in-flight record they belong to. Entries for
 // jobs the registry is not tracking (estimation jobs, finished jobs'
 // stragglers) are discarded.
 func (r *Registry) drainLocked() {
@@ -446,23 +462,93 @@ func (r *Registry) drainLocked() {
 	if !tr.Enabled() {
 		return
 	}
-	spans, cur := tr.SpansSince(r.spanCursor)
-	r.spanCursor = cur
-	for _, s := range spans {
+	r.drained, r.spanCursor = tr.AppendSpansSince(r.drained[:0], r.spanCursor)
+	for _, s := range r.drained {
 		if s.Job < 0 {
 			continue
 		}
-		if _, ok := r.inflight[s.Job]; ok {
-			r.spans[s.Job] = append(r.spans[s.Job], s)
+		if rec := r.inflight[s.Job]; rec != nil {
+			if rec.spans == nil {
+				rec.spans = popFree(&r.freeSpans)
+			}
+			rec.spans = append(rec.spans, s)
 		}
 	}
 	decs := tr.PolicyDecisionsSince(r.decisionCursor)
 	r.decisionCursor += len(decs)
 	for _, d := range decs {
-		if _, ok := r.inflight[d.JobID]; ok {
-			r.decisions[d.JobID] = append(r.decisions[d.JobID], d)
+		if rec := r.inflight[d.JobID]; rec != nil {
+			if rec.decisions == nil {
+				rec.decisions = popFree(&r.freeDecisions)
+			}
+			rec.decisions = append(rec.decisions, d)
 		}
 	}
+}
+
+// diagnoseQueued diagnoses queued records oldest first until the queue
+// is empty, running the collector without holding r.mu. finishLocked
+// starts it when the queue becomes non-empty; since it only exits with
+// r.mu held and the queue empty, at most one runs at a time.
+func (r *Registry) diagnoseQueued() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.diagHead < len(r.diagQueue) {
+		rec := r.diagQueue[r.diagHead]
+		r.mu.Unlock()
+		c := &r.collector
+		c.Reset(rec.JobID)
+		for _, s := range rec.spans {
+			c.Add(s)
+		}
+		for _, d := range rec.decisions {
+			c.AddDecision(d)
+		}
+		d, err := c.Diagnose(diag.Config{})
+		r.mu.Lock()
+		if err != nil {
+			rec.DiagError = err.Error()
+		} else {
+			rec.Diagnosis = d
+		}
+		r.recycleLocked(rec)
+		r.diagQueue[r.diagHead] = nil
+		r.diagHead++
+	}
+	r.diagQueue, r.diagHead = r.diagQueue[:0], 0
+	r.diagDone.Broadcast()
+}
+
+// waitDiagnosedLocked blocks until every finished record has its
+// diagnosis.
+func (r *Registry) waitDiagnosedLocked() {
+	for len(r.diagQueue) > 0 {
+		r.diagDone.Wait()
+	}
+}
+
+// recycleLocked returns a record's trace buffers to the free lists.
+func (r *Registry) recycleLocked(rec *QueryRecord) {
+	if rec.spans != nil {
+		r.freeSpans = append(r.freeSpans, rec.spans[:0])
+	}
+	if rec.decisions != nil {
+		r.freeDecisions = append(r.freeDecisions, rec.decisions[:0])
+	}
+	rec.spans, rec.decisions = nil, nil
+}
+
+// popFree takes a buffer off a free list, or returns nil when it is
+// empty.
+func popFree[T any](free *[][]T) []T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	b := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return b
 }
 
 // Totals returns the started/finished/failed query counts.
@@ -483,6 +569,7 @@ func (r *Registry) Summaries() []QueryRecord {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.waitDiagnosedLocked()
 	out := make([]QueryRecord, 0, len(r.records))
 	for _, rec := range r.records {
 		out = append(out, *rec)
@@ -502,6 +589,7 @@ func (r *Registry) FinishedSince(seq int64) ([]QueryRecord, int64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.waitDiagnosedLocked()
 	next := r.dropped + int64(len(r.records))
 	if seq >= next {
 		return nil, next
@@ -548,6 +636,7 @@ func (r *Registry) Find(id string) (QueryRecord, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.waitDiagnosedLocked()
 	for i := len(r.records) - 1; i >= 0; i-- {
 		if r.records[i].ID == id {
 			return *r.records[i], true
@@ -604,6 +693,7 @@ func (r *Registry) Dump() Dump {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.waitDiagnosedLocked()
 	d := Dump{
 		Schema:       SchemaVersion,
 		VirtualTimeS: r.jt.Engine().Now(),

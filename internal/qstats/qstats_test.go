@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -275,19 +276,23 @@ func TestPromFamiliesExposition(t *testing.T) {
 }
 
 // BenchmarkQueryRecord measures the per-query bookkeeping cost the
-// registry adds to a serve loop: ID allocation, registration, trace
-// drain, phase attribution, the incremental diag run, histogram folds
-// and record retention. The simulation itself runs once, outside the
+// registry adds to a serve loop: ID allocation, registration, the copy
+// of the query's spans into a recycled buffer, phase attribution,
+// histogram folds, record retention, and the diagnosis, which each
+// iteration waits for. The simulation itself runs once, outside the
 // timed loop; each iteration replays the finalisation against the
-// captured span slice (the dominant term, diag.AnalyzeJob included).
+// captured span slice of its static job.
 func BenchmarkQueryRecord(b *testing.B) {
 	eng, fs, jt := rig(b, true)
 	f := mkFile(b, fs, "in", 12, 100)
 	r := NewRegistry(jt)
 	job, _ := submitTracked(b, r, jt, f, 200, "LA")
 	mapreduce.RunUntilDone(eng, job, 1e6)
+	seed := r.Summaries()[0]
+	if seed.Diagnosis == nil {
+		b.Fatalf("seed query has no diagnosis (%s)", seed.DiagError)
+	}
 	r.mu.Lock()
-	seed := r.records[0]
 	r.maxRecords = 1000
 	r.mu.Unlock()
 	var spans []trace.Span
@@ -295,9 +300,6 @@ func BenchmarkQueryRecord(b *testing.B) {
 		if s.Job == job.ID {
 			spans = append(spans, s)
 		}
-	}
-	if seed.Diagnosis == nil {
-		b.Fatalf("seed query has no diagnosis (%s)", seed.DiagError)
 	}
 
 	b.ReportAllocs()
@@ -313,13 +315,15 @@ func BenchmarkQueryRecord(b *testing.B) {
 			SplitsTotal: 12, job: job,
 		}
 		r.inflight[job.ID] = rec
-		r.spans[job.ID] = spans
+		rec.spans = append(popFree(&r.freeSpans), spans...)
 		r.started++
 		r.finishLocked(rec, job.FinishTime)
+		r.waitDiagnosedLocked()
 		r.mu.Unlock()
 	}
 	b.StopTimer()
-	if got := r.records[len(r.records)-1]; got.Diagnosis == nil {
-		b.Fatalf("benchmark records lost diagnosis: %q", got.DiagError)
+	got := r.Summaries()
+	if last := got[len(got)-1]; last.Diagnosis == nil || !reflect.DeepEqual(last.Diagnosis, seed.Diagnosis) {
+		b.Fatalf("benchmark records lost or changed the diagnosis: %q", last.DiagError)
 	}
 }

@@ -219,8 +219,8 @@ func (t *Tracer) Spans() []Span {
 
 // SpanCount returns the total number of spans ever recorded (buffered
 // plus evicted): the sequence number the next Record call will receive.
-// Pairing it with SpansSince lets incremental consumers (the qstats
-// registry) poll cheaply without copying the whole ring.
+// Pairing it with AppendSpansSince lets incremental consumers (the
+// qstats registry) poll cheaply without copying the whole ring.
 func (t *Tracer) SpanCount() int64 {
 	if t == nil {
 		return 0
@@ -230,15 +230,18 @@ func (t *Tracer) SpanCount() int64 {
 	return int64(t.n) + t.dropped
 }
 
-// SpansSince returns the spans recorded at sequence >= from that are
-// still buffered (oldest-first), plus the new cursor (the total
-// recorded count). Spans evicted from the ring before being read are
-// silently skipped — callers needing loss detection compare the
-// requested cursor against SpanCount minus the buffered length. It
-// mirrors PolicyDecisionsSince for the span ring.
-func (t *Tracer) SpansSince(from int64) ([]Span, int64) {
+// AppendSpansSince appends the spans recorded at sequence >= from that
+// are still buffered (oldest-first) to dst, and returns the extended
+// slice plus the new cursor (the total recorded count). Spans evicted
+// from the ring before being read are silently skipped — callers
+// needing loss detection compare the requested cursor against
+// SpanCount minus the buffered length. Passing the previous result
+// truncated to zero length reuses its storage, so a polling consumer
+// copies each span once and allocates only when a batch outgrows the
+// buffer.
+func (t *Tracer) AppendSpansSince(dst []Span, from int64) ([]Span, int64) {
 	if t == nil {
-		return nil, 0
+		return dst, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -248,23 +251,19 @@ func (t *Tracer) SpansSince(from int64) ([]Span, int64) {
 		from = oldest
 	}
 	if from >= total {
-		return nil, total
+		return dst, total
 	}
-	out := make([]Span, 0, total-from)
 	if t.n < len(t.spans) || t.n < t.cfg.capacity() {
 		// Ring not yet wrapped: sequence i lives at index i.
-		out = append(out, t.spans[from:total]...)
-		return out, total
+		return append(dst, t.spans[from:total]...), total
 	}
 	// Wrapped ring: the oldest sequence lives at head.
 	start := (t.head + int(from-oldest)) % len(t.spans)
 	if start+int(total-from) <= len(t.spans) {
-		out = append(out, t.spans[start:start+int(total-from)]...)
-		return out, total
+		return append(dst, t.spans[start:start+int(total-from)]...), total
 	}
-	out = append(out, t.spans[start:]...)
-	out = append(out, t.spans[:int(total-from)-(len(t.spans)-start)]...)
-	return out, total
+	dst = append(dst, t.spans[start:]...)
+	return append(dst, t.spans[:int(total-from)-(len(t.spans)-start)]...), total
 }
 
 // CountSpans returns how many buffered spans carry the name.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -90,59 +91,71 @@ func TestRingPartiallyFilled(t *testing.T) {
 	}
 }
 
-// TestSpansSinceIncrementalCursor drives the cursor API through every
-// ring state: partial fill, exact fill, wrapped with losses, and a
-// stale cursor older than the retained window.
-func TestSpansSinceIncrementalCursor(t *testing.T) {
+// TestAppendSpansSinceIncrementalCursor drives the cursor API through
+// every ring state: partial fill, exact fill, wrapped with losses, a
+// read that straddles the wrap point, and a stale cursor older than the
+// retained window. Every read after the first reuses one buffer.
+func TestAppendSpansSinceIncrementalCursor(t *testing.T) {
 	tr := New(Config{Enabled: true, Capacity: 4})
-
-	if got, cur := tr.SpansSince(0); len(got) != 0 || cur != 0 {
-		t.Fatalf("empty ring: got %d spans, cursor %d", len(got), cur)
+	tasks := func(spans []Span) []int {
+		out := []int{}
+		for _, s := range spans {
+			out = append(out, s.Task)
+		}
+		return out
 	}
+	want := func(what string, got []Span, cur int64, wantTasks []int, wantCur int64) {
+		t.Helper()
+		if g := tasks(got); !reflect.DeepEqual(g, wantTasks) || cur != wantCur {
+			t.Fatalf("%s: tasks %v cursor %d, want %v cursor %d", what, g, cur, wantTasks, wantCur)
+		}
+	}
+
+	buf, cur := tr.AppendSpansSince(nil, 0)
+	want("empty ring", buf, cur, []int{}, 0)
 
 	// Partial fill: sequences 0..2.
 	for i := 0; i < 3; i++ {
 		tr.Record(Span{Name: SpanQueueWait, Task: i})
 	}
-	got, cur := tr.SpansSince(0)
-	if len(got) != 3 || got[0].Task != 0 || got[2].Task != 2 || cur != 3 {
-		t.Fatalf("partial fill: %+v cursor %d", got, cur)
-	}
-	if got, cur2 := tr.SpansSince(cur); len(got) != 0 || cur2 != 3 {
-		t.Fatalf("caught-up cursor returned %d spans, cursor %d", len(got), cur2)
-	}
+	buf, cur = tr.AppendSpansSince(buf[:0], 0)
+	want("partial fill", buf, cur, []int{0, 1, 2}, 3)
+	buf, cur = tr.AppendSpansSince(buf[:0], cur)
+	want("caught-up cursor", buf, cur, []int{}, 3)
+
+	// The buffer is appended to, not overwritten.
+	prefix := []Span{{Name: "mine", Task: -7}}
+	got, _ := tr.AppendSpansSince(prefix, 1)
+	want("append keeps dst", got, 3, []int{-7, 1, 2}, 3)
 
 	// Fill past capacity: sequences 3..9, ring retains 6..9.
 	for i := 3; i < 10; i++ {
 		tr.Record(Span{Name: SpanQueueWait, Task: i})
 	}
-	got, cur = tr.SpansSince(cur)
-	if cur != 10 {
-		t.Fatalf("cursor = %d, want 10", cur)
-	}
-	if len(got) != 4 || got[0].Task != 6 || got[3].Task != 9 {
-		t.Fatalf("wrapped reads dropped the wrong spans: %+v", got)
-	}
+	buf, cur = tr.AppendSpansSince(buf[:0], cur)
+	want("wrapped ring", buf, cur, []int{6, 7, 8, 9}, 10)
 	if tr.SpanCount() != 10 {
 		t.Fatalf("SpanCount = %d, want 10", tr.SpanCount())
 	}
 
-	// Mid-window cursor on a wrapped ring.
-	tr.Record(Span{Name: SpanQueueWait, Task: 10}) // retains 7..10
-	got, cur = tr.SpansSince(9)
-	if len(got) != 2 || got[0].Task != 9 || got[1].Task != 10 || cur != 11 {
-		t.Fatalf("mid-window read: %+v cursor %d", got, cur)
+	// Mid-window cursor on a wrapped ring (retains 7..10; 7 sits in
+	// the last slot, 8..10 in the first three).
+	tr.Record(Span{Name: SpanQueueWait, Task: 10})
+	reused := &buf[0]
+	buf, cur = tr.AppendSpansSince(buf[:0], 9)
+	want("mid-window read", buf, cur, []int{9, 10}, 11)
+
+	// A stale cursor (0) clamps to the oldest retained sequence, and the
+	// read straddles the wrap point.
+	buf, cur = tr.AppendSpansSince(buf[:0], 0)
+	want("stale cursor", buf, cur, []int{7, 8, 9, 10}, 11)
+	if &buf[0] != reused {
+		t.Fatal("a read that fits the buffer reallocated it")
 	}
 
-	// A stale cursor (0) clamps to the oldest retained sequence.
-	got, _ = tr.SpansSince(0)
-	if len(got) != 4 || got[0].Task != 7 {
-		t.Fatalf("stale cursor read: %+v", got)
-	}
-
-	// Nil tracer is safe.
-	if got, cur := (*Tracer)(nil).SpansSince(5); got != nil || cur != 0 {
-		t.Fatalf("nil tracer SpansSince = %v, %d", got, cur)
+	// Nil tracer is safe and leaves dst alone.
+	if got, cur := (*Tracer)(nil).AppendSpansSince(prefix, 5); len(got) != 1 || cur != 0 {
+		t.Fatalf("nil tracer AppendSpansSince = %v, %d", got, cur)
 	}
 	if (*Tracer)(nil).SpanCount() != 0 {
 		t.Fatal("nil tracer SpanCount != 0")
