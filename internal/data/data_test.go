@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,6 +108,55 @@ func TestEncodedSizeMatchesString(t *testing.T) {
 			t.Errorf("%s %q: EncodedSize allocates %v times", v.Kind(), v.String(), a)
 		}
 	}
+}
+
+// checkFloatSize requires a FLOAT's EncodedSize to be the length of its
+// shortest 'f' formatting. It is no test helper, since it runs 2·10^7
+// times in one test.
+func checkFloatSize(t *testing.T, f float64) {
+	var buf [64]byte
+	if got, want := Float(f).EncodedSize(), len(strconv.AppendFloat(buf[:0], f, 'f', -1, 64)); got != want {
+		t.Fatalf("EncodedSize(%v) = %d, len(%q) = %d", f, got, strconv.FormatFloat(f, 'f', -1, 64), want)
+	}
+}
+
+// TestEncodedSizeHundredths checks the constant-time size of FLOATs
+// that are whole hundredths, every LINEITEM FLOAT among them, against
+// strconv: every n/100 with |n| <= 10^7, and the edges of the rule.
+func TestEncodedSizeHundredths(t *testing.T) {
+	for n := int64(-1e7); n <= 1e7; n++ {
+		checkFloatSize(t, float64(n)/100)
+	}
+	// Around n = 10^15, the rule's edge, and two n past 7·10^15, where
+	// float64 spacing exceeds 0.01 and the shortest form of n/100 is
+	// shorter than n/100: 85471830110702.1, not 85471830110702.09.
+	for _, base := range []int64{1e15, -1e15} {
+		for n := base - 5000; n <= base+5000; n++ {
+			checkFloatSize(t, float64(n)/100)
+		}
+	}
+	for _, n := range []int64{8547183011070209, -7224205689471609} {
+		checkFloatSize(t, float64(n)/100)
+	}
+	for _, f := range []float64{
+		math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 0.005, 0.1 + 0.2, 0.3, -0.07,
+		1e13, -1e13, math.Nextafter(1e13, 0), math.Nextafter(1e13, 2e13), 1e13 - 0.01, -(1e13 - 0.01),
+		1e13 + 0.01, (1e15 - 1) / 100, -(1e15 - 1) / 100, 1e15 / 100, 123456789012.34, 1e12 + 0.5,
+	} {
+		checkFloatSize(t, f)
+	}
+}
+
+// FuzzEncodedSize checks a FLOAT's size against strconv for raw float64
+// bits, and for n/100, the shape the constant-time path serves.
+func FuzzEncodedSize(f *testing.F) {
+	f.Add(math.Float64bits(0.05), int64(5))
+	f.Add(math.Float64bits(math.Copysign(0, -1)), int64(-1e15+1))
+	f.Add(math.Float64bits(1e13), int64(1e15))
+	f.Fuzz(func(t *testing.T, bits uint64, n int64) {
+		checkFloatSize(t, math.Float64frombits(bits))
+		checkFloatSize(t, float64(n)/100)
+	})
 }
 
 func TestCompareNumericCrossKind(t *testing.T) {
@@ -223,6 +273,32 @@ func TestSchemaProject(t *testing.T) {
 	}
 	if _, ok := s.Positions(s); ok {
 		t.Fatal("Positions answered for a schema not made by Project")
+	}
+}
+
+// TestSchemaKinds: NewSchema declares no kind, NewTypedSchema declares
+// its fields', and Project carries them over.
+func TestSchemaKinds(t *testing.T) {
+	s := NewTypedSchema(Field{Name: "n", Kind: KindInt}, Field{Name: "x", Kind: KindAny}, Field{Name: "s", Kind: KindString})
+	p, err := s.Project("S", "n", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		s    *Schema
+		col  int
+		want Kind
+	}{
+		{s, 0, KindInt}, {s, 1, KindAny}, {s, 2, KindString},
+		{p, 0, KindString}, {p, 1, KindInt}, {p, 2, KindAny},
+		{NewSchema("a", "b"), 1, KindAny},
+	} {
+		if got := c.s.Kind(c.col); got != c.want {
+			t.Errorf("%v column %d: Kind = %s, want %s", c.s.Columns(), c.col, got, c.want)
+		}
+	}
+	if KindAny.String() != "ANY" {
+		t.Errorf("KindAny renders as %q", KindAny.String())
 	}
 }
 

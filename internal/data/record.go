@@ -6,10 +6,12 @@ import (
 	"strings"
 )
 
-// Schema names and orders the columns of a record. Schemas are immutable
-// after construction and safe for concurrent use.
+// Schema names and orders the columns of a record and declares each
+// column's kind (KindAny when undeclared). Schemas are immutable after
+// construction and safe for concurrent use.
 type Schema struct {
 	cols  []string
+	kinds []Kind
 	index map[string]int
 	// from and pos are set on a schema built by Project: column i is
 	// column pos[i] of from, so projecting a record of from copies by
@@ -18,17 +20,36 @@ type Schema struct {
 	pos  []int
 }
 
-// NewSchema builds a schema from column names. Names are matched
-// case-insensitively (upper-cased internally, as in Hive).
+// Field is one column of a typed schema: its name and declared kind.
+type Field struct {
+	Name string
+	Kind Kind
+}
+
+// NewSchema builds a schema from column names, declaring no kinds.
+// Names are matched case-insensitively (upper-cased internally, as in
+// Hive).
 func NewSchema(cols ...string) *Schema {
-	s := &Schema{index: make(map[string]int, len(cols))}
-	for _, c := range cols {
-		u := strings.ToUpper(c)
+	fields := make([]Field, len(cols))
+	for i, c := range cols {
+		fields[i] = Field{Name: c, Kind: KindAny}
+	}
+	return NewTypedSchema(fields...)
+}
+
+// NewTypedSchema builds a schema whose columns declare the fields'
+// kinds. A source of the schema must yield, in each column not declared
+// KindAny, only values of that kind.
+func NewTypedSchema(fields ...Field) *Schema {
+	s := &Schema{index: make(map[string]int, len(fields))}
+	for _, f := range fields {
+		u := strings.ToUpper(f.Name)
 		if _, dup := s.index[u]; dup {
-			panic(fmt.Sprintf("data: duplicate column %q", c))
+			panic(fmt.Sprintf("data: duplicate column %q", f.Name))
 		}
 		s.index[u] = len(s.cols)
 		s.cols = append(s.cols, u)
+		s.kinds = append(s.kinds, f.Kind)
 	}
 	return s
 }
@@ -39,6 +60,9 @@ func (s *Schema) Len() int { return len(s.cols) }
 // Columns returns the column names in order. The caller must not modify
 // the returned slice.
 func (s *Schema) Columns() []string { return s.cols }
+
+// Kind returns the declared kind of column i: KindAny when undeclared.
+func (s *Schema) Kind(i int) Kind { return s.kinds[i] }
 
 // Index returns the position of a column (case-insensitive) and whether
 // it exists.
@@ -54,9 +78,10 @@ func (s *Schema) Has(name string) bool {
 }
 
 // Project returns a new schema with the given columns, which must exist
-// and be distinct.
+// and be distinct. Each keeps its declared kind.
 func (s *Schema) Project(cols ...string) (*Schema, error) {
 	pos := make([]int, len(cols))
+	fields := make([]Field, len(cols))
 	for i, c := range cols {
 		j, ok := s.Index(c)
 		if !ok {
@@ -66,8 +91,9 @@ func (s *Schema) Project(cols ...string) (*Schema, error) {
 			return nil, fmt.Errorf("data: duplicate column %q", c)
 		}
 		pos[i] = j
+		fields[i] = Field{Name: c, Kind: s.kinds[j]}
 	}
-	p := NewSchema(cols...)
+	p := NewTypedSchema(fields...)
 	p.from, p.pos = s, pos
 	return p, nil
 }

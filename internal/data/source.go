@@ -20,18 +20,50 @@ type Source interface {
 // FilterSource is implemented by sources that can test a predicate
 // before building whole records (the dataset package's generated
 // partitions). ScanWhere visits the records Scan would, in the same
-// order, but hands keep a reused scratch record in which only the
-// columns at the schema positions cols are guaranteed to be set; keep
-// must neither retain it nor read other columns. Only records keep
-// accepts are passed to yield, until yield returns false. The first
-// error keep returns stops the scan and is returned.
+// order, and yields those pred accepts, until yield returns false. It
+// tests a source's natural rows in batches of at most BatchRows
+// consecutive rows through pred.TestBatch, and any other row (a row
+// the source rewrites as a whole, such as a planted match) through
+// pred.TestRow on the whole record. The first error in row order stops
+// the scan and is returned, after every match before it was yielded.
 //
 // With a nil proj each yielded record is the whole record Scan yields
 // at that position. Otherwise it equals that record's Project(proj),
 // and only the projected columns need be built. Either way every
 // yielded record owns a fresh values slice, so yield may keep it.
 type FilterSource interface {
-	ScanWhere(cols []int, keep func(Record) (bool, error), proj *Schema, yield func(Record) bool) error
+	ScanWhere(pred Filter, proj *Schema, yield func(Record) bool) error
+}
+
+// BatchRows is the most rows a Batch holds.
+const BatchRows = 256
+
+// Filter is a predicate compiled against a FilterSource's schema. Its
+// two tests agree: the batch test accepts a row, or fails on it with
+// an error, exactly when the row test does on the row's whole record.
+type Filter interface {
+	// TestRow tests a whole record of the schema.
+	TestRow(Record) (bool, error)
+	// TestBatch tests the batch rows that sel lists in ascending
+	// order. It moves the rows it accepts to the front of sel, in
+	// order, and returns how many there are. When a row's test fails,
+	// err is the error of the first such row, at is that row, and the
+	// accepted rows returned are those before it.
+	TestBatch(b Batch, sel []int32) (n int, at int32, err error)
+}
+
+// Batch is a run of up to BatchRows consecutive rows of a FilterSource,
+// which a Filter reads column by column: batch row k is the run's k-th
+// row. Ints and Floats read a column the schema declares INT or FLOAT.
+// Each computes the column for the rows sel lists, ascending, and
+// returns a vector indexed by batch row whose other entries are stale.
+// The vector is valid until the batch's next call.
+type Batch interface {
+	Ints(col int, sel []int32) []int64
+	Floats(col int, sel []int32) []float64
+	// Fill writes the columns cols of batch row k into vals, at their
+	// schema positions, as Values; it serves columns of any kind.
+	Fill(k int32, cols []int, vals []Value)
 }
 
 // SliceSource is an in-memory Source backed by a slice of records.

@@ -1,10 +1,21 @@
 // Package data defines the record and value model shared by the DFS,
 // the MapReduce runtime, the TPC-H generator and the mini-Hive layer:
 // typed scalar values, column schemas, and flat records.
+//
+// A schema may declare each column's kind. A declared kind is a promise
+// by every source of that schema: each value of the column has that kind
+// (never NULL). Semantic analysis type-checks predicates against the
+// declared kinds, and a FilterSource scan reads a declared INT or FLOAT
+// column into a typed vector (int64 or float64) of a Batch. A column
+// without a declared kind is KindAny: its values may be of any kind, so
+// checks pass it unchecked and scans box it into Values. NewSchema
+// declares no kind; NewTypedSchema declares them, and Project carries
+// them over.
 package data
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 )
@@ -24,6 +35,9 @@ const (
 	KindString
 	// KindBool is a boolean.
 	KindBool
+	// KindAny is no value's kind. A schema declares it for a column
+	// whose values may be of any kind.
+	KindAny
 )
 
 // String returns the kind's name.
@@ -39,6 +53,8 @@ func (k Kind) String() string {
 		return "STRING"
 	case KindBool:
 		return "BOOL"
+	case KindAny:
+		return "ANY"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -134,6 +150,9 @@ func (v Value) EncodedSize() int {
 		}
 		return decimalDigits(x)
 	case KindFloat:
+		if n, ok := hundredths(v.f); ok {
+			return hundredthsSize(n)
+		}
 		var buf [64]byte
 		return len(strconv.AppendFloat(buf[:0], v.f, 'f', -1, 64))
 	case KindString:
@@ -146,6 +165,38 @@ func (v Value) EncodedSize() int {
 	default:
 		return 1
 	}
+}
+
+// hundredths returns n when f is float64(n)/100 for an integer n with
+// |n| < 10^15, and f is not -0. Every LINEITEM float is one. Such an f
+// formats, shortest, as the decimal n/100: that decimal has at most 15
+// significant digits, and decimals of at most 15 significant digits map
+// to distinct float64s, so no other decimal of as few digits rounds to f.
+func hundredths(f float64) (int64, bool) {
+	if !(math.Abs(f) < 1e13) || (f == 0 && math.Signbit(f)) {
+		return 0, false // NaN, ±Inf, -0 and the large
+	}
+	n := int64(math.Round(f * 100))
+	return n, float64(n)/100 == f
+}
+
+// hundredthsSize is the length of the decimal n/100 with trailing zeros
+// trimmed: the sign, the integer digits (one for 0), and a point with
+// one or two digits unless n is a whole multiple of 100.
+func hundredthsSize(n int64) int {
+	size := 0
+	if n < 0 {
+		size, n = 1, -n
+	}
+	size += decimalDigits(uint64(n / 100))
+	switch {
+	case n%100 == 0:
+	case n%10 == 0:
+		size += 2
+	default:
+		size += 3
+	}
+	return size
 }
 
 // pow10 holds 10^0 … 10^19, every power of ten a uint64 can hold.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"dynamicmr/internal/data"
 	"dynamicmr/internal/expr"
@@ -264,80 +265,189 @@ func (p *Partition) row(gen *tpch.Generator, i int64, planted bool) data.Record 
 // Scan implements data.Source: every record in order, matches planted
 // in place.
 func (p *Partition) Scan(yield func(data.Record) bool) {
-	p.newRowScan(yield).zones(false)
+	_ = p.scan(everyRow{}, nil, yield, wholePartition)
 }
 
 // ScanWhere implements data.FilterSource over the whole partition.
-func (p *Partition) ScanWhere(cols []int, keep func(data.Record) (bool, error), proj *data.Schema, yield func(data.Record) bool) error {
-	return p.filterScan(cols, keep, proj, yield, func(s *rowScan) { s.zones(false) })
+func (p *Partition) ScanWhere(pred data.Filter, proj *data.Schema, yield func(data.Record) bool) error {
+	return p.scan(pred, proj, yield, wholePartition)
 }
+
+// everyRow is the data.Filter of a plain Scan: it accepts every row.
+type everyRow struct{}
+
+func (everyRow) TestRow(data.Record) (bool, error) { return true, nil }
+
+func (everyRow) TestBatch(_ data.Batch, sel []int32) (int, int32, error) { return len(sel), 0, nil }
+
+// coverage is the set of rows a scan visits.
+type coverage uint8
+
+const (
+	wholePartition coverage = iota
+	matchZones              // the skip view: every zone holding a planted row
+	plantedRows             // the clustered-index view
+)
 
 // rowScan is one pass of the partition's row loop, shared by Scan,
-// ScanWhere and both pruned views. With keep set it materialises late:
-// a natural row is first filled with only the need columns into a
-// reused scratch record and tested. A row keep accepts then gets only
-// its projected columns filled and copied out by position, or is built
-// in full when there is no projection or the projection was not made
-// from the partition's schema. Planted rows are always built in full
-// before keep sees them, since the plant transform rewrites a whole
-// record, and projected only after. Every row is still generated from
+// ScanWhere and both pruned views. It tests the natural rows of each
+// zone in batches of up to data.BatchRows rows: it is the data.Batch
+// that pred reads, and computes a column only for the rows pred still
+// has selected. A natural row pred accepts then gets only its projected
+// columns filled and copied out by position, or is built in full when
+// there is no projection or the projection was not made from the
+// partition's schema. A planted row is always built in full and tested
+// with pred's row test, since the plant transform rewrites a whole
+// record, and projected only after; the batch loop merges planted rows
+// and natural matches in row order. Every row is still generated from
 // the same counter-based stream, so the yielded records equal a plain
-// scan's, filtered and projected.
+// scan's, filtered and projected. rowScans are pooled, so a split's
+// scan allocates only the records it yields.
 type rowScan struct {
-	p       *Partition
-	gen     *tpch.Generator
-	need    uint32                          // tpch.Fill mask of the columns keep reads
-	keep    func(data.Record) (bool, error) // nil: yield every row
-	proj    *data.Schema                    // nil: yield whole rows
-	pos     []int                           // proj's positions in the partition's schema; nil: build in full
-	rest    uint32                          // tpch.Fill mask of the projected columns need lacks
-	vals    []data.Value                    // scratch's backing values, reused per row
-	scratch data.Record                     // keep's view of a natural row
-	yield   func(data.Record) bool
-	err     error // first keep error
+	p     *Partition
+	gen   *tpch.Generator
+	pred  data.Filter
+	proj  *data.Schema // nil: yield whole rows
+	pos   []int        // proj's positions in the partition's schema; nil: build in full
+	mask  uint32       // tpch.Fill mask of pos
+	yield func(data.Record) bool
+	err   error // first pred error
+
+	first int64                 // generator row of batch row 0
+	sel   [data.BatchRows]int32 // the batch's natural rows, then pred's matches
+	vals  []data.Value          // a natural match's projected columns
+	ints  []int64               // the batch's column vectors, one per kind
+	flts  []float64
 }
 
-func (p *Partition) newRowScan(yield func(data.Record) bool) *rowScan {
-	return &rowScan{p: p, gen: p.ds.generator(), yield: yield}
-}
+var rowScans = sync.Pool{New: func() any { return new(rowScan) }}
 
-// filterScan is ScanWhere over the rows walk visits.
-func (p *Partition) filterScan(cols []int, keep func(data.Record) (bool, error), proj *data.Schema, yield func(data.Record) bool, walk func(*rowScan)) error {
-	s := p.newRowScan(yield)
-	for _, c := range cols {
-		if c < 0 || c >= tpch.LineItemSchema.Len() {
-			return fmt.Errorf("dataset: column index %d out of range", c)
-		}
-		s.need |= 1 << c
-	}
-	s.keep, s.proj = keep, proj
+// scan runs one rowScan over the rows cov covers.
+func (p *Partition) scan(pred data.Filter, proj *data.Schema, yield func(data.Record) bool, cov coverage) error {
+	s := rowScans.Get().(*rowScan)
+	s.p, s.gen, s.pred, s.proj, s.yield, s.err = p, p.ds.generator(), pred, proj, yield, nil
+	s.pos, s.mask = nil, 0
 	if proj != nil {
 		s.pos, _ = proj.Positions(tpch.LineItemSchema)
 		for _, c := range s.pos {
-			s.rest |= 1 << c
+			s.mask |= 1 << c
 		}
-		s.rest &^= s.need
 	}
-	s.vals = make([]data.Value, tpch.LineItemSchema.Len())
-	s.scratch = data.NewRecord(tpch.LineItemSchema, s.vals)
-	walk(s)
-	return s.err
+	switch cov {
+	case plantedRows:
+		for _, pos := range p.matchPos {
+			if !s.planted(pos) {
+				break
+			}
+		}
+	default:
+		s.zones(cov == matchZones)
+	}
+	err := s.err
+	s.p, s.gen, s.pred, s.proj, s.yield = nil, nil, nil, nil, nil
+	rowScans.Put(s)
+	return err
 }
 
-// visit produces the partition's i-th row and reports whether the scan
-// goes on.
-func (s *rowScan) visit(i int64, planted bool) bool {
-	if s.keep != nil && !planted {
-		if !s.test(s.fill(i)) {
-			return s.err == nil
+// zones visits every row of the partition's zones in order, in batches
+// that do not cross a zone's end, skipping the zones without planted
+// rows when skipEmpty is set (the skip view).
+func (s *rowScan) zones(skipEmpty bool) {
+	next := 0 // index into matchPos of the next planted row
+	for _, z := range s.p.zones {
+		if skipEmpty && z.Matches == 0 {
+			continue
 		}
-		if s.pos != nil {
-			return s.yield(s.project(i))
+		// Zones are visited in order and a skipped zone holds no planted
+		// row, so matchPos[next] is already >= z.FirstRow.
+		end := z.FirstRow + z.Rows
+		for lo := z.FirstRow; lo < end; lo += data.BatchRows {
+			if !s.batch(lo, min(lo+data.BatchRows, end), &next) {
+				return
+			}
 		}
 	}
-	rec := s.p.row(s.gen, i, planted)
-	if s.keep != nil && planted && !s.test(rec) {
-		return s.err == nil
+}
+
+// batch visits rows [lo, hi) of the partition, whose planted rows start
+// at matchPos[*next]: it tests the natural rows as one batch and the
+// planted ones on their whole records, yields the matches in row order,
+// and reports whether the scan goes on.
+func (s *rowScan) batch(lo, hi int64, next *int) bool {
+	mp := s.p.matchPos
+	sel, j := s.sel[:0], *next
+	for i := lo; i < hi; i++ {
+		if j < len(mp) && mp[j] == i {
+			j++
+			continue
+		}
+		sel = append(sel, int32(i-lo))
+	}
+	planted := mp[*next:j]
+	*next = j
+	s.first = s.p.startRow + lo
+	n, at, err := s.pred.TestBatch(s, sel)
+	end := hi // the rows before end are decided
+	if err != nil {
+		end = lo + int64(at)
+	}
+	m := 0
+	for _, pos := range planted {
+		if pos > end {
+			break
+		}
+		for ; m < n && lo+int64(sel[m]) < pos; m++ {
+			if !s.natural(lo + int64(sel[m])) {
+				return false
+			}
+		}
+		if !s.planted(pos) {
+			return false
+		}
+	}
+	for ; m < n; m++ {
+		if !s.natural(lo + int64(sel[m])) {
+			return false
+		}
+	}
+	if err != nil {
+		s.err = err
+		return false
+	}
+	return true
+}
+
+// natural yields natural row i, which pred accepted.
+func (s *rowScan) natural(i int64) bool {
+	if s.pos == nil {
+		rec := s.p.row(s.gen, i, false)
+		if s.proj != nil {
+			rec = rec.Project(s.proj)
+		}
+		return s.yield(rec)
+	}
+	if s.vals == nil {
+		s.vals = make([]data.Value, tpch.LineItemSchema.Len())
+	}
+	s.gen.Fill(s.p.startRow+i, s.mask, s.vals)
+	vals := make([]data.Value, len(s.pos))
+	for k, c := range s.pos {
+		vals[k] = s.vals[c]
+	}
+	return s.yield(data.NewRecord(s.proj, vals))
+}
+
+// planted tests planted row i on its whole record and yields it if pred
+// accepts it.
+func (s *rowScan) planted(i int64) bool {
+	rec := s.p.row(s.gen, i, true)
+	ok, err := s.pred.TestRow(rec)
+	if err != nil {
+		s.err = err
+		return false
+	}
+	if !ok {
+		return true
 	}
 	if s.proj != nil {
 		rec = rec.Project(s.proj)
@@ -345,69 +455,31 @@ func (s *rowScan) visit(i int64, planted bool) bool {
 	return s.yield(rec)
 }
 
-// fill writes the need columns of natural row i into the scratch record
-// (none for a predicate that reads no column, such as TRUE).
-func (s *rowScan) fill(i int64) data.Record {
-	if s.need != 0 {
-		s.gen.Fill(s.p.startRow+i, s.need, s.vals)
+// Ints implements data.Batch.
+func (s *rowScan) Ints(col int, sel []int32) []int64 {
+	if s.ints == nil {
+		s.ints = make([]int64, data.BatchRows)
 	}
-	return s.scratch
+	s.gen.FillInts(col, s.first, sel, s.ints)
+	return s.ints
 }
 
-// project builds the projected record of natural row i, whose need
-// columns fill has just written: it fills the rest of the projection
-// into the scratch values and copies the projection out by position.
-func (s *rowScan) project(i int64) data.Record {
-	if s.rest != 0 {
-		s.gen.Fill(s.p.startRow+i, s.rest, s.vals)
+// Floats implements data.Batch.
+func (s *rowScan) Floats(col int, sel []int32) []float64 {
+	if s.flts == nil {
+		s.flts = make([]float64, data.BatchRows)
 	}
-	vals := make([]data.Value, len(s.pos))
-	for k, c := range s.pos {
-		vals[k] = s.vals[c]
-	}
-	return data.NewRecord(s.proj, vals)
+	s.gen.FillFloats(col, s.first, sel, s.flts)
+	return s.flts
 }
 
-// test applies keep, recording its first error.
-func (s *rowScan) test(r data.Record) bool {
-	ok, err := s.keep(r)
-	if err != nil {
-		s.err = err
-		return false
+// Fill implements data.Batch.
+func (s *rowScan) Fill(k int32, cols []int, vals []data.Value) {
+	var mask uint32
+	for _, c := range cols {
+		mask |= 1 << c
 	}
-	return ok
-}
-
-// zones visits every row of the partition's zones in order, skipping the
-// zones without planted rows when skipEmpty is set (the skip view).
-func (s *rowScan) zones(skipEmpty bool) {
-	p := s.p
-	next := 0 // index into matchPos of the next planted row
-	for _, z := range p.zones {
-		if skipEmpty && z.Matches == 0 {
-			continue
-		}
-		// Zones are visited in order and a skipped zone holds no planted
-		// row, so matchPos[next] is already >= z.FirstRow.
-		for i := z.FirstRow; i < z.FirstRow+z.Rows; i++ {
-			planted := next < len(p.matchPos) && p.matchPos[next] == i
-			if planted {
-				next++
-			}
-			if !s.visit(i, planted) {
-				return
-			}
-		}
-	}
-}
-
-// plantedOnly visits only the planted rows (the clustered-index view).
-func (s *rowScan) plantedOnly() {
-	for _, pos := range s.p.matchPos {
-		if !s.visit(pos, true) {
-			return
-		}
-	}
+	s.gen.Fill(s.first+int64(k), mask, vals)
 }
 
 // AcceleratedMatches returns the partition's matching records for the

@@ -274,6 +274,11 @@ func TestPlantedRowsSatisfyPredicate(t *testing.T) {
 				if err != nil || !ok {
 					t.Fatalf("z=%v: planted row does not satisfy predicate: %s (%v)", z, r, err)
 				}
+				for c := 0; c < r.Len(); c++ {
+					if k, want := r.At(c).Kind(), tpch.LineItemSchema.Kind(c); k != want {
+						t.Fatalf("z=%v: planted row %s column %d is %s, declared %s", z, r, c, k, want)
+					}
+				}
 			}
 		}
 	}

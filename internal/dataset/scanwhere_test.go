@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"dynamicmr/internal/data"
@@ -159,13 +160,17 @@ func scanEvalReference(src data.Source, pred expr.Expr, limit int64) filterResul
 	return res
 }
 
-// scanWhereDirect calls ScanWhere with the bound predicate as keep.
-func scanWhereDirect(t *testing.T, src data.FilterSource, pred expr.Expr, proj *data.Schema, limit int64) filterResult {
+// evalFilter is a reference data.Filter: it tests every row, planted or
+// in a batch, with EvalBool, reading a batch row's predicate columns
+// through Batch.Fill.
+type evalFilter struct {
+	pred expr.Expr
+	cols []int
+	vals []data.Value
+}
+
+func newEvalFilter(t *testing.T, pred expr.Expr) *evalFilter {
 	t.Helper()
-	var res filterResult
-	if limit == 0 {
-		return res
-	}
 	bound, err := expr.Bind(pred, tpch.LineItemSchema)
 	if err != nil {
 		t.Fatalf("Bind(%s): %v", pred, err)
@@ -173,13 +178,41 @@ func scanWhereDirect(t *testing.T, src data.FilterSource, pred expr.Expr, proj *
 	if bound.String() != pred.String() {
 		t.Fatalf("binding moved the fingerprint: %s -> %s", pred, bound)
 	}
-	var cols []int
+	f := &evalFilter{pred: bound, vals: make([]data.Value, tpch.LineItemSchema.Len())}
 	for _, c := range expr.Columns(pred) {
 		i, _ := tpch.LineItemSchema.Index(c)
-		cols = append(cols, i)
+		f.cols = append(f.cols, i)
 	}
-	keep := func(r data.Record) (bool, error) { return expr.EvalBool(bound, r) }
-	res.err = errText(src.ScanWhere(cols, keep, proj, collect(&res, limit)))
+	return f
+}
+
+func (f *evalFilter) TestRow(r data.Record) (bool, error) { return expr.EvalBool(f.pred, r) }
+
+func (f *evalFilter) TestBatch(b data.Batch, sel []int32) (int, int32, error) {
+	rec := data.NewRecord(tpch.LineItemSchema, f.vals)
+	n := 0
+	for _, r := range sel {
+		b.Fill(r, f.cols, f.vals)
+		ok, err := expr.EvalBool(f.pred, rec)
+		if err != nil {
+			return n, r, err
+		}
+		if ok {
+			sel[n] = r
+			n++
+		}
+	}
+	return n, 0, nil
+}
+
+// scanWhereDirect calls ScanWhere with the reference filter.
+func scanWhereDirect(t *testing.T, src data.FilterSource, pred expr.Expr, proj *data.Schema, limit int64) filterResult {
+	t.Helper()
+	var res filterResult
+	if limit == 0 {
+		return res
+	}
+	res.err = errText(src.ScanWhere(newEvalFilter(t, pred), proj, collect(&res, limit)))
 	return res
 }
 
@@ -218,6 +251,20 @@ func sameRecord(a, b data.Record) bool {
 	return true
 }
 
+// pruneSources returns p and both its pruned views, by name.
+func pruneSources(t *testing.T, p *Partition) map[string]data.Source {
+	t.Helper()
+	sources := map[string]data.Source{"partition": p}
+	for _, indexed := range []bool{false, true} {
+		v, ok := p.PruneScan(p.ds.PredicateFingerprint(), indexed)
+		if !ok {
+			t.Fatal("PruneScan rejected the planted fingerprint")
+		}
+		sources[fmt.Sprintf("view(indexed=%v)", indexed)] = v
+	}
+	return sources
+}
+
 // TestScanWhereEqualsScanEval is the late-materialisation property: over
 // random seeds, skew levels and partition geometries, a ScanWhere with
 // the predicate as keep and a projection yields exactly what
@@ -242,14 +289,7 @@ func TestScanWhereEqualsScanEval(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := ds.Partition(rng.Intn(ds.NumPartitions()))
-		sources := map[string]data.Source{"partition": p}
-		for _, indexed := range []bool{false, true} {
-			v, ok := p.PruneScan(ds.PredicateFingerprint(), indexed)
-			if !ok {
-				t.Fatal("PruneScan rejected the planted fingerprint")
-			}
-			sources[fmt.Sprintf("view(indexed=%v)", indexed)] = v
-		}
+		sources := pruneSources(t, p)
 		limits := []int64{0, 1, 2 + rng.Int63n(40), -1}
 		for _, pred := range equivalencePredicates(rng) {
 			_, bindErr := expr.Bind(pred, tpch.LineItemSchema)
@@ -283,38 +323,302 @@ func TestScanWhereEqualsScanEval(t *testing.T) {
 	}
 }
 
-// TestScanWhereMaterialisesLate pins the contract keep relies on: keep
-// sees only the requested columns of a natural row, and a planted row
-// always in full.
+// batchRecorder is a data.Filter that records what a scan shows it. A
+// batch row's global row number is recovered from its L_ORDERKEY (row/4
+// + 1) and L_LINENUMBER (row%4 + 1), and every column is read, for a
+// random half of the batch, through its typed accessor (INT, FLOAT) or
+// Fill (STRING), and compared with the generator's row. It accepts the natural
+// rows whose number is a multiple of 3, and every planted row.
+type batchRecorder struct {
+	t       *testing.T
+	gen     *tpch.Generator
+	rng     *rand.Rand
+	batches [][]int64     // global rows of each TestBatch call
+	planted []data.Record // records TestRow saw
+}
+
+func (f *batchRecorder) TestRow(r data.Record) (bool, error) {
+	f.planted = append(f.planted, r)
+	return true, nil
+}
+
+func (f *batchRecorder) TestBatch(b data.Batch, sel []int32) (int, int32, error) {
+	keys := slices.Clone(b.Ints(tpch.ColOrderKey, sel))
+	lines := b.Ints(tpch.ColLineNumber, sel)
+	rows := make([]int64, len(sel))
+	for k, r := range sel {
+		rows[k] = (keys[r]-1)*4 + lines[r] - 1
+	}
+	f.batches = append(f.batches, rows)
+	var half []int32
+	for _, r := range sel {
+		if f.rng.Intn(2) == 0 {
+			half = append(half, r)
+		}
+	}
+	for c := 0; c < tpch.LineItemSchema.Len(); c++ {
+		var got func(r int32) data.Value
+		switch tpch.LineItemSchema.Kind(c) {
+		case data.KindInt:
+			v := b.Ints(c, half)
+			got = func(r int32) data.Value { return data.Int(v[r]) }
+		case data.KindFloat:
+			v := b.Floats(c, half)
+			got = func(r int32) data.Value { return data.Float(v[r]) }
+		case data.KindString:
+			vals := make([]data.Value, tpch.LineItemSchema.Len())
+			got = func(r int32) data.Value {
+				b.Fill(r, []int{c}, vals)
+				return vals[c]
+			}
+		default:
+			f.t.Fatalf("column %d has no declared kind", c)
+		}
+		for _, r := range half {
+			row := rows[slices.Index(sel, r)]
+			if want := f.gen.Row(row).At(c); got(r) != want {
+				f.t.Fatalf("row %d column %d: batch reads %v, Row %v", row, c, got(r), want)
+			}
+		}
+	}
+	n := 0
+	for k, r := range sel {
+		if rows[k]%3 == 0 {
+			sel[n] = r
+			n++
+		}
+	}
+	return n, 0, nil
+}
+
+// TestScanWhereMaterialisesLate pins what ScanWhere shows a
+// data.Filter, on the partition and both pruned views: TestBatch gets
+// each covered natural row once, in ascending batches of at most
+// data.BatchRows consecutive rows that never cross a zone's end, and
+// reads columns equal to the generator's for whichever rows it asks;
+// TestRow gets each covered planted row once, whole, each value of its
+// column's declared kind; and the scan yields exactly the accepted
+// rows, in row order, building no other.
 func TestScanWhereMaterialisesLate(t *testing.T) {
 	ds, err := Build(smallSpec(1, 53))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := ds.Partition(2)
-	var natural, full int64
-	keep := func(r data.Record) (bool, error) {
-		if r.At(tpch.ColQuantity).IsNull() {
-			t.Fatal("keep saw a row without its requested column")
-		}
-		if r.At(tpch.ColComment).IsNull() {
-			natural++
-		} else {
-			full++
-		}
-		return false, nil
+	gen := ds.generator()
+	plantedAt := map[int64]bool{}
+	for _, pos := range p.matchPos {
+		plantedAt[p.startRow+pos] = true
 	}
-	if err := p.ScanWhere([]int{tpch.ColQuantity}, keep, nil, func(data.Record) bool {
-		t.Fatal("yield called for a rejected row")
-		return false
-	}); err != nil {
+	for name, src := range pruneSources(t, p) {
+		var want []string
+		var natural, planted []int64
+		src.Scan(func(r data.Record) bool {
+			g := (r.At(tpch.ColOrderKey).AsInt()-1)*4 + r.At(tpch.ColLineNumber).AsInt() - 1
+			if plantedAt[g] {
+				planted = append(planted, g)
+				want = append(want, r.String())
+			} else {
+				natural = append(natural, g)
+				if g%3 == 0 {
+					want = append(want, r.String())
+				}
+			}
+			return true
+		})
+		f := &batchRecorder{t: t, gen: gen, rng: rand.New(rand.NewSource(7))}
+		var got []string
+		if err := src.(data.FilterSource).ScanWhere(f, nil, func(r data.Record) bool {
+			got = append(got, r.String())
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: yielded %d rows, want %d, or other rows", name, len(got), len(want))
+		}
+		var seen []int64
+		for _, b := range f.batches {
+			if len(b) == 0 || len(b) > data.BatchRows {
+				t.Fatalf("%s: a batch of %d rows", name, len(b))
+			}
+			first := (b[0] - p.startRow) / StatBlockRows
+			if last := (b[len(b)-1] - p.startRow) / StatBlockRows; last != first || b[len(b)-1]-b[0] >= data.BatchRows {
+				t.Fatalf("%s: batch %d..%d crosses a zone's end or spans more than a batch", name, b[0], b[len(b)-1])
+			}
+			seen = append(seen, b...)
+		}
+		if !slices.Equal(seen, natural) {
+			t.Fatalf("%s: batches covered %d natural rows, want %d in order", name, len(seen), len(natural))
+		}
+		if len(f.planted) != len(planted) {
+			t.Fatalf("%s: TestRow saw %d rows, want the %d planted", name, len(f.planted), len(planted))
+		}
+		for i, r := range f.planted {
+			if g := (r.At(tpch.ColOrderKey).AsInt()-1)*4 + r.At(tpch.ColLineNumber).AsInt() - 1; g != planted[i] {
+				t.Fatalf("%s: TestRow saw row %d, want planted row %d", name, g, planted[i])
+			}
+			for c := 0; c < r.Len(); c++ {
+				if k := r.At(c).Kind(); k != tpch.LineItemSchema.Kind(c) {
+					t.Fatalf("%s: planted row %s column %d is %s, declared %s", name, r, c, k, tpch.LineItemSchema.Kind(c))
+				}
+			}
+		}
+	}
+}
+
+// edgePartition is a partition of ds holding rows rows from global row
+// start, with planted rows at the offsets pos (ascending) and its zone
+// map.
+func edgePartition(ds *Dataset, start, rows int64, pos []int64) *Partition {
+	p := &Partition{ds: ds, startRow: start, numRows: rows, matchPos: pos, bytes: rows * tpch.AvgRowBytes}
+	p.buildZones()
+	return p
+}
+
+// TestScanWhereBatchEdges pins the batch loop's edges against Scan +
+// EvalBool, on the partition and both pruned views, through ScanFilter
+// (the typed kernels) and the reference filter: planted rows at a
+// batch's first and last row and on both sides of a zone boundary; a
+// last zone, and an only zone, shorter than a batch; a LIMIT reached in
+// the middle of a batch; and an error in the middle of a batch, at a
+// natural or a planted row, after earlier natural and planted matches,
+// which are yielded first.
+func TestScanWhereBatchEdges(t *testing.T) {
+	ds, err := Build(Spec{Scale: 1, Seed: 5, Z: 1, Partitions: 2, RowsOverride: 20_000})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if full != p.NumMatches() || natural+full != p.NumRecords() {
-		t.Fatalf("keep saw %d full and %d partial rows; want %d planted of %d",
-			full, natural, p.NumMatches(), p.NumRecords())
+	const start = 1000 // a multiple of 4: offset o has L_LINENUMBER o%4 + 1
+	geometries := []struct {
+		rows int64
+		pos  []int64
+	}{
+		{2*StatBlockRows + 77, []int64{0, 1, 50, 255, 256, 511, 4095, 4096, 4097, 4098, 2*StatBlockRows + 76}},
+		{200, []int64{0, 50, 199}},
+		{300, nil},
+		{StatBlockRows + 300, []int64{StatBlockRows + 299}},
 	}
-	if err := p.ScanWhere([]int{tpch.LineItemSchema.Len()}, keep, nil, nil); err == nil {
-		t.Fatal("out-of-range column index accepted")
+	// failAfter(m) matches the rows before offset m (m a multiple of 4)
+	// and fails, dividing by zero, on the first row from m on whose
+	// L_LINENUMBER is 3, offset m+2; at m = 4096 that row is planted.
+	failAfter := func(m int64) expr.Expr {
+		return bin(expr.OpOr,
+			bin(expr.OpLe, col("L_ORDERKEY"), lit(data.Int((start+m)/4))),
+			bin(expr.OpGt, bin(expr.OpDiv, col("L_QUANTITY"), bin(expr.OpSub, col("L_LINENUMBER"), lit(data.Int(3)))), lit(data.Int(0))))
 	}
+	rng := rand.New(rand.NewSource(3))
+	all := equivalencePredicates(rng)
+	preds := []expr.Expr{failAfter(100), failAfter(252), failAfter(4092), failAfter(4096),
+		bin(expr.OpGt, col("L_QUANTITY"), lit(data.Int(25))), all[0], all[2], all[4], all[5], all[len(all)-2], all[len(all)-1]}
+	proj, err := tpch.LineItemSchema.Project("L_ORDERKEY", "L_LINENUMBER", "L_QUANTITY", "L_DISCOUNT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range geometries {
+		p := edgePartition(ds, start, g.rows, g.pos)
+		for name, src := range pruneSources(t, p) {
+			for _, pred := range preds {
+				for _, limit := range []int64{1, 37, 257, -1} {
+					whole := scanEvalReference(src, pred, limit)
+					for _, proj := range []*data.Schema{nil, proj} {
+						where := fmt.Sprintf("%d rows planted at %v, %s, pred %s, proj %v, limit %d", g.rows, g.pos, name, pred, proj != nil, limit)
+						want := whole.project(proj)
+						if got := scanFilter(src, pred, proj, limit); !sameResult(got, want) {
+							t.Fatalf("%s: ScanFilter %v, Scan+EvalBool+Project %v", where, got, want)
+						}
+						if got := scanWhereDirect(t, src.(data.FilterSource), pred, proj, limit); !sameResult(got, want) {
+							t.Fatalf("%s: ScanWhere %v, Scan+EvalBool+Project %v", where, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	// The failing predicates fail where intended, after their matches.
+	p := edgePartition(ds, start, geometries[0].rows, geometries[0].pos)
+	for _, c := range []struct {
+		m       int64
+		matches int
+	}{{100, 100}, {4092, 4092}, {4096, 4096}} {
+		res := scanEvalReference(p, failAfter(c.m), -1)
+		if len(res.recs) != c.matches || res.err != "expr: division by zero" {
+			t.Fatalf("failAfter(%d): %v, want %d matches then division by zero", c.m, res, c.matches)
+		}
+	}
+}
+
+// TestScanWhereAllocatesPerMatchOnly: a split with no matches allocates
+// the same number of objects whatever its row count, so the batch loop
+// allocates nothing per row or per batch.
+func TestScanWhereAllocatesPerMatchOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under -race: sync.Pool drops pooled objects at random")
+	}
+	ds, err := Build(Spec{Scale: 1, Seed: 5, Z: 1, Partitions: 2, RowsOverride: 200_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, err := tpch.LineItemSchema.Project("L_ORDERKEY", "L_QUANTITY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pred := range []expr.Expr{
+		bin(expr.OpAnd,
+			&expr.Between{X: col("L_QUANTITY"), Lo: lit(data.Int(12)), Hi: lit(data.Int(16))},
+			bin(expr.OpLt, col("L_DISCOUNT"), lit(data.Float(0)))),
+		bin(expr.OpOr, bin(expr.OpGt, col("L_QUANTITY"), lit(data.Int(50))),
+			&expr.Not{X: bin(expr.OpNe, col("L_SHIPMODE"), lit(data.Str("DRONE")))}),
+	} {
+		allocs := func(rows int64) float64 {
+			p := edgePartition(ds, 0, rows, nil)
+			return testing.AllocsPerRun(20, func() {
+				if err := expr.ScanFilter(p, pred, proj, func(data.Record) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(1000), allocs(60_000); small != large {
+			t.Fatalf("%s: a split of 1000 rows allocates %v objects, of 60000 rows %v", pred, small, large)
+		}
+	}
+}
+
+// TestScanWhereConcurrent runs filtered scans from several goroutines at
+// once, as the scan executor's workers do, so the pooled scan state
+// passes between them: every scan must still equal its sequential
+// reference.
+func TestScanWhereConcurrent(t *testing.T) {
+	ds, err := Build(Spec{Scale: 1, Seed: 9, Z: 1, Partitions: 4, RowsOverride: 40_000, Selectivity: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := equivalencePredicates(rand.New(rand.NewSource(11)))
+	proj, err := tpch.LineItemSchema.Project("L_ORDERKEY", "L_DISCOUNT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]filterResult, ds.NumPartitions())
+	for i, p := range ds.Partitions() {
+		for _, pred := range preds {
+			want[i] = append(want[i], scanEvalReference(p, pred, -1).project(proj))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				i := (g + k) % ds.NumPartitions()
+				for j, pred := range preds {
+					if got := scanFilter(ds.Partition(i), pred, proj, -1); !sameResult(got, want[i][j]) {
+						t.Errorf("goroutine %d partition %d pred %s: %v, want %v", g, i, pred, got, want[i][j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -140,20 +140,19 @@ func (v *prunedView) SizeBytes() int64 {
 // visits the planted rows, the skip view the rows of every zone holding
 // one, both through the partition's own row loop.
 func (v *prunedView) Scan(yield func(data.Record) bool) {
-	v.walk(v.p.newRowScan(yield))
+	_ = v.p.scan(everyRow{}, nil, yield, v.coverage())
 }
 
 // ScanWhere implements data.FilterSource over the view's coverage.
-func (v *prunedView) ScanWhere(cols []int, keep func(data.Record) (bool, error), proj *data.Schema, yield func(data.Record) bool) error {
-	return v.p.filterScan(cols, keep, proj, yield, v.walk)
+func (v *prunedView) ScanWhere(pred data.Filter, proj *data.Schema, yield func(data.Record) bool) error {
+	return v.p.scan(pred, proj, yield, v.coverage())
 }
 
-func (v *prunedView) walk(s *rowScan) {
+func (v *prunedView) coverage() coverage {
 	if v.indexed {
-		s.plantedOnly()
-	} else {
-		s.zones(true)
+		return plantedRows
 	}
+	return matchZones
 }
 
 // AcceleratedMatches delegates to the partition: the pruned views cover

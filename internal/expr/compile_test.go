@@ -3,6 +3,7 @@ package expr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dynamicmr/internal/data"
@@ -24,6 +25,15 @@ func (g *gen) intn(n int) int {
 
 var (
 	genSchema = data.NewSchema("A", "B", "C", "D")
+	// genTyped declares A INT, B FLOAT and C STRING, so batch tests over
+	// it run the typed kernels where the kinds have one and the row test
+	// elsewhere, and leaves D to values of any kind.
+	genTyped = data.NewTypedSchema(
+		data.Field{Name: "A", Kind: data.KindInt},
+		data.Field{Name: "B", Kind: data.KindFloat},
+		data.Field{Name: "C", Kind: data.KindString},
+		data.Field{Name: "D", Kind: data.KindAny},
+	)
 	// genValues holds every kind, the float edge cases data.Compare's
 	// NaN rule and signed zeros reach, and INTs around ±2^53 and the
 	// int64 limits, where a float64 comparison would merge neighbours.
@@ -44,12 +54,37 @@ var (
 
 func (g *gen) value() data.Value { return genValues[g.intn(len(genValues))] }
 
-func (g *gen) record() data.Record {
-	vals := make([]data.Value, genSchema.Len())
+// record draws a record of schema: a value of any kind in a KindAny
+// column, of the declared kind in any other.
+func (g *gen) record(schema *data.Schema) data.Record {
+	vals := make([]data.Value, schema.Len())
 	for i := range vals {
+		if k := schema.Kind(i); k != data.KindAny {
+			var of []data.Value
+			for _, v := range genValues {
+				if v.Kind() == k {
+					of = append(of, v)
+				}
+			}
+			vals[i] = of[g.intn(len(of))]
+			continue
+		}
 		vals[i] = g.value()
 	}
-	return data.NewRecord(genSchema, vals)
+	return data.NewRecord(schema, vals)
+}
+
+// selection draws an ascending subset of the rows [0, n), at most
+// data.BatchRows of them: every row, or each row with probability 1/2.
+func (g *gen) selection(n int) []int32 {
+	var sel []int32
+	all := g.intn(3) == 0
+	for r := 0; r < n && len(sel) < data.BatchRows; r++ {
+		if all || g.intn(2) == 0 {
+			sel = append(sel, int32(r))
+		}
+	}
+	return sel
 }
 
 func (g *gen) column() Expr { return &Column{Name: genSchema.Columns()[g.intn(genSchema.Len())]} }
@@ -122,25 +157,101 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkCompiled compiles e bound to genSchema and requires the test to
-// agree with EvalBool, result and error text, on every record.
-func checkCompiled(t *testing.T, e Expr, recs []data.Record) {
+// checkCompiled compiles e bound to schema and requires its row test
+// to agree with EvalBool, result and error text, on every record, and
+// its batch test, over each selection of the records as one batch, to
+// accept exactly the rows EvalBool accepts up to the first row EvalBool
+// fails on, and to return that row and its error.
+func checkCompiled(t *testing.T, e Expr, schema *data.Schema, recs []data.Record, sels [][]int32) {
 	t.Helper()
-	bound, err := Bind(e, genSchema)
+	bound, err := Bind(e, schema)
 	if err != nil {
 		t.Fatalf("Bind(%s): %v", e, err)
 	}
-	test := compile(bound)
+	n := compile(bound, schema)
 	for _, r := range recs {
 		want, wantErr := EvalBool(bound, r)
-		got, gotErr := test(r)
+		got, gotErr := n.test(r)
 		if got != want || errText(gotErr) != errText(wantErr) {
 			t.Fatalf("%s on %s: compiled (%v, %q), EvalBool (%v, %q)",
 				e, r, got, errText(gotErr), want, errText(wantErr))
 		}
 	}
+	f := newScanFilter(n, schema)
+	defer f.release()
+	b := &vecBatch{t: t, schema: schema, recs: recs}
+	for _, sel := range sels {
+		var want []int32
+		var wantAt int32
+		var wantErr error
+		for _, r := range sel {
+			ok, err := EvalBool(bound, recs[r])
+			if err != nil {
+				wantAt, wantErr = r, err
+				break
+			}
+			if ok {
+				want = append(want, r)
+			}
+		}
+		got := slices.Clone(sel)
+		k, at, err := f.TestBatch(b, got)
+		if !slices.Equal(got[:k], want) || errText(err) != errText(wantErr) || (err != nil && at != wantAt) {
+			t.Fatalf("%s over %v of %v: batch test kept %v, error %q at row %d; EvalBool keeps %v, error %q at row %d",
+				e, schema.Columns(), sel, got[:k], errText(err), at, want, errText(wantErr), wantAt)
+		}
+	}
 }
 
+// vecBatch is a data.Batch over records. Its typed accessors read only
+// the columns the schema declares of their kind, and every call poisons
+// all vectors before filling the rows sel lists, so a kernel that reads
+// a row it was not given, keeps a vector past the batch's next call, or
+// trusts a kind it was not declared, fails.
+type vecBatch struct {
+	t      *testing.T
+	schema *data.Schema
+	recs   []data.Record
+	ints   [data.BatchRows]int64
+	flts   [data.BatchRows]float64
+}
+
+func (b *vecBatch) poison(col int, kind data.Kind) {
+	if k := b.schema.Kind(col); k != kind {
+		b.t.Fatalf("batch test read column %d, declared %s, as %s", col, k, kind)
+	}
+	for r := range b.ints {
+		b.ints[r], b.flts[r] = math.MinInt64+int64(r), math.NaN()
+	}
+}
+
+func (b *vecBatch) Ints(col int, sel []int32) []int64 {
+	b.poison(col, data.KindInt)
+	for _, r := range sel {
+		b.ints[r] = b.recs[r].At(col).AsInt()
+	}
+	return b.ints[:]
+}
+
+func (b *vecBatch) Floats(col int, sel []int32) []float64 {
+	b.poison(col, data.KindFloat)
+	for _, r := range sel {
+		b.flts[r] = b.recs[r].At(col).AsFloat()
+	}
+	return b.flts[:]
+}
+
+func (b *vecBatch) Fill(k int32, cols []int, vals []data.Value) {
+	for _, c := range cols {
+		vals[c] = b.recs[k].At(c)
+	}
+}
+
+// TestCompileEqualsEval checks compiled trees, over an untyped schema
+// (every node tested row by row) and a typed one (the kernels), on 256
+// records of values that include NaN, ±Inf, ±0, INTs around ±2^53 and
+// at the int64 limits, and literals of every kind, some spelled as
+// negations.
 func TestCompileEqualsEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	randBytes := func(n int) []byte {
@@ -148,14 +259,18 @@ func TestCompileEqualsEval(t *testing.T) {
 		rng.Read(b)
 		return b
 	}
-	recGen := &gen{b: randBytes(256 * 4)}
-	recs := make([]data.Record, 256)
-	for i := range recs {
-		recs[i] = recGen.record()
-	}
-	for i := 0; i < 1500; i++ {
-		g := &gen{b: randBytes(64)}
-		checkCompiled(t, g.pred(3), recs)
+	for _, schema := range []*data.Schema{genSchema, genTyped} {
+		recGen := &gen{b: randBytes(256 * 4)}
+		recs := make([]data.Record, 256)
+		for i := range recs {
+			recs[i] = recGen.record(schema)
+		}
+		for i := 0; i < 1500; i++ {
+			g := &gen{b: randBytes(64)}
+			e := g.pred(3)
+			sg := &gen{b: randBytes(3 * 257)}
+			checkCompiled(t, e, schema, recs, [][]int32{sg.selection(256), sg.selection(256), sg.selection(256)})
+		}
 	}
 }
 
@@ -165,12 +280,15 @@ func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, tree, recs []byte) {
 		g := &gen{b: tree}
 		e := g.pred(4)
-		rg := &gen{b: recs}
-		var rs []data.Record
-		for len(rg.b) > 0 && len(rs) < 64 {
-			rs = append(rs, rg.record())
+		for _, schema := range []*data.Schema{genSchema, genTyped} {
+			rg := &gen{b: recs}
+			var rs []data.Record
+			for len(rg.b) > 0 && len(rs) < 64 {
+				rs = append(rs, rg.record(schema))
+			}
+			sg := &gen{b: tree}
+			checkCompiled(t, e, schema, rs, [][]int32{sg.selection(len(rs)), sg.selection(len(rs))})
 		}
-		checkCompiled(t, e, rs)
 	})
 }
 
@@ -178,16 +296,43 @@ func TestCompiledTestAllocatesNothing(t *testing.T) {
 	e := bin(OpAnd,
 		&Between{X: col("A"), Lo: lint(12), Hi: lint(16)},
 		bin(OpOr, bin(OpLe, lfloat(0.03), col("F")), &Not{X: bin(OpEq, col("S"), lstr("RAIL"))}))
-	bound, err := Bind(e, testSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	test := compile(bound)
-	r := rec(14, 0, "AIR", 0.01)
-	if a := testing.AllocsPerRun(100, func() { _, _ = test(r) }); a != 0 {
-		t.Fatalf("compiled test allocates %v times per record", a)
+	for _, schema := range []*data.Schema{testSchema, typedTestSchema} {
+		bound, err := Bind(e, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := compile(bound, schema)
+		r := data.NewRecord(schema, []data.Value{data.Int(14), data.Int(0), data.Str("AIR"), data.Float(0.01)})
+		if a := testing.AllocsPerRun(100, func() { _, _ = n.test(r) }); a != 0 {
+			t.Fatalf("%v: compiled test allocates %v times per record", schema.Columns(), a)
+		}
+		recs := make([]data.Record, data.BatchRows)
+		for i := range recs {
+			recs[i] = data.NewRecord(schema, []data.Value{
+				data.Int(int64(i % 20)), data.Int(0), data.Str([]string{"AIR", "RAIL"}[i%2]), data.Float(float64(i%7) / 100)})
+		}
+		f := newScanFilter(n, schema)
+		b := &vecBatch{t: t, schema: schema, recs: recs}
+		var sel [data.BatchRows]int32
+		if a := testing.AllocsPerRun(100, func() {
+			for i := range sel {
+				sel[i] = int32(i)
+			}
+			_, _, _ = f.TestBatch(b, sel[:])
+		}); a != 0 {
+			t.Fatalf("%v: batch test allocates %v times per batch", schema.Columns(), a)
+		}
+		f.release()
 	}
 }
+
+// typedTestSchema is testSchema with its kinds declared.
+var typedTestSchema = data.NewTypedSchema(
+	data.Field{Name: "A", Kind: data.KindInt},
+	data.Field{Name: "B", Kind: data.KindInt},
+	data.Field{Name: "S", Kind: data.KindString},
+	data.Field{Name: "F", Kind: data.KindFloat},
+)
 
 // A record whose schema is not the source's breaks the Source contract;
 // ScanFilter evaluates it by name, as EvalBool would, not by the

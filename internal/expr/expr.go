@@ -433,16 +433,6 @@ func Columns(e Expr) []string {
 	return out
 }
 
-// Validate checks that every referenced column exists in the schema.
-func Validate(e Expr, schema *data.Schema) error {
-	for _, c := range Columns(e) {
-		if !schema.Has(c) {
-			return fmt.Errorf("expr: column %q not in schema", c)
-		}
-	}
-	return nil
-}
-
 // Bind returns a copy of e with every Column replaced by a BoundColumn
 // resolved against schema, so evaluation reads fields by position. The
 // copy renders identically to e. It fails on a column the schema lacks
@@ -498,27 +488,25 @@ func Bind(e Expr, schema *data.Schema) (Expr, error) {
 // whole records; otherwise each accepted record r is yielded as
 // r.Project(proj), in a values slice of its own that yield may keep.
 //
-// When pred binds against src's schema it is compiled once into a test
-// that reads columns by position. A data.FilterSource then applies that
-// test to the columns it reads before any record is built, and builds
+// When pred binds against src's schema it is compiled once into a node
+// that reads columns by position (see compile). A data.FilterSource
+// then tests its natural rows in batches of typed column vectors,
+// computing each column only for the rows still selected, and builds
 // only the projected columns of matches; any other source scans whole
-// records, tests each and projects the accepted ones. A record whose
-// schema is not src's, which breaks the Source contract, and every
-// record of a predicate that does not bind are evaluated by name with
-// EvalBool. Output, order and errors are the same on every path.
+// records, tests each with the compiled row test and projects the
+// accepted ones. A record whose schema is not src's, which breaks the
+// Source contract, and every record of a predicate that does not bind
+// are evaluated by name with EvalBool. Output, order and errors are the
+// same on every path.
 func ScanFilter(src data.Source, pred Expr, proj *data.Schema, yield func(data.Record) bool) error {
 	schema := src.Schema()
-	var keep test
+	var keep node
 	if bound, err := Bind(pred, schema); err == nil {
-		keep = compile(bound)
+		keep = compile(bound, schema)
 		if fs, ok := src.(data.FilterSource); ok {
-			var cols []int
-			walk(bound, func(e Expr) {
-				if c, ok := e.(*BoundColumn); ok {
-					cols = append(cols, c.Index)
-				}
-			})
-			return fs.ScanWhere(cols, keep, proj, yield)
+			f := newScanFilter(keep, schema)
+			defer f.release()
+			return fs.ScanWhere(f, proj, yield)
 		}
 	}
 	var scanErr error
@@ -526,7 +514,7 @@ func ScanFilter(src data.Source, pred Expr, proj *data.Schema, yield func(data.R
 		var ok bool
 		var err error
 		if keep != nil && r.Schema() == schema {
-			ok, err = keep(r)
+			ok, err = keep.test(r)
 		} else {
 			ok, err = EvalBool(pred, r)
 		}

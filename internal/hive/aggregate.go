@@ -199,6 +199,14 @@ func newAggPlan(sel *SelectStmt, table *data.Schema, pred expr.Expr) (*aggPlan, 
 			if it.AggCol != "" && !table.Has(it.AggCol) {
 				return nil, fmt.Errorf("hive: aggregate column %q not in table", it.AggCol)
 			}
+			if it.Agg == "SUM" || it.Agg == "AVG" {
+				// update's run-time check, made at plan time from the
+				// declared kind; a column of no declared kind passes.
+				i, _ := table.Index(it.AggCol)
+				if k := table.Kind(i); k != data.KindInt && k != data.KindFloat && k != data.KindAny {
+					return nil, fmt.Errorf("hive: %s over non-numeric column %s", it.Agg, it.AggCol)
+				}
+			}
 			p.aggs = append(p.aggs, it)
 			continue
 		}

@@ -146,10 +146,16 @@ func TestAggregateSemanticErrors(t *testing.T) {
 		"SELECT SUM(NOPE) FROM lineitem",                          // unknown agg col
 		"SELECT L_RETURNFLAG FROM lineitem GROUP BY L_RETURNFLAG", // group by without aggregates
 		"SELECT SUM(L_SHIPMODE) FROM lineitem",                    // non-numeric sum
+		"SELECT SUM(L_COMMENT) FROM lineitem",                     // non-numeric sum
+		"SELECT AVG(L_SHIPDATE) FROM lineitem GROUP BY L_TAX",     // non-numeric average
+		"SELECT COUNT(*) FROM lineitem WHERE L_SHIPMODE > 5",      // ill-typed WHERE
 	} {
 		if _, err := s.Execute(q); err == nil {
 			t.Errorf("Execute(%q) succeeded", q)
 		}
+	}
+	if n := len(r.jt.Jobs()); n != 0 {
+		t.Fatalf("semantic errors submitted %d jobs", n)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"dynamicmr/internal/dataset"
 	"dynamicmr/internal/dfs"
 	"dynamicmr/internal/expr"
+	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/sim"
 	"dynamicmr/internal/tpch"
 )
@@ -16,7 +17,9 @@ import (
 // FuzzParse checks that Parse never panics, that an accepted statement
 // re-renders to a fixpoint, and that semantic analysis (Session.plan)
 // of a SELECT, or of an EXPLAIN's SELECT, returns a plan or an error
-// and never panics. A query over lineitem then filters a generated
+// and never panics. A statement that plans never meets a kind error at
+// run time: its scan, or its aggregate map over a generated partition,
+// fails with nothing but division by zero. A query over lineitem then filters a generated
 // partition of about 2,000 rows the same through expr.ScanFilter
 // (bound, compiled, late-materialising) as through a plain Scan with
 // EvalBool and Record.Project: the same rows in the same order, and the
@@ -82,8 +85,15 @@ func FuzzParse(f *testing.F) {
 		if sel == nil {
 			return
 		}
+		plan, planErr := session.plan(sel)
+		if planErr == nil && plan.agg != nil {
+			m := &aggMapper{plan: plan.agg}
+			if err := m.MapSplit(&mapreduce.TaskContext{Source: part}, &mapreduce.Collector{}); !runtimeOnly(err) {
+				t.Fatalf("%q plans, but its aggregate map fails: %v", sql, err)
+			}
+		}
 		pred, proj := sel.Where, (*data.Schema)(nil)
-		if plan, err := session.plan(sel); err == nil && plan.agg == nil {
+		if planErr == nil && plan.agg == nil {
 			pred, proj = plan.pred, plan.projection
 		}
 		if pred == nil || !strings.EqualFold(sel.Table, "lineitem") {
@@ -110,6 +120,9 @@ func FuzzParse(f *testing.F) {
 			}
 			return true
 		})
+		if planErr == nil && !runtimeOnly(gotErr) {
+			t.Fatalf("%q plans, but its scan fails: %v", sql, gotErr)
+		}
 		if errText(gotErr) != errText(wantErr) {
 			t.Fatalf("WHERE %s: ScanFilter error %q, Scan + EvalBool %q", pred, errText(gotErr), errText(wantErr))
 		}
@@ -118,6 +131,12 @@ func FuzzParse(f *testing.F) {
 				pred, proj != nil, len(got), len(want))
 		}
 	})
+}
+
+// runtimeOnly reports whether err is nil or the one error a statement
+// that plans may still meet at run time: division by zero.
+func runtimeOnly(err error) bool {
+	return err == nil || err.Error() == "expr: division by zero"
 }
 
 // render lists records one a line, each after its schema's columns.

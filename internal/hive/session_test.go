@@ -210,6 +210,49 @@ func TestSessionErrors(t *testing.T) {
 // TestSessionRepeatedOutputColumn: a SELECT list that names an output
 // column twice, in any case, is a semantic error naming the column, and
 // the session still runs the next statement.
+// TestSessionTypeErrors: a statement whose kinds cannot work under
+// LINEITEM's declared kinds is a semantic error, raised before any job
+// is submitted, whether it runs or is only submitted; INT against FLOAT
+// and division by zero still plan.
+func TestSessionTypeErrors(t *testing.T) {
+	r := newSessionRig(t, 0)
+	s := r.session("types")
+	for q, want := range map[string]string{
+		"SELECT SUM(L_COMMENT) FROM lineitem":                                "hive: SUM over non-numeric column L_COMMENT",
+		"SELECT L_ORDERKEY FROM lineitem WHERE L_SHIPMODE > 5 LIMIT 3":       "expr: cannot compare STRING with INT in (L_SHIPMODE > 5)",
+		"SELECT L_ORDERKEY FROM lineitem WHERE L_QUANTITY BETWEEN 'a' AND 5": "expr: cannot compare INT with STRING in (L_QUANTITY BETWEEN 'a' AND 5)",
+		"SELECT L_ORDERKEY FROM lineitem WHERE L_TAX IN (0.01, 'x')":         "expr: cannot compare FLOAT with STRING in (L_TAX IN (0.01, 'x'))",
+		"SELECT L_ORDERKEY FROM lineitem WHERE L_COMMENT + 1 > 2":            "expr: arithmetic on STRING and INT in (L_COMMENT + 1)",
+		"SELECT L_ORDERKEY FROM lineitem WHERE -L_SHIPMODE < 0":              "expr: cannot negate STRING in (-L_SHIPMODE)",
+		"SELECT L_ORDERKEY FROM lineitem WHERE L_QUANTITY":                   "expr: INT value used as boolean in L_QUANTITY",
+		"SELECT L_ORDERKEY FROM lineitem WHERE NOT L_TAX OR TRUE":            "expr: FLOAT value used as boolean in (NOT L_TAX)",
+		"SELECT L_ORDERKEY FROM lineitem WHERE TRUE AND L_SHIPMODE":          "expr: STRING value used as boolean in (true AND L_SHIPMODE)",
+	} {
+		if _, err := s.Execute(q); err == nil || err.Error() != want {
+			t.Errorf("Execute(%q): %v, want %q", q, err, want)
+		}
+		if _, _, err := s.SubmitAsync(q); err == nil || err.Error() != want {
+			t.Errorf("SubmitAsync(%q): %v, want %q", q, err, want)
+		}
+	}
+	if n := len(r.jt.Jobs()); n != 0 {
+		t.Fatalf("semantic errors submitted %d jobs", n)
+	}
+	for _, q := range []string{
+		"SELECT L_ORDERKEY FROM lineitem WHERE L_QUANTITY > 49.5 AND NULL = L_SHIPMODE LIMIT 3",
+		"SELECT L_ORDERKEY FROM lineitem WHERE L_EXTENDEDPRICE / (L_QUANTITY - L_QUANTITY) > 1 LIMIT 3",
+		"SELECT AVG(L_QUANTITY), SUM(L_TAX) FROM lineitem WHERE L_SHIPDATE < '1995-01-01' OR NULL",
+	} {
+		sel, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.plan(sel.(*SelectStmt)); err != nil {
+			t.Errorf("plan(%q): %v", q, err)
+		}
+	}
+}
+
 func TestSessionRepeatedOutputColumn(t *testing.T) {
 	r := newSessionRig(t, 0)
 	s := r.session("erin")

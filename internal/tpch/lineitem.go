@@ -11,13 +11,25 @@ import (
 // holds 30 million rows, matching §V-B).
 const RowsPerScale = 6_000_000
 
-// LineItemSchema is the LINEITEM column set.
-var LineItemSchema = data.NewSchema(
-	"L_ORDERKEY", "L_PARTKEY", "L_SUPPKEY", "L_LINENUMBER",
-	"L_QUANTITY", "L_EXTENDEDPRICE", "L_DISCOUNT", "L_TAX",
-	"L_RETURNFLAG", "L_LINESTATUS",
-	"L_SHIPDATE", "L_COMMITDATE", "L_RECEIPTDATE",
-	"L_SHIPINSTRUCT", "L_SHIPMODE", "L_COMMENT",
+// LineItemSchema is the LINEITEM column set, each column declaring the
+// kind of every value the generator produces for it.
+var LineItemSchema = data.NewTypedSchema(
+	data.Field{Name: "L_ORDERKEY", Kind: data.KindInt},
+	data.Field{Name: "L_PARTKEY", Kind: data.KindInt},
+	data.Field{Name: "L_SUPPKEY", Kind: data.KindInt},
+	data.Field{Name: "L_LINENUMBER", Kind: data.KindInt},
+	data.Field{Name: "L_QUANTITY", Kind: data.KindInt},
+	data.Field{Name: "L_EXTENDEDPRICE", Kind: data.KindFloat},
+	data.Field{Name: "L_DISCOUNT", Kind: data.KindFloat},
+	data.Field{Name: "L_TAX", Kind: data.KindFloat},
+	data.Field{Name: "L_RETURNFLAG", Kind: data.KindString},
+	data.Field{Name: "L_LINESTATUS", Kind: data.KindString},
+	data.Field{Name: "L_SHIPDATE", Kind: data.KindString},
+	data.Field{Name: "L_COMMITDATE", Kind: data.KindString},
+	data.Field{Name: "L_RECEIPTDATE", Kind: data.KindString},
+	data.Field{Name: "L_SHIPINSTRUCT", Kind: data.KindString},
+	data.Field{Name: "L_SHIPMODE", Kind: data.KindString},
+	data.Field{Name: "L_COMMENT", Kind: data.KindString},
 )
 
 // Column index constants into LineItemSchema, for fast generated access.
@@ -180,40 +192,36 @@ const (
 // column equals Row(i)'s at a fraction of its cost. vals must hold
 // LineItemSchema.Len() values.
 func (g *Generator) Fill(i int64, need uint32, vals []data.Value) {
-	if i < 0 || i >= g.rows {
-		panic(fmt.Sprintf("tpch: row %d out of range [0,%d)", i, g.rows))
-	}
+	g.checkRow(i)
 	s := rowStream(g.seed, uint64(i))
 	has := func(col int) bool { return need&(1<<col) != 0 }
 
 	if has(ColOrderKey) {
-		vals[ColOrderKey] = data.Int(i/4 + 1) // ~4 lineitems per order
+		vals[ColOrderKey] = data.Int(orderKey(i))
 	}
 	if has(ColPartKey) {
-		vals[ColPartKey] = data.Int(s.between(drawPartKey, 1, int64(g.scale)*200_000))
+		vals[ColPartKey] = data.Int(g.partKey(s))
 	}
 	if has(ColSuppKey) {
-		vals[ColSuppKey] = data.Int(s.between(drawSuppKey, 1, int64(g.scale)*10_000))
+		vals[ColSuppKey] = data.Int(g.suppKey(s))
 	}
 	if has(ColLineNumber) {
-		vals[ColLineNumber] = data.Int(i%4 + 1)
+		vals[ColLineNumber] = data.Int(lineNumber(i))
 	}
 	if has(ColQuantity) || has(ColExtendedPrice) {
-		quantity := s.between(drawQuantity, 1, 50)
+		q := quantity(s)
 		if has(ColQuantity) {
-			vals[ColQuantity] = data.Int(quantity)
+			vals[ColQuantity] = data.Int(q)
 		}
 		if has(ColExtendedPrice) {
-			// retail price ~ 900..2100 scaled by quantity.
-			retail := 900.0 + s.unit(drawRetail)*1200.0
-			vals[ColExtendedPrice] = data.Float(round2(float64(quantity) * retail))
+			vals[ColExtendedPrice] = data.Float(extendedPrice(s, q))
 		}
 	}
 	if has(ColDiscount) {
-		vals[ColDiscount] = data.Float(float64(s.between(drawDiscount, 0, 10)) / 100.0)
+		vals[ColDiscount] = data.Float(discount(s))
 	}
 	if has(ColTax) {
-		vals[ColTax] = data.Float(float64(s.between(drawTax, 0, 8)) / 100.0)
+		vals[ColTax] = data.Float(tax(s))
 	}
 
 	const dated = 1<<ColReturnFlag | 1<<ColLineStatus | 1<<ColShipDate | 1<<ColCommitDate | 1<<ColReceiptDate
@@ -258,6 +266,86 @@ func (g *Generator) Fill(i int64, need uint32, vals []data.Value) {
 			pick(s, drawNoun, commentNouns) + " " + pick(s, drawVerb, commentVerbs))
 	}
 }
+
+// FillInts writes INT column col of rows first+sel[k] into dst[sel[k]],
+// computing only that column's draws. FillFloats does the same for a
+// FLOAT column. Each value equals Row's.
+func (g *Generator) FillInts(col int, first int64, sel []int32, dst []int64) {
+	g.checkRows(first, sel)
+	for _, k := range sel {
+		i := first + int64(k)
+		dst[k] = g.intAt(col, i, rowStream(g.seed, uint64(i)))
+	}
+}
+
+// FillFloats is FillInts for a FLOAT column.
+func (g *Generator) FillFloats(col int, first int64, sel []int32, dst []float64) {
+	g.checkRows(first, sel)
+	for _, k := range sel {
+		dst[k] = floatAt(col, rowStream(g.seed, uint64(first+int64(k))))
+	}
+}
+
+func (g *Generator) checkRow(i int64) {
+	if i < 0 || i >= g.rows {
+		panic(fmt.Sprintf("tpch: row %d out of range [0,%d)", i, g.rows))
+	}
+}
+
+// checkRows checks the rows first+sel[k] of an ascending sel.
+func (g *Generator) checkRows(first int64, sel []int32) {
+	if len(sel) > 0 {
+		g.checkRow(first + int64(sel[0]))
+		g.checkRow(first + int64(sel[len(sel)-1]))
+	}
+}
+
+// intAt and floatAt return one column of row i, whose stream is s,
+// computing only the draws it reads; they and Fill share each numeric
+// column's formula below.
+func (g *Generator) intAt(col int, i int64, s stream) int64 {
+	switch col {
+	case ColOrderKey:
+		return orderKey(i)
+	case ColPartKey:
+		return g.partKey(s)
+	case ColSuppKey:
+		return g.suppKey(s)
+	case ColLineNumber:
+		return lineNumber(i)
+	case ColQuantity:
+		return quantity(s)
+	}
+	panic(fmt.Sprintf("tpch: column %d is not an INT column", col))
+}
+
+func floatAt(col int, s stream) float64 {
+	switch col {
+	case ColExtendedPrice:
+		return extendedPrice(s, quantity(s))
+	case ColDiscount:
+		return discount(s)
+	case ColTax:
+		return tax(s)
+	}
+	panic(fmt.Sprintf("tpch: column %d is not a FLOAT column", col))
+}
+
+func orderKey(i int64) int64   { return i/4 + 1 } // ~4 lineitems per order
+func lineNumber(i int64) int64 { return i%4 + 1 }
+
+func (g *Generator) partKey(s stream) int64 { return s.between(drawPartKey, 1, int64(g.scale)*200_000) }
+func (g *Generator) suppKey(s stream) int64 { return s.between(drawSuppKey, 1, int64(g.scale)*10_000) }
+
+func quantity(s stream) int64 { return s.between(drawQuantity, 1, 50) }
+
+// extendedPrice is a retail price of ~900..2100 scaled by quantity.
+func extendedPrice(s stream, quantity int64) float64 {
+	return round2(float64(quantity) * (900.0 + s.unit(drawRetail)*1200.0))
+}
+
+func discount(s stream) float64 { return float64(s.between(drawDiscount, 0, 10)) / 100.0 }
+func tax(s stream) float64      { return float64(s.between(drawTax, 0, 8)) / 100.0 }
 
 func round2(f float64) float64 {
 	return float64(int64(f*100+0.5)) / 100

@@ -244,6 +244,81 @@ func TestRecordFieldsMatchSchema(t *testing.T) {
 		t.Fatal("L_COMMENT missing")
 	}
 	var _ data.Record = r
+	// Every generated value has its column's declared kind. (The
+	// dataset package checks the same of planted rows.)
+	for i := int64(0); i < 5000; i++ {
+		r := g.Row(i * 1193)
+		for c := 0; c < r.Len(); c++ {
+			if k, want := r.At(c).Kind(), LineItemSchema.Kind(c); k != want {
+				t.Fatalf("row %d column %s is %s, declared %s", i*1193, LineItemSchema.Columns()[c], k, want)
+			}
+		}
+	}
+}
+
+// filled returns n copies of v.
+func filled[T any](v T, n int) []T {
+	s := make([]T, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// TestTypedFillsMatchRow: FillInts and FillFloats write, at each
+// selected batch row and nowhere else, the value Row computes.
+func TestTypedFillsMatchRow(t *testing.T) {
+	g := NewGenerator(17, 2)
+	s := rowStream(5, 0)
+	const rows = 256
+	for trial := uint64(0); trial < 40; trial++ {
+		first := s.between(3*trial+1, 0, g.NumRows()-rows)
+		var sel []int32
+		for k := int32(0); k < rows; k++ {
+			if s.draw(3*trial+2+uint64(k)<<20)%3 == 0 {
+				sel = append(sel, k)
+			}
+		}
+		for c := 0; c < LineItemSchema.Len(); c++ {
+			// Unselected entries must keep a sentinel no column takes.
+			got := make([]data.Value, rows)
+			var unset data.Value
+			switch LineItemSchema.Kind(c) {
+			case data.KindInt:
+				v := filled(int64(-1), rows)
+				g.FillInts(c, first, sel, v)
+				for k := range v {
+					got[k] = data.Int(v[k])
+				}
+				unset = data.Int(-1)
+			case data.KindFloat:
+				v := filled(-1.0, rows)
+				g.FillFloats(c, first, sel, v)
+				for k := range v {
+					got[k] = data.Float(v[k])
+				}
+				unset = data.Float(-1)
+			default:
+				continue
+			}
+			for k, j := int32(0), 0; k < rows; k++ {
+				want := unset
+				if j < len(sel) && sel[j] == k {
+					want = g.Row(first + int64(k)).At(c)
+					j++
+				}
+				if got[k] != want {
+					t.Fatalf("row %d column %s: typed fill %v, want %v", first+int64(k), LineItemSchema.Columns()[c], got[k], want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a typed fill past the last row did not panic")
+		}
+	}()
+	g.FillInts(ColQuantity, g.NumRows()-1, []int32{0, 1}, make([]int64, 2))
 }
 
 func TestFillMatchesRowOnMaskedColumns(t *testing.T) {
