@@ -267,25 +267,29 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.eE+]+
 
 // parseBench collects benchmark result lines keyed by name with the
 // GOMAXPROCS suffix stripped; repeated runs keep the last measurement.
+// A result line whose ns/op or allocs/op does not parse as a number
+// (say "1.2.3", or more digits than an int64 holds) is an error: skipping
+// it, or only its allocation count, would pass a gate it never checked.
 func parseBench(r io.Reader) (map[string]result, error) {
 	out := make(map[string]result)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
+	for line := 1; sc.Scan(); line++ {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
 		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("line %d: %s ns/op: %w", line, m[1], err)
 		}
 		r := result{nsPerOp: ns}
 		if m[4] != "" {
 			n, err := strconv.ParseInt(m[4], 10, 64)
-			if err == nil {
-				r.allocsPerOp, r.hasAllocs = n, true
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %s allocs/op: %w", line, m[1], err)
 			}
+			r.allocsPerOp, r.hasAllocs = n, true
 		}
 		out[m[1]] = r
 	}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -183,4 +185,41 @@ func TestLoadBudgetsTolerancePct(t *testing.T) {
 	if tp := budgets["BenchmarkB"].TolerancePct; tp == nil || *tp != 40 {
 		t.Errorf("BenchmarkB override = %v, want 40", tp)
 	}
+}
+
+func TestParseBenchRejectsUnparsableCounts(t *testing.T) {
+	for _, line := range []string{
+		"BenchmarkX-2   100   63.2 ns/op   0 B/op   123456789012345678901 allocs/op",
+		"BenchmarkX-2   100   1.2.3 ns/op   0 B/op   5 allocs/op",
+		"BenchmarkX-2   100   1e400 ns/op",
+	} {
+		if got, err := parseBench(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("%q parsed as %+v, want an error", line, got)
+		}
+	}
+}
+
+// FuzzParseBench checks that parseBench never panics and that every
+// result it accepts, written back as a benchmark line, parses to the
+// same name, ns/op and allocs/op.
+func FuzzParseBench(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		got, err := parseBench(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for name, r := range got {
+			line := fmt.Sprintf("%s-2\t100\t%s ns/op", name, strconv.FormatFloat(r.nsPerOp, 'f', -1, 64))
+			if r.hasAllocs {
+				line += fmt.Sprintf("\t0 B/op\t%d allocs/op", r.allocsPerOp)
+			}
+			again, err := parseBench(strings.NewReader(line))
+			if err != nil {
+				t.Fatalf("%q (from %s %+v) does not re-parse: %v", line, name, r, err)
+			}
+			if len(again) != 1 || again[name] != r {
+				t.Fatalf("%q (from %s %+v) re-parses as %+v", line, name, r, again)
+			}
+		}
+	})
 }

@@ -109,12 +109,25 @@ func BenchmarkFirstKShuffle(b *testing.B) {
 }
 
 func benchSingleReduce(b *testing.B, memo string, reducer Reducer) {
+	runJob := memoServedJob(b, 160, memo, reducer)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runJob()
+	}
+}
+
+// memoServedJob builds the single-reduce shuffle benchmarks' shape with
+// the given number of splits of 150 records, every pair under one key,
+// maps the job once to warm the memo, and returns a function that runs
+// the job again (every map served from the memo) and retires it.
+func memoServedJob(tb testing.TB, splits int, memo string, reducer Reducer) (runJob func()) {
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.PaperConfig())
 	fs := dfs.New(cl)
 	schema := data.NewSchema("K", "V")
 	var srcs []data.Source
-	for p := 0; p < 160; p++ {
+	for p := 0; p < splits; p++ {
 		recs := make([]data.Record, 150)
 		for j := range recs {
 			recs[j] = data.NewRecord(schema, []data.Value{
@@ -125,7 +138,7 @@ func benchSingleReduce(b *testing.B, memo string, reducer Reducer) {
 	}
 	f, err := fs.Create("in", srcs, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.MapOutputCache = NewMapOutputCache()
@@ -142,20 +155,18 @@ func benchSingleReduce(b *testing.B, memo string, reducer Reducer) {
 	if reducer != nil {
 		spec.NewReducer = func(*JobConf) Reducer { return reducer }
 	}
-	// Warm the memo so every timed iteration maps from it.
+	// Warm the memo so every later job maps from it.
 	warm := jt.Submit(spec, SplitsForFile(f))
 	if !RunUntilDone(eng, warm, eng.Now()+1e6) {
-		b.Fatal("warm job stuck")
+		tb.Fatal("warm job stuck")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		job := jt.Submit(spec, SplitsForFile(f))
 		if !RunUntilDone(eng, job, eng.Now()+1e6) {
-			b.Fatal("job stuck")
+			tb.Fatal("job stuck")
 		}
 		if err := jt.Retire(job); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }

@@ -61,10 +61,15 @@ func (f *Future) Ready() bool {
 // uses it when a cache already holds the scan's output, so the join
 // path is uniform.
 func Resolved(v any) *Future {
-	f := &Future{done: make(chan struct{}), val: v}
-	close(f.done)
-	return f
+	return &Future{done: closed, val: v}
 }
+
+// closed is the done channel every Resolved future shares.
+var closed = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 type task struct {
 	key Key

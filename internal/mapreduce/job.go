@@ -102,10 +102,19 @@ type MapTask struct {
 
 	completed bool
 	running   []*mapAttempt
+	// runningBuf backs running for the usual single attempt, so a
+	// launch does not allocate it.
+	runningBuf [1]*mapAttempt
 	// enqueued is when the task last entered the pending queue (at
 	// AddSplits or requeue-after-failure); queue-wait spans measure from
 	// it to the next non-speculative launch.
 	enqueued float64
+
+	// pending is set while the task waits in its job's pending queue,
+	// linked through prev and next. picked marks it chosen by the
+	// AssignMaps call in progress (see Job.unpicked).
+	pending, picked bool
+	prev, next      *MapTask
 }
 
 // Completed reports whether some attempt of the task succeeded.
@@ -150,9 +159,14 @@ type Job struct {
 	state      JobState
 	numReduces int
 
-	pendingMaps []*MapTask
-	runningMaps map[*MapTask]struct{}
-	scheduled   int // total splits handed to the job so far
+	// pendHead..pendTail is the queue of map tasks awaiting a slot, in
+	// the order the schedulers see it: splits in the order they were
+	// added, a failed task requeued at the back. nPending counts it and
+	// nPicked counts its tasks marked picked.
+	pendHead, pendTail *MapTask
+	nPending, nPicked  int
+	runningMaps        map[*MapTask]struct{}
+	scheduled          int // total splits handed to the job so far
 
 	// mapOutput[r] collects chunks for reduce partition r.
 	mapOutput      [][]mapChunk
@@ -192,7 +206,7 @@ func (j *Job) EndOfInputDeclared() bool { return j.endOfInput }
 func (j *Job) ScheduledMaps() int { return j.scheduled }
 
 // PendingMaps returns the count of splits awaiting a slot.
-func (j *Job) PendingMaps() int { return len(j.pendingMaps) }
+func (j *Job) PendingMaps() int { return j.nPending }
 
 // RunningMaps returns the count of currently executing map tasks.
 func (j *Job) RunningMaps() int { return len(j.runningMaps) }
@@ -209,26 +223,88 @@ func (j *Job) Output() []KeyValue { return j.output }
 // ResponseTime returns FinishTime - SubmitTime (valid once Done).
 func (j *Job) ResponseTime() float64 { return j.FinishTime - j.SubmitTime }
 
-// localPendingTask returns a pending map task whose split has a replica
-// on the node, or nil.
-func (j *Job) localPendingTask(node int) *MapTask {
-	for _, t := range j.pendingMaps {
-		if _, ok := t.Split.Block.LocalTo(node); ok {
+// pushPending appends t to the back of the pending queue.
+func (j *Job) pushPending(t *MapTask) {
+	t.pending, t.prev, t.next = true, j.pendTail, nil
+	if j.pendTail != nil {
+		j.pendTail.next = t
+	} else {
+		j.pendHead = t
+	}
+	j.pendTail = t
+	j.nPending++
+}
+
+// takePending removes the given pending task in O(1); the rest of the
+// queue keeps its order.
+func (j *Job) takePending(t *MapTask) {
+	if !t.pending || t.Job != j {
+		panic("mapreduce: task not pending")
+	}
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		j.pendHead = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		j.pendTail = t.prev
+	}
+	t.pending, t.prev, t.next = false, nil, nil
+	j.nPending--
+}
+
+// clearPending empties the pending queue.
+func (j *Job) clearPending() {
+	for j.pendHead != nil {
+		j.takePending(j.pendHead)
+	}
+}
+
+// unpicked returns how many pending tasks the AssignMaps call in
+// progress has not picked yet. A scheduler marks each task it returns
+// (pick) instead of taking it out of the queue, so the queue stays in
+// order, and clears the marks (unpick) before it returns.
+func (j *Job) unpicked() int { return j.nPending - j.nPicked }
+
+// pick marks a pending task as chosen by the AssignMaps call in
+// progress.
+func (t *MapTask) pick() {
+	t.picked = true
+	t.Job.nPicked++
+}
+
+// unpick clears the pick marks of an AssignMaps call's result.
+func unpick(picks []*MapTask) {
+	for _, t := range picks {
+		t.picked = false
+		t.Job.nPicked--
+	}
+}
+
+// nextPending returns the first pending task not yet picked, or nil.
+func (j *Job) nextPending() *MapTask {
+	for t := j.pendHead; t != nil; t = t.next {
+		if !t.picked {
 			return t
 		}
 	}
 	return nil
 }
 
-// takePending removes and returns the given pending task.
-func (j *Job) takePending(t *MapTask) {
-	for i, x := range j.pendingMaps {
-		if x == t {
-			j.pendingMaps = append(j.pendingMaps[:i], j.pendingMaps[i+1:]...)
-			return
+// localPendingTask returns the first pending task not yet picked whose
+// split has a replica on the node, or nil.
+func (j *Job) localPendingTask(node int) *MapTask {
+	for t := j.pendHead; t != nil; t = t.next {
+		if t.picked {
+			continue
+		}
+		if _, ok := t.Split.Block.LocalTo(node); ok {
+			return t
 		}
 	}
-	panic("mapreduce: task not pending")
+	return nil
 }
 
 // medianMapDuration returns the median completed-map duration once at
@@ -246,6 +322,6 @@ func (j *Job) medianMapDuration(minDone int) (float64, bool) {
 // mapPhaseComplete reports whether the reduce phase may begin: every
 // scheduled map finished and (for dynamic jobs) end-of-input declared.
 func (j *Job) mapPhaseComplete() bool {
-	return j.endOfInput && len(j.pendingMaps) == 0 && len(j.runningMaps) == 0 &&
+	return j.endOfInput && j.nPending == 0 && len(j.runningMaps) == 0 &&
 		j.state == StateMapPhase
 }

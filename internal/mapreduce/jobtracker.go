@@ -141,6 +141,9 @@ type TaskTracker struct {
 	mapSlotIntegral    float64
 	reduceSlotIntegral float64
 	lastSlotChange     float64
+
+	// beat is tt.heartbeat, bound once when heartbeats start.
+	beat func()
 }
 
 // NodeID returns the tracker's node id.
@@ -221,6 +224,9 @@ type JobTracker struct {
 	totalNonLocalMaps int64
 
 	listeners []func(TaskEvent)
+
+	// picks is the built-in schedulers' AssignMaps result buffer.
+	picks []*MapTask
 
 	// tracer is nil unless cfg.Trace.Enabled; *trace.Tracer methods are
 	// nil-safe, so instrumentation sites call it unconditionally.
@@ -305,22 +311,25 @@ func (jt *JobTracker) start() {
 	jt.started = true
 	n := len(jt.trackers)
 	for i, tt := range jt.trackers {
-		tt := tt
 		offset := jt.cfg.HeartbeatIntervalS * float64(i+1) / float64(n)
-		jt.eng.After(offset, func() { jt.heartbeat(tt) })
+		tt.beat = tt.heartbeat
+		jt.eng.After(offset, tt.beat)
 	}
 	if jt.tracer.Enabled() {
 		jt.SampleUtilization()
 	}
 }
 
-func (jt *JobTracker) heartbeat(tt *TaskTracker) {
+// heartbeat is the tracker's periodic scheduling opportunity; it
+// re-arms itself through tt.beat.
+func (tt *TaskTracker) heartbeat() {
+	jt := tt.jt
 	if jt.tracer.Enabled() {
 		jt.tracer.Instant(trace.EventHeartbeat, trace.CatNode, jt.eng.Now(), -1, -1, tt.node.ID)
 		jt.tracer.Inc(trace.CounterHeartbeats, 1)
 	}
 	jt.assign(tt)
-	jt.eng.After(jt.cfg.HeartbeatIntervalS, func() { jt.heartbeat(tt) })
+	jt.eng.After(jt.cfg.HeartbeatIntervalS, tt.beat)
 }
 
 // assign is one scheduling opportunity for a tracker: consult the
@@ -359,7 +368,7 @@ func (jt *JobTracker) speculativeCandidate(tt *TaskTracker) *MapTask {
 		minDone = 3
 	}
 	for _, j := range jt.jobs {
-		if j.Done() || j.state != StateMapPhase || len(j.pendingMaps) > 0 {
+		if j.Done() || j.state != StateMapPhase || j.nPending > 0 {
 			continue
 		}
 		med, ok := j.medianMapDuration(minDone)
@@ -457,8 +466,9 @@ func (jt *JobTracker) AddSplits(j *Job, splits []Split) error {
 func (jt *JobTracker) addSplits(j *Job, splits []Split) {
 	for _, s := range splits {
 		t := &MapTask{Job: j, Index: j.scheduled, Split: s, Node: -1, enqueued: jt.eng.Now()}
+		t.running = t.runningBuf[:0]
 		j.scheduled++
-		j.pendingMaps = append(j.pendingMaps, t)
+		j.pushPending(t)
 	}
 }
 
@@ -519,7 +529,7 @@ func (jt *JobTracker) Status(j *Job) JobStatus {
 		ScheduledMaps:    j.scheduled,
 		CompletedMaps:    j.CompletedMaps(),
 		RunningMaps:      len(j.runningMaps),
-		PendingMaps:      len(j.pendingMaps),
+		PendingMaps:      j.nPending,
 		MapInputRecords:  j.Counters.MapInputRecords,
 		MapOutputRecords: j.Counters.MapOutputRecords,
 		ScanBlocksRead:   j.Counters.ScanBlocksRead,
@@ -537,7 +547,7 @@ func (jt *JobTracker) ClusterStatus() ClusterStatus {
 	for _, j := range jt.jobs {
 		if !j.Done() {
 			running++
-			queued += len(j.pendingMaps)
+			queued += j.nPending
 			queuedReduces += len(j.pendingReduces)
 		}
 	}
@@ -602,7 +612,7 @@ func (jt *JobTracker) failJob(j *Job, why string) {
 	mapDone := j.state == StateReducePhase
 	j.state = StateFailed
 	j.failure = why
-	j.pendingMaps = nil
+	j.clearPending()
 	j.pendingReduces = nil
 	j.FinishTime = jt.eng.Now()
 	jt.traceJobEnd(j, trace.OutcomeFailed, mapDone)

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -410,5 +411,26 @@ func TestSharedMapOutputUnmodified(t *testing.T) {
 				t.Fatalf("%s and %s share a backing array", spans[a].name, spans[b].name)
 			}
 		}
+	}
+}
+
+// TestMemoServedAttemptAllocs pins the heap objects one memo-served map
+// attempt costs, measured as the extra allocations of a 160-split job
+// over an 80-split one of BenchmarkFirstKShuffle's shape, per extra
+// split. They are five: the MapTask, the attempt, its bound advance
+// callback, and its disk and CPU demands. Scheduler picks, heartbeats,
+// completion events and the resources' buffers allocate nothing per
+// attempt.
+func TestMemoServedAttemptAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under -race")
+	}
+	perJob := func(splits int) float64 {
+		return testing.AllocsPerRun(10, memoServedJob(t, splits, "test|first-k", &firstK{k: 1000}))
+	}
+	small, large := perJob(80), perJob(160)
+	if got := (large - small) / 80; math.Round(got) != 5 {
+		t.Fatalf("%.2f objects per memo-served map attempt (%v per 160-split job, %v per 80-split job), want 5",
+			got, large, small)
 	}
 }

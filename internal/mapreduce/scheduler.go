@@ -1,6 +1,9 @@
 package mapreduce
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // TaskScheduler assigns pending tasks to a tracker's free slots at each
 // scheduling opportunity (heartbeat or task completion). Implementations
@@ -27,32 +30,31 @@ func NewFIFOScheduler() *FIFOScheduler { return &FIFOScheduler{} }
 // Name implements TaskScheduler.
 func (s *FIFOScheduler) Name() string { return "fifo" }
 
-// AssignMaps implements TaskScheduler.
+// AssignMaps implements TaskScheduler. The result is the tracker's
+// buffer, valid until its next AssignMaps call.
 func (s *FIFOScheduler) AssignMaps(jt *JobTracker, tt *TaskTracker, max int) []*MapTask {
-	var out []*MapTask
+	out := jt.picks[:0]
 	for len(out) < max {
 		var picked *MapTask
 		for _, j := range jt.jobs {
-			if j.Done() || len(j.pendingMaps) == 0 {
+			if j.Done() || j.unpicked() == 0 {
 				continue
 			}
-			if t := j.localPendingTask(tt.node.ID); t != nil {
-				picked = t
-			} else {
-				picked = j.pendingMaps[0]
+			if picked = j.localPendingTask(tt.node.ID); picked == nil {
+				picked = j.nextPending()
 			}
 			break
 		}
 		if picked == nil {
 			break
 		}
+		// Callers launch in order, so a pick must not be picked twice:
+		// it stays queued, marked, until the caller takes it.
+		picked.pick()
 		out = append(out, picked)
-		// Mark it non-pending for the remainder of this opportunity by
-		// letting launchMap consume it: callers launch in order, so we
-		// must not pick it twice. Temporarily remove here and re-add.
-		picked.Job.takePending(picked)
-		defer func(t *MapTask) { t.Job.pendingMaps = append([]*MapTask{t}, t.Job.pendingMaps...) }(picked)
 	}
+	unpick(out)
+	jt.picks = out
 	return out
 }
 
@@ -93,6 +95,18 @@ type FairScheduler struct {
 	// before accepting a non-local assignment.
 	LocalityWaitS float64
 	state         map[*Job]*fairJobState
+	// pools is poolOrder's result, reused by its next call.
+	pools []fairPool
+}
+
+// fairPool is one user's jobs with maps left to pick, in submission
+// order, ranked by deficit (running maps over the fair share) and then
+// by its first job's ID.
+type fairPool struct {
+	user    string
+	jobs    []*Job
+	deficit float64
+	firstID int
 }
 
 // NewFairScheduler returns a Fair Scheduler with the given locality
@@ -116,104 +130,88 @@ func (s *FairScheduler) jobState(j *Job) *fairJobState {
 	return st
 }
 
-// poolOrder returns jobs grouped by pool, pools sorted most-starved
-// first (fewest running maps relative to fair share), jobs FIFO within
-// a pool.
-func (s *FairScheduler) poolOrder(jt *JobTracker) [][]*Job {
-	pools := make(map[string][]*Job)
-	var names []string
+// poolOrder groups the jobs with unpicked pending maps into per-user
+// pools, most-starved first (fewest running maps relative to fair
+// share), jobs FIFO within a pool. The result is valid until the next
+// call.
+func (s *FairScheduler) poolOrder(jt *JobTracker) []fairPool {
+	pools := s.pools[:0]
 	for _, j := range jt.jobs {
-		if j.Done() || len(j.pendingMaps) == 0 {
+		if j.Done() || j.unpicked() == 0 {
 			continue
 		}
-		if _, ok := pools[j.User]; !ok {
-			names = append(names, j.User)
+		i := 0
+		for i < len(pools) && pools[i].user != j.User {
+			i++
 		}
-		pools[j.User] = append(pools[j.User], j)
+		if i == len(pools) {
+			pools = slices.Grow(pools, 1)[:i+1]
+			pools[i] = fairPool{user: j.User, jobs: pools[i].jobs[:0], firstID: j.ID}
+		}
+		pools[i].jobs = append(pools[i].jobs, j)
 	}
-	if len(names) == 0 {
-		return nil
-	}
-	share := float64(jt.cluster.Cfg.TotalMapSlots()) / float64(len(names))
-	type ranked struct {
-		name    string
-		deficit float64
-		firstID int
-	}
-	rs := make([]ranked, 0, len(names))
-	for _, n := range names {
+	s.pools = pools
+	share := float64(jt.cluster.Cfg.TotalMapSlots()) / float64(len(pools))
+	for i := range pools {
 		running := 0
-		for _, j := range pools[n] {
+		for _, j := range pools[i].jobs {
 			running += len(j.runningMaps)
 		}
-		rs = append(rs, ranked{
-			name:    n,
-			deficit: float64(running) / share,
-			firstID: pools[n][0].ID,
-		})
+		pools[i].deficit = float64(running) / share
 	}
-	sort.Slice(rs, func(i, k int) bool {
-		if rs[i].deficit != rs[k].deficit {
-			return rs[i].deficit < rs[k].deficit
+	slices.SortFunc(pools, func(a, b fairPool) int {
+		if c := cmp.Compare(a.deficit, b.deficit); c != 0 {
+			return c
 		}
-		return rs[i].firstID < rs[k].firstID
+		return cmp.Compare(a.firstID, b.firstID)
 	})
-	out := make([][]*Job, len(rs))
-	for i, r := range rs {
-		out[i] = pools[r.name]
-	}
-	return out
+	return pools
 }
 
-// AssignMaps implements TaskScheduler with delay scheduling.
+// AssignMaps implements TaskScheduler with delay scheduling. The result
+// is the tracker's buffer, valid until its next AssignMaps call.
 func (s *FairScheduler) AssignMaps(jt *JobTracker, tt *TaskTracker, max int) []*MapTask {
 	now := jt.eng.Now()
-	var out []*MapTask
-	var undo []*MapTask
-	defer func() {
-		for _, t := range undo {
-			t.Job.pendingMaps = append([]*MapTask{t}, t.Job.pendingMaps...)
-		}
-	}()
+	out := jt.picks[:0]
 	for len(out) < max {
-		var picked *MapTask
-	search:
-		for _, pool := range s.poolOrder(jt) {
-			for _, j := range pool {
-				if len(j.pendingMaps) == 0 {
-					continue
-				}
-				st := s.jobState(j)
-				if t := j.localPendingTask(tt.node.ID); t != nil {
-					picked = t
-					st.waiting = false
-					break search
-				}
-				if s.LocalityWaitS <= 0 {
-					picked = j.pendingMaps[0]
-					break search
-				}
-				if !st.waiting {
-					st.waiting = true
-					st.waitStart = now
-					continue // hold out for locality; try next job
-				}
-				if now-st.waitStart >= s.LocalityWaitS {
-					picked = j.pendingMaps[0]
-					st.waiting = false
-					break search
-				}
-				// Still within the locality wait: skip this job.
-			}
-		}
+		picked := s.pickMap(jt, tt, now)
 		if picked == nil {
 			break
 		}
+		picked.pick()
 		out = append(out, picked)
-		picked.Job.takePending(picked)
-		undo = append(undo, picked)
 	}
+	unpick(out)
+	jt.picks = out
 	return out
+}
+
+// pickMap returns the next map task to launch on tt, or nil. Every job
+// poolOrder returns has an unpicked pending map.
+func (s *FairScheduler) pickMap(jt *JobTracker, tt *TaskTracker, now float64) *MapTask {
+	for _, pool := range s.poolOrder(jt) {
+		for _, j := range pool.jobs {
+			st := s.jobState(j)
+			if t := j.localPendingTask(tt.node.ID); t != nil {
+				st.waiting = false
+				return t
+			}
+			if s.LocalityWaitS <= 0 {
+				return j.nextPending()
+			}
+			if !st.waiting {
+				st.waiting = true
+				st.waitStart = now
+				continue // hold out for locality; try next job
+			}
+			if now-st.waitStart >= s.LocalityWaitS {
+				st.waiting = false
+				return j.nextPending()
+			}
+			// Still within the locality wait: skip this job.
+		}
+	}
+	return nil
 }
 
 // AssignReduces implements TaskScheduler (reduces have no locality;

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 
 	"dynamicmr/internal/data"
 	"dynamicmr/internal/mapreduce/executor"
@@ -13,6 +14,7 @@ import (
 // have a second, speculative attempt racing the first; the loser is
 // killed mid-flight.
 type mapAttempt struct {
+	jt          *JobTracker
 	task        *MapTask
 	tt          *TaskTracker
 	local       bool
@@ -22,10 +24,18 @@ type mapAttempt struct {
 	// seq is the attempt ordinal (task.Attempts at launch); later
 	// launches advance task.Attempts, so trace spans capture it here.
 	seq int
+	// charge is the read cost fixed at launch; the read phase and the
+	// completion accounting both use it.
+	charge scanCharge
 	// phase/phaseStart track the open trace phase span; phase is ""
 	// when tracing is disabled or no phase is open.
 	phase      string
 	phaseStart float64
+
+	// stage is the step in progress; next is advance, bound once at
+	// launch, and is the callback every step's timer or demand fires.
+	stage attemptStage
+	next  func()
 
 	// in-flight stage handles for cancellation
 	timer  *sim.Event
@@ -88,6 +98,7 @@ func (jt *JobTracker) startAttempt(tt *TaskTracker, t *MapTask, speculative bool
 	t.Local = local
 
 	att := &mapAttempt{
+		jt:          jt,
 		task:        t,
 		tt:          tt,
 		local:       local,
@@ -95,7 +106,9 @@ func (jt *JobTracker) startAttempt(tt *TaskTracker, t *MapTask, speculative bool
 		speculative: speculative,
 		startTime:   jt.eng.Now(),
 		seq:         t.Attempts,
+		charge:      jt.scanCharge(j, t.Split),
 	}
+	att.next = att.advance
 	t.running = append(t.running, att)
 	// The attempt's inputs (split, conf, MemoKey) are fixed from here
 	// on, so the real record scan can start now on the executor pool
@@ -119,32 +132,34 @@ func (jt *JobTracker) startAttempt(tt *TaskTracker, t *MapTask, speculative bool
 		tr.Inc(trace.CounterMapAttempts, 1)
 	}
 	jt.tracePhase(att, trace.SpanStartup)
+	att.timer = jt.eng.After(jt.cfg.Costs.TaskStartupS, att.next)
+}
 
-	ch := jt.scanCharge(j, t.Split)
-	bytes := ch.bytes
-	records := ch.records
-	costs := jt.cfg.Costs
+// attemptStage is the step a map attempt is in.
+type attemptStage uint8
 
-	finish := func() {
-		att.res, att.demand = nil, nil
-		jt.finishMapAttempt(att)
-	}
-	cpuPhase := func() {
-		if att.killed {
-			return
-		}
-		jt.tracePhase(att, trace.SpanMapCPU)
-		work := float64(records)*costs.MapCPUPerRecordS + bytes*costs.MapCPUPerByteS
-		att.res = tt.node.CPU
-		att.demand = tt.node.CPU.Submit(work, finish)
-	}
-	readPhase := func() {
+const (
+	stageStartup attemptStage = iota
+	stageDiskRead
+	stageNetRead
+	stageCPU
+)
+
+// advance ends the attempt's current stage and starts the next: startup
+// → disk read (→ network read from a remote disk) → CPU → completion.
+// A killed attempt's pending stage never starts.
+func (att *mapAttempt) advance() {
+	jt := att.jt
+	switch att.stage {
+	case stageStartup:
 		att.timer = nil
 		if att.killed {
 			return
 		}
 		// The read is committed: every attempt reaching its read phase
 		// pays for its blocks, like the disk I/O below.
+		ch := att.charge
+		j := att.task.Job
 		j.Counters.ScanBlocksRead += ch.blocksRead
 		j.Counters.ScanBlocksSkipped += ch.blocksSkipped
 		if tr := jt.tracer; tr.Enabled() {
@@ -152,24 +167,41 @@ func (jt *JobTracker) startAttempt(tt *TaskTracker, t *MapTask, speculative bool
 			tr.Inc(trace.CounterScanBlocksSkipped, ch.blocksSkipped)
 		}
 		jt.tracePhase(att, trace.SpanDiskRead)
-		disk := jt.cluster.Node(att.loc.Node).Disks[att.loc.Disk]
-		if local {
-			att.res = disk
-			att.demand = disk.Submit(bytes, cpuPhase)
-		} else {
-			// Remote read: source disk, then the fabric.
-			att.res = disk
-			att.demand = disk.Submit(bytes, func() {
-				if att.killed {
-					return
-				}
-				jt.tracePhase(att, trace.SpanNetRead)
-				att.res = jt.cluster.Network
-				att.demand = jt.cluster.Network.Submit(bytes, cpuPhase)
-			})
+		att.submit(stageDiskRead, jt.cluster.Node(att.loc.Node).Disks[att.loc.Disk], ch.bytes)
+	case stageDiskRead:
+		if att.killed {
+			return
 		}
+		if !att.local {
+			// Remote read: source disk, then the fabric.
+			jt.tracePhase(att, trace.SpanNetRead)
+			att.submit(stageNetRead, jt.cluster.Network, att.charge.bytes)
+			return
+		}
+		att.startCPU()
+	case stageNetRead:
+		if att.killed {
+			return
+		}
+		att.startCPU()
+	case stageCPU:
+		att.res, att.demand = nil, nil
+		jt.finishMapAttempt(att)
 	}
-	att.timer = jt.eng.After(costs.TaskStartupS, readPhase)
+}
+
+// startCPU charges the attempt's map CPU on its node.
+func (att *mapAttempt) startCPU() {
+	att.jt.tracePhase(att, trace.SpanMapCPU)
+	costs := &att.jt.cfg.Costs
+	work := float64(att.charge.records)*costs.MapCPUPerRecordS + att.charge.bytes*costs.MapCPUPerByteS
+	att.submit(stageCPU, att.tt.node.CPU, work)
+}
+
+// submit enters stage by demanding work from res.
+func (att *mapAttempt) submit(stage attemptStage, res *sim.SharedResource, work float64) {
+	att.stage, att.res = stage, res
+	att.demand = res.Submit(work, att.next)
 }
 
 // killAttempt cancels an in-flight attempt and frees its slot.
@@ -207,11 +239,8 @@ func (jt *JobTracker) killAttempt(att *mapAttempt) {
 // task, updating the job's running-task set.
 func (jt *JobTracker) releaseAttempt(att *mapAttempt) {
 	t := att.task
-	for i, x := range t.running {
-		if x == att {
-			t.running = append(t.running[:i], t.running[i+1:]...)
-			break
-		}
+	if i := slices.Index(t.running, att); i >= 0 {
+		t.running = slices.Delete(t.running, i, i+1)
 	}
 	if len(t.running) == 0 {
 		delete(t.Job.runningMaps, t)
@@ -287,7 +316,7 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 		default:
 			// Requeue for re-execution elsewhere.
 			t.enqueued = jt.eng.Now()
-			j.pendingMaps = append(j.pendingMaps, t)
+			j.pushPending(t)
 		}
 		jt.assign(tt)
 		return
@@ -300,8 +329,9 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 	}
 
 	// Partition output by key and stash for the shuffle, tagged with
-	// the producing node. byPart is indexed by partition (a map here
-	// was allocation-heavy — see BenchmarkMapCompletion); chunks are
+	// the producing node. A single-reduce job's output is one chunk.
+	// Otherwise byPart is indexed by partition (a map here was
+	// allocation-heavy — see BenchmarkMapCompletion); chunks are
 	// counted first so each backing array is allocated exactly once.
 	//
 	// A shared collector — an async-scan result the cache or a
@@ -314,18 +344,18 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 	// of a key-sorted output is key-sorted too.
 	pairs := out.Pairs()
 	shared := scan != nil || (jt.cfg.MapOutputCache != nil && j.Spec.MemoKey != "")
-	byPart := make([]mapChunk, j.numReduces)
 	if j.numReduces == 1 {
-		c := &byPart[0]
-		c.node = tt.node.ID
+		c := mapChunk{node: tt.node.ID, bytes: out.Bytes(), sorted: !out.unsorted}
 		if shared {
 			c.pairs = pairs[:len(pairs):len(pairs)]
 		} else {
 			c.pairs = append(make([]KeyValue, 0, len(pairs)), pairs...)
 		}
-		c.bytes = out.Bytes()
-		c.sorted = !out.unsorted
+		if len(c.pairs) > 0 {
+			j.mapOutput[0] = append(j.mapOutput[0], c)
+		}
 	} else {
+		byPart := make([]mapChunk, j.numReduces)
 		counts := make([]int, j.numReduces)
 		for _, kv := range pairs {
 			counts[partition(kv.Key, j.numReduces)]++
@@ -340,10 +370,10 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 			c.pairs = append(c.pairs, kv)
 			c.bytes += int64(len(kv.Key) + kv.Value.EncodedSize())
 		}
-	}
-	for p := range byPart {
-		if len(byPart[p].pairs) > 0 {
-			j.mapOutput[p] = append(j.mapOutput[p], byPart[p])
+		for p := range byPart {
+			if len(byPart[p].pairs) > 0 {
+				j.mapOutput[p] = append(j.mapOutput[p], byPart[p])
+			}
 		}
 	}
 	j.Counters.MapOutputRecords += int64(out.Len())
@@ -356,9 +386,8 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 	}
 
 	// Input accounting matches what the attempt's read phase charged:
-	// the effective record/byte counts of the job's input path
-	// (scanCharge is pure, so recomputing it here agrees with launch).
-	ch := jt.scanCharge(j, t.Split)
+	// the effective record/byte counts of the job's input path.
+	ch := att.charge
 	j.Counters.MapInputRecords += ch.records
 	j.Counters.BytesRead += int64(ch.bytes)
 	j.Counters.CompletedMaps++
@@ -784,8 +813,11 @@ func mergeSortedChunks(chunks []mapChunk, total int) []KeyValue {
 
 // reducePrefix appends each key group's first limit pairs of the
 // key-sorted, in-order runs (total pairs in all) to out. A run in which
-// no group can pass limit is appended whole and adds its byte count;
-// only the kept pairs of any other run are sized, through Emit.
+// no group can pass limit is appended whole and adds its byte count. A
+// run under one key, which every sampling job's runs are, keeps a
+// prefix: it is appended in one copy and adds the kept pairs' sizes,
+// or none once its group is full. Only the kept pairs of any other run
+// are sized, through Emit.
 func reducePrefix(runs []mapChunk, total int, limit int64, out *Collector) {
 	grow := int64(total)
 	if limit < grow {
@@ -801,6 +833,17 @@ func reducePrefix(runs []mapChunk, total int, limit int64, out *Collector) {
 		}
 		if first := c.pairs[0].Key; first != key {
 			key, seen = first, 0
+		}
+		if seen+n > limit && c.pairs[n-1].Key == key {
+			if seen < limit {
+				kept := c.pairs[:limit-seen]
+				out.pairs = append(out.pairs, kept...)
+				for _, kv := range kept {
+					out.bytes += int64(len(kv.Key) + kv.Value.EncodedSize())
+				}
+			}
+			seen += n
+			continue
 		}
 		if seen+n > limit {
 			for _, kv := range c.pairs {

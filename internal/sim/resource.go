@@ -43,6 +43,12 @@ type SharedResource struct {
 	// forcing their remaining to zero guards against float rounding
 	// producing a zero-length event loop.
 	nextTargets []*Demand
+	// onComplete is r.complete, bound once: every reschedule arms a
+	// completion event with it.
+	onComplete func()
+	// finished is complete's buffer of the demands it retires, reused
+	// across completions.
+	finished []*Demand
 }
 
 // NewSharedResource creates a processor-sharing resource. maxPerUser <= 0
@@ -55,7 +61,9 @@ func NewSharedResource(eng *Engine, name string, capacity, maxPerUser float64) *
 	if maxPerUser <= 0 {
 		maxPerUser = capacity
 	}
-	return &SharedResource{eng: eng, name: name, capacity: capacity, maxPerUser: maxPerUser}
+	r := &SharedResource{eng: eng, name: name, capacity: capacity, maxPerUser: maxPerUser}
+	r.onComplete = r.complete
+	return r
 }
 
 // Name returns the resource's diagnostic name.
@@ -170,7 +178,7 @@ func (r *SharedResource) reschedule() {
 		}
 	}
 	dt := minRem / rate
-	r.nextDone = r.eng.After(dt, r.complete)
+	r.nextDone = r.eng.After(dt, r.onComplete)
 }
 
 // complete fires when the demand with least remaining work finishes.
@@ -185,10 +193,11 @@ func (r *SharedResource) complete() {
 			d.remaining = 0
 		}
 	}
-	// Also sweep any other demand that has numerically finished.
+	// Also sweep any other demand that has numerically finished. The
+	// survivors are compacted in place, keeping their order.
 	eps := 1e-12 * r.capacity
-	var finished []*Demand
-	var still []*Demand
+	finished := r.finished[:0]
+	still := r.active[:0]
 	for _, d := range r.active {
 		if d.remaining <= eps {
 			d.remaining = 0
@@ -198,11 +207,16 @@ func (r *SharedResource) complete() {
 			still = append(still, d)
 		}
 	}
+	clear(r.active[len(still):])
 	r.active = still
 	r.reschedule()
+	// Callbacks run once the resource is consistent, so they may Submit
+	// to or Cancel on it.
 	for _, d := range finished {
 		if d.done != nil {
 			d.done()
 		}
 	}
+	clear(finished)
+	r.finished = finished[:0]
 }
