@@ -20,7 +20,7 @@ import (
 // end-to-end validation of the trace stream.
 func explainMain(args []string) {
 	fs := flag.NewFlagSet("dynmr explain", flag.ExitOnError)
-	rf := newRunFlags(fs, 0)
+	rf := newRunFlags(fs)
 	sf := newSampleFlags(fs, 1)
 	spec := fs.Bool("speculative", false, "enable speculative execution for straggling maps")
 	fs.Parse(args)

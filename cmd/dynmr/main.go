@@ -9,7 +9,7 @@
 //	dynmr serve [run flags] [-addr HOST:PORT] [-policy NAME] [-k N] [-queries N]
 //	      [-pace-ms MS] [-pprof]
 //	dynmr explain [run flags] [-policy NAME] [-k N] [-queries N] [-speculative]
-//	dynmr render qstats|alerts|diag|diag-json|diag-csv|chrome A.archive.gz
+//	dynmr render qstats|alerts|diag|diag-json|diag-csv|chrome|timeline A.archive.gz
 //	dynmr top [-addr HOST:PORT] [-follow] [-interval-ms MS]
 //	dynmr diff [-json | -html] [-out FILE] A.archive.gz B.archive.gz
 //
@@ -17,7 +17,11 @@
 //
 //	[-scale N] [-skew 0|1|2] [-rows N] [-multiuser] [-fair]
 //	[-input-path full|skip|index] [-archive-out FILE] [-report-out FILE]
-//	[-sample-interval S] [-alert-rules FILE] [-log-out FILE] [-log-level LEVEL]
+//	[-alert-rules FILE] [-log-out FILE] [-log-level LEVEL]
+//
+// The last six are the run flags cmd/experiments shares
+// (internal/runflags). They are checked before anything runs: a bad
+// value exits 2, an I/O error 1.
 //
 // Without -e, statements are read from stdin (one per line, ';'
 // optional). With -archive-out, the run archive (schema
@@ -28,8 +32,9 @@
 // renders from: `dynmr render KIND ARCHIVE` writes the per-query stats
 // dump (qstats, schema dynamicmr.qstats/1), the alert dump (alerts,
 // dynamicmr.alerts/1), the job diagnosis as text, JSON or CSV (diag,
-// diag-json, diag-csv) or a Chrome trace-event file (chrome; load it
-// in https://ui.perfetto.dev or chrome://tracing) to stdout. With
+// diag-json, diag-csv), a Chrome trace-event file (chrome; load it
+// in https://ui.perfetto.dev or chrome://tracing) or the utilization
+// timeline as CSV (timeline) to stdout. With
 // -report-out, a self-contained HTML run report (utilization
 // time-series, slot-occupancy Gantt, policy decision log) is written
 // at exit. With -log-out, the runtime's structured log stream (job
@@ -94,7 +99,7 @@ func main() {
 			return
 		}
 	}
-	rf := newRunFlags(flag.CommandLine, 0)
+	rf := newRunFlags(flag.CommandLine)
 	exec := flag.String("e", "", "execute this statement and exit")
 	maxRows := flag.Int("maxrows", 20, "result rows to print")
 	eventLog := flag.Bool("trace", false, "print the task-level event log for each job")

@@ -12,7 +12,8 @@ import (
 // renderMain runs `dynmr render KIND ARCHIVE`: write one view of a run
 // archive (schema dynamicmr.archive/1, from -archive-out) to stdout —
 // the per-query stats or alert dump, the job diagnosis as text, JSON
-// or CSV, or a Chrome trace (see runarchive.Archive.Render). It takes
+// or CSV, a Chrome trace or the utilization timeline CSV (see
+// runarchive.Archive.Render). It takes
 // no flags: every view of a run is regenerated offline from its
 // archive.
 func renderMain(args []string) {

@@ -11,99 +11,74 @@ import (
 	"dynamicmr"
 	"dynamicmr/internal/dataset"
 	"dynamicmr/internal/runarchive"
+	"dynamicmr/internal/runflags"
 	"dynamicmr/internal/trace"
-	"dynamicmr/internal/tsdb"
-	"dynamicmr/internal/vlog"
 )
 
 // datasetSeed seeds every mode's generated LINEITEM table.
 const datasetSeed = 42
 
 // runFlags is the run configuration the shell, serve and explain modes
-// share: the dataset, the cluster, and the files written at exit. Each
+// share: the dataset, the cluster, and the run flags common to both
+// binaries (internal/runflags), whose files are written at exit. Each
 // mode registers it on its FlagSet, builds its cluster with cluster and
 // ends with one call to finish.
 type runFlags struct {
-	scale          int
-	skew           float64
-	rows           int64
-	multiuser      bool
-	fair           bool
-	inputPath      string
-	logOut         string
-	logLevel       string
-	archiveOut     string
-	reportOut      string
-	alertRules     string
-	sampleInterval float64
+	*runflags.Flags
+	scale     int
+	skew      float64
+	rows      int64
+	multiuser bool
+	fair      bool
 
 	logFile *os.File
 }
 
-// newRunFlags registers the run flags on fs; sampleIntervalS is the
-// mode's -sample-interval default.
-func newRunFlags(fs *flag.FlagSet, sampleIntervalS float64) *runFlags {
-	rf := &runFlags{}
+// newRunFlags registers the run flags on fs.
+func newRunFlags(fs *flag.FlagSet) *runFlags {
+	rf := &runFlags{Flags: runflags.Register(fs, false)}
 	fs.IntVar(&rf.scale, "scale", 1, "TPC-H scale factor of the generated LINEITEM table")
 	fs.Float64Var(&rf.skew, "skew", 1, "Zipf exponent of the planted-match distribution (0, 1 or 2)")
 	fs.Int64Var(&rf.rows, "rows", 2_000_000, "row-count override (0 = full 6M x scale)")
 	fs.BoolVar(&rf.multiuser, "multiuser", false, "use the 16-map-slots-per-node configuration")
 	fs.BoolVar(&rf.fair, "fair", false, "use the Fair Scheduler instead of FIFO")
-	fs.StringVar(&rf.inputPath, "input-path", dynamicmr.InputPathFull, "map-task read path: full, skip (zone-map skip-scan) or index (clustered-index reads + informed grab ordering)")
-	fs.StringVar(&rf.logOut, "log-out", "", "write the virtual-clock NDJSON log stream to FILE")
-	fs.StringVar(&rf.logLevel, "log-level", "info", "log level for -log-out: debug, info, warn or error")
-	fs.StringVar(&rf.archiveOut, "archive-out", "", "write the run archive (dynamicmr.archive/1 gzip NDJSON; view it with `dynmr render`, compare two with `dynmr diff`) at exit")
-	fs.StringVar(&rf.reportOut, "report-out", "", "write a self-contained HTML run report at exit")
-	fs.StringVar(&rf.alertRules, "alert-rules", "", "load declarative alert/SLO rules from FILE (JSON {\"rules\": [...]}) and evaluate them on the virtual clock")
-	fs.Float64Var(&rf.sampleInterval, "sample-interval", sampleIntervalS, "utilization sampler cadence in virtual seconds (0 = 30s default; serve also collects /tsdb at this cadence)")
 	return rf
 }
 
 // cluster builds the cluster the flags describe, with the mode's own
-// options appended, and loads the LINEITEM table. -archive-out turns on
-// query stats (and with them tracing), so every `dynmr render` kind
-// finds its section; -report-out turns on tracing and the utilization
-// sampler the report draws.
+// options appended (so they override the flags' defaults), and loads
+// the LINEITEM table. A bad run flag exits 2 and an I/O error 1 before
+// anything runs. -archive-out turns on query stats (and with them
+// tracing), so every `dynmr render` kind finds its section;
+// -report-out turns on tracing and the utilization sampler the report
+// draws.
 func (rf *runFlags) cluster(mode ...dynamicmr.Option) (*dynamicmr.Cluster, *dataset.Dataset) {
-	opts := []dynamicmr.Option{dynamicmr.WithInputPath(rf.inputPath)}
+	out, err := rf.Open()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dynmr:", err)
+		os.Exit(runflags.ExitCode(err))
+	}
+	opts := []dynamicmr.Option{dynamicmr.WithInputPath(rf.InputPath)}
 	if rf.multiuser {
 		opts = append(opts, dynamicmr.WithMultiUserSlots())
 	}
 	if rf.fair {
 		opts = append(opts, dynamicmr.WithFairScheduler(5))
 	}
-	if rf.archiveOut != "" {
+	if rf.ArchiveOut != "" {
 		opts = append(opts, dynamicmr.WithQueryStats())
 	}
-	if rf.reportOut != "" {
-		opts = append(opts, dynamicmr.WithTracing(trace.Config{}), dynamicmr.WithUtilizationSampling(rf.sampleInterval))
+	if rf.ReportOut != "" {
+		opts = append(opts, dynamicmr.WithTracing(trace.Config{}), dynamicmr.WithUtilizationSampling(0))
 	}
-	if rf.alertRules != "" {
-		// A parse error is fatal: a typoed rule must not silently
-		// disable alerting.
-		data, err := os.ReadFile(rf.alertRules)
-		if err != nil {
-			fatal(err)
-		}
-		rules, err := tsdb.ParseRules(data)
-		if err != nil {
-			fatal(err)
-		}
-		if len(rules) > 0 {
-			opts = append(opts, dynamicmr.WithAlertRules(rules...))
-		}
+	if len(out.Rules) > 0 {
+		opts = append(opts, dynamicmr.WithAlertRules(out.Rules...))
+	}
+	if out.Log != nil {
+		rf.logFile = out.Log
+		opts = append(opts, dynamicmr.WithLogging(out.Log, out.LogLevel))
 	}
 	opts = append(opts, mode...)
-	if rf.logOut != "" {
-		level, err := vlog.ParseLevel(rf.logLevel)
-		if err != nil {
-			fatal(err)
-		}
-		if rf.logFile, err = os.Create(rf.logOut); err != nil {
-			fatal(err)
-		}
-		opts = append(opts, dynamicmr.WithLogging(rf.logFile, level))
-	}
 	c, err := dynamicmr.NewCluster(opts...)
 	if err != nil {
 		fatal(err)
@@ -130,7 +105,7 @@ func (rf *runFlags) finish(c *dynamicmr.Cluster, label string, cfg runarchive.Ru
 	cfg.Params["scale"] = strconv.Itoa(rf.scale)
 	cfg.Params["skew"] = strconv.FormatFloat(rf.skew, 'g', -1, 64)
 	cfg.Params["rows"] = strconv.FormatInt(rf.rows, 10)
-	if rf.reportOut != "" {
+	if rf.ReportOut != "" {
 		var params [][2]string
 		if cfg.Policy != "" {
 			params = append(params, [2]string{"policy", cfg.Policy})
@@ -143,19 +118,19 @@ func (rf *runFlags) finish(c *dynamicmr.Cluster, label string, cfg runarchive.Ru
 		for _, k := range keys {
 			params = append(params, [2]string{k, cfg.Params[k]})
 		}
-		writeFile(rf.reportOut, func(w io.Writer) error { return c.WriteReport(w, label, params) })
-		fmt.Fprintf(os.Stderr, "wrote run report to %s\n", rf.reportOut)
+		writeFile(rf.ReportOut, func(w io.Writer) error { return c.WriteReport(w, label, params) })
+		fmt.Fprintf(os.Stderr, "wrote run report to %s\n", rf.ReportOut)
 	}
-	if rf.archiveOut != "" {
-		writeFile(rf.archiveOut, func(w io.Writer) error { return c.WriteArchive(w, label, cfg) })
-		fmt.Fprintf(os.Stderr, "wrote run archive to %s (view with `dynmr render`, compare with `dynmr diff`)\n", rf.archiveOut)
+	if rf.ArchiveOut != "" {
+		writeFile(rf.ArchiveOut, func(w io.Writer) error { return c.WriteArchive(w, label, cfg) })
+		fmt.Fprintf(os.Stderr, "wrote run archive to %s (view with `dynmr render`, compare with `dynmr diff`)\n", rf.ArchiveOut)
 	}
 	c.Close()
 	if rf.logFile != nil {
 		if err := rf.logFile.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote virtual-clock log to %s\n", rf.logOut)
+		fmt.Fprintf(os.Stderr, "wrote virtual-clock log to %s\n", rf.LogOut)
 	}
 }
 

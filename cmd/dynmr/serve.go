@@ -25,11 +25,11 @@ import (
 // snapshot of every endpoint, so scrapes never block behind the pacer
 // or a long engine burst.
 //
-// The time-series engine runs for every serve session (its cadence
-// follows -sample-interval), so /tsdb serves rolling trend history and
-// /live charts it. With -alert-rules, the declarative alert layer is
-// evaluated on the virtual clock; /alerts serves the rule set, the
-// firing set and the transition log (schema dynamicmr.alerts/1).
+// The time-series engine runs for every serve session, so /tsdb serves
+// rolling trend history and /live charts it. With -alert-rules, the
+// declarative alert layer is evaluated on the virtual clock; /alerts
+// serves the rule set, the firing set and the transition log (schema
+// dynamicmr.alerts/1).
 //
 // SIGINT/SIGTERM shut the loop down gracefully: the current query
 // finishes, the run flags' exit flush writes -report-out and
@@ -37,19 +37,19 @@ import (
 // drains, and the process exits 0.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("dynmr serve", flag.ExitOnError)
-	// Single queries are short, so the sampler default is denser than
-	// the workload figures' 30 s.
-	rf := newRunFlags(fs, 5)
+	rf := newRunFlags(fs)
 	sf := newSampleFlags(fs, 0)
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address for /metrics, /status, /queries and /live")
 	paceMS := fs.Int("pace-ms", 500, "real milliseconds to sleep between queries (scrape window)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ (off by default)")
 	fs.Parse(args)
 
+	// Single queries are short, so serve samples every 5 s, denser than
+	// the workload figures' 30 s; /tsdb collects at tsdb's default 5 s.
 	c, ds := rf.cluster(
 		dynamicmr.WithQueryStats(),
-		dynamicmr.WithUtilizationSampling(rf.sampleInterval),
-		dynamicmr.WithTimeSeries(rf.sampleInterval))
+		dynamicmr.WithUtilizationSampling(5),
+		dynamicmr.WithTimeSeries())
 
 	srv := obs.NewServer(c.Sampler())
 	srv.SetQueryStats(c.QueryStats())

@@ -5,13 +5,20 @@
 //
 // Usage:
 //
-//	experiments [-run all|tableI|tableII|tableIII|figure4|figure5|figure6|figure7|figure8]
+//	experiments [-run all|tableI|tableII|tableIII|figure4|figure5|figure6|figure7|figure8|ablation...]
 //	            [-mode quick|paper] [-j N] [-scan-workers N]
-//	            [-input-path full|skip|index] [-policies LIST] [-csv]
-//	            [-trace-out DIR] [-report-out DIR] [-sample-interval S]
-//	            [-archive-out DIR] [-alert-rules FILE]
-//	            [-log-out FILE] [-log-level LEVEL]
-//	            [-bench-json FILE] [-cpuprofile FILE]
+//	            [-policies LIST] [-csv] [-bench-json FILE] [-cpuprofile FILE]
+//	            [run flags]
+//
+// The run flags are the ones dynmr shares (internal/runflags):
+//
+//	[-input-path full|skip|index] [-archive-out DIR] [-report-out DIR]
+//	[-alert-rules FILE] [-log-out FILE] [-log-level LEVEL]
+//
+// Here -archive-out and -report-out name directories (created if
+// missing) that receive one file per figure 5-8 cell. Every flag is
+// checked before any artifact runs: an unknown -run name or another bad
+// value exits 2, an I/O error 1.
 //
 // -j runs up to N sweep cells concurrently (default runtime.NumCPU).
 // Parallelism is across cells only: each cell owns a private simulated
@@ -45,29 +52,26 @@
 // `go tool pprof`. It is flushed before the command exits, on failure
 // too.
 //
-// With -trace-out, each multi-user workload cell (figures 6-8) writes
-// its 30-second utilization timeline as a CSV file into DIR (created
-// if missing), alongside the printed summary tables.
-//
 // With -report-out, every figure cell (5-8) additionally runs with
 // tracing and a utilization sampler enabled and writes one
-// self-contained HTML run report into DIR (created if missing):
-// cluster/per-node time-series, a slot-occupancy Gantt joined from the
-// trace spans, and the Input Provider decision log. -sample-interval
-// overrides the sampler cadence (virtual seconds; default 2 s for the
-// single-user figure-5 cells, 30 s for the workload figures) and the
-// -alert-rules collection tick.
+// self-contained HTML run report into DIR: cluster/per-node
+// time-series (sampled every 2 s in the single-user figure-5 cells,
+// every 30 s in the workload figures), a slot-occupancy Gantt joined
+// from the trace spans, the Input Provider decision log and, with
+// -alert-rules, the per-query and alert sections.
 //
 // With -archive-out, every figure cell (5-8) additionally runs with
-// tracing enabled and writes one cross-run archive into DIR (created
-// if missing): <cell>.archive.gz, schema dynamicmr.archive/1, holding
-// the cell's trace spans, Input Provider decisions, per-job diagnoses,
-// counters/gauges and run config. The diagnosis invariants — critical
-// path tiles the makespan, breakdown components sum to it — are
-// enforced per cell. `dynmr render diag-csv` turns an archive into the
-// cell's per-job diagnosis CSV; archives from two sweeps feed
-// `dynmr diff` for regression attribution. Cell archives are
-// unstamped, so their bytes are deterministic across reruns.
+// tracing enabled and writes one cross-run archive into DIR:
+// <cell>.archive.gz, schema dynamicmr.archive/1, holding the cell's
+// trace spans, Input Provider decisions, 30-second utilization
+// samples, per-job diagnoses, counters/gauges and run config. The
+// diagnosis invariants — critical path tiles the makespan, breakdown
+// components sum to it — are enforced per cell. `dynmr render
+// diag-csv` turns an archive into the cell's per-job diagnosis CSV and
+// `dynmr render timeline` into its utilization timeline CSV; archives
+// from two sweeps feed `dynmr diff` for regression attribution. Cell
+// archives are unstamped, so their bytes are deterministic across
+// reruns.
 //
 // With -alert-rules, every figure cell (5-8) runs a private
 // time-series engine (internal/tsdb) on its own virtual clock,
@@ -96,35 +100,116 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"dynamicmr/internal/experiments"
-	"dynamicmr/internal/tsdb"
-	"dynamicmr/internal/vlog"
+	"dynamicmr/internal/runflags"
 )
 
-func main() {
-	run := flag.String("run", "all", "comma-separated artifacts to regenerate: all, tableI, tableII, tableIII, figure4, figure5, figure6, figure7, figure8, ablationInterval, ablationThreshold, ablationGrab, ablationAdaptive, ablationInputPath")
-	mode := flag.String("mode", "quick", "quick (scaled-down, minutes) or paper (full §V parameters)")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	traceOut := flag.String("trace-out", "", "directory for per-cell utilization timeline CSVs (figures 6-8)")
-	reportOut := flag.String("report-out", "", "directory for per-cell self-contained HTML run reports (figures 5-8)")
-	sampleInterval := flag.Float64("sample-interval", 0, "observability sampler cadence in virtual seconds for -report-out time-series and -alert-rules ticks (0 = defaults)")
-	jobs := flag.Int("j", runtime.NumCPU(), "sweep cells to run concurrently (1 = sequential; output is identical either way)")
-	scanWorkers := flag.Int("scan-workers", runtime.NumCPU(), "scan-executor pool size for off-sim-thread map scans (0 = inline; output is identical either way)")
-	inputPath := flag.String("input-path", "full", "map-task input path: full (every block read; seed-identical output), skip (zone-map skip-scan) or index (clustered-index reads + informed grab ordering)")
-	policies := flag.String("policies", "", "comma-separated subset of Table I policies to sweep (default: all)")
-	benchJSON := flag.String("bench-json", "", "write per-artifact wall-clock timings as JSON to FILE")
-	archiveOut := flag.String("archive-out", "", "directory for per-cell cross-run archives (figures 5-8; *.archive.gz, view with `dynmr render`, compare with `dynmr diff`)")
-	alertRules := flag.String("alert-rules", "", "load declarative alert/SLO rules from FILE (JSON {\"rules\": [...]}) and evaluate them on every cell's virtual clock")
-	logOut := flag.String("log-out", "", "write the sweeps' virtual-clock NDJSON log stream to FILE")
-	logLevel := flag.String("log-level", "info", "log level for -log-out: debug, info, warn or error")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to FILE")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// artifact is one table, figure or ablation -run can name.
+type artifact struct {
+	name string
+	run  func(experiments.Options) ([]*experiments.Table, error)
+}
+
+// artifacts lists every artifact in the order -run all regenerates
+// them; -run's names and help text come from this list.
+var artifacts = []artifact{
+	{"tableI", func(experiments.Options) ([]*experiments.Table, error) {
+		return []*experiments.Table{experiments.TableI()}, nil
+	}},
+	{"tableII", one(experiments.TableII)},
+	{"tableIII", func(experiments.Options) ([]*experiments.Table, error) {
+		return []*experiments.Table{experiments.TableIII()}, nil
+	}},
+	{"figure4", one(experiments.Figure4)},
+	{"figure5", tables(experiments.Figure5)},
+	{"figure6", tables(experiments.Figure6)},
+	{"figure7", tables(experiments.Figure7)},
+	{"figure8", tables(experiments.Figure8)},
+	{"ablationInterval", one(experiments.AblationInterval)},
+	{"ablationThreshold", one(experiments.AblationThreshold)},
+	{"ablationGrab", one(experiments.AblationGrabScale)},
+	{"ablationAdaptive", one(experiments.AblationAdaptive)},
+	{"ablationInputPath", one(experiments.AblationInputPath)},
+}
+
+// one adapts an artifact that renders a single table.
+func one(f func(experiments.Options) (*experiments.Table, error)) func(experiments.Options) ([]*experiments.Table, error) {
+	return func(opt experiments.Options) ([]*experiments.Table, error) {
+		t, err := f(opt)
+		return []*experiments.Table{t}, err
+	}
+}
+
+// tables adapts a figure whose result renders several tables.
+func tables[R interface{ Tables() []*experiments.Table }](f func(experiments.Options) (R, error)) func(experiments.Options) ([]*experiments.Table, error) {
+	return func(opt experiments.Options) ([]*experiments.Table, error) {
+		r, err := f(opt)
+		if err != nil {
+			return nil, err
+		}
+		return r.Tables(), nil
+	}
+}
+
+// artifactNames lists the names -run accepts besides "all".
+func artifactNames() []string {
+	names := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		names[i] = a.name
+	}
+	return names
+}
+
+// selectArtifacts returns the artifacts a comma-separated -run list
+// names (case-insensitively), in run order. An unknown name is an
+// error, so a typo cannot silently skip an artifact.
+func selectArtifacts(list string) ([]artifact, error) {
+	all := false
+	picked := make([]bool, len(artifacts))
+	for _, name := range strings.Split(list, ",") {
+		if strings.EqualFold(name, "all") {
+			all = true
+			continue
+		}
+		i := slices.IndexFunc(artifacts, func(a artifact) bool { return strings.EqualFold(a.name, name) })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown -run artifact %q (want all, %s)", name, strings.Join(artifactNames(), ", "))
+		}
+		picked[i] = true
+	}
+	var out []artifact
+	for i, a := range artifacts {
+		if all || picked[i] {
+			out = append(out, a)
+		}
+	}
+	return out, nil
+}
+
+// run is the command: it parses args, writes the tables to stdout and
+// progress and errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	runList := fs.String("run", "all", "comma-separated artifacts to regenerate: all, "+strings.Join(artifactNames(), ", "))
+	mode := fs.String("mode", "quick", "quick (scaled-down, minutes) or paper (full §V parameters)")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	jobs := fs.Int("j", runtime.NumCPU(), "sweep cells to run concurrently (1 = sequential; output is identical either way)")
+	scanWorkers := fs.Int("scan-workers", runtime.NumCPU(), "scan-executor pool size for off-sim-thread map scans (0 = inline; output is identical either way)")
+	policies := fs.String("policies", "", "comma-separated subset of Table I policies to sweep (default: all)")
+	benchJSON := fs.String("bench-json", "", "write per-artifact wall-clock timings as JSON to FILE")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to FILE")
+	rf := runflags.Register(fs, true)
+	fs.Parse(args)
 
 	var opt experiments.Options
 	switch *mode {
@@ -133,196 +218,71 @@ func main() {
 	case "paper":
 		opt = experiments.DefaultOptions()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -mode %q (quick or paper)\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -mode %q (quick or paper)\n", *mode)
+		return 2
 	}
-	if *traceOut != "" {
-		if err := os.MkdirAll(*traceOut, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		opt.TraceDir = *traceOut
+	selected, err := selectArtifacts(*runList)
+	if err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 2
 	}
-	if *reportOut != "" {
-		if err := os.MkdirAll(*reportOut, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		opt.ReportDir = *reportOut
+	out, err := rf.Open()
+	if err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return runflags.ExitCode(err)
 	}
-	if *archiveOut != "" {
-		if err := os.MkdirAll(*archiveOut, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		opt.ArchiveDir = *archiveOut
+	if out.Log != nil {
+		defer out.Log.Close()
+		opt.LogWriter, opt.LogLevel = out.Log, out.LogLevel
 	}
-	if *alertRules != "" {
-		data, err := os.ReadFile(*alertRules)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		rules, err := tsdb.ParseRules(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		opt.AlertRules = rules
-	}
-	if *logOut != "" {
-		level, err := vlog.ParseLevel(*logLevel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		f, err := os.Create(*logOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		opt.LogWriter = f
-		opt.LogLevel = level
-	}
-	opt.SampleIntervalS = *sampleInterval
+	opt.InputPath = rf.InputPath
+	opt.ArchiveDir = rf.ArchiveOut
+	opt.ReportDir = rf.ReportOut
+	opt.AlertRules = out.Rules
 	opt.Parallelism = *jobs
 	opt.ScanWorkers = *scanWorkers
-	opt.InputPath = *inputPath
 	if *policies != "" {
 		opt.Policies = strings.Split(*policies, ",")
 	}
 
-	// stopProfile stops and flushes the CPU profile, if one runs, and
-	// reports whether it was written.
-	stopProfile := func() bool { return true }
 	if *cpuProfile != "" {
 		stop, err := startCPUProfile(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "experiments: cpuprofile: %v\n", err)
+			return 1
 		}
-		stopProfile = func() bool {
+		// The profile is flushed on every return, failures included.
+		defer func() {
 			if err := stop(); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: cpuprofile: %v\n", err)
-				return false
+				fmt.Fprintf(stderr, "experiments: cpuprofile: %v\n", err)
+				code = 1
 			}
-			return true
-		}
+		}()
 	}
 
-	targets := strings.Split(strings.ToLower(*run), ",")
-	want := func(name string) bool {
-		for _, t := range targets {
-			if t == "all" || t == strings.ToLower(name) {
-				return true
-			}
-		}
-		return false
-	}
-
-	emit := func(tables ...*experiments.Table) {
-		for _, t := range tables {
-			if *csv {
-				fmt.Print(t.CSV())
-			} else {
-				fmt.Println(t.Render())
-			}
-		}
-	}
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-		stopProfile()
-		os.Exit(1)
-	}
 	type artifactTiming struct {
 		Name    string  `json:"name"`
 		Seconds float64 `json:"seconds"`
 	}
 	var timings []artifactTiming
 	suiteStart := time.Now()
-	timed := func(name string, f func() error) {
-		if !want(name) {
-			return
-		}
+	for _, a := range selected {
 		start := time.Now()
-		if err := f(); err != nil {
-			fail(name, err)
+		ts, err := a.run(opt)
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", a.name, err)
+			return 1
+		}
+		for _, t := range ts {
+			if *csv {
+				fmt.Fprint(stdout, t.CSV())
+			} else {
+				fmt.Fprintln(stdout, t.Render())
+			}
 		}
 		elapsed := time.Since(start)
-		timings = append(timings, artifactTiming{Name: name, Seconds: elapsed.Seconds()})
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", name, elapsed.Round(time.Millisecond))
-	}
-
-	timed("tableI", func() error { emit(experiments.TableI()); return nil })
-	timed("tableII", func() error {
-		t, err := experiments.TableII(opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		return nil
-	})
-	timed("tableIII", func() error { emit(experiments.TableIII()); return nil })
-	timed("figure4", func() error {
-		t, err := experiments.Figure4(opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		return nil
-	})
-	timed("figure5", func() error {
-		r, err := experiments.Figure5(opt)
-		if err != nil {
-			return err
-		}
-		emit(r.Tables()...)
-		return nil
-	})
-	timed("figure6", func() error {
-		r, err := experiments.Figure6(opt)
-		if err != nil {
-			return err
-		}
-		emit(r.Tables()...)
-		return nil
-	})
-	timed("figure7", func() error {
-		r, err := experiments.Figure7(opt)
-		if err != nil {
-			return err
-		}
-		emit(r.Tables()...)
-		return nil
-	})
-	timed("figure8", func() error {
-		r, err := experiments.Figure8(opt)
-		if err != nil {
-			return err
-		}
-		emit(r.Tables()...)
-		return nil
-	})
-	for _, abl := range []struct {
-		name string
-		f    func(experiments.Options) (*experiments.Table, error)
-	}{
-		{"ablationInterval", experiments.AblationInterval},
-		{"ablationThreshold", experiments.AblationThreshold},
-		{"ablationGrab", experiments.AblationGrabScale},
-		{"ablationAdaptive", experiments.AblationAdaptive},
-		{"ablationInputPath", experiments.AblationInputPath},
-	} {
-		abl := abl
-		timed(abl.name, func() error {
-			t, err := abl.f(opt)
-			if err != nil {
-				return err
-			}
-			emit(t)
-			return nil
-		})
+		timings = append(timings, artifactTiming{Name: a.name, Seconds: elapsed.Seconds()})
+		fmt.Fprintf(stderr, "[%s done in %v]\n\n", a.name, elapsed.Round(time.Millisecond))
 	}
 
 	if *benchJSON != "" {
@@ -339,24 +299,23 @@ func main() {
 			Mode:         *mode,
 			Parallelism:  *jobs,
 			ScanWorkers:  *scanWorkers,
-			InputPath:    *inputPath,
+			InputPath:    rf.InputPath,
 			GOMAXPROCS:   runtime.GOMAXPROCS(0),
 			Policies:     opt.Policies,
 			Artifacts:    timings,
 			TotalSeconds: time.Since(suiteStart).Seconds(),
 		}
 		buf, err := json.MarshalIndent(report, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*benchJSON, append(buf, '\n'), 0o644)
+		}
 		if err != nil {
-			fail("bench-json", err)
+			fmt.Fprintf(stderr, "bench-json: %v\n", err)
+			return 1
 		}
-		if err := os.WriteFile(*benchJSON, append(buf, '\n'), 0o644); err != nil {
-			fail("bench-json", err)
-		}
-		fmt.Fprintf(os.Stderr, "[benchmark timings written to %s]\n", *benchJSON)
+		fmt.Fprintf(stderr, "[benchmark timings written to %s]\n", *benchJSON)
 	}
-	if !stopProfile() {
-		os.Exit(1)
-	}
+	return 0
 }
 
 // startCPUProfile starts a CPU profile written to path and returns the

@@ -1,0 +1,59 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestRejectsBadFlagsBeforeRunning: an unknown -run name (a typo must
+// not silently skip its artifact) and each bad shared run flag exit
+// with the documented status before any artifact prints a table.
+func TestRejectsBadFlagsBeforeRunning(t *testing.T) {
+	dir := t.TempDir()
+	invalid := filepath.Join(dir, "invalid.json")
+	if err := os.WriteFile(invalid, []byte(`{"rules": [{"name": "x", "kind": "nope"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		code int
+		msg  string
+	}{
+		{[]string{"-run", "figure9"}, 2, "tableI, tableII"},
+		{[]string{"-run", "tableI,figur5"}, 2, `"figur5"`},
+		{[]string{"-run", "tableI", "-log-level", "loud"}, 2, "-log-level"},
+		{[]string{"-run", "tableI", "-input-path", "fast"}, 2, "-input-path"},
+		{[]string{"-run", "tableI", "-alert-rules", invalid}, 2, "-alert-rules"},
+		{[]string{"-run", "tableI", "-alert-rules", filepath.Join(dir, "missing.json")}, 1, "-alert-rules"},
+	} {
+		var out, errOut bytes.Buffer
+		code := run(c.args, &out, &errOut)
+		if code != c.code || out.Len() != 0 || !strings.Contains(errOut.String(), c.msg) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit %d, no output, a message naming %s",
+				c.args, code, out.String(), errOut.String(), c.code, c.msg)
+		}
+	}
+}
+
+// TestRunCreatesOutputDirs: the per-cell output directories are
+// created before the artifacts run, and -run matches names
+// case-insensitively.
+func TestRunCreatesOutputDirs(t *testing.T) {
+	dir := t.TempDir()
+	archives, reports := filepath.Join(dir, "a", "archives"), filepath.Join(dir, "reports")
+	var out bytes.Buffer
+	if code := run([]string{"-run", "TABLEI", "-archive-out", archives, "-report-out", reports}, &out, &bytes.Buffer{}); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	if !strings.Contains(out.String(), "Table I") {
+		t.Errorf("table I not printed:\n%s", out.String())
+	}
+	for _, d := range []string{archives, reports} {
+		if fi, err := os.Stat(d); err != nil || !fi.IsDir() {
+			t.Errorf("%s not created: %v", d, err)
+		}
+	}
+}

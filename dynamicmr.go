@@ -77,7 +77,6 @@ type config struct {
 	sampleInterval float64
 	qstats         bool
 	tsdb           bool
-	tsdbInterval   float64
 	alertRules     []tsdb.Rule
 	logW           io.Writer
 	logLevel       slog.Leveler
@@ -193,30 +192,28 @@ func WithQueryStats() Option {
 }
 
 // WithTimeSeries attaches the in-process time-series engine
-// (internal/tsdb): every intervalS virtual seconds (0 picks the default
-// 5 s cadence) it folds the trace registry's counters and gauges, the
-// cluster's queue/slot state, the per-policy qstats aggregates and the
-// derived per-query series (match-arrival rate, per-split scan cost,
-// overshoot ratio) into fixed-capacity downsampling ring buffers.
+// (internal/tsdb): every tsdb.DefaultIntervalS (5) virtual seconds it
+// folds the trace registry's counters and gauges, the cluster's
+// queue/slot state, the per-policy qstats aggregates and the derived
+// per-query series (match-arrival rate, per-split scan cost, overshoot
+// ratio) into fixed-capacity downsampling ring buffers.
 // Tracing is forced on (the counters and gauges are the main feed).
 // Read the engine via TSDB(); dynmr serve exposes it on /tsdb and as
 // sparkline trend panels in /live.
-func WithTimeSeries(intervalS float64) Option {
+func WithTimeSeries() Option {
 	return func(c *config) {
 		c.tsdb = true
-		c.tsdbInterval = intervalS
 		c.runtime.Trace.Enabled = true
 	}
 }
 
 // WithAlertRules attaches the declarative alert/SLO layer on top of the
-// time-series engine (implied, with its default cadence, if
-// WithTimeSeries was not given): rules are evaluated at every
-// collection tick on the virtual clock and produce a firing/resolved
-// event log (schema tsdb.AlertsSchemaVersion). Query stats are forced
-// on so latency-objective (slo_burn) rules have their input. Read the
-// log via TSDB().AlertsDump(); dynmr serve exposes it on /alerts and as
-// the active-alerts banner in /live.
+// time-series engine (implied if WithTimeSeries was not given): rules
+// are evaluated at every collection tick on the virtual clock and
+// produce a firing/resolved event log (schema tsdb.AlertsSchemaVersion).
+// Query stats are forced on so latency-objective (slo_burn) rules have
+// their input. Read the log via TSDB().AlertsDump(); dynmr serve
+// exposes it on /alerts and as the active-alerts banner in /live.
 func WithAlertRules(rules ...tsdb.Rule) Option {
 	return func(c *config) {
 		c.tsdb = true
@@ -296,7 +293,7 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		c.qstats = qstats.NewRegistry(jt)
 	}
 	if cfg.tsdb {
-		db, err := tsdb.New(jt, tsdb.Config{IntervalS: cfg.tsdbInterval, Rules: cfg.alertRules})
+		db, err := tsdb.New(jt, tsdb.Config{Rules: cfg.alertRules})
 		if err != nil {
 			return nil, err
 		}
@@ -360,17 +357,7 @@ func (c *Cluster) WriteReport(w io.Writer, title string, params [][2]string) err
 	if c.sampler == nil {
 		return fmt.Errorf("dynamicmr: WriteReport requires WithUtilizationSampling")
 	}
-	rep := obs.NewReport(title, c.sampler, params)
-	if c.qstats.Enabled() {
-		dump := c.qstats.Dump()
-		rep.Queries = dump.Queries
-		rep.QueryPolicies = dump.Policies
-	}
-	if c.tsdb.Enabled() {
-		alerts := c.tsdb.AlertsDump()
-		rep.Alerts = &alerts
-	}
-	return rep.WriteHTML(w)
+	return obs.NewReport(title, c.sampler, c.qstats, c.tsdb, params).WriteHTML(w)
 }
 
 // Diagnose runs the post-run job diagnosis engine over everything the

@@ -45,17 +45,6 @@ func (b *Block) BlockStats(fingerprint string) (data.BlockStats, bool) {
 	return data.BlockStats{}, false
 }
 
-// Promising reports whether the block may hold records matching the
-// fingerprinted predicate. Without statistics the answer is true — the
-// block must be read to know.
-func (b *Block) Promising(fingerprint string) bool {
-	s, ok := b.BlockStats(fingerprint)
-	if !ok {
-		return true
-	}
-	return s.MatchBlocks > 0
-}
-
 // SizeBytes returns the block length.
 func (b *Block) SizeBytes() int64 { return b.Source.SizeBytes() }
 

@@ -89,11 +89,11 @@ func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 	for run := 0; run < opt.Runs; run++ {
 		r := newRig(nil, false, sh, opt.traced()) // single-user: 4 slots/node
 		// Report the cell's final run: single-user jobs are short, so a
-		// 2 s default cadence keeps the time-series dense (the report
-		// strides long series back down, so paper mode stays viewable).
+		// 2 s cadence keeps the time-series dense (the report strides
+		// long series back down, so paper mode stays viewable).
 		var osamp *obs.Sampler
 		if opt.reporting() && run == opt.Runs-1 {
-			osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: opt.sampleInterval(2)})
+			osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: 2})
 			osamp.Start()
 		}
 		f, err := r.load(ds, ds.Name())
@@ -132,7 +132,7 @@ func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 			// lands in the series (the job itself may be shorter than
 			// one interval).
 			r.eng.RunUntil(r.eng.Now() + osamp.Interval())
-			err := writeCellReport(opt,
+			err := writeCellReport(opt, r,
 				fmt.Sprintf("figure5_z%g_%dx_%s", z, scale, pol.Name),
 				fmt.Sprintf("Figure 5 run — z=%g, scale %dx, policy %s", z, scale, pol.Name),
 				osamp, [][2]string{

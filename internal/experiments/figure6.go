@@ -6,6 +6,7 @@ import (
 	"dynamicmr/internal/hive"
 	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
+	"dynamicmr/internal/trace"
 	"dynamicmr/internal/workload"
 )
 
@@ -48,7 +49,7 @@ func Figure6(opt Options) (*Figure6Result, error) {
 	}
 	cells := make([]Figure6Cell, len(specs))
 	err := runCells(opt.parallelism(), len(specs), func(i int) error {
-		cell, err := figure6Cell(opt, sh, specs[i].z, specs[i].policy)
+		cell, _, err := figure6Cell(opt, sh, specs[i].z, specs[i].policy)
 		if err != nil {
 			return err
 		}
@@ -61,7 +62,9 @@ func Figure6(opt Options) (*Figure6Result, error) {
 	return &Figure6Result{Opt: opt, Cells: cells}, nil
 }
 
-func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure6Cell, error) {
+// figure6Cell runs one (skew, policy) cell and returns its measurement
+// and its utilization timeline.
+func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure6Cell, []trace.MetricSample, error) {
 	r := newRig(nil, true, sh, opt.traced()) // 16 map slots/node
 	users := make([]*workload.User, opt.Users)
 	for u := 0; u < opt.Users; u++ {
@@ -70,10 +73,10 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 		name := fmt.Sprintf("lineitem_u%d_z%g", u, z)
 		ds, err := sh.cache.get(opt.workloadSpec(z, name, int64(u+1)*13))
 		if err != nil {
-			return Figure6Cell{}, err
+			return Figure6Cell{}, nil, err
 		}
 		if _, err := r.load(ds, name); err != nil {
-			return Figure6Cell{}, err
+			return Figure6Cell{}, nil, err
 		}
 		sess := hive.NewSession(r.jt, r.catalog, nil, fmt.Sprintf("user%d", u))
 		sess.SetQueryStats(r.qs)
@@ -89,19 +92,16 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 	r.jt.SampleUtilization()
 	var osamp *obs.Sampler
 	if opt.reporting() {
-		osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: opt.sampleInterval(obs.DefaultIntervalS)})
+		osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: obs.DefaultIntervalS})
 		osamp.Start()
 	}
 	results, err := workload.Run(r.eng, users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
 	if err != nil {
-		return Figure6Cell{}, fmt.Errorf("figure6 (z=%g policy=%s): %w", z, policy, err)
+		return Figure6Cell{}, nil, fmt.Errorf("figure6 (z=%g policy=%s): %w", z, policy, err)
 	}
 	timeline := r.jt.UtilizationTimeline()
 	cpu, disk, occ := utilizationAverages(timeline, opt.WarmupS)
-	if err := writeCellTimeline(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), timeline); err != nil {
-		return Figure6Cell{}, err
-	}
-	if err := writeCellReport(opt, fmt.Sprintf("figure6_z%g_%s", z, policy),
+	if err := writeCellReport(opt, r, fmt.Sprintf("figure6_z%g_%s", z, policy),
 		fmt.Sprintf("Figure 6 workload — z=%g, policy %s", z, policy), osamp, [][2]string{
 			{"figure", "6 (homogeneous multi-user)"},
 			{"skew z", fmt.Sprintf("%g", z)},
@@ -109,7 +109,7 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 			{"users", fmt.Sprintf("%d", opt.Users)},
 			{"window", fmt.Sprintf("%gs warmup + %gs measure", opt.WarmupS, opt.MeasureS)},
 		}); err != nil {
-		return Figure6Cell{}, err
+		return Figure6Cell{}, nil, err
 	}
 	if err := writeCellArchive(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), r, runarchive.RunConfig{
 		Policy: policy,
@@ -119,7 +119,7 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 			"users":  fmt.Sprintf("%d", opt.Users),
 		},
 	}); err != nil {
-		return Figure6Cell{}, err
+		return Figure6Cell{}, nil, err
 	}
 	cs, _ := results.Class("Sampling")
 	return Figure6Cell{
@@ -129,7 +129,7 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 		CPUUtilPct:   cpu,
 		DiskReadKBs:  disk,
 		OccupancyPct: occ,
-	}, nil
+	}, timeline, nil
 }
 
 // Cell finds a measurement.

@@ -7,6 +7,7 @@ import (
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
+	"dynamicmr/internal/trace"
 	"dynamicmr/internal/workload"
 )
 
@@ -71,7 +72,7 @@ func heterogeneous(opt Options, mkSched func() mapreduce.TaskScheduler, schedNam
 		if mkSched != nil {
 			sched = mkSched()
 		}
-		cell, err := heterogeneousCell(opt, sh, sched, specs[i].frac, specs[i].policy)
+		cell, _, err := heterogeneousCell(opt, sh, sched, specs[i].frac, specs[i].policy)
 		if err != nil {
 			return err
 		}
@@ -84,8 +85,10 @@ func heterogeneous(opt Options, mkSched func() mapreduce.TaskScheduler, schedNam
 	return &Figure7Result{Opt: opt, Scheduler: schedName, Cells: cells}, nil
 }
 
+// heterogeneousCell runs one (fraction, policy) cell and returns its
+// measurement and its utilization timeline.
 func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskScheduler,
-	frac float64, policy string) (Figure7Cell, error) {
+	frac float64, policy string) (Figure7Cell, []trace.MetricSample, error) {
 	r := newRig(sched, true, sh, opt.traced())
 	nSampling := int(frac*float64(opt.Users) + 0.5)
 	if nSampling < 1 {
@@ -102,10 +105,10 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 		name := fmt.Sprintf("lineitem_u%d", u)
 		ds, err := sh.cache.get(opt.workloadSpec(0, name, int64(u+1)*17))
 		if err != nil {
-			return Figure7Cell{}, err
+			return Figure7Cell{}, nil, err
 		}
 		if _, err := r.load(ds, name); err != nil {
-			return Figure7Cell{}, err
+			return Figure7Cell{}, nil, err
 		}
 		sess := hive.NewSession(r.jt, r.catalog, nil, fmt.Sprintf("user%d", u))
 		sess.SetQueryStats(r.qs)
@@ -130,12 +133,12 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 	r.jt.SampleUtilization()
 	var osamp *obs.Sampler
 	if opt.reporting() {
-		osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: opt.sampleInterval(obs.DefaultIntervalS)})
+		osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: obs.DefaultIntervalS})
 		osamp.Start()
 	}
 	results, err := workload.Run(r.eng, users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
 	if err != nil {
-		return Figure7Cell{}, fmt.Errorf("heterogeneous (frac=%g policy=%s): %w", frac, policy, err)
+		return Figure7Cell{}, nil, fmt.Errorf("heterogeneous (frac=%g policy=%s): %w", frac, policy, err)
 	}
 	timeline := r.jt.UtilizationTimeline()
 	_, _, occ := utilizationAverages(timeline, opt.WarmupS)
@@ -143,10 +146,7 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 	if sched != nil {
 		fig, figLabel = "figure8", "Figure 8"
 	}
-	if err := writeCellTimeline(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), timeline); err != nil {
-		return Figure7Cell{}, err
-	}
-	if err := writeCellReport(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy),
+	if err := writeCellReport(opt, r, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy),
 		fmt.Sprintf("%s workload — sampling fraction %g, policy %s", figLabel, frac, policy), osamp, [][2]string{
 			{"figure", fig + " (heterogeneous workload)"},
 			{"sampling fraction", fmt.Sprintf("%g", frac)},
@@ -154,7 +154,7 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 			{"users", fmt.Sprintf("%d", opt.Users)},
 			{"window", fmt.Sprintf("%gs warmup + %gs measure", opt.WarmupS, opt.MeasureS)},
 		}); err != nil {
-		return Figure7Cell{}, err
+		return Figure7Cell{}, nil, err
 	}
 	if err := writeCellArchive(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), r, runarchive.RunConfig{
 		Policy: policy,
@@ -164,7 +164,7 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 			"users":    fmt.Sprintf("%d", opt.Users),
 		},
 	}); err != nil {
-		return Figure7Cell{}, err
+		return Figure7Cell{}, nil, err
 	}
 	samp, _ := results.Class("Sampling")
 	scan, _ := results.Class("Non-Sampling")
@@ -179,7 +179,7 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 		NonSamplingThroughput: scan.ThroughputJobsPerHour,
 		LocalityPct:           locality,
 		OccupancyPct:          occ,
-	}, nil
+	}, timeline, nil
 }
 
 // Cell finds a measurement.

@@ -54,10 +54,6 @@ type Options struct {
 	// parallelism is across cells, virtual time inside a cell is
 	// untouched.
 	Parallelism int
-	// TraceDir, when set, receives one utilization-timeline CSV per
-	// workload cell (figure6_*.csv, figure7_*.csv, ...), written from
-	// the cell's metrics sampler. The directory must exist.
-	TraceDir string
 	// ReportDir, when set, enables tracing inside every cell's rig and
 	// writes one self-contained HTML run report per cell
 	// (figure5_*.html, figure6_*.html, ...). The directory must exist.
@@ -82,15 +78,6 @@ type Options struct {
 	LogWriter io.Writer
 	// LogLevel gates LogWriter records (default slog.LevelInfo).
 	LogLevel slog.Leveler
-	// SampleIntervalS overrides two cadences, in virtual seconds (the
-	// cmd/experiments -sample-interval flag): the obs sampler behind
-	// the ReportDir time-series, where 0 picks a per-figure default
-	// (2 s for single-user Figure 5 cells, 30 s for the workload
-	// figures); and each rig's tsdb collection tick when alerting, where
-	// 0 picks tsdb.DefaultIntervalS. It never changes the §V-D
-	// utilization columns, which the runtime's fixed 30 s poll computes
-	// (mapreduce.UtilizationIntervalS).
-	SampleIntervalS float64
 	// ScanWorkers sizes the sweep-wide scan-executor pool that runs
 	// pure map record scans off the simulator goroutines (the
 	// cmd/experiments -scan-workers flag); 0 disables it and scans run
@@ -210,15 +197,6 @@ func (o Options) traced() bool {
 // alerting reports whether cells run with a time-series engine and
 // alert layer attached.
 func (o Options) alerting() bool { return len(o.AlertRules) > 0 }
-
-// sampleInterval returns the report-sampler cadence, falling back to
-// the given per-figure default.
-func (o Options) sampleInterval(def float64) float64 {
-	if o.SampleIntervalS > 0 {
-		return o.SampleIntervalS
-	}
-	return def
-}
 
 // parallelism returns the effective worker count for runCells.
 func (o Options) parallelism() int {

@@ -8,10 +8,11 @@ import (
 )
 
 // writeCellReport renders one cell's self-contained HTML observability
-// report into opt.ReportDir (no-op when reporting is off). The sampler
+// report into opt.ReportDir (no-op when reporting is off), with the
+// rig's per-query and alert sections when it is alerting. The sampler
 // carries the cell's private tracer, so concurrent cells write fully
 // independent reports.
-func writeCellReport(opt Options, name, title string, samp *obs.Sampler, params [][2]string) error {
+func writeCellReport(opt Options, r *rig, name, title string, samp *obs.Sampler, params [][2]string) error {
 	if opt.ReportDir == "" || samp == nil {
 		return nil
 	}
@@ -19,8 +20,7 @@ func writeCellReport(opt Options, name, title string, samp *obs.Sampler, params 
 	if err != nil {
 		return err
 	}
-	rep := obs.NewReport(title, samp, params)
-	if err := rep.WriteHTML(f); err != nil {
+	if err := obs.NewReport(title, samp, r.qs, r.db, params).WriteHTML(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"dynamicmr/internal/core"
+	"dynamicmr/internal/runarchive"
+	"dynamicmr/internal/tsdb"
 )
 
 // checkReport fails unless the named report exists, is non-trivial, and
@@ -69,19 +71,50 @@ func TestFigure5ReportDir(t *testing.T) {
 }
 
 // TestFigure6ReportDir: workload cells write reports too (named after
-// the cell), alongside the -trace-out CSVs.
+// the cell), and each cell's archive renders its utilization timeline
+// CSV with at least one row.
 func TestFigure6ReportDir(t *testing.T) {
 	opt := tinyOptions()
 	opt.Policies = []string{core.PolicyLA}
 	opt.ReportDir = t.TempDir()
-	opt.TraceDir = opt.ReportDir
+	opt.ArchiveDir = opt.ReportDir
 	if _, err := Figure6(opt); err != nil {
 		t.Fatal(err)
 	}
 	for _, z := range []float64{0, 2} {
 		checkReport(t, opt.ReportDir, fmt.Sprintf("figure6_z%g_LA.html", z))
-		if _, err := os.Stat(filepath.Join(opt.ReportDir, fmt.Sprintf("figure6_z%g_LA.csv", z))); err != nil {
-			t.Fatalf("timeline CSV missing: %v", err)
+		a, err := runarchive.LoadFile(filepath.Join(opt.ArchiveDir, fmt.Sprintf("figure6_z%g_LA.archive.gz", z)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var csv strings.Builder
+		if err := a.Render(&csv, "timeline"); err != nil {
+			t.Fatal(err)
+		}
+		if rows := strings.Count(csv.String(), "\n") - 1; rows < 1 {
+			t.Fatalf("z=%g timeline has no rows:\n%s", z, csv.String())
+		}
+	}
+}
+
+// TestFigure5AlertingReportSections: an alerting cell's report carries
+// the per-query and alert sections, as dynmr's -report-out does.
+func TestFigure5AlertingReportSections(t *testing.T) {
+	opt := tinyOptions()
+	opt.Scales = []int{2}
+	opt.Policies = []string{core.PolicyLA}
+	opt.ReportDir = t.TempDir()
+	opt.AlertRules = []tsdb.Rule{{Name: "latency-slo", Kind: tsdb.KindSLOBurn, ObjectiveS: 0.001, Severity: "page"}}
+	if _, err := Figure5(opt); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(filepath.Join(opt.ReportDir, "figure5_z1_2x_LA.html"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, section := range []string{"<h2>Per-query stats", "<h2>Alerts</h2>", "latency-slo"} {
+		if !strings.Contains(string(buf), section) {
+			t.Errorf("report lacks %q", section)
 		}
 	}
 }

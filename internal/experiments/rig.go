@@ -40,23 +40,20 @@ type sweepShared struct {
 	// alertRules / alerting carry Options' alert configuration into
 	// every rig: when alerting, each rig runs a private time-series
 	// engine (plus a qstats registry feeding its slo_burn rules) on its
-	// own virtual clock. alertIntervalS is the collection cadence
-	// (0 = tsdb default).
-	alertRules     []tsdb.Rule
-	alerting       bool
-	alertIntervalS float64
+	// own virtual clock.
+	alertRules []tsdb.Rule
+	alerting   bool
 }
 
 // newSweepShared builds the shared state for one sweep.
 func (o Options) newSweepShared() *sweepShared {
 	sh := &sweepShared{
-		cache:          newDSCache(),
-		memo:           mapreduce.NewMapOutputCache(),
-		pool:           executor.NewPool(o.ScanWorkers),
-		inputPath:      o.InputPath,
-		alertRules:     o.AlertRules,
-		alerting:       o.alerting(),
-		alertIntervalS: o.SampleIntervalS,
+		cache:      newDSCache(),
+		memo:       mapreduce.NewMapOutputCache(),
+		pool:       executor.NewPool(o.ScanWorkers),
+		inputPath:  o.InputPath,
+		alertRules: o.AlertRules,
+		alerting:   o.alerting(),
 	}
 	if o.LogWriter != nil {
 		sh.logW = vlog.LockWriter(o.LogWriter)
@@ -127,7 +124,7 @@ func newRig(sched mapreduce.TaskScheduler, multiUser bool, sh *sweepShared, trac
 		// tick; the registry feeds slo_burn rules and the per-query
 		// series. Rules were validated by Options.validate before the
 		// sweep started, so New cannot fail here.
-		db, err := tsdb.New(jt, tsdb.Config{IntervalS: sh.alertIntervalS, Rules: sh.alertRules})
+		db, err := tsdb.New(jt, tsdb.Config{Rules: sh.alertRules})
 		if err != nil {
 			panic("experiments: alert rules revalidated in newRig: " + err.Error())
 		}

@@ -1,29 +1,6 @@
 package experiments
 
-import (
-	"os"
-	"path/filepath"
-
-	"dynamicmr/internal/trace"
-)
-
-// writeCellTimeline exports one workload cell's utilization timeline as
-// CSV into opt.TraceDir (no-op when unset). The file carries the same
-// columns the paper's §V-D monitoring reports.
-func writeCellTimeline(opt Options, name string, timeline []trace.MetricSample) error {
-	if opt.TraceDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(opt.TraceDir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteMetricCSV(f, timeline); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+import "dynamicmr/internal/trace"
 
 // utilizationAverages averages the timeline's readings taken at or
 // after fromT (excluding warm-up): CPU %, disk KB/s and slot occupancy %.

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"math"
+	"path/filepath"
 	"testing"
 
 	"dynamicmr/internal/cluster"
+	"dynamicmr/internal/core"
 	"dynamicmr/internal/mapreduce"
+	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/sim"
 	"dynamicmr/internal/trace"
 )
@@ -59,5 +63,64 @@ func TestUtilizationAveragesWarmupBoundary(t *testing.T) {
 	}
 	if late, _, _ := utilizationAverages(tl, 91); late != 0 {
 		t.Fatalf("cpu from t=91 = %v, want 0 (no points)", late)
+	}
+}
+
+// TestCellTimelineTracedTwin: a whole workload cell polls the same
+// §V-D utilization series whether it runs untraced with scans inline,
+// or traced with the obs sampler on (ArchiveDir and ReportDir set) on
+// a scan pool. One figure-6 cell and one Fair figure-8 cell run both
+// ways, and every untraced sample must equal the archive's sample
+// record bit for bit, so `dynmr render timeline` of a traced sweep is
+// the untraced sweep's timeline.
+func TestCellTimelineTracedTwin(t *testing.T) {
+	cells := []struct {
+		name string
+		run  func(Options, *sweepShared) ([]trace.MetricSample, error)
+	}{
+		{"figure6_z2_LA", func(opt Options, sh *sweepShared) ([]trace.MetricSample, error) {
+			_, tl, err := figure6Cell(opt, sh, 2, core.PolicyLA)
+			return tl, err
+		}},
+		{"figure8_frac0.5_LA", func(opt Options, sh *sweepShared) ([]trace.MetricSample, error) {
+			_, tl, err := heterogeneousCell(opt, sh, mapreduce.NewFairScheduler(5), 0.5, core.PolicyLA)
+			return tl, err
+		}},
+	}
+	bits := func(m trace.MetricSample) [4]uint64 {
+		return [4]uint64{math.Float64bits(m.Time), math.Float64bits(m.CPUUtilPct),
+			math.Float64bits(m.DiskReadKBs), math.Float64bits(m.SlotOccupancyPct)}
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(opt Options) []trace.MetricSample {
+				sh := opt.newSweepShared()
+				defer sh.close()
+				tl, err := c.run(opt, sh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tl
+			}
+			opt := tinyOptions()
+			opt.ScanWorkers = 0
+			plain := run(opt)
+			opt.ArchiveDir = t.TempDir()
+			opt.ReportDir = opt.ArchiveDir
+			opt.ScanWorkers = 2
+			run(opt)
+			a, err := runarchive.LoadFile(filepath.Join(opt.ArchiveDir, c.name+".archive.gz"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plain) == 0 || len(a.Samples) != len(plain) {
+				t.Fatalf("untraced timeline has %d samples, archive %d", len(plain), len(a.Samples))
+			}
+			for i := range plain {
+				if bits(a.Samples[i]) != bits(plain[i]) {
+					t.Fatalf("sample %d: archive %+v, untraced %+v", i, a.Samples[i], plain[i])
+				}
+			}
+		})
 	}
 }

@@ -120,9 +120,6 @@ type MapTask struct {
 // Completed reports whether some attempt of the task succeeded.
 func (t *MapTask) Completed() bool { return t.completed }
 
-// RunningAttempts returns the number of in-flight attempts.
-func (t *MapTask) RunningAttempts() int { return len(t.running) }
-
 // ReduceTask is one reduce partition's task.
 type ReduceTask struct {
 	Job      *Job

@@ -146,9 +146,6 @@ type TaskTracker struct {
 	beat func()
 }
 
-// NodeID returns the tracker's node id.
-func (tt *TaskTracker) NodeID() int { return tt.node.ID }
-
 // MapSlots returns the node's configured map slot count.
 func (tt *TaskTracker) MapSlots() int { return tt.mapSlots }
 

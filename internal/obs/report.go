@@ -73,14 +73,17 @@ func thinSnaps(snaps []Snapshot) []Snapshot {
 	return out
 }
 
-// NewReport assembles a report from the sampler's recorded state and
-// its tracker's tracer (spans, decisions, counters). Pass params for
+// NewReport assembles a report from the sampler's recorded state, its
+// tracker's tracer (spans, decisions, counters), the per-query registry
+// and the time-series engine's alert log; qs and db may be nil. db is
+// flushed first, as the run archive does, so a query finishing after
+// the last scheduled tick reaches the alert windows. Pass params for
 // the run-configuration rows.
-func NewReport(title string, s *Sampler, params [][2]string) *Report {
+func NewReport(title string, s *Sampler, qs *qstats.Registry, db *tsdb.DB, params [][2]string) *Report {
 	tr := s.jt.Tracer()
 	s.foldPolicyDecisions()
 	snaps := s.Snapshots()
-	return &Report{
+	r := &Report{
 		Title:      title,
 		Params:     params,
 		Snaps:      thinSnaps(snaps),
@@ -93,6 +96,16 @@ func NewReport(title string, s *Sampler, params [][2]string) *Report {
 		Interval:   s.interval,
 		TotalSnaps: len(snaps),
 	}
+	if qs.Enabled() {
+		dump := qs.Dump()
+		r.Queries, r.QueryPolicies = dump.Queries, dump.Policies
+	}
+	if db.Enabled() {
+		db.Flush()
+		alerts := db.AlertsDump()
+		r.Alerts = &alerts
+	}
+	return r
 }
 
 // esc escapes text for HTML and attribute contexts.

@@ -16,7 +16,7 @@ func TestReportHTML(t *testing.T) {
 	mapreduce.RunUntilDone(eng, job, 1e6)
 	eng.RunUntil(eng.Now() + 2)
 
-	rep := NewReport("test <run> & co", s, [][2]string{{"policy", "LA"}, {"scale", "1x"}})
+	rep := NewReport("test <run> & co", s, nil, nil, [][2]string{{"policy", "LA"}, {"scale", "1x"}})
 	var b strings.Builder
 	if err := rep.WriteHTML(&b); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestThinSnaps(t *testing.T) {
 func TestReportHTMLEmptyRun(t *testing.T) {
 	_, _, _, jt := rig(t, true)
 	s := NewSampler(jt, Config{})
-	rep := NewReport("empty", s, nil)
+	rep := NewReport("empty", s, nil, nil, nil)
 	var b strings.Builder
 	if err := rep.WriteHTML(&b); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 
 // RenderKinds lists the views Render writes, in `dynmr render` usage
 // order.
-var RenderKinds = []string{"qstats", "alerts", "diag", "diag-json", "diag-csv", "chrome"}
+var RenderKinds = []string{"qstats", "alerts", "diag", "diag-json", "diag-csv", "chrome", "timeline"}
 
 // Render writes one view of the archive to w:
 //
@@ -23,7 +23,8 @@ var RenderKinds = []string{"qstats", "alerts", "diag", "diag-json", "diag-csv", 
 //   - diag, diag-json, diag-csv: the job diagnosis as text, as JSON
 //     (schema dynamicmr.diag/1) or as one CSV row per job;
 //   - chrome: a Chrome trace-event file for https://ui.perfetto.dev or
-//     chrome://tracing.
+//     chrome://tracing;
+//   - timeline: the utilization timeline (the sample records) as CSV.
 //
 // Each view is byte-identical to what the live writer emits for the
 // run the archive was cut from. A section the archive lacks renders as
@@ -54,6 +55,8 @@ func (a *Archive) Render(w io.Writer, kind string) error {
 		return rep.WriteJobsCSV(w)
 	case "chrome":
 		return trace.WriteChromeTrace(w, a.Spans, a.Decisions, a.Samples, a.Manifest.DroppedSpans)
+	case "timeline":
+		return trace.WriteMetricCSV(w, a.Samples)
 	}
 	return fmt.Errorf("runarchive: unknown render kind %q (want %s)", kind, strings.Join(RenderKinds, ", "))
 }

@@ -355,6 +355,3 @@ func round2(f float64) float64 {
 // partitions without generating them. It is validated by tests against
 // the real generator within a small tolerance.
 const AvgRowBytes = 125
-
-// EstimatedSizeBytes returns the approximate encoded size of n rows.
-func EstimatedSizeBytes(n int64) int64 { return n * AvgRowBytes }

@@ -73,21 +73,10 @@ func (t *Tracer) PolicyDecisions() []PolicyDecision {
 	return append([]PolicyDecision(nil), t.decisions...)
 }
 
-// PolicyDecisionCount returns the audit log's length without copying
-// it, so incremental consumers (the obs sampler) can poll cheaply.
-func (t *Tracer) PolicyDecisionCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.decisions)
-}
-
 // PolicyDecisionsSince copies the audit log entries from index from
-// onward (clamped to the log's bounds). Pairing it with
-// PolicyDecisionCount lets a periodic sampler consume the log
-// incrementally instead of re-copying the whole history every tick.
+// onward (clamped to the log's bounds), so a periodic sampler consumes
+// the log incrementally instead of re-copying the whole history every
+// tick.
 func (t *Tracer) PolicyDecisionsSince(from int) []PolicyDecision {
 	if t == nil {
 		return nil

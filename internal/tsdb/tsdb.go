@@ -43,27 +43,23 @@ const AlertsSchemaVersion = "dynamicmr.alerts/1"
 // DefaultIntervalS is the collection cadence in virtual seconds.
 const DefaultIntervalS = 5.0
 
-// DefaultRawCapacity is the per-series raw ring size (at the default
+// rawCapacity is the per-series raw ring size (at the default
 // interval: 30 virtual minutes of full-resolution history).
-const DefaultRawCapacity = 360
+const rawCapacity = 360
 
 // maxAlertEvents bounds the alert log; the oldest half is dropped (and
 // counted) past 125% of the cap, mirroring the qstats retention trim.
 const maxAlertEvents = 1024
 
-// DefaultResolutions is the default rollup ladder: 1-minute buckets for
-// four virtual hours, 10-minute buckets for 40.
-func DefaultResolutions() []Resolution {
-	return []Resolution{{StepS: 60, Capacity: 240}, {StepS: 600, Capacity: 240}}
-}
+// resolutions is the rollup ladder: 1-minute buckets for four virtual
+// hours, 10-minute buckets for 40.
+var resolutions = [...]Resolution{{StepS: 60, Capacity: 240}, {StepS: 600, Capacity: 240}}
 
-// Config parameterizes New. Zero values take the defaults above; Rules
-// may be empty (trends without alerts).
+// Config parameterizes New. A zero IntervalS takes DefaultIntervalS;
+// Rules may be empty (trends without alerts).
 type Config struct {
-	IntervalS   float64
-	RawCapacity int
-	Resolutions []Resolution
-	Rules       []Rule
+	IntervalS float64
+	Rules     []Rule
 }
 
 // DB is one run's time-series engine. It is not internally locked: the
@@ -99,12 +95,6 @@ type DB struct {
 func New(jt *mapreduce.JobTracker, cfg Config) (*DB, error) {
 	if cfg.IntervalS <= 0 {
 		cfg.IntervalS = DefaultIntervalS
-	}
-	if cfg.RawCapacity <= 0 {
-		cfg.RawCapacity = DefaultRawCapacity
-	}
-	if cfg.Resolutions == nil {
-		cfg.Resolutions = DefaultResolutions()
 	}
 	db := &DB{
 		jt:       jt,
@@ -202,7 +192,7 @@ func (db *DB) Flush() {
 func (db *DB) at(name string) *Series {
 	s := db.series[name]
 	if s == nil {
-		s = newSeries(db.cfg.RawCapacity, db.cfg.Resolutions)
+		s = newSeries(rawCapacity, resolutions[:])
 		db.series[name] = s
 		db.order = append(db.order, name)
 	}

@@ -358,7 +358,7 @@ func TestFlushCatchesPostTickFinish(t *testing.T) {
 // the ring and every rollup level are preallocated, so steady-state
 // appends must not allocate (the CI gate budget pins allocs at 0).
 func BenchmarkSeriesAppend(b *testing.B) {
-	s := newSeries(DefaultRawCapacity, DefaultResolutions())
+	s := newSeries(rawCapacity, resolutions[:])
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Append(float64(i), float64(i%97))

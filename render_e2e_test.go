@@ -72,7 +72,8 @@ func chromeExport(tr *trace.Tracer) func(io.Writer) error {
 // view of the archive is byte-identical to the live writer — the
 // qstats dump as Registry.WriteJSON encodes it, the alert dump as the
 // engine writes it after a flush (Flush, AlertsDump, WriteJSON), the
-// diagnosis as text, JSON and CSV, and the tracer's Chrome export.
+// diagnosis as text, JSON and CSV, the tracer's Chrome export and its
+// utilization timeline CSV.
 func TestRenderMatchesLiveWriters(t *testing.T) {
 	c, cut, a := renderRun(t, 3, WithTracing(trace.Config{}), WithAlertRules(tsdb.Rule{
 		Name: "latency-slo", Kind: tsdb.KindSLOBurn, ObjectiveS: 0.001, Severity: "page",
@@ -100,6 +101,9 @@ func TestRenderMatchesLiveWriters(t *testing.T) {
 		"diag-json": rep.WriteJSON,
 		"diag-csv":  rep.WriteJobsCSV,
 		"chrome":    chromeExport(c.Tracer()),
+		"timeline": func(w io.Writer) error {
+			return trace.WriteMetricCSV(w, c.Tracer().MetricSamples())
+		},
 	} {
 		if got, want := rendered(t, a, kind), written(t, write); !bytes.Equal(got, want) {
 			t.Errorf("render %s differs from the live writer:\n%s\nwant:\n%s", kind, got, want)
@@ -130,18 +134,22 @@ func TestChromeTraceDeterministic(t *testing.T) {
 
 // TestRenderMissingSections: an archive cut without the qstats and
 // tsdb layers renders their schema-valid empty dumps — for alerts,
-// exactly what a tsdb engine without rules dumps at the same instant.
+// exactly what a tsdb engine without rules dumps at the same instant —
+// and an archive without samples renders a header-only timeline.
 func TestRenderMissingSections(t *testing.T) {
 	_, _, bare := renderRun(t, 1, WithTracing(trace.Config{}))
 	if bare.Queries != nil || bare.Alerts != nil {
 		t.Fatal("tracing-only archive carries qstats or alerts")
 	}
-	ruleless, _, _ := renderRun(t, 1, WithTracing(trace.Config{}), WithTimeSeries(0))
+	ruleless, _, _ := renderRun(t, 1, WithTracing(trace.Config{}), WithTimeSeries())
 	if got, want := rendered(t, bare, "alerts"), written(t, ruleless.TSDB().AlertsDump().WriteJSON); !bytes.Equal(got, want) {
 		t.Errorf("empty alerts render:\n%s\nwant:\n%s", got, want)
 	}
 	var q bytes.Buffer
 	if err := bare.Render(&q, "qstats"); err != nil || !bytes.Contains(q.Bytes(), []byte(`"schema": "dynamicmr.qstats/1"`)) {
 		t.Errorf("empty qstats render: %v\n%s", err, q.String())
+	}
+	if got := string(rendered(t, &runarchive.Archive{}, "timeline")); got != "time_s,cpu_util_pct,disk_read_kbs,slot_occupancy_pct\n" {
+		t.Errorf("sample-less timeline render: %q", got)
 	}
 }

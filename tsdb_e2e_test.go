@@ -22,7 +22,7 @@ func TestTSDBNeutralWhenDisabled(t *testing.T) {
 	run := func(enabled bool) (float64, string) {
 		opts := []Option{WithTracing(trace.Config{})}
 		if enabled {
-			opts = append(opts, WithTimeSeries(0))
+			opts = append(opts, WithTimeSeries())
 		}
 		c, err := NewCluster(opts...)
 		if err != nil {
