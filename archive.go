@@ -2,7 +2,6 @@ package dynamicmr
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"dynamicmr/internal/qstats"
@@ -12,9 +11,11 @@ import (
 
 // BuildArchive snapshots the run into a cross-run archive (schema
 // dynamicmr.archive/1): every trace span, the policy decision audit
-// log, the utilization timeline, counters/gauges, the invariant-checked
-// per-job diagnosis, the per-query registry dump when WithQueryStats
-// was on, and the run configuration. Fields of cfg the cluster knows
+// log, the utilization timeline, the sampler's snapshots (after its
+// last partial interval) when WithUtilizationSampling was on,
+// counters/gauges, the invariant-checked per-job diagnosis, the
+// per-query registry dump when WithQueryStats was on, and the run
+// configuration. Fields of cfg the cluster knows
 // better than the caller — input path, scan workers, git revision —
 // are filled in when left zero. It requires WithTracing (or an option
 // that forces it).
@@ -39,6 +40,9 @@ func (c *Cluster) BuildArchive(label string, cfg runarchive.RunConfig) (*runarch
 	if cfg.GitRev == "" {
 		cfg.GitRev = runarchive.GitRev()
 	}
+	// The sampler takes its last partial interval first, so the tsdb
+	// flush below folds the gauges it publishes.
+	snaps := c.sampler.Cut()
 	var queries *qstats.Dump
 	if c.qstats.Enabled() {
 		d := c.qstats.Dump()
@@ -58,6 +62,7 @@ func (c *Cluster) BuildArchive(label string, cfg runarchive.RunConfig) (*runarch
 	return runarchive.New(runarchive.Source{
 		Label:         label,
 		Tracer:        tr,
+		Snapshots:     snaps,
 		Queries:       queries,
 		Series:        series,
 		Alerts:        alerts,
@@ -65,14 +70,4 @@ func (c *Cluster) BuildArchive(label string, cfg runarchive.RunConfig) (*runarch
 		CreatedUnixMS: time.Now().UnixMilli(),
 		Config:        cfg,
 	})
-}
-
-// WriteArchive builds the run archive and writes it to w as gzip
-// NDJSON; see BuildArchive.
-func (c *Cluster) WriteArchive(w io.Writer, label string, cfg runarchive.RunConfig) error {
-	a, err := c.BuildArchive(label, cfg)
-	if err != nil {
-		return err
-	}
-	return a.Write(w)
 }

@@ -9,37 +9,38 @@
 //	dynmr serve [run flags] [-addr HOST:PORT] [-policy NAME] [-k N] [-queries N]
 //	      [-pace-ms MS] [-pprof]
 //	dynmr explain [run flags] [-policy NAME] [-k N] [-queries N] [-speculative]
-//	dynmr render qstats|alerts|diag|diag-json|diag-csv|chrome|timeline A.archive.gz
+//	dynmr render qstats|alerts|diag|diag-json|diag-csv|chrome|timeline|report A.archive.gz
 //	dynmr top [-addr HOST:PORT] [-follow] [-interval-ms MS]
 //	dynmr diff [-json | -html] [-out FILE] A.archive.gz B.archive.gz
 //
 // The shell, serve and explain modes share one set of run flags:
 //
 //	[-scale N] [-skew 0|1|2] [-rows N] [-multiuser] [-fair]
-//	[-input-path full|skip|index] [-archive-out FILE] [-report-out FILE]
+//	[-input-path full|skip|index] [-archive-out FILE]
 //	[-alert-rules FILE] [-log-out FILE] [-log-level LEVEL]
 //
-// The last six are the run flags cmd/experiments shares
-// (internal/runflags). They are checked before anything runs: a bad
-// value exits 2, an I/O error 1.
+// The last five are the run flags cmd/experiments shares
+// (internal/runflags). All of them are checked before anything runs: a
+// bad value (a -scale below 1, a -skew other than 0, 1 or 2, a
+// negative -rows, an unknown -input-path...) exits 2, an I/O error 1.
 //
 // Without -e, statements are read from stdin (one per line, ';'
 // optional). With -archive-out, the run archive (schema
 // dynamicmr.archive/1, gzip NDJSON: trace spans, policy decisions,
-// utilization samples, diagnoses, query stats, counters/gauges, the
-// time series and alert log when -alert-rules is set, and the run
-// config) is written at exit. It is the one output file every view
-// renders from: `dynmr render KIND ARCHIVE` writes the per-query stats
-// dump (qstats, schema dynamicmr.qstats/1), the alert dump (alerts,
+// utilization samples, the utilization sampler's per-node snapshots,
+// diagnoses, query stats, counters/gauges, the time series and alert
+// log when -alert-rules is set, and the run config) is written at
+// exit. It is the one output file every view renders from:
+// `dynmr render KIND ARCHIVE` writes the per-query stats dump (qstats,
+// schema dynamicmr.qstats/1), the alert dump (alerts,
 // dynamicmr.alerts/1), the job diagnosis as text, JSON or CSV (diag,
-// diag-json, diag-csv), a Chrome trace-event file (chrome; load it
-// in https://ui.perfetto.dev or chrome://tracing) or the utilization
-// timeline as CSV (timeline) to stdout. With
-// -report-out, a self-contained HTML run report (utilization
-// time-series, slot-occupancy Gantt, policy decision log) is written
-// at exit. With -log-out, the runtime's structured log stream (job
-// lifecycle, Input Provider decisions, query execution) is written as
-// NDJSON, each record stamped with the virtual clock. With
+// diag-json, diag-csv), a Chrome trace-event file (chrome; load it in
+// https://ui.perfetto.dev or chrome://tracing), the utilization
+// timeline as CSV (timeline) or a self-contained HTML run report
+// (report: utilization time-series, slot-occupancy Gantt, policy
+// decision log) to stdout. With -log-out, the runtime's structured log
+// stream (job lifecycle, Input Provider decisions, query execution) is
+// written as NDJSON, each record stamped with the virtual clock. With
 // -alert-rules, declarative alert/SLO rules are evaluated on the
 // virtual clock while statements run.
 //

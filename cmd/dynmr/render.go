@@ -12,10 +12,9 @@ import (
 // renderMain runs `dynmr render KIND ARCHIVE`: write one view of a run
 // archive (schema dynamicmr.archive/1, from -archive-out) to stdout —
 // the per-query stats or alert dump, the job diagnosis as text, JSON
-// or CSV, a Chrome trace or the utilization timeline CSV (see
-// runarchive.Archive.Render). It takes
-// no flags: every view of a run is regenerated offline from its
-// archive.
+// or CSV, a Chrome trace, the utilization timeline CSV or the HTML run
+// report (see runarchive.Archive.Render). It takes no flags: every
+// view of a run is regenerated offline from its archive.
 func renderMain(args []string) {
 	if len(args) != 2 {
 		fmt.Fprintf(os.Stderr, "usage: dynmr render %s ARCHIVE\n", strings.Join(runarchive.RenderKinds, "|"))

@@ -3,16 +3,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"strconv"
 
 	"dynamicmr"
 	"dynamicmr/internal/dataset"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/runflags"
-	"dynamicmr/internal/trace"
 )
 
 // datasetSeed seeds every mode's generated LINEITEM table.
@@ -49,10 +46,13 @@ func newRunFlags(fs *flag.FlagSet) *runFlags {
 // options appended (so they override the flags' defaults), and loads
 // the LINEITEM table. A bad run flag exits 2 and an I/O error 1 before
 // anything runs. -archive-out turns on query stats (and with them
-// tracing), so every `dynmr render` kind finds its section;
-// -report-out turns on tracing and the utilization sampler the report
-// draws.
+// tracing) and the utilization sampler, so every `dynmr render` kind
+// finds its section.
 func (rf *runFlags) cluster(mode ...dynamicmr.Option) (*dynamicmr.Cluster, *dataset.Dataset) {
+	if err := rf.checkDataset(); err != nil {
+		fmt.Fprintln(os.Stderr, "dynmr:", err)
+		os.Exit(2)
+	}
 	out, err := rf.Open()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dynmr:", err)
@@ -66,10 +66,7 @@ func (rf *runFlags) cluster(mode ...dynamicmr.Option) (*dynamicmr.Cluster, *data
 		opts = append(opts, dynamicmr.WithFairScheduler(5))
 	}
 	if rf.ArchiveOut != "" {
-		opts = append(opts, dynamicmr.WithQueryStats())
-	}
-	if rf.ReportOut != "" {
-		opts = append(opts, dynamicmr.WithTracing(trace.Config{}), dynamicmr.WithUtilizationSampling(0))
+		opts = append(opts, dynamicmr.WithQueryStats(), dynamicmr.WithUtilizationSampling(0))
 	}
 	if len(out.Rules) > 0 {
 		opts = append(opts, dynamicmr.WithAlertRules(out.Rules...))
@@ -92,11 +89,27 @@ func (rf *runFlags) cluster(mode ...dynamicmr.Option) (*dynamicmr.Cluster, *data
 	return c, ds
 }
 
+// checkDataset rejects the dataset flag values LoadLineItem would
+// refuse or silently reinterpret: a scale below 1, a skew without a
+// planted predicate (0, 1 and 2 have one) and a negative row count.
+func (rf *runFlags) checkDataset() error {
+	if rf.scale <= 0 {
+		return fmt.Errorf("-scale must be positive, got %d", rf.scale)
+	}
+	if _, err := dataset.LevelForZ(rf.skew); err != nil {
+		return fmt.Errorf("-skew: %w", err)
+	}
+	if rf.rows < 0 {
+		return fmt.Errorf("-rows must not be negative, got %d", rf.rows)
+	}
+	return nil
+}
+
 // finish is every run mode's exit path, serve's signal handler
-// included: it writes the HTML report and the run archive the flags
-// name, closes the cluster, then closes the log stream. label names
-// the run in both files; cfg, completed with the dataset flags,
-// describes it in the archive and heads the report.
+// included: it writes the run archive -archive-out names, closes the
+// cluster, then closes the log stream. label names the run in the
+// archive (and titles its rendered report); cfg, completed with the
+// dataset flags, describes it.
 func (rf *runFlags) finish(c *dynamicmr.Cluster, label string, cfg runarchive.RunConfig) {
 	cfg.Seed = datasetSeed
 	if cfg.Params == nil {
@@ -105,24 +118,14 @@ func (rf *runFlags) finish(c *dynamicmr.Cluster, label string, cfg runarchive.Ru
 	cfg.Params["scale"] = strconv.Itoa(rf.scale)
 	cfg.Params["skew"] = strconv.FormatFloat(rf.skew, 'g', -1, 64)
 	cfg.Params["rows"] = strconv.FormatInt(rf.rows, 10)
-	if rf.ReportOut != "" {
-		var params [][2]string
-		if cfg.Policy != "" {
-			params = append(params, [2]string{"policy", cfg.Policy})
-		}
-		keys := make([]string, 0, len(cfg.Params))
-		for k := range cfg.Params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			params = append(params, [2]string{k, cfg.Params[k]})
-		}
-		writeFile(rf.ReportOut, func(w io.Writer) error { return c.WriteReport(w, label, params) })
-		fmt.Fprintf(os.Stderr, "wrote run report to %s\n", rf.ReportOut)
-	}
 	if rf.ArchiveOut != "" {
-		writeFile(rf.ArchiveOut, func(w io.Writer) error { return c.WriteArchive(w, label, cfg) })
+		a, err := c.BuildArchive(label, cfg)
+		if err == nil {
+			err = a.WriteFile(rf.ArchiveOut)
+		}
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "wrote run archive to %s (view with `dynmr render`, compare with `dynmr diff`)\n", rf.ArchiveOut)
 	}
 	c.Close()
@@ -131,21 +134,6 @@ func (rf *runFlags) finish(c *dynamicmr.Cluster, label string, cfg runarchive.Ru
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote virtual-clock log to %s\n", rf.LogOut)
-	}
-}
-
-// writeFile creates path and fills it with write; any error is fatal.
-func writeFile(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
 	}
 }
 

@@ -19,11 +19,10 @@ import (
 // against the simulated cluster, with the observability surface exposed
 // live over HTTP — Prometheus text exposition on /metrics, JSON run
 // status on /status, the per-query registry on /queries and the
-// self-refreshing HTML dashboard on /live. The simulated runtime is
-// single-threaded, so the query loop advances the engine while holding
-// the server's lock; after each query it publishes an immutable
-// snapshot of every endpoint, so scrapes never block behind the pacer
-// or a long engine burst.
+// self-refreshing HTML dashboard on /live. The query loop advances the
+// engine and, after each query, publishes an immutable snapshot of
+// every endpoint; handlers serve only that snapshot, so a scrape never
+// waits for a query, the first one included.
 //
 // The time-series engine runs for every serve session, so /tsdb serves
 // rolling trend history and /live charts it. With -alert-rules, the
@@ -32,9 +31,10 @@ import (
 // dynamicmr.alerts/1).
 //
 // SIGINT/SIGTERM shut the loop down gracefully: the current query
-// finishes, the run flags' exit flush writes -report-out and
-// -archive-out schema-complete and closes -log-out, the HTTP server
-// drains, and the process exits 0.
+// finishes, the run flags' exit flush writes -archive-out
+// schema-complete (`dynmr render report` draws the run's HTML report
+// from it) and closes -log-out, the HTTP server drains, and the
+// process exits 0.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("dynmr serve", flag.ExitOnError)
 	rf := newRunFlags(fs)
@@ -51,9 +51,7 @@ func serveMain(args []string) {
 		dynamicmr.WithUtilizationSampling(5),
 		dynamicmr.WithTimeSeries())
 
-	srv := obs.NewServer(c.Sampler())
-	srv.SetQueryStats(c.QueryStats())
-	srv.SetTSDB(c.TSDB())
+	srv := obs.NewServer(c.Sampler(), c.QueryStats(), c.TSDB())
 	handler := srv.Handler()
 	if *pprofOn {
 		// Register the pprof handlers explicitly on our own mux rather
@@ -84,9 +82,7 @@ func serveMain(args []string) {
 	interrupted := false
 loop:
 	for n := 0; sf.queries == 0 || n < sf.queries; n++ {
-		srv.Lock()
 		sf.run(c, pred, n)
-		srv.Unlock()
 		srv.Publish()
 		select {
 		case <-ctx.Done():
@@ -102,9 +98,7 @@ loop:
 	}
 	fmt.Fprintln(os.Stderr, "dynmr serve: shutting down")
 
-	srv.Lock()
 	rf.finish(c, "dynmr serve — policy "+sf.policy, sf.config())
-	srv.Unlock()
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -32,15 +32,14 @@ func freePort(t *testing.T) string {
 }
 
 // TestServeSignalFlushesSinks: a SIGINT landing mid-run must let the
-// current query finish and flush every output file schema-complete —
-// the run archive and the HTML report are valid files, not torn
-// writes, and the qstats dump and alert dump (with the SLO rule that
-// fired during the run) rendered from the archive are complete.
+// current query finish and flush the run archive schema-complete — a
+// valid file, not a torn write — whose qstats dump, alert dump (with
+// the SLO rule that fired during the run) and HTML report render
+// complete.
 func TestServeSignalFlushesSinks(t *testing.T) {
 	dir := t.TempDir()
 	rulesPath := filepath.Join(dir, "rules.json")
 	archivePath := filepath.Join(dir, "run.archive.gz")
-	reportPath := filepath.Join(dir, "report.html")
 	// A 1ms latency objective every query breaches, so the rule fires
 	// deterministically once a collection tick sees a finished query.
 	rules := `{"rules": [{"name": "latency-slo", "kind": "slo_burn", "objective_s": 0.001, "severity": "page"}]}`
@@ -57,7 +56,6 @@ func TestServeSignalFlushesSinks(t *testing.T) {
 			"-rows", "400000", "-k", "200", "-pace-ms", "10",
 			"-alert-rules", rulesPath,
 			"-archive-out", archivePath,
-			"-report-out", reportPath,
 		})
 	}()
 
@@ -116,12 +114,15 @@ func TestServeSignalFlushesSinks(t *testing.T) {
 		t.Fatalf("alert dump has no firing event: %+v", ad.Events)
 	}
 
-	html, err := os.ReadFile(reportPath)
-	if err != nil {
+	if len(a.Snapshots) == 0 {
+		t.Fatal("flushed archive has no sampler snapshots")
+	}
+	var html strings.Builder
+	if err := a.Render(&html, "report"); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"<!DOCTYPE html>", "latency-slo"} {
-		if !strings.Contains(string(html), want) {
+	for _, want := range []string{"<!DOCTYPE html>", "Cluster utilization", "latency-slo", "</html>"} {
+		if !strings.Contains(html.String(), want) {
 			t.Errorf("report missing %q", want)
 		}
 	}

@@ -12,11 +12,11 @@
 //
 // The run flags are the ones dynmr shares (internal/runflags):
 //
-//	[-input-path full|skip|index] [-archive-out DIR] [-report-out DIR]
+//	[-input-path full|skip|index] [-archive-out DIR]
 //	[-alert-rules FILE] [-log-out FILE] [-log-level LEVEL]
 //
-// Here -archive-out and -report-out name directories (created if
-// missing) that receive one file per figure 5-8 cell. Every flag is
+// Here -archive-out names a directory (created if missing) that
+// receives one archive per figure 5-8 cell. Every flag is
 // checked before any artifact runs: an unknown -run name or another bad
 // value exits 2, an I/O error 1.
 //
@@ -52,26 +52,24 @@
 // `go tool pprof`. It is flushed before the command exits, on failure
 // too.
 //
-// With -report-out, every figure cell (5-8) additionally runs with
-// tracing and a utilization sampler enabled and writes one
-// self-contained HTML run report into DIR: cluster/per-node
-// time-series (sampled every 2 s in the single-user figure-5 cells,
-// every 30 s in the workload figures), a slot-occupancy Gantt joined
-// from the trace spans, the Input Provider decision log and, with
-// -alert-rules, the per-query and alert sections.
-//
 // With -archive-out, every figure cell (5-8) additionally runs with
-// tracing enabled and writes one cross-run archive into DIR:
-// <cell>.archive.gz, schema dynamicmr.archive/1, holding the cell's
-// trace spans, Input Provider decisions, 30-second utilization
-// samples, per-job diagnoses, counters/gauges and run config. The
-// diagnosis invariants — critical path tiles the makespan, breakdown
-// components sum to it — are enforced per cell. `dynmr render
-// diag-csv` turns an archive into the cell's per-job diagnosis CSV and
-// `dynmr render timeline` into its utilization timeline CSV; archives
-// from two sweeps feed `dynmr diff` for regression attribution. Cell
-// archives are unstamped, so their bytes are deterministic across
-// reruns.
+// tracing and a utilization sampler enabled and writes one cross-run
+// archive into DIR: <cell>.archive.gz, schema dynamicmr.archive/1,
+// holding the cell's trace spans, Input Provider decisions, 30-second
+// utilization samples, the sampler's per-node snapshots (every 2 s in
+// the single-user figure-5 cells, every 30 s in the workload figures),
+// per-job diagnoses, counters/gauges and run config. The sampler reads
+// the cluster passively, so the tables are byte-identical with or
+// without the flag. The diagnosis invariants — critical path tiles the
+// makespan, breakdown components sum to it — are enforced per cell.
+// `dynmr render diag-csv` turns an archive into the cell's per-job
+// diagnosis CSV, `dynmr render timeline` into its utilization timeline
+// CSV and `dynmr render report` into its self-contained HTML run
+// report (cluster and per-node time-series, a slot-occupancy Gantt,
+// the Input Provider decision log and, with -alert-rules, the
+// per-query and alert sections); archives from two sweeps feed
+// `dynmr diff` for regression attribution. Cell archives are
+// unstamped, so their bytes are deterministic across reruns.
 //
 // With -alert-rules, every figure cell (5-8) runs a private
 // time-series engine (internal/tsdb) on its own virtual clock,
@@ -237,7 +235,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	opt.InputPath = rf.InputPath
 	opt.ArchiveDir = rf.ArchiveOut
-	opt.ReportDir = rf.ReportOut
 	opt.AlertRules = out.Rules
 	opt.Parallelism = *jobs
 	opt.ScanWorkers = *scanWorkers

@@ -38,22 +38,18 @@ func TestRejectsBadFlagsBeforeRunning(t *testing.T) {
 	}
 }
 
-// TestRunCreatesOutputDirs: the per-cell output directories are
-// created before the artifacts run, and -run matches names
-// case-insensitively.
+// TestRunCreatesOutputDirs: the per-cell archive directory is created
+// before the artifacts run, and -run matches names case-insensitively.
 func TestRunCreatesOutputDirs(t *testing.T) {
-	dir := t.TempDir()
-	archives, reports := filepath.Join(dir, "a", "archives"), filepath.Join(dir, "reports")
+	archives := filepath.Join(t.TempDir(), "a", "archives")
 	var out bytes.Buffer
-	if code := run([]string{"-run", "TABLEI", "-archive-out", archives, "-report-out", reports}, &out, &bytes.Buffer{}); code != 0 {
+	if code := run([]string{"-run", "TABLEI", "-archive-out", archives}, &out, &bytes.Buffer{}); code != 0 {
 		t.Fatalf("exit %d", code)
 	}
 	if !strings.Contains(out.String(), "Table I") {
 		t.Errorf("table I not printed:\n%s", out.String())
 	}
-	for _, d := range []string{archives, reports} {
-		if fi, err := os.Stat(d); err != nil || !fi.IsDir() {
-			t.Errorf("%s not created: %v", d, err)
-		}
+	if fi, err := os.Stat(archives); err != nil || !fi.IsDir() {
+		t.Errorf("%s not created: %v", archives, err)
 	}
 }

@@ -164,10 +164,12 @@ func WithLogging(w io.Writer, level slog.Leveler) Option {
 
 // WithUtilizationSampling attaches a virtual-clock utilization sampler
 // to the cluster: every intervalS virtual seconds (0 picks the default
-// 30 s cadence) it snapshots per-node CPU, disk and slot occupancy,
-// queue depths and Input Provider state. The series backs Sampler(),
-// WriteReport and the obs.Server /metrics endpoint; combine with
-// WithTracing for the slot-occupancy Gantt and gauge registry.
+// 30 s cadence) it snapshots per-node CPU, disk and slot occupancy and
+// queue depths. The series backs Sampler(), the obs.Server endpoints
+// and BuildArchive's snapshot records, which `dynmr render report`
+// charts; combine with WithTracing for the slot-occupancy Gantt and
+// gauge registry. Sampling never changes the cluster's virtual
+// timeline.
 func WithUtilizationSampling(intervalS float64) Option {
 	return func(c *config) {
 		c.sample = true
@@ -252,6 +254,9 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		o(&cfg)
 	}
 	if err := cfg.hw.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.runtime.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.policies == nil {
@@ -348,17 +353,6 @@ func (c *Cluster) QueryStats() *qstats.Registry { return c.qstats }
 // or WithAlertRules. All engine methods are nil-safe, so the result can
 // be used unconditionally.
 func (c *Cluster) TSDB() *tsdb.DB { return c.tsdb }
-
-// WriteReport renders the self-contained HTML run report (utilization
-// time-series, slot-occupancy Gantt, policy decision log) to w. It
-// requires WithUtilizationSampling; WithTracing enriches it with the
-// Gantt and decision overlay.
-func (c *Cluster) WriteReport(w io.Writer, title string, params [][2]string) error {
-	if c.sampler == nil {
-		return fmt.Errorf("dynamicmr: WriteReport requires WithUtilizationSampling")
-	}
-	return obs.NewReport(title, c.sampler, c.qstats, c.tsdb, params).WriteHTML(w)
-}
 
 // Diagnose runs the post-run job diagnosis engine over everything the
 // cluster's tracer recorded: per job, the critical path, the time

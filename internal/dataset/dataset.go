@@ -37,7 +37,8 @@ type Spec struct {
 	Partitions int
 	// RowsOverride, when positive, replaces Scale*tpch.RowsPerScale as
 	// the total row count. Tests use it to build small datasets that can
-	// be fully scanned; production specs leave it zero.
+	// be fully scanned; production specs leave it zero. Build rejects a
+	// negative value.
 	RowsOverride int64
 }
 
@@ -75,6 +76,11 @@ type Partition struct {
 func Build(spec Spec) (*Dataset, error) {
 	if spec.Scale <= 0 {
 		return nil, fmt.Errorf("dataset: scale must be positive, got %d", spec.Scale)
+	}
+	if spec.RowsOverride < 0 {
+		// Not "no override": a negative count is a caller's mistake,
+		// and loading the full table for it would hide that.
+		return nil, fmt.Errorf("dataset: row override must not be negative, got %d", spec.RowsOverride)
 	}
 	level, err := LevelForZ(spec.Z)
 	if err != nil {

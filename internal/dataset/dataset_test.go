@@ -61,6 +61,9 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(Spec{Scale: 1, Z: 0, Selectivity: 1.5}); err == nil {
 		t.Error("selectivity > 1 accepted")
 	}
+	if _, err := Build(Spec{Scale: 1, Z: 0, RowsOverride: -5}); err == nil {
+		t.Error("negative row override accepted (it would load the full table)")
+	}
 }
 
 func TestDefaultNameAndSelectivity(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"dynamicmr/internal/qstats"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/tsdb"
 )
@@ -13,9 +14,12 @@ import (
 // no-op when archiving is off. The archive carries the cell's per-job
 // diagnosis, invariant-checked by runarchive.New so a cell that
 // violates them fails its sweep loudly (`dynmr render diag-csv` turns
-// it into the per-job breakdown CSV). When the sweep is alerting, the
-// cell's time-series dump and alert log ride along (`dynmr render
-// alerts`), so `dynmr diff` between two sweeps attributes alert-set
+// it into the per-job breakdown CSV), and the sampler's snapshots, cut
+// after its last partial interval (`dynmr render report` charts them).
+// When the sweep is alerting, the cell's per-query stats, time-series
+// dump and alert log ride along (`dynmr render qstats`, `dynmr render
+// alerts`, the report's per-query and alert sections), so `dynmr diff`
+// between two sweeps aligns jobs by query and attributes alert-set
 // differences too. The manifest is left unstamped (CreatedUnixMS 0) so
 // a cell's archive bytes are deterministic across reruns, matching the
 // sweep's byte-identical output contract — two archives of the same
@@ -33,6 +37,15 @@ func writeCellArchive(opt Options, name string, r *rig, cfg runarchive.RunConfig
 	if cfg.GitRev == "" {
 		cfg.GitRev = runarchive.GitRev()
 	}
+	// The cell's clock stopped with its last job, between ticks: the
+	// sampler takes the tail interval before the tsdb flush folds the
+	// gauges it publishes.
+	snaps := r.samp.Cut()
+	var queries *qstats.Dump
+	if r.qs.Enabled() {
+		d := r.qs.Dump()
+		queries = &d
+	}
 	var series *tsdb.Dump
 	var alerts *tsdb.AlertsDump
 	if r.db.Enabled() {
@@ -47,6 +60,8 @@ func writeCellArchive(opt Options, name string, r *rig, cfg runarchive.RunConfig
 	a, err := runarchive.New(runarchive.Source{
 		Label:        name,
 		Tracer:       tr,
+		Snapshots:    snaps,
+		Queries:      queries,
 		Series:       series,
 		Alerts:       alerts,
 		VirtualTimeS: r.jt.Engine().Now(),

@@ -5,7 +5,6 @@ import (
 
 	"dynamicmr/internal/core"
 	"dynamicmr/internal/mapreduce"
-	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/sampling"
 	"dynamicmr/internal/tpch"
@@ -88,13 +87,11 @@ func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 	cell := Figure5Cell{Z: z, Scale: scale, Policy: pol.Name}
 	for run := 0; run < opt.Runs; run++ {
 		r := newRig(nil, false, sh, opt.traced()) // single-user: 4 slots/node
-		// Report the cell's final run: single-user jobs are short, so a
+		// Archive the cell's final run: single-user jobs are short, so a
 		// 2 s cadence keeps the time-series dense (the report strides
 		// long series back down, so paper mode stays viewable).
-		var osamp *obs.Sampler
-		if opt.reporting() && run == opt.Runs-1 {
-			osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: 2})
-			osamp.Start()
+		if run == opt.Runs-1 {
+			r.startSampler(opt, 2)
 		}
 		f, err := r.load(ds, ds.Name())
 		if err != nil {
@@ -126,26 +123,6 @@ func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 		}
 		if job.State() == mapreduce.StateFailed {
 			return Figure5Cell{}, fmt.Errorf("figure5: job failed: %s", job.Failure())
-		}
-		if osamp != nil {
-			// Run past the next sample boundary so the tail interval
-			// lands in the series (the job itself may be shorter than
-			// one interval).
-			r.eng.RunUntil(r.eng.Now() + osamp.Interval())
-			err := writeCellReport(opt, r,
-				fmt.Sprintf("figure5_z%g_%dx_%s", z, scale, pol.Name),
-				fmt.Sprintf("Figure 5 run — z=%g, scale %dx, policy %s", z, scale, pol.Name),
-				osamp, [][2]string{
-					{"figure", "5 (single-user response time)"},
-					{"skew z", fmt.Sprintf("%g", z)},
-					{"scale", fmt.Sprintf("%dx", scale)},
-					{"policy", pol.Name},
-					{"sample k", fmt.Sprintf("%d", opt.SampleK)},
-					{"run", fmt.Sprintf("%d of %d", run+1, opt.Runs)},
-				})
-			if err != nil {
-				return Figure5Cell{}, err
-			}
 		}
 		cell.ResponseS += job.ResponseTime()
 		cell.PartitionsProcessed += float64(job.CompletedMaps())

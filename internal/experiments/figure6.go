@@ -90,27 +90,13 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 		}
 	}
 	r.jt.SampleUtilization()
-	var osamp *obs.Sampler
-	if opt.reporting() {
-		osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: obs.DefaultIntervalS})
-		osamp.Start()
-	}
+	r.startSampler(opt, obs.DefaultIntervalS)
 	results, err := workload.Run(r.eng, users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
 	if err != nil {
 		return Figure6Cell{}, nil, fmt.Errorf("figure6 (z=%g policy=%s): %w", z, policy, err)
 	}
 	timeline := r.jt.UtilizationTimeline()
 	cpu, disk, occ := utilizationAverages(timeline, opt.WarmupS)
-	if err := writeCellReport(opt, r, fmt.Sprintf("figure6_z%g_%s", z, policy),
-		fmt.Sprintf("Figure 6 workload — z=%g, policy %s", z, policy), osamp, [][2]string{
-			{"figure", "6 (homogeneous multi-user)"},
-			{"skew z", fmt.Sprintf("%g", z)},
-			{"policy", policy},
-			{"users", fmt.Sprintf("%d", opt.Users)},
-			{"window", fmt.Sprintf("%gs warmup + %gs measure", opt.WarmupS, opt.MeasureS)},
-		}); err != nil {
-		return Figure6Cell{}, nil, err
-	}
 	if err := writeCellArchive(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), r, runarchive.RunConfig{
 		Policy: policy,
 		Params: map[string]string{

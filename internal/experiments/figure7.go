@@ -131,30 +131,16 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 		}
 	}
 	r.jt.SampleUtilization()
-	var osamp *obs.Sampler
-	if opt.reporting() {
-		osamp = obs.NewSampler(r.jt, obs.Config{IntervalS: obs.DefaultIntervalS})
-		osamp.Start()
-	}
+	r.startSampler(opt, obs.DefaultIntervalS)
 	results, err := workload.Run(r.eng, users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
 	if err != nil {
 		return Figure7Cell{}, nil, fmt.Errorf("heterogeneous (frac=%g policy=%s): %w", frac, policy, err)
 	}
 	timeline := r.jt.UtilizationTimeline()
 	_, _, occ := utilizationAverages(timeline, opt.WarmupS)
-	fig, figLabel := "figure7", "Figure 7"
+	fig := "figure7"
 	if sched != nil {
-		fig, figLabel = "figure8", "Figure 8"
-	}
-	if err := writeCellReport(opt, r, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy),
-		fmt.Sprintf("%s workload — sampling fraction %g, policy %s", figLabel, frac, policy), osamp, [][2]string{
-			{"figure", fig + " (heterogeneous workload)"},
-			{"sampling fraction", fmt.Sprintf("%g", frac)},
-			{"policy", policy},
-			{"users", fmt.Sprintf("%d", opt.Users)},
-			{"window", fmt.Sprintf("%gs warmup + %gs measure", opt.WarmupS, opt.MeasureS)},
-		}); err != nil {
-		return Figure7Cell{}, nil, err
+		fig = "figure8"
 	}
 	if err := writeCellArchive(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), r, runarchive.RunConfig{
 		Policy: policy,

@@ -54,22 +54,21 @@ type Options struct {
 	// parallelism is across cells, virtual time inside a cell is
 	// untouched.
 	Parallelism int
-	// ReportDir, when set, enables tracing inside every cell's rig and
-	// writes one self-contained HTML run report per cell
-	// (figure5_*.html, figure6_*.html, ...). The directory must exist.
-	// Each cell owns a private tracer and observability sampler, so
-	// reports stay isolated under Parallelism > 1.
-	ReportDir string
-	// ArchiveDir, when set, enables tracing inside every cell's rig and
-	// writes one cross-run archive per cell (figure5_*.archive.gz, ...;
-	// schema dynamicmr.archive/1) capturing the cell's spans, policy
-	// decisions, diagnoses, counters/gauges, alert log (with
-	// AlertRules) and run config, for `dynmr render` views and
-	// `dynmr diff` regression attribution between sweeps. Diagnosis
-	// invariants (breakdown sums to makespan) are checked on every
-	// cell; a violation fails the sweep. The directory must exist.
-	// Archives are unstamped, so a cell's bytes are deterministic
-	// across reruns.
+	// ArchiveDir, when set, enables tracing and the obs sampler inside
+	// every cell's rig and writes one cross-run archive per cell
+	// (figure5_*.archive.gz, ...; schema dynamicmr.archive/1)
+	// capturing the cell's spans, policy decisions, utilization
+	// samples and per-node snapshots, diagnoses, counters/gauges,
+	// alert log (with AlertRules) and run config, for `dynmr render`
+	// views (the HTML report among them) and `dynmr diff` regression
+	// attribution between sweeps. The sampler ticks every 2 s in
+	// figure 5's final run and every 30 s in figures 6-8; it never
+	// moves a cell's virtual timeline, so tables stay byte-identical.
+	// Diagnosis invariants (breakdown sums to makespan) are checked on
+	// every cell; a violation fails the sweep. The directory must
+	// exist. Archives are unstamped, so a cell's bytes are
+	// deterministic across reruns. Each cell owns a private tracer and
+	// sampler, so archives stay isolated under Parallelism > 1.
 	ArchiveDir string
 	// LogWriter, when non-nil, receives the virtual-clock NDJSON
 	// structured log stream (internal/vlog) from every cell's runtime
@@ -92,8 +91,8 @@ type Options struct {
 	// the cell's virtual clock (the cmd/experiments -alert-rules flag).
 	// Alerting enables tracing inside every rig — the engine's series
 	// are fed from the trace counters/gauges — and wires a per-cell
-	// qstats registry so slo_burn rules see finished queries. Like the
-	// reporting options, alerting changes real wall-clock time only;
+	// qstats registry so slo_burn rules see finished queries. Like
+	// archiving, alerting changes real wall-clock time only;
 	// tables and CSVs stay byte-identical. With ArchiveDir, each cell's
 	// archive carries the series and the alert log.
 	AlertRules []tsdb.Rule
@@ -183,15 +182,11 @@ func (o Options) workloadSpec(z float64, name string, seedOffset int64) dataset.
 	return spec
 }
 
-// reporting reports whether cells run with an obs sampler feeding
-// HTML reports.
-func (o Options) reporting() bool { return o.ReportDir != "" }
-
 // traced reports whether cells run with tracing enabled — needed by
-// the HTML reports, the per-cell cross-run archives and the alert
-// layer (whose series come from the trace counters/gauges).
+// the per-cell cross-run archives and the alert layer (whose series
+// come from the trace counters/gauges).
 func (o Options) traced() bool {
-	return o.ReportDir != "" || o.ArchiveDir != "" || o.alerting()
+	return o.ArchiveDir != "" || o.alerting()
 }
 
 // alerting reports whether cells run with a time-series engine and

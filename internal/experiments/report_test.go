@@ -1,9 +1,8 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
-	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,30 +12,51 @@ import (
 	"dynamicmr/internal/tsdb"
 )
 
-// checkReport fails unless the named report exists, is non-trivial, and
-// looks like a complete HTML document with at least one chart.
-func checkReport(t *testing.T, dir, name string) {
+// cellReport loads the named cell archive from dir, requires sampler
+// snapshots in it, and renders its HTML report, which must be a
+// complete document with the utilization charts. A Write → Load round
+// trip of the archive must render the same bytes.
+func cellReport(t *testing.T, dir, name string) string {
 	t.Helper()
-	buf, err := os.ReadFile(filepath.Join(dir, name))
+	a, err := runarchive.LoadFile(filepath.Join(dir, name+".archive.gz"))
 	if err != nil {
-		t.Fatalf("report missing: %v", err)
+		t.Fatal(err)
 	}
-	s := string(buf)
-	if len(s) < 1024 {
-		t.Fatalf("%s suspiciously small (%d bytes)", name, len(s))
+	if len(a.Snapshots) == 0 || a.Manifest.Counts.Snapshots != len(a.Snapshots) {
+		t.Fatalf("%s: %d snapshots, manifest counts %d", name, len(a.Snapshots), a.Manifest.Counts.Snapshots)
 	}
-	for _, want := range []string{"<!DOCTYPE html>", "</html>", "<svg"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("%s missing %q", name, want)
+	var html bytes.Buffer
+	if err := a.Render(&html, "report"); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"<!DOCTYPE html>", "</html>", "<svg", "Cluster utilization", "Slot occupancy"} {
+		if !strings.Contains(html.String(), want) {
+			t.Fatalf("%s report missing %q", name, want)
 		}
 	}
+	var buf, again bytes.Buffer
+	if err := a.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b, err := runarchive.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Render(&again, "report"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(html.Bytes(), again.Bytes()) {
+		t.Fatalf("%s: report changed across a Write → Load round trip", name)
+	}
+	return html.String()
 }
 
-// TestFigure5ReportDir: reporting writes one HTML report per cell and
-// leaves the measured results (tracing on) within float-accrual noise
-// of a plain run. Cells run in parallel, so this doubles as a -race
-// check on per-cell tracer and sampler isolation.
-func TestFigure5ReportDir(t *testing.T) {
+// TestFigure5ArchiveReports: archiving writes one archive per cell
+// whose report renders, and leaves every measured result exactly equal
+// to a plain run's: the sampler ticking every 2 s reads the cluster
+// passively. Cells run in parallel, so this doubles as a -race check
+// on per-cell tracer and sampler isolation.
+func TestFigure5ArchiveReports(t *testing.T) {
 	opt := tinyOptions()
 	opt.Scales = []int{2}
 	opt.Policies = []string{core.PolicyLA, core.PolicyHadoop}
@@ -46,44 +66,38 @@ func TestFigure5ReportDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opt.ReportDir = t.TempDir()
+	opt.ArchiveDir = t.TempDir()
 	opt.Parallelism = 4
-	rep, err := Figure5(opt)
+	archived, err := Figure5(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, z := range []float64{0, 1, 2} {
 		for _, pol := range opt.Policies {
-			checkReport(t, opt.ReportDir, fmt.Sprintf("figure5_z%g_2x_%s.html", z, pol))
+			cellReport(t, opt.ArchiveDir, fmt.Sprintf("figure5_z%g_2x_%s", z, pol))
 		}
 	}
-
-	// Tracing subdivides shared-resource accrual, so allow float noise
-	// but nothing qualitative.
-	close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-6*math.Max(1, math.Abs(b)) }
 	for i := range plain.Cells {
-		p, r := plain.Cells[i], rep.Cells[i]
-		if !close(p.ResponseS, r.ResponseS) || !close(p.PartitionsProcessed, r.PartitionsProcessed) ||
-			!close(p.SampleSize, r.SampleSize) {
-			t.Errorf("cell %d drifted with reporting on:\nplain %+v\nreport %+v", i, p, r)
+		if plain.Cells[i] != archived.Cells[i] {
+			t.Errorf("cell %d drifted with archiving on:\nplain    %+v\narchived %+v", i, plain.Cells[i], archived.Cells[i])
 		}
 	}
 }
 
-// TestFigure6ReportDir: workload cells write reports too (named after
-// the cell), and each cell's archive renders its utilization timeline
-// CSV with at least one row.
-func TestFigure6ReportDir(t *testing.T) {
+// TestFigure6ArchiveReports: workload cell archives (named after the
+// cell) render their report and their utilization timeline CSV with at
+// least one row.
+func TestFigure6ArchiveReports(t *testing.T) {
 	opt := tinyOptions()
 	opt.Policies = []string{core.PolicyLA}
-	opt.ReportDir = t.TempDir()
-	opt.ArchiveDir = opt.ReportDir
+	opt.ArchiveDir = t.TempDir()
 	if _, err := Figure6(opt); err != nil {
 		t.Fatal(err)
 	}
 	for _, z := range []float64{0, 2} {
-		checkReport(t, opt.ReportDir, fmt.Sprintf("figure6_z%g_LA.html", z))
-		a, err := runarchive.LoadFile(filepath.Join(opt.ArchiveDir, fmt.Sprintf("figure6_z%g_LA.archive.gz", z)))
+		name := fmt.Sprintf("figure6_z%g_LA", z)
+		cellReport(t, opt.ArchiveDir, name)
+		a, err := runarchive.LoadFile(filepath.Join(opt.ArchiveDir, name+".archive.gz"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,36 +111,56 @@ func TestFigure6ReportDir(t *testing.T) {
 	}
 }
 
-// TestFigure5AlertingReportSections: an alerting cell's report carries
-// the per-query and alert sections, as dynmr's -report-out does.
+// TestFigure5AlertingReportSections: an alerting cell's rendered report
+// carries the per-query and alert sections.
 func TestFigure5AlertingReportSections(t *testing.T) {
 	opt := tinyOptions()
 	opt.Scales = []int{2}
 	opt.Policies = []string{core.PolicyLA}
-	opt.ReportDir = t.TempDir()
+	opt.ArchiveDir = t.TempDir()
 	opt.AlertRules = []tsdb.Rule{{Name: "latency-slo", Kind: tsdb.KindSLOBurn, ObjectiveS: 0.001, Severity: "page"}}
 	if _, err := Figure5(opt); err != nil {
 		t.Fatal(err)
 	}
-	buf, err := os.ReadFile(filepath.Join(opt.ReportDir, "figure5_z1_2x_LA.html"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	html := cellReport(t, opt.ArchiveDir, "figure5_z1_2x_LA")
 	for _, section := range []string{"<h2>Per-query stats", "<h2>Alerts</h2>", "latency-slo"} {
-		if !strings.Contains(string(buf), section) {
+		if !strings.Contains(html, section) {
 			t.Errorf("report lacks %q", section)
 		}
 	}
 }
 
-// TestFigure7ReportDir covers the heterogeneous naming scheme.
-func TestFigure7ReportDir(t *testing.T) {
+// TestFigure7ArchiveReport covers the heterogeneous naming scheme.
+func TestFigure7ArchiveReport(t *testing.T) {
 	opt := tinyOptions()
 	opt.Policies = []string{core.PolicyLA}
 	opt.SamplingFractions = []float64{0.5}
-	opt.ReportDir = t.TempDir()
+	opt.ArchiveDir = t.TempDir()
 	if _, err := Figure7(opt); err != nil {
 		t.Fatal(err)
 	}
-	checkReport(t, opt.ReportDir, "figure7_frac0.5_LA.html")
+	cellReport(t, opt.ArchiveDir, "figure7_frac0.5_LA")
+}
+
+// TestFigure7CellUnchangedByArchiving: the quick figure-7 cell at
+// sampling fraction 0.8 under LA, where a sampler that settled the
+// network it read moved throughput, locality and occupancy, measures
+// the same with its archive's sampler on as without.
+func TestFigure7CellUnchangedByArchiving(t *testing.T) {
+	opt := QuickOptions()
+	opt.Policies = []string{core.PolicyLA}
+	opt.SamplingFractions = []float64{0.8}
+	plain, err := Figure7(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.ArchiveDir = t.TempDir()
+	archived, err := Figure7(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Cells[0] != archived.Cells[0] {
+		t.Fatalf("archiving moved the cell:\nplain    %+v\narchived %+v", plain.Cells[0], archived.Cells[0])
+	}
+	cellReport(t, opt.ArchiveDir, "figure7_frac0.8_LA")
 }

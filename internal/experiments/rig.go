@@ -13,6 +13,7 @@ import (
 	"dynamicmr/internal/hive"
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/mapreduce/executor"
+	"dynamicmr/internal/obs"
 	"dynamicmr/internal/qstats"
 	"dynamicmr/internal/sim"
 	"dynamicmr/internal/tpch"
@@ -80,6 +81,19 @@ type rig struct {
 	// engine; both nil (and nil-safe) unless the sweep is alerting.
 	qs *qstats.Registry
 	db *tsdb.DB
+	// samp is the cell's obs sampler, whose snapshots the archive
+	// carries; nil unless the sweep archives (see startSampler).
+	samp *obs.Sampler
+}
+
+// startSampler starts the cell's obs sampler at intervalS when the
+// sweep archives. It reads the cluster passively, so the cell's
+// virtual timeline, and with it every table, is unchanged.
+func (r *rig) startSampler(opt Options, intervalS float64) {
+	if opt.ArchiveDir != "" {
+		r.samp = obs.NewSampler(r.jt, obs.Config{IntervalS: intervalS})
+		r.samp.Start()
+	}
 }
 
 // newRig builds a fresh cluster; multiUser selects the 16-slot

@@ -94,9 +94,9 @@ func TestFigure5ParallelCellsRace(t *testing.T) {
 	opt := tinyOptions()
 	opt.Scales = []int{2}
 	opt.Policies = []string{core.PolicyLA, core.PolicyHadoop}
-	// Reporting turns on each cell's private tracer and sampler, so this
-	// also pins registry isolation across concurrent cells.
-	opt.ReportDir = t.TempDir()
+	// Archiving turns on each cell's private tracer and sampler, so
+	// this also pins registry isolation across concurrent cells.
+	opt.ArchiveDir = t.TempDir()
 
 	opt.Parallelism = 1
 	seq, err := Figure5(opt)

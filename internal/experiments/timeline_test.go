@@ -68,8 +68,7 @@ func TestUtilizationAveragesWarmupBoundary(t *testing.T) {
 
 // TestCellTimelineTracedTwin: a whole workload cell polls the same
 // §V-D utilization series whether it runs untraced with scans inline,
-// or traced with the obs sampler on (ArchiveDir and ReportDir set) on
-// a scan pool. One figure-6 cell and one Fair figure-8 cell run both
+// or traced with the obs sampler on (ArchiveDir set) on a scan pool. One figure-6 cell and one Fair figure-8 cell run both
 // ways, and every untraced sample must equal the archive's sample
 // record bit for bit, so `dynmr render timeline` of a traced sweep is
 // the untraced sweep's timeline.
@@ -106,7 +105,6 @@ func TestCellTimelineTracedTwin(t *testing.T) {
 			opt.ScanWorkers = 0
 			plain := run(opt)
 			opt.ArchiveDir = t.TempDir()
-			opt.ReportDir = opt.ArchiveDir
 			opt.ScanWorkers = 2
 			run(opt)
 			a, err := runarchive.LoadFile(filepath.Join(opt.ArchiveDir, c.name+".archive.gz"))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"math"
 
 	"dynamicmr/internal/cluster"
 	"dynamicmr/internal/mapreduce/executor"
@@ -125,6 +126,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports a configuration no tracker can run: a heartbeat
+// interval that is not positive and finite, or an attempt limit below
+// one.
+func (c Config) Validate() error {
+	if !(c.HeartbeatIntervalS > 0) || math.IsInf(c.HeartbeatIntervalS, 1) {
+		return fmt.Errorf("mapreduce: HeartbeatIntervalS must be positive and finite, got %v", c.HeartbeatIntervalS)
+	}
+	if c.MaxTaskAttempts <= 0 {
+		return fmt.Errorf("mapreduce: MaxTaskAttempts must be positive, got %d", c.MaxTaskAttempts)
+	}
+	return nil
+}
+
 // TaskTracker is the per-node agent: it owns the node's map/reduce
 // slots and heartbeats to the JobTracker for work.
 type TaskTracker struct {
@@ -184,17 +198,16 @@ func (tt *TaskTracker) changeReduceSlots(delta int) {
 }
 
 // MapSlotIntegral returns the node's accumulated occupied-map-slot
-// seconds up to now.
+// seconds up to now. Like ReduceSlotIntegral it only reads: the time
+// since the last slot change is added to the result, not accrued.
 func (tt *TaskTracker) MapSlotIntegral() float64 {
-	tt.accrueSlots()
-	return tt.mapSlotIntegral
+	return tt.mapSlotIntegral + float64(tt.mapUsed)*(tt.jt.eng.Now()-tt.lastSlotChange)
 }
 
 // ReduceSlotIntegral returns the node's accumulated occupied-reduce-slot
 // seconds up to now.
 func (tt *TaskTracker) ReduceSlotIntegral() float64 {
-	tt.accrueSlots()
-	return tt.reduceSlotIntegral
+	return tt.reduceSlotIntegral + float64(tt.reduceUsed)*(tt.jt.eng.Now()-tt.lastSlotChange)
 }
 
 // JobTracker is the server-side daemon managing job lifecycles: it
@@ -241,13 +254,11 @@ type JobTracker struct {
 }
 
 // NewJobTracker builds the tracker and its per-node TaskTrackers.
-// Heartbeats begin on the first submission.
+// Heartbeats begin on the first submission. It panics on a config that
+// fails Validate (a construction-time bug, not a runtime condition).
 func NewJobTracker(c *cluster.Cluster, cfg Config, sched TaskScheduler) *JobTracker {
-	if cfg.HeartbeatIntervalS <= 0 {
-		panic("mapreduce: HeartbeatIntervalS must be positive")
-	}
-	if cfg.MaxTaskAttempts <= 0 {
-		panic("mapreduce: MaxTaskAttempts must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if sched == nil {
 		sched = NewFIFOScheduler()

@@ -6,45 +6,17 @@ import (
 	"net/http"
 	"strings"
 
-	"dynamicmr/internal/qstats"
 	"dynamicmr/internal/tsdb"
 )
 
 // handleLive serves the self-refreshing HTML dashboard: cluster
 // utilisation sparklines over the recent snapshot window, the
 // per-policy latency/QPS table, the in-flight query table, and the
-// most recently finished queries. It prefers the published snapshot
-// (lock-free) and falls back to a locked live read.
+// most recently finished queries, all from the published snapshot.
 func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
-	var (
-		dump   qstats.Dump
-		vt     float64
-		recent []Snapshot
-		scan   *ScanStats
-		trends tsdb.Dump
-		alerts tsdb.AlertsDump
-	)
-	if p := s.publishedState(); p != nil {
-		dump, vt, recent = p.dump, p.vt, p.recent
-		scan, trends, alerts = p.scan, p.trends, p.alerts
-	} else {
-		s.mu.Lock()
-		dump = s.qs.Dump()
-		vt = s.samp.JobTracker().Engine().Now()
-		scan = scanStats(s.samp.JobTracker())
-		if s.db.Enabled() {
-			trends = s.db.Dump()
-			alerts = s.db.AlertsDump()
-		}
-		fresh := s.samp.SnapshotsSince(s.snapCursor)
-		s.snapCursor += len(fresh)
-		s.recent = append(s.recent, fresh...)
-		if len(s.recent) > liveRecentSnaps {
-			s.recent = append(s.recent[:0:0], s.recent[len(s.recent)-liveRecentSnaps:]...)
-		}
-		recent = append([]Snapshot(nil), s.recent...)
-		s.mu.Unlock()
-	}
+	p := s.publishedState()
+	dump, vt, recent := p.dump, p.vt, p.recent
+	scan, trends, alerts := p.scan, p.trends, p.alerts
 
 	var b strings.Builder
 	b.WriteString(`<!DOCTYPE html>

@@ -1,16 +1,25 @@
 // Package obs is the cluster resource-utilization observability layer:
 // a sampler driven by the simulated clock that periodically snapshots
-// every node's CPU and disk use, map/reduce slot occupancy, queue
-// depths, and per-policy Input Provider state — plus exporters for the
-// artifacts those snapshots feed: a slot-occupancy Gantt joined from
-// trace spans, a self-contained HTML run report, and a Prometheus/JSON
-// HTTP surface (see server.go).
+// every node's CPU and disk use, map/reduce slot occupancy and queue
+// depths — plus exporters for the artifacts those snapshots feed: a
+// slot-occupancy Gantt joined from trace spans, a self-contained HTML
+// run report rendered from a run archive (`dynmr render report`), and
+// a Prometheus/JSON HTTP surface (see server.go).
 //
 // The sampler reads the same monotonic service integrals the paper's
 // §V-D monitoring tables are computed from, so a snapshot's interval
 // averages agree with the end-of-run scalars by construction: the sum
 // over snapshots of occupancy·Δt equals the occupied-slot-second
 // integral, which equals the sum of attempt span durations.
+//
+// Sampling cannot change a run's virtual timeline. The sampler reads
+// every integral passively (sim.SharedResource.UsedIntegral adds the
+// accrued service to its result instead of settling it into the active
+// demands, and the slot integrals likewise), so no demand's remaining
+// work is rounded at a tick. Its ticks are extra engine events, and the
+// engine orders events by (time, sequence), so they never reorder the
+// others. Only the §V-D poll settles what it reads
+// (mapreduce.UtilizationCursor).
 package obs
 
 import (
@@ -39,24 +48,24 @@ func (c Config) interval() float64 {
 // NodeSample is one node's interval-averaged resource reading.
 type NodeSample struct {
 	// Node is the node id.
-	Node int
+	Node int `json:"node"`
 	// CPUUtilPct is mean CPU utilisation over the interval, in percent
 	// of the node's core capacity (speed factors included).
-	CPUUtilPct float64
+	CPUUtilPct float64 `json:"cpu_util_pct"`
 	// DiskReadKBs is the mean per-disk transfer rate over the interval
 	// in KB/s.
-	DiskReadKBs float64
+	DiskReadKBs float64 `json:"disk_read_kb_s"`
 	// MapSlotPct is mean map-slot occupancy over the interval, derived
 	// from the node's occupied-slot-second integral.
-	MapSlotPct float64
+	MapSlotPct float64 `json:"map_slot_pct"`
 	// ReduceSlotPct is mean reduce-slot occupancy over the interval.
-	ReduceSlotPct float64
+	ReduceSlotPct float64 `json:"reduce_slot_pct"`
 	// MapSlotsUsed/MapSlots and ReduceSlotsUsed/ReduceSlots are the
 	// instantaneous occupancy at the sample boundary.
-	MapSlotsUsed    int
-	MapSlots        int
-	ReduceSlotsUsed int
-	ReduceSlots     int
+	MapSlotsUsed    int `json:"map_slots_used"`
+	MapSlots        int `json:"map_slots"`
+	ReduceSlotsUsed int `json:"reduce_slots_used"`
+	ReduceSlots     int `json:"reduce_slots"`
 }
 
 // PolicyState aggregates the Input Provider audit log per policy: how
@@ -82,45 +91,43 @@ type PolicyState struct {
 }
 
 // Snapshot is one sampling tick: cluster-level interval averages, the
-// per-node breakdown, queue depths, and per-policy provider state.
+// per-node breakdown and queue depths. It carries no per-policy state:
+// consumers fold that from the decision log (policyFold). Its JSON form
+// is the run archive's snapshot record (schema dynamicmr.archive/1), so
+// the names are an external contract.
 type Snapshot struct {
 	// Time is the interval's end (virtual seconds).
-	Time float64
+	Time float64 `json:"time_s"`
+	// IntervalS is the interval's length: the sampling period, or less
+	// for the last partial interval Cut takes.
+	IntervalS float64 `json:"interval_s"`
 	// Nodes holds one entry per cluster node, in node-id order.
-	Nodes []NodeSample
+	Nodes []NodeSample `json:"nodes"`
 
 	// Cluster-level interval means.
-	CPUUtilPct     float64
-	DiskReadKBs    float64
-	NetworkUtilPct float64
-	MapSlotPct     float64
-	ReduceSlotPct  float64
+	CPUUtilPct     float64 `json:"cpu_util_pct"`
+	DiskReadKBs    float64 `json:"disk_read_kb_s"`
+	NetworkUtilPct float64 `json:"network_util_pct"`
+	MapSlotPct     float64 `json:"map_slot_pct"`
+	ReduceSlotPct  float64 `json:"reduce_slot_pct"`
 
 	// Instantaneous load at the sample boundary.
-	OccupiedMapSlots    int
-	TotalMapSlots       int
-	OccupiedReduceSlots int
-	TotalReduceSlots    int
-	QueuedMaps          int
-	QueuedReduces       int
-	RunningJobs         int
-
-	// Policies is the per-policy provider state at the boundary, in
-	// first-seen order.
-	Policies []PolicyState
+	OccupiedMapSlots    int `json:"occupied_map_slots"`
+	TotalMapSlots       int `json:"total_map_slots"`
+	OccupiedReduceSlots int `json:"occupied_reduce_slots"`
+	TotalReduceSlots    int `json:"total_reduce_slots"`
+	QueuedMaps          int `json:"queued_maps"`
+	QueuedReduces       int `json:"queued_reduces"`
+	RunningJobs         int `json:"running_jobs"`
 }
 
 // Sampler snapshots the cluster at a fixed virtual interval. It is
 // driven by the engine's event loop (Start schedules a self-renewing
 // tick), reads only monotonic integrals and instantaneous counters, and
-// never mutates simulation state — enabling it cannot change a run's
-// virtual timeline.
+// never mutates simulation state (see the package doc).
 //
-// The sampler is single-writer (the engine goroutine) with snapshot
-// reads allowed from other goroutines: recorded state is guarded by the
-// tracer-style convention that Snapshots/Latest copy under the engine
-// owner's external synchronisation (the obs.Server serialises engine
-// stepping and scrapes with its own mutex).
+// The sampler is single-writer: the goroutine that drives the engine
+// also reads its snapshots, or publishes them for others (obs.Server).
 type Sampler struct {
 	jt       *mapreduce.JobTracker
 	interval float64
@@ -136,22 +143,14 @@ type Sampler struct {
 	lastClusCPU float64
 	lastClusDsk float64
 
-	// Incremental policy aggregation.
-	decisionsSeen int
-	polState      map[string]*PolicyState
-	polOrder      []string
-
 	snaps []Snapshot
 }
 
 // NewSampler builds a sampler for the tracker's cluster. Call Start to
 // begin ticking.
 func NewSampler(jt *mapreduce.JobTracker, cfg Config) *Sampler {
-	return &Sampler{jt: jt, interval: cfg.interval(), polState: make(map[string]*PolicyState)}
+	return &Sampler{jt: jt, interval: cfg.interval()}
 }
-
-// Interval returns the sampling period in virtual seconds.
-func (s *Sampler) Interval() float64 { return s.interval }
 
 // Start (re)initialises baselines at the current virtual time and
 // schedules the periodic tick. Calling Start again supersedes earlier
@@ -174,6 +173,22 @@ func (s *Sampler) Start() {
 
 // Stop invalidates scheduled ticks. Recorded snapshots remain readable.
 func (s *Sampler) Stop() { s.gen++ }
+
+// Cut takes the last partial interval and returns the whole series: a
+// run archive is cut with it. The partial interval is one snapshot at
+// the current virtual time over the time since the previous one, as
+// tsdb.DB.Flush does for its series, so a run that stops between ticks
+// keeps its tail; none is taken before Start or when no virtual time
+// has passed. A nil sampler cuts an empty series.
+func (s *Sampler) Cut() []Snapshot {
+	if s == nil {
+		return nil
+	}
+	if s.lastCPU != nil {
+		s.sample()
+	}
+	return s.Snapshots()
+}
 
 // rebase captures integral baselines at now.
 func (s *Sampler) rebase() {
@@ -207,7 +222,7 @@ func (s *Sampler) sample() {
 		return
 	}
 	trackers := jt.TaskTrackers()
-	snap := Snapshot{Time: now, Nodes: make([]NodeSample, len(cl.Nodes))}
+	snap := Snapshot{Time: now, IntervalS: dt, Nodes: make([]NodeSample, len(cl.Nodes))}
 	for i, node := range cl.Nodes {
 		tt := trackers[i]
 		cpu := node.CPUUsedIntegral()
@@ -262,47 +277,45 @@ func (s *Sampler) sample() {
 	snap.QueuedReduces = st.QueuedReduceTasks
 	snap.RunningJobs = st.RunningJobs
 	s.lastNet, s.lastClusCPU, s.lastClusDsk, s.lastT = net, clusCPU, clusDsk, now
-
-	s.foldPolicyDecisions()
-	snap.Policies = s.policySnapshot()
 	s.snaps = append(s.snaps, snap)
 
 	s.publishGauges(snap)
 }
 
-// foldPolicyDecisions consumes new audit-log entries incrementally.
-func (s *Sampler) foldPolicyDecisions() {
-	tr := s.jt.Tracer()
-	if !tr.Enabled() {
-		return
-	}
-	fresh := tr.PolicyDecisionsSince(s.decisionsSeen)
-	s.decisionsSeen += len(fresh)
-	for _, d := range fresh {
-		ps := s.polState[d.Policy]
-		if ps == nil {
-			ps = &PolicyState{Policy: d.Policy}
-			s.polState[d.Policy] = ps
-			s.polOrder = append(s.polOrder, d.Policy)
-		}
-		ps.Evaluations++
-		ps.SplitsGranted += d.Added
-		ps.LastVerdict = d.Verdict
-		ps.GrabLimit = d.GrabLimit
-		ps.WorkThresholdPct = d.WorkThresholdPct
-		ps.HeadroomPct = d.ProgressPct - d.WorkThresholdPct
-	}
+// policyFold aggregates the Input Provider audit log per policy, in
+// first-seen order. The server folds it publish by publish; the report
+// folds a run's whole decision log at once.
+type policyFold struct {
+	state map[string]*PolicyState
+	order []string
 }
 
-// policySnapshot copies the aggregated per-policy state in first-seen
-// order.
-func (s *Sampler) policySnapshot() []PolicyState {
-	if len(s.polOrder) == 0 {
+func (f *policyFold) add(d trace.PolicyDecision) {
+	ps := f.state[d.Policy]
+	if ps == nil {
+		if f.state == nil {
+			f.state = make(map[string]*PolicyState)
+		}
+		ps = &PolicyState{Policy: d.Policy}
+		f.state[d.Policy] = ps
+		f.order = append(f.order, d.Policy)
+	}
+	ps.Evaluations++
+	ps.SplitsGranted += d.Added
+	ps.LastVerdict = d.Verdict
+	ps.GrabLimit = d.GrabLimit
+	ps.WorkThresholdPct = d.WorkThresholdPct
+	ps.HeadroomPct = d.ProgressPct - d.WorkThresholdPct
+}
+
+// states copies the aggregated per-policy state in first-seen order.
+func (f *policyFold) states() []PolicyState {
+	if len(f.order) == 0 {
 		return nil
 	}
-	out := make([]PolicyState, 0, len(s.polOrder))
-	for _, name := range s.polOrder {
-		out = append(out, *s.polState[name])
+	out := make([]PolicyState, 0, len(f.order))
+	for _, name := range f.order {
+		out = append(out, *f.state[name])
 	}
 	return out
 }

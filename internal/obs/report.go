@@ -16,7 +16,9 @@ import (
 // Report is the self-contained HTML run report: per-node utilization
 // timelines, the slot-occupancy Gantt, policy-decision overlay markers,
 // and the registry's counters — everything inlined (no external assets)
-// so the file can be archived as a CI artifact or mailed around.
+// so the file can be archived as a CI artifact or mailed around. It is
+// built from a run archive (runarchive's "report" view); a run without
+// snapshots renders without the utilization charts.
 type Report struct {
 	// Title heads the report.
 	Title string
@@ -24,27 +26,24 @@ type Report struct {
 	// run's configuration: policy, scale, skew...).
 	Params [][2]string
 
+	// Snaps is the sampler's full series; WriteHTML strides long
+	// series down.
 	Snaps     []Snapshot
 	Gantt     Gantt
 	Decisions []trace.PolicyDecision
-	Policies  []PolicyState
 	Counters  map[string]int64
 	// Diag is the post-run job diagnosis (critical paths, time
 	// breakdowns, anomalies); nil when the run was untraced.
 	Diag *diag.Report
 	// Dropped counts spans evicted from the trace ring; when non-zero
 	// the Gantt is incomplete and the report says so.
-	Dropped  int64
-	Interval float64
+	Dropped int64
 	// Queries is the per-query registry detail (lifecycle, latency,
 	// attribution), newest last; empty when qstats was not enabled.
 	Queries []qstats.QueryRecord
 	// QueryPolicies are the rolling per-policy latency aggregates that
 	// accompany Queries.
 	QueryPolicies []qstats.PolicyLatency
-	// TotalSnaps is the sampler's full series length before thinning;
-	// the data table notes when Snaps is a stride of it.
-	TotalSnaps int
 	// Alerts is the alert layer's final snapshot (rules, firing set,
 	// transition log); nil when no time-series engine was attached. The
 	// firing/resolved transitions also annotate the utilization chart.
@@ -54,7 +53,7 @@ type Report struct {
 // maxReportSamples bounds the chart paths and the data table: longer
 // runs are strided down to roughly this many snapshots (the last one
 // always kept) so paper-scale reports stay a viewable size. Full
-// fidelity remains available through the sampler's CSV writers.
+// fidelity remains available in the archive's snapshot records.
 const maxReportSamples = 600
 
 // thinSnaps strides snaps down to at most maxReportSamples+1 entries.
@@ -71,41 +70,6 @@ func thinSnaps(snaps []Snapshot) []Snapshot {
 		out = append(out, last)
 	}
 	return out
-}
-
-// NewReport assembles a report from the sampler's recorded state, its
-// tracker's tracer (spans, decisions, counters), the per-query registry
-// and the time-series engine's alert log; qs and db may be nil. db is
-// flushed first, as the run archive does, so a query finishing after
-// the last scheduled tick reaches the alert windows. Pass params for
-// the run-configuration rows.
-func NewReport(title string, s *Sampler, qs *qstats.Registry, db *tsdb.DB, params [][2]string) *Report {
-	tr := s.jt.Tracer()
-	s.foldPolicyDecisions()
-	snaps := s.Snapshots()
-	r := &Report{
-		Title:      title,
-		Params:     params,
-		Snaps:      thinSnaps(snaps),
-		Gantt:      BuildGantt(tr.Spans()),
-		Decisions:  tr.PolicyDecisions(),
-		Policies:   s.policySnapshot(),
-		Counters:   tr.Counters(),
-		Dropped:    tr.Dropped(),
-		Diag:       diag.FromTracer(tr),
-		Interval:   s.interval,
-		TotalSnaps: len(snaps),
-	}
-	if qs.Enabled() {
-		dump := qs.Dump()
-		r.Queries, r.QueryPolicies = dump.Queries, dump.Policies
-	}
-	if db.Enabled() {
-		db.Flush()
-		alerts := db.AlertsDump()
-		r.Alerts = &alerts
-	}
-	return r
 }
 
 // esc escapes text for HTML and attribute contexts.
@@ -255,7 +219,7 @@ func legend(b *strings.Builder, ss []series) {
 
 // xMax returns the report's shared time-axis extent.
 func (r *Report) xMax() float64 {
-	x := r.Interval
+	var x float64
 	for _, s := range r.Snaps {
 		if s.Time > x {
 			x = s.Time
@@ -330,24 +294,62 @@ func (r *Report) WriteHTML(w io.Writer) error {
 		b.WriteString("</dl>\n")
 	}
 
-	xmax := r.xMax()
-	markers := append(r.decisionMarkers(), r.alertMarkers()...)
+	// The charts and the data table draw a stride of a long series.
+	v := *r
+	v.Snaps = thinSnaps(r.Snaps)
+	xmax := v.xMax()
+	markers := append(v.decisionMarkers(), v.alertMarkers()...)
 	wide := chartGeom{w: 920, h: 230, left: 52, right: 16, top: 12, bottom: 26, xmax: xmax, ymax: 100}
 
-	// Cluster utilization (percent scale, one axis).
+	v.writeUtilizationSection(&b, wide, markers)
+
+	// Per-policy splits granted (the growth curves that differentiate
+	// LA from Hadoop).
+	v.writeGrowthSection(&b, wide)
+
+	// Per-node small multiples.
+	v.writeNodeSection(&b, xmax)
+
+	// Slot-occupancy Gantt (critical-path attempts outlined).
+	v.writeGanttSection(&b, xmax, markers)
+
+	// Per-job diagnosis: breakdown bars + critical path.
+	v.writeDiagSection(&b)
+
+	// Per-query registry detail (when qstats was enabled).
+	v.writeQuerySection(&b)
+
+	// Alert rules and the firing/resolved log (when the time-series
+	// engine was attached).
+	v.writeAlertSection(&b)
+
+	// Policy summary + counters + data table.
+	v.writePolicyTable(&b)
+	v.writeDataTable(&b, len(r.Snaps))
+	v.writeCounters(&b)
+
+	b.WriteString("</div>\n</body>\n</html>\n")
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// writeUtilizationSection charts the cluster-level series: utilization,
+// disk reads and queue depth. A run without snapshots has none.
+func (r *Report) writeUtilizationSection(b *strings.Builder, wide chartGeom, markers []marker) {
+	if len(r.Snaps) == 0 {
+		return
+	}
 	util := []series{
 		{name: "CPU util", colorVar: "--series-1"},
 		{name: "Map slots", colorVar: "--series-2"},
 		{name: "Reduce slots", colorVar: "--series-3"},
 	}
-	var disk series
-	disk = series{name: "Disk read", colorVar: "--series-1"}
-	var queued []series
-	queued = []series{
+	disk := series{name: "Disk read", colorVar: "--series-1"}
+	queued := []series{
 		{name: "Queued maps", colorVar: "--series-1"},
 		{name: "Queued reduces", colorVar: "--series-2"},
 	}
-	var diskMax, queueMax float64
+	var diskMax, queueMax, interval float64
 	for _, s := range r.Snaps {
 		util[0].pts = append(util[0].pts, point{s.Time, s.CPUUtilPct})
 		util[1].pts = append(util[1].pts, point{s.Time, s.MapSlotPct})
@@ -357,53 +359,25 @@ func (r *Report) WriteHTML(w io.Writer) error {
 		queued[1].pts = append(queued[1].pts, point{s.Time, float64(s.QueuedReduces)})
 		diskMax = math.Max(diskMax, s.DiskReadKBs)
 		queueMax = math.Max(queueMax, math.Max(float64(s.QueuedMaps), float64(s.QueuedReduces)))
+		interval = math.Max(interval, s.IntervalS)
 	}
 
 	b.WriteString("<section>\n<h2>Cluster utilization</h2>\n")
-	fmt.Fprintf(&b, "<p class=\"note\">Interval means over %ss virtual-clock samples; vertical markers are Input Provider decisions (grow / end-of-input).</p>\n", fnum(r.Interval))
-	legend(&b, util)
-	writeLineChart(&b, util, markers, wide, "%")
+	fmt.Fprintf(b, "<p class=\"note\">Interval means over %ss virtual-clock samples; vertical markers are Input Provider decisions (grow / end-of-input).</p>\n", fnum(interval))
+	legend(b, util)
+	writeLineChart(b, util, markers, wide, "%")
 	b.WriteString("\n<h3>Disk read (per-disk mean)</h3>\n")
 	dg := wide
 	dg.h = 170
 	dg.ymax = niceMax(diskMax)
-	writeLineChart(&b, []series{disk}, nil, dg, "")
+	writeLineChart(b, []series{disk}, nil, dg, "")
 	b.WriteString("\n<h3>Queue depth</h3>\n")
 	qg := wide
 	qg.h = 170
 	qg.ymax = niceMax(queueMax)
-	legend(&b, queued)
-	writeLineChart(&b, queued, nil, qg, "")
+	legend(b, queued)
+	writeLineChart(b, queued, nil, qg, "")
 	b.WriteString("</section>\n")
-
-	// Per-policy splits granted (the growth curves that differentiate
-	// LA from Hadoop).
-	r.writeGrowthSection(&b, wide)
-
-	// Per-node small multiples.
-	r.writeNodeSection(&b, xmax)
-
-	// Slot-occupancy Gantt (critical-path attempts outlined).
-	r.writeGanttSection(&b, xmax, markers)
-
-	// Per-job diagnosis: breakdown bars + critical path.
-	r.writeDiagSection(&b)
-
-	// Per-query registry detail (when qstats was enabled).
-	r.writeQuerySection(&b)
-
-	// Alert rules and the firing/resolved log (when the time-series
-	// engine was attached).
-	r.writeAlertSection(&b)
-
-	// Policy summary + counters + data table.
-	r.writePolicyTable(&b)
-	r.writeDataTable(&b)
-	r.writeCounters(&b)
-
-	b.WriteString("</div>\n</body>\n</html>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // writeGrowthSection charts cumulative splits granted per policy.
@@ -689,14 +663,21 @@ func ruleOp(r tsdb.Rule) string {
 	return r.Op
 }
 
+// writePolicyTable summarises the Input Provider per policy, folded
+// from the decision log.
 func (r *Report) writePolicyTable(b *strings.Builder) {
-	if len(r.Policies) == 0 {
+	var fold policyFold
+	for _, d := range r.Decisions {
+		fold.add(d)
+	}
+	policies := fold.states()
+	if len(policies) == 0 {
 		return
 	}
 	b.WriteString("<section>\n<h2>Input Provider state</h2>\n<table>\n<thead><tr>" +
 		"<th>policy</th><th>evaluations</th><th>splits granted</th><th>last verdict</th>" +
 		"<th>grab limit</th><th>work threshold</th><th>headroom</th></tr></thead>\n<tbody>\n")
-	for _, p := range r.Policies {
+	for _, p := range policies {
 		fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%s</td><td>%d</td><td>%s%%</td><td>%s%%</td></tr>\n",
 			esc(p.Policy), p.Evaluations, p.SplitsGranted, esc(p.LastVerdict), p.GrabLimit,
 			fnum(p.WorkThresholdPct), fnum(p.HeadroomPct))
@@ -704,15 +685,16 @@ func (r *Report) writePolicyTable(b *strings.Builder) {
 	b.WriteString("</tbody>\n</table>\n</section>\n")
 }
 
-// writeDataTable is the accessibility table view of the cluster series.
-func (r *Report) writeDataTable(b *strings.Builder) {
+// writeDataTable is the accessibility table view of the cluster
+// series; total is the series length before striding.
+func (r *Report) writeDataTable(b *strings.Builder, total int) {
 	if len(r.Snaps) == 0 {
 		return
 	}
 	summary := "Data table (cluster samples)"
-	if r.TotalSnaps > len(r.Snaps) {
-		summary = fmt.Sprintf("Data table (%d of %d cluster samples — strided; CSVs carry the full series)",
-			len(r.Snaps), r.TotalSnaps)
+	if total > len(r.Snaps) {
+		summary = fmt.Sprintf("Data table (%d of %d cluster samples — strided; the archive carries the full series)",
+			len(r.Snaps), total)
 	}
 	b.WriteString("<details>\n<summary>" + esc(summary) + "</summary>\n<table>\n<thead><tr>" +
 		"<th>t (s)</th><th>CPU %</th><th>disk KB/s</th><th>net %</th><th>map slots %</th>" +

@@ -15,8 +15,9 @@ func TestReportHTML(t *testing.T) {
 	job := jt.Submit(mapreduce.JobSpec{NewMapper: nopMapper}, mapreduce.SplitsForFile(f))
 	mapreduce.RunUntilDone(eng, job, 1e6)
 	eng.RunUntil(eng.Now() + 2)
-
-	rep := NewReport("test <run> & co", s, nil, nil, [][2]string{{"policy", "LA"}, {"scale", "1x"}})
+	tr := jt.Tracer()
+	rep := &Report{Title: "test <run> & co", Params: [][2]string{{"policy", "LA"}, {"scale", "1x"}},
+		Snaps: s.Cut(), Gantt: BuildGantt(tr.Spans()), Decisions: tr.PolicyDecisions(), Counters: tr.Counters()}
 	var b strings.Builder
 	if err := rep.WriteHTML(&b); err != nil {
 		t.Fatal(err)
@@ -69,15 +70,20 @@ func TestThinSnaps(t *testing.T) {
 	}
 }
 
+// TestReportHTMLEmptyRun: a run without snapshots (an archive cut
+// without a sampler) renders a complete report without the utilization
+// charts.
 func TestReportHTMLEmptyRun(t *testing.T) {
-	_, _, _, jt := rig(t, true)
-	s := NewSampler(jt, Config{})
-	rep := NewReport("empty", s, nil, nil, nil)
 	var b strings.Builder
-	if err := rep.WriteHTML(&b); err != nil {
+	if err := (&Report{Title: "empty"}).WriteHTML(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "</html>") {
 		t.Fatal("empty-run report truncated")
+	}
+	for _, absent := range []string{"Cluster utilization", "Per-node utilization", "Data table"} {
+		if strings.Contains(b.String(), absent) {
+			t.Errorf("report without snapshots has %q", absent)
+		}
 	}
 }

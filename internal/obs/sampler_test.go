@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dynamicmr/internal/cluster"
@@ -59,8 +62,11 @@ func TestSlotIntegralMatchesSpanDurations(t *testing.T) {
 	s.Start()
 	job := jt.Submit(mapreduce.JobSpec{NewMapper: nopMapper}, mapreduce.SplitsForFile(f))
 	mapreduce.RunUntilDone(eng, job, 1e6)
-	// Run past the next sample boundary so the tail interval lands.
-	eng.RunUntil(eng.Now() + 2*s.Interval())
+	// The job ends between ticks; Cut takes the tail interval.
+	snaps := s.Cut()
+	if last := snaps[len(snaps)-1]; last.Time != eng.Now() || last.IntervalS >= 7 {
+		t.Fatalf("Cut's last snapshot at %v over %vs, want a partial interval ending at %v", last.Time, last.IntervalS, eng.Now())
+	}
 
 	var spanSeconds float64
 	for _, sp := range jt.Tracer().Spans() {
@@ -76,7 +82,7 @@ func TestSlotIntegralMatchesSpanDurations(t *testing.T) {
 	// nodes and samples.
 	var sampled float64
 	lastT := 0.0
-	for _, snap := range s.Snapshots() {
+	for _, snap := range snaps {
 		dt := snap.Time - lastT
 		lastT = snap.Time
 		for _, ns := range snap.Nodes {
@@ -90,7 +96,7 @@ func TestSlotIntegralMatchesSpanDurations(t *testing.T) {
 	// The cluster-level series must integrate to the same value.
 	var clusterInt float64
 	lastT = 0
-	for _, snap := range s.Snapshots() {
+	for _, snap := range snaps {
 		dt := snap.Time - lastT
 		lastT = snap.Time
 		clusterInt += snap.MapSlotPct / 100 * float64(snap.TotalMapSlots) * dt
@@ -105,33 +111,80 @@ func TestSlotIntegralMatchesSpanDurations(t *testing.T) {
 	}
 }
 
-// TestSamplerDoesNotPerturbSimulation: the same run with and without a
-// sampler must finish at the same virtual time with the same event
-// outcomes (enabling obs never changes results).
+// TestSamplerDoesNotPerturbSimulation: the sampler reads the cluster
+// passively, so a contended run (staggered concurrent jobs, remote map
+// reads and shuffles sharing the network, the §V-D poll settling CPU
+// and disk every 30 s) records exactly the same spans, and the same
+// poll series, with a sampler ticking off the poll's cadence as
+// without one.
 func TestSamplerDoesNotPerturbSimulation(t *testing.T) {
-	run := func(sample bool) (finish float64, output int) {
-		eng, _, fs, jt := rig(t, false)
-		f := mkFile(t, fs, "in", 24, 300)
+	run := func(sample bool) ([]trace.Span, []trace.MetricSample) {
+		eng, _, fs, jt := rig(t, true)
 		if sample {
-			s := NewSampler(jt, Config{IntervalS: 3})
-			s.Start()
+			NewSampler(jt, Config{IntervalS: 0.013}).Start()
 		}
-		job := jt.Submit(mapreduce.JobSpec{NewMapper: nopMapper}, mapreduce.SplitsForFile(f))
-		mapreduce.RunUntilDone(eng, job, 1e6)
-		return job.FinishTime, len(job.Output())
+		// Wide rows make every disk, network and CPU phase long enough
+		// for ticks to land inside it while other demands come and go.
+		wide := data.NewSchema("V", "PAD")
+		pad := data.Str(strings.Repeat("x", 5000))
+		jobs := make([]*mapreduce.Job, 20)
+		for j := range jobs {
+			var srcs []data.Source
+			for b := 0; b < 20; b++ {
+				rr := make([]data.Record, 1000)
+				for i := range rr {
+					rr[i] = data.NewRecord(wide, []data.Value{data.Int(int64(i)), pad})
+				}
+				srcs = append(srcs, data.NewSliceSource(wide, rr))
+			}
+			f, err := fs.Create(fmt.Sprintf("in%d", j), srcs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.At(float64(j)*1.7, func() {
+				spec := mapreduce.JobSpec{NewMapper: echoMapper}
+				spec.Conf = mapreduce.NewJobConf()
+				spec.Conf.SetInt(mapreduce.ConfNumReduces, 3)
+				jobs[j] = jt.Submit(spec, mapreduce.SplitsForFile(f))
+			})
+		}
+		eng.RunUntil(float64(len(jobs)) * 1.7)
+		for _, job := range jobs {
+			if !mapreduce.RunUntilDone(eng, job, 1e6) {
+				t.Fatal("job stuck")
+			}
+		}
+		return jt.Tracer().Spans(), jt.UtilizationTimeline()
 	}
-	offT, offN := run(false)
-	onT, onN := run(true)
-	if offT != onT || offN != onN {
-		t.Fatalf("sampler perturbed the run: finish %v vs %v, output %d vs %d", offT, onT, offN, onN)
+	offSpans, offPoll := run(false)
+	onSpans, onPoll := run(true)
+	remote := 0
+	for _, sp := range offSpans {
+		if sp.Name == trace.SpanNetRead {
+			remote++
+		}
+	}
+	if remote == 0 || len(offPoll) == 0 {
+		t.Fatalf("run not contended enough: %d remote reads, %d poll readings", remote, len(offPoll))
+	}
+	if len(onSpans) != len(offSpans) {
+		t.Fatalf("sampler changed the span count: %d vs %d", len(onSpans), len(offSpans))
+	}
+	for i := range offSpans {
+		if onSpans[i] != offSpans[i] {
+			t.Fatalf("sampler perturbed span %d:\nwithout %+v\nwith    %+v", i, offSpans[i], onSpans[i])
+		}
+	}
+	if !reflect.DeepEqual(onPoll, offPoll) {
+		t.Fatal("sampler perturbed the §V-D poll series")
 	}
 }
 
 func TestSamplerIdleAndRestart(t *testing.T) {
 	eng, _, _, jt := rig(t, false)
 	s := NewSampler(jt, Config{})
-	if s.Interval() != DefaultIntervalS {
-		t.Fatalf("default interval = %v", s.Interval())
+	if s.interval != DefaultIntervalS {
+		t.Fatalf("default interval = %v", s.interval)
 	}
 	s = NewSampler(jt, Config{IntervalS: 10})
 	s.Start()

@@ -15,29 +15,27 @@ import (
 
 // Server is the live operational surface: a Prometheus text-exposition
 // /metrics endpoint, a JSON /status, the per-query /queries listing
-// (JSON, schema dynamicmr.qstats/1), and the self-refreshing /live
-// HTML dashboard.
+// (JSON, schema dynamicmr.qstats/1), the time-series /tsdb and /alerts
+// dumps, and the self-refreshing /live HTML dashboard.
 //
-// The simulated runtime is single-threaded, so the driver loop and
-// HTTP scrapes coordinate through the server's mutex: the driver holds
-// Lock while stepping the engine; handlers hold it while reading live
-// state. Because a single query can keep the engine busy for a long
-// wall-clock stretch, a paced driver should additionally call Publish
-// after each advance: Publish renders every endpoint's payload into an
-// immutable snapshot that handlers then serve without touching the
-// simulation lock at all, so scrapes never block behind the pacer or a
-// long engine burst. Handlers fall back to the locked live read until
-// the first Publish.
+// Handlers serve only the published snapshot: Publish renders every
+// endpoint's payload into an immutable view, and no handler touches the
+// simulation. NewServer publishes once, and the goroutine that drives
+// the engine publishes again after each advance, so a scrape never
+// waits for a query to finish.
 type Server struct {
-	mu   sync.Mutex
 	samp *Sampler
 	qs   *qstats.Registry
 	db   *tsdb.DB
 
 	// Rolling window of recent snapshots for the /live sparklines,
-	// maintained incrementally via SnapshotsSince. Guarded by mu.
+	// maintained incrementally via SnapshotsSince by Publish.
 	snapCursor int
 	recent     []Snapshot
+	// Per-policy provider state for /metrics, folded incrementally
+	// from the tracer's decision log by Publish.
+	decisionsSeen int
+	policies      policyFold
 
 	pubMu sync.RWMutex
 	pub   *published
@@ -63,63 +61,40 @@ type published struct {
 	alerts     tsdb.AlertsDump
 }
 
-// NewServer wraps a sampler for serving.
-func NewServer(samp *Sampler) *Server { return &Server{samp: samp} }
+// NewServer serves the sampler's cluster, with the per-query registry
+// (/queries, query detail on /live, the latency and QPS families on
+// /metrics) and the time-series engine (/tsdb, /alerts, the /live trend
+// panels) when they are non-nil, and publishes their current state.
+func NewServer(samp *Sampler, qs *qstats.Registry, db *tsdb.DB) *Server {
+	s := &Server{samp: samp, qs: qs, db: db}
+	s.Publish()
+	return s
+}
 
-// SetQueryStats attaches the per-query registry: /queries and /live
-// gain query detail, and /metrics gains the per-policy latency
-// histogram and QPS families.
-func (s *Server) SetQueryStats(r *qstats.Registry) { s.qs = r }
-
-// SetTSDB attaches the time-series engine: /tsdb and /alerts come
-// alive, and /live gains trend sparklines and the active-alerts banner.
-func (s *Server) SetTSDB(db *tsdb.DB) { s.db = db }
-
-// Lock takes the simulation lock; the driver holds it while advancing
-// the engine so scrapes never observe a half-stepped cluster.
-func (s *Server) Lock() { s.mu.Lock() }
-
-// Unlock releases the simulation lock.
-func (s *Server) Unlock() { s.mu.Unlock() }
-
-// Publish renders every endpoint's payload under the simulation lock
-// and installs it as the served snapshot. Drivers call it after each
-// engine advance (with the lock released); subsequent scrapes are
-// lock-free and mutually consistent.
+// Publish renders every endpoint's payload and installs it as the
+// served snapshot. Only the goroutine that drives the engine may call
+// it, after each advance; scrapes in between see the previous view.
 func (s *Server) Publish() {
-	s.mu.Lock()
 	var metrics bytes.Buffer
-	err := trace.WritePrometheus(&metrics, s.promFamilies())
+	_ = trace.WritePrometheus(&metrics, s.promFamilies()) // a bytes.Buffer never fails a write
 	status := s.statusPayload()
-	dump := s.qs.Dump()
-	vt := s.samp.JobTracker().Engine().Now()
+	statusJSON, err := json.MarshalIndent(status, "", "  ")
+	if err != nil {
+		// A non-finite reading cannot be encoded: serve the error.
+		statusJSON, _ = json.Marshal(map[string]string{"error": err.Error()})
+	}
 	fresh := s.samp.SnapshotsSince(s.snapCursor)
 	s.snapCursor += len(fresh)
 	s.recent = append(s.recent, fresh...)
 	if len(s.recent) > liveRecentSnaps {
 		s.recent = append(s.recent[:0:0], s.recent[len(s.recent)-liveRecentSnaps:]...)
 	}
-	recent := append([]Snapshot(nil), s.recent...)
-	var trends tsdb.Dump
-	var alerts tsdb.AlertsDump
+	p := &published{metrics: metrics.Bytes(), status: statusJSON, dump: s.qs.Dump(),
+		vt: s.samp.JobTracker().Engine().Now(), recent: append([]Snapshot(nil), s.recent...), scan: status.Scan}
 	if s.db.Enabled() {
-		trends = s.db.Dump()
-		alerts = s.db.AlertsDump()
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return
-	}
-	statusJSON, err := json.MarshalIndent(status, "", "  ")
-	if err != nil {
-		return
-	}
-	p := &published{metrics: metrics.Bytes(), status: statusJSON, dump: dump, vt: vt, recent: recent,
-		scan: status.Scan}
-	if s.db.Enabled() {
-		p.trends, p.alerts = trends, alerts
-		p.tsdbJSON, _ = json.MarshalIndent(trends, "", "  ")
-		p.alertsJSON, _ = json.MarshalIndent(alerts, "", "  ")
+		p.trends, p.alerts = s.db.Dump(), s.db.AlertsDump()
+		p.tsdbJSON, _ = json.MarshalIndent(p.trends, "", "  ")
+		p.alertsJSON, _ = json.MarshalIndent(p.alerts, "", "  ")
 	}
 	s.pubMu.Lock()
 	s.pub = p
@@ -153,13 +128,14 @@ func (s *Server) Handler() http.Handler {
 }
 
 // promFamilies assembles the full exposition set: registry families
-// (counters, gauges, histogram scalars) plus live per-node, queue, and
-// per-policy families derived from the latest snapshot, plus — when a
-// query registry is attached — the per-policy latency histograms and
-// query counters. Caller holds the lock.
+// (counters, gauges, histogram scalars), live queue gauges, per-node
+// families from the latest snapshot, per-policy families folded from
+// the decision log, and — when a query registry is attached — the
+// per-policy latency histograms and query counters.
 func (s *Server) promFamilies() []trace.PromFamily {
 	jt := s.samp.JobTracker()
-	fams := jt.Tracer().PromFamilies("dynmr.")
+	tr := jt.Tracer()
+	fams := tr.PromFamilies("dynmr.")
 
 	st := jt.ClusterStatus()
 	gauge := func(name, help string, v float64) {
@@ -176,6 +152,27 @@ func (s *Server) promFamilies() []trace.PromFamily {
 	gauge("dynmr.running_jobs", "Jobs submitted and not yet finished.", float64(st.RunningJobs))
 
 	fams = append(fams, s.qs.PromFamilies("dynmr.")...)
+
+	fresh := tr.PolicyDecisionsSince(s.decisionsSeen)
+	s.decisionsSeen += len(fresh)
+	for _, d := range fresh {
+		s.policies.add(d)
+	}
+	if policies := s.policies.states(); len(policies) > 0 {
+		granted := trace.PromFamily{Name: "dynmr.policy.splits_granted",
+			Help: "Cumulative input partitions granted by the Input Provider.", Type: trace.PromCounter}
+		evals := trace.PromFamily{Name: "dynmr.policy.evaluations",
+			Help: "Input Provider evaluations recorded.", Type: trace.PromCounter}
+		headroom := trace.PromFamily{Name: "dynmr.policy.headroom_pct",
+			Help: "Last progress percentage minus the policy's work threshold.", Type: trace.PromGauge}
+		for _, ps := range policies {
+			labels := []trace.PromLabel{{Name: "policy", Value: ps.Policy}}
+			granted.Samples = append(granted.Samples, trace.PromSample{Labels: labels, Value: float64(ps.SplitsGranted)})
+			evals.Samples = append(evals.Samples, trace.PromSample{Labels: labels, Value: float64(ps.Evaluations)})
+			headroom.Samples = append(headroom.Samples, trace.PromSample{Labels: labels, Value: ps.HeadroomPct})
+		}
+		fams = append(fams, granted, evals, headroom)
+	}
 
 	snap, ok := s.samp.Latest()
 	if !ok {
@@ -201,37 +198,12 @@ func (s *Server) promFamilies() []trace.PromFamily {
 		func(ns NodeSample) float64 { return float64(ns.MapSlotsUsed) })
 	node("dynmr.node.reduce_slots_used", "Per-node occupied reduce slots at the last sample.",
 		func(ns NodeSample) float64 { return float64(ns.ReduceSlotsUsed) })
-
-	if len(snap.Policies) > 0 {
-		granted := trace.PromFamily{Name: "dynmr.policy.splits_granted",
-			Help: "Cumulative input partitions granted by the Input Provider.", Type: trace.PromCounter}
-		evals := trace.PromFamily{Name: "dynmr.policy.evaluations",
-			Help: "Input Provider evaluations recorded.", Type: trace.PromCounter}
-		headroom := trace.PromFamily{Name: "dynmr.policy.headroom_pct",
-			Help: "Last progress percentage minus the policy's work threshold.", Type: trace.PromGauge}
-		for _, ps := range snap.Policies {
-			labels := []trace.PromLabel{{Name: "policy", Value: ps.Policy}}
-			granted.Samples = append(granted.Samples, trace.PromSample{Labels: labels, Value: float64(ps.SplitsGranted)})
-			evals.Samples = append(evals.Samples, trace.PromSample{Labels: labels, Value: float64(ps.Evaluations)})
-			headroom.Samples = append(headroom.Samples, trace.PromSample{Labels: labels, Value: ps.HeadroomPct})
-		}
-		fams = append(fams, granted, evals, headroom)
-	}
 	return fams
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if p := s.publishedState(); p != nil {
-		_, _ = w.Write(p.metrics)
-		return
-	}
-	s.mu.Lock()
-	fams := s.promFamilies()
-	s.mu.Unlock()
-	if err := trace.WritePrometheus(w, fams); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	_, _ = w.Write(s.publishedState().metrics)
 }
 
 // StatusPayload is the /status JSON document.
@@ -277,7 +249,7 @@ func scanStats(jt *mapreduce.JobTracker) *ScanStats {
 	return &ScanStats{InputPath: mode, BlocksRead: read, BlocksSkipped: skipped}
 }
 
-// statusPayload builds the /status document. Caller holds the lock.
+// statusPayload builds the /status document.
 func (s *Server) statusPayload() StatusPayload {
 	jt := s.samp.JobTracker()
 	st := jt.ClusterStatus()
@@ -302,34 +274,14 @@ func (s *Server) statusPayload() StatusPayload {
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if p := s.publishedState(); p != nil {
-		_, _ = w.Write(p.status)
-		return
-	}
-	s.mu.Lock()
-	payload := s.statusPayload()
-	s.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(payload)
-}
-
-// currentDump snapshots the query registry: the published view when
-// one exists, otherwise a live read under the simulation lock.
-func (s *Server) currentDump() qstats.Dump {
-	if p := s.publishedState(); p != nil {
-		return p.dump
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.qs.Dump()
+	_, _ = w.Write(s.publishedState().status)
 }
 
 // handleQueries serves the qstats dump (schema dynamicmr.qstats/1).
 // ?id=q-000042 returns that single record — finished or in-flight —
 // with its full diagnosis breakdown.
 func (s *Server) handleQueries(w http.ResponseWriter, req *http.Request) {
-	dump := s.currentDump()
+	dump := s.publishedState().dump
 	if id := req.URL.Query().Get("id"); id != "" {
 		for i := len(dump.Queries) - 1; i >= 0; i-- {
 			if dump.Queries[i].ID == id {
@@ -353,38 +305,25 @@ func (s *Server) handleQueries(w http.ResponseWriter, req *http.Request) {
 // dynamicmr.tsdb/1): every series' raw ring plus its rollup levels.
 // 404 when no engine is attached.
 func (s *Server) handleTSDB(w http.ResponseWriter, _ *http.Request) {
-	if !s.db.Enabled() {
-		http.Error(w, "no time-series engine attached (run with tsdb enabled)", http.StatusNotFound)
-		return
-	}
-	if p := s.publishedState(); p != nil && p.tsdbJSON != nil {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(p.tsdbJSON)
-		return
-	}
-	s.mu.Lock()
-	dump := s.db.Dump()
-	s.mu.Unlock()
-	writeJSON(w, dump)
+	writePublishedJSON(w, s.publishedState().tsdbJSON)
 }
 
 // handleAlerts serves the alert layer's dump (schema dynamicmr.alerts/1):
 // configured rules, currently firing set, transition log. 404 when no
 // engine is attached.
 func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	if !s.db.Enabled() {
+	writePublishedJSON(w, s.publishedState().alertsJSON)
+}
+
+// writePublishedJSON writes a pre-rendered tsdb payload, or 404 when no
+// engine is attached.
+func writePublishedJSON(w http.ResponseWriter, payload []byte) {
+	if payload == nil {
 		http.Error(w, "no time-series engine attached (run with tsdb enabled)", http.StatusNotFound)
 		return
 	}
-	if p := s.publishedState(); p != nil && p.alertsJSON != nil {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(p.alertsJSON)
-		return
-	}
-	s.mu.Lock()
-	dump := s.db.AlertsDump()
-	s.mu.Unlock()
-	writeJSON(w, dump)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(payload)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

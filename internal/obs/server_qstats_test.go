@@ -26,9 +26,8 @@ func TestQueriesAndLiveEndpoints(t *testing.T) {
 	f := mkFile(t, fs, "in", 8, 100)
 	s := NewSampler(jt, Config{IntervalS: 1})
 	s.Start()
-	srv := NewServer(s)
 	reg := qstats.NewRegistry(jt)
-	srv.SetQueryStats(reg)
+	srv := NewServer(s, reg, nil)
 
 	var lastID string
 	for i := 0; i < 3; i++ {
@@ -43,6 +42,7 @@ func TestQueriesAndLiveEndpoints(t *testing.T) {
 		lastID = id
 	}
 	eng.RunUntil(eng.Now() + 2)
+	srv.Publish()
 
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -110,18 +110,16 @@ func TestQueriesAndLiveEndpoints(t *testing.T) {
 	}
 }
 
-// TestPublishedEndpointsDoNotBlock is the narrow-lock satellite: after
-// Publish, every endpoint must answer from the published snapshot even
-// while the driver holds the simulation lock (as the paced serve loop
-// does for long stretches).
+// TestPublishedEndpointsDoNotBlock: every endpoint answers from the
+// published snapshot while another goroutine advances the engine, so
+// a scrape never waits for a query. Under -race, a handler that read
+// the simulation would be reported.
 func TestPublishedEndpointsDoNotBlock(t *testing.T) {
 	eng, _, fs, jt := rig(t, true)
 	f := mkFile(t, fs, "in", 6, 100)
 	s := NewSampler(jt, Config{IntervalS: 1})
 	s.Start()
-	srv := NewServer(s)
 	reg := qstats.NewRegistry(jt)
-	srv.SetQueryStats(reg)
 	db, err := tsdb.New(jt, tsdb.Config{IntervalS: 1, Rules: []tsdb.Rule{
 		{Name: "jobs-high", Kind: tsdb.KindThreshold, Series: "cluster.running_jobs", Value: 1e9},
 	}})
@@ -130,20 +128,21 @@ func TestPublishedEndpointsDoNotBlock(t *testing.T) {
 	}
 	db.SetQueryStats(reg)
 	db.Start()
-	srv.SetTSDB(db)
+	srv := NewServer(s, reg, db)
 
 	id := reg.AllocID()
-	conf := mapreduce.NewJobConf()
-	conf.SetInt(mapreduce.ConfSampleSize, 50)
-	conf.Set(mapreduce.ConfDynamicPolicy, "HA")
-	conf.Set(mapreduce.ConfQueryID, id)
-	job := jt.Submit(mapreduce.JobSpec{Conf: conf, NewMapper: echoMapper}, mapreduce.SplitsForFile(f))
-	reg.Register(id, job, "SELECT V FROM t LIMIT 50", job.ScheduledMaps())
-	mapreduce.RunUntilDone(eng, job, 1e6)
-	srv.Publish()
-
-	srv.Lock() // simulate the driver mid-advance
-	defer srv.Unlock()
+	stepped := make(chan struct{})
+	go func() { // the engine's goroutine: one query, then a publish
+		defer close(stepped)
+		conf := mapreduce.NewJobConf()
+		conf.SetInt(mapreduce.ConfSampleSize, 50)
+		conf.Set(mapreduce.ConfDynamicPolicy, "HA")
+		conf.Set(mapreduce.ConfQueryID, id)
+		job := jt.Submit(mapreduce.JobSpec{Conf: conf, NewMapper: echoMapper}, mapreduce.SplitsForFile(f))
+		reg.Register(id, job, "SELECT V FROM t LIMIT 50", job.ScheduledMaps())
+		mapreduce.RunUntilDone(eng, job, 1e6)
+		srv.Publish()
+	}()
 
 	paths := []string{"/metrics", "/status", "/queries", "/live", "/tsdb", "/alerts"}
 	done := make(chan string, len(paths))
@@ -165,9 +164,10 @@ func TestPublishedEndpointsDoNotBlock(t *testing.T) {
 				t.Error(msg)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("endpoint blocked behind the simulation lock")
+			t.Fatal("endpoint blocked behind the engine")
 		}
 	}
+	<-stepped
 
 	// The published /queries view matches the live registry.
 	rec := httptest.NewRecorder()

@@ -23,11 +23,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	f := mkFile(t, fs, "in", 20, 300)
 	s := NewSampler(jt, Config{IntervalS: 1})
 	s.Start()
-	srv := NewServer(s)
+	srv := NewServer(s, nil, nil)
 
 	job := jt.Submit(mapreduce.JobSpec{NewMapper: nopMapper}, mapreduce.SplitsForFile(f))
 	mapreduce.RunUntilDone(eng, job, 1e6)
 	eng.RunUntil(eng.Now() + 2)
+	srv.Publish()
 
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -88,9 +89,10 @@ func TestStatusEndpoint(t *testing.T) {
 	f := mkFile(t, fs, "in", 10, 200)
 	s := NewSampler(jt, Config{IntervalS: 1})
 	s.Start()
-	srv := NewServer(s)
+	srv := NewServer(s, nil, nil)
 	job := jt.Submit(mapreduce.JobSpec{NewMapper: nopMapper}, mapreduce.SplitsForFile(f))
 	mapreduce.RunUntilDone(eng, job, 1e6)
+	srv.Publish()
 
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/status", nil))

@@ -1,8 +1,9 @@
 // Package runarchive is the cross-run observability bundle: a
 // versioned, self-contained file capturing everything one run's
 // observability stack produced — trace spans, the Input Provider
-// decision audit log, the utilization timeline, the counter/gauge
-// registry, per-job diagnoses and the per-query registry dump — plus
+// decision audit log, the utilization timeline, the obs sampler's
+// per-node snapshots, the counter/gauge registry, per-job diagnoses
+// and the per-query registry dump — plus
 // the run configuration that produced it (policy, input path, scan
 // workers, seed, git revision). It is the one output file of a run:
 // Render regenerates each single-run view from it (`dynmr render`),
@@ -32,6 +33,7 @@ import (
 	"strconv"
 
 	"dynamicmr/internal/diag"
+	"dynamicmr/internal/obs"
 	"dynamicmr/internal/qstats"
 	"dynamicmr/internal/trace"
 	"dynamicmr/internal/tsdb"
@@ -47,6 +49,7 @@ const (
 	recSpan      = "span"
 	recDecision  = "decision"
 	recSample    = "sample"
+	recSnapshot  = "snapshot"
 	recCounters  = "counters"
 	recGauges    = "gauges"
 	recDiagnosis = "diag"
@@ -89,6 +92,10 @@ type Counts struct {
 	// byte-identical to those written before the fields existed.
 	Series      int `json:"series,omitempty"`
 	AlertEvents int `json:"alert_events,omitempty"`
+	// Snapshots counts the obs sampler's snapshots; omitempty keeps
+	// manifests of runs without a sampler byte-identical to those
+	// written before the field existed.
+	Snapshots int `json:"snapshots,omitempty"`
 }
 
 // Manifest is the archive's first record.
@@ -202,6 +209,9 @@ type Archive struct {
 	Spans     []trace.Span
 	Decisions []trace.PolicyDecision
 	Samples   []trace.MetricSample
+	// Snapshots is the obs sampler's per-node series (obs.Snapshot's
+	// JSON form is the record); nil when the run had no sampler.
+	Snapshots []obs.Snapshot
 	Counters  map[string]int64
 	Gauges    map[string]trace.GaugeSnapshot
 	// Diagnosis is the per-job diag report (schema dynamicmr.diag/1)
@@ -233,6 +243,9 @@ type Source struct {
 	// omits them.
 	Series *tsdb.Dump
 	Alerts *tsdb.AlertsDump
+	// Snapshots attaches the obs sampler's series (Sampler.Cut); nil
+	// omits it.
+	Snapshots []obs.Snapshot
 	// VirtualTimeS is the engine clock at archive time.
 	VirtualTimeS float64
 	// CreatedUnixMS stamps the manifest (0 = unstamped, deterministic
@@ -268,6 +281,7 @@ func New(src Source) (*Archive, error) {
 		Spans:     src.Tracer.Spans(),
 		Decisions: src.Tracer.PolicyDecisions(),
 		Samples:   src.Tracer.MetricSamples(),
+		Snapshots: src.Snapshots,
 		Counters:  src.Tracer.Counters(),
 		Gauges:    src.Tracer.Gauges(),
 		Diagnosis: rep,
@@ -281,7 +295,8 @@ func New(src Source) (*Archive, error) {
 
 // counts derives the manifest counts from the payload.
 func (a *Archive) counts() Counts {
-	c := Counts{Spans: len(a.Spans), Decisions: len(a.Decisions), Samples: len(a.Samples)}
+	c := Counts{Spans: len(a.Spans), Decisions: len(a.Decisions), Samples: len(a.Samples),
+		Snapshots: len(a.Snapshots)}
 	if a.Diagnosis != nil {
 		c.Jobs = len(a.Diagnosis.Jobs)
 	}
@@ -482,7 +497,12 @@ func (a *Archive) encodeStream(out chan<- writeChunk, free <-chan []byte) {
 		}
 	}
 	var err error
-	if len(a.Counters) > 0 {
+	for _, s := range a.Snapshots {
+		if err = emit(recSnapshot, s); err != nil {
+			break
+		}
+	}
+	if err == nil && len(a.Counters) > 0 {
 		err = emit(recCounters, a.Counters)
 	}
 	if err == nil && len(a.Gauges) > 0 {
@@ -626,6 +646,12 @@ func Load(r io.Reader) (*Archive, error) {
 			a.Samples = append(a.Samples, trace.MetricSample{Time: mr.Time,
 				CPUUtilPct: mr.CPUUtilPct, DiskReadKBs: mr.DiskReadKBs,
 				SlotOccupancyPct: mr.SlotOccupancyPct})
+		case recSnapshot:
+			var snap obs.Snapshot
+			if err := json.Unmarshal(rec.D, &snap); err != nil {
+				return nil, fmt.Errorf("runarchive: snapshot record: %w", err)
+			}
+			a.Snapshots = append(a.Snapshots, snap)
 		case recCounters:
 			if err := json.Unmarshal(rec.D, &a.Counters); err != nil {
 				return nil, fmt.Errorf("runarchive: counters record: %w", err)

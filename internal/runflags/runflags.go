@@ -22,28 +22,25 @@ import (
 type Flags struct {
 	InputPath  string
 	ArchiveOut string
-	ReportOut  string
 	AlertRules string
 	LogOut     string
 	LogLevel   string
-	// perCell makes ArchiveOut and ReportOut directories of per-cell
-	// files rather than single files.
+	// perCell makes ArchiveOut a directory of per-cell files rather
+	// than a single file.
 	perCell bool
 }
 
 // Register registers the run flags on fs. With perCell, -archive-out
-// and -report-out name directories that receive one file per sweep
-// cell (experiments); otherwise each names one file written at exit
-// (dynmr).
+// names a directory that receives one archive per sweep cell
+// (experiments); otherwise it names one file written at exit (dynmr).
 func Register(fs *flag.FlagSet, perCell bool) *Flags {
 	f := &Flags{perCell: perCell}
-	archive, report, clock := "the run archive to FILE at exit", "a self-contained HTML run report to FILE at exit", "the virtual clock"
+	archive, clock := "the run archive to FILE at exit", "the virtual clock"
 	if perCell {
-		archive, report, clock = "one run archive per figure 5-8 cell into DIR", "one self-contained HTML run report per figure 5-8 cell into DIR", "every cell's virtual clock"
+		archive, clock = "one run archive per figure 5-8 cell into DIR", "every cell's virtual clock"
 	}
 	fs.StringVar(&f.InputPath, "input-path", mapreduce.InputPathFull, "map-task read path: full (every block read), skip (zone-map skip-scan) or index (clustered-index reads + informed grab ordering)")
-	fs.StringVar(&f.ArchiveOut, "archive-out", "", "write "+archive+" (dynamicmr.archive/1 gzip NDJSON; view with `dynmr render`, compare with `dynmr diff`)")
-	fs.StringVar(&f.ReportOut, "report-out", "", "write "+report)
+	fs.StringVar(&f.ArchiveOut, "archive-out", "", "write "+archive+" (dynamicmr.archive/1 gzip NDJSON; view with `dynmr render`, including the HTML report, compare with `dynmr diff`)")
 	fs.StringVar(&f.AlertRules, "alert-rules", "", "load declarative alert/SLO rules from FILE (JSON {\"rules\": [...]}) and evaluate them on "+clock)
 	fs.StringVar(&f.LogOut, "log-out", "", "write the virtual-clock NDJSON log stream to FILE")
 	fs.StringVar(&f.LogLevel, "log-level", "info", "log level for -log-out: debug, info, warn or error")
@@ -62,7 +59,7 @@ type Outputs struct {
 
 // Open validates the flags and opens their outputs: it checks the
 // input path, parses the log level, reads and parses the rules file,
-// creates the output directories (for a per-file flag, the file's
+// creates the archive directory (for a per-file flag, the file's
 // directory) and creates the log file, in that order, so a rejected
 // flag leaves nothing behind. ExitCode maps its error to the exit
 // status.
@@ -85,13 +82,10 @@ func (f *Flags) Open() (*Outputs, error) {
 			return nil, usageError{fmt.Errorf("-alert-rules %s: %w", f.AlertRules, err)}
 		}
 	}
-	for _, path := range []string{f.ArchiveOut, f.ReportOut} {
-		if path == "" {
-			continue
-		}
-		dir := path
+	if f.ArchiveOut != "" {
+		dir := f.ArchiveOut
 		if !f.perCell {
-			dir = filepath.Dir(path)
+			dir = filepath.Dir(dir)
 		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err

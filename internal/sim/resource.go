@@ -86,10 +86,25 @@ func (r *SharedResource) rate(n int) float64 {
 // UsedIntegral returns the accumulated service (units of work delivered)
 // up to the current virtual time. The difference of two readings divided
 // by capacity*(t2-t1) is the mean utilisation over the window.
+//
+// It is a pure read: the service accrued since the last change is added
+// to the result, not applied to the active demands, so reading never
+// moves a completion time. It equals what Settle would store.
 func (r *SharedResource) UsedIntegral() float64 {
-	r.advance()
-	return r.usedIntegral
+	used := r.usedIntegral
+	if n := len(r.active); n > 0 {
+		if dt := r.eng.Now() - r.lastUpdate; dt > 0 {
+			used += r.rate(n) * float64(n) * dt
+		}
+	}
+	return used
 }
+
+// Settle applies the service accrued since the last change to the
+// active demands and the integral. It changes no demand's share, but
+// splitting the accrual rounds remaining work differently, which moves
+// later completion times in the last bits.
+func (r *SharedResource) Settle() { r.advance() }
 
 // Utilization returns the instantaneous utilisation in [0, 1].
 func (r *SharedResource) Utilization() float64 {

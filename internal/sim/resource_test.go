@@ -184,3 +184,49 @@ func TestWorkConservationProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestUsedIntegralIsPassive: reading the integral at arbitrary instants
+// leaves every completion time bit-identical to an unread twin, and a
+// read returns exactly what Settle then stores.
+func TestUsedIntegralIsPassive(t *testing.T) {
+	run := func(read bool) []float64 {
+		rng := rand.New(rand.NewSource(11))
+		e := NewEngine()
+		r := NewSharedResource(e, "net", 7, 3)
+		var done []float64
+		for i := 0; i < 40; i++ {
+			w, at, readAt := rng.Float64()*20, rng.Float64()*10, rng.Float64()*15
+			e.At(at, func() { r.Submit(w, func() { done = append(done, e.Now()) }) })
+			if read {
+				e.At(readAt, func() {
+					got := r.UsedIntegral()
+					if again := r.UsedIntegral(); again != got {
+						t.Errorf("two reads at %v differ: %v vs %v", e.Now(), got, again)
+					}
+				})
+			}
+		}
+		e.Run()
+		return done
+	}
+	plain, read := run(false), run(true)
+	if len(plain) != 40 || len(read) != len(plain) {
+		t.Fatalf("completions: %d plain, %d read", len(plain), len(read))
+	}
+	for i := range plain {
+		if plain[i] != read[i] {
+			t.Fatalf("completion %d moved: %v unread, %v read", i, plain[i], read[i])
+		}
+	}
+
+	e := NewEngine()
+	r := NewSharedResource(e, "cpu", 4, 1)
+	r.Submit(10, nil)
+	r.Submit(3, nil)
+	e.RunUntil(1.3)
+	got := r.UsedIntegral()
+	r.Settle()
+	if r.usedIntegral != got {
+		t.Fatalf("read %v, Settle stored %v", got, r.usedIntegral)
+	}
+}

@@ -153,3 +153,34 @@ func TestRenderMissingSections(t *testing.T) {
 		t.Errorf("sample-less timeline render: %q", got)
 	}
 }
+
+// TestRenderReport: the HTML report renders from the archive alone.
+// The cut takes the sampler's last partial interval, so the series
+// ends at the archive's clock; rendering after a Write → Load round
+// trip gives the bytes the cut archive renders; and an archive without
+// a sampler renders without the utilization charts.
+func TestRenderReport(t *testing.T) {
+	_, cut, a := renderRun(t, 3, WithUtilizationSampling(5), WithAlertRules(tsdb.Rule{
+		Name: "latency-slo", Kind: tsdb.KindSLOBurn, ObjectiveS: 0.001, Severity: "page",
+	}))
+	if n := len(a.Snapshots); n == 0 || a.Snapshots[n-1].Time != a.Manifest.VirtualTimeS {
+		t.Fatalf("snapshot series does not end at the cut (%v): %d snapshots", a.Manifest.VirtualTimeS, n)
+	}
+	html := rendered(t, cut, "report")
+	if !bytes.Equal(rendered(t, a, "report"), html) {
+		t.Fatal("report rendered after a Write → Load round trip differs from the cut archive's")
+	}
+	for _, want := range []string{"<title>render run</title>", "<dt>policy</dt><dd>LA</dd>",
+		"Cluster utilization", "Per-node utilization", "Slot occupancy", "Input Provider state",
+		"Per-query stats", "<h2>Alerts</h2>", "latency-slo", "Counters"} {
+		if !bytes.Contains(html, []byte(want)) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+
+	_, _, bare := renderRun(t, 1, WithTracing(trace.Config{}))
+	plain := rendered(t, bare, "report")
+	if bytes.Contains(plain, []byte("Cluster utilization")) || !bytes.Contains(plain, []byte("Slot occupancy")) {
+		t.Error("a sampler-less archive must render the Gantt without the utilization charts")
+	}
+}

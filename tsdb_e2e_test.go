@@ -199,10 +199,7 @@ func TestAlertSLOBurnE2E(t *testing.T) {
 
 	// /alerts and /live surface the firing rule from the published
 	// snapshot.
-	srv := obs.NewServer(c.Sampler())
-	srv.SetQueryStats(c.QueryStats())
-	srv.SetTSDB(c.TSDB())
-	srv.Publish()
+	srv := obs.NewServer(c.Sampler(), c.QueryStats(), c.TSDB())
 	get := func(path string) string {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
@@ -225,9 +222,10 @@ func TestAlertSLOBurnE2E(t *testing.T) {
 		}
 	}
 
-	// The HTML report carries the alert section and timeline markers.
+	// The HTML report rendered from the archive carries the alert
+	// section and timeline markers.
 	var rep bytes.Buffer
-	if err := c.WriteReport(&rep, "alert e2e", nil); err != nil {
+	if err := archA.Render(&rep, "report"); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"latency-slo", "mark-alert", "slo_burn"} {
