@@ -2,7 +2,6 @@ package dynamicmr
 
 import (
 	"fmt"
-	"time"
 
 	"dynamicmr/internal/qstats"
 	"dynamicmr/internal/runarchive"
@@ -14,11 +13,15 @@ import (
 // log, the utilization timeline, the sampler's snapshots (after its
 // last partial interval) when WithUtilizationSampling was on,
 // counters/gauges, the invariant-checked per-job diagnosis, the
-// per-query registry dump when WithQueryStats was on, and the run
-// configuration. Fields of cfg the cluster knows
-// better than the caller — input path, scan workers, git revision —
-// are filled in when left zero. It requires WithTracing (or an option
-// that forces it).
+// per-query registry dump when WithQueryStats was on, the time series
+// and alert log when WithTimeSeries or WithAlertRules was on, and the
+// run configuration. Fields of cfg the cluster knows better than the
+// caller — input path, scan workers, git revision — are filled in when
+// left zero. It requires WithTracing (or an option that forces it).
+//
+// The manifest is left unstamped (CreatedUnixMS 0), so two archives of
+// one simulation are byte-identical; a caller that wants the write
+// time sets Manifest.CreatedUnixMS before writing, as dynmr does.
 //
 // Two archives from twin runs feed Compare / `dynmr diff` to attribute
 // a regression or a win component by component.
@@ -60,14 +63,13 @@ func (c *Cluster) BuildArchive(label string, cfg runarchive.RunConfig) (*runarch
 		series, alerts = &sd, &ad
 	}
 	return runarchive.New(runarchive.Source{
-		Label:         label,
-		Tracer:        tr,
-		Snapshots:     snaps,
-		Queries:       queries,
-		Series:        series,
-		Alerts:        alerts,
-		VirtualTimeS:  c.eng.Now(),
-		CreatedUnixMS: time.Now().UnixMilli(),
-		Config:        cfg,
+		Label:        label,
+		Tracer:       tr,
+		Snapshots:    snaps,
+		Queries:      queries,
+		Series:       series,
+		Alerts:       alerts,
+		VirtualTimeS: c.eng.Now(),
+		Config:       cfg,
 	})
 }

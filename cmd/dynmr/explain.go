@@ -24,6 +24,9 @@ func explainMain(args []string) {
 	sf := newSampleFlags(fs, 1)
 	spec := fs.Bool("speculative", false, "enable speculative execution for straggling maps")
 	fs.Parse(args)
+	if err := sf.check(); err != nil {
+		usage(err)
+	}
 
 	opts := []dynamicmr.Option{dynamicmr.WithTracing(trace.Config{})}
 	if *spec {

@@ -23,6 +23,9 @@
 // (internal/runflags). All of them are checked before anything runs: a
 // bad value (a -scale below 1, a -skew other than 0, 1 or 2, a
 // negative -rows, an unknown -input-path...) exits 2, an I/O error 1.
+// serve and explain check their sampling flags the same way: -k must
+// be at least 1, -policy a Table I name or adaptive (case-insensitive)
+// and -queries not negative.
 //
 // Without -e, statements are read from stdin (one per line, ';'
 // optional). With -archive-out, the run archive (schema

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
+	"time"
 
 	"dynamicmr"
+	"dynamicmr/internal/core"
 	"dynamicmr/internal/dataset"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/runflags"
@@ -50,8 +53,7 @@ func newRunFlags(fs *flag.FlagSet) *runFlags {
 // finds its section.
 func (rf *runFlags) cluster(mode ...dynamicmr.Option) (*dynamicmr.Cluster, *dataset.Dataset) {
 	if err := rf.checkDataset(); err != nil {
-		fmt.Fprintln(os.Stderr, "dynmr:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	out, err := rf.Open()
 	if err != nil {
@@ -105,11 +107,18 @@ func (rf *runFlags) checkDataset() error {
 	return nil
 }
 
+// usage reports a bad flag value and exits 2; it is called before
+// anything runs.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "dynmr:", err)
+	os.Exit(2)
+}
+
 // finish is every run mode's exit path, serve's signal handler
-// included: it writes the run archive -archive-out names, closes the
-// cluster, then closes the log stream. label names the run in the
-// archive (and titles its rendered report); cfg, completed with the
-// dataset flags, describes it.
+// included: it writes the run archive -archive-out names, stamped with
+// the write time, closes the cluster, then closes the log stream.
+// label names the run in the archive (and titles its rendered report);
+// cfg, completed with the dataset flags, describes it.
 func (rf *runFlags) finish(c *dynamicmr.Cluster, label string, cfg runarchive.RunConfig) {
 	cfg.Seed = datasetSeed
 	if cfg.Params == nil {
@@ -121,6 +130,7 @@ func (rf *runFlags) finish(c *dynamicmr.Cluster, label string, cfg runarchive.Ru
 	if rf.ArchiveOut != "" {
 		a, err := c.BuildArchive(label, cfg)
 		if err == nil {
+			a.Manifest.CreatedUnixMS = time.Now().UnixMilli()
 			err = a.WriteFile(rf.ArchiveOut)
 		}
 		if err != nil {
@@ -152,6 +162,26 @@ func newSampleFlags(fs *flag.FlagSet, queries int) *sampleFlags {
 	fs.Int64Var(&sf.k, "k", 1000, "required sample size per query")
 	fs.IntVar(&sf.queries, "queries", queries, "number of sampling queries to run (serve: 0 = loop until interrupted)")
 	return sf
+}
+
+// check rejects the sampling flag values Cluster.Sample would refuse
+// only after the table is built: a -k below 1, a -policy that is
+// neither a Table I name nor adaptive (both case-insensitive), and a
+// negative -queries. serve and explain call it before anything runs.
+func (sf *sampleFlags) check() error {
+	if sf.k < 1 {
+		return fmt.Errorf("-k must be at least 1, got %d", sf.k)
+	}
+	if !strings.EqualFold(sf.policy, "adaptive") {
+		reg := core.DefaultRegistry()
+		if _, err := reg.Get(sf.policy); err != nil {
+			return fmt.Errorf("unknown -policy %q (want %s or adaptive)", sf.policy, strings.Join(reg.Names(), ", "))
+		}
+	}
+	if sf.queries < 0 {
+		return fmt.Errorf("-queries must not be negative, got %d", sf.queries)
+	}
+	return nil
 }
 
 // run executes sampling query n (0-based) over pred and logs its

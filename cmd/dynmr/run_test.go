@@ -1,38 +1,54 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"strings"
 	"testing"
 )
 
-// TestDatasetFlagsRejected: a bad value of each dataset flag is found
-// before anything runs (cluster exits 2 on it) and named in the
-// message; the defaults pass.
+// TestDatasetFlagsRejected: a bad value of each dataset flag, and of
+// each sampling flag serve and explain take, is found before anything
+// runs (cluster and serve/explain exit 2 on it) and named in the
+// message; the defaults and the edge values pass.
 func TestDatasetFlagsRejected(t *testing.T) {
-	parse := func(t *testing.T, args ...string) *runFlags {
+	check := func(t *testing.T, args ...string) error {
 		t.Helper()
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		rf := newRunFlags(fs)
+		sf := newSampleFlags(fs, 1)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		return rf
+		return errors.Join(rf.checkDataset(), sf.check())
 	}
 	for _, c := range []struct{ flag, value string }{
 		{"rows", "-5"},
 		{"scale", "0"},
 		{"skew", "-1"},
 		{"skew", "0.5"},
+		{"k", "0"},
+		{"k", "-5"},
+		{"policy", "NOPE"},
+		{"queries", "-1"},
 	} {
 		t.Run(c.flag+"="+c.value, func(t *testing.T) {
-			err := parse(t, "-"+c.flag, c.value).checkDataset()
+			err := check(t, "-"+c.flag, c.value)
 			if err == nil || !strings.Contains(err.Error(), "-"+c.flag) {
 				t.Errorf("err %v, want one naming -%s", err, c.flag)
 			}
 		})
 	}
-	if err := parse(t, "-rows", "0", "-skew", "2").checkDataset(); err != nil {
-		t.Errorf("valid flags rejected: %v", err)
+	if err := check(t); err != nil {
+		t.Errorf("defaults rejected: %v", err)
+	}
+	for _, args := range [][]string{
+		{"-rows", "0", "-skew", "2", "-k", "1", "-queries", "0"},
+		{"-policy", "hadoop"},
+		{"-policy", "ADAPTIVE"},
+	} {
+		if err := check(t, args...); err != nil {
+			t.Errorf("%v rejected: %v", args, err)
+		}
 	}
 }

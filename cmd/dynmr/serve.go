@@ -43,6 +43,9 @@ func serveMain(args []string) {
 	paceMS := fs.Int("pace-ms", 500, "real milliseconds to sleep between queries (scrape window)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ (off by default)")
 	fs.Parse(args)
+	if err := sf.check(); err != nil {
+		usage(err)
+	}
 
 	// Single queries are short, so serve samples every 5 s, denser than
 	// the workload figures' 30 s; /tsdb collects at tsdb's default 5 s.

@@ -26,11 +26,11 @@
 // assembled in enumeration order, so output is byte-identical to -j 1.
 //
 // -scan-workers sizes the sweep-wide scan-executor pool (default
-// runtime.NumCPU; 0 disables it). The pool runs pure map record scans
-// off the simulator goroutines, overlapping real compute with
-// simulated I/O time; simulated costs come from split metadata and
-// results are joined at completion-event time, so output is
-// byte-identical at any setting.
+// runtime.NumCPU; 0 disables it; a negative size exits 2). The pool
+// runs pure map record scans off the simulator goroutines, overlapping
+// real compute with simulated I/O time; simulated costs come from
+// split metadata and results are joined at completion-event time, so
+// output is byte-identical at any setting.
 //
 // -input-path selects how map tasks read their splits: full (the
 // default) reads every block and is byte-identical to the seed; skip
@@ -42,8 +42,9 @@
 // difference rather than hide it.
 //
 // -policies restricts the sweeps to a comma-separated subset of
-// Table I's policies (e.g. -policies LA,Hadoop); CI's smoke job uses
-// it to run a single figure-6 cell quickly.
+// Table I's policies (e.g. -policies LA,Hadoop; names match
+// case-insensitively, and an unknown or repeated name exits 2); CI's
+// smoke job uses it to run a single figure-6 cell quickly.
 //
 // -bench-json writes per-artifact wall-clock timings as JSON to FILE
 // (the BENCH_results.json perf trajectory).
@@ -68,18 +69,21 @@
 // report (cluster and per-node time-series, a slot-occupancy Gantt,
 // the Input Provider decision log and, with -alert-rules, the
 // per-query and alert sections); archives from two sweeps feed
-// `dynmr diff` for regression attribution. Cell archives are
-// unstamped, so their bytes are deterministic across reruns.
+// `dynmr diff` for regression attribution. Each cell's archive is cut
+// by its cluster's Cluster.BuildArchive, unstamped, so its bytes are
+// deterministic across reruns.
 //
 // With -alert-rules, every figure cell (5-8) runs a private
 // time-series engine (internal/tsdb) on its own virtual clock,
 // evaluating the file's declarative alert/SLO rules (JSON
-// {"rules": [...]}; threshold, rate_of_change, slo_burn). When
-// -archive-out is also set, the cell archives carry the series and
-// alert log: `dynmr render alerts` prints a cell's alert dump (schema
+// {"rules": [...]}; threshold, rate_of_change, slo_burn); the
+// ablations run none. When -archive-out is also set, the cell archives
+// carry the series, the alert log and the per-query stats: `dynmr
+// render alerts` prints a cell's alert dump (schema
 // dynamicmr.alerts/1), and `dynmr diff` between two sweeps attributes
-// alert-set differences. Alert dumps carry only virtual timestamps, so
-// cell bytes stay deterministic across reruns.
+// alert-set differences. Alert dumps carry only virtual timestamps,
+// but the per-query stats also record wall-clock latencies, so an
+// alerting cell's bytes differ across reruns in those fields alone.
 //
 // With -log-out, the sweeps' structured log stream (job lifecycle,
 // Input Provider decisions, query execution) is written to FILE as
@@ -106,6 +110,7 @@ import (
 	"strings"
 	"time"
 
+	"dynamicmr/internal/core"
 	"dynamicmr/internal/experiments"
 	"dynamicmr/internal/runflags"
 )
@@ -194,6 +199,27 @@ func selectArtifacts(list string) ([]artifact, error) {
 	return out, nil
 }
 
+// selectPolicies returns the Table I policies a comma-separated
+// -policies list names (case-insensitively), spelled as Table I spells
+// them, in list order. An unknown name is an error, so a typo cannot
+// fail a sweep after earlier artifacts printed, and so is a repeated
+// one, which would sweep and print the same column twice.
+func selectPolicies(list string) ([]string, error) {
+	reg := core.DefaultRegistry()
+	var out []string
+	for _, name := range strings.Split(list, ",") {
+		p, err := reg.Get(name)
+		if err != nil {
+			return nil, fmt.Errorf("unknown -policies name %q (want %s)", name, strings.Join(reg.Names(), ", "))
+		}
+		if slices.Contains(out, p.Name) {
+			return nil, fmt.Errorf("-policies names %s twice", p.Name)
+		}
+		out = append(out, p.Name)
+	}
+	return out, nil
+}
+
 // run is the command: it parses args, writes the tables to stdout and
 // progress and errors to stderr, and returns the exit status.
 func run(args []string, stdout, stderr io.Writer) (code int) {
@@ -224,6 +250,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "experiments: %v\n", err)
 		return 2
 	}
+	if *policies != "" {
+		if opt.Policies, err = selectPolicies(*policies); err != nil {
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
+			return 2
+		}
+	}
+	if *scanWorkers < 0 {
+		fmt.Fprintf(stderr, "experiments: -scan-workers must not be negative, got %d\n", *scanWorkers)
+		return 2
+	}
 	out, err := rf.Open()
 	if err != nil {
 		fmt.Fprintf(stderr, "experiments: %v\n", err)
@@ -238,9 +274,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	opt.AlertRules = out.Rules
 	opt.Parallelism = *jobs
 	opt.ScanWorkers = *scanWorkers
-	if *policies != "" {
-		opt.Policies = strings.Split(*policies, ",")
-	}
 
 	if *cpuProfile != "" {
 		stop, err := startCPUProfile(*cpuProfile)

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestRejectsBadFlagsBeforeRunning: an unknown -run name (a typo must
-// not silently skip its artifact) and each bad shared run flag exit
+// not silently skip its artifact), an unknown or repeated -policies
+// name, a negative -scan-workers and each bad shared run flag exit
 // with the documented status before any artifact prints a table.
 func TestRejectsBadFlagsBeforeRunning(t *testing.T) {
 	dir := t.TempDir()
@@ -24,6 +26,10 @@ func TestRejectsBadFlagsBeforeRunning(t *testing.T) {
 	}{
 		{[]string{"-run", "figure9"}, 2, "tableI, tableII"},
 		{[]string{"-run", "tableI,figur5"}, 2, `"figur5"`},
+		{[]string{"-run", "tableI,figure5", "-policies", "FOO"}, 2, `"FOO"`},
+		{[]string{"-run", "tableI", "-policies", "LA,LA"}, 2, "LA twice"},
+		{[]string{"-run", "tableI", "-policies", "LA,la"}, 2, "LA twice"},
+		{[]string{"-run", "tableI", "-scan-workers", "-1"}, 2, "-scan-workers"},
 		{[]string{"-run", "tableI", "-log-level", "loud"}, 2, "-log-level"},
 		{[]string{"-run", "tableI", "-input-path", "fast"}, 2, "-input-path"},
 		{[]string{"-run", "tableI", "-alert-rules", invalid}, 2, "-alert-rules"},
@@ -35,6 +41,19 @@ func TestRejectsBadFlagsBeforeRunning(t *testing.T) {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit %d, no output, a message naming %s",
 				c.args, code, out.String(), errOut.String(), c.code, c.msg)
 		}
+	}
+}
+
+// TestSelectPoliciesCanonical: -policies names match Table I
+// case-insensitively and come back spelled as Table I spells them, in
+// list order, so table columns and cell lookups agree.
+func TestSelectPoliciesCanonical(t *testing.T) {
+	got, err := selectPolicies("hadoop,la,Ha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"Hadoop", "LA", "HA"}; !slices.Equal(got, want) {
+		t.Fatalf("selectPolicies = %v, want %v", got, want)
 	}
 }
 

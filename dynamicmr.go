@@ -291,6 +291,14 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		scanPool: cfg.runtime.ScanExecutor,
 	}
 	if cfg.sample {
+		if cfg.runtime.Trace.Enabled {
+			// A traced runtime polls from its first submission anyway.
+			// Armed first, the poll fires before the sampler at every
+			// 30 s instant they share, so the sampler's
+			// sim.processed_events gauge counts the poll's event: the
+			// order the figure 6-8 cell archives were recorded in.
+			jt.SampleUtilization()
+		}
 		c.sampler = obs.NewSampler(c.jt, obs.Config{IntervalS: cfg.sampleInterval})
 		c.sampler.Start()
 	}
@@ -371,10 +379,9 @@ func (c *Cluster) Diagnose() (*diag.Report, error) {
 // Tables lists the registered table names.
 func (c *Cluster) Tables() []string { return c.catalog.Names() }
 
-// LoadLineItem generates a LINEITEM dataset per spec, stores it in the
-// DFS (blocks spread round-robin across all disks, unreplicated, as in
-// §V-B) and registers it as a queryable table. It returns the built
-// dataset for inspection (planted predicate, match distribution).
+// LoadLineItem generates a LINEITEM dataset per spec and loads it as
+// the table name (see Load). It returns the built dataset for
+// inspection (planted predicate, match distribution).
 func (c *Cluster) LoadLineItem(name string, spec DatasetSpec) (*dataset.Dataset, error) {
 	c.seed++
 	ds, err := dataset.Build(dataset.Spec{
@@ -389,6 +396,19 @@ func (c *Cluster) LoadLineItem(name string, spec DatasetSpec) (*dataset.Dataset,
 	if err != nil {
 		return nil, err
 	}
+	if _, err := c.Load(name, ds); err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
+
+// Load stores a built LINEITEM dataset in the DFS (blocks spread
+// round-robin across all disks, unreplicated, as in §V-B) and
+// registers it as the queryable table name. A dataset is immutable, so
+// one build can back tables in any number of clusters, concurrently
+// too. It returns the table's file, whose splits a job submitted below
+// the Hive layer reads (mapreduce.SplitsForFile).
+func (c *Cluster) Load(name string, ds *dataset.Dataset) (*dfs.File, error) {
 	srcs := make([]data.Source, ds.NumPartitions())
 	for i, p := range ds.Partitions() {
 		srcs[i] = p
@@ -400,7 +420,7 @@ func (c *Cluster) LoadLineItem(name string, spec DatasetSpec) (*dataset.Dataset,
 	if err := c.catalog.Register(&hive.Table{Name: name, Schema: tpch.LineItemSchema, File: f}); err != nil {
 		return nil, err
 	}
-	return ds, nil
+	return f, nil
 }
 
 // Session returns (creating on first use) the named user's Hive

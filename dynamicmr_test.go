@@ -7,7 +7,9 @@ import (
 
 	"dynamicmr/internal/cluster"
 	"dynamicmr/internal/core"
+	"dynamicmr/internal/dataset"
 	"dynamicmr/internal/mapreduce"
+	"dynamicmr/internal/trace"
 )
 
 func clusterConfigZero() cluster.Config { return cluster.Config{} }
@@ -212,6 +214,79 @@ func TestDuplicateTable(t *testing.T) {
 	c := demoCluster(t)
 	if _, err := c.LoadLineItem("lineitem", DatasetSpec{Scale: 1, Rows: 1000, Partitions: 2}); err == nil {
 		t.Fatal("duplicate table accepted")
+	}
+}
+
+// TestLoadSharesDataset: one built dataset backs a table in two
+// clusters, which answer the same query alike, and Load refuses a
+// table name already taken.
+func TestLoadSharesDataset(t *testing.T) {
+	ds, err := dataset.Build(dataset.Spec{
+		Name: "lineitem", Scale: 1, Z: 1, Selectivity: 0.002, Partitions: 40, RowsOverride: 200_000, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := "SELECT L_ORDERKEY FROM lineitem WHERE " + ds.Predicate().String() + " LIMIT 50"
+	var got [2]string
+	for i := range got {
+		c, err := NewCluster()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := c.Load("lineitem", ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Blocks) != ds.NumPartitions() || f.TotalRecords() != ds.TotalRows() {
+			t.Fatalf("file has %d blocks of %d records, dataset %d partitions of %d rows",
+				len(f.Blocks), f.TotalRecords(), ds.NumPartitions(), ds.TotalRows())
+		}
+		res, err := c.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 50 {
+			t.Fatalf("rows = %d, want 50", len(res.Rows))
+		}
+		for _, r := range res.Rows {
+			got[i] += r.String() + "\n"
+		}
+		if _, err := c.Load("lineitem", ds); err == nil {
+			t.Fatal("duplicate table accepted")
+		}
+	}
+	if got[0] != got[1] {
+		t.Fatal("two clusters over one dataset answered differently")
+	}
+}
+
+// TestSampledTracedClusterPollsFirst: a traced cluster built with the
+// utilization sampler arms the §V-D poll before the sampler, so at
+// every 30 s instant they share the poll fires first and the sampler's
+// processed-events gauge counts it: on an idle cluster, 2 events (poll,
+// sampler) by t=30 and 4 by t=60. An untraced sampled cluster starts no
+// poll, whose reads settle the accounts they read.
+func TestSampledTracedClusterPollsFirst(t *testing.T) {
+	c, err := NewCluster(WithTracing(trace.Config{}), WithUtilizationSampling(mapreduce.UtilizationIntervalS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Engine().RunUntil(65)
+	if g := c.Tracer().Gauges()[trace.GaugeProcessedEvents]; g.Count != 2 || g.Min != 2 || g.Last != 4 {
+		t.Fatalf("processed-events gauge %+v, want readings 2 and 4", g)
+	}
+	if n := len(c.JobTracker().UtilizationTimeline()); n != 2 {
+		t.Fatalf("poll readings = %d, want 2", n)
+	}
+
+	c, err = NewCluster(WithUtilizationSampling(mapreduce.UtilizationIntervalS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Engine().RunUntil(65)
+	if n := len(c.JobTracker().UtilizationTimeline()); n != 0 {
+		t.Fatalf("untraced sampled cluster polled %d times", n)
 	}
 }
 

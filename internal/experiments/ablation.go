@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"dynamicmr"
 	"dynamicmr/internal/core"
-	"dynamicmr/internal/hive"
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/sampling"
 	"dynamicmr/internal/tpch"
@@ -27,8 +27,11 @@ func (o Options) singleUserRun(sh *sweepShared, z float64, pol *core.Policy,
 	if err != nil {
 		return nil, err
 	}
-	r := newRig(nil, false, sh, false)
-	f, err := r.load(ds, ds.Name())
+	c, err := sh.cluster()
+	if err != nil {
+		return nil, err
+	}
+	f, err := c.Load(ds.Name(), ds)
 	if err != nil {
 		return nil, err
 	}
@@ -44,11 +47,11 @@ func (o Options) singleUserRun(sh *sweepShared, z float64, pol *core.Policy,
 	if wrap != nil {
 		provider = wrap(provider)
 	}
-	client, err := core.SubmitDynamic(r.jt, spec, mapreduce.SplitsForFile(f), provider, pol)
+	client, err := core.SubmitDynamic(c.JobTracker(), spec, mapreduce.SplitsForFile(f), provider, pol)
 	if err != nil {
 		return nil, err
 	}
-	if !mapreduce.RunUntilDone(r.eng, client.Job(), 1e8) {
+	if !mapreduce.RunUntilDone(c.Engine(), client.Job(), 1e8) {
 		return nil, fmt.Errorf("ablation job stuck under %s", pol.Name)
 	}
 	if client.Job().State() == mapreduce.StateFailed {
@@ -264,7 +267,10 @@ func AblationAdaptive(opt Options) (*Table, error) {
 // under the named policy ("Adaptive" routes through the adaptive
 // provider) and returns jobs/hour.
 func adaptiveWorkloadThroughput(opt Options, sh *sweepShared, policy string) (float64, error) {
-	r := newRig(nil, true, sh, false)
+	c, err := sh.cluster(dynamicmr.WithMultiUserSlots())
+	if err != nil {
+		return 0, err
+	}
 	users := make([]*workload.User, opt.Users)
 	for u := 0; u < opt.Users; u++ {
 		name := fmt.Sprintf("li_ad_u%d", u)
@@ -272,10 +278,10 @@ func adaptiveWorkloadThroughput(opt Options, sh *sweepShared, policy string) (fl
 		if err != nil {
 			return 0, err
 		}
-		if _, err := r.load(ds, name); err != nil {
+		if _, err := c.Load(name, ds); err != nil {
 			return 0, err
 		}
-		sess := hive.NewSession(r.jt, r.catalog, nil, fmt.Sprintf("user%d", u))
+		sess := c.Session(fmt.Sprintf("user%d", u))
 		sess.Set("dynamic.job.policy", policy)
 		users[u] = &workload.User{
 			Name:  fmt.Sprintf("user%d", u),
@@ -285,7 +291,7 @@ func adaptiveWorkloadThroughput(opt Options, sh *sweepShared, policy string) (fl
 			Session: sess,
 		}
 	}
-	res, err := workload.Run(r.eng, users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
+	res, err := workload.Run(c.Engine(), users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
 	if err != nil {
 		return 0, err
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dynamicmr/internal/core"
@@ -120,15 +122,22 @@ func TestFigure7And8DiagDir(t *testing.T) {
 }
 
 // TestWriteCellArchiveRequiresTracing: asking for an archive (and with
-// it the cell's diagnosis) on an untraced rig is a loud error, not an
-// empty file.
+// it the cell's diagnosis) of an untraced cell is a loud error, not an
+// empty file: Cluster.BuildArchive refuses, and no file is written.
 func TestWriteCellArchiveRequiresTracing(t *testing.T) {
 	opt := tinyOptions()
 	opt.ArchiveDir = t.TempDir()
 	sh := opt.newSweepShared()
 	defer sh.close()
-	r := newRig(nil, false, sh, false) // traced=false
-	if err := writeCellArchive(opt, "untraced_cell", r, runarchive.RunConfig{}); err == nil {
-		t.Fatal("writeCellArchive on an untraced rig must error")
+	c, err := sh.cluster() // untraced
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = opt.archive(c, "untraced_cell", runarchive.RunConfig{})
+	if err == nil || !strings.Contains(err.Error(), "BuildArchive requires WithTracing") {
+		t.Fatalf("archive of an untraced cell: err %v, want BuildArchive's tracing error", err)
+	}
+	if _, err := os.Stat(filepath.Join(opt.ArchiveDir, "untraced_cell.archive.gz")); !os.IsNotExist(err) {
+		t.Fatalf("archive file written for an untraced cell: %v", err)
 	}
 }

@@ -86,14 +86,19 @@ func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 	}
 	cell := Figure5Cell{Z: z, Scale: scale, Policy: pol.Name}
 	for run := 0; run < opt.Runs; run++ {
-		r := newRig(nil, false, sh, opt.traced()) // single-user: 4 slots/node
 		// Archive the cell's final run: single-user jobs are short, so a
 		// 2 s cadence keeps the time-series dense (the report strides
 		// long series back down, so paper mode stays viewable).
-		if run == opt.Runs-1 {
-			r.startSampler(opt, 2)
+		last := run == opt.Runs-1
+		samplingS := 0.0
+		if last {
+			samplingS = 2
 		}
-		f, err := r.load(ds, ds.Name())
+		c, err := sh.cluster(opt.observed(samplingS)...) // single-user: 4 slots/node
+		if err != nil {
+			return Figure5Cell{}, err
+		}
+		f, err := c.Load(ds.Name(), ds)
 		if err != nil {
 			return Figure5Cell{}, err
 		}
@@ -107,18 +112,18 @@ func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 		}
 		provider := sampling.NewProvider(opt.SampleK, opt.Seed+int64(run)*101+int64(scale))
 		splits := mapreduce.SplitsForFile(f)
-		client, err := core.SubmitDynamic(r.jt, spec, splits, provider, pol)
+		client, err := core.SubmitDynamic(c.JobTracker(), spec, splits, provider, pol)
 		if err != nil {
 			return Figure5Cell{}, err
 		}
 		job := client.Job()
-		// Figure 5 submits below the hive layer, so the alerting rig's
+		// Figure 5 submits below the hive layer, so an alerting cell's
 		// query registry is fed by hand — slo_burn rules need finished
 		// queries.
-		if r.qs.Enabled() {
-			r.qs.Register(r.qs.AllocID(), job, "", len(splits))
+		if qs := c.QueryStats(); qs.Enabled() {
+			qs.Register(qs.AllocID(), job, "", len(splits))
 		}
-		if !mapreduce.RunUntilDone(r.eng, job, 1e8) {
+		if !mapreduce.RunUntilDone(c.Engine(), job, 1e8) {
 			return Figure5Cell{}, fmt.Errorf("figure5: job stuck (z=%g scale=%d policy=%s)", z, scale, pol.Name)
 		}
 		if job.State() == mapreduce.StateFailed {
@@ -127,9 +132,9 @@ func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 		cell.ResponseS += job.ResponseTime()
 		cell.PartitionsProcessed += float64(job.CompletedMaps())
 		cell.SampleSize += float64(len(job.Output()))
-		if run == opt.Runs-1 {
+		if last {
 			name := fmt.Sprintf("figure5_z%g_%dx_%s", z, scale, pol.Name)
-			if err := writeCellArchive(opt, name, r, runarchive.RunConfig{
+			if err := opt.archive(c, name, runarchive.RunConfig{
 				Policy: pol.Name,
 				Params: map[string]string{
 					"figure": "5",

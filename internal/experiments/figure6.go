@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"dynamicmr/internal/hive"
+	"dynamicmr"
 	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/trace"
@@ -65,7 +65,10 @@ func Figure6(opt Options) (*Figure6Result, error) {
 // figure6Cell runs one (skew, policy) cell and returns its measurement
 // and its utilization timeline.
 func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure6Cell, []trace.MetricSample, error) {
-	r := newRig(nil, true, sh, opt.traced()) // 16 map slots/node
+	c, err := sh.cluster(append(opt.observed(obs.DefaultIntervalS), dynamicmr.WithMultiUserSlots())...)
+	if err != nil {
+		return Figure6Cell{}, nil, err
+	}
 	users := make([]*workload.User, opt.Users)
 	for u := 0; u < opt.Users; u++ {
 		// Per-user dataset copy (§V-D: "each works against a different
@@ -75,11 +78,10 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 		if err != nil {
 			return Figure6Cell{}, nil, err
 		}
-		if _, err := r.load(ds, name); err != nil {
+		if _, err := c.Load(name, ds); err != nil {
 			return Figure6Cell{}, nil, err
 		}
-		sess := hive.NewSession(r.jt, r.catalog, nil, fmt.Sprintf("user%d", u))
-		sess.SetQueryStats(r.qs)
+		sess := c.Session(fmt.Sprintf("user%d", u))
 		sess.Set("dynamic.job.policy", policy)
 		pred := ds.Predicate().String()
 		users[u] = &workload.User{
@@ -89,15 +91,15 @@ func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure
 			Session: sess,
 		}
 	}
-	r.jt.SampleUtilization()
-	r.startSampler(opt, obs.DefaultIntervalS)
-	results, err := workload.Run(r.eng, users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
+	// A sampled cluster polls already; an unsampled one starts here.
+	c.JobTracker().SampleUtilization()
+	results, err := workload.Run(c.Engine(), users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
 	if err != nil {
 		return Figure6Cell{}, nil, fmt.Errorf("figure6 (z=%g policy=%s): %w", z, policy, err)
 	}
-	timeline := r.jt.UtilizationTimeline()
+	timeline := c.JobTracker().UtilizationTimeline()
 	cpu, disk, occ := utilizationAverages(timeline, opt.WarmupS)
-	if err := writeCellArchive(opt, fmt.Sprintf("figure6_z%g_%s", z, policy), r, runarchive.RunConfig{
+	if err := opt.archive(c, fmt.Sprintf("figure6_z%g_%s", z, policy), runarchive.RunConfig{
 		Policy: policy,
 		Params: map[string]string{
 			"figure": "6",

@@ -3,8 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"dynamicmr/internal/hive"
-	"dynamicmr/internal/mapreduce"
+	"dynamicmr"
 	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/trace"
@@ -40,16 +39,16 @@ type Figure7Result struct {
 // Sampling fraction varies, and per-class throughput is measured for
 // each policy the Sampling class might adopt.
 func Figure7(opt Options) (*Figure7Result, error) {
-	return heterogeneous(opt, nil, "default (FIFO)")
+	return heterogeneous(opt, false, "default (FIFO)")
 }
 
 // Figure8 repeats Figure 7 under the Fair Scheduler (§V-F), with a 5 s
 // locality wait (delay scheduling).
 func Figure8(opt Options) (*Figure7Result, error) {
-	return heterogeneous(opt, func() mapreduce.TaskScheduler { return mapreduce.NewFairScheduler(5) }, "fair")
+	return heterogeneous(opt, true, "fair")
 }
 
-func heterogeneous(opt Options, mkSched func() mapreduce.TaskScheduler, schedName string) (*Figure7Result, error) {
+func heterogeneous(opt Options, fair bool, schedName string) (*Figure7Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -67,12 +66,7 @@ func heterogeneous(opt Options, mkSched func() mapreduce.TaskScheduler, schedNam
 	}
 	cells := make([]Figure7Cell, len(specs))
 	err := runCells(opt.parallelism(), len(specs), func(i int) error {
-		// Schedulers are stateful, so each cell constructs its own.
-		var sched mapreduce.TaskScheduler
-		if mkSched != nil {
-			sched = mkSched()
-		}
-		cell, _, err := heterogeneousCell(opt, sh, sched, specs[i].frac, specs[i].policy)
+		cell, _, err := heterogeneousCell(opt, sh, fair, specs[i].frac, specs[i].policy)
 		if err != nil {
 			return err
 		}
@@ -85,11 +79,19 @@ func heterogeneous(opt Options, mkSched func() mapreduce.TaskScheduler, schedNam
 	return &Figure7Result{Opt: opt, Scheduler: schedName, Cells: cells}, nil
 }
 
-// heterogeneousCell runs one (fraction, policy) cell and returns its
+// heterogeneousCell runs one (fraction, policy) cell, under the Fair
+// Scheduler with a 5 s locality wait when fair, and returns its
 // measurement and its utilization timeline.
-func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskScheduler,
+func heterogeneousCell(opt Options, sh *sweepShared, fair bool,
 	frac float64, policy string) (Figure7Cell, []trace.MetricSample, error) {
-	r := newRig(sched, true, sh, opt.traced())
+	opts := append(opt.observed(obs.DefaultIntervalS), dynamicmr.WithMultiUserSlots())
+	if fair {
+		opts = append(opts, dynamicmr.WithFairScheduler(5))
+	}
+	c, err := sh.cluster(opts...)
+	if err != nil {
+		return Figure7Cell{}, nil, err
+	}
 	nSampling := int(frac*float64(opt.Users) + 0.5)
 	if nSampling < 1 {
 		nSampling = 1
@@ -107,11 +109,10 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 		if err != nil {
 			return Figure7Cell{}, nil, err
 		}
-		if _, err := r.load(ds, name); err != nil {
+		if _, err := c.Load(name, ds); err != nil {
 			return Figure7Cell{}, nil, err
 		}
-		sess := hive.NewSession(r.jt, r.catalog, nil, fmt.Sprintf("user%d", u))
-		sess.SetQueryStats(r.qs)
+		sess := c.Session(fmt.Sprintf("user%d", u))
 		pred := ds.Predicate().String()
 		if u < nSampling {
 			sess.Set("dynamic.job.policy", policy)
@@ -130,19 +131,19 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 			})
 		}
 	}
-	r.jt.SampleUtilization()
-	r.startSampler(opt, obs.DefaultIntervalS)
-	results, err := workload.Run(r.eng, users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
+	// A sampled cluster polls already; an unsampled one starts here.
+	c.JobTracker().SampleUtilization()
+	results, err := workload.Run(c.Engine(), users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
 	if err != nil {
 		return Figure7Cell{}, nil, fmt.Errorf("heterogeneous (frac=%g policy=%s): %w", frac, policy, err)
 	}
-	timeline := r.jt.UtilizationTimeline()
+	timeline := c.JobTracker().UtilizationTimeline()
 	_, _, occ := utilizationAverages(timeline, opt.WarmupS)
 	fig := "figure7"
-	if sched != nil {
+	if fair {
 		fig = "figure8"
 	}
-	if err := writeCellArchive(opt, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), r, runarchive.RunConfig{
+	if err := opt.archive(c, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), runarchive.RunConfig{
 		Policy: policy,
 		Params: map[string]string{
 			"figure":   fig,
@@ -155,7 +156,7 @@ func heterogeneousCell(opt Options, sh *sweepShared, sched mapreduce.TaskSchedul
 	samp, _ := results.Class("Sampling")
 	scan, _ := results.Class("Non-Sampling")
 	var locality float64
-	if local, nonLocal := r.jt.LocalityStats(); local+nonLocal > 0 {
+	if local, nonLocal := c.JobTracker().LocalityStats(); local+nonLocal > 0 {
 		locality = 100 * float64(local) / float64(local+nonLocal)
 	}
 	return Figure7Cell{

@@ -49,26 +49,28 @@ type Options struct {
 	Seed int64
 	// Parallelism bounds how many sweep cells run concurrently (the
 	// cmd/experiments -j flag); 0 or 1 means sequential. Each cell owns
-	// a private simulation rig and results are assembled in enumeration
-	// order, so tables and CSVs are byte-identical at any setting —
-	// parallelism is across cells, virtual time inside a cell is
-	// untouched.
+	// a private dynamicmr.Cluster and results are assembled in
+	// enumeration order, so tables and CSVs are byte-identical at any
+	// setting — parallelism is across cells, virtual time inside a cell
+	// is untouched.
 	Parallelism int
-	// ArchiveDir, when set, enables tracing and the obs sampler inside
-	// every cell's rig and writes one cross-run archive per cell
-	// (figure5_*.archive.gz, ...; schema dynamicmr.archive/1)
-	// capturing the cell's spans, policy decisions, utilization
-	// samples and per-node snapshots, diagnoses, counters/gauges,
-	// alert log (with AlertRules) and run config, for `dynmr render`
-	// views (the HTML report among them) and `dynmr diff` regression
-	// attribution between sweeps. The sampler ticks every 2 s in
-	// figure 5's final run and every 30 s in figures 6-8; it never
-	// moves a cell's virtual timeline, so tables stay byte-identical.
-	// Diagnosis invariants (breakdown sums to makespan) are checked on
-	// every cell; a violation fails the sweep. The directory must
-	// exist. Archives are unstamped, so a cell's bytes are
-	// deterministic across reruns. Each cell owns a private tracer and
-	// sampler, so archives stay isolated under Parallelism > 1.
+	// ArchiveDir, when set, enables tracing and the obs sampler in
+	// every figure cell's cluster and writes one cross-run archive per
+	// cell, cut by Cluster.BuildArchive (figure5_*.archive.gz, ...;
+	// schema dynamicmr.archive/1) capturing the cell's spans, policy
+	// decisions, utilization samples and per-node snapshots, diagnoses,
+	// counters/gauges, query stats and alert log (with AlertRules) and
+	// run config, for `dynmr render` views (the HTML report among them)
+	// and `dynmr diff` regression attribution between sweeps. The
+	// sampler ticks every 2 s in figure 5's final run and every 30 s in
+	// figures 6-8; it never moves a cell's virtual timeline, so tables
+	// stay byte-identical. Diagnosis invariants (breakdown sums to
+	// makespan) are checked on every cell; a violation fails the sweep.
+	// The directory must exist. Archives are unstamped, so a cell's
+	// bytes are deterministic across reruns (with AlertRules, but for
+	// the query stats' wall-clock fields). Each cell owns a private
+	// tracer and sampler, so archives stay isolated under
+	// Parallelism > 1.
 	ArchiveDir string
 	// LogWriter, when non-nil, receives the virtual-clock NDJSON
 	// structured log stream (internal/vlog) from every cell's runtime
@@ -88,8 +90,9 @@ type Options struct {
 	ScanWorkers int
 	// AlertRules, when non-empty, runs a per-cell time-series engine
 	// (internal/tsdb) evaluating these declarative alert/SLO rules on
-	// the cell's virtual clock (the cmd/experiments -alert-rules flag).
-	// Alerting enables tracing inside every rig — the engine's series
+	// the cell's virtual clock in every figure 5-8 cell (the
+	// cmd/experiments -alert-rules flag); ablation cells run none.
+	// Alerting enables tracing in those cells — the engine's series
 	// are fed from the trace counters/gauges — and wires a per-cell
 	// qstats registry so slo_burn rules see finished queries. Like
 	// archiving, alerting changes real wall-clock time only;
@@ -181,17 +184,6 @@ func (o Options) workloadSpec(z float64, name string, seedOffset int64) dataset.
 	}
 	return spec
 }
-
-// traced reports whether cells run with tracing enabled — needed by
-// the per-cell cross-run archives and the alert layer (whose series
-// come from the trace counters/gauges).
-func (o Options) traced() bool {
-	return o.ArchiveDir != "" || o.alerting()
-}
-
-// alerting reports whether cells run with a time-series engine and
-// alert layer attached.
-func (o Options) alerting() bool { return len(o.AlertRules) > 0 }
 
 // parallelism returns the effective worker count for runCells.
 func (o Options) parallelism() int {

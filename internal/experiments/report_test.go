@@ -3,11 +3,13 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"dynamicmr/internal/core"
+	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/tsdb"
 )
@@ -145,7 +147,8 @@ func TestFigure7ArchiveReport(t *testing.T) {
 // TestFigure7CellUnchangedByArchiving: the quick figure-7 cell at
 // sampling fraction 0.8 under LA, where a sampler that settled the
 // network it read moved throughput, locality and occupancy, measures
-// the same with its archive's sampler on as without.
+// the same with its archive's sampler on as without, and with an alert
+// engine and query registry added on top.
 func TestFigure7CellUnchangedByArchiving(t *testing.T) {
 	opt := QuickOptions()
 	opt.Policies = []string{core.PolicyLA}
@@ -154,13 +157,95 @@ func TestFigure7CellUnchangedByArchiving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rules := []tsdb.Rule{{Name: "latency-slo", Kind: tsdb.KindSLOBurn, ObjectiveS: 0.001, Severity: "page"}}
+	for _, v := range []struct {
+		name  string
+		rules []tsdb.Rule
+	}{{"archived", nil}, {"archived+alerting", rules}} {
+		opt.ArchiveDir = t.TempDir()
+		opt.AlertRules = v.rules
+		got, err := Figure7(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Cells[0] != got.Cells[0] {
+			t.Fatalf("%s moved the cell:\nplain %+v\n%s %+v", v.name, plain.Cells[0], v.name, got.Cells[0])
+		}
+		for i, tab := range got.Tables() {
+			if want := plain.Tables()[i].Render(); tab.Render() != want {
+				t.Fatalf("%s table %d:\n%s\nwant\n%s", v.name, i, tab.Render(), want)
+			}
+		}
+		cellReport(t, opt.ArchiveDir, "figure7_frac0.8_LA")
+	}
+}
+
+// TestCellArchivesDeterministic: two archived runs of one figure-5 and
+// one figure-6 cell write the same bytes, unstamped (CreatedUnixMS 0),
+// and a full-scan cell's manifest carries no input path.
+func TestCellArchivesDeterministic(t *testing.T) {
+	cells := []struct {
+		name string
+		run  func(Options, *sweepShared) error
+	}{
+		{"figure5_z1_2x_LA", func(opt Options, sh *sweepShared) error {
+			_, err := figure5Cell(opt, sh, core.DefaultRegistry(), 1, 2, core.PolicyLA)
+			return err
+		}},
+		{"figure6_z2_LA", func(opt Options, sh *sweepShared) error {
+			_, _, err := figure6Cell(opt, sh, 2, core.PolicyLA)
+			return err
+		}},
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			var runs [2][]byte
+			for i := range runs {
+				opt := tinyOptions()
+				opt.ArchiveDir = t.TempDir()
+				sh := opt.newSweepShared()
+				if err := c.run(opt, sh); err != nil {
+					t.Fatal(err)
+				}
+				sh.close()
+				path := filepath.Join(opt.ArchiveDir, c.name+".archive.gz")
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[i] = b
+				a, err := runarchive.LoadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m := a.Manifest; m.CreatedUnixMS != 0 || m.Config.InputPath != "" {
+					t.Fatalf("manifest stamped %d, input path %q; want 0 and none", m.CreatedUnixMS, m.Config.InputPath)
+				}
+			}
+			if !bytes.Equal(runs[0], runs[1]) {
+				t.Fatal("two archived runs of the cell wrote different bytes")
+			}
+		})
+	}
+}
+
+// TestSkipCellArchiveRecordsInputPath: a cell swept with a non-full
+// input path says so in its archive's manifest, so `dynmr render
+// report` and `dynmr diff` do not present it as a full scan.
+func TestSkipCellArchiveRecordsInputPath(t *testing.T) {
+	opt := tinyOptions()
+	opt.InputPath = mapreduce.InputPathSkip
 	opt.ArchiveDir = t.TempDir()
-	archived, err := Figure7(opt)
+	sh := opt.newSweepShared()
+	defer sh.close()
+	if _, err := figure5Cell(opt, sh, core.DefaultRegistry(), 1, 2, core.PolicyLA); err != nil {
+		t.Fatal(err)
+	}
+	a, err := runarchive.LoadFile(filepath.Join(opt.ArchiveDir, "figure5_z1_2x_LA.archive.gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Cells[0] != archived.Cells[0] {
-		t.Fatalf("archiving moved the cell:\nplain    %+v\narchived %+v", plain.Cells[0], archived.Cells[0])
+	if got := a.Manifest.Config.InputPath; got != mapreduce.InputPathSkip {
+		t.Fatalf("manifest input path %q, want %q", got, mapreduce.InputPathSkip)
 	}
-	cellReport(t, opt.ArchiveDir, "figure7_frac0.8_LA")
 }

@@ -12,9 +12,10 @@ var onCellFailed func(i int)
 
 // runCells executes cells 0..n-1 on a bounded worker pool. Each cell
 // must be independent of the others — in this package every cell
-// builds its own rig (engine, cluster, DFS, JobTracker), so cells
-// share only concurrency-safe caches (dsCache, MapOutputCache) and
-// read-only values (datasets, compiled policies). Callers write each
+// builds its own dynamicmr.Cluster (engine, hardware, DFS,
+// JobTracker), so cells share only concurrency-safe state (dsCache,
+// MapOutputCache, the scan pool, the locked log sink) and read-only
+// values (datasets, compiled policies). Callers write each
 // cell's result into a pre-sized slice at index i, which keeps the
 // assembled output in deterministic enumeration order: tables and
 // CSVs are byte-identical at any parallelism, because virtual time

@@ -82,7 +82,7 @@ func TestCellTimelineTracedTwin(t *testing.T) {
 			return tl, err
 		}},
 		{"figure8_frac0.5_LA", func(opt Options, sh *sweepShared) ([]trace.MetricSample, error) {
-			_, tl, err := heterogeneousCell(opt, sh, mapreduce.NewFairScheduler(5), 0.5, core.PolicyLA)
+			_, tl, err := heterogeneousCell(opt, sh, true, 0.5, core.PolicyLA)
 			return tl, err
 		}},
 	}

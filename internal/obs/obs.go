@@ -131,7 +131,6 @@ type Snapshot struct {
 type Sampler struct {
 	jt       *mapreduce.JobTracker
 	interval float64
-	gen      int // invalidates scheduled ticks from older Start calls
 
 	// Integral baselines from the previous tick.
 	lastT       float64
@@ -152,27 +151,21 @@ func NewSampler(jt *mapreduce.JobTracker, cfg Config) *Sampler {
 	return &Sampler{jt: jt, interval: cfg.interval()}
 }
 
-// Start (re)initialises baselines at the current virtual time and
-// schedules the periodic tick. Calling Start again supersedes earlier
-// schedules (generation guard), so Stop+Start never leaves a dangling
-// tick loop.
+// Start initialises baselines at the current virtual time and
+// schedules the periodic tick. It is a no-op once started, so a
+// sampler never runs two tick loops.
 func (s *Sampler) Start() {
-	s.gen++
-	gen := s.gen
+	if s.lastCPU != nil {
+		return
+	}
 	s.rebase()
 	var tick func()
 	tick = func() {
-		if s.gen != gen {
-			return
-		}
 		s.sample()
 		s.jt.Engine().After(s.interval, tick)
 	}
 	s.jt.Engine().After(s.interval, tick)
 }
-
-// Stop invalidates scheduled ticks. Recorded snapshots remain readable.
-func (s *Sampler) Stop() { s.gen++ }
 
 // Cut takes the last partial interval and returns the whole series: a
 // run archive is cut with it. The partial interval is one snapshot at

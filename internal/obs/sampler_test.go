@@ -202,16 +202,11 @@ func TestSamplerIdleAndRestart(t *testing.T) {
 			t.Fatalf("snapshot has %d nodes", len(sn.Nodes))
 		}
 	}
-	// Stop invalidates the pending tick; Start rebases cleanly.
-	s.Stop()
-	eng.RunUntil(100)
-	if got := len(s.Snapshots()); got != 3 {
-		t.Fatalf("sampler ticked after Stop: %d snapshots", got)
-	}
+	// A second Start is a no-op: no second tick loop, no rebase.
 	s.Start()
-	eng.RunUntil(eng.Now() + 25)
-	if got := len(s.Snapshots()); got != 5 {
-		t.Fatalf("restart snapshots = %d, want 5", got)
+	eng.RunUntil(65)
+	if got := len(s.Snapshots()); got != 6 {
+		t.Fatalf("snapshots after a second Start = %d, want 6", got)
 	}
 }
 

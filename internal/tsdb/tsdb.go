@@ -71,7 +71,6 @@ type DB struct {
 	qs  *qstats.Registry
 	cfg Config
 
-	gen     int
 	running bool
 
 	series map[string]*Series
@@ -122,43 +121,21 @@ func (db *DB) SetQueryStats(qs *qstats.Registry) {
 	}
 }
 
-// IntervalS returns the collection cadence.
-func (db *DB) IntervalS() float64 {
-	if db == nil {
-		return 0
-	}
-	return db.cfg.IntervalS
-}
-
 // Start schedules the self-renewing collection tick on the virtual
-// clock. Like the obs sampler, a generation counter lets Stop/Start
-// cancel a pending tick without reaching into the engine's queue.
+// clock. It is a no-op once started, so a DB never runs two tick
+// loops.
 func (db *DB) Start() {
 	if db == nil || db.running {
 		return
 	}
 	db.running = true
-	db.gen++
-	gen := db.gen
 	eng := db.jt.Engine()
 	var tick func()
 	tick = func() {
-		if db.gen != gen {
-			return
-		}
 		db.tick()
 		eng.After(db.cfg.IntervalS, tick)
 	}
 	eng.After(db.cfg.IntervalS, tick)
-}
-
-// Stop cancels the pending tick.
-func (db *DB) Stop() {
-	if db == nil {
-		return
-	}
-	db.gen++
-	db.running = false
 }
 
 // tick is one collection + evaluation pass on the engine goroutine.

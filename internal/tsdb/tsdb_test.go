@@ -301,14 +301,6 @@ func TestCollectEndToEnd(t *testing.T) {
 	if back.Schema != SchemaVersion || len(back.Series) != len(d.Series) {
 		t.Fatalf("round-trip lost series: %d vs %d", len(back.Series), len(d.Series))
 	}
-
-	// Stop cancels the pending tick: no new points after.
-	db.Stop()
-	before := len(db.series["cluster.running_jobs"].Points())
-	eng.RunUntil(eng.Now() + 10)
-	if after := len(db.series["cluster.running_jobs"].Points()); after != before {
-		t.Fatalf("ticks continued after Stop: %d -> %d points", before, after)
-	}
 }
 
 // TestFlushCatchesPostTickFinish: short runs stop the clock the moment
