@@ -14,10 +14,9 @@ import (
 // last partial interval) when WithUtilizationSampling was on,
 // counters/gauges, the invariant-checked per-job diagnosis, the
 // per-query registry dump when WithQueryStats was on, the time series
-// and alert log when WithTimeSeries or WithAlertRules was on, and the
-// run configuration. Fields of cfg the cluster knows better than the
-// caller — input path, scan workers, git revision — are filled in when
-// left zero. It requires WithTracing (or an option that forces it).
+// and alert log when WithTimeSeries was on, and the run configuration.
+// Fields of cfg the cluster knows better than the caller — input path,
+// scan workers, git revision — are filled in when left zero. It requires WithTracing (or an option that forces it).
 //
 // The manifest is left unstamped (CreatedUnixMS 0), so two archives of
 // one simulation are byte-identical; a caller that wants the write

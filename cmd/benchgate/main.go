@@ -7,7 +7,7 @@
 //
 //	go test ./internal/sim ./internal/mapreduce -bench ... | benchgate
 //	    [-budgets FILE] [-tolerance F]
-//	    [-trend FILE] [-trend-md FILE] [-suite FILE] [-archives DIR] [-rev REV]
+//	    [-trend FILE] [-trend-md FILE] [-rev REV]
 //	    [INPUT]
 //
 // INPUT is a file holding the benchmark output ("-" or absent =
@@ -34,25 +34,20 @@
 //
 // With -trend, each gated run also appends one NDJSON record (schema
 // dynamicmr.trend/1) to FILE — per-benchmark ns/op + allocs/op against
-// their budgets, the overall pass/fail, optionally the experiment
-// suite's wall-clock timings (-suite, a cmd/experiments -bench-json
-// file) and the sha256 digests of any run archives (-archives DIR
-// digests every *.archive.gz inside) — turning the point-in-time gate
-// into a longitudinal series. -trend-md renders the series' most
+// their budgets and the overall pass/fail — turning the point-in-time
+// gate into a longitudinal series. -trend-md renders the series' most
 // recent entries as a markdown table (for CI job summaries), and -rev
 // stamps the record with a revision (e.g. the CI commit SHA).
 package main
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -85,33 +80,15 @@ type trendBench struct {
 	OK                bool    `json:"ok"`
 }
 
-// suiteTiming mirrors one artifact entry of a cmd/experiments
-// -bench-json file.
-type suiteTiming struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-}
-
-// suiteReport is the subset of the -bench-json file the trend keeps.
-type suiteReport struct {
-	Mode         string        `json:"mode,omitempty"`
-	ScanWorkers  int           `json:"scan_workers,omitempty"`
-	Artifacts    []suiteTiming `json:"artifacts,omitempty"`
-	TotalSeconds float64       `json:"total_seconds"`
-}
-
 // trendRecord is one BENCH_trend.jsonl line (schema dynamicmr.trend/1).
+// Records written before -suite and -archives were removed also carry
+// "suite" and "archives" fields, which loading ignores.
 type trendRecord struct {
 	Schema     string                `json:"schema"`
 	UnixMS     int64                 `json:"unix_ms"`
 	GitRev     string                `json:"git_rev,omitempty"`
 	Pass       bool                  `json:"pass"`
 	Benchmarks map[string]trendBench `json:"benchmarks"`
-	Suite      *suiteReport          `json:"suite,omitempty"`
-	// Archives maps run-archive basenames to their sha256 hex digests,
-	// tying a trend point to the exact run bundles it was measured
-	// alongside.
-	Archives map[string]string `json:"archives,omitempty"`
 }
 
 // trendSchemaVersion identifies BENCH_trend.jsonl records.
@@ -122,8 +99,6 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional regression over budget before failing (per-benchmark tolerance_pct overrides)")
 	trendPath := flag.String("trend", "", "append this run as one NDJSON record (schema dynamicmr.trend/1) to FILE")
 	trendMD := flag.String("trend-md", "", "render the trend series' recent entries as a markdown table to FILE (requires -trend)")
-	suitePath := flag.String("suite", "", "embed the suite timings from FILE (a cmd/experiments -bench-json report) in the trend record")
-	archivesDir := flag.String("archives", "", "embed sha256 digests of every *.archive.gz under DIR in the trend record")
 	rev := flag.String("rev", "", "revision to stamp trend records with (e.g. the CI commit SHA)")
 	flag.Parse()
 
@@ -158,20 +133,6 @@ func main() {
 			GitRev:     *rev,
 			Pass:       !failed,
 			Benchmarks: rows,
-		}
-		if *suitePath != "" {
-			s, err := loadSuite(*suitePath)
-			if err != nil {
-				fatal(err)
-			}
-			rec.Suite = s
-		}
-		if *archivesDir != "" {
-			digests, err := digestArchives(*archivesDir)
-			if err != nil {
-				fatal(err)
-			}
-			rec.Archives = digests
 		}
 		if err := appendTrend(*trendPath, rec); err != nil {
 			fatal(err)
@@ -314,46 +275,6 @@ func loadBudgets(path string) (map[string]budget, error) {
 	return doc.BenchBudgets.Budgets, nil
 }
 
-// loadSuite reads a cmd/experiments -bench-json timings report.
-func loadSuite(path string) (*suiteReport, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s suiteReport
-	if err := json.Unmarshal(buf, &s); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &s, nil
-}
-
-// digestArchives maps every *.archive.gz basename under dir to its
-// sha256 hex digest.
-func digestArchives(dir string) (map[string]string, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.archive.gz"))
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("-archives %s: no *.archive.gz files", dir)
-	}
-	out := make(map[string]string, len(paths))
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		h := sha256.New()
-		_, err = io.Copy(h, f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		out[filepath.Base(p)] = fmt.Sprintf("%x", h.Sum(nil))
-	}
-	return out, nil
-}
-
 // appendTrend appends one NDJSON record to the trend file.
 func appendTrend(path string, rec trendRecord) error {
 	buf, err := json.Marshal(rec)
@@ -429,11 +350,11 @@ func renderTrendMarkdown(path string, maxRows int) (string, error) {
 	for _, name := range names {
 		fmt.Fprintf(&b, " %s |", strings.TrimPrefix(name, "Benchmark"))
 	}
-	b.WriteString(" suite |\n|---|---|---|")
+	b.WriteString("\n|---|---|---|")
 	for range names {
 		b.WriteString("---|")
 	}
-	b.WriteString("---|\n")
+	b.WriteString("\n")
 	for _, r := range recs {
 		when := time.UnixMilli(r.UnixMS).UTC().Format("2006-01-02 15:04")
 		rev := r.GitRev
@@ -461,11 +382,6 @@ func renderTrendMarkdown(path string, maxRows int) (string, error) {
 				cell = "**" + cell + "**"
 			}
 			fmt.Fprintf(&b, " %s |", cell)
-		}
-		if r.Suite != nil {
-			fmt.Fprintf(&b, " %.1fs |", r.Suite.TotalSeconds)
-		} else {
-			b.WriteString(" — |")
 		}
 		b.WriteString("\n")
 	}

@@ -117,8 +117,6 @@ func TestTrendAppendAndMarkdown(t *testing.T) {
 					TolerancePct: 25, OK: pass,
 				},
 			},
-			Suite:    &suiteReport{TotalSeconds: 42.5},
-			Archives: map[string]string{"figure6_z0_LA.archive.gz": "deadbeef"},
 		}
 		if err := appendTrend(trend, rec); err != nil {
 			t.Fatal(err)
@@ -134,26 +132,26 @@ func TestTrendAppendAndMarkdown(t *testing.T) {
 	if recs[1].Pass || !recs[0].Pass {
 		t.Errorf("pass flags lost on round-trip: %+v", recs)
 	}
-	if recs[0].Archives["figure6_z0_LA.archive.gz"] != "deadbeef" {
-		t.Errorf("archive digest lost: %+v", recs[0].Archives)
-	}
 
 	md, err := renderTrendMarkdown(trend, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"MapCompletion", "0123456789ab", "**FAIL**", "3.10M", "42.5s"} {
+	for _, want := range []string{"MapCompletion", "0123456789ab", "**FAIL**", "3.10M"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
 		}
 	}
 
-	// Unknown-schema lines are skipped, not fatal.
+	// Unknown-schema lines are skipped, not fatal, and records written
+	// with the retired suite and archives fields still load.
 	f, err := os.OpenFile(trend, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("{\"schema\":\"other/1\"}\n"); err != nil {
+	if _, err := f.WriteString("{\"schema\":\"other/1\"}\n" +
+		"{\"schema\":\"dynamicmr.trend/1\",\"pass\":true,\"benchmarks\":{}," +
+		"\"suite\":{\"total_seconds\":42.5},\"archives\":{\"a.archive.gz\":\"deadbeef\"}}\n"); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -161,8 +159,8 @@ func TestTrendAppendAndMarkdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Errorf("foreign-schema line should be skipped; got %d records", len(recs))
+	if len(recs) != 3 || !recs[2].Pass {
+		t.Errorf("want the 2 records plus the older-format one, foreign-schema line skipped; got %+v", recs)
 	}
 }
 

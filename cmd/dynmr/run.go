@@ -65,13 +65,13 @@ func (rf *runFlags) cluster(mode ...dynamicmr.Option) (*dynamicmr.Cluster, *data
 		opts = append(opts, dynamicmr.WithMultiUserSlots())
 	}
 	if rf.fair {
-		opts = append(opts, dynamicmr.WithFairScheduler(5))
+		opts = append(opts, dynamicmr.WithFairScheduler())
 	}
 	if rf.ArchiveOut != "" {
 		opts = append(opts, dynamicmr.WithQueryStats(), dynamicmr.WithUtilizationSampling(0))
 	}
 	if len(out.Rules) > 0 {
-		opts = append(opts, dynamicmr.WithAlertRules(out.Rules...))
+		opts = append(opts, dynamicmr.WithTimeSeries(out.Rules...))
 	}
 	if out.Log != nil {
 		rf.logFile = out.Log

@@ -52,3 +52,28 @@ func TestDatasetFlagsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestTopFlagsRejected: a non-positive -interval-ms, which would make
+// -follow re-fetch in a tight loop, is found before anything is fetched
+// (top exits 2 on it) and named in the message; the default and 1 pass.
+func TestTopFlagsRejected(t *testing.T) {
+	check := func(t *testing.T, args ...string) error {
+		t.Helper()
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		tf := newTopFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return tf.check()
+	}
+	for _, v := range []string{"0", "-1"} {
+		if err := check(t, "-follow", "-interval-ms", v); err == nil || !strings.Contains(err.Error(), "-interval-ms") {
+			t.Errorf("-interval-ms %s: err %v, want one naming -interval-ms", v, err)
+		}
+	}
+	for _, args := range [][]string{nil, {"-follow", "-interval-ms", "1"}} {
+		if err := check(t, args...); err != nil {
+			t.Errorf("%v rejected: %v", args, err)
+		}
+	}
+}

@@ -13,31 +13,59 @@ import (
 	"dynamicmr/internal/tsdb"
 )
 
+// topFlags are dynmr top's flags.
+type topFlags struct {
+	addr       string
+	follow     bool
+	intervalMS int
+}
+
+// newTopFlags registers top's flags on fs.
+func newTopFlags(fs *flag.FlagSet) *topFlags {
+	tf := &topFlags{}
+	fs.StringVar(&tf.addr, "addr", "127.0.0.1:8080", "address of the dynmr serve instance")
+	fs.BoolVar(&tf.follow, "follow", false, "refresh continuously instead of printing once")
+	fs.IntVar(&tf.intervalMS, "interval-ms", 1000, "refresh interval with -follow")
+	return tf
+}
+
+// check rejects an -interval-ms below 1: -follow would re-fetch every
+// endpoint in a tight loop, since time.Sleep returns at once on a
+// non-positive duration.
+func (tf *topFlags) check() error {
+	if tf.intervalMS < 1 {
+		return fmt.Errorf("-interval-ms must be at least 1, got %d", tf.intervalMS)
+	}
+	return nil
+}
+
 // topMain runs `dynmr top`: a text view of a running `dynmr serve`
 // instance, built from its /status and /queries endpoints. One-shot by
 // default; -follow redraws the screen every -interval-ms like top(1).
+// A bad flag value exits 2 before anything is fetched.
 func topMain(args []string) {
 	fs := flag.NewFlagSet("dynmr top", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8080", "address of the dynmr serve instance")
-	follow := fs.Bool("follow", false, "refresh continuously instead of printing once")
-	intervalMS := fs.Int("interval-ms", 1000, "refresh interval with -follow")
+	tf := newTopFlags(fs)
 	fs.Parse(args)
+	if err := tf.check(); err != nil {
+		usage(err)
+	}
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	for {
-		out, err := renderTop(client, *addr)
+		out, err := renderTop(client, tf.addr)
 		if err != nil {
 			fatal(err)
 		}
-		if *follow {
+		if tf.follow {
 			// ANSI clear screen + home, like top(1).
 			fmt.Print("\x1b[2J\x1b[H")
 		}
 		fmt.Print(out)
-		if !*follow {
+		if !tf.follow {
 			return
 		}
-		time.Sleep(time.Duration(*intervalMS) * time.Millisecond)
+		time.Sleep(time.Duration(tf.intervalMS) * time.Millisecond)
 	}
 }
 

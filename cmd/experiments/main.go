@@ -20,10 +20,11 @@
 // checked before any artifact runs: an unknown -run name or another bad
 // value exits 2, an I/O error 1.
 //
-// -j runs up to N sweep cells concurrently (default runtime.NumCPU).
-// Parallelism is across cells only: each cell owns a private simulated
-// cluster whose virtual time never observes the pool, and results are
-// assembled in enumeration order, so output is byte-identical to -j 1.
+// -j runs up to N sweep cells concurrently (default runtime.NumCPU; a
+// value below 1 exits 2). Parallelism is across cells only: each cell
+// owns a private simulated cluster whose virtual time never observes
+// the pool, and results are assembled in enumeration order, so output
+// is byte-identical to -j 1.
 //
 // -scan-workers sizes the sweep-wide scan-executor pool (default
 // runtime.NumCPU; 0 disables it; a negative size exits 2). The pool
@@ -255,6 +256,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "experiments: %v\n", err)
 			return 2
 		}
+	}
+	if *jobs < 1 {
+		fmt.Fprintf(stderr, "experiments: -j must be at least 1, got %d\n", *jobs)
+		return 2
 	}
 	if *scanWorkers < 0 {
 		fmt.Fprintf(stderr, "experiments: -scan-workers must not be negative, got %d\n", *scanWorkers)

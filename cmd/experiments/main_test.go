@@ -11,8 +11,9 @@ import (
 
 // TestRejectsBadFlagsBeforeRunning: an unknown -run name (a typo must
 // not silently skip its artifact), an unknown or repeated -policies
-// name, a negative -scan-workers and each bad shared run flag exit
-// with the documented status before any artifact prints a table.
+// name, a -j below 1, a negative -scan-workers and each bad shared run
+// flag exit with the documented status before any artifact prints a
+// table.
 func TestRejectsBadFlagsBeforeRunning(t *testing.T) {
 	dir := t.TempDir()
 	invalid := filepath.Join(dir, "invalid.json")
@@ -29,6 +30,8 @@ func TestRejectsBadFlagsBeforeRunning(t *testing.T) {
 		{[]string{"-run", "tableI,figure5", "-policies", "FOO"}, 2, `"FOO"`},
 		{[]string{"-run", "tableI", "-policies", "LA,LA"}, 2, "LA twice"},
 		{[]string{"-run", "tableI", "-policies", "LA,la"}, 2, "LA twice"},
+		{[]string{"-run", "tableI", "-j", "0"}, 2, "-j"},
+		{[]string{"-run", "tableI", "-j", "-3"}, 2, "-j"},
 		{[]string{"-run", "tableI", "-scan-workers", "-1"}, 2, "-scan-workers"},
 		{[]string{"-run", "tableI", "-log-level", "loud"}, 2, "-log-level"},
 		{[]string{"-run", "tableI", "-input-path", "fast"}, 2, "-input-path"},

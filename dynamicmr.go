@@ -82,7 +82,8 @@ type config struct {
 	logLevel       slog.Leveler
 }
 
-// WithHardware replaces the default 10-node paper cluster.
+// WithHardware replaces the paper cluster's slot and node-speed
+// configuration (the hardware itself is always the §V-A testbed).
 func WithHardware(hw cluster.Config) Option {
 	return func(c *config) { c.hw = hw }
 }
@@ -94,13 +95,13 @@ func WithMultiUserSlots() Option {
 }
 
 // WithFairScheduler replaces the default FIFO scheduler with the Fair
-// Scheduler using the given locality wait in (virtual) seconds.
-func WithFairScheduler(localityWaitS float64) Option {
-	return func(c *config) { c.scheduler = mapreduce.NewFairScheduler(localityWaitS) }
+// Scheduler, with a 5 s (virtual) locality wait.
+func WithFairScheduler() Option {
+	return func(c *config) { c.scheduler = mapreduce.NewFairScheduler(5) }
 }
 
-// WithRuntime replaces the MapReduce runtime configuration (heartbeat
-// interval, task costs, failure injection).
+// WithRuntime replaces the MapReduce runtime configuration (task
+// costs, failure injection, observability).
 func WithRuntime(rc mapreduce.Config) Option {
 	return func(c *config) { c.runtime = rc }
 }
@@ -202,26 +203,21 @@ func WithQueryStats() Option {
 // Tracing is forced on (the counters and gauges are the main feed).
 // Read the engine via TSDB(); dynmr serve exposes it on /tsdb and as
 // sparkline trend panels in /live.
-func WithTimeSeries() Option {
-	return func(c *config) {
-		c.tsdb = true
-		c.runtime.Trace.Enabled = true
-	}
-}
-
-// WithAlertRules attaches the declarative alert/SLO layer on top of the
-// time-series engine (implied if WithTimeSeries was not given): rules
+//
+// Given rules, it also arms the declarative alert/SLO layer: the rules
 // are evaluated at every collection tick on the virtual clock and
-// produce a firing/resolved event log (schema tsdb.AlertsSchemaVersion).
-// Query stats are forced on so latency-objective (slo_burn) rules have
-// their input. Read the log via TSDB().AlertsDump(); dynmr serve
+// produce a firing/resolved event log (schema tsdb.AlertsSchemaVersion),
+// and query stats are forced on so latency-objective (slo_burn) rules
+// have their input. Read the log via TSDB().AlertsDump(); dynmr serve
 // exposes it on /alerts and as the active-alerts banner in /live.
-func WithAlertRules(rules ...tsdb.Rule) Option {
+func WithTimeSeries(rules ...tsdb.Rule) Option {
 	return func(c *config) {
 		c.tsdb = true
-		c.alertRules = append(c.alertRules, rules...)
-		c.qstats = true
 		c.runtime.Trace.Enabled = true
+		if len(rules) > 0 {
+			c.alertRules = append(c.alertRules, rules...)
+			c.qstats = true
+		}
 	}
 }
 
@@ -254,9 +250,6 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		o(&cfg)
 	}
 	if err := cfg.hw.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.runtime.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.policies == nil {
@@ -353,12 +346,12 @@ func (c *Cluster) Tracer() *trace.Tracer { return c.jt.Tracer() }
 func (c *Cluster) Sampler() *obs.Sampler { return c.sampler }
 
 // QueryStats returns the per-query registry; nil unless built
-// WithQueryStats. All registry methods are nil-safe, so the result can
-// be used unconditionally.
+// WithQueryStats or WithTimeSeries with rules. All registry methods
+// are nil-safe, so the result can be used unconditionally.
 func (c *Cluster) QueryStats() *qstats.Registry { return c.qstats }
 
-// TSDB returns the time-series engine; nil unless built WithTimeSeries
-// or WithAlertRules. All engine methods are nil-safe, so the result can
+// TSDB returns the time-series engine; nil unless built
+// WithTimeSeries. All engine methods are nil-safe, so the result can
 // be used unconditionally.
 func (c *Cluster) TSDB() *tsdb.DB { return c.tsdb }
 

@@ -1,7 +1,6 @@
 package dynamicmr
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -47,30 +46,6 @@ func TestNewClusterDefaults(t *testing.T) {
 func TestNewClusterInvalidHardware(t *testing.T) {
 	if _, err := NewCluster(WithHardware(clusterConfigZero())); err == nil {
 		t.Fatal("invalid hardware accepted")
-	}
-}
-
-// TestNewClusterInvalidRuntime: a runtime config no tracker can run is
-// an error from NewCluster, not a panic.
-func TestNewClusterInvalidRuntime(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		edit  func(*mapreduce.Config)
-		field string
-	}{
-		{"zero heartbeat", func(rc *mapreduce.Config) { rc.HeartbeatIntervalS = 0 }, "HeartbeatIntervalS"},
-		{"negative heartbeat", func(rc *mapreduce.Config) { rc.HeartbeatIntervalS = -1 }, "HeartbeatIntervalS"},
-		{"NaN heartbeat", func(rc *mapreduce.Config) { rc.HeartbeatIntervalS = math.NaN() }, "HeartbeatIntervalS"},
-		{"zero attempts", func(rc *mapreduce.Config) { rc.MaxTaskAttempts = 0 }, "MaxTaskAttempts"},
-		{"negative attempts", func(rc *mapreduce.Config) { rc.MaxTaskAttempts = -2 }, "MaxTaskAttempts"},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			rc := mapreduce.DefaultConfig()
-			c.edit(&rc)
-			if _, err := NewCluster(WithRuntime(rc)); err == nil || !strings.Contains(err.Error(), c.field) {
-				t.Fatalf("err %v, want one naming %s", err, c.field)
-			}
-		})
 	}
 }
 
@@ -147,7 +122,7 @@ func TestSessionsAreSticky(t *testing.T) {
 }
 
 func TestWithFairScheduler(t *testing.T) {
-	c, err := NewCluster(WithFairScheduler(5))
+	c, err := NewCluster(WithFairScheduler())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 func main() {
 	hw := cluster.PaperConfig()
 	// Node 3 is a straggler at 1/10th speed.
-	hw.NodeSpeedFactors = make([]float64, hw.Nodes)
+	hw.NodeSpeedFactors = make([]float64, cluster.Nodes)
 	for i := range hw.NodeSpeedFactors {
 		hw.NodeSpeedFactors[i] = 1
 	}

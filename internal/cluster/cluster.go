@@ -2,7 +2,8 @@
 // cluster on top of the discrete-event engine: nodes with cores and
 // disks, a shared network fabric, and per-node map/reduce slot bounds.
 // The paper's test cluster (§V-A) — 10 IBM x3650 nodes, each with four
-// cores, 12 GB RAM and four disks — is the default configuration.
+// cores, 12 GB RAM and four disks — is the hardware every cluster
+// models; only the map slot count and per-node speed vary (Config).
 package cluster
 
 import (
@@ -11,27 +12,40 @@ import (
 	"dynamicmr/internal/sim"
 )
 
-// Config describes cluster hardware and slot configuration.
-type Config struct {
+// The §V-A testbed's hardware, which every simulated cluster models.
+const (
 	// Nodes is the number of worker machines.
-	Nodes int
+	Nodes = 10
 	// CoresPerNode is the CPU core count per machine.
-	CoresPerNode int
+	CoresPerNode = 4
 	// DisksPerNode is the number of independent data disks per machine.
-	DisksPerNode int
-	// DiskBandwidth is each disk's sequential throughput in bytes/s.
-	DiskBandwidth float64
-	// NetworkBandwidth is the aggregate fabric capacity in bytes/s.
-	NetworkBandwidth float64
-	// NICBandwidth caps a single stream's network rate in bytes/s.
-	NICBandwidth float64
+	DisksPerNode = 4
+	// DiskBandwidth is each disk's sequential throughput in bytes/s
+	// (~80 MB/s, 2012-era SATA).
+	DiskBandwidth = 80e6
+	// NetworkBandwidth is the aggregate fabric capacity in bytes/s
+	// (10 GbE).
+	NetworkBandwidth = 1250e6
+	// NICBandwidth caps a single stream's network rate in bytes/s
+	// (1 GbE).
+	NICBandwidth = 125e6
+	// ReduceSlotsPerNode bounds concurrent reduce tasks per node.
+	ReduceSlotsPerNode = 2
+
+	// TotalCores is the cluster-wide core count.
+	TotalCores = Nodes * CoresPerNode
+	// TotalDisks is the cluster-wide disk count.
+	TotalDisks = Nodes * DisksPerNode
+)
+
+// Config holds what varies between runs of the testbed: the map slot
+// count and per-node speed.
+type Config struct {
 	// MapSlotsPerNode bounds concurrent map tasks per node (§II-C:
 	// "a Hadoop cluster is pre-configured with a bound on the number of
 	// concurrent map tasks per node"). The paper uses 4 for the
 	// single-user study and 16 for multi-user throughput.
 	MapSlotsPerNode int
-	// ReduceSlotsPerNode bounds concurrent reduce tasks per node.
-	ReduceSlotsPerNode int
 	// NodeSpeedFactors optionally scales each node's CPU and disk
 	// capacity (stragglers: factor < 1 makes a node slower). Empty
 	// means all nodes run at full speed; otherwise the slice must have
@@ -39,19 +53,10 @@ type Config struct {
 	NodeSpeedFactors []float64
 }
 
-// PaperConfig returns the §V-A cluster: 10 nodes × 4 cores × 4 disks
-// (40 cores, 40 disks), 4 map slots per node.
+// PaperConfig returns the §V-A cluster's single-user setting: 4 map
+// slots per node.
 func PaperConfig() Config {
-	return Config{
-		Nodes:              10,
-		CoresPerNode:       4,
-		DisksPerNode:       4,
-		DiskBandwidth:      80e6,   // ~80 MB/s sequential, 2012-era SATA
-		NetworkBandwidth:   1250e6, // 10 GbE aggregate fabric
-		NICBandwidth:       125e6,  // 1 GbE per stream
-		MapSlotsPerNode:    4,
-		ReduceSlotsPerNode: 2,
-	}
+	return Config{MapSlotsPerNode: 4}
 }
 
 // MultiUser returns the configuration with 16 map slots per node, the
@@ -63,25 +68,12 @@ func (c Config) MultiUser() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	switch {
-	case c.Nodes <= 0:
-		return fmt.Errorf("cluster: Nodes must be positive, got %d", c.Nodes)
-	case c.CoresPerNode <= 0:
-		return fmt.Errorf("cluster: CoresPerNode must be positive, got %d", c.CoresPerNode)
-	case c.DisksPerNode <= 0:
-		return fmt.Errorf("cluster: DisksPerNode must be positive, got %d", c.DisksPerNode)
-	case c.DiskBandwidth <= 0:
-		return fmt.Errorf("cluster: DiskBandwidth must be positive, got %v", c.DiskBandwidth)
-	case c.NetworkBandwidth <= 0:
-		return fmt.Errorf("cluster: NetworkBandwidth must be positive, got %v", c.NetworkBandwidth)
-	case c.MapSlotsPerNode <= 0:
+	if c.MapSlotsPerNode <= 0 {
 		return fmt.Errorf("cluster: MapSlotsPerNode must be positive, got %d", c.MapSlotsPerNode)
-	case c.ReduceSlotsPerNode <= 0:
-		return fmt.Errorf("cluster: ReduceSlotsPerNode must be positive, got %d", c.ReduceSlotsPerNode)
 	}
 	if len(c.NodeSpeedFactors) != 0 {
-		if len(c.NodeSpeedFactors) != c.Nodes {
-			return fmt.Errorf("cluster: %d speed factors for %d nodes", len(c.NodeSpeedFactors), c.Nodes)
+		if len(c.NodeSpeedFactors) != Nodes {
+			return fmt.Errorf("cluster: %d speed factors for %d nodes", len(c.NodeSpeedFactors), Nodes)
 		}
 		for i, f := range c.NodeSpeedFactors {
 			if f <= 0 {
@@ -102,13 +94,7 @@ func (c Config) speed(i int) float64 {
 
 // TotalMapSlots returns the cluster-wide map slot capacity ("TS" in the
 // paper's grab-limit formulas).
-func (c Config) TotalMapSlots() int { return c.Nodes * c.MapSlotsPerNode }
-
-// TotalCores returns the cluster-wide core count.
-func (c Config) TotalCores() int { return c.Nodes * c.CoresPerNode }
-
-// TotalDisks returns the cluster-wide disk count.
-func (c Config) TotalDisks() int { return c.Nodes * c.DisksPerNode }
+func (c Config) TotalMapSlots() int { return Nodes * c.MapSlotsPerNode }
 
 // Node is one worker machine: a shared CPU (capacity = cores, one task
 // capped at one core) and independent disks.
@@ -133,25 +119,20 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		panic(err)
 	}
 	c := &Cluster{Eng: eng, Cfg: cfg}
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := 0; i < Nodes; i++ {
 		speed := cfg.speed(i)
 		n := &Node{
-			ID: i,
-			CPU: sim.NewSharedResource(eng, fmt.Sprintf("node%d.cpu", i),
-				float64(cfg.CoresPerNode)*speed, speed),
+			ID:  i,
+			CPU: sim.NewSharedResource(eng, fmt.Sprintf("node%d.cpu", i), CoresPerNode*speed, speed),
 		}
-		for d := 0; d < cfg.DisksPerNode; d++ {
+		for d := 0; d < DisksPerNode; d++ {
 			n.Disks = append(n.Disks,
 				sim.NewSharedResource(eng, fmt.Sprintf("node%d.disk%d", i, d),
-					cfg.DiskBandwidth*speed, cfg.DiskBandwidth*speed))
+					DiskBandwidth*speed, DiskBandwidth*speed))
 		}
 		c.Nodes = append(c.Nodes, n)
 	}
-	nic := cfg.NICBandwidth
-	if nic <= 0 {
-		nic = cfg.NetworkBandwidth
-	}
-	c.Network = sim.NewSharedResource(eng, "network", cfg.NetworkBandwidth, nic)
+	c.Network = sim.NewSharedResource(eng, "network", NetworkBandwidth, NICBandwidth)
 	return c
 }
 
@@ -213,11 +194,4 @@ func (c *Cluster) DiskUsedIntegral() float64 {
 }
 
 // CPUCapacity returns aggregate core capacity (core-seconds per second).
-func (c *Cluster) CPUCapacity() float64 {
-	return float64(c.Cfg.Nodes * c.Cfg.CoresPerNode)
-}
-
-// DiskCapacity returns aggregate disk bandwidth in bytes/s.
-func (c *Cluster) DiskCapacity() float64 {
-	return float64(c.Cfg.Nodes*c.Cfg.DisksPerNode) * c.Cfg.DiskBandwidth
-}
+func (c *Cluster) CPUCapacity() float64 { return TotalCores }

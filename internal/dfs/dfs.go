@@ -105,15 +105,9 @@ func New(c *cluster.Cluster) *DFS {
 // Cluster returns the underlying cluster.
 func (d *DFS) Cluster() *cluster.Cluster { return d.cluster }
 
-// numDisks returns the cluster-wide disk count.
-func (d *DFS) numDisks() int {
-	return d.cluster.Cfg.Nodes * d.cluster.Cfg.DisksPerNode
-}
-
 // location maps a flat disk ordinal to a (node, disk) pair.
-func (d *DFS) location(ordinal int) Location {
-	dpn := d.cluster.Cfg.DisksPerNode
-	return Location{Node: ordinal / dpn, Disk: ordinal % dpn}
+func location(ordinal int) Location {
+	return Location{Node: ordinal / cluster.DisksPerNode, Disk: ordinal % cluster.DisksPerNode}
 }
 
 // Create stores a file with one block per source, placing replicas
@@ -132,10 +126,8 @@ func (d *DFS) Create(name string, sources []data.Source, replication int) (*File
 	if replication < 1 {
 		replication = 1
 	}
-	nd := d.numDisks()
-	nodes := d.cluster.Cfg.Nodes
-	if replication > nodes {
-		return nil, fmt.Errorf("dfs: replication %d exceeds %d nodes", replication, nodes)
+	if replication > cluster.Nodes {
+		return nil, fmt.Errorf("dfs: replication %d exceeds %d nodes", replication, cluster.Nodes)
 	}
 	f := &File{Name: name}
 	for i, src := range sources {
@@ -143,13 +135,13 @@ func (d *DFS) Create(name string, sources []data.Source, replication int) (*File
 		d.nextBlock++
 		// Primary replica round-robin over all disks; further replicas
 		// on subsequent *nodes* (one replica per node, as HDFS ensures).
-		primary := d.location(d.rr % nd)
+		primary := location(d.rr % cluster.TotalDisks)
 		d.rr++
 		b.Replicas = append(b.Replicas, primary)
 		for r := 1; r < replication; r++ {
 			loc := Location{
-				Node: (primary.Node + r) % nodes,
-				Disk: (primary.Disk + r) % d.cluster.Cfg.DisksPerNode,
+				Node: (primary.Node + r) % cluster.Nodes,
+				Disk: (primary.Disk + r) % cluster.DisksPerNode,
 			}
 			b.Replicas = append(b.Replicas, loc)
 		}

@@ -86,7 +86,7 @@ func heterogeneousCell(opt Options, sh *sweepShared, fair bool,
 	frac float64, policy string) (Figure7Cell, []trace.MetricSample, error) {
 	opts := append(opt.observed(obs.DefaultIntervalS), dynamicmr.WithMultiUserSlots())
 	if fair {
-		opts = append(opts, dynamicmr.WithFairScheduler(5))
+		opts = append(opts, dynamicmr.WithFairScheduler())
 	}
 	c, err := sh.cluster(opts...)
 	if err != nil {

@@ -73,7 +73,7 @@ func (o Options) observed(samplingS float64) []dynamicmr.Option {
 		}
 	}
 	if len(o.AlertRules) > 0 {
-		opts = append(opts, dynamicmr.WithAlertRules(o.AlertRules...))
+		opts = append(opts, dynamicmr.WithTimeSeries(o.AlertRules...))
 	}
 	return opts
 }

@@ -88,7 +88,7 @@ func (jt *JobTracker) scanCharge(j *Job, sp Split) scanCharge {
 			rowBytes = float64(st.Bytes) / float64(st.Rows)
 		}
 		return scanCharge{
-			bytes:         float64(st.MatchBlocks)*jt.cfg.Costs.IndexProbeBytes + float64(st.Matches)*rowBytes,
+			bytes:         float64(st.MatchBlocks)*indexProbeBytes + float64(st.Matches)*rowBytes,
 			records:       st.Matches,
 			blocksRead:    int64(st.MatchBlocks),
 			blocksSkipped: int64(st.Blocks - st.MatchBlocks),

@@ -138,8 +138,8 @@ func TestScanChargeByMode(t *testing.T) {
 	if idx.Counters.MapInputRecords != blocks*5 {
 		t.Fatalf("index records=%d, want %d", idx.Counters.MapInputRecords, blocks*5)
 	}
-	// Per split: 2 probes x IndexProbeBytes + 5 matches x (5000/100) B.
-	wantBytes := int64(blocks * (2*int(r.jt.cfg.Costs.IndexProbeBytes) + 5*50))
+	// Per split: 2 probes x indexProbeBytes + 5 matches x (5000/100) B.
+	wantBytes := int64(blocks * (2*indexProbeBytes + 5*50))
 	if idx.Counters.BytesRead != wantBytes {
 		t.Fatalf("index bytes=%d, want %d", idx.Counters.BytesRead, wantBytes)
 	}

@@ -305,10 +305,10 @@ func (j *Job) localPendingTask(node int) *MapTask {
 }
 
 // medianMapDuration returns the median completed-map duration once at
-// least minDone maps finished.
-func (j *Job) medianMapDuration(minDone int) (float64, bool) {
+// least speculativeMinCompleted maps finished.
+func (j *Job) medianMapDuration() (float64, bool) {
 	n := len(j.mapDurations)
-	if n < minDone || n == 0 {
+	if n < speculativeMinCompleted {
 		return 0, false
 	}
 	sorted := append([]float64(nil), j.mapDurations...)

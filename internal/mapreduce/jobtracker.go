@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
-	"math"
 
 	"dynamicmr/internal/cluster"
 	"dynamicmr/internal/mapreduce/executor"
@@ -14,9 +13,41 @@ import (
 	"dynamicmr/internal/vlog"
 )
 
-// Costs models the software-side execution costs of task attempts.
-// Hardware rates (disk/network bandwidth, core counts) live in
-// cluster.Config; these constants cover what runs on top.
+// The testbed's Hadoop 0.20 runtime settings and the costs no run
+// varies. Hardware rates (disk/network bandwidth, core counts) are the
+// cluster package's constants; these cover what runs on top.
+const (
+	// heartbeatIntervalS is the TaskTracker heartbeat period.
+	heartbeatIntervalS = 1.0
+	// mapsPerHeartbeat bounds map assignments per heartbeat (Hadoop
+	// 0.20 assigned one; task completions trigger out-of-band
+	// scheduling opportunities as well).
+	mapsPerHeartbeat = 1
+	// reducesPerHeartbeat bounds reduce assignments per heartbeat.
+	reducesPerHeartbeat = 1
+	// maxTaskAttempts fails the job after this many attempts of one
+	// task (Hadoop default 4).
+	maxTaskAttempts = 4
+	// speculativeSlowdown is the straggler threshold multiplier: a
+	// lone attempt that has run longer than this many times its job's
+	// median map duration gets a backup.
+	speculativeSlowdown = 2.0
+	// speculativeMinCompleted is the number of completed maps before
+	// a job's median map duration is trusted.
+	speculativeMinCompleted = 3
+	// sortCPUPerRecordS is CPU seconds per record of the shuffle-side
+	// merge sort.
+	sortCPUPerRecordS = 3e-6
+	// reduceCPUPerRecordS is CPU seconds per reduce input record.
+	reduceCPUPerRecordS = 2e-6
+	// indexProbeBytes is the simulated I/O charged per match-admitting
+	// sub-block under the indexed input path (one clustered-index probe
+	// per block), on top of the matching records themselves.
+	indexProbeBytes = 4096
+)
+
+// Costs models the task execution costs that callers tune: attempt
+// startup and per-record map CPU.
 type Costs struct {
 	// TaskStartupS is the per-attempt launch latency (JVM spin-up in
 	// Hadoop 0.20; ~1 s).
@@ -24,45 +55,17 @@ type Costs struct {
 	// MapCPUPerRecordS is CPU seconds per input record (parse +
 	// user map function).
 	MapCPUPerRecordS float64
-	// MapCPUPerByteS is additional CPU seconds per input byte.
-	MapCPUPerByteS float64
-	// SortCPUPerRecordS covers the shuffle-side merge sort.
-	SortCPUPerRecordS float64
-	// ReduceCPUPerRecordS is CPU seconds per reduce input record.
-	ReduceCPUPerRecordS float64
-	// IndexProbeBytes is the simulated I/O charged per match-admitting
-	// sub-block under the indexed input path (one clustered-index probe
-	// per block), on top of the matching records themselves.
-	IndexProbeBytes float64
 }
 
 // DefaultCosts returns constants calibrated so a 2012-era node spends
 // a few seconds per ~90 MB split, matching the paper's cluster scale.
 func DefaultCosts() Costs {
-	return Costs{
-		TaskStartupS:        1.0,
-		MapCPUPerRecordS:    2e-6,
-		MapCPUPerByteS:      0,
-		SortCPUPerRecordS:   3e-6,
-		ReduceCPUPerRecordS: 2e-6,
-		IndexProbeBytes:     4096,
-	}
+	return Costs{TaskStartupS: 1.0, MapCPUPerRecordS: 2e-6}
 }
 
 // Config tunes the runtime.
 type Config struct {
-	// HeartbeatIntervalS is the TaskTracker heartbeat period.
-	HeartbeatIntervalS float64
-	// MapsPerHeartbeat bounds map assignments per heartbeat (Hadoop
-	// 0.20 assigned one; task completions trigger out-of-band
-	// scheduling opportunities as well).
-	MapsPerHeartbeat int
-	// ReducesPerHeartbeat bounds reduce assignments per heartbeat.
-	ReducesPerHeartbeat int
-	// MaxTaskAttempts fails the job after this many attempts of one
-	// task (Hadoop default 4).
-	MaxTaskAttempts int
-	// Costs are the task execution cost constants.
+	// Costs are the tunable task execution costs.
 	Costs Costs
 	// FailureInjector, when set, is consulted as each map attempt
 	// finishes; returning true fails the attempt. Tests use it to
@@ -70,15 +73,9 @@ type Config struct {
 	FailureInjector func(j *Job, t *MapTask) bool
 	// SpeculativeExecution enables backup attempts for straggling map
 	// tasks (Hadoop's speculative execution): when a job has no pending
-	// maps and a lone attempt has run longer than SpeculativeSlowdown
-	// times the job's median map duration, a second attempt races it.
+	// maps and a lone attempt has run longer than twice the job's median
+	// map duration, a second attempt races it.
 	SpeculativeExecution bool
-	// SpeculativeSlowdown is the straggler threshold multiplier
-	// (default 2.0).
-	SpeculativeSlowdown float64
-	// SpeculativeMinCompleted is the minimum completed maps before the
-	// median is trusted (default 3).
-	SpeculativeMinCompleted int
 	// Trace configures the tracing/metrics subsystem. Zero value means
 	// disabled: the runtime keeps a nil *trace.Tracer and every
 	// instrumentation site reduces to one nil check.
@@ -115,28 +112,7 @@ type Config struct {
 
 // DefaultConfig returns the standard runtime configuration.
 func DefaultConfig() Config {
-	return Config{
-		HeartbeatIntervalS:      1.0,
-		MapsPerHeartbeat:        1,
-		ReducesPerHeartbeat:     1,
-		MaxTaskAttempts:         4,
-		Costs:                   DefaultCosts(),
-		SpeculativeSlowdown:     2.0,
-		SpeculativeMinCompleted: 3,
-	}
-}
-
-// Validate reports a configuration no tracker can run: a heartbeat
-// interval that is not positive and finite, or an attempt limit below
-// one.
-func (c Config) Validate() error {
-	if !(c.HeartbeatIntervalS > 0) || math.IsInf(c.HeartbeatIntervalS, 1) {
-		return fmt.Errorf("mapreduce: HeartbeatIntervalS must be positive and finite, got %v", c.HeartbeatIntervalS)
-	}
-	if c.MaxTaskAttempts <= 0 {
-		return fmt.Errorf("mapreduce: MaxTaskAttempts must be positive, got %d", c.MaxTaskAttempts)
-	}
-	return nil
+	return Config{Costs: DefaultCosts()}
 }
 
 // TaskTracker is the per-node agent: it owns the node's map/reduce
@@ -254,12 +230,8 @@ type JobTracker struct {
 }
 
 // NewJobTracker builds the tracker and its per-node TaskTrackers.
-// Heartbeats begin on the first submission. It panics on a config that
-// fails Validate (a construction-time bug, not a runtime condition).
+// Heartbeats begin on the first submission.
 func NewJobTracker(c *cluster.Cluster, cfg Config, sched TaskScheduler) *JobTracker {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	if sched == nil {
 		sched = NewFIFOScheduler()
 	}
@@ -270,7 +242,7 @@ func NewJobTracker(c *cluster.Cluster, cfg Config, sched TaskScheduler) *JobTrac
 			jt:          jt,
 			node:        n,
 			mapSlots:    c.Cfg.MapSlotsPerNode,
-			reduceSlots: c.Cfg.ReduceSlotsPerNode,
+			reduceSlots: cluster.ReduceSlotsPerNode,
 		})
 	}
 	return jt
@@ -319,7 +291,7 @@ func (jt *JobTracker) start() {
 	jt.started = true
 	n := len(jt.trackers)
 	for i, tt := range jt.trackers {
-		offset := jt.cfg.HeartbeatIntervalS * float64(i+1) / float64(n)
+		offset := heartbeatIntervalS * float64(i+1) / float64(n)
 		tt.beat = tt.heartbeat
 		jt.eng.After(offset, tt.beat)
 	}
@@ -337,19 +309,19 @@ func (tt *TaskTracker) heartbeat() {
 		jt.tracer.Inc(trace.CounterHeartbeats, 1)
 	}
 	jt.assign(tt)
-	jt.eng.After(jt.cfg.HeartbeatIntervalS, tt.beat)
+	jt.eng.After(heartbeatIntervalS, tt.beat)
 }
 
 // assign is one scheduling opportunity for a tracker: consult the
-// scheduler for up to MapsPerHeartbeat maps and ReducesPerHeartbeat
+// scheduler for up to mapsPerHeartbeat maps and reducesPerHeartbeat
 // reduces, then consider a speculative backup attempt for a straggler.
 func (jt *JobTracker) assign(tt *TaskTracker) {
-	if n := min(tt.FreeMapSlots(), jt.cfg.MapsPerHeartbeat); n > 0 {
+	if n := min(tt.FreeMapSlots(), mapsPerHeartbeat); n > 0 {
 		for _, t := range jt.sched.AssignMaps(jt, tt, n) {
 			jt.launchMap(tt, t)
 		}
 	}
-	if n := min(tt.FreeReduceSlots(), jt.cfg.ReducesPerHeartbeat); n > 0 {
+	if n := min(tt.FreeReduceSlots(), reducesPerHeartbeat); n > 0 {
 		for _, t := range jt.sched.AssignReduces(jt, tt, n) {
 			jt.launchReduce(tt, t)
 		}
@@ -364,25 +336,20 @@ func (jt *JobTracker) assign(tt *TaskTracker) {
 // speculativeCandidate finds a straggling map task worth backing up on
 // this tracker: its job has nothing pending, the task has exactly one
 // attempt on a *different* node, and that attempt has outlived the
-// straggler threshold.
+// straggler threshold. Of the first job in submission order that has
+// such tasks, it picks the one with the lowest index, so the backup
+// does not depend on map iteration order.
 func (jt *JobTracker) speculativeCandidate(tt *TaskTracker) *MapTask {
 	now := jt.eng.Now()
-	slowdown := jt.cfg.SpeculativeSlowdown
-	if slowdown <= 0 {
-		slowdown = 2.0
-	}
-	minDone := jt.cfg.SpeculativeMinCompleted
-	if minDone <= 0 {
-		minDone = 3
-	}
 	for _, j := range jt.jobs {
 		if j.Done() || j.state != StateMapPhase || j.nPending > 0 {
 			continue
 		}
-		med, ok := j.medianMapDuration(minDone)
+		med, ok := j.medianMapDuration()
 		if !ok {
 			continue
 		}
+		var pick *MapTask
 		for t := range j.runningMaps {
 			if t.completed || len(t.running) != 1 {
 				continue
@@ -391,9 +358,12 @@ func (jt *JobTracker) speculativeCandidate(tt *TaskTracker) *MapTask {
 			if att.tt == tt {
 				continue // back up on a different node
 			}
-			if now-att.startTime > slowdown*med {
-				return t
+			if now-att.startTime > speculativeSlowdown*med && (pick == nil || t.Index < pick.Index) {
+				pick = t
 			}
+		}
+		if pick != nil {
+			return pick
 		}
 	}
 	return nil
@@ -562,7 +532,7 @@ func (jt *JobTracker) ClusterStatus() ClusterStatus {
 	return ClusterStatus{
 		TotalMapSlots:     jt.cluster.Cfg.TotalMapSlots(),
 		OccupiedMapSlots:  jt.occupiedMapSlots,
-		TotalReduceSlots:  jt.cluster.Cfg.Nodes * jt.cluster.Cfg.ReduceSlotsPerNode,
+		TotalReduceSlots:  cluster.Nodes * cluster.ReduceSlotsPerNode,
 		OccupiedReduces:   jt.occupiedReduceSlots,
 		RunningJobs:       running,
 		QueuedMapTasks:    queued,

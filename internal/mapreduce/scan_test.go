@@ -144,7 +144,7 @@ func TestScanExecutorMemoised(t *testing.T) {
 func scanStragglerRig(t *testing.T, pool *executor.Pool) (*sim.Engine, *Job) {
 	t.Helper()
 	cfg := cluster.PaperConfig()
-	cfg.NodeSpeedFactors = make([]float64, cfg.Nodes)
+	cfg.NodeSpeedFactors = make([]float64, cluster.Nodes)
 	for i := range cfg.NodeSpeedFactors {
 		cfg.NodeSpeedFactors[i] = 1
 	}

@@ -213,7 +213,7 @@ func TestAssignMapsMatchesReference(t *testing.T) {
 		nUsers := 1 + rng.Intn(len(users))
 		addTask := func(j *Job) {
 			var reps []dfs.Location
-			for _, n := range rng.Perm(cl.Cfg.Nodes)[:1+rng.Intn(3)] {
+			for _, n := range rng.Perm(cluster.Nodes)[:1+rng.Intn(3)] {
 				reps = append(reps, dfs.Location{Node: n})
 			}
 			mt := &MapTask{Job: j, Index: j.scheduled, Split: Split{Block: &dfs.Block{Replicas: reps}}, Node: -1}

@@ -193,8 +193,7 @@ func (att *mapAttempt) advance() {
 // startCPU charges the attempt's map CPU on its node.
 func (att *mapAttempt) startCPU() {
 	att.jt.tracePhase(att, trace.SpanMapCPU)
-	costs := &att.jt.cfg.Costs
-	work := float64(att.charge.records)*costs.MapCPUPerRecordS + att.charge.bytes*costs.MapCPUPerByteS
+	work := float64(att.charge.records) * att.jt.cfg.Costs.MapCPUPerRecordS
 	att.submit(stageCPU, att.tt.node.CPU, work)
 }
 
@@ -308,7 +307,7 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 			tr.Inc(trace.CounterMapFailed, 1)
 		}
 		switch {
-		case t.Attempts >= jt.cfg.MaxTaskAttempts:
+		case t.Attempts >= maxTaskAttempts:
 			jt.failJob(j, fmt.Sprintf("map task %d failed %d times: %v", t.Index, t.Attempts, err))
 		case len(t.running) > 0:
 			// A sibling (speculative) attempt is still going; let it
@@ -556,7 +555,6 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 			shuffleBytes += c.bytes
 		}
 	}
-	costs := jt.cfg.Costs
 
 	// Phase spans: mark(name) closes the interval elapsed since the
 	// previous mark under that name, walking startup → shuffle → sort →
@@ -622,12 +620,12 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 			recycleCollector(out)
 		}
 		// Reduce CPU for the user function, then the output write.
-		work := float64(totalPairs) * costs.ReduceCPUPerRecordS
+		work := float64(totalPairs) * reduceCPUPerRecordS
 		tt.node.CPU.Submit(work, writeOutput(outBytes))
 	}
 	sortPhase := func() {
 		mark(trace.SpanShuffle)
-		work := float64(totalPairs) * costs.SortCPUPerRecordS
+		work := float64(totalPairs) * sortCPUPerRecordS
 		tt.node.CPU.Submit(work, runReducer)
 	}
 	shufflePhase := func() {
@@ -635,7 +633,7 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 		j.Counters.ShuffleBytes += shuffleBytes
 		jt.cluster.Network.Submit(float64(shuffleBytes), sortPhase)
 	}
-	jt.eng.After(costs.TaskStartupS, shufflePhase)
+	jt.eng.After(jt.cfg.Costs.TaskStartupS, shufflePhase)
 }
 
 // execReducer groups the partition's pairs by key and runs the user's

@@ -1,6 +1,9 @@
 package mapreduce
 
-import "dynamicmr/internal/trace"
+import (
+	"dynamicmr/internal/cluster"
+	"dynamicmr/internal/trace"
+)
 
 // UtilizationIntervalS is the utilization poll period: the paper's §V-D
 // "CPU utilization (%) and disk reads (Kbs/sec) at 30 second intervals".
@@ -54,7 +57,7 @@ func (c *UtilizationCursor) Advance() (p trace.MetricSample, ok bool) {
 		p = trace.MetricSample{
 			Time:             now,
 			CPUUtilPct:       100 * (cpu - c.lastCPU) / (jt.cluster.CPUCapacity() * dt),
-			DiskReadKBs:      (disk - c.lastDisk) / dt / float64(jt.cluster.Cfg.TotalDisks()) / 1024,
+			DiskReadKBs:      (disk - c.lastDisk) / dt / float64(cluster.TotalDisks) / 1024,
 			SlotOccupancyPct: 100 * (slot - c.lastSlot) / (float64(jt.cluster.Cfg.TotalMapSlots()) * dt),
 		}
 	}

@@ -132,7 +132,7 @@ func TestUtilizationDiskReadIntegratesToBytes(t *testing.T) {
 	// point.DiskReadKBs * 1024 * interval * totalDisks, summed.
 	var readBytes, lastT float64
 	for _, m := range r.jt.UtilizationTimeline() {
-		readBytes += m.DiskReadKBs * 1024 * (m.Time - lastT) * float64(r.cl.Cfg.TotalDisks())
+		readBytes += m.DiskReadKBs * 1024 * (m.Time - lastT) * float64(cluster.TotalDisks)
 		lastT = m.Time
 	}
 	// Reduce output writes add a little on top of the reads; the map

@@ -3,6 +3,7 @@ package obs
 import (
 	"testing"
 
+	"dynamicmr/internal/cluster"
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/trace"
 )
@@ -60,7 +61,7 @@ func TestGanttLanesBoundedBySlots(t *testing.T) {
 	if len(g.Bars) == 0 {
 		t.Fatal("no bars from a traced run")
 	}
-	maxLanes := cl.Cfg.MapSlotsPerNode + cl.Cfg.ReduceSlotsPerNode
+	maxLanes := cl.Cfg.MapSlotsPerNode + cluster.ReduceSlotsPerNode
 	for n, lanes := range g.Lanes {
 		if lanes > maxLanes {
 			t.Fatalf("node %d uses %d lanes, slot bound is %d", n, lanes, maxLanes)

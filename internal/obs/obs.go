@@ -23,6 +23,7 @@
 package obs
 
 import (
+	"dynamicmr/internal/cluster"
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/trace"
 )
@@ -246,7 +247,7 @@ func (s *Sampler) sample() {
 	clusDsk := cl.DiskUsedIntegral()
 	st := jt.ClusterStatus()
 	snap.CPUUtilPct = 100 * (clusCPU - s.lastClusCPU) / (cl.CPUCapacity() * dt)
-	snap.DiskReadKBs = (clusDsk - s.lastClusDsk) / dt / float64(cl.Cfg.TotalDisks()) / 1024
+	snap.DiskReadKBs = (clusDsk - s.lastClusDsk) / dt / float64(cluster.TotalDisks) / 1024
 	snap.NetworkUtilPct = 100 * (net - s.lastNet) / (cl.NetworkCapacity() * dt)
 	if st.TotalMapSlots > 0 {
 		var used float64

@@ -39,7 +39,7 @@ func TestPerQueryDiagnosesMatchPostRunReport(t *testing.T) {
 			ccfg := cluster.PaperConfig()
 			// A slow node and CPU-bound maps give speculation stragglers
 			// to back up.
-			ccfg.NodeSpeedFactors = make([]float64, ccfg.Nodes)
+			ccfg.NodeSpeedFactors = make([]float64, cluster.Nodes)
 			for i := range ccfg.NodeSpeedFactors {
 				ccfg.NodeSpeedFactors[i] = 1
 			}

@@ -75,7 +75,7 @@ func chromeExport(tr *trace.Tracer) func(io.Writer) error {
 // diagnosis as text, JSON and CSV, the tracer's Chrome export and its
 // utilization timeline CSV.
 func TestRenderMatchesLiveWriters(t *testing.T) {
-	c, cut, a := renderRun(t, 3, WithTracing(trace.Config{}), WithAlertRules(tsdb.Rule{
+	c, cut, a := renderRun(t, 3, WithTracing(trace.Config{}), WithTimeSeries(tsdb.Rule{
 		Name: "latency-slo", Kind: tsdb.KindSLOBurn, ObjectiveS: 0.001, Severity: "page",
 	}))
 	if a.Queries == nil || len(a.Queries.Queries) != 3 || a.Alerts == nil || len(a.Alerts.Events) == 0 {
@@ -160,7 +160,7 @@ func TestRenderMissingSections(t *testing.T) {
 // trip gives the bytes the cut archive renders; and an archive without
 // a sampler renders without the utilization charts.
 func TestRenderReport(t *testing.T) {
-	_, cut, a := renderRun(t, 3, WithUtilizationSampling(5), WithAlertRules(tsdb.Rule{
+	_, cut, a := renderRun(t, 3, WithUtilizationSampling(5), WithTimeSeries(tsdb.Rule{
 		Name: "latency-slo", Kind: tsdb.KindSLOBurn, ObjectiveS: 0.001, Severity: "page",
 	}))
 	if n := len(a.Snapshots); n == 0 || a.Snapshots[n-1].Time != a.Manifest.VirtualTimeS {

@@ -69,7 +69,7 @@ func TestTSDBOverhead(t *testing.T) {
 	run := func(on bool) (time.Duration, float64) {
 		opts := []Option{WithTracing(trace.Config{}), WithQueryStats()}
 		if on {
-			opts = append(opts, WithAlertRules(rules...))
+			opts = append(opts, WithTimeSeries(rules...))
 		}
 		c, err := NewCluster(opts...)
 		if err != nil {
@@ -129,7 +129,7 @@ func alertRun(t *testing.T, objectiveS float64) (*Cluster, *runarchive.Archive) 
 	t.Helper()
 	c, err := NewCluster(
 		WithUtilizationSampling(5),
-		WithAlertRules(tsdb.Rule{
+		WithTimeSeries(tsdb.Rule{
 			Name: "latency-slo", Kind: tsdb.KindSLOBurn,
 			ObjectiveS: objectiveS, Severity: "page",
 		}),
