@@ -1,6 +1,7 @@
 package dynamicmr
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -189,6 +190,27 @@ func TestDuplicateTable(t *testing.T) {
 	c := demoCluster(t)
 	if _, err := c.LoadLineItem("lineitem", DatasetSpec{Scale: 1, Rows: 1000, Partitions: 2}); err == nil {
 		t.Fatal("duplicate table accepted")
+	}
+}
+
+// TestLoadLineItemRejectsBadGeometry: a negative partition count and a
+// NaN selectivity are errors, not a panic and not a table without
+// planted matches, and no table of either name is registered.
+func TestLoadLineItemRejectsBadGeometry(t *testing.T) {
+	c, err := NewCluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, spec := range map[string]DatasetSpec{
+		"negative_partitions": {Scale: 1, Rows: 1000, Partitions: -1},
+		"nan_selectivity":     {Scale: 1, Rows: 1000, Partitions: 2, Selectivity: math.NaN()},
+	} {
+		if _, err := c.LoadLineItem(name, spec); err == nil {
+			t.Errorf("%s: LoadLineItem accepted %+v", name, spec)
+		}
+		if _, err := c.Query("SELECT L_ORDERKEY FROM " + name + " LIMIT 1"); err == nil {
+			t.Errorf("%s: the rejected table is queryable", name)
+		}
 	}
 }
 

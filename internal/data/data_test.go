@@ -350,16 +350,6 @@ func TestRecordStringAndSize(t *testing.T) {
 	}
 }
 
-func TestRecordClone(t *testing.T) {
-	s := NewSchema("a")
-	r := NewRecord(s, []Value{Int(1)})
-	c := r.Clone()
-	c.vals[0] = Int(99)
-	if r.At(0).AsInt() != 1 {
-		t.Fatal("Clone is not independent")
-	}
-}
-
 func TestSliceSource(t *testing.T) {
 	s := NewSchema("a")
 	recs := []Record{

@@ -189,22 +189,3 @@ func (r Record) String() string {
 	}
 	return b.String()
 }
-
-// Clone returns a deep copy whose value slice is independent.
-func (r Record) Clone() Record {
-	vals := make([]Value, len(r.vals))
-	copy(vals, r.vals)
-	return Record{schema: r.schema, vals: vals}
-}
-
-// With returns a copy of the record with the named column replaced.
-// The original record is unchanged.
-func (r Record) With(col string, v Value) Record {
-	i, ok := r.schema.Index(col)
-	if !ok {
-		panic(fmt.Sprintf("data: record has no column %q", col))
-	}
-	c := r.Clone()
-	c.vals[i] = v
-	return c
-}

@@ -23,9 +23,10 @@ type Source interface {
 // order, and yields those pred accepts, until yield returns false. It
 // tests a source's natural rows in batches of at most BatchRows
 // consecutive rows through pred.TestBatch, and any other row (a row
-// the source rewrites as a whole, such as a planted match) through
-// pred.TestRow on the whole record. The first error in row order stops
-// the scan and is returned, after every match before it was yielded.
+// whose values a batch would not hold, such as a planted match, whose
+// predicate column the source overwrites) through pred.TestRow on the
+// whole record. The first error in row order stops the scan and is
+// returned, after every match before it was yielded.
 //
 // With a nil proj each yielded record is the whole record Scan yields
 // at that position. Otherwise it equals that record's Project(proj),

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -33,7 +34,7 @@ type Spec struct {
 	// Selectivity of the planted predicate; 0 means DefaultSelectivity.
 	Selectivity float64
 	// Partitions overrides the partition count; 0 means
-	// Scale*PartitionsPerScale.
+	// Scale*PartitionsPerScale. Build rejects a negative value.
 	Partitions int
 	// RowsOverride, when positive, replaces Scale*tpch.RowsPerScale as
 	// the total row count. Tests use it to build small datasets that can
@@ -89,8 +90,11 @@ func Build(spec Spec) (*Dataset, error) {
 	if spec.Selectivity == 0 {
 		spec.Selectivity = DefaultSelectivity
 	}
-	if spec.Selectivity < 0 || spec.Selectivity > 1 {
+	if math.IsNaN(spec.Selectivity) || spec.Selectivity < 0 || spec.Selectivity > 1 {
 		return nil, fmt.Errorf("dataset: selectivity %v out of [0,1]", spec.Selectivity)
+	}
+	if spec.Partitions < 0 {
+		return nil, fmt.Errorf("dataset: partition count must not be negative, got %d", spec.Partitions)
 	}
 	if spec.Partitions == 0 {
 		spec.Partitions = spec.Scale * PartitionsPerScale
@@ -257,15 +261,25 @@ func (p *Partition) SizeBytes() int64 { return p.bytes }
 // NumMatches returns the number of planted matching rows.
 func (p *Partition) NumMatches() int64 { return int64(len(p.matchPos)) }
 
-// row materialises the partition's i-th record, applying the plant
-// transform if position i carries a planted match.
+// row materialises the partition's i-th record, with its match planted
+// if position i carries one.
 func (p *Partition) row(gen *tpch.Generator, i int64, planted bool) data.Record {
-	r := gen.Row(p.startRow + i)
-	if planted {
-		rng := &plantRNG{state: uint64(p.startRow+i) ^ uint64(p.ds.spec.Seed)*0x9e3779b9}
-		r = p.ds.level.plant(r, rng)
+	vals := make([]data.Value, tpch.LineItemSchema.Len())
+	p.fill(gen, i, tpch.AllColumns, planted, vals)
+	return data.NewRecord(tpch.LineItemSchema, vals)
+}
+
+// fill writes the columns need selects of the partition's row i into
+// vals, at their schema positions, as Generator.Fill does. A planted
+// row's predicate column takes its plant draw instead of the
+// generator's value.
+func (p *Partition) fill(gen *tpch.Generator, i int64, need uint32, planted bool, vals []data.Value) {
+	lvl := &p.ds.level
+	if planted && need&(1<<lvl.statCol) != 0 {
+		need &^= 1 << lvl.statCol
+		vals[lvl.statCol] = lvl.plant(plantRNG{state: uint64(p.startRow+i) ^ uint64(p.ds.spec.Seed)*0x9e3779b9})
 	}
-	return r
+	gen.Fill(p.startRow+i, need, vals)
 }
 
 // Scan implements data.Source: every record in order, matches planted
@@ -302,9 +316,10 @@ const (
 // has selected. A natural row pred accepts then gets only its projected
 // columns filled and copied out by position, or is built in full when
 // there is no projection or the projection was not made from the
-// partition's schema. A planted row is always built in full and tested
-// with pred's row test, since the plant transform rewrites a whole
-// record, and projected only after; the batch loop merges planted rows
+// partition's schema. A planted row is always built in full, its
+// predicate column planted in place, and tested with pred's row test,
+// since the batch's columns hold only generated values; it is
+// projected only after, and the batch loop merges planted rows
 // and natural matches in row order. Every row is still generated from
 // the same counter-based stream, so the yielded records equal a plain
 // scan's, filtered and projected. rowScans are pooled, so a split's
@@ -444,7 +459,8 @@ func (s *rowScan) natural(i int64) bool {
 }
 
 // planted tests planted row i on its whole record and yields it if pred
-// accepts it.
+// accepts it. The record is built fresh for TestRow, since a filter may
+// keep the records it tests.
 func (s *rowScan) planted(i int64) bool {
 	rec := s.p.row(s.gen, i, true)
 	ok, err := s.pred.TestRow(rec)
@@ -493,19 +509,59 @@ func (s *rowScan) Fill(k int32, cols []int, vals []data.Value) {
 // predicate is not the dataset's planted one. The returned records are
 // byte-identical to what Scan would yield at the planted positions
 // (property-tested), so a map task may use this as a shortcut while the
-// simulator still charges full-scan I/O and CPU for the split.
+// simulator still charges full-scan I/O and CPU for the split. It is
+// ProjectedMatches with no projection.
 func (p *Partition) AcceleratedMatches(fingerprint string, limit int64) ([]data.Record, bool) {
+	return p.ProjectedMatches(fingerprint, limit, nil)
+}
+
+// ProjectedMatches is AcceleratedMatches with the query's projection
+// pushed down: the first limit (<0 = all) planted matches, each equal to
+// the whole match's Project(proj). A projection made from the
+// partition's schema costs only its own columns: each match is filled
+// with those columns, its planted value among them when proj selects
+// the predicate's column, and copied out by position. The records of
+// one call share one values array, each owning its own run of it. A
+// nil proj yields whole records, and any other projection is applied
+// by name to whole records.
+func (p *Partition) ProjectedMatches(fingerprint string, limit int64, proj *data.Schema) ([]data.Record, bool) {
 	if fingerprint != p.ds.fp {
 		return nil, false
 	}
-	n := int64(len(p.matchPos))
-	if limit >= 0 && limit < n {
-		n = limit
+	matches := p.matchPos
+	if limit >= 0 && limit < int64(len(matches)) {
+		matches = matches[:limit]
 	}
 	gen := p.ds.generator()
-	out := make([]data.Record, 0, n)
-	for _, pos := range p.matchPos[:n] {
-		out = append(out, p.row(gen, pos, true))
+	out := make([]data.Record, len(matches))
+	var pos []int
+	byPos := false
+	if proj != nil {
+		pos, byPos = proj.Positions(tpch.LineItemSchema)
+	}
+	if !byPos {
+		for k, i := range matches {
+			out[k] = p.row(gen, i, true)
+			if proj != nil {
+				out[k] = out[k].Project(proj)
+			}
+		}
+		return out, true
+	}
+	var need uint32
+	for _, c := range pos {
+		need |= 1 << c
+	}
+	row := make([]data.Value, tpch.LineItemSchema.Len())
+	w := len(pos)
+	vals := make([]data.Value, len(matches)*w)
+	for k, i := range matches {
+		p.fill(gen, i, need, true, row)
+		rec := vals[k*w : (k+1)*w : (k+1)*w]
+		for j, c := range pos {
+			rec[j] = row[c]
+		}
+		out[k] = data.NewRecord(proj, rec)
 	}
 	return out, true
 }

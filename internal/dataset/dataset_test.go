@@ -64,6 +64,12 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(Spec{Scale: 1, Z: 0, RowsOverride: -5}); err == nil {
 		t.Error("negative row override accepted (it would load the full table)")
 	}
+	if _, err := Build(Spec{Scale: 1, Z: 0, RowsOverride: 1000, Partitions: -1}); err == nil {
+		t.Error("negative partition count accepted")
+	}
+	if _, err := Build(Spec{Scale: 1, Z: 0, RowsOverride: 1000, Partitions: 2, Selectivity: math.NaN()}); err == nil {
+		t.Error("NaN selectivity accepted (it would plant no match)")
+	}
 }
 
 func TestDefaultNameAndSelectivity(t *testing.T) {

@@ -27,8 +27,11 @@ type SkewLevel struct {
 	Name string
 	// Predicate is the selection predicate whose matches are planted.
 	Predicate expr.Expr
-	// plant rewrites a base LINEITEM row into one satisfying Predicate.
-	plant func(data.Record, *plantRNG) data.Record
+	// statCol is the LineItemSchema index of the predicate's column.
+	// Planting a match writes only that column: plant draws the value
+	// from the planted row's plantRNG.
+	statCol int
+	plant   func(plantRNG) data.Value
 
 	// Zone-map metadata for the predicate's column: the generator's
 	// natural value domain [natMin, natMax] and the planted values'
@@ -36,17 +39,18 @@ type SkewLevel struct {
 	// natural domain, extended by the plant domain when the block holds
 	// planted rows — conservative bounds that contain every value the
 	// block can produce (pinned by TestZoneBoundsAreConservative).
-	statColumn         string
 	natMin, natMax     data.Value
 	plantMin, plantMax data.Value
 }
 
 // StatColumn returns the predicate's column, the one the zone map keeps
 // min/max bounds for.
-func (l SkewLevel) StatColumn() string { return l.statColumn }
+func (l SkewLevel) StatColumn() string { return tpch.LineItemSchema.Columns()[l.statCol] }
 
-// plantRNG supplies deterministic randomness for plant transforms, so a
-// planted row's free attributes vary rather than being constant.
+// plantRNG supplies deterministic randomness for plant draws, so a
+// planted row's value varies rather than being constant. Each planted
+// row seeds its own, and passes it by value, so a draw allocates
+// nothing.
 type plantRNG struct{ state uint64 }
 
 func (p *plantRNG) next() uint64 {
@@ -74,11 +78,9 @@ var skewLevels = []SkewLevel{
 		Predicate: &expr.Binary{Op: expr.OpEq,
 			L: &expr.Column{Name: "L_DISCOUNT"},
 			R: &expr.Literal{Val: data.Float(0.11)}},
-		plant: func(r data.Record, _ *plantRNG) data.Record {
-			return r.With("L_DISCOUNT", data.Float(0.11))
-		},
-		statColumn: "L_DISCOUNT",
-		natMin:     data.Float(0.00), natMax: data.Float(0.10),
+		statCol: tpch.ColDiscount,
+		plant:   func(plantRNG) data.Value { return data.Float(0.11) },
+		natMin:  data.Float(0.00), natMax: data.Float(0.10),
 		plantMin: data.Float(0.11), plantMax: data.Float(0.11),
 	},
 	{
@@ -87,11 +89,9 @@ var skewLevels = []SkewLevel{
 		Predicate: &expr.Binary{Op: expr.OpGt,
 			L: &expr.Column{Name: "L_QUANTITY"},
 			R: &expr.Literal{Val: data.Int(50)}},
-		plant: func(r data.Record, rng *plantRNG) data.Record {
-			return r.With("L_QUANTITY", data.Int(51+rng.intn(10)))
-		},
-		statColumn: "L_QUANTITY",
-		natMin:     data.Int(1), natMax: data.Int(50),
+		statCol: tpch.ColQuantity,
+		plant:   func(rng plantRNG) data.Value { return data.Int(51 + rng.intn(10)) },
+		natMin:  data.Int(1), natMax: data.Int(50),
 		plantMin: data.Int(51), plantMax: data.Int(60),
 	},
 	{
@@ -100,15 +100,13 @@ var skewLevels = []SkewLevel{
 		Predicate: &expr.Binary{Op: expr.OpEq,
 			L: &expr.Column{Name: "L_SHIPMODE"},
 			R: &expr.Literal{Val: data.Str("DRONE")}},
-		plant: func(r data.Record, _ *plantRNG) data.Record {
-			return r.With("L_SHIPMODE", data.Str("DRONE"))
-		},
+		statCol: tpch.ColShipMode,
+		plant:   func(plantRNG) data.Value { return data.Str("DRONE") },
 		// Note 'DRONE' sorts lexicographically *inside* ['AIR', 'TRUCK'],
 		// so min/max range pruning alone cannot exclude it; the exact
 		// match-presence bit (free, since matches are planted) is what
 		// makes z=2 blocks skippable. See DESIGN.md "Input path".
-		statColumn: "L_SHIPMODE",
-		natMin:     data.Str("AIR"), natMax: data.Str("TRUCK"),
+		natMin: data.Str("AIR"), natMax: data.Str("TRUCK"),
 		plantMin: data.Str("DRONE"), plantMax: data.Str("DRONE"),
 	},
 }

@@ -161,6 +161,12 @@ func (v *prunedView) AcceleratedMatches(fingerprint string, limit int64) ([]data
 	return v.p.AcceleratedMatches(fingerprint, limit)
 }
 
+// ProjectedMatches delegates to the partition, as AcceleratedMatches
+// does.
+func (v *prunedView) ProjectedMatches(fingerprint string, limit int64, proj *data.Schema) ([]data.Record, bool) {
+	return v.p.ProjectedMatches(fingerprint, limit, proj)
+}
+
 // AcceleratedMatchCount delegates to the partition.
 func (v *prunedView) AcceleratedMatchCount(fingerprint string) (int64, bool) {
 	return v.p.AcceleratedMatchCount(fingerprint)

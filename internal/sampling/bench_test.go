@@ -45,3 +45,38 @@ func BenchmarkAdhocScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlantedMapSplit is one memo-miss map of dynbench's
+// mixed-reduce shape: a z=0 scale-20 table of 160 partitions over 48M
+// rows, whose partition 0 holds 150 planted matches, and the
+// static SELECT L_ORDERKEY, L_PARTKEY, L_SUPPKEY over the planted
+// predicate with no LIMIT, so MapSplit takes the accelerated path and
+// emits every match. Each op is one map task's mapper, built by the
+// job's factory, over the partition.
+func BenchmarkPlantedMapSplit(b *testing.B) {
+	ds, err := dataset.Build(dataset.Spec{Scale: 20, Seed: 117, Z: 0, Partitions: 160, RowsOverride: 48_000_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := ds.Partition(0)
+	if p.NumMatches() != 150 {
+		b.Fatalf("partition 0 holds %d planted matches, want 150", p.NumMatches())
+	}
+	proj, err := tpch.LineItemSchema.Project("L_ORDERKEY", "L_PARTKEY", "L_SUPPKEY")
+	if err != nil {
+		b.Fatal(err)
+	}
+	newMapper := NewMapperFactory(ds.Predicate(), math.MaxInt64, proj)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := newMapper(nil).(*Mapper)
+		out := &mapreduce.Collector{}
+		if err := m.MapSplit(&mapreduce.TaskContext{Source: p}, out); err != nil {
+			b.Fatal(err)
+		}
+		if out.Len() != 150 {
+			b.Fatalf("%d matches emitted, want 150", out.Len())
+		}
+	}
+}

@@ -29,6 +29,14 @@ type AcceleratedSource interface {
 	AcceleratedMatches(predicateFingerprint string, limit int64) ([]data.Record, bool)
 }
 
+// ProjectedSource is an AcceleratedSource that can also build only a
+// projection of each match: ProjectedMatches returns what
+// AcceleratedMatches would, each record projected to proj (nil: whole
+// records).
+type ProjectedSource interface {
+	ProjectedMatches(predicateFingerprint string, limit int64, proj *data.Schema) ([]data.Record, bool)
+}
+
 // Mapper is Algorithm 1: for each input record, if fewer than k records
 // have been found so far and the record satisfies the predicate, emit
 // (k_dummy, record). It implements mapreduce.SplitMapper to exploit
@@ -57,14 +65,6 @@ func NewMapperFactory(pred expr.Expr, k int64, projection *data.Schema) func(*ma
 	}
 }
 
-func (m *Mapper) emit(rec data.Record, out *mapreduce.Collector) {
-	if m.Projection != nil {
-		rec = rec.Project(m.Projection)
-	}
-	out.Emit(DummyKey, rec)
-	m.found++
-}
-
 // Map implements Algorithm 1's per-record body.
 func (m *Mapper) Map(rec data.Record, out *mapreduce.Collector) error {
 	if m.found >= m.K {
@@ -75,30 +75,31 @@ func (m *Mapper) Map(rec data.Record, out *mapreduce.Collector) error {
 		return fmt.Errorf("sampling: predicate: %w", err)
 	}
 	if ok {
-		m.emit(rec, out)
+		if m.Projection != nil {
+			rec = rec.Project(m.Projection)
+		}
+		out.Emit(DummyKey, rec)
+		m.found++
 	}
 	return nil
 }
 
 // MapSplit implements mapreduce.SplitMapper: it uses the accelerated
 // match path when the split's source supports this predicate, falling
-// back to a filtered scan (expr.ScanFilter) otherwise. The scan builds
-// the Projection itself, so its matches are emitted as they come.
+// back to a filtered scan (expr.ScanFilter) otherwise. A ProjectedSource
+// and the scan build the Projection themselves, so their matches are
+// emitted as they come.
 func (m *Mapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Collector) error {
-	if acc, ok := ctx.Source.(AcceleratedSource); ok {
-		fp := m.fingerprint
-		if fp == "" {
-			fp = m.Predicate.String()
-		}
-		if matches, hit := acc.AcceleratedMatches(fp, m.K); hit {
-			for _, rec := range matches {
-				if m.found >= m.K {
-					break
-				}
-				m.emit(rec, out)
+	if matches, hit := m.accelerated(ctx.Source); hit {
+		out.Grow(len(matches))
+		for _, rec := range matches {
+			if m.found >= m.K {
+				break
 			}
-			return nil
+			out.Emit(DummyKey, rec)
+			m.found++
 		}
+		return nil
 	}
 	if m.found >= m.K {
 		return nil
@@ -112,6 +113,30 @@ func (m *Mapper) MapSplit(ctx *mapreduce.TaskContext, out *mapreduce.Collector) 
 		return fmt.Errorf("sampling: predicate: %w", err)
 	}
 	return nil
+}
+
+// accelerated returns the split's first K matches, projected, when src
+// offers the accelerated path for the predicate: from ProjectedMatches
+// if src has it, else from AcceleratedMatches, projected here.
+func (m *Mapper) accelerated(src data.Source) ([]data.Record, bool) {
+	fp := m.fingerprint
+	if fp == "" {
+		fp = m.Predicate.String()
+	}
+	if ps, ok := src.(ProjectedSource); ok {
+		return ps.ProjectedMatches(fp, m.K, m.Projection)
+	}
+	acc, ok := src.(AcceleratedSource)
+	if !ok {
+		return nil, false
+	}
+	matches, hit := acc.AcceleratedMatches(fp, m.K)
+	if hit && m.Projection != nil {
+		for i, rec := range matches {
+			matches[i] = rec.Project(m.Projection)
+		}
+	}
+	return matches, hit
 }
 
 // Reducer is Algorithm 2: receive the single (k_dummy, list) pair and
