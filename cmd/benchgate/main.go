@@ -17,14 +17,18 @@
 //	"bench_budgets": {
 //	  "budgets": {
 //	    "BenchmarkEventThroughput": {"ns_per_op": 63.2, "allocs_per_op": 0},
-//	    "BenchmarkQueryRecord": {"ns_per_op": 50000, "allocs_per_op": 133, "tolerance_pct": 40}
+//	    "BenchmarkQueryRecord": {"ns_per_op": 50000, "allocs_per_op": 133, "tolerance_pct": 40},
+//	    "BenchmarkArchiveWriteQueries": {"ns_per_op": 111000000, "allocs_per_op": 74, "bytes_per_op": 2100000, "tolerance_pct": 40}
 //	  }
 //	}
 //
 // The gate is one-sided: a benchmark fails when its measured ns/op
 // exceeds budget x (1 + tolerance), or its allocs/op exceed the
 // integer allocation budget scaled the same way (a 0 budget therefore
-// pins zero allocations). Running faster than budget always passes —
+// pins zero allocations), or, for a budget with the optional
+// "bytes_per_op", its B/op exceed that ceiling scaled the same way (a
+// budgeted benchmark whose output lacks B/op fails: run it with
+// -benchmem). Running faster than budget always passes —
 // budgets are ratchets, not targets. A budget's optional
 // "tolerance_pct" overrides the global -tolerance for that benchmark
 // alone (40 means +40%), so noisy macro-benchmarks can run looser
@@ -58,6 +62,8 @@ import (
 type budget struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// BytesPerOp, when present, is a B/op ceiling.
+	BytesPerOp *int64 `json:"bytes_per_op,omitempty"`
 	// TolerancePct, when present, overrides the global -tolerance for
 	// this benchmark (percent: 40 allows +40% over budget).
 	TolerancePct *float64 `json:"tolerance_pct,omitempty"`
@@ -68,6 +74,8 @@ type result struct {
 	nsPerOp     float64
 	allocsPerOp int64
 	hasAllocs   bool
+	bytesPerOp  int64
+	hasBytes    bool
 }
 
 // trendBench is one benchmark's measurement in a trend record.
@@ -76,8 +84,12 @@ type trendBench struct {
 	AllocsPerOp       *int64  `json:"allocs_per_op,omitempty"`
 	BudgetNsPerOp     float64 `json:"budget_ns_per_op"`
 	BudgetAllocsPerOp int64   `json:"budget_allocs_per_op"`
-	TolerancePct      float64 `json:"tolerance_pct"`
-	OK                bool    `json:"ok"`
+	// The B/op fields are present for benchmarks with a bytes_per_op
+	// budget.
+	BytesPerOp       *int64  `json:"bytes_per_op,omitempty"`
+	BudgetBytesPerOp *int64  `json:"budget_bytes_per_op,omitempty"`
+	TolerancePct     float64 `json:"tolerance_pct"`
+	OK               bool    `json:"ok"`
 }
 
 // trendRecord is one BENCH_trend.jsonl line (schema dynamicmr.trend/1).
@@ -197,13 +209,29 @@ func gate(w io.Writer, budgets map[string]budget, results map[string]result,
 				name, res.allocsPerOp, bud.AllocsPerOp, int(tol*100), tolNote, allocLimit)
 			ok, failed = false, true
 		}
+		bytesNote := ""
+		if bud.BytesPerOp != nil {
+			bytesLimit := int64(math.Floor(float64(*bud.BytesPerOp) * (1 + tol)))
+			switch {
+			case !res.hasBytes:
+				fmt.Fprintf(w, "FAIL %s: budgets %d B/op but the output has no B/op (run with -benchmem)\n",
+					name, *bud.BytesPerOp)
+				ok, failed = false, true
+			case res.bytesPerOp > bytesLimit:
+				fmt.Fprintf(w, "FAIL %s: %d B/op exceeds budget %d B/op (+%d%% tolerance%s -> limit %d)\n",
+					name, res.bytesPerOp, *bud.BytesPerOp, int(tol*100), tolNote, bytesLimit)
+				ok, failed = false, true
+			default:
+				bytesNote = fmt.Sprintf(", %d B/op (budget %d)", res.bytesPerOp, *bud.BytesPerOp)
+			}
+		}
 		if ok {
 			allocs := "?"
 			if res.hasAllocs {
 				allocs = strconv.FormatInt(res.allocsPerOp, 10)
 			}
-			fmt.Fprintf(w, "ok   %s: %.1f ns/op (budget %.1f), %s allocs/op (budget %d)\n",
-				name, res.nsPerOp, bud.NsPerOp, allocs, bud.AllocsPerOp)
+			fmt.Fprintf(w, "ok   %s: %.1f ns/op (budget %.1f), %s allocs/op (budget %d)%s\n",
+				name, res.nsPerOp, bud.NsPerOp, allocs, bud.AllocsPerOp, bytesNote)
 		}
 		row := trendBench{
 			NsPerOp:           res.nsPerOp,
@@ -215,6 +243,13 @@ func gate(w io.Writer, budgets map[string]budget, results map[string]result,
 		if res.hasAllocs {
 			n := res.allocsPerOp
 			row.AllocsPerOp = &n
+		}
+		if bud.BytesPerOp != nil {
+			row.BudgetBytesPerOp = bud.BytesPerOp
+			if res.hasBytes {
+				n := res.bytesPerOp
+				row.BytesPerOp = &n
+			}
 		}
 		rows[name] = row
 	}
@@ -228,9 +263,10 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.eE+]+
 
 // parseBench collects benchmark result lines keyed by name with the
 // GOMAXPROCS suffix stripped; repeated runs keep the last measurement.
-// A result line whose ns/op or allocs/op does not parse as a number
-// (say "1.2.3", or more digits than an int64 holds) is an error: skipping
-// it, or only its allocation count, would pass a gate it never checked.
+// A result line whose ns/op, B/op or allocs/op does not parse as a
+// number (say "1.2.3", or more digits than an int64 holds) is an error:
+// skipping it, or only one of its counts, would pass a gate it never
+// checked.
 func parseBench(r io.Reader) (map[string]result, error) {
 	out := make(map[string]result)
 	sc := bufio.NewScanner(r)
@@ -245,6 +281,13 @@ func parseBench(r io.Reader) (map[string]result, error) {
 			return nil, fmt.Errorf("line %d: %s ns/op: %w", line, m[1], err)
 		}
 		r := result{nsPerOp: ns}
+		if m[3] != "" {
+			n, err := strconv.ParseInt(m[3], 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %s B/op: %w", line, m[1], err)
+			}
+			r.bytesPerOp, r.hasBytes = n, true
+		}
 		if m[4] != "" {
 			n, err := strconv.ParseInt(m[4], 10, 64)
 			if err != nil {

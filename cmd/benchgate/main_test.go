@@ -95,8 +95,47 @@ PASS
 		t.Errorf("EventThroughput = %+v, ok=%v", ev, ok)
 	}
 	mc := got["BenchmarkMapCompletion"]
-	if mc.nsPerOp != 3000000 || mc.allocsPerOp != 572 {
+	if mc.nsPerOp != 3000000 || mc.allocsPerOp != 572 || !mc.hasBytes || mc.bytesPerOp != 500000 {
 		t.Errorf("MapCompletion = %+v", mc)
+	}
+}
+
+func TestGateBytesPerOp(t *testing.T) {
+	i64 := func(v int64) *int64 { return &v }
+	budgets := map[string]budget{
+		// 25% tolerance: limit 1250 B/op.
+		"BenchmarkUnder":   {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: i64(1000)},
+		"BenchmarkOver":    {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: i64(1000)},
+		"BenchmarkNoMem":   {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: i64(1000)},
+		"BenchmarkNoCeil":  {NsPerOp: 100, AllocsPerOp: 10},
+		"BenchmarkLoosest": {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: i64(1000), TolerancePct: f64(100)},
+	}
+	results := map[string]result{
+		"BenchmarkUnder":   {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1250, hasBytes: true},
+		"BenchmarkOver":    {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1251, hasBytes: true},
+		"BenchmarkNoMem":   {nsPerOp: 50},
+		"BenchmarkNoCeil":  {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1 << 40, hasBytes: true},
+		"BenchmarkLoosest": {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 2000, hasBytes: true},
+	}
+	var out strings.Builder
+	failed, rows := gate(&out, budgets, results, 0.25, "budgets.json")
+	if !failed {
+		t.Fatalf("want a failure; output:\n%s", out.String())
+	}
+	for name, want := range map[string]bool{"BenchmarkUnder": true, "BenchmarkOver": false,
+		"BenchmarkNoMem": false, "BenchmarkNoCeil": true, "BenchmarkLoosest": true} {
+		if rows[name].OK != want {
+			t.Errorf("%s ok = %v, want %v; output:\n%s", name, rows[name].OK, want, out.String())
+		}
+	}
+	if r := rows["BenchmarkOver"]; r.BytesPerOp == nil || *r.BytesPerOp != 1251 || r.BudgetBytesPerOp == nil || *r.BudgetBytesPerOp != 1000 {
+		t.Errorf("BenchmarkOver trend row = %+v, want 1251 B/op against 1000", r)
+	}
+	if r := rows["BenchmarkNoCeil"]; r.BytesPerOp != nil || r.BudgetBytesPerOp != nil {
+		t.Errorf("a benchmark without a bytes_per_op budget records no B/op; row = %+v", r)
+	}
+	if !strings.Contains(out.String(), "-benchmem") {
+		t.Errorf("a missing B/op should say to run with -benchmem; output:\n%s", out.String())
 	}
 }
 
@@ -169,7 +208,7 @@ func TestLoadBudgetsTolerancePct(t *testing.T) {
 	path := filepath.Join(dir, "b.json")
 	doc := `{"bench_budgets":{"budgets":{
 		"BenchmarkA":{"ns_per_op":10,"allocs_per_op":1},
-		"BenchmarkB":{"ns_per_op":20,"allocs_per_op":2,"tolerance_pct":40}}}}`
+		"BenchmarkB":{"ns_per_op":20,"allocs_per_op":2,"tolerance_pct":40,"bytes_per_op":4096}}}}`
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +222,12 @@ func TestLoadBudgetsTolerancePct(t *testing.T) {
 	if tp := budgets["BenchmarkB"].TolerancePct; tp == nil || *tp != 40 {
 		t.Errorf("BenchmarkB override = %v, want 40", tp)
 	}
+	if budgets["BenchmarkA"].BytesPerOp != nil {
+		t.Errorf("BenchmarkA should have no B/op ceiling")
+	}
+	if bp := budgets["BenchmarkB"].BytesPerOp; bp == nil || *bp != 4096 {
+		t.Errorf("BenchmarkB B/op ceiling = %v, want 4096", bp)
+	}
 }
 
 func TestParseBenchRejectsUnparsableCounts(t *testing.T) {
@@ -190,6 +235,7 @@ func TestParseBenchRejectsUnparsableCounts(t *testing.T) {
 		"BenchmarkX-2   100   63.2 ns/op   0 B/op   123456789012345678901 allocs/op",
 		"BenchmarkX-2   100   1.2.3 ns/op   0 B/op   5 allocs/op",
 		"BenchmarkX-2   100   1e400 ns/op",
+		"BenchmarkX-2   100   63.2 ns/op   1.5 B/op   5 allocs/op",
 	} {
 		if got, err := parseBench(strings.NewReader(line + "\n")); err == nil {
 			t.Errorf("%q parsed as %+v, want an error", line, got)
@@ -199,7 +245,7 @@ func TestParseBenchRejectsUnparsableCounts(t *testing.T) {
 
 // FuzzParseBench checks that parseBench never panics and that every
 // result it accepts, written back as a benchmark line, parses to the
-// same name, ns/op and allocs/op.
+// same name, ns/op, B/op and allocs/op.
 func FuzzParseBench(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		got, err := parseBench(strings.NewReader(in))
@@ -208,8 +254,11 @@ func FuzzParseBench(f *testing.F) {
 		}
 		for name, r := range got {
 			line := fmt.Sprintf("%s-2\t100\t%s ns/op", name, strconv.FormatFloat(r.nsPerOp, 'f', -1, 64))
+			if r.hasBytes {
+				line += fmt.Sprintf("\t%d B/op", r.bytesPerOp)
+			}
 			if r.hasAllocs {
-				line += fmt.Sprintf("\t0 B/op\t%d allocs/op", r.allocsPerOp)
+				line += fmt.Sprintf("\t%d allocs/op", r.allocsPerOp)
 			}
 			again, err := parseBench(strings.NewReader(line))
 			if err != nil {

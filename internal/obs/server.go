@@ -298,7 +298,8 @@ func (s *Server) handleQueries(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, fmt.Sprintf("no query %q", id), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, dump)
+	w.Header().Set("Content-Type", "application/json")
+	_ = dump.WriteJSON(w) // unreported, as in writeJSON: the status line may be sent already
 }
 
 // handleTSDB serves the time-series engine's full dump (schema

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -64,6 +65,14 @@ func TestQueriesAndLiveEndpoints(t *testing.T) {
 	}
 	if dump.Finished != 3 || len(dump.Queries) != 3 || len(dump.InFlight) != 0 {
 		t.Fatalf("dump totals: finished=%d queries=%d inflight=%d", dump.Finished, len(dump.Queries), len(dump.InFlight))
+	}
+	// The body is the published dump's one JSON writer, byte for byte.
+	var want bytes.Buffer
+	if err := srv.publishedState().dump.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Body.String() != want.String() {
+		t.Fatalf("/queries body differs from Dump.WriteJSON:\n got %s\nwant %s", rec.Body.String(), want.String())
 	}
 
 	// /queries?id=: single-record detail.

@@ -32,7 +32,6 @@
 package qstats
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -714,11 +713,3 @@ func (r *Registry) Dump() Dump {
 // WriteJSON writes the registry's Dump as indented JSON (schema
 // SchemaVersion); see Dump.WriteJSON.
 func (r *Registry) WriteJSON(w io.Writer) error { return r.Dump().WriteJSON(w) }
-
-// WriteJSON writes the dump as indented JSON (the `dynmr render qstats`
-// output, schema SchemaVersion).
-func (d Dump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}

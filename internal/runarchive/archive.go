@@ -254,20 +254,16 @@ type Source struct {
 	Config        RunConfig
 }
 
-// New snapshots a run into an Archive. The diagnosis (computed here
-// when src.Diagnosis is nil) is invariant-checked: every job's
-// breakdown must sum to its makespan, the precondition for
-// diff-by-construction in Compare.
+// New snapshots a run into an Archive. The diagnosis is
+// invariant-checked: every job's breakdown must sum to its makespan,
+// the precondition for diff-by-construction in Compare. When
+// src.Diagnosis is nil, New computes it with diag.Analyze from the
+// copies of the tracer's spans, decisions and counters the archive
+// keeps (as diag.FromTracer would from copies of its own), so the
+// report's Counters is the archive's Counters map.
 func New(src Source) (*Archive, error) {
 	if !src.Tracer.Enabled() {
 		return nil, fmt.Errorf("runarchive: archiving requires an enabled tracer")
-	}
-	rep := src.Diagnosis
-	if rep == nil {
-		rep = diag.FromTracer(src.Tracer)
-	}
-	if err := rep.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("runarchive: diagnosis invariants: %w", err)
 	}
 	a := &Archive{
 		Manifest: Manifest{
@@ -284,10 +280,16 @@ func New(src Source) (*Archive, error) {
 		Snapshots: src.Snapshots,
 		Counters:  src.Tracer.Counters(),
 		Gauges:    src.Tracer.Gauges(),
-		Diagnosis: rep,
+		Diagnosis: src.Diagnosis,
 		Queries:   src.Queries,
 		Series:    src.Series,
 		Alerts:    src.Alerts,
+	}
+	if a.Diagnosis == nil {
+		a.Diagnosis = diag.Analyze(a.Spans, a.Decisions, a.Counters, a.Manifest.DroppedSpans, diag.Config{})
+	}
+	if err := a.Diagnosis.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("runarchive: diagnosis invariants: %w", err)
 	}
 	a.Manifest.Counts = a.counts()
 	return a, nil
@@ -447,89 +449,124 @@ func appendSampleLine(b []byte, m trace.MetricSample) []byte {
 // writeChunkSize is the encoder → compressor hand-off granularity.
 const writeChunkSize = 256 << 10
 
+// chunkWriter is encodeStream's output buffer. fill hands buf to the
+// compressor once it reaches writeChunkSize, so no chunk runs past
+// writeChunkSize by more than one line or one streamed value.
+type chunkWriter struct {
+	buf  []byte
+	out  chan<- writeChunk
+	free <-chan []byte
+}
+
+// Write appends p, for payloads that stream (the qstats record).
+func (c *chunkWriter) Write(p []byte) (int, error) {
+	c.buf = append(c.buf, p...)
+	c.fill()
+	return len(p), nil
+}
+
+// WriteString spares a streaming payload's separators a []byte copy.
+func (c *chunkWriter) WriteString(s string) (int, error) {
+	c.buf = append(c.buf, s...)
+	c.fill()
+	return len(s), nil
+}
+
+// fill hands buf to the compressor when it is full.
+func (c *chunkWriter) fill() {
+	if len(c.buf) >= writeChunkSize {
+		c.flush()
+	}
+}
+
+func (c *chunkWriter) flush() {
+	if len(c.buf) > 0 {
+		c.out <- writeChunk{b: c.buf}
+		c.buf = (<-c.free)[:0]
+	}
+}
+
+// record writes one {"t":kind,"d":...} line whose payload encode writes.
+func (c *chunkWriter) record(kind string, encode func(io.Writer) error) error {
+	c.buf = append(c.buf, `{"t":"`...)
+	c.buf = append(c.buf, kind...)
+	c.buf = append(c.buf, `","d":`...)
+	if err := encode(c); err != nil {
+		return err
+	}
+	c.buf = append(c.buf, "}\n"...)
+	c.fill()
+	return nil
+}
+
+// emit writes one record whose payload is marshaled whole.
+func (c *chunkWriter) emit(kind string, payload any) error {
+	return c.record(kind, func(w io.Writer) error {
+		d, err := json.Marshal(payload)
+		if err == nil {
+			_, err = w.Write(d)
+		}
+		return err
+	})
+}
+
 // encodeStream serializes every record into chunks sent over out, in
 // stream order. It owns the encoding end of Write's pipeline; any
-// marshal error is delivered as the final chunk.
+// marshal error is delivered as the final chunk, after the chunks
+// already encoded.
 func (a *Archive) encodeStream(out chan<- writeChunk, free <-chan []byte) {
-	buf := (<-free)[:0]
-	flush := func() {
-		if len(buf) > 0 {
-			out <- writeChunk{b: buf}
-			buf = (<-free)[:0]
+	c := &chunkWriter{buf: (<-free)[:0], out: out, free: free}
+	err := c.emit(recManifest, a.Manifest)
+	if err == nil {
+		for _, s := range a.Spans {
+			c.buf = appendSpanLine(c.buf, s)
+			c.fill()
 		}
-	}
-	emit := func(kind string, payload any) error {
-		d, err := json.Marshal(payload)
-		if err != nil {
-			return err
+		for _, d := range a.Decisions {
+			c.buf = appendDecisionLine(c.buf, d)
+			c.fill()
 		}
-		buf = append(buf, `{"t":"`...)
-		buf = append(buf, kind...)
-		buf = append(buf, `","d":`...)
-		buf = append(buf, d...)
-		buf = append(buf, "}\n"...)
-		if len(buf) >= writeChunkSize {
-			flush()
+		for _, m := range a.Samples {
+			c.buf = appendSampleLine(c.buf, m)
+			c.fill()
 		}
-		return nil
-	}
-	if err := emit(recManifest, a.Manifest); err != nil {
-		out <- writeChunk{err: err}
-		close(out)
-		return
-	}
-	for _, s := range a.Spans {
-		buf = appendSpanLine(buf, s)
-		if len(buf) >= writeChunkSize {
-			flush()
-		}
-	}
-	for _, d := range a.Decisions {
-		buf = appendDecisionLine(buf, d)
-		if len(buf) >= writeChunkSize {
-			flush()
-		}
-	}
-	for _, m := range a.Samples {
-		buf = appendSampleLine(buf, m)
-		if len(buf) >= writeChunkSize {
-			flush()
-		}
-	}
-	var err error
-	for _, s := range a.Snapshots {
-		if err = emit(recSnapshot, s); err != nil {
-			break
+		for _, s := range a.Snapshots {
+			if err = c.emit(recSnapshot, s); err != nil {
+				break
+			}
 		}
 	}
 	if err == nil && len(a.Counters) > 0 {
-		err = emit(recCounters, a.Counters)
+		err = c.emit(recCounters, a.Counters)
 	}
 	if err == nil && len(a.Gauges) > 0 {
 		gs := make(map[string]gaugeRecord, len(a.Gauges))
 		for k, g := range a.Gauges {
 			gs[k] = gaugeRecord{Last: g.Last, Min: g.Min, Max: g.Max, Sum: g.Sum, Count: g.Count}
 		}
-		err = emit(recGauges, gs)
+		err = c.emit(recGauges, gs)
 	}
 	if err == nil && a.Diagnosis != nil {
-		err = emit(recDiagnosis, a.Diagnosis)
+		err = c.emit(recDiagnosis, a.Diagnosis)
 	}
 	if err == nil && a.Queries != nil {
-		err = emit(recQueries, a.Queries)
+		// The dump is the largest record: thousands of queries, each
+		// with its diagnosis. It streams a query at a time, so the
+		// chunks stay bounded.
+		err = c.record(recQueries, a.Queries.WriteCompactJSON)
 	}
 	if err == nil && a.Series != nil {
-		err = emit(recSeries, a.Series)
+		err = c.emit(recSeries, a.Series)
 	}
 	if err == nil && a.Alerts != nil {
-		err = emit(recAlerts, a.Alerts)
+		err = c.emit(recAlerts, a.Alerts)
 	}
 	if err != nil {
 		out <- writeChunk{err: err}
 		close(out)
 		return
 	}
-	flush()
+	c.flush()
 	close(out)
 }
 
@@ -546,7 +583,10 @@ type writeChunk struct {
 // goroutine → gzip on the caller), overlapping the two roughly
 // equal-cost halves of the dump; the chunk channel is FIFO and
 // single-producer/single-consumer, so the byte stream — and with it
-// the byte-identity contract — is exactly the sequential one.
+// the byte-identity contract — is exactly the sequential one. The
+// qstats record, the largest, streams a query at a time, so Write holds
+// a few chunks however many queries the dump has; when a query fails
+// to encode (a NaN, say), the stream before it may already be in w.
 func (a *Archive) Write(w io.Writer) error {
 	// BestSpeed keeps archiving invisible next to the simulation (the
 	// stream is ~25% larger than default compression but ~4× faster to
@@ -579,17 +619,23 @@ func (a *Archive) Write(w io.Writer) error {
 	return zw.Close()
 }
 
-// WriteFile writes the archive to path.
+// WriteFile writes the archive to path. When the write fails, it
+// removes the file: Write may already have written part of the stream
+// (the qstats record streams, and a NaN in it fails mid-record), and
+// Load would reject what is left as corrupt.
 func (a *Archive) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := a.Write(f); err != nil {
-		f.Close()
-		return err
+	err = a.Write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err != nil {
+		_ = os.Remove(path) // best effort: the write error is the one to report
+	}
+	return err
 }
 
 // Load parses a gzip NDJSON archive and validates it (schema match,
