@@ -538,21 +538,15 @@ func (c *Cluster) EstimateSelectivity(table, predicate string, maxRelErr float64
 	if job.State() == mapreduce.StateFailed {
 		return out, fmt.Errorf("dynamicmr: estimation job failed: %s", job.Failure())
 	}
-	// The provider's stopping-rule estimate reflects its last
-	// evaluation; recompute from the final counters so in-flight maps
-	// that finished after end-of-input are included.
-	records := job.Counters.MapInputRecords
-	matches := job.Counters.UserCounter(sampling.CounterMatches)
-	est := sampling.Estimate{Matches: matches, Records: records}
-	if records > 0 {
-		est.Selectivity = float64(matches) / float64(records)
-	}
-	last := provider.Last()
+	// The stopping rule judged the counters of its last evaluation; the
+	// result uses the final ones, so in-flight maps that finished after
+	// end-of-input count toward the estimate and its error alike.
+	est := provider.Estimate(job.Counters.UserCounter(sampling.CounterMatches), job.Counters.MapInputRecords)
 	out = SelectivityEstimate{
 		Selectivity:         est.Selectivity,
-		Matches:             matches,
-		Records:             records,
-		RelativeError:       last.RelativeError,
+		Matches:             est.Matches,
+		Records:             est.Records,
+		RelativeError:       est.RelativeError,
 		PartitionsProcessed: job.CompletedMaps(),
 		ResponseTime:        job.ResponseTime(),
 	}

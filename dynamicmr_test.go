@@ -357,6 +357,35 @@ func TestEstimateSelectivity(t *testing.T) {
 	}
 }
 
+// TestEstimateSelectivityOneSetOfCounters checks that the returned
+// relative error is the interval of the returned estimate: both come
+// from the job's final counters. Under HA the first grab takes all 40
+// partitions, so the stopping rule never sees a finished map; an error
+// taken from its last evaluation would read 0.
+func TestEstimateSelectivityOneSetOfCounters(t *testing.T) {
+	c, err := NewCluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.LoadLineItem("lineitem", DatasetSpec{
+		Scale: 1, Skew: 0, Selectivity: 0.02, Rows: 400_000, Partitions: 40, Seed: 3,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"LA", "HA"} {
+		est, err := c.EstimateSelectivity("lineitem", "L_DISCOUNT = 0.11", 0.1, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := float64(est.Matches) / float64(est.Records)
+		want := 1.96 * math.Sqrt(p*(1-p)/float64(est.Records)) / p
+		if est.Selectivity != p || math.Abs(est.RelativeError-want) > 1e-12 {
+			t.Errorf("%s: selectivity %v and relative error %v, want %v and %v from %d matches in %d records",
+				policy, est.Selectivity, est.RelativeError, p, want, est.Matches, est.Records)
+		}
+	}
+}
+
 func TestEstimateSelectivityErrors(t *testing.T) {
 	c := demoCluster(t)
 	if _, err := c.EstimateSelectivity("nope", "L_DISCOUNT = 0.11", 0.1, ""); err == nil {

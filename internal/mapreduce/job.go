@@ -214,7 +214,9 @@ func (j *Job) CompletedMaps() int { return int(j.Counters.CompletedMaps) }
 // NumReduces returns the reduce-task count.
 func (j *Job) NumReduces() int { return j.numReduces }
 
-// Output returns the job's reduce output (valid once Done).
+// Output returns the job's reduce output. It is valid once Done and
+// until JobTracker.Retire, which clears the array and keeps it for a
+// later job's reduce; a retired job's Output is nil.
 func (j *Job) Output() []KeyValue { return j.output }
 
 // ResponseTime returns FinishTime - SubmitTime (valid once Done).

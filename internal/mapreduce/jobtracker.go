@@ -44,6 +44,9 @@ const (
 	// sub-block under the indexed input path (one clustered-index probe
 	// per block), on top of the matching records themselves.
 	indexProbeBytes = 4096
+	// maxKeptOutputs caps how many retired jobs' output arrays the
+	// tracker keeps for later reduces to build their outputs in.
+	maxKeptOutputs = 16
 )
 
 // Costs models the task execution costs that callers tune: attempt
@@ -213,6 +216,10 @@ type JobTracker struct {
 
 	// picks is the built-in schedulers' AssignMaps result buffer.
 	picks []*MapTask
+
+	// keptOutputs holds retired jobs' output arrays, cleared, for later
+	// reduces to build their outputs in (see takeOutput).
+	keptOutputs [][]KeyValue
 
 	// tracer is nil unless cfg.Trace.Enabled; *trace.Tracer methods are
 	// nil-safe, so instrumentation sites call it unconditionally.
@@ -465,9 +472,11 @@ func (jt *JobTracker) EndOfInput(j *Job) error {
 }
 
 // Retire removes a finished job from the tracker's bookkeeping and
-// releases its retained output and shuffle buffers. Long-running
-// workloads retire jobs after harvesting their results so that
-// scheduler scans and memory stay proportional to *active* jobs.
+// releases its shuffle buffers. The job's output array is cleared and
+// kept for a later reduce to build its output in, so Output is valid
+// only until Retire. Long-running workloads retire jobs after
+// harvesting their results so that scheduler scans and memory stay
+// proportional to *active* jobs.
 func (jt *JobTracker) Retire(j *Job) error {
 	if !j.Done() {
 		return fmt.Errorf("mapreduce: cannot retire running job %d", j.ID)
@@ -481,11 +490,61 @@ func (jt *JobTracker) Retire(j *Job) error {
 	if r, ok := jt.sched.(jobRetirer); ok {
 		r.retireJob(j)
 	}
+	jt.keepOutput(j.output)
 	j.output = nil
 	j.mapOutput = nil
 	j.reduceTasks = nil
 	j.pendingReduces = nil
 	return nil
+}
+
+// keepOutput clears an output array that nothing reads any more and
+// keeps it for takeOutput. A full list keeps the larger arrays: s
+// replaces the smallest kept one if it is larger, and is dropped
+// otherwise.
+//
+// Only s[:len(s)] is cleared. Past it an output array is always zero:
+// a fresh or grown array starts zeroed, and a kept one is cleared here
+// before a reduce appends to it from length 0.
+func (jt *JobTracker) keepOutput(s []KeyValue) {
+	if cap(s) == 0 {
+		return
+	}
+	clear(s)
+	s = s[:0]
+	if len(jt.keptOutputs) < maxKeptOutputs {
+		jt.keptOutputs = append(jt.keptOutputs, s)
+		return
+	}
+	small := 0
+	for i, k := range jt.keptOutputs {
+		if cap(k) < cap(jt.keptOutputs[small]) {
+			small = i
+		}
+	}
+	if cap(s) > cap(jt.keptOutputs[small]) {
+		jt.keptOutputs[small] = s
+	}
+}
+
+// takeOutput hands out the smallest kept array whose capacity covers n
+// pairs, empty, or nil when none does.
+func (jt *JobTracker) takeOutput(n int) []KeyValue {
+	best := -1
+	for i, k := range jt.keptOutputs {
+		if cap(k) >= n && (best < 0 || cap(k) < cap(jt.keptOutputs[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	s := jt.keptOutputs[best]
+	last := len(jt.keptOutputs) - 1
+	jt.keptOutputs[best] = jt.keptOutputs[last]
+	jt.keptOutputs[last] = nil
+	jt.keptOutputs = jt.keptOutputs[:last]
+	return s
 }
 
 // jobRetirer lets schedulers drop per-job state at retirement.

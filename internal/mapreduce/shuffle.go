@@ -50,13 +50,14 @@ func sortPairsStable(pairs []KeyValue) {
 	seqScratch.Put(bufp)
 }
 
-// collectorPool recycles Collector backing arrays across task
-// attempts: every map and reduce attempt allocates a collector whose
-// pairs array is copied out (into shuffle chunks or job output) before
-// the attempt finishes, so the array itself is reusable. Collectors
-// that escape — memoised in a MapOutputCache, shared through a scan
-// future, or taken whole as a single-reduce job's output — are never
-// recycled; see the recycleCollector call sites.
+// collectorPool recycles the map side's Collector backing arrays
+// across task attempts: a map attempt's or combiner's collector whose
+// pairs are copied out (into shuffle chunks, or into the combined
+// collector) before the attempt finishes is reusable. Collectors that
+// escape — memoised in a MapOutputCache or shared through a scan
+// future — are never recycled; see the recycleCollector call sites.
+// Reduce outputs do not come from here: each is built in an array the
+// JobTracker kept from a retired job's output (see JobTracker.Retire).
 var collectorPool = sync.Pool{New: func() any { return new(Collector) }}
 
 // newCollector returns an empty collector, reusing a recycled backing

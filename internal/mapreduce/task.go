@@ -612,12 +612,12 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 		t.Job.Counters.ReduceOutputRecs += int64(out.Len())
 		t.Job.Counters.mergeUser(out.UserCounters())
 		outBytes := out.Bytes()
-		if j.numReduces == 1 {
-			// The only reduce's output is the job's: take the pairs.
+		if j.output == nil {
+			// The first reduce to finish hands its array to the job.
 			j.output = out.Pairs()
 		} else {
 			j.output = append(j.output, out.Pairs()...)
-			recycleCollector(out)
+			jt.keepOutput(out.Pairs())
 		}
 		// Reduce CPU for the user function, then the output write.
 		work := float64(totalPairs) * reduceCPUPerRecordS
@@ -637,7 +637,8 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 }
 
 // execReducer groups the partition's pairs by key and runs the user's
-// reduce logic for real.
+// reduce logic for real. The output is built in an array from the
+// tracker's kept outputs when one fits (see reduceGroups).
 func (jt *JobTracker) execReducer(t *ReduceTask, chunks []mapChunk) (*Collector, error) {
 	j := t.Job
 	var reducer Reducer
@@ -647,8 +648,8 @@ func (jt *JobTracker) execReducer(t *ReduceTask, chunks []mapChunk) (*Collector,
 	if reducer == nil {
 		reducer = IdentityReducer
 	}
-	out := newCollector()
-	if err := reduceGroups(chunks, reducer, out); err != nil {
+	out := new(Collector)
+	if err := jt.reduceGroups(chunks, reducer, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -663,12 +664,16 @@ func (jt *JobTracker) execReducer(t *ReduceTask, chunks []mapChunk) (*Collector,
 // place; sorted chunks with overlapping ranges are merged
 // (mergeSortedChunks); anything else is sorted (sortPairs).
 //
-// A PrefixReducer's output is copied from those runs by reducePrefix.
-// Any other reducer gets its values in one exactly sized buffer, and
-// each group is a capacity-capped sub-slice of it, so a reducer that
-// appends to its values reallocates instead of overwriting the next
-// group. Groups stay valid after the call: nothing reuses the buffer.
-func reduceGroups(chunks []mapChunk, reducer Reducer, out *Collector) error {
+// out starts empty and gets the smallest kept output array that holds
+// the output's bound: min(pairs, limit) for a PrefixReducer, the pair
+// count for any other reducer. A PrefixReducer's output is copied from
+// those runs by reducePrefix, into a fresh array of exactly the bound
+// when none is kept. Any other reducer grows out itself as it emits. It
+// gets its values in one exactly sized buffer, and each group is a
+// capacity-capped sub-slice of it, so a reducer that appends to its
+// values reallocates instead of overwriting the next group. Groups stay
+// valid after the call: nothing reuses the buffer.
+func (jt *JobTracker) reduceGroups(chunks []mapChunk, reducer Reducer, out *Collector) error {
 	total, sorted, ordered := 0, true, true
 	var bytes int64
 	var last *KeyValue // the previous non-empty chunk's last pair
@@ -701,10 +706,17 @@ func reduceGroups(chunks []mapChunk, reducer Reducer, out *Collector) error {
 	}
 	if pr, ok := reducer.(PrefixReducer); ok {
 		if limit, ok := pr.PrefixLimit(); ok {
-			reducePrefix(runs, total, limit, out)
+			bound := total
+			if limit < int64(total) {
+				bound = int(max(limit, 0))
+			}
+			out.pairs = jt.takeOutput(bound)
+			out.Grow(bound)
+			reducePrefix(runs, limit, out)
 			return nil
 		}
 	}
+	out.pairs = jt.takeOutput(total)
 	vals := make([]data.Record, total)
 	n, start := 0, 0
 	var key string
@@ -810,18 +822,12 @@ func mergeSortedChunks(chunks []mapChunk, total int) []KeyValue {
 }
 
 // reducePrefix appends each key group's first limit pairs of the
-// key-sorted, in-order runs (total pairs in all) to out. A run in which
-// no group can pass limit is appended whole and adds its byte count. A
-// run under one key, which every sampling job's runs are, keeps a
-// prefix: it is appended in one copy and adds the kept pairs' sizes,
-// or none once its group is full. Only the kept pairs of any other run
-// are sized, through Emit.
-func reducePrefix(runs []mapChunk, total int, limit int64, out *Collector) {
-	grow := int64(total)
-	if limit < grow {
-		grow = max(limit, 0)
-	}
-	out.Grow(int(grow))
+// key-sorted, in-order runs to out. A run in which no group can pass
+// limit is appended whole and adds its byte count. A run under one key,
+// which every sampling job's runs are, keeps a prefix: it is appended
+// in one copy and adds the kept pairs' sizes, or none once its group is
+// full. Only the kept pairs of any other run are sized, through Emit.
+func reducePrefix(runs []mapChunk, limit int64, out *Collector) {
 	var key string // the current group's key
 	var seen int64 // the current group's values so far
 	for _, c := range runs {

@@ -31,6 +31,7 @@ import (
 	"os"
 	"runtime/debug"
 	"strconv"
+	"strings"
 
 	"dynamicmr/internal/diag"
 	"dynamicmr/internal/obs"
@@ -312,12 +313,6 @@ func (a *Archive) counts() Counts {
 		c.AlertEvents = len(a.Alerts.Events)
 	}
 	return c
-}
-
-// record is one NDJSON line.
-type record struct {
-	T string          `json:"t"`
-	D json.RawMessage `json:"d"`
 }
 
 // jsonSafe reports whether s needs no JSON escaping (the fast path for
@@ -640,6 +635,13 @@ func (a *Archive) WriteFile(path string) error {
 
 // Load parses a gzip NDJSON archive and validates it (schema match,
 // counts consistent with the stream).
+//
+// A record's payload is decoded straight from the stream into its typed
+// target once the record's kind is known, so no record is held raw as
+// well as decoded. Write puts "t" before "d"; a record whose "d" comes
+// first is buffered and decoded at its end, and keys other than "t" and
+// "d" are skipped, as the field matching of encoding/json does. A "t"
+// or "d" key after a payload already decoded is an error.
 func Load(r io.Reader) (*Archive, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -649,91 +651,58 @@ func Load(r io.Reader) (*Archive, error) {
 	dec := json.NewDecoder(bufio.NewReader(zr))
 	a := &Archive{}
 	first := true
-	for {
-		var rec record
-		if err := dec.Decode(&rec); err == io.EOF {
+	for ; ; first = false {
+		tok, err := dec.Token()
+		if err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("runarchive: corrupt record: %w", err)
 		}
-		if first {
-			if rec.T != recManifest {
-				return nil, fmt.Errorf("runarchive: first record is %q, want %q", rec.T, recManifest)
+		var kind string
+		var raw json.RawMessage
+		switch tok {
+		case nil: // a null record has no kind
+		case json.Delim('{'):
+			var hasKind, decoded bool
+			for dec.More() {
+				key, err := dec.Token()
+				if err != nil {
+					return nil, fmt.Errorf("runarchive: corrupt record: %w", err)
+				}
+				switch name, _ := key.(string); {
+				case decoded && (strings.EqualFold(name, "t") || strings.EqualFold(name, "d")):
+					return nil, fmt.Errorf("runarchive: corrupt record: %q key after the %s payload", name, kind)
+				case strings.EqualFold(name, "t"):
+					err, hasKind = dec.Decode(&kind), true
+				case strings.EqualFold(name, "d") && hasKind:
+					if decoded, err = a.decodeRecord(kind, first, dec.Decode); err != nil {
+						return nil, err
+					}
+					if !decoded { // a kind Load skips
+						err = dec.Decode(&raw)
+					}
+				default: // "d" before "t", or a key Load ignores
+					var v json.RawMessage
+					if err = dec.Decode(&v); err == nil && strings.EqualFold(name, "d") {
+						raw = v
+					}
+				}
+				if err != nil {
+					return nil, fmt.Errorf("runarchive: corrupt record: %w", err)
+				}
 			}
-			if err := json.Unmarshal(rec.D, &a.Manifest); err != nil {
-				return nil, fmt.Errorf("runarchive: manifest: %w", err)
+			if _, err := dec.Token(); err != nil {
+				return nil, fmt.Errorf("runarchive: corrupt record: %w", err)
 			}
-			if a.Manifest.Schema != SchemaVersion {
-				return nil, fmt.Errorf("runarchive: schema %q, want %q", a.Manifest.Schema, SchemaVersion)
-			}
-			first = false
-			continue
-		}
-		switch rec.T {
-		case recManifest:
-			return nil, fmt.Errorf("runarchive: duplicate manifest record")
-		case recSpan:
-			var sr spanRecord
-			if err := json.Unmarshal(rec.D, &sr); err != nil {
-				return nil, fmt.Errorf("runarchive: span record: %w", err)
-			}
-			a.Spans = append(a.Spans, sr.span())
-		case recDecision:
-			var dr decisionRecord
-			if err := json.Unmarshal(rec.D, &dr); err != nil {
-				return nil, fmt.Errorf("runarchive: decision record: %w", err)
-			}
-			a.Decisions = append(a.Decisions, dr.decision())
-		case recSample:
-			var mr sampleRecord
-			if err := json.Unmarshal(rec.D, &mr); err != nil {
-				return nil, fmt.Errorf("runarchive: sample record: %w", err)
-			}
-			a.Samples = append(a.Samples, trace.MetricSample{Time: mr.Time,
-				CPUUtilPct: mr.CPUUtilPct, DiskReadKBs: mr.DiskReadKBs,
-				SlotOccupancyPct: mr.SlotOccupancyPct})
-		case recSnapshot:
-			var snap obs.Snapshot
-			if err := json.Unmarshal(rec.D, &snap); err != nil {
-				return nil, fmt.Errorf("runarchive: snapshot record: %w", err)
-			}
-			a.Snapshots = append(a.Snapshots, snap)
-		case recCounters:
-			if err := json.Unmarshal(rec.D, &a.Counters); err != nil {
-				return nil, fmt.Errorf("runarchive: counters record: %w", err)
-			}
-		case recGauges:
-			var gs map[string]gaugeRecord
-			if err := json.Unmarshal(rec.D, &gs); err != nil {
-				return nil, fmt.Errorf("runarchive: gauges record: %w", err)
-			}
-			a.Gauges = make(map[string]trace.GaugeSnapshot, len(gs))
-			for k, g := range gs {
-				a.Gauges[k] = trace.GaugeSnapshot{Last: g.Last, Min: g.Min, Max: g.Max, Sum: g.Sum, Count: g.Count}
-			}
-		case recDiagnosis:
-			a.Diagnosis = &diag.Report{}
-			if err := json.Unmarshal(rec.D, a.Diagnosis); err != nil {
-				return nil, fmt.Errorf("runarchive: diag record: %w", err)
-			}
-		case recQueries:
-			a.Queries = &qstats.Dump{}
-			if err := json.Unmarshal(rec.D, a.Queries); err != nil {
-				return nil, fmt.Errorf("runarchive: qstats record: %w", err)
-			}
-		case recSeries:
-			a.Series = &tsdb.Dump{}
-			if err := json.Unmarshal(rec.D, a.Series); err != nil {
-				return nil, fmt.Errorf("runarchive: tsdb record: %w", err)
-			}
-		case recAlerts:
-			a.Alerts = &tsdb.AlertsDump{}
-			if err := json.Unmarshal(rec.D, a.Alerts); err != nil {
-				return nil, fmt.Errorf("runarchive: alerts record: %w", err)
+			if decoded {
+				continue
 			}
 		default:
-			// Unknown record kinds are skipped: forward compatibility
-			// for minor additions within schema /1.
+			return nil, fmt.Errorf("runarchive: corrupt record: %v where a record object belongs", tok)
+		}
+		buffered := func(v any) error { return json.Unmarshal(raw, v) }
+		if _, err := a.decodeRecord(kind, first, buffered); err != nil {
+			return nil, err
 		}
 	}
 	if first {
@@ -751,6 +720,91 @@ func Load(r io.Reader) (*Archive, error) {
 		return nil, err
 	}
 	return a, nil
+}
+
+// decodeRecord files the data of one record of the given kind, read by
+// decode, in a. first is set for the archive's first record, which must
+// be the manifest. It reports false, without calling decode, for a kind
+// Load skips: unknown kinds are forward compatibility for minor
+// additions within schema /1.
+func (a *Archive) decodeRecord(kind string, first bool, decode func(any) error) (bool, error) {
+	if first && kind != recManifest {
+		return false, fmt.Errorf("runarchive: first record is %q, want %q", kind, recManifest)
+	}
+	switch kind {
+	case recManifest:
+		if !first {
+			return false, fmt.Errorf("runarchive: duplicate manifest record")
+		}
+		if err := decode(&a.Manifest); err != nil {
+			return false, fmt.Errorf("runarchive: manifest: %w", err)
+		}
+		if a.Manifest.Schema != SchemaVersion {
+			return false, fmt.Errorf("runarchive: schema %q, want %q", a.Manifest.Schema, SchemaVersion)
+		}
+	case recSpan:
+		var sr spanRecord
+		if err := decode(&sr); err != nil {
+			return false, fmt.Errorf("runarchive: span record: %w", err)
+		}
+		a.Spans = append(a.Spans, sr.span())
+	case recDecision:
+		var dr decisionRecord
+		if err := decode(&dr); err != nil {
+			return false, fmt.Errorf("runarchive: decision record: %w", err)
+		}
+		a.Decisions = append(a.Decisions, dr.decision())
+	case recSample:
+		var mr sampleRecord
+		if err := decode(&mr); err != nil {
+			return false, fmt.Errorf("runarchive: sample record: %w", err)
+		}
+		a.Samples = append(a.Samples, trace.MetricSample{Time: mr.Time,
+			CPUUtilPct: mr.CPUUtilPct, DiskReadKBs: mr.DiskReadKBs,
+			SlotOccupancyPct: mr.SlotOccupancyPct})
+	case recSnapshot:
+		var snap obs.Snapshot
+		if err := decode(&snap); err != nil {
+			return false, fmt.Errorf("runarchive: snapshot record: %w", err)
+		}
+		a.Snapshots = append(a.Snapshots, snap)
+	case recCounters:
+		if err := decode(&a.Counters); err != nil {
+			return false, fmt.Errorf("runarchive: counters record: %w", err)
+		}
+	case recGauges:
+		var gs map[string]gaugeRecord
+		if err := decode(&gs); err != nil {
+			return false, fmt.Errorf("runarchive: gauges record: %w", err)
+		}
+		a.Gauges = make(map[string]trace.GaugeSnapshot, len(gs))
+		for k, g := range gs {
+			a.Gauges[k] = trace.GaugeSnapshot{Last: g.Last, Min: g.Min, Max: g.Max, Sum: g.Sum, Count: g.Count}
+		}
+	case recDiagnosis:
+		a.Diagnosis = &diag.Report{}
+		if err := decode(a.Diagnosis); err != nil {
+			return false, fmt.Errorf("runarchive: diag record: %w", err)
+		}
+	case recQueries:
+		a.Queries = &qstats.Dump{}
+		if err := decode(a.Queries); err != nil {
+			return false, fmt.Errorf("runarchive: qstats record: %w", err)
+		}
+	case recSeries:
+		a.Series = &tsdb.Dump{}
+		if err := decode(a.Series); err != nil {
+			return false, fmt.Errorf("runarchive: tsdb record: %w", err)
+		}
+	case recAlerts:
+		a.Alerts = &tsdb.AlertsDump{}
+		if err := decode(a.Alerts); err != nil {
+			return false, fmt.Errorf("runarchive: alerts record: %w", err)
+		}
+	default:
+		return false, nil
+	}
+	return true, nil
 }
 
 // LoadFile reads an archive from path.

@@ -332,7 +332,10 @@ func TestHandEncodersMatchReflection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		line, err := json.Marshal(record{T: kind, D: d})
+		line, err := json.Marshal(struct {
+			T string          `json:"t"`
+			D json.RawMessage `json:"d"`
+		}{kind, d})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"dynamicmr/internal/core"
 	"dynamicmr/internal/data"
@@ -97,7 +96,6 @@ type EstimatorProvider struct {
 
 	splits []mapreduce.Split
 	cursor int
-	last   Estimate
 }
 
 // NewEstimatorProvider builds the provider for a target relative error.
@@ -129,10 +127,7 @@ func (p *EstimatorProvider) Init(all []mapreduce.Split, conf *mapreduce.JobConf)
 		p.MinMatches = 30
 	}
 	p.splits = append([]mapreduce.Split(nil), all...)
-	rng := rand.New(rand.NewSource(p.Seed))
-	rng.Shuffle(len(p.splits), func(i, j int) {
-		p.splits[i], p.splits[j] = p.splits[j], p.splits[i]
-	})
+	shuffleSplits(p.splits, p.Seed)
 	// Informed ordering biases the estimator: the early prefix
 	// over-represents match-rich partitions, so p̂ starts high and the
 	// stopping rule can fire sooner than a uniform draw justifies. That
@@ -166,28 +161,28 @@ func (p *EstimatorProvider) take(n int) []mapreduce.Split {
 	return out
 }
 
-// Last returns the most recent estimate (valid once the job ends).
-func (p *EstimatorProvider) Last() Estimate { return p.last }
+// Estimate is p̂ = matches/records with its normal-approximation
+// interval. The stopping rule applies it to each report's counters, and
+// a caller applies it to the job's final counters, so an estimate and
+// its error always come from one set of counters.
+func (p *EstimatorProvider) Estimate(matches, records int64) Estimate {
+	est := Estimate{Matches: matches, Records: records}
+	if records > 0 {
+		phat := float64(matches) / float64(records)
+		est.Selectivity = phat
+		est.HalfWidth = p.z() * math.Sqrt(phat*(1-phat)/float64(records))
+		if phat > 0 {
+			est.RelativeError = est.HalfWidth / phat
+		}
+	}
+	return est
+}
 
 // Next implements core.InputProvider.
 func (p *EstimatorProvider) Next(rep core.Report) (core.Response, []mapreduce.Split) {
-	records := rep.Job.MapInputRecords
-	matches := rep.Job.UserCounters[CounterMatches]
-	if records > 0 {
-		phat := float64(matches) / float64(records)
-		hw := p.z() * math.Sqrt(phat*(1-phat)/float64(records))
-		p.last = Estimate{
-			Selectivity: phat,
-			Matches:     matches,
-			Records:     records,
-			HalfWidth:   hw,
-		}
-		if phat > 0 {
-			p.last.RelativeError = hw / phat
-			if matches >= p.MinMatches && p.last.RelativeError <= p.MaxRelErr {
-				return core.EndOfInput, nil
-			}
-		}
+	est := p.Estimate(rep.Job.UserCounters[CounterMatches], rep.Job.MapInputRecords)
+	if est.Selectivity > 0 && est.Matches >= p.MinMatches && est.RelativeError <= p.MaxRelErr {
+		return core.EndOfInput, nil
 	}
 	if p.cursor >= len(p.splits) {
 		return core.EndOfInput, nil

@@ -70,7 +70,7 @@ func TestEstimatorStopsWhenTight(t *testing.T) {
 	if resp != core.EndOfInput {
 		t.Fatalf("resp = %v, want end of input", resp)
 	}
-	est := p.Last()
+	est := p.Estimate(10_000, 1_000_000)
 	if math.Abs(est.Selectivity-0.01) > 1e-12 {
 		t.Fatalf("estimate = %v", est.Selectivity)
 	}

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"dynamicmr/internal/core"
@@ -105,6 +106,66 @@ func TestRandomOrderIsSeededAndUniform(t *testing.T) {
 	}
 	if same == 50 {
 		t.Fatal("different seeds produced identical orders")
+	}
+}
+
+// TestPooledRandMatchesFreshSource pins the split orders of both
+// providers and the random-k reservoir to what a fresh
+// rand.New(rand.NewSource(seed)) gives, with the pooled generator
+// drawn from before each use, so a reseeded generator carries nothing
+// over from its last job.
+func TestPooledRandMatchesFreshSource(t *testing.T) {
+	shared := fakeSplits(50, 1)
+	vals := make([]data.Record, 100)
+	for i := range vals {
+		vals[i] = rec(int64(i), 0)
+	}
+	dirty := func() {
+		rng := seededRand(99)
+		rng.Int63()
+		rng.Shuffle(7, func(int, int) {})
+		rngPool.Put(rng)
+	}
+	for _, seed := range []int64{1, 42, 7877, -5} {
+		want := append([]mapreduce.Split(nil), shared...)
+		fresh := rand.New(rand.NewSource(seed))
+		fresh.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+
+		dirty()
+		p := NewProvider(10, seed)
+		if err := p.Init(shared, nil); err != nil {
+			t.Fatal(err)
+		}
+		dirty()
+		e := NewEstimatorProvider(0.1, seed)
+		if err := e.Init(shared, nil); err != nil {
+			t.Fatal(err)
+		}
+		gotP, gotE := p.InitialSplits(50), e.InitialSplits(50)
+		for i := range want {
+			if gotP[i].Block != want[i].Block || gotE[i].Block != want[i].Block {
+				t.Fatalf("seed %d: split %d differs from the fresh source's shuffle", seed, i)
+			}
+		}
+
+		const k = 10
+		reservoir := append([]data.Record(nil), vals[:k]...)
+		fresh = rand.New(rand.NewSource(seed))
+		for i := int64(k); i < int64(len(vals)); i++ {
+			if j := fresh.Int63n(i + 1); j < k {
+				reservoir[j] = vals[i]
+			}
+		}
+		dirty()
+		out := &mapreduce.Collector{}
+		if err := (&Reducer{K: k, Random: true, Seed: seed}).Reduce(DummyKey, vals, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, kv := range out.Pairs() {
+			if kv.Value.String() != reservoir[i].String() {
+				t.Fatalf("seed %d: reservoir slot %d = %s, want %s", seed, i, kv.Value, reservoir[i])
+			}
+		}
 	}
 }
 

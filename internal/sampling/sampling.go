@@ -8,7 +8,6 @@ package sampling
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"dynamicmr/internal/data"
@@ -192,13 +191,14 @@ func (r *Reducer) Reduce(key string, values []data.Record, out *mapreduce.Collec
 	// emitting in reservoir order.
 	reservoir := make([]data.Record, r.K)
 	copy(reservoir, values[:r.K])
-	rng := rand.New(rand.NewSource(r.Seed))
+	rng := seededRand(r.Seed)
 	for i := r.K; i < int64(len(values)); i++ {
 		j := rng.Int63n(i + 1)
 		if j < r.K {
 			reservoir[j] = values[i]
 		}
 	}
+	rngPool.Put(rng)
 	for _, v := range reservoir {
 		out.Emit(key, v)
 	}
