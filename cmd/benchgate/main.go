@@ -53,6 +53,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -180,7 +181,7 @@ func gate(w io.Writer, budgets map[string]budget, results map[string]result,
 	for name := range budgets {
 		names = append(names, name)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		bud := budgets[name]
 		res, ok := results[name]
@@ -385,7 +386,7 @@ func renderTrendMarkdown(path string, maxRows int) (string, error) {
 			}
 		}
 	}
-	sortStrings(names)
+	slices.Sort(names)
 
 	var b strings.Builder
 	b.WriteString("### Benchmark trend (ns/op, allocs/op)\n\n")
@@ -440,14 +441,6 @@ func formatNs(ns float64) string {
 		return fmt.Sprintf("%.1fk", ns/1e3)
 	default:
 		return fmt.Sprintf("%.1f", ns)
-	}
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }
 

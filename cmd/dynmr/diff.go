@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"dynamicmr/internal/diag"
+	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
 )
 
@@ -16,7 +17,7 @@ import (
 // deltas that sum to the makespan delta, the first divergent provider
 // decision, critical-path and anomaly differences — as text by
 // default, JSON (schema dynamicmr.diff/1) with -json, or a
-// side-by-side HTML report with -html. The delta-sum invariant is
+// side-by-side HTML page in the run report's style with -html. The delta-sum invariant is
 // re-checked before rendering; a violation exits non-zero.
 func diffMain(args []string) {
 	fs := flag.NewFlagSet("dynmr diff", flag.ExitOnError)
@@ -63,7 +64,7 @@ func diffMain(args []string) {
 	case *jsonOut:
 		err = rep.WriteJSON(w)
 	case *htmlOut:
-		err = rep.WriteHTML(w)
+		err = obs.WriteDiffHTML(w, rep)
 	default:
 		err = rep.WriteText(w)
 	}

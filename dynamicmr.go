@@ -202,14 +202,14 @@ func WithQueryStats() Option {
 // ratio) into fixed-capacity downsampling ring buffers.
 // Tracing is forced on (the counters and gauges are the main feed).
 // Read the engine via TSDB(); dynmr serve exposes it on /tsdb and as
-// sparkline trend panels in /live.
+// the trend charts of /live and the run report.
 //
 // Given rules, it also arms the declarative alert/SLO layer: the rules
 // are evaluated at every collection tick on the virtual clock and
 // produce a firing/resolved event log (schema tsdb.AlertsSchemaVersion),
 // and query stats are forced on so latency-objective (slo_burn) rules
 // have their input. Read the log via TSDB().AlertsDump(); dynmr serve
-// exposes it on /alerts and as the active-alerts banner in /live.
+// exposes it on /alerts and as the Alerts section of /live.
 func WithTimeSeries(rules ...tsdb.Rule) Option {
 	return func(c *config) {
 		c.tsdb = true

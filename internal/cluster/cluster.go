@@ -153,16 +153,6 @@ func (n *Node) DiskUsedIntegral() float64 {
 	return t
 }
 
-// DiskCapacity returns the node's aggregate disk bandwidth in bytes/s,
-// including any speed factor.
-func (n *Node) DiskCapacity() float64 {
-	var t float64
-	for _, d := range n.Disks {
-		t += d.Capacity()
-	}
-	return t
-}
-
 // Node returns node i.
 func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }
 

@@ -50,9 +50,6 @@ func NewAdaptiveSelector() *AdaptiveSelector {
 	return &AdaptiveSelector{Spectrum: spectrum, LoadHigh: 0.75, LoadLow: 0.25, lastIndex: -1}
 }
 
-// Switches reports how many times the selection changed.
-func (a *AdaptiveSelector) Switches() int { return a.switches }
-
 // Pick selects the policy for the current conditions. estSelectivity
 // is the job's observed match rate (<0 when unknown); neededRate is
 // the match rate that would let the job finish with roughly the input
@@ -131,7 +128,6 @@ type AdaptiveProvider struct {
 	total    int64 // records across all input
 	perSplit float64
 	lastPol  *Policy
-	polTrace []string
 }
 
 // NewAdaptiveProvider wraps inner with runtime policy selection.
@@ -178,7 +174,6 @@ func (p *AdaptiveProvider) Next(rep Report) (Response, []mapreduce.Split) {
 		p.Tracer.Instant(trace.EventPolicySwitch, trace.CatPolicy, rep.Job.Now, rep.Job.JobID, -1, -1)
 	}
 	p.lastPol = pol
-	p.polTrace = append(p.polTrace, pol.Name)
 	grab, err := pol.GrabLimitWith(rep.Cluster.AvailableMapSlots(),
 		rep.Cluster.TotalMapSlots, rep.Cluster.QueuedMapTasks)
 	if err == nil {
@@ -191,11 +186,14 @@ func (p *AdaptiveProvider) Next(rep Report) (Response, []mapreduce.Split) {
 	return resp, splits
 }
 
+// policySelector is a provider that picks its policy at runtime;
+// JobClient labels each audited decision with the current pick.
+type policySelector interface{ CurrentPolicy() *Policy }
+
+var _ policySelector = (*AdaptiveProvider)(nil)
+
 // CurrentPolicy returns the most recently selected policy.
 func (p *AdaptiveProvider) CurrentPolicy() *Policy { return p.lastPol }
-
-// PolicyTrace returns the policy chosen at each evaluation.
-func (p *AdaptiveProvider) PolicyTrace() []string { return append([]string(nil), p.polTrace...) }
 
 // AdaptiveEnvelopePolicy returns the cadence policy a JobClient should
 // be submitted with when using an AdaptiveProvider: a 4 s evaluation

@@ -128,9 +128,6 @@ func (c *JobClient) Evaluations() int { return len(c.decisions) }
 // ProviderError reports a provider panic, if one was isolated.
 func (c *JobClient) ProviderError() error { return c.providerErr }
 
-// InputClosed reports whether end-of-input has been declared.
-func (c *JobClient) InputClosed() bool { return c.inputClosed }
-
 func (c *JobClient) closeInput() {
 	if c.inputClosed {
 		return
@@ -145,7 +142,7 @@ func (c *JobClient) closeInput() {
 // step: providers that select policies at runtime (AdaptiveProvider)
 // report their latest pick, everything else the submission policy.
 func (c *JobClient) policyName() string {
-	if cp, ok := c.provider.(interface{ CurrentPolicy() *Policy }); ok {
+	if cp, ok := c.provider.(policySelector); ok {
 		if p := cp.CurrentPolicy(); p != nil {
 			return p.Name
 		}

@@ -138,7 +138,7 @@ func TestDynamicJobGrowsIncrementally(t *testing.T) {
 	if len(job.Output()) != 16*50 {
 		t.Fatalf("output = %d", len(job.Output()))
 	}
-	if !c.InputClosed() {
+	if !c.inputClosed {
 		t.Fatal("input never closed")
 	}
 	// Decision log captured every provider consultation.
@@ -196,7 +196,7 @@ func TestHadoopPolicyAddsEverythingUpFront(t *testing.T) {
 	if c.Job().ScheduledMaps() != 30 {
 		t.Fatalf("scheduled = %d, want all 30", c.Job().ScheduledMaps())
 	}
-	if !c.InputClosed() {
+	if !c.inputClosed {
 		t.Fatal("input should close immediately when everything is scheduled")
 	}
 	if !mapreduce.RunUntilDone(r.eng, c.Job(), 1e6) {

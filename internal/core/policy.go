@@ -110,13 +110,6 @@ func (p *Policy) GrabLimitWith(availableSlots, totalSlots, queuedTasks int) (int
 	return int(math.Ceil(v - 1e-9)), nil
 }
 
-// Unbounded reports whether the grab limit is infinite (the Hadoop
-// policy).
-func (p *Policy) Unbounded() bool {
-	lim, err := p.GrabLimit(0, 1)
-	return err == nil && lim == math.MaxInt
-}
-
 // Builtin policy names (Table I).
 const (
 	PolicyHadoop = "Hadoop"

@@ -94,13 +94,18 @@ func TestEvaluationIntervalFourSeconds(t *testing.T) {
 	}
 }
 
+// TestUnbounded: Hadoop's grab limit is infinite at every load, and
+// C's never is.
 func TestUnbounded(t *testing.T) {
 	r := DefaultRegistry()
-	if !mustGet(t, r, PolicyHadoop).Unbounded() {
-		t.Error("Hadoop policy should be unbounded")
-	}
-	if mustGet(t, r, PolicyC).Unbounded() {
-		t.Error("C policy should be bounded")
+	hadoop, c := mustGet(t, r, PolicyHadoop), mustGet(t, r, PolicyC)
+	for as := 0; as <= 40; as++ {
+		if lim, err := hadoop.GrabLimit(as, 40); err != nil || lim != math.MaxInt {
+			t.Errorf("Hadoop GrabLimit(AS=%d) = %d, %v; want unbounded", as, lim, err)
+		}
+		if lim, err := c.GrabLimit(as, 40); err != nil || lim == math.MaxInt {
+			t.Errorf("C GrabLimit(AS=%d) = %d, %v; want bounded", as, lim, err)
+		}
 	}
 }
 

@@ -101,9 +101,6 @@ func (s *SliceSource) Scan(yield func(Record) bool) {
 	}
 }
 
-// Records returns the backing slice (not a copy).
-func (s *SliceSource) Records() []Record { return s.recs }
-
 // FuncSource adapts a generator function into a Source.
 type FuncSource struct {
 	Sch   *Schema

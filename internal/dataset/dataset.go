@@ -188,9 +188,6 @@ func samplePositions(rng *rand.Rand, n, m int64) []int64 {
 	return pos
 }
 
-// Spec returns the build specification (with defaults filled in).
-func (d *Dataset) Spec() Spec { return d.spec }
-
 // Name returns the dataset/table name.
 func (d *Dataset) Name() string { return d.spec.Name }
 
@@ -245,9 +242,6 @@ func (d *Dataset) generator() *tpch.Generator {
 
 // Index returns the partition's position within the dataset.
 func (p *Partition) Index() int { return p.index }
-
-// Dataset returns the owning dataset.
-func (p *Partition) Dataset() *Dataset { return p.ds }
 
 // Schema implements data.Source.
 func (p *Partition) Schema() *data.Schema { return tpch.LineItemSchema }

@@ -80,8 +80,8 @@ func TestDefaultNameAndSelectivity(t *testing.T) {
 	if ds.Name() != "lineitem_10x_z2" {
 		t.Fatalf("Name = %q", ds.Name())
 	}
-	if ds.Spec().Selectivity != DefaultSelectivity {
-		t.Fatalf("Selectivity = %v", ds.Spec().Selectivity)
+	if ds.spec.Selectivity != DefaultSelectivity {
+		t.Fatalf("Selectivity = %v", ds.spec.Selectivity)
 	}
 }
 
@@ -336,7 +336,7 @@ func TestPartitionAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ds.Partition(5)
-	if p.Index() != 5 || p.Dataset() != ds {
+	if p.Index() != 5 || p.ds != ds {
 		t.Fatal("partition accessors wrong")
 	}
 	if p.Schema() != tpch.LineItemSchema {

@@ -43,10 +43,6 @@ type SkewLevel struct {
 	plantMin, plantMax data.Value
 }
 
-// StatColumn returns the predicate's column, the one the zone map keeps
-// min/max bounds for.
-func (l SkewLevel) StatColumn() string { return tpch.LineItemSchema.Columns()[l.statCol] }
-
 // plantRNG supplies deterministic randomness for plant draws, so a
 // planted row's value varies rather than being constant. Each planted
 // row seeds its own, and passes it by value, so a draw allocates

@@ -83,9 +83,6 @@ func (p *Partition) buildZones() {
 	p.stats = stats
 }
 
-// Zones returns the partition's zone map (read-only).
-func (p *Partition) Zones() []ZoneEntry { return p.zones }
-
 // BlockStats implements data.StatSource: the aggregate zone-map summary
 // for the planted predicate's fingerprint. ok is false for any other
 // fingerprint — the statistics only describe the planted family.

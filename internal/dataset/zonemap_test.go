@@ -37,7 +37,7 @@ func TestZoneMapInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range ds.Partitions() {
-			zones := p.Zones()
+			zones := p.zones
 			var rows, bytes, matches int64
 			var matchBlocks int
 			for i, zn := range zones {
@@ -88,12 +88,9 @@ func TestZoneBoundsAreConservative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col := ds.level.StatColumn()
-		if col == "" {
-			t.Fatalf("z=%v: no stat column", z)
-		}
+		col := tpch.LineItemSchema.Columns()[ds.level.statCol]
 		for _, p := range ds.Partitions()[:4] {
-			zones := p.Zones()
+			zones := p.zones
 			var i int64
 			p.Scan(func(r data.Record) bool {
 				zn := zones[i/StatBlockRows]
@@ -123,11 +120,11 @@ func TestZoneMatchCountsExact(t *testing.T) {
 		}
 		for _, p := range ds.Partitions()[:6] {
 			_, positions := fullScanMatches(t, p, ds.Predicate())
-			perZone := make([]int64, len(p.Zones()))
+			perZone := make([]int64, len(p.zones))
 			for _, pos := range positions {
 				perZone[pos/StatBlockRows]++
 			}
-			for i, zn := range p.Zones() {
+			for i, zn := range p.zones {
 				if zn.Matches != perZone[i] {
 					t.Fatalf("z=%v p%d zone %d: stats say %d matches, scan finds %d",
 						z, p.Index(), i, zn.Matches, perZone[i])

@@ -7,7 +7,6 @@ package dfs
 
 import (
 	"fmt"
-	"sort"
 
 	"dynamicmr/internal/cluster"
 	"dynamicmr/internal/data"
@@ -102,9 +101,6 @@ func New(c *cluster.Cluster) *DFS {
 	return &DFS{cluster: c, files: make(map[string]*File)}
 }
 
-// Cluster returns the underlying cluster.
-func (d *DFS) Cluster() *cluster.Cluster { return d.cluster }
-
 // location maps a flat disk ordinal to a (node, disk) pair.
 func location(ordinal int) Location {
 	return Location{Node: ordinal / cluster.DisksPerNode, Disk: ordinal % cluster.DisksPerNode}
@@ -149,52 +145,4 @@ func (d *DFS) Create(name string, sources []data.Source, replication int) (*File
 	}
 	d.files[name] = f
 	return f, nil
-}
-
-// Open returns the named file.
-func (d *DFS) Open(name string) (*File, error) {
-	f, ok := d.files[name]
-	if !ok {
-		return nil, fmt.Errorf("dfs: file %q not found", name)
-	}
-	return f, nil
-}
-
-// Exists reports whether the file is present.
-func (d *DFS) Exists(name string) bool {
-	_, ok := d.files[name]
-	return ok
-}
-
-// Delete removes the named file.
-func (d *DFS) Delete(name string) error {
-	if _, ok := d.files[name]; !ok {
-		return fmt.Errorf("dfs: file %q not found", name)
-	}
-	delete(d.files, name)
-	return nil
-}
-
-// List returns all file names, sorted.
-func (d *DFS) List() []string {
-	names := make([]string, 0, len(d.files))
-	for n := range d.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// BlocksOnNode returns how many block replicas live on the node; used
-// by placement tests and locality diagnostics.
-func (d *DFS) BlocksOnNode(node int) int {
-	count := 0
-	for _, f := range d.files {
-		for _, b := range f.Blocks {
-			if _, ok := b.LocalTo(node); ok {
-				count++
-			}
-		}
-	}
-	return count
 }

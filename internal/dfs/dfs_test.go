@@ -34,15 +34,11 @@ func TestCreateAndOpen(t *testing.T) {
 	if len(f.Blocks) != 3 {
 		t.Fatalf("blocks = %d", len(f.Blocks))
 	}
-	got, err := d.Open("t")
-	if err != nil || got != f {
-		t.Fatalf("Open: %v", err)
+	if d.files["t"] != f {
+		t.Fatal("created file not registered under its name")
 	}
 	if f.TotalRecords() != 30 {
 		t.Fatalf("TotalRecords = %d", f.TotalRecords())
-	}
-	if !d.Exists("t") || d.Exists("u") {
-		t.Fatal("Exists misreported")
 	}
 }
 
@@ -62,32 +58,6 @@ func TestCreateErrors(t *testing.T) {
 	}
 	if _, err := d.Create("big", sources(1, 1), 11); err == nil {
 		t.Error("replication > nodes accepted")
-	}
-}
-
-func TestOpenMissing(t *testing.T) {
-	d := New(testCluster())
-	if _, err := d.Open("nope"); err == nil {
-		t.Fatal("Open(missing) succeeded")
-	}
-}
-
-func TestDeleteAndList(t *testing.T) {
-	d := New(testCluster())
-	d.Create("b", sources(1, 1), 1)
-	d.Create("a", sources(1, 1), 1)
-	names := d.List()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("List = %v", names)
-	}
-	if err := d.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if d.Exists("a") {
-		t.Fatal("deleted file still exists")
-	}
-	if err := d.Delete("a"); err == nil {
-		t.Fatal("double delete accepted")
 	}
 }
 
@@ -115,8 +85,12 @@ func TestRoundRobinPlacementEven(t *testing.T) {
 		}
 	}
 	// Each node holds exactly 4 blocks.
+	perNode := map[int]int{}
+	for loc := range seen {
+		perNode[loc.Node]++
+	}
 	for node := 0; node < 10; node++ {
-		if got := d.BlocksOnNode(node); got != 4 {
+		if got := perNode[node]; got != 4 {
 			t.Fatalf("node %d holds %d blocks, want 4", node, got)
 		}
 	}

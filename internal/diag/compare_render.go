@@ -2,10 +2,7 @@ package diag
 
 import (
 	"encoding/json"
-	"fmt"
-	"html"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -82,259 +79,4 @@ func (r *DiffReport) WriteText(w io.Writer) error {
 		}
 	}
 	return bw.err
-}
-
-// diffKindColor maps breakdown/path kinds to the diff report's
-// palette. The renderer is self-contained (diag sits below obs in the
-// import graph), so these are literal colors, not CSS variables.
-func diffKindColor(kind string) string {
-	switch kind {
-	case KindSlotWait:
-		return "#8899aa"
-	case KindProviderWait:
-		return "#c678dd"
-	case KindStartup:
-		return "#e5c07b"
-	case KindDiskReadLocal, "data-read-local":
-		return "#56b6c2"
-	case KindDiskReadRemote, KindNetRead, "data-read-remote":
-		return "#61afef"
-	case KindMapCPU, "map-compute":
-		return "#98c379"
-	case KindShuffle:
-		return "#d19a66"
-	case KindSort, KindReduceCPU, KindOutputWrite, "reduce":
-		return "#e06c75"
-	default:
-		return "#5c6370" // untraced
-	}
-}
-
-// breakdownComponentKinds maps canonical component names back to a
-// representative path kind for coloring Gantt bars consistently with
-// the stacks.
-var diffComponents = []string{
-	"slot-wait", "provider-wait", "startup", "data-read-local",
-	"data-read-remote", "map-compute", "shuffle", "reduce", "untraced",
-}
-
-// WriteHTML renders a self-contained side-by-side comparison: per
-// aligned job, paired breakdown stacks (A over B on a shared scale)
-// and aligned critical-path Gantts (both normalized to their submit
-// time on a shared time axis), plus the component-delta table, the
-// first divergent decision and the counter deltas.
-func (r *DiffReport) WriteHTML(w io.Writer) error {
-	esc := html.EscapeString
-	var b strings.Builder
-	b.WriteString(`<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<title>run diff</title>
-<style>
-body { font: 14px/1.5 system-ui, sans-serif; background: #1e2127; color: #abb2bf; margin: 24px; }
-h1, h2, h3 { color: #e6e6e6; font-weight: 600; }
-h1 { font-size: 20px; } h2 { font-size: 16px; margin-top: 28px; }
-section { margin-bottom: 28px; }
-table { border-collapse: collapse; margin: 8px 0; }
-th, td { padding: 3px 10px; text-align: right; border-bottom: 1px solid #32363e; }
-th { color: #7f848e; font-weight: 500; }
-td:first-child, th:first-child { text-align: left; }
-.pos { color: #e06c75; } .neg { color: #98c379; }
-.legend { display: flex; flex-wrap: wrap; gap: 12px; margin: 8px 0; font-size: 12px; }
-.key { display: inline-flex; align-items: center; gap: 5px; }
-.swatch { width: 11px; height: 11px; border-radius: 2px; display: inline-block; }
-.pair { margin: 6px 0 14px; }
-.row { display: flex; align-items: center; gap: 8px; margin: 3px 0; }
-.side { width: 120px; color: #7f848e; font-size: 12px; text-align: right; flex: none;
-        overflow: hidden; text-overflow: ellipsis; white-space: nowrap; }
-.stack { height: 16px; display: flex; border-radius: 3px; overflow: hidden; background: #282c34; }
-.stack span { display: block; height: 100%; }
-.note { color: #7f848e; font-size: 13px; }
-svg text { fill: #7f848e; font: 10px system-ui, sans-serif; }
-</style></head><body>
-`)
-	fmt.Fprintf(&b, "<h1>run diff — A: %s &nbsp;vs&nbsp; B: %s</h1>\n", esc(r.ALabel), esc(r.BLabel))
-	fmt.Fprintf(&b, "<p class=\"note\">%d aligned job(s); deltas are B−A, so positive means B is slower. "+
-		"Per-component deltas sum to the makespan delta by construction.</p>\n", len(r.Jobs))
-	fmt.Fprintf(&b, "<p>total makespan delta: <b class=%q>%+.3fs</b></p>\n",
-		deltaClass(r.TotalMakespanDeltaS), r.TotalMakespanDeltaS)
-
-	// Legend shared by all stacks and Gantts.
-	b.WriteString(`<div class="legend">`)
-	for _, name := range diffComponents {
-		fmt.Fprintf(&b, `<span class="key"><span class="swatch" style="background:%s"></span>%s</span>`,
-			diffKindColor(name), esc(name))
-	}
-	b.WriteString("</div>\n")
-
-	for _, j := range r.Jobs {
-		fmt.Fprintf(&b, "<section>\n<h2>%s — makespan %.3fs → %.3fs (<span class=%q>%+.3fs</span>)</h2>\n",
-			esc(j.Key), j.AMakespanS, j.BMakespanS, deltaClass(j.MakespanDeltaS), j.MakespanDeltaS)
-
-		// Paired breakdown stacks on a shared scale: each stack's width
-		// is its makespan's share of the slower side, so A and B are
-		// directly comparable.
-		scale := math.Max(j.AMakespanS, j.BMakespanS)
-		writeStackRow := func(label string, d *JobDiagnosis) {
-			fmt.Fprintf(&b, `<div class="row"><span class="side" title=%q>%s · job %d</span><div class="stack" style="width:%.2f%%">`,
-				esc(label), esc(label), d.JobID, widthPct(d.MakespanS, scale))
-			if d.MakespanS > 0 {
-				for _, c := range d.Breakdown.Components() {
-					if c.Seconds <= 0 {
-						continue
-					}
-					pct := c.Seconds / d.MakespanS * 100
-					fmt.Fprintf(&b, `<span style="width:%.3f%%;background:%s" title="%s %.3fs (%.1f%%)"></span>`,
-						pct, diffKindColor(c.Name), esc(c.Name), c.Seconds, pct)
-				}
-			}
-			b.WriteString("</div></div>\n")
-		}
-		b.WriteString(`<div class="pair">`)
-		writeStackRow(r.ALabel, j.A)
-		writeStackRow(r.BLabel, j.B)
-		b.WriteString("</div>\n")
-
-		// Aligned critical-path Gantt: both paths normalized to their
-		// submit time, on one shared x axis.
-		writeAlignedGantt(&b, j, scale, r.ALabel, r.BLabel)
-
-		// Component delta table.
-		b.WriteString("<table>\n<thead><tr><th>component</th><th>A (s)</th><th>B (s)</th><th>delta (s)</th></tr></thead>\n<tbody>\n")
-		for _, c := range j.Components {
-			if c.AS == 0 && c.BS == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "<tr><td>%s</td><td>%.3f</td><td>%.3f</td><td class=%q>%+.3f</td></tr>\n",
-				esc(c.Name), c.AS, c.BS, deltaClass(c.DeltaS), c.DeltaS)
-		}
-		fmt.Fprintf(&b, "<tr><td><b>makespan</b></td><td>%.3f</td><td>%.3f</td><td class=%q><b>%+.3f</b></td></tr>\n",
-			j.AMakespanS, j.BMakespanS, deltaClass(j.MakespanDeltaS), j.MakespanDeltaS)
-		b.WriteString("</tbody>\n</table>\n")
-
-		if d := j.FirstDivergence; d != nil {
-			fmt.Fprintf(&b, "<p class=\"note\">⚠ first divergent provider decision at index %d (%s): ", d.Index, esc(d.Reason))
-			if d.A != nil {
-				fmt.Fprintf(&b, "A t=%.3fs %s %s added=%d limit=%d", d.A.TimeS, esc(d.A.Policy), esc(d.A.Verdict), d.A.Added, d.A.GrabLimit)
-			} else {
-				b.WriteString("A ended")
-			}
-			b.WriteString(" · ")
-			if d.B != nil {
-				fmt.Fprintf(&b, "B t=%.3fs %s %s added=%d limit=%d", d.B.TimeS, esc(d.B.Policy), esc(d.B.Verdict), d.B.Added, d.B.GrabLimit)
-			} else {
-				b.WriteString("B ended")
-			}
-			b.WriteString("</p>\n")
-		} else {
-			b.WriteString("<p class=\"note\">provider decisions: identical twins</p>\n")
-		}
-		for _, s := range j.AnomaliesOnlyA {
-			fmt.Fprintf(&b, "<p class=\"note\">⚠ anomaly only in A: %s</p>\n", esc(s))
-		}
-		for _, s := range j.AnomaliesOnlyB {
-			fmt.Fprintf(&b, "<p class=\"note\">⚠ anomaly only in B: %s</p>\n", esc(s))
-		}
-		b.WriteString("</section>\n")
-	}
-
-	if len(r.OnlyA) > 0 || len(r.OnlyB) > 0 {
-		b.WriteString("<section>\n<h2>Unmatched jobs</h2>\n")
-		if len(r.OnlyA) > 0 {
-			fmt.Fprintf(&b, "<p class=\"note\">only in A: %s</p>\n", esc(strings.Join(r.OnlyA, ", ")))
-		}
-		if len(r.OnlyB) > 0 {
-			fmt.Fprintf(&b, "<p class=\"note\">only in B: %s</p>\n", esc(strings.Join(r.OnlyB, ", ")))
-		}
-		b.WriteString("</section>\n")
-	}
-
-	if len(r.AlertsOnlyA) > 0 || len(r.AlertsOnlyB) > 0 {
-		b.WriteString("<section>\n<h2>Alert differences</h2>\n")
-		for _, s := range r.AlertsOnlyA {
-			fmt.Fprintf(&b, "<p class=\"note\">⚠ alert only in A: %s</p>\n", esc(s))
-		}
-		for _, s := range r.AlertsOnlyB {
-			fmt.Fprintf(&b, "<p class=\"note\">⚠ alert only in B: %s</p>\n", esc(s))
-		}
-		b.WriteString("</section>\n")
-	}
-
-	if len(r.CounterDeltas) > 0 {
-		b.WriteString("<section>\n<h2>Counter deltas</h2>\n" +
-			"<table>\n<thead><tr><th>counter</th><th>A</th><th>B</th><th>delta</th></tr></thead>\n<tbody>\n")
-		for _, c := range r.CounterDeltas {
-			fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%+d</td></tr>\n",
-				esc(c.Name), c.A, c.B, c.Delta)
-		}
-		b.WriteString("</tbody>\n</table>\n</section>\n")
-	}
-
-	b.WriteString("</body></html>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// writeAlignedGantt draws both critical paths as two lanes on a shared
-// time axis starting at each side's submit time.
-func writeAlignedGantt(b *strings.Builder, j JobDelta, xmax float64, aLabel, bLabel string) {
-	if xmax <= 0 || (len(j.A.CriticalPath) == 0 && len(j.B.CriticalPath) == 0) {
-		return
-	}
-	const width, left, right, laneH, laneGap, top = 920.0, 120.0, 16.0, 16.0, 8.0, 6.0
-	const bottom = 22.0
-	plotW := width - left - right
-	height := top + 2*laneH + laneGap + bottom
-	esc := html.EscapeString
-	fmt.Fprintf(b, `<svg viewBox="0 0 %g %g" width="100%%" role="img" aria-label="aligned critical paths">`,
-		width, height)
-	x := func(t float64) float64 { return left + t/xmax*plotW }
-	lane := func(y float64, label string, d *JobDiagnosis) {
-		fmt.Fprintf(b, `<text x="%g" y="%g" text-anchor="end">%s</text>`, left-6, y+laneH-4, esc(clipLabel(label, 18)))
-		for _, n := range d.CriticalPath {
-			s, e := n.Start-d.SubmitS, n.End-d.SubmitS
-			if e <= s {
-				continue
-			}
-			fmt.Fprintf(b, `<rect x="%.2f" y="%g" width="%.2f" height="%g" fill="%s"><title>%s [%.3f → %.3f] %.3fs</title></rect>`,
-				x(s), y, math.Max(x(e)-x(s), 0.5), laneH, diffKindColor(n.Kind),
-				esc(n.Kind), n.Start, n.End, n.End-n.Start)
-		}
-	}
-	lane(top, aLabel, j.A)
-	lane(top+laneH+laneGap, bLabel, j.B)
-	// X axis: 0 .. xmax seconds since submit.
-	axisY := top + 2*laneH + laneGap + 4
-	fmt.Fprintf(b, `<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="#32363e"/>`, left, axisY, width-right, axisY)
-	for i := 0; i <= 4; i++ {
-		t := xmax * float64(i) / 4
-		fmt.Fprintf(b, `<text x="%g" y="%g" text-anchor="middle">%.1fs</text>`, x(t), axisY+12, t)
-	}
-	b.WriteString("</svg>\n")
-}
-
-// widthPct maps a makespan onto the shared stack scale.
-func widthPct(v, scale float64) float64 {
-	if scale <= 0 {
-		return 100
-	}
-	return v / scale * 100
-}
-
-// deltaClass colors positive deltas (B slower) red, negative green.
-func deltaClass(d float64) string {
-	switch {
-	case d > 0:
-		return "pos"
-	case d < 0:
-		return "neg"
-	}
-	return ""
-}
-
-// clipLabel shortens a label for an SVG lane caption.
-func clipLabel(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n-1] + "…"
 }

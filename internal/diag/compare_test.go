@@ -190,7 +190,7 @@ func TestCompareUnmatchedAndCounters(t *testing.T) {
 	}
 }
 
-// TestDiffRenderers smoke-checks all three output formats over the
+// TestDiffRenderers smoke-checks the JSON and text output over the
 // golden pair.
 func TestDiffRenderers(t *testing.T) {
 	aSpans, aDecisions := goldenTrace()
@@ -220,17 +220,6 @@ func TestDiffRenderers(t *testing.T) {
 	for _, want := range []string{"baseline", "delayed-grow", "provider-wait", "+10.000"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text output missing %q:\n%s", want, text)
-		}
-	}
-
-	var htmlBuf bytes.Buffer
-	if err := rep.WriteHTML(&htmlBuf); err != nil {
-		t.Fatal(err)
-	}
-	html := htmlBuf.String()
-	for _, want := range []string{"<!DOCTYPE html>", "provider-wait", "q-000001"} {
-		if !strings.Contains(html, want) {
-			t.Errorf("HTML output missing %q", want)
 		}
 	}
 }

@@ -106,9 +106,6 @@ func (s *Session) Get(key, def string) string {
 // layer.
 func (s *Session) SetQueryStats(r *qstats.Registry) { s.stats = r }
 
-// User returns the session's user (scheduler pool).
-func (s *Session) User() string { return s.user }
-
 // JobTracker returns the runtime the session submits to.
 func (s *Session) JobTracker() *mapreduce.JobTracker { return s.jt }
 

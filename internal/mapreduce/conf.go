@@ -78,15 +78,6 @@ func NewJobConf() *JobConf {
 	return &JobConf{m: make(map[string]string)}
 }
 
-// Clone returns an independent copy.
-func (c *JobConf) Clone() *JobConf {
-	n := NewJobConf()
-	for k, v := range c.m {
-		n.m[k] = v
-	}
-	return n
-}
-
 // Set stores a parameter.
 func (c *JobConf) Set(key, value string) { c.m[key] = value }
 
@@ -95,11 +86,6 @@ func (c *JobConf) SetInt(key string, v int64) { c.m[key] = strconv.FormatInt(v, 
 
 // SetBool stores a boolean parameter.
 func (c *JobConf) SetBool(key string, v bool) { c.m[key] = strconv.FormatBool(v) }
-
-// SetFloat stores a float parameter.
-func (c *JobConf) SetFloat(key string, v float64) {
-	c.m[key] = strconv.FormatFloat(v, 'g', -1, 64)
-}
 
 // Get returns the parameter, or def when absent.
 func (c *JobConf) Get(key, def string) string {
@@ -130,16 +116,6 @@ func (c *JobConf) GetBool(key string, def bool) bool {
 	if v, ok := c.m[key]; ok {
 		if b, err := strconv.ParseBool(v); err == nil {
 			return b
-		}
-	}
-	return def
-}
-
-// GetFloat returns a float parameter, or def when absent or malformed.
-func (c *JobConf) GetFloat(key string, def float64) float64 {
-	if v, ok := c.m[key]; ok {
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
-			return f
 		}
 	}
 	return def

@@ -117,9 +117,6 @@ type MapTask struct {
 	prev, next      *MapTask
 }
 
-// Completed reports whether some attempt of the task succeeded.
-func (t *MapTask) Completed() bool { return t.completed }
-
 // ReduceTask is one reduce partition's task.
 type ReduceTask struct {
 	Job      *Job
@@ -196,23 +193,11 @@ func (j *Job) Failure() string { return j.failure }
 // Done reports whether the job reached a terminal state.
 func (j *Job) Done() bool { return j.state == StateSucceeded || j.state == StateFailed }
 
-// EndOfInputDeclared reports whether input has been closed.
-func (j *Job) EndOfInputDeclared() bool { return j.endOfInput }
-
 // ScheduledMaps returns the number of splits handed to the job so far.
 func (j *Job) ScheduledMaps() int { return j.scheduled }
 
-// PendingMaps returns the count of splits awaiting a slot.
-func (j *Job) PendingMaps() int { return j.nPending }
-
-// RunningMaps returns the count of currently executing map tasks.
-func (j *Job) RunningMaps() int { return len(j.runningMaps) }
-
 // CompletedMaps returns the count of finished map tasks.
 func (j *Job) CompletedMaps() int { return int(j.Counters.CompletedMaps) }
-
-// NumReduces returns the reduce-task count.
-func (j *Job) NumReduces() int { return j.numReduces }
 
 // Output returns the job's reduce output. It is valid once Done and
 // until JobTracker.Retire, which clears the array and keeps it for a

@@ -68,10 +68,3 @@ func (c *MapOutputCache) Stats() (hits, misses uint64) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
-
-// Len returns the number of memoised split outputs.
-func (c *MapOutputCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}

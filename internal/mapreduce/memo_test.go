@@ -92,7 +92,7 @@ func TestMapOutputCacheMemoisesAcrossJobs(t *testing.T) {
 	}
 
 	// An empty MemoKey opts out of memoization entirely.
-	before := cache.Len()
+	before := len(cache.m)
 	job4 := r.jt.Submit(countingSpec("", &execs), SplitsForFile(f))
 	if !RunUntilDone(r.eng, job4, 1e6) || job4.State() != StateSucceeded {
 		t.Fatalf("job4: state=%v failure=%q", job4.State(), job4.Failure())
@@ -100,8 +100,8 @@ func TestMapOutputCacheMemoisesAcrossJobs(t *testing.T) {
 	if got := execs.Load(); got != 24 {
 		t.Fatalf("empty MemoKey was memoised: executions = %d, want 24", got)
 	}
-	if cache.Len() != before {
-		t.Fatalf("empty MemoKey stored entries: len %d -> %d", before, cache.Len())
+	if len(cache.m) != before {
+		t.Fatalf("empty MemoKey stored entries: len %d -> %d", before, len(cache.m))
 	}
 }
 
@@ -183,7 +183,7 @@ func TestMapOutputCacheConcurrentTrackers(t *testing.T) {
 			t.Fatalf("concurrent tracker output = %d, want 800", n)
 		}
 	}
-	if got := cache.Len(); got != 8 {
+	if got := len(cache.m); got != 8 {
 		t.Fatalf("cache entries = %d, want 8 (shared sources dedupe across trackers)", got)
 	}
 }

@@ -205,7 +205,7 @@ func TestOutputLifetimeClosedLoop(t *testing.T) {
 				continue
 			}
 			j := lj.job
-			for p := 0; j.State() == StateSucceeded && p < j.NumReduces(); p++ {
+			for p := 0; j.State() == StateSucceeded && p < j.numReduces; p++ {
 				lj.refs = append(lj.refs, referenceOutput(j.mapOutput[p], lj.limit))
 			}
 			if err := lj.checkOutput(); err != nil {

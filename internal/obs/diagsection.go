@@ -43,6 +43,44 @@ const (
 	maxDiagPathRows = 40
 )
 
+// writeStackRow draws one labelled breakdown bar, widthPct of the row
+// wide: the job's breakdown components as segments proportional to
+// their share of its makespan.
+func writeStackRow(b *strings.Builder, label string, widthPct float64, d *diag.JobDiagnosis) {
+	fmt.Fprintf(b, `<div class="diag-row"><span class="diag-label" title="%s">%s</span><div class="track"><div class="stack" style="width:%.2f%%">`,
+		esc(label), esc(label), widthPct)
+	if d.MakespanS > 0 {
+		for _, c := range d.Breakdown.Components() {
+			if c.Seconds <= 0 {
+				continue
+			}
+			pct := c.Seconds / d.MakespanS * 100
+			fmt.Fprintf(b, `<span style="width:%.3f%%;background:var(%s)" title="%s %ss (%.1f%%)"></span>`,
+				pct, diagColor(c.Name), esc(c.Name), fnum(c.Seconds), pct)
+		}
+	}
+	b.WriteString("</div></div></div>\n")
+}
+
+// breakdownLegend keys, in canonical order, the breakdown components
+// that take time in any of ds.
+func breakdownLegend(b *strings.Builder, ds []*diag.JobDiagnosis) {
+	comps := diag.Breakdown{}.Components()
+	used := make([]bool, len(comps))
+	for _, d := range ds {
+		for i, c := range d.Breakdown.Components() {
+			used[i] = used[i] || c.Seconds > 0
+		}
+	}
+	var ss []series
+	for i, c := range comps {
+		if used[i] {
+			ss = append(ss, series{name: c.Name, colorVar: diagColor(c.Name)})
+		}
+	}
+	legend(b, ss)
+}
+
 // writeDiagSection renders the job-diagnosis section: one stacked
 // breakdown bar per job (components sum to the makespan), anomaly
 // notes, and the critical path of the longest job as a table.
@@ -53,50 +91,23 @@ func (r *Report) writeDiagSection(b *strings.Builder) {
 	b.WriteString("<section>\n<h2>Job diagnosis</h2>\n")
 	b.WriteString("<p class=\"note\">Each bar partitions the job's makespan along its critical path; components sum to the makespan by construction.</p>\n")
 
-	// Legend over the components that actually occur.
-	seen := map[string]bool{}
-	var order []string
-	for _, j := range r.Diag.Jobs {
-		for _, c := range j.Breakdown.Components() {
-			if c.Seconds > 0 && !seen[c.Name] {
-				seen[c.Name] = true
-				order = append(order, c.Name)
-			}
-		}
+	jobs := make([]*diag.JobDiagnosis, len(r.Diag.Jobs))
+	for i := range r.Diag.Jobs {
+		jobs[i] = &r.Diag.Jobs[i]
 	}
-	b.WriteString(`<div class="legend">`)
-	for _, name := range order {
-		fmt.Fprintf(b, `<span class="key"><span class="swatch" style="background:var(%s)"></span>%s</span>`,
-			diagColor(name), esc(name))
-	}
-	b.WriteString("</div>\n")
-
-	jobs := r.Diag.Jobs
-	truncated := 0
+	breakdownLegend(b, jobs)
+	b.WriteString("\n")
 	if len(jobs) > maxDiagJobs {
-		truncated = len(jobs) - maxDiagJobs
 		jobs = jobs[:maxDiagJobs]
 	}
 	for _, j := range jobs {
-		fmt.Fprintf(b, `<div class="diag-row"><span class="diag-label">job %d (%s) · %ss</span><div class="stack">`,
-			j.JobID, esc(j.Outcome), fnum(j.MakespanS))
-		if j.MakespanS > 0 {
-			for _, c := range j.Breakdown.Components() {
-				if c.Seconds <= 0 {
-					continue
-				}
-				pct := c.Seconds / j.MakespanS * 100
-				fmt.Fprintf(b, `<span style="width:%.3f%%;background:var(%s)" title="%s %ss (%.1f%%)"></span>`,
-					pct, diagColor(c.Name), esc(c.Name), fnum(c.Seconds), pct)
-			}
-		}
-		b.WriteString("</div></div>\n")
+		writeStackRow(b, fmt.Sprintf("job %d (%s) · %ss", j.JobID, j.Outcome, fnum(j.MakespanS)), 100, j)
 		for _, a := range j.Anomalies {
 			fmt.Fprintf(b, "<p class=\"note\">⚠ %s: %s</p>\n", esc(a.Kind), esc(a.Detail))
 		}
 	}
-	if truncated > 0 {
-		fmt.Fprintf(b, "<p class=\"note\">%d more job(s) omitted; the diagnosis CSV/JSON carries all of them.</p>\n", truncated)
+	if omitted := len(r.Diag.Jobs) - len(jobs); omitted > 0 {
+		fmt.Fprintf(b, "<p class=\"note\">%d more job(s) omitted; the diagnosis CSV/JSON carries all of them.</p>\n", omitted)
 	}
 	for _, a := range r.Diag.ClusterAnomalies {
 		fmt.Fprintf(b, "<p class=\"note\">⚠ cluster %s: %s</p>\n", esc(a.Kind), esc(a.Detail))

@@ -2,9 +2,11 @@
 // a sampler driven by the simulated clock that periodically snapshots
 // every node's CPU and disk use, map/reduce slot occupancy and queue
 // depths — plus exporters for the artifacts those snapshots feed: a
-// slot-occupancy Gantt joined from trace spans, a self-contained HTML
-// run report rendered from a run archive (`dynmr render report`), and
-// a Prometheus/JSON HTTP surface (see server.go).
+// slot-occupancy Gantt joined from trace spans, the one HTML renderer
+// (the run report of a run archive, `dynmr render report`; the /live
+// page, which is the report of the server's published snapshot; and
+// the `dynmr diff -html` page), and a Prometheus/JSON HTTP surface
+// (see server.go).
 //
 // The sampler reads the same monotonic service integrals the paper's
 // §V-D monitoring tables are computed from, so a snapshot's interval

@@ -5,7 +5,9 @@ import (
 	"html"
 	"io"
 	"math"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"dynamicmr/internal/diag"
 	"dynamicmr/internal/qstats"
@@ -14,11 +16,13 @@ import (
 )
 
 // Report is the self-contained HTML run report: per-node utilization
-// timelines, the slot-occupancy Gantt, policy-decision overlay markers,
-// and the registry's counters — everything inlined (no external assets)
-// so the file can be archived as a CI artifact or mailed around. It is
-// built from a run archive (runarchive's "report" view); a run without
-// snapshots renders without the utilization charts.
+// timelines, the time-series trends, the slot-occupancy Gantt,
+// policy-decision overlay markers, per-query stats, alerts and the
+// registry's counters — everything inlined (no external assets) so the
+// file can be archived as a CI artifact or mailed around. It is built
+// from a run archive (runarchive's "report" view) or, for the /live
+// page, from the Server's published snapshot; each section is omitted
+// when its input is absent.
 type Report struct {
 	// Title heads the report.
 	Title string
@@ -38,12 +42,13 @@ type Report struct {
 	// Dropped counts spans evicted from the trace ring; when non-zero
 	// the Gantt is incomplete and the report says so.
 	Dropped int64
-	// Queries is the per-query registry detail (lifecycle, latency,
-	// attribution), newest last; empty when qstats was not enabled.
-	Queries []qstats.QueryRecord
-	// QueryPolicies are the rolling per-policy latency aggregates that
-	// accompany Queries.
-	QueryPolicies []qstats.PolicyLatency
+	// Queries is the per-query registry dump: rolling per-policy
+	// latency, the in-flight queries and the finished ones, newest
+	// last; nil when qstats was not enabled.
+	Queries *qstats.Dump
+	// Series is the time-series engine dump the Trends charts draw;
+	// nil when no engine was attached.
+	Series *tsdb.Dump
 	// Alerts is the alert layer's final snapshot (rules, firing set,
 	// transition log); nil when no time-series engine was attached. The
 	// firing/resolved transitions also annotate the utilization chart.
@@ -75,6 +80,15 @@ func thinSnaps(snaps []Snapshot) []Snapshot {
 // esc escapes text for HTML and attribute contexts.
 func esc(s string) string { return html.EscapeString(s) }
 
+// clip shortens s to at most n runes, the last an ellipsis. It counts
+// runes, not bytes, so a cut never splits a multibyte character.
+func clip(s string, n int) string {
+	if utf8.RuneCountInString(s) <= n {
+		return s
+	}
+	return string([]rune(s)[:n-1]) + "…"
+}
+
 // fnum trims a float for display.
 func fnum(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
@@ -101,20 +115,21 @@ type marker struct {
 	class string // "grow" or "eoi"
 }
 
-// chartGeom is the shared plot geometry.
+// chartGeom is the shared plot geometry. The time axis runs from xmin
+// to xmax.
 type chartGeom struct {
 	w, h                     float64
 	left, right, top, bottom float64
-	xmax, ymax               float64
+	xmin, xmax, ymax         float64
 }
 
 func (g chartGeom) plotW() float64 { return g.w - g.left - g.right }
 func (g chartGeom) plotH() float64 { return g.h - g.top - g.bottom }
 func (g chartGeom) px(x float64) float64 {
-	if g.xmax <= 0 {
+	if g.xmax <= g.xmin {
 		return g.left
 	}
-	return g.left + x/g.xmax*g.plotW()
+	return g.left + (x-g.xmin)/(g.xmax-g.xmin)*g.plotW()
 }
 func (g chartGeom) py(y float64) float64 {
 	if g.ymax <= 0 {
@@ -137,6 +152,30 @@ func niceMax(v float64) float64 {
 	return 10 * mag
 }
 
+// writeTimeAxis draws the time axis every chart shares: six ticks from
+// xmin to xmax, each with a hairline across the plot and a label in
+// seconds below it.
+func writeTimeAxis(b *strings.Builder, g chartGeom) {
+	for i := 0; i <= 5; i++ {
+		xv := g.xmin + (g.xmax-g.xmin)*float64(i)/5
+		x := g.px(xv)
+		fmt.Fprintf(b, `<line x1="%g" y1="%g" x2="%g" y2="%g" class="grid"/>`, x, g.top, x, g.h-g.bottom)
+		fmt.Fprintf(b, `<text x="%g" y="%g" class="tick" text-anchor="middle">%ss</text>`, x, g.h-g.bottom+14, fnum(xv))
+	}
+}
+
+// writeMarkers draws the overlay lines that fall on the time axis.
+func writeMarkers(b *strings.Builder, markers []marker, g chartGeom) {
+	for _, m := range markers {
+		if m.x < g.xmin || m.x > g.xmax {
+			continue
+		}
+		x := g.px(m.x)
+		fmt.Fprintf(b, `<line x1="%g" y1="%g" x2="%g" y2="%g" class="mark-%s"><title>%s</title></line>`,
+			x, g.top, x, g.h-g.bottom, m.class, esc(m.label))
+	}
+}
+
 // writeLineChart renders one SVG line chart with a 10% area wash under
 // each series, hairline gridlines, one y axis, and per-vertex hover
 // titles. yUnit annotates tick labels ("%" or "KB/s" or "").
@@ -150,22 +189,12 @@ func writeLineChart(b *strings.Builder, ss []series, markers []marker, g chartGe
 		fmt.Fprintf(b, `<text x="%g" y="%g" class="tick" text-anchor="end">%s%s</text>`,
 			g.left-6, y+3.5, fnum(yv), yUnit)
 	}
-	// X ticks.
-	for i := 0; i <= 5; i++ {
-		xv := g.xmax * float64(i) / 5
-		x := g.px(xv)
-		fmt.Fprintf(b, `<text x="%g" y="%g" class="tick" text-anchor="middle">%ss</text>`,
-			x, g.h-g.bottom+14, fnum(xv))
-	}
+	writeTimeAxis(b, g)
 	// Baseline.
 	fmt.Fprintf(b, `<line x1="%g" y1="%g" x2="%g" y2="%g" class="baseline"/>`,
 		g.left, g.py(0), g.w-g.right, g.py(0))
 	// Decision markers under the series.
-	for _, m := range markers {
-		x := g.px(m.x)
-		fmt.Fprintf(b, `<line x1="%g" y1="%g" x2="%g" y2="%g" class="mark-%s"><title>%s</title></line>`,
-			x, g.top, x, g.h-g.bottom, m.class, esc(m.label))
-	}
+	writeMarkers(b, markers, g)
 	for _, s := range ss {
 		if len(s.pts) == 0 {
 			continue
@@ -184,10 +213,18 @@ func writeLineChart(b *strings.Builder, ss []series, markers []marker, g chartGe
 		fmt.Fprintf(b, `<path d="%s" fill="var(%s)" fill-opacity="0.1" stroke="none"/>`, area.String(), s.colorVar)
 		fmt.Fprintf(b, `<path d="%s" fill="none" stroke="var(%s)" stroke-width="2" stroke-linejoin="round"/>`,
 			line.String(), s.colorVar)
-		// Hover targets: invisible wide circles with titles.
-		for _, p := range s.pts {
+		// Hover targets: invisible wide circles with titles, one per
+		// radius of plot width at most (closer ones would hide under
+		// their neighbour), and always the last vertex.
+		lastX := math.Inf(-1)
+		for i, p := range s.pts {
+			x := g.px(p.x)
+			if x-lastX < 7 && i < len(s.pts)-1 {
+				continue
+			}
+			lastX = x
 			fmt.Fprintf(b, `<circle cx="%.2f" cy="%.2f" r="7" fill="transparent"><title>%s · t=%ss · %s%s</title></circle>`,
-				g.px(p.x), g.py(clampY(p.y, g.ymax)), esc(s.name), fnum(p.x), fnum(p.y), yUnit)
+				x, g.py(clampY(p.y, g.ymax)), esc(s.name), fnum(p.x), fnum(p.y), yUnit)
 		}
 	}
 	b.WriteString(`</svg>`)
@@ -217,20 +254,21 @@ func legend(b *strings.Builder, ss []series) {
 	b.WriteString(`</div>`)
 }
 
-// xMax returns the report's shared time-axis extent.
-func (r *Report) xMax() float64 {
-	var x float64
+// timeAxis returns the report's shared time axis: from where the first
+// snapshot's interval starts (0 without snapshots, and no later than
+// the first Gantt bar) to the last snapshot or Gantt bar.
+func (r *Report) timeAxis() (xmin, xmax float64) {
+	if len(r.Snaps) > 0 {
+		xmin = r.Snaps[0].Time - r.Snaps[0].IntervalS
+	}
 	for _, s := range r.Snaps {
-		if s.Time > x {
-			x = s.Time
-		}
+		xmax = math.Max(xmax, s.Time)
 	}
 	for _, bar := range r.Gantt.Bars {
-		if bar.End > x {
-			x = bar.End
-		}
+		xmin = math.Min(xmin, bar.Start)
+		xmax = math.Max(xmax, bar.End)
 	}
-	return x
+	return xmin, xmax
 }
 
 // decisionMarkers thins the audit log to chart overlays: every GROW
@@ -277,60 +315,90 @@ func (r *Report) alertMarkers() []marker {
 	return ms
 }
 
-// WriteHTML renders the self-contained report.
-func (r *Report) WriteHTML(w io.Writer) error {
+// pageFrame is what a served page adds around its content: a refresh
+// interval, and a footer that says so and links the other endpoints.
+// Files pass the zero frame.
+type pageFrame struct {
+	refreshS int
+	links    []string
+}
+
+// writePage writes one self-contained HTML document: the shared
+// stylesheet, title as <title> and heading, the content body writes,
+// and the frame's refresh meta and footer.
+func writePage(w io.Writer, title string, f pageFrame, body func(b *strings.Builder)) error {
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
-	fmt.Fprintf(&b, "<title>%s</title>\n", esc(r.Title))
+	if f.refreshS > 0 {
+		fmt.Fprintf(&b, "<meta http-equiv=\"refresh\" content=\"%d\">\n", f.refreshS)
+	}
+	fmt.Fprintf(&b, "<title>%s</title>\n", esc(title))
 	b.WriteString(reportCSS)
 	b.WriteString("</head>\n<body>\n<div class=\"viz-root\">\n")
-
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", esc(r.Title))
-	if len(r.Params) > 0 {
-		b.WriteString(`<dl class="params">`)
-		for _, kv := range r.Params {
-			fmt.Fprintf(&b, `<div><dt>%s</dt><dd>%s</dd></div>`, esc(kv[0]), esc(kv[1]))
+	fmt.Fprintf(&b, "<h1>%s</h1>\n", esc(title))
+	body(&b)
+	if f.refreshS > 0 {
+		fmt.Fprintf(&b, `<p class="note">Refreshes every %d s.`, f.refreshS)
+		for _, l := range f.links {
+			fmt.Fprintf(&b, ` <a href="%s">%s</a>`, esc(l), esc(l))
 		}
-		b.WriteString("</dl>\n")
+		b.WriteString("</p>\n")
 	}
-
-	// The charts and the data table draw a stride of a long series.
-	v := *r
-	v.Snaps = thinSnaps(r.Snaps)
-	xmax := v.xMax()
-	markers := append(v.decisionMarkers(), v.alertMarkers()...)
-	wide := chartGeom{w: 920, h: 230, left: 52, right: 16, top: 12, bottom: 26, xmax: xmax, ymax: 100}
-
-	v.writeUtilizationSection(&b, wide, markers)
-
-	// Per-policy splits granted (the growth curves that differentiate
-	// LA from Hadoop).
-	v.writeGrowthSection(&b, wide)
-
-	// Per-node small multiples.
-	v.writeNodeSection(&b, xmax)
-
-	// Slot-occupancy Gantt (critical-path attempts outlined).
-	v.writeGanttSection(&b, xmax, markers)
-
-	// Per-job diagnosis: breakdown bars + critical path.
-	v.writeDiagSection(&b)
-
-	// Per-query registry detail (when qstats was enabled).
-	v.writeQuerySection(&b)
-
-	// Alert rules and the firing/resolved log (when the time-series
-	// engine was attached).
-	v.writeAlertSection(&b)
-
-	// Policy summary + counters + data table.
-	v.writePolicyTable(&b)
-	v.writeDataTable(&b, len(r.Snaps))
-	v.writeCounters(&b)
-
 	b.WriteString("</div>\n</body>\n</html>\n")
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// WriteHTML renders the self-contained report.
+func (r *Report) WriteHTML(w io.Writer) error { return r.writeHTML(w, pageFrame{}) }
+
+func (r *Report) writeHTML(w io.Writer, f pageFrame) error {
+	return writePage(w, r.Title, f, func(b *strings.Builder) {
+		if len(r.Params) > 0 {
+			b.WriteString(`<dl class="params">`)
+			for _, kv := range r.Params {
+				fmt.Fprintf(b, `<div><dt>%s</dt><dd>%s</dd></div>`, esc(kv[0]), esc(kv[1]))
+			}
+			b.WriteString("</dl>\n")
+		}
+
+		// The charts and the data table draw a stride of a long series.
+		v := *r
+		v.Snaps = thinSnaps(r.Snaps)
+		xmin, xmax := v.timeAxis()
+		markers := append(v.decisionMarkers(), v.alertMarkers()...)
+		wide := chartGeom{w: 920, h: 230, left: 52, right: 16, top: 12, bottom: 26, xmin: xmin, xmax: xmax, ymax: 100}
+
+		v.writeUtilizationSection(b, wide, markers)
+
+		// The time-series engine's query and scan histories.
+		v.writeTrendSection(b)
+
+		// Per-policy splits granted (the growth curves that differentiate
+		// LA from Hadoop).
+		v.writeGrowthSection(b, wide)
+
+		// Per-node small multiples.
+		v.writeNodeSection(b, xmin, xmax)
+
+		// Slot-occupancy Gantt (critical-path attempts outlined).
+		v.writeGanttSection(b, xmin, xmax, markers)
+
+		// Per-job diagnosis: breakdown bars + critical path.
+		v.writeDiagSection(b)
+
+		// Per-query registry detail (when qstats was enabled).
+		v.writeQuerySection(b)
+
+		// Alert rules and the firing/resolved log (when the time-series
+		// engine was attached).
+		v.writeAlertSection(b)
+
+		// Policy summary + counters + data table.
+		v.writePolicyTable(b)
+		v.writeDataTable(b, len(r.Snaps))
+		v.writeCounters(b)
+	})
 }
 
 // writeUtilizationSection charts the cluster-level series: utilization,
@@ -380,6 +448,56 @@ func (r *Report) writeUtilizationSection(b *strings.Builder, wide chartGeom, mar
 	b.WriteString("</section>\n")
 }
 
+// trendSeries are the time-series engine histories the Trends section
+// charts, in order; series the dump lacks, or holds under two points
+// of, are skipped.
+var trendSeries = []struct{ name, label string }{
+	{"query.in_flight", "queries in flight"},
+	{"query.match_rate", "match rate /s"},
+	{"query.overshoot_ratio", "overshoot ratio"},
+	{"query.split_cost_s", "split cost s"},
+	{"cluster.running_jobs", "running jobs"},
+	{"scan.blocks_read", "blocks read"},
+	{"scan.blocks_skipped", "blocks skipped"},
+}
+
+// writeTrendSection charts the trend series as small multiples over
+// each series' retained raw points.
+func (r *Report) writeTrendSection(b *strings.Builder) {
+	if r.Series == nil {
+		return
+	}
+	byName := make(map[string][]tsdb.Point, len(r.Series.Series))
+	for _, sd := range r.Series.Series {
+		byName[sd.Name] = sd.Points
+	}
+	wrote := false
+	for _, ts := range trendSeries {
+		pts := byName[ts.name]
+		if len(pts) < 2 {
+			continue
+		}
+		if !wrote {
+			b.WriteString("<section>\n<h2>Trends</h2>\n")
+			fmt.Fprintf(b, "<p class=\"note\">Time-series engine samples every %ss.</p>\n<div class=\"multiples\">", fnum(r.Series.IntervalS))
+			wrote = true
+		}
+		s := series{name: ts.label, colorVar: "--series-1"}
+		var ymax float64
+		for _, p := range pts {
+			s.pts = append(s.pts, point{p.T, p.V})
+			ymax = math.Max(ymax, p.V)
+		}
+		fmt.Fprintf(b, `<figure><figcaption>%s</figcaption>`, esc(ts.label))
+		writeLineChart(b, []series{s}, nil, chartGeom{w: 300, h: 120, left: 34, right: 8, top: 6, bottom: 20,
+			xmin: pts[0].T - r.Series.IntervalS, xmax: pts[len(pts)-1].T, ymax: niceMax(ymax)}, "")
+		b.WriteString(`</figure>`)
+	}
+	if wrote {
+		b.WriteString("</div>\n</section>\n")
+	}
+}
+
 // writeGrowthSection charts cumulative splits granted per policy.
 func (r *Report) writeGrowthSection(b *strings.Builder, g chartGeom) {
 	if len(r.Decisions) == 0 {
@@ -416,7 +534,7 @@ func (r *Report) writeGrowthSection(b *strings.Builder, g chartGeom) {
 
 // writeNodeSection renders per-node small multiples: CPU and map-slot
 // occupancy per node on a shared percent axis.
-func (r *Report) writeNodeSection(b *strings.Builder, xmax float64) {
+func (r *Report) writeNodeSection(b *strings.Builder, xmin, xmax float64) {
 	if len(r.Snaps) == 0 || len(r.Snaps[0].Nodes) == 0 {
 		return
 	}
@@ -438,7 +556,7 @@ func (r *Report) writeNodeSection(b *strings.Builder, xmax float64) {
 		}
 		fmt.Fprintf(b, `<figure><figcaption>node %d</figcaption>`, i)
 		writeLineChart(b, []series{cpu, slot}, nil,
-			chartGeom{w: 300, h: 120, left: 34, right: 8, top: 6, bottom: 20, xmax: xmax, ymax: 100}, "")
+			chartGeom{w: 300, h: 120, left: 34, right: 8, top: 6, bottom: 20, xmin: xmin, xmax: xmax, ymax: 100}, "")
 		b.WriteString(`</figure>`)
 	}
 	b.WriteString("</div>\n</section>\n")
@@ -447,7 +565,7 @@ func (r *Report) writeNodeSection(b *strings.Builder, xmax float64) {
 // writeGanttSection renders the slot-occupancy Gantt: one lane per
 // slot, map attempts in slot order, reduce attempts below them, with
 // outcome-coded bars and decision markers.
-func (r *Report) writeGanttSection(b *strings.Builder, xmax float64, markers []marker) {
+func (r *Report) writeGanttSection(b *strings.Builder, xmin, xmax float64, markers []marker) {
 	if len(r.Gantt.Bars) == 0 {
 		return
 	}
@@ -472,7 +590,7 @@ func (r *Report) writeGanttSection(b *strings.Builder, xmax float64, markers []m
 	for n := range r.Gantt.Lanes {
 		nodes = append(nodes, n)
 	}
-	sortInts(nodes)
+	slices.Sort(nodes)
 	offset := map[int]float64{}
 	y := top
 	for _, n := range nodes {
@@ -480,20 +598,11 @@ func (r *Report) writeGanttSection(b *strings.Builder, xmax float64, markers []m
 		y += float64(r.Gantt.Lanes[n])*laneH + nodeGap
 	}
 	height := y - nodeGap + bottom
-	g := chartGeom{w: width, h: height, left: left, right: right, top: top, bottom: bottom, xmax: xmax, ymax: 1}
+	g := chartGeom{w: width, h: height, left: left, right: right, top: top, bottom: bottom, xmin: xmin, xmax: xmax, ymax: 1}
 
 	fmt.Fprintf(b, `<svg viewBox="0 0 %g %g" role="img" preserveAspectRatio="xMidYMid meet">`, width, height)
-	for i := 0; i <= 5; i++ {
-		xv := xmax * float64(i) / 5
-		x := g.px(xv)
-		fmt.Fprintf(b, `<line x1="%g" y1="%g" x2="%g" y2="%g" class="grid"/>`, x, top, x, height-bottom)
-		fmt.Fprintf(b, `<text x="%g" y="%g" class="tick" text-anchor="middle">%ss</text>`, x, height-bottom+14, fnum(xv))
-	}
-	for _, m := range markers {
-		x := g.px(m.x)
-		fmt.Fprintf(b, `<line x1="%g" y1="%g" x2="%g" y2="%g" class="mark-%s"><title>%s</title></line>`,
-			x, top, x, height-bottom, m.class, esc(m.label))
-	}
+	writeTimeAxis(b, g)
+	writeMarkers(b, markers, g)
 	for _, n := range nodes {
 		fmt.Fprintf(b, `<text x="%g" y="%g" class="tick" text-anchor="end">n%d</text>`,
 			left-6, offset[n]+float64(r.Gantt.Lanes[n])*laneH/2+3, n)
@@ -546,44 +655,48 @@ func (r *Report) writeGanttSection(b *strings.Builder, xmax float64, markers []m
 	b.WriteString("</section>\n")
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // writeQuerySection renders the per-query registry detail: the rolling
-// per-policy latency summary and one row per finished query with its
-// lifecycle and phase-time attribution.
+// per-policy latency summary, the queries still running, and one row
+// per finished query with its lifecycle and phase-time attribution.
 func (r *Report) writeQuerySection(b *strings.Builder) {
-	if len(r.Queries) == 0 && len(r.QueryPolicies) == 0 {
+	d := r.Queries
+	if d == nil || len(d.Policies)+len(d.InFlight)+len(d.Queries) == 0 {
 		return
 	}
 	b.WriteString("<section>\n<h2>Per-query stats</h2>\n")
-	if len(r.QueryPolicies) > 0 {
-		b.WriteString("<h3>Rolling per-policy latency (virtual seconds)</h3>\n<table>\n<thead><tr>" +
-			"<th>policy</th><th>finished</th><th>failed</th><th>p50</th><th>p90</th><th>p99</th><th>max</th></tr></thead>\n<tbody>\n")
-		for _, p := range r.QueryPolicies {
-			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
-				esc(p.Policy), p.Finished, p.Failed,
-				fnum(p.VirtualP50S), fnum(p.VirtualP90S), fnum(p.VirtualP99S), fnum(p.VirtualMaxS))
+	if len(d.Policies) > 0 {
+		b.WriteString("<h3>Rolling per-policy latency (virtual seconds; wall milliseconds)</h3>\n<table>\n<thead><tr>" +
+			"<th>policy</th><th>finished</th><th>failed</th><th>qps</th><th>p50</th><th>p90</th><th>p99</th><th>max</th>" +
+			"<th>wall p50</th><th>wall p99</th></tr></thead>\n<tbody>\n")
+		for _, p := range d.Policies {
+			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
+				esc(p.Policy), p.Finished, p.Failed, fnum(p.QPS),
+				fnum(p.VirtualP50S), fnum(p.VirtualP90S), fnum(p.VirtualP99S), fnum(p.VirtualMaxS),
+				fnum(p.WallP50S*1000), fnum(p.WallP99S*1000))
 		}
 		b.WriteString("</tbody>\n</table>\n")
 	}
-	if len(r.Queries) > 0 {
+	if len(d.InFlight) > 0 {
+		b.WriteString("<h3>In flight</h3>\n<table>\n<thead><tr>" +
+			"<th>id</th><th>job</th><th>policy</th><th>k</th><th>matches</th><th>splits</th><th>records</th>" +
+			"<th>age (s)</th><th>query</th></tr></thead>\n<tbody>\n")
+		for _, q := range d.InFlight {
+			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%s</td><td>%d</td><td>%d</td><td>%d/%d</td><td>%d</td><td>%s</td><td>%s</td></tr>\n",
+				esc(q.ID), q.JobID, esc(q.Policy), q.K, q.Matches, q.SplitsScanned, q.SplitsTotal, q.RecordsRead,
+				fnum(d.VirtualTimeS-q.SubmitVT), esc(clip(q.SQL, 60)))
+		}
+		b.WriteString("</tbody>\n</table>\n")
+	}
+	if len(d.Queries) > 0 {
 		const maxQueryRows = 200
-		qs := r.Queries
-		truncated := 0
+		qs := d.Queries
 		if len(qs) > maxQueryRows {
-			truncated = len(qs) - maxQueryRows
 			qs = qs[len(qs)-maxQueryRows:]
 		}
 		b.WriteString("<h3>Finished queries</h3>\n<table>\n<thead><tr>" +
 			"<th>id</th><th>state</th><th>policy</th><th>k</th><th>latency (s)</th><th>first match (s)</th>" +
 			"<th>limit hit (s)</th><th>rows</th><th>overshoot</th><th>splits</th><th>records</th>" +
-			"<th>map s</th><th>shuffle s</th><th>reduce s</th></tr></thead>\n<tbody>\n")
+			"<th>map s</th><th>shuffle s</th><th>reduce s</th><th>query</th></tr></thead>\n<tbody>\n")
 		for _, q := range qs {
 			fm, lh := "—", "—"
 			if q.FirstMatchVT >= 0 {
@@ -593,22 +706,22 @@ func (r *Report) writeQuerySection(b *strings.Builder) {
 				lh = fnum(q.LimitHitVT - q.SubmitVT)
 			}
 			fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td>"+
-				"<td>%d</td><td>%d</td><td>%d/%d</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
+				"<td>%d</td><td>%d</td><td>%d/%d</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
 				esc(q.ID), esc(q.State), esc(q.Policy), q.K, fnum(q.LatencyVirtualS), fm, lh,
 				q.Rows, q.OvershootRows, q.SplitsScanned, q.SplitsTotal, q.RecordsRead,
-				fnum(q.MapSeconds), fnum(q.ShuffleSeconds), fnum(q.ReduceSeconds))
+				fnum(q.MapSeconds), fnum(q.ShuffleSeconds), fnum(q.ReduceSeconds), esc(clip(q.SQL, 60)))
 		}
 		b.WriteString("</tbody>\n</table>\n")
-		if truncated > 0 {
-			fmt.Fprintf(b, "<p class=\"note\">Showing the last %d of %d queries; the full set is in the qstats JSON dump.</p>\n", maxQueryRows, len(r.Queries))
+		if len(qs) < len(d.Queries) {
+			fmt.Fprintf(b, "<p class=\"note\">Showing the last %d of %d queries; the full set is in the qstats JSON dump.</p>\n", len(qs), len(d.Queries))
 		}
 	}
 	b.WriteString("</section>\n")
 }
 
-// writeAlertSection renders the alert layer's end-of-run snapshot: the
-// still-firing set, then every firing/resolved transition, then the
-// configured rules.
+// writeAlertSection renders the alert layer's snapshot: the firing
+// set, then every firing/resolved transition, then the configured
+// rules.
 func (r *Report) writeAlertSection(b *strings.Builder) {
 	a := r.Alerts
 	if a == nil || (len(a.Rules) == 0 && len(a.Events) == 0) {
@@ -616,7 +729,7 @@ func (r *Report) writeAlertSection(b *strings.Builder) {
 	}
 	b.WriteString("<section>\n<h2>Alerts</h2>\n")
 	if len(a.Active) > 0 {
-		fmt.Fprintf(b, "<p class=\"note\">⚠ %d alert(s) still firing at end of run.</p>\n", len(a.Active))
+		fmt.Fprintf(b, "<p class=\"note\">⚠ %d alert(s) firing at %ss.</p>\n", len(a.Active), fnum(a.VirtualTimeS))
 		b.WriteString("<table>\n<thead><tr><th>rule</th><th>since (s)</th><th>value</th><th>threshold</th><th>severity</th></tr></thead>\n<tbody>\n")
 		for _, al := range a.Active {
 			fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
@@ -715,20 +828,12 @@ func (r *Report) writeCounters(b *strings.Builder) {
 	for k := range r.Counters {
 		names = append(names, k)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	b.WriteString("<details>\n<summary>Counters</summary>\n<table>\n<tbody>\n")
 	for _, k := range names {
 		fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td></tr>\n", esc(k), r.Counters[k])
 	}
 	b.WriteString("</tbody>\n</table>\n</details>\n")
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // reportCSS carries the palette as CSS custom properties: light values
@@ -834,8 +939,12 @@ body { margin: 0; background: var(--page); }
 .viz-root .crit { stroke: var(--text-primary); stroke-width: 1.2; }
 .viz-root span.swatch.crit { border: 1.2px solid var(--text-primary); box-sizing: border-box; }
 .viz-root .diag-row { display: flex; align-items: center; gap: 10px; margin: 4px 0; }
-.viz-root .diag-label { flex: 0 0 190px; color: var(--text-secondary); font-size: 12.5px; font-variant-numeric: tabular-nums; }
-.viz-root .stack { flex: 1; display: flex; height: 16px; border-radius: 3px; overflow: hidden; background: var(--grid); }
+.viz-root .diag-label { flex: 0 0 190px; color: var(--text-secondary); font-size: 12.5px; font-variant-numeric: tabular-nums; overflow: hidden; text-overflow: ellipsis; white-space: nowrap; }
+.viz-root .track { flex: 1; }
+.viz-root .stack { display: flex; height: 16px; border-radius: 3px; overflow: hidden; background: var(--grid); }
 .viz-root .stack span { display: block; height: 100%; }
+.viz-root .pos { color: var(--status-critical); }
+.viz-root .neg { color: var(--series-3); }
+.viz-root a { color: var(--series-1); }
 </style>
 `

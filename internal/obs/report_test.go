@@ -87,3 +87,21 @@ func TestReportHTMLEmptyRun(t *testing.T) {
 		}
 	}
 }
+
+// TestReportTimeAxisStartsAtFirstInterval: a window of snapshots, as
+// /live holds, fills its charts: the time axis starts where the first
+// sample's interval starts, not at 0.
+func TestReportTimeAxisStartsAtFirstInterval(t *testing.T) {
+	snaps := make([]Snapshot, 20)
+	for i := range snaps {
+		snaps[i] = Snapshot{Time: float64(100 + 5*i), IntervalS: 5}
+	}
+	var b strings.Builder
+	if err := (&Report{Title: "window", Snaps: snaps}).WriteHTML(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), `text-anchor="middle">95s</text>`) ||
+		strings.Contains(b.String(), `text-anchor="middle">0s</text>`) {
+		t.Error("the time axis of a 100-195 s window of 5 s samples does not start at 95 s")
+	}
+}

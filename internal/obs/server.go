@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -18,9 +19,9 @@ import (
 // (JSON, schema dynamicmr.qstats/1), the time-series /tsdb and /alerts
 // dumps, and the self-refreshing /live HTML dashboard.
 //
-// Handlers serve only the published snapshot: Publish renders every
-// endpoint's payload into an immutable view, and no handler touches the
-// simulation. NewServer publishes once, and the goroutine that drives
+// Handlers serve only the published snapshot: Publish renders the
+// metrics and JSON payloads, and keeps the dumps /live draws, in an
+// immutable view, and no handler touches the simulation. NewServer publishes once, and the goroutine that drives
 // the engine publishes again after each advance, so a scrape never
 // waits for a query to finish.
 type Server struct {
@@ -28,7 +29,7 @@ type Server struct {
 	qs   *qstats.Registry
 	db   *tsdb.DB
 
-	// Rolling window of recent snapshots for the /live sparklines,
+	// Rolling window of recent snapshots for the /live charts,
 	// maintained incrementally via SnapshotsSince by Publish.
 	snapCursor int
 	recent     []Snapshot
@@ -41,10 +42,11 @@ type Server struct {
 	pub   *published
 }
 
-// liveRecentSnaps bounds the /live utilization sparkline window.
+// liveRecentSnaps bounds the /live utilization chart window.
 const liveRecentSnaps = 240
 
-// published is one immutable, pre-rendered view of every endpoint.
+// published is one immutable view of every endpoint: the pre-rendered
+// payloads and the state /live renders its report from.
 type published struct {
 	metrics []byte
 	status  []byte
@@ -53,18 +55,19 @@ type published struct {
 	recent  []Snapshot
 	scan    *ScanStats
 	// tsdbJSON / alertsJSON are the pre-rendered /tsdb and /alerts
-	// payloads; nil when no time-series engine is attached. trends and
-	// alerts carry the structured views the /live panels render from.
+	// payloads, and trends / alerts the dumps they encode, which /live
+	// draws; all nil when no time-series engine is attached.
 	tsdbJSON   []byte
 	alertsJSON []byte
-	trends     tsdb.Dump
-	alerts     tsdb.AlertsDump
+	trends     *tsdb.Dump
+	alerts     *tsdb.AlertsDump
 }
 
 // NewServer serves the sampler's cluster, with the per-query registry
 // (/queries, query detail on /live, the latency and QPS families on
 // /metrics) and the time-series engine (/tsdb, /alerts, the /live trend
-// panels) when they are non-nil, and publishes their current state.
+// charts and alerts) when they are non-nil, and publishes their current
+// state.
 func NewServer(samp *Sampler, qs *qstats.Registry, db *tsdb.DB) *Server {
 	s := &Server{samp: samp, qs: qs, db: db}
 	s.Publish()
@@ -80,8 +83,7 @@ func (s *Server) Publish() {
 	status := s.statusPayload()
 	statusJSON, err := json.MarshalIndent(status, "", "  ")
 	if err != nil {
-		// A non-finite reading cannot be encoded: serve the error.
-		statusJSON, _ = json.Marshal(map[string]string{"error": err.Error()})
+		statusJSON = errorJSON(err)
 	}
 	fresh := s.samp.SnapshotsSince(s.snapCursor)
 	s.snapCursor += len(fresh)
@@ -92,13 +94,29 @@ func (s *Server) Publish() {
 	p := &published{metrics: metrics.Bytes(), status: statusJSON, dump: s.qs.Dump(),
 		vt: s.samp.JobTracker().Engine().Now(), recent: append([]Snapshot(nil), s.recent...), scan: status.Scan}
 	if s.db.Enabled() {
-		p.trends, p.alerts = s.db.Dump(), s.db.AlertsDump()
-		p.tsdbJSON, _ = json.MarshalIndent(p.trends, "", "  ")
-		p.alertsJSON, _ = json.MarshalIndent(p.alerts, "", "  ")
+		trends, alerts := s.db.Dump(), s.db.AlertsDump()
+		p.trends, p.alerts = &trends, &alerts
+		p.tsdbJSON, p.alertsJSON = encodeJSON(trends.WriteJSON), encodeJSON(alerts.WriteJSON)
 	}
 	s.pubMu.Lock()
 	s.pub = p
 	s.pubMu.Unlock()
+}
+
+// encodeJSON renders one payload through its dump's own writer, or the
+// writer's error as a JSON document: a non-finite reading cannot be
+// encoded, and the endpoint serves that error.
+func encodeJSON(write func(io.Writer) error) []byte {
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return errorJSON(err)
+	}
+	return buf.Bytes()
+}
+
+func errorJSON(err error) []byte {
+	b, _ := json.Marshal(map[string]string{"error": err.Error()}) // a map of strings always encodes
+	return b
 }
 
 func (s *Server) publishedState() *published {
@@ -122,7 +140,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "dynmr observability endpoints:\n  /metrics  Prometheus text exposition\n  /status   JSON run status\n  /queries  JSON per-query stats (?id=q-000001 for detail)\n  /tsdb     JSON time-series history (schema dynamicmr.tsdb/1)\n  /alerts   JSON alert rules, active set and event log (schema dynamicmr.alerts/1)\n  /live     self-refreshing HTML dashboard")
+		fmt.Fprintln(w, "dynmr observability endpoints:\n  /metrics  Prometheus text exposition\n  /status   JSON run status\n  /queries  JSON per-query stats (?id=q-000001 for detail)\n  /tsdb     JSON time-series history (schema dynamicmr.tsdb/1)\n  /alerts   JSON alert rules, active set and event log (schema dynamicmr.alerts/1)\n  /live     the run report of the latest snapshot, refreshed every 2 s")
 	})
 	return mux
 }

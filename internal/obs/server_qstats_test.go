@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"dynamicmr/internal/data"
 	"dynamicmr/internal/mapreduce"
@@ -30,19 +32,25 @@ func TestQueriesAndLiveEndpoints(t *testing.T) {
 	reg := qstats.NewRegistry(jt)
 	srv := NewServer(s, reg, nil)
 
-	var lastID string
-	for i := 0; i < 3; i++ {
+	submit := func(sql string) (*mapreduce.Job, string) {
 		id := reg.AllocID()
 		conf := mapreduce.NewJobConf()
 		conf.SetInt(mapreduce.ConfSampleSize, 50)
 		conf.Set(mapreduce.ConfDynamicPolicy, "LA")
 		conf.Set(mapreduce.ConfQueryID, id)
 		job := jt.Submit(mapreduce.JobSpec{Conf: conf, NewMapper: echoMapper}, mapreduce.SplitsForFile(f))
-		reg.Register(id, job, fmt.Sprintf("SELECT V FROM t LIMIT 50 -- %d", i), job.ScheduledMaps())
+		reg.Register(id, job, sql, job.ScheduledMaps())
+		return job, id
+	}
+	var lastID string
+	for i := 0; i < 3; i++ {
+		job, id := submit(fmt.Sprintf("SELECT V FROM t LIMIT 50 -- %d", i))
 		mapreduce.RunUntilDone(eng, job, 1e6)
 		lastID = id
 	}
 	eng.RunUntil(eng.Now() + 2)
+	// A fourth query is still running when the snapshot is published.
+	_, runningID := submit("SELECT V FROM t LIMIT 50 -- running")
 	srv.Publish()
 
 	get := func(path string) *httptest.ResponseRecorder {
@@ -63,7 +71,7 @@ func TestQueriesAndLiveEndpoints(t *testing.T) {
 	if dump.Schema != qstats.SchemaVersion {
 		t.Fatalf("schema %q", dump.Schema)
 	}
-	if dump.Finished != 3 || len(dump.Queries) != 3 || len(dump.InFlight) != 0 {
+	if dump.Finished != 3 || len(dump.Queries) != 3 || len(dump.InFlight) != 1 {
 		t.Fatalf("dump totals: finished=%d queries=%d inflight=%d", dump.Finished, len(dump.Queries), len(dump.InFlight))
 	}
 	// The body is the published dump's one JSON writer, byte for byte.
@@ -91,13 +99,18 @@ func TestQueriesAndLiveEndpoints(t *testing.T) {
 		t.Fatalf("missing id status %d", rec.Code)
 	}
 
-	// /live: HTML with the query rows and sparklines.
+	// /live: the run report of the published snapshot, with the
+	// refresh and the endpoint links around it.
 	rec = get("/live")
 	if rec.Code != 200 {
 		t.Fatalf("/live status %d", rec.Code)
 	}
 	body := rec.Body.String()
-	for _, want := range []string{"<!DOCTYPE html>", lastID, "Per-policy latency", "polyline", "LA"} {
+	for _, want := range []string{
+		"<!DOCTYPE html>", "<title>dynmr live</title>", lastID, "<h3>Rolling per-policy latency",
+		"<h3>In flight</h3>", runningID, "-- running", "<svg", `<meta http-equiv="refresh" content="2">`,
+		`<a href="/queries">`, `<a href="/metrics">`, `<a href="/status">`, `<a href="/tsdb">`, `<a href="/alerts">`,
+	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/live missing %q", want)
 		}
@@ -116,6 +129,38 @@ func TestQueriesAndLiveEndpoints(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestLiveClipsQueryTextByRunes: /live shortens a long query text to
+// 60 characters, and a multibyte character across that cut must not
+// be split into invalid UTF-8.
+func TestLiveClipsQueryTextByRunes(t *testing.T) {
+	eng, _, fs, jt := rig(t, true)
+	f := mkFile(t, fs, "in", 8, 100)
+	s := NewSampler(jt, Config{IntervalS: 1})
+	s.Start()
+	reg := qstats.NewRegistry(jt)
+	srv := NewServer(s, reg, nil)
+
+	// "é" takes bytes 58 and 59, so a 59-byte cut splits it.
+	sql := fmt.Sprintf("%-58s", "SELECT V FROM t WHERE name = 'caf") + "é' LIMIT 50 -- café au lait"
+	id := reg.AllocID()
+	conf := mapreduce.NewJobConf()
+	conf.SetInt(mapreduce.ConfSampleSize, 50)
+	conf.Set(mapreduce.ConfQueryID, id)
+	job := jt.Submit(mapreduce.JobSpec{Conf: conf, NewMapper: echoMapper}, mapreduce.SplitsForFile(f))
+	reg.Register(id, job, sql, job.ScheduledMaps())
+	mapreduce.RunUntilDone(eng, job, 1e6)
+	srv.Publish()
+
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/live", nil))
+	if !strings.Contains(rec.Body.String(), id) {
+		t.Fatalf("/live does not list %s", id)
+	}
+	if !utf8.ValidString(rec.Body.String()) {
+		t.Fatal("/live body is not valid UTF-8")
 	}
 }
 
@@ -207,5 +252,20 @@ func TestPublishedEndpointsDoNotBlock(t *testing.T) {
 	}
 	if ad.Schema != tsdb.AlertsSchemaVersion || len(ad.Rules) != 1 {
 		t.Fatalf("published alerts dump: schema %q, %d rules", ad.Schema, len(ad.Rules))
+	}
+	// Both bodies are their dump's own writer at the published instant,
+	// byte for byte: the engine has not moved since the last Publish.
+	for path, write := range map[string]func(io.Writer) error{
+		"/tsdb": db.Dump().WriteJSON, "/alerts": db.AlertsDump().WriteJSON,
+	} {
+		rec = httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		var want bytes.Buffer
+		if err := write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Body.String() != want.String() {
+			t.Errorf("%s body differs from WriteJSON:\n got %s\nwant %s", path, rec.Body.String(), want.String())
+		}
 	}
 }

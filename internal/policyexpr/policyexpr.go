@@ -50,15 +50,6 @@ func Compile(src string) (*Expr, error) {
 	return &Expr{src: src, root: root}, nil
 }
 
-// MustCompile is Compile for known-good constant expressions.
-func MustCompile(src string) *Expr {
-	e, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // String returns the source text.
 func (e *Expr) String() string { return e.src }
 

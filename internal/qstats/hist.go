@@ -15,17 +15,14 @@ const (
 	histNumBuckets       = 1 + 28*histBucketsPerOctave
 )
 
-// Hist is a fixed-shape log-bucketed histogram. Because every Hist
-// shares the same bucket boundaries, Merge is pure count addition and
-// quantile estimates of a merged histogram are bounded by the shard
-// estimates (see TestHistMergeBoundsQuantiles). The zero value is
+// Hist is a fixed-shape log-bucketed histogram. The zero value is
 // ready to use. Not safe for concurrent use; the Registry serialises
 // access.
 type Hist struct {
-	counts   [histNumBuckets]int64
-	count    int64
-	sum      float64
-	min, max float64
+	counts [histNumBuckets]int64
+	count  int64
+	sum    float64
+	max    float64
 }
 
 func histBucketOf(v float64) int {
@@ -56,9 +53,6 @@ func (h *Hist) Observe(v float64) {
 	h.counts[histBucketOf(v)]++
 	h.count++
 	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -70,18 +64,14 @@ func (h *Hist) Count() int64 { return h.count }
 // Sum returns the sum of observations in seconds.
 func (h *Hist) Sum() float64 { return h.sum }
 
-// Min returns the exact minimum observation (0 when empty).
-func (h *Hist) Min() float64 { return h.min }
-
 // Max returns the exact maximum observation (0 when empty).
 func (h *Hist) Max() float64 { return h.max }
 
 // Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of
 // the bucket where the cumulative count first reaches ceil(q·count).
 // The estimate is an upper bound on the true quantile, at most one
-// bucket ratio above it; it is deliberately NOT clamped to Max so that
-// merged-histogram quantiles stay bounded by shard quantiles (the
-// clamp breaks that property). Returns 0 when empty. For the overflow
+// bucket ratio above it, and it is not clamped to Max. Returns 0 when
+// empty. For the overflow
 // bucket the exact Max is returned instead of +Inf.
 func (h *Hist) Quantile(q float64) float64 {
 	if h.count == 0 {
@@ -105,25 +95,6 @@ func (h *Hist) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Merge folds o's observations into h (count addition; both histograms
-// share the package-fixed bucket layout).
-func (h *Hist) Merge(o *Hist) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
 }
 
 // CumulativeLE returns the number of observations in buckets whose

@@ -560,22 +560,6 @@ func (r *Registry) Totals() (started, finished, failed int64) {
 	return r.started, r.finished, r.failed
 }
 
-// Summaries returns the finished queries, oldest first (bounded by
-// DefaultMaxRecords; the oldest beyond the bound have been dropped).
-func (r *Registry) Summaries() []QueryRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.waitDiagnosedLocked()
-	out := make([]QueryRecord, 0, len(r.records))
-	for _, rec := range r.records {
-		out = append(out, *rec)
-	}
-	return out
-}
-
 // FinishedSince returns copies of the finished-query records whose
 // absolute sequence number (position in the finished stream, counting
 // records already trimmed from retention) is >= seq, plus the next
@@ -604,16 +588,6 @@ func (r *Registry) FinishedSince(seq int64) ([]QueryRecord, int64) {
 	return out, next
 }
 
-// InFlight returns the currently running queries, ordered by job ID.
-func (r *Registry) InFlight() []QueryRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inflightLocked()
-}
-
 func (r *Registry) inflightLocked() []QueryRecord {
 	out := make([]QueryRecord, 0, len(r.inflight))
 	for _, rec := range r.inflight {
@@ -625,28 +599,6 @@ func (r *Registry) inflightLocked() []QueryRecord {
 		}
 	}
 	return out
-}
-
-// Find returns the record with the given query ID, searching finished
-// queries and then in-flight ones.
-func (r *Registry) Find(id string) (QueryRecord, bool) {
-	if r == nil {
-		return QueryRecord{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.waitDiagnosedLocked()
-	for i := len(r.records) - 1; i >= 0; i-- {
-		if r.records[i].ID == id {
-			return *r.records[i], true
-		}
-	}
-	for _, rec := range r.inflight {
-		if rec.ID == id {
-			return *rec, true
-		}
-	}
-	return QueryRecord{}, false
 }
 
 // PolicyStats returns the rolling per-policy aggregates in

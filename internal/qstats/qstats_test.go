@@ -75,12 +75,12 @@ func TestRegistryLifecycle(t *testing.T) {
 	if id != "q-000001" {
 		t.Fatalf("id = %q", id)
 	}
-	if got := r.InFlight(); len(got) != 1 || got[0].State != StateRunning {
+	if got := r.Dump().InFlight; len(got) != 1 || got[0].State != StateRunning {
 		t.Fatalf("in-flight = %+v", got)
 	}
 	mapreduce.RunUntilDone(eng, job, 1e6)
 
-	sums := r.Summaries()
+	sums := r.Dump().Queries
 	if len(sums) != 1 {
 		t.Fatalf("summaries = %d", len(sums))
 	}
@@ -120,13 +120,6 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 	if diff := math.Abs(rec.Diagnosis.Breakdown.Total() - rec.LatencyVirtualS); diff > 1e-6 {
 		t.Fatalf("breakdown total %g != makespan %g", rec.Diagnosis.Breakdown.Total(), rec.LatencyVirtualS)
-	}
-
-	if got, ok := r.Find(id); !ok || got.ID != id {
-		t.Fatalf("Find(%q) = %+v, %v", id, got, ok)
-	}
-	if _, ok := r.Find("q-999999"); ok {
-		t.Fatal("Find invented a record")
 	}
 
 	ps := r.PolicyStats()
@@ -189,7 +182,7 @@ func TestRegistryUntracedStillCounts(t *testing.T) {
 	r := NewRegistry(jt)
 	job, _ := submitTracked(t, r, jt, f, 5, "")
 	mapreduce.RunUntilDone(eng, job, 1e6)
-	sums := r.Summaries()
+	sums := r.Dump().Queries
 	if len(sums) != 1 || sums[0].State != StateOK {
 		t.Fatalf("summaries = %+v", sums)
 	}
@@ -209,7 +202,7 @@ func TestRegistryIgnoresUnregisteredJobs(t *testing.T) {
 	// job) must not appear anywhere.
 	job := jt.Submit(mapreduce.JobSpec{NewMapper: echoMapper}, mapreduce.SplitsForFile(f))
 	mapreduce.RunUntilDone(eng, job, 1e6)
-	if len(r.Summaries()) != 0 || len(r.InFlight()) != 0 {
+	if d := r.Dump(); len(d.Queries) != 0 || len(d.InFlight) != 0 {
 		t.Fatal("unregistered job tracked")
 	}
 	started, _, _ := r.Totals()
@@ -225,7 +218,7 @@ func TestRegistryAbandon(t *testing.T) {
 	job, id := submitTracked(t, r, jt, f, 5, "C")
 	r.Abandon(job, "deadline exceeded")
 	mapreduce.RunUntilDone(eng, job, 1e6) // later finish must be ignored
-	sums := r.Summaries()
+	sums := r.Dump().Queries
 	if len(sums) != 1 || sums[0].State != StateAbandoned || sums[0].ID != id {
 		t.Fatalf("summaries = %+v", sums)
 	}
@@ -288,7 +281,7 @@ func BenchmarkQueryRecord(b *testing.B) {
 	r := NewRegistry(jt)
 	job, _ := submitTracked(b, r, jt, f, 200, "LA")
 	mapreduce.RunUntilDone(eng, job, 1e6)
-	seed := r.Summaries()[0]
+	seed := r.Dump().Queries[0]
 	if seed.Diagnosis == nil {
 		b.Fatalf("seed query has no diagnosis (%s)", seed.DiagError)
 	}
@@ -322,7 +315,7 @@ func BenchmarkQueryRecord(b *testing.B) {
 		r.mu.Unlock()
 	}
 	b.StopTimer()
-	got := r.Summaries()
+	got := r.Dump().Queries
 	if last := got[len(got)-1]; last.Diagnosis == nil || !reflect.DeepEqual(last.Diagnosis, seed.Diagnosis) {
 		b.Fatalf("benchmark records lost or changed the diagnosis: %q", last.DiagError)
 	}

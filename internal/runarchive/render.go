@@ -69,11 +69,12 @@ func (a *Archive) Render(w io.Writer, kind string) error {
 
 // report assembles the HTML run report from the archive alone: the
 // snapshots for the utilization charts (none without a sampler), the
-// spans for the Gantt, the decisions for the overlay and the
-// per-policy table, the counters, diagnosis, query stats and alerts,
-// with the label as title and the run config as params.
+// time series for the trends, the spans for the Gantt, the decisions
+// for the overlay and the per-policy table, the counters, diagnosis,
+// query stats and alerts, with the label as title and the run config
+// as params.
 func (a *Archive) report() *obs.Report {
-	rep := &obs.Report{
+	return &obs.Report{
 		Title:     a.Manifest.Label,
 		Params:    a.Manifest.Config.params(),
 		Snaps:     a.Snapshots,
@@ -82,12 +83,10 @@ func (a *Archive) report() *obs.Report {
 		Counters:  a.Counters,
 		Diag:      a.Diagnosis,
 		Dropped:   a.Manifest.DroppedSpans,
+		Queries:   a.Queries,
+		Series:    a.Series,
 		Alerts:    a.Alerts,
 	}
-	if a.Queries != nil {
-		rep.Queries, rep.QueryPolicies = a.Queries.Queries, a.Queries.Policies
-	}
-	return rep
 }
 
 // params lists the run config as report rows: policy, input path, scan

@@ -81,9 +81,6 @@ type Provider struct {
 	splits    []mapreduce.Split // randomly permuted
 	cursor    int               // splits[:cursor] have been handed out
 	totalRecs int64             // records across all splits
-
-	// decision trace for experiments
-	estimates []float64
 }
 
 // NewProvider creates a provider for sample size k.
@@ -125,10 +122,6 @@ func (p *Provider) InitialSplits(grab int) []mapreduce.Split {
 
 // Remaining returns the number of partitions not yet handed out.
 func (p *Provider) Remaining() int { return len(p.splits) - p.cursor }
-
-// SelectivityEstimates returns the ρ̂ value observed at each
-// consultation (for experiment diagnostics).
-func (p *Provider) SelectivityEstimates() []float64 { return p.estimates }
 
 // take advances the cursor over the (permuted, possibly
 // informed-ordered) split sequence and returns the next n splits. n is
@@ -176,7 +169,6 @@ func (p *Provider) Next(rep core.Report) (core.Response, []mapreduce.Split) {
 
 	// Estimated predicate selectivity ρ̂ from finished maps.
 	rho := float64(js.MapOutputRecords) / float64(js.MapInputRecords)
-	p.estimates = append(p.estimates, rho)
 
 	// Expected records per split, from the observed splits (§IV: "given
 	// the splits and the total input records processed so far, the

@@ -222,9 +222,6 @@ func TestSelectivityDrivenGrab(t *testing.T) {
 	if len(splits) != 6 {
 		t.Fatalf("grabbed %d splits, want 6 (selectivity estimate)", len(splits))
 	}
-	if len(p.SelectivityEstimates()) != 1 || p.SelectivityEstimates()[0] != 0.01 {
-		t.Fatalf("estimates = %v", p.SelectivityEstimates())
-	}
 }
 
 func TestGrabBoundedByLimit(t *testing.T) {

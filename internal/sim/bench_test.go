@@ -7,7 +7,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(1, func() {})
-		if e.Pending() > 1024 {
+		if len(e.queue) > 1024 {
 			e.Run()
 		}
 	}
@@ -20,7 +20,7 @@ func BenchmarkSharedResourceChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Submit(1, nil)
-		if r.ActiveDemands() > 256 {
+		if len(r.active) > 256 {
 			e.Run()
 		}
 	}

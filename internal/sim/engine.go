@@ -34,13 +34,6 @@ type Event struct {
 	canceled bool
 }
 
-// Time returns the virtual time at which the event fires.
-func (e *Event) Time() float64 { return e.time }
-
-// Canceled reports whether Cancel was called on the event (valid only
-// until the object is recycled; see the type comment).
-func (e *Event) Canceled() bool { return e.canceled }
-
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
@@ -72,9 +65,6 @@ func (e *Engine) Now() float64 { return e.now }
 
 // Processed returns the number of events fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
-
-// Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past
 // panics: it would break causality and always indicates a bug.
@@ -121,9 +111,6 @@ func (e *Engine) Cancel(ev *Event) {
 	e.recycle(ev)
 }
 
-// Stop makes Run return after the current event's callback completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // RealBlock runs fn, which may block on real-world (wall-clock) work —
 // typically joining a future computed off the simulator thread — and
 // accounts the real time spent. It is the one sanctioned way for
@@ -146,7 +133,7 @@ func (e *Engine) RealBlock(fn func()) {
 // spent stalled inside RealBlock calls.
 func (e *Engine) BlockedReal() time.Duration { return e.blockedReal }
 
-// Run processes events until the queue is empty or Stop is called.
+// Run processes events until the queue is empty or stopped is set.
 func (e *Engine) Run() {
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
@@ -157,7 +144,7 @@ func (e *Engine) Run() {
 // RunUntil processes events with time <= t, then advances the clock to t.
 // Events scheduled at exactly t do fire.
 //
-// Stopped-clock semantics: when Stop fires mid-run, the clock is left
+// Stopped-clock semantics: when stopped is set mid-run, the clock is left
 // at the last fired event's time rather than advancing to t — a
 // stopped engine reports the virtual time it actually reached, and
 // events still queued between Now() and t remain schedulable without

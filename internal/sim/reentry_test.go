@@ -181,8 +181,8 @@ func TestCallbacksReenterResource(t *testing.T) {
 			d := r.Submit(w, done)
 			return func() { r.Cancel(d) }
 		})
-		if r.ActiveDemands() != 0 {
-			t.Fatalf("seed %d: %d demands still active", seed, r.ActiveDemands())
+		if len(r.active) != 0 {
+			t.Fatalf("seed %d: %d demands still active", seed, len(r.active))
 		}
 		refEng := NewEngine()
 		ref := &refResource{eng: refEng, capacity: capacity, maxPerUser: perUser}

@@ -13,9 +13,6 @@ type Demand struct {
 	active    bool
 }
 
-// Remaining returns the units of work the demand still needs.
-func (d *Demand) Remaining() float64 { return d.remaining }
-
 // SharedResource models a processor-sharing server: `capacity` units of
 // work per second divided equally among active demands, with each demand
 // additionally capped at maxPerUser units/second. It models a disk (bytes
@@ -66,14 +63,8 @@ func NewSharedResource(eng *Engine, name string, capacity, maxPerUser float64) *
 	return r
 }
 
-// Name returns the resource's diagnostic name.
-func (r *SharedResource) Name() string { return r.name }
-
 // Capacity returns the total service rate.
 func (r *SharedResource) Capacity() float64 { return r.capacity }
-
-// ActiveDemands returns the number of demands currently in service.
-func (r *SharedResource) ActiveDemands() int { return len(r.active) }
 
 // rate returns the per-demand service rate for n active demands.
 func (r *SharedResource) rate(n int) float64 {
@@ -105,15 +96,6 @@ func (r *SharedResource) UsedIntegral() float64 {
 // splitting the accrual rounds remaining work differently, which moves
 // later completion times in the last bits.
 func (r *SharedResource) Settle() { r.advance() }
-
-// Utilization returns the instantaneous utilisation in [0, 1].
-func (r *SharedResource) Utilization() float64 {
-	n := len(r.active)
-	if n == 0 {
-		return 0
-	}
-	return r.rate(n) * float64(n) / r.capacity
-}
 
 // Submit enqueues `work` units and calls done when they have been served.
 // Zero or negative work completes immediately (done is invoked via the

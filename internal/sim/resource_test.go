@@ -141,18 +141,26 @@ func TestCancelDemand(t *testing.T) {
 func TestUtilizationInstantaneous(t *testing.T) {
 	e := NewEngine()
 	r := NewSharedResource(e, "cpu", 4, 1)
-	if r.Utilization() != 0 {
-		t.Fatalf("idle utilization = %v, want 0", r.Utilization())
+	// util reads utilisation the way the samplers do: UsedIntegral's
+	// growth over the next second, divided by capacity. No demand
+	// starts or ends inside the window, so the mean is the level.
+	util := func() float64 {
+		before := r.UsedIntegral()
+		e.RunUntil(e.Now() + 1)
+		return (r.UsedIntegral() - before) / r.Capacity()
+	}
+	if u := util(); u != 0 {
+		t.Fatalf("idle utilization = %v, want 0", u)
 	}
 	r.Submit(100, nil)
-	if !almostEqual(r.Utilization(), 0.25, 1e-9) {
-		t.Fatalf("one capped task utilization = %v, want 0.25", r.Utilization())
+	if u := util(); !almostEqual(u, 0.25, 1e-9) {
+		t.Fatalf("one capped task utilization = %v, want 0.25", u)
 	}
 	for i := 0; i < 7; i++ {
 		r.Submit(100, nil)
 	}
-	if !almostEqual(r.Utilization(), 1.0, 1e-9) {
-		t.Fatalf("8-task utilization = %v, want 1", r.Utilization())
+	if u := util(); !almostEqual(u, 1.0, 1e-9) {
+		t.Fatalf("8-task utilization = %v, want 1", u)
 	}
 }
 

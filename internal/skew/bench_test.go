@@ -15,9 +15,3 @@ func BenchmarkCounts15k(b *testing.B) {
 		_ = Counts(15000, 2, 40, int64(i))
 	}
 }
-
-func BenchmarkAnalyticCounts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = AnalyticCounts(15000, 2, 40)
-	}
-}

@@ -71,34 +71,3 @@ func Counts(total int64, z float64, n int, seed int64) []int64 {
 	}
 	return counts
 }
-
-// AnalyticCounts apportions `total` across ranks exactly proportionally
-// to the Zipf weights using largest-remainder rounding; useful as the
-// noise-free reference in tests and figures.
-func AnalyticCounts(total int64, z float64, n int) []int64 {
-	w := Weights(z, n)
-	counts := make([]int64, n)
-	type frac struct {
-		i int
-		f float64
-	}
-	rem := make([]frac, n)
-	var assigned int64
-	for i, p := range w {
-		exact := p * float64(total)
-		c := int64(math.Floor(exact))
-		counts[i] = c
-		assigned += c
-		rem[i] = frac{i: i, f: exact - float64(c)}
-	}
-	sort.Slice(rem, func(a, b int) bool {
-		if rem[a].f != rem[b].f {
-			return rem[a].f > rem[b].f
-		}
-		return rem[a].i < rem[b].i
-	})
-	for k := int64(0); k < total-assigned; k++ {
-		counts[rem[k%int64(n)].i]++
-	}
-	return counts
-}

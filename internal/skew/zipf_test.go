@@ -132,51 +132,6 @@ func TestFigure4Shape(t *testing.T) {
 	}
 }
 
-func TestAnalyticCountsExact(t *testing.T) {
-	c := AnalyticCounts(15000, 0, 40)
-	for i, v := range c {
-		if v != 375 {
-			t.Fatalf("analytic z=0 count[%d] = %d, want 375", i, v)
-		}
-	}
-	c = AnalyticCounts(15000, 2, 40)
-	var sum int64
-	for _, v := range c {
-		sum += v
-	}
-	if sum != 15000 {
-		t.Fatalf("analytic counts sum %d, want 15000", sum)
-	}
-	if math.Abs(float64(c[0])-9258) > 20 {
-		t.Fatalf("analytic z=2 top = %d, want ≈9258", c[0])
-	}
-	for i := 1; i < len(c); i++ {
-		if c[i] > c[i-1] {
-			t.Fatalf("analytic counts not sorted decreasing at %d", i)
-		}
-	}
-}
-
-func TestAnalyticCountsConservationProperty(t *testing.T) {
-	f := func(totalRaw uint16, zTenths uint8, nRaw uint8) bool {
-		total := int64(totalRaw)
-		n := int(nRaw%64) + 1
-		z := float64(zTenths%30) / 10
-		c := AnalyticCounts(total, z, n)
-		var sum int64
-		for _, v := range c {
-			sum += v
-			if v < 0 {
-				return false
-			}
-		}
-		return sum == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSamplerDrawInRange(t *testing.T) {
 	s := NewSampler(1.5, 17, 3)
 	for i := 0; i < 10000; i++ {

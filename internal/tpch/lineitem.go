@@ -92,12 +92,6 @@ func NewGenerator(seed uint64, scale int) *Generator {
 	return &Generator{seed: seed, scale: scale, rows: int64(scale) * RowsPerScale}
 }
 
-// Seed returns the generator's seed.
-func (g *Generator) Seed() uint64 { return g.seed }
-
-// Scale returns the TPC-H scale factor.
-func (g *Generator) Scale() int { return g.scale }
-
 // NumRows returns the LINEITEM cardinality at this scale.
 func (g *Generator) NumRows() int64 { return g.rows }
 

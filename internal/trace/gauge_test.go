@@ -1,18 +1,12 @@
 package trace
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestGaugeAggregation(t *testing.T) {
 	tr := New(Config{Enabled: true})
 
 	if _, ok := tr.Gauges()["never.set"]; ok {
 		t.Fatal("unset gauge reported ok")
-	}
-	if avg := (GaugeSnapshot{}).Avg(); avg != 0 {
-		t.Fatalf("empty Avg = %v, want 0", avg)
 	}
 
 	for _, v := range []float64{40, 10, -5, 25} {
@@ -22,11 +16,8 @@ func TestGaugeAggregation(t *testing.T) {
 	if !ok {
 		t.Fatal("gauge missing after SetGauge")
 	}
-	if g.Last != 25 || g.Min != -5 || g.Max != 40 || g.Count != 4 {
-		t.Fatalf("snapshot = %+v, want last 25 min -5 max 40 count 4", g)
-	}
-	if want := (40.0 + 10 - 5 + 25) / 4; math.Abs(g.Avg()-want) > 1e-12 {
-		t.Fatalf("Avg = %v, want %v", g.Avg(), want)
+	if g.Last != 25 || g.Min != -5 || g.Max != 40 || g.Sum != 70 || g.Count != 4 {
+		t.Fatalf("snapshot = %+v, want last 25 min -5 max 40 sum 70 count 4", g)
 	}
 
 	tr.SetGauge("other", 1)
@@ -49,22 +40,5 @@ func TestGaugeNilTracer(t *testing.T) {
 	}
 	if tr.Gauges() != nil {
 		t.Fatal("nil tracer returned a gauge map")
-	}
-}
-
-func TestMetricNamesIncludesGauges(t *testing.T) {
-	tr := New(Config{Enabled: true})
-	tr.Inc("a.counter", 1)
-	tr.SetGauge("b.gauge", 2)
-	tr.Observe("c.hist", 3)
-	got := tr.MetricNames()
-	want := []string{"a.counter", "b.gauge", "c.hist"}
-	if len(got) != len(want) {
-		t.Fatalf("MetricNames = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MetricNames = %v, want %v", got, want)
-		}
 	}
 }

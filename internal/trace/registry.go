@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"sort"
 )
 
 // Well-known registry metric names emitted by the runtime. The
@@ -61,14 +60,6 @@ type HistogramSnapshot struct {
 	Max   float64
 }
 
-// Mean returns Sum/Count (0 when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
 // GaugeSnapshot summarises one gauge's history of set values: the most
 // recent value plus min/max/avg aggregation over every Set since the
 // tracer was created. Unlike a histogram a gauge is a point-in-time
@@ -80,14 +71,6 @@ type GaugeSnapshot struct {
 	Max   float64
 	Sum   float64
 	Count int64
-}
-
-// Avg returns Sum/Count (0 when the gauge was never set).
-func (g GaugeSnapshot) Avg() float64 {
-	if g.Count == 0 {
-		return 0
-	}
-	return g.Sum / float64(g.Count)
 }
 
 // registry is the counter/gauge/histogram store behind a Tracer. It has
@@ -213,26 +196,4 @@ func (t *Tracer) Histogram(name string) (HistogramSnapshot, bool) {
 		return HistogramSnapshot{}, false
 	}
 	return *h, true
-}
-
-// MetricNames returns every registered counter, gauge, and histogram
-// name, sorted, for diagnostics dumps.
-func (t *Tracer) MetricNames() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, 0, len(t.reg.counters)+len(t.reg.gauges)+len(t.reg.hists))
-	for k := range t.reg.counters {
-		names = append(names, k)
-	}
-	for k := range t.reg.gauges {
-		names = append(names, k)
-	}
-	for k := range t.reg.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -168,14 +168,6 @@ func New(cfg Config) *Tracer {
 // guard instrumentation sites use before assembling expensive args.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Config returns the tracer's configuration (zero value when nil).
-func (t *Tracer) Config() Config {
-	if t == nil {
-		return Config{}
-	}
-	return t.cfg
-}
-
 // Record appends a span to the ring, evicting the oldest when full.
 func (t *Tracer) Record(s Span) {
 	if t == nil {
@@ -264,17 +256,6 @@ func (t *Tracer) AppendSpansSince(dst []Span, from int64) ([]Span, int64) {
 	}
 	dst = append(dst, t.spans[start:]...)
 	return append(dst, t.spans[:int(total-from)-(len(t.spans)-start)]...), total
-}
-
-// CountSpans returns how many buffered spans carry the name.
-func (t *Tracer) CountSpans(name string) int {
-	n := 0
-	for _, s := range t.Spans() {
-		if s.Name == name {
-			n++
-		}
-	}
-	return n
 }
 
 // Dropped returns how many spans were evicted from the full ring.

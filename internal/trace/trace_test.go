@@ -72,9 +72,6 @@ func TestRingKeepsNewestAndCountsDropped(t *testing.T) {
 	if tr.Dropped() != 6 {
 		t.Fatalf("Dropped() = %d, want 6", tr.Dropped())
 	}
-	if tr.CountSpans(SpanMapAttempt) != 4 {
-		t.Fatalf("CountSpans = %d", tr.CountSpans(SpanMapAttempt))
-	}
 }
 
 func TestRingPartiallyFilled(t *testing.T) {
@@ -182,19 +179,8 @@ func TestRegistryCountersAndHistograms(t *testing.T) {
 	if h.Count != 3 || h.Sum != 15 || h.Min != 2 || h.Max != 8 {
 		t.Fatalf("histogram = %+v", h)
 	}
-	if h.Mean() != 5 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
 	if _, ok := tr.Histogram("never-touched"); ok {
 		t.Fatal("phantom histogram")
-	}
-	var zero HistogramSnapshot
-	if zero.Mean() != 0 {
-		t.Fatal("empty histogram mean non-zero")
-	}
-	names := tr.MetricNames()
-	if len(names) != 2 || names[0] != CounterMapAttempts || names[1] != HistMapDuration {
-		t.Fatalf("MetricNames = %v", names)
 	}
 }
 

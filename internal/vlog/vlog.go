@@ -155,92 +155,3 @@ func ParseLevel(s string) (slog.Level, error) {
 	}
 	return 0, fmt.Errorf("unknown log level %q (want debug|info|warn|error)", s)
 }
-
-// Entry is one captured record (tests).
-type Entry struct {
-	Level   slog.Level
-	Message string
-	VT      float64
-	Attrs   map[string]any
-}
-
-// Capture is an in-memory slog.Handler for tests: it records every
-// entry along with the virtual timestamp the vlog Handler stamped.
-type Capture struct {
-	mu      sync.Mutex
-	level   slog.Level
-	entries []Entry
-}
-
-// NewCapture returns a capture sink accepting records at or above
-// level.
-func NewCapture(level slog.Level) *Capture { return &Capture{level: level} }
-
-// Logger returns a virtual-clock logger feeding this capture.
-func (c *Capture) Logger(now func() float64) *slog.Logger {
-	return slog.New(NewHandler(c, now))
-}
-
-// Enabled implements slog.Handler.
-func (c *Capture) Enabled(_ context.Context, level slog.Level) bool { return level >= c.level }
-
-// Handle implements slog.Handler.
-func (c *Capture) Handle(_ context.Context, r slog.Record) error {
-	e := Entry{Level: r.Level, Message: r.Message, Attrs: make(map[string]any)}
-	r.Attrs(func(a slog.Attr) bool {
-		if a.Key == KeyVT {
-			e.VT = a.Value.Float64()
-		} else {
-			e.Attrs[a.Key] = a.Value.Any()
-		}
-		return true
-	})
-	c.mu.Lock()
-	c.entries = append(c.entries, e)
-	c.mu.Unlock()
-	return nil
-}
-
-// WithAttrs implements slog.Handler (attrs are folded into each
-// record at Handle time by slog itself for derived loggers; Capture
-// keeps it simple and shares the sink).
-func (c *Capture) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &captureWith{c: c, attrs: attrs}
-}
-
-// WithGroup implements slog.Handler.
-func (c *Capture) WithGroup(string) slog.Handler { return c }
-
-// Entries returns a snapshot of captured records.
-func (c *Capture) Entries() []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Entry, len(c.entries))
-	copy(out, c.entries)
-	return out
-}
-
-type captureWith struct {
-	c     *Capture
-	attrs []slog.Attr
-}
-
-func (cw *captureWith) Enabled(ctx context.Context, l slog.Level) bool {
-	return cw.c.Enabled(ctx, l)
-}
-
-func (cw *captureWith) Handle(ctx context.Context, r slog.Record) error {
-	out := slog.NewRecord(r.Time, r.Level, r.Message, r.PC)
-	out.AddAttrs(cw.attrs...)
-	r.Attrs(func(a slog.Attr) bool {
-		out.AddAttrs(a)
-		return true
-	})
-	return cw.c.Handle(ctx, out)
-}
-
-func (cw *captureWith) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &captureWith{c: cw.c, attrs: append(append([]slog.Attr{}, cw.attrs...), attrs...)}
-}
-
-func (cw *captureWith) WithGroup(string) slog.Handler { return cw }

@@ -156,22 +156,3 @@ func TestLockWriterConcurrent(t *testing.T) {
 		t.Errorf("want 400 records, got %d", n)
 	}
 }
-
-// TestCapture: the test sink records vt and attrs, including attrs
-// bound via With.
-func TestCapture(t *testing.T) {
-	cap := NewCapture(slog.LevelDebug)
-	log := cap.Logger(func() float64 { return 42 })
-	log.With(slog.String(KeyPolicy, "LA")).Debug("decision", slog.String(KeyVerdict, "GROW"))
-	entries := cap.Entries()
-	if len(entries) != 1 {
-		t.Fatalf("want 1 entry, got %d", len(entries))
-	}
-	e := entries[0]
-	if e.VT != 42 || e.Message != "decision" || e.Level != slog.LevelDebug {
-		t.Errorf("entry header wrong: %+v", e)
-	}
-	if e.Attrs[KeyPolicy] != "LA" || e.Attrs[KeyVerdict] != "GROW" {
-		t.Errorf("attrs wrong: %+v", e.Attrs)
-	}
-}

@@ -35,15 +35,6 @@ type User struct {
 	failures       int
 }
 
-// Completed returns the user's in-window completions.
-func (u *User) Completed() int { return u.completed }
-
-// Failures returns how many of the user's jobs failed.
-func (u *User) Failures() int { return u.failures }
-
-// ResponseTimes returns in-window response times.
-func (u *User) ResponseTimes() []float64 { return u.responseTimes }
-
 // Config shapes a run.
 type Config struct {
 	// WarmupS is excluded from measurement (reaching steady state).

@@ -130,10 +130,10 @@ func TestClosedLoopThroughput(t *testing.T) {
 	}
 	// Closed loop: at all times at most one job in flight per user.
 	for _, u := range users {
-		if u.Failures() != 0 {
-			t.Fatalf("user %s had %d failures", u.Name, u.Failures())
+		if u.failures != 0 {
+			t.Fatalf("user %s had %d failures", u.Name, u.failures)
 		}
-		if len(u.ResponseTimes()) != u.Completed() {
+		if len(u.responseTimes) != u.completed {
 			t.Fatalf("response-time count mismatch for %s", u.Name)
 		}
 	}

@@ -3,8 +3,11 @@ package dynamicmr
 import (
 	"bytes"
 	"io"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/trace"
 	"dynamicmr/internal/tsdb"
@@ -171,7 +174,7 @@ func TestRenderReport(t *testing.T) {
 		t.Fatal("report rendered after a Write → Load round trip differs from the cut archive's")
 	}
 	for _, want := range []string{"<title>render run</title>", "<dt>policy</dt><dd>LA</dd>",
-		"Cluster utilization", "Per-node utilization", "Slot occupancy", "Input Provider state",
+		"Cluster utilization", "<h2>Trends</h2>", "Per-node utilization", "Slot occupancy", "Input Provider state",
 		"Per-query stats", "<h2>Alerts</h2>", "latency-slo", "Counters"} {
 		if !bytes.Contains(html, []byte(want)) {
 			t.Errorf("report missing %q", want)
@@ -182,5 +185,25 @@ func TestRenderReport(t *testing.T) {
 	plain := rendered(t, bare, "report")
 	if bytes.Contains(plain, []byte("Cluster utilization")) || !bytes.Contains(plain, []byte("Slot occupancy")) {
 		t.Error("a sampler-less archive must render the Gantt without the utilization charts")
+	}
+}
+
+// TestLiveMatchesReportSections: at one instant, the /live page of a
+// server over the cluster's sampler, query registry and time-series
+// engine, and the report rendered from the archive cut at that
+// instant, carry the same utilization, trend, per-query and alert
+// sections: one renderer draws both.
+func TestLiveMatchesReportSections(t *testing.T) {
+	c, cut, _ := renderRun(t, 3, WithUtilizationSampling(5), WithTimeSeries(tsdb.Rule{
+		Name: "latency-slo", Kind: tsdb.KindSLOBurn, ObjectiveS: 0.001, Severity: "page",
+	}))
+	rec := httptest.NewRecorder()
+	obs.NewServer(c.Sampler(), c.QueryStats(), c.TSDB()).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/live", nil))
+	live, report := rec.Body.String(), string(rendered(t, cut, "report"))
+	for _, heading := range []string{"<h2>Cluster utilization</h2>", "<h2>Trends</h2>", "<h2>Per-query stats</h2>", "<h2>Alerts</h2>"} {
+		if !strings.Contains(live, heading) || !strings.Contains(report, heading) {
+			t.Errorf("%s: on /live %v, in the report %v; want both", heading,
+				strings.Contains(live, heading), strings.Contains(report, heading))
+		}
 	}
 }
