@@ -15,6 +15,7 @@
 // (default BENCH_results.json):
 //
 //	"bench_budgets": {
+//	  "calibration_ns_per_op": 462000,
 //	  "budgets": {
 //	    "BenchmarkEventThroughput": {"ns_per_op": 63.2, "allocs_per_op": 0},
 //	    "BenchmarkQueryRecord": {"ns_per_op": 50000, "allocs_per_op": 133, "tolerance_pct": 40},
@@ -35,6 +36,16 @@
 // than tight micro-benchmarks. Every budgeted benchmark must appear
 // in the input; a missing one fails the gate so renames don't
 // silently drop coverage.
+//
+// Ceilings in ns/op hold on any host through BenchmarkCalibrate
+// (calibrate_test.go), a fixed hash-and-sort task that shares no code
+// with the program. Run it before and after the gated benchmarks: when
+// bench_budgets stores its reference time, calibration_ns_per_op, the
+// gate multiplies every ns/op ceiling by the mean of the input's
+// calibration runs over that reference, so a host half as fast gets
+// ceilings twice as high. allocs/op and B/op ceilings are not scaled.
+// A stored reference with no calibration run in the input fails the
+// gate.
 //
 // With -trend, each gated run also appends one NDJSON record (schema
 // dynamicmr.trend/1) to FILE — per-benchmark ns/op + allocs/op against
@@ -97,15 +108,22 @@ type trendBench struct {
 // Records written before -suite and -archives were removed also carry
 // "suite" and "archives" fields, which loading ignores.
 type trendRecord struct {
-	Schema     string                `json:"schema"`
-	UnixMS     int64                 `json:"unix_ms"`
-	GitRev     string                `json:"git_rev,omitempty"`
-	Pass       bool                  `json:"pass"`
-	Benchmarks map[string]trendBench `json:"benchmarks"`
+	Schema string `json:"schema"`
+	UnixMS int64  `json:"unix_ms"`
+	GitRev string `json:"git_rev,omitempty"`
+	Pass   bool   `json:"pass"`
+	// CalibrationScale is the factor the run's ns/op ceilings were
+	// multiplied by; absent when the budgets store no reference.
+	CalibrationScale float64               `json:"calibration_scale,omitempty"`
+	Benchmarks       map[string]trendBench `json:"benchmarks"`
 }
 
 // trendSchemaVersion identifies BENCH_trend.jsonl records.
 const trendSchemaVersion = "dynamicmr.trend/1"
+
+// calibrationBench names the benchmark whose time, against the stored
+// reference, scales the ns/op ceilings.
+const calibrationBench = "BenchmarkCalibrate"
 
 func main() {
 	budgetsPath := flag.String("budgets", "BENCH_results.json", "JSON file whose bench_budgets object holds the per-benchmark ceilings")
@@ -115,7 +133,7 @@ func main() {
 	rev := flag.String("rev", "", "revision to stamp trend records with (e.g. the CI commit SHA)")
 	flag.Parse()
 
-	budgets, err := loadBudgets(*budgetsPath)
+	budgets, calRef, err := loadBudgets(*budgetsPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -132,12 +150,20 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	results, err := parseBench(in)
+	runs, err := parseBench(in)
 	if err != nil {
 		fatal(err)
 	}
+	scale, err := calibrationScale(os.Stdout, runs[calibrationBench], calRef)
+	if err != nil {
+		fatal(err)
+	}
+	results := make(map[string]result, len(runs))
+	for name, rs := range runs {
+		results[name] = rs[len(rs)-1]
+	}
 
-	failed, rows := gate(os.Stdout, budgets, results, *tolerance, *budgetsPath)
+	failed, rows := gate(os.Stdout, budgets, results, *tolerance, scale, *budgetsPath)
 
 	if *trendPath != "" {
 		rec := trendRecord{
@@ -146,6 +172,9 @@ func main() {
 			GitRev:     *rev,
 			Pass:       !failed,
 			Benchmarks: rows,
+		}
+		if calRef > 0 {
+			rec.CalibrationScale = scale
 		}
 		if err := appendTrend(*trendPath, rec); err != nil {
 			fatal(err)
@@ -170,12 +199,36 @@ func main() {
 	}
 }
 
+// calibrationScale returns the factor the ns/op ceilings are
+// multiplied by: the mean ns/op of the calibration runs over ref, the
+// reference stored with the budgets, or 1 when none is stored. It
+// reports the factor on w.
+func calibrationScale(w io.Writer, runs []result, ref float64) (float64, error) {
+	if ref <= 0 {
+		return 1, nil
+	}
+	if len(runs) == 0 {
+		return 0, fmt.Errorf("the budgets store a %s reference, but the input has no %s run (run it before and after the gated benchmarks)",
+			calibrationBench, calibrationBench)
+	}
+	sum := 0.0
+	for _, r := range runs {
+		sum += r.nsPerOp
+	}
+	mean := sum / float64(len(runs))
+	scale := mean / ref
+	fmt.Fprintf(w, "calibration: %s %.0f ns/op (mean of %d) against reference %.0f: ns/op ceilings x%.3f\n",
+		calibrationBench, mean, len(runs), ref, scale)
+	return scale, nil
+}
+
 // gate checks every budgeted benchmark against its measurement,
-// printing one line per benchmark to w. It returns whether any check
-// failed plus the per-benchmark trend rows (missing benchmarks are
-// absent from the rows but still fail the gate).
+// printing one line per benchmark to w; scale multiplies the ns/op
+// ceilings (see calibrationScale). It returns whether any check failed
+// plus the per-benchmark trend rows (missing benchmarks are absent
+// from the rows but still fail the gate).
 func gate(w io.Writer, budgets map[string]budget, results map[string]result,
-	globalTolerance float64, budgetsPath string) (failed bool, rows map[string]trendBench) {
+	globalTolerance, scale float64, budgetsPath string) (failed bool, rows map[string]trendBench) {
 	rows = make(map[string]trendBench)
 	names := make([]string, 0, len(budgets))
 	for name := range budgets {
@@ -197,12 +250,16 @@ func gate(w io.Writer, budgets map[string]budget, results map[string]result,
 			tol = *bud.TolerancePct / 100
 			tolNote = " [per-benchmark]"
 		}
-		nsLimit := bud.NsPerOp * (1 + tol)
+		nsLimit := bud.NsPerOp * scale * (1 + tol)
 		allocLimit := int64(math.Floor(float64(bud.AllocsPerOp) * (1 + tol)))
 		ok = true
 		if res.nsPerOp > nsLimit {
-			fmt.Fprintf(w, "FAIL %s: %.1f ns/op exceeds budget %.1f ns/op (+%d%% tolerance%s -> limit %.1f)\n",
-				name, res.nsPerOp, bud.NsPerOp, int(tol*100), tolNote, nsLimit)
+			scaleNote := ""
+			if scale != 1 {
+				scaleNote = fmt.Sprintf(", x%.3f host", scale)
+			}
+			fmt.Fprintf(w, "FAIL %s: %.1f ns/op exceeds budget %.1f ns/op (+%d%% tolerance%s%s -> limit %.1f)\n",
+				name, res.nsPerOp, bud.NsPerOp, int(tol*100), tolNote, scaleNote, nsLimit)
 			ok, failed = false, true
 		}
 		if res.hasAllocs && res.allocsPerOp > allocLimit {
@@ -263,13 +320,13 @@ func gate(w io.Writer, budgets map[string]budget, results map[string]result,
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.eE+]+) ns/op(?:\s+[\d.eE+]+ [MG]?B/s)?(?:\s+([\d.eE+]+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // parseBench collects benchmark result lines keyed by name with the
-// GOMAXPROCS suffix stripped; repeated runs keep the last measurement.
-// A result line whose ns/op, B/op or allocs/op does not parse as a
-// number (say "1.2.3", or more digits than an int64 holds) is an error:
-// skipping it, or only one of its counts, would pass a gate it never
-// checked.
-func parseBench(r io.Reader) (map[string]result, error) {
-	out := make(map[string]result)
+// GOMAXPROCS suffix stripped, each name's runs in input order; the gate
+// checks a budget against the last run. A result line whose ns/op, B/op
+// or allocs/op does not parse as a number (say "1.2.3", or more digits
+// than an int64 holds) is an error: skipping it, or only one of its
+// counts, would pass a gate it never checked.
+func parseBench(r io.Reader) (map[string][]result, error) {
+	out := make(map[string][]result)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for line := 1; sc.Scan(); line++ {
@@ -296,27 +353,29 @@ func parseBench(r io.Reader) (map[string]result, error) {
 			}
 			r.allocsPerOp, r.hasAllocs = n, true
 		}
-		out[m[1]] = r
+		out[m[1]] = append(out[m[1]], r)
 	}
 	return out, sc.Err()
 }
 
-// loadBudgets extracts the bench_budgets object, ignoring the rest of
-// the trajectory file.
-func loadBudgets(path string) (map[string]budget, error) {
+// loadBudgets extracts the bench_budgets object's ceilings and
+// calibration reference (0 when absent), ignoring the rest of the
+// trajectory file.
+func loadBudgets(path string) (map[string]budget, float64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var doc struct {
 		BenchBudgets struct {
-			Budgets map[string]budget `json:"budgets"`
+			CalibrationNsPerOp float64           `json:"calibration_ns_per_op"`
+			Budgets            map[string]budget `json:"budgets"`
 		} `json:"bench_budgets"`
 	}
 	if err := json.Unmarshal(buf, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	return doc.BenchBudgets.Budgets, nil
+	return doc.BenchBudgets.Budgets, doc.BenchBudgets.CalibrationNsPerOp, nil
 }
 
 // appendTrend appends one NDJSON record to the trend file.

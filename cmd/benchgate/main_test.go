@@ -23,7 +23,7 @@ func TestGatePerBenchmarkTolerance(t *testing.T) {
 		"BenchmarkLoose": {nsPerOp: 120, allocsPerOp: 10, hasAllocs: true},
 	}
 	var out strings.Builder
-	failed, rows := gate(&out, budgets, results, 0.10, "budgets.json")
+	failed, rows := gate(&out, budgets, results, 0.10, 1, "budgets.json")
 	if !failed {
 		t.Fatalf("want gate failure from BenchmarkTight; output:\n%s", out.String())
 	}
@@ -53,7 +53,7 @@ func TestGateAllocOverrideAndRatchet(t *testing.T) {
 		"BenchmarkFast":      {nsPerOp: 1, allocsPerOp: 0, hasAllocs: true},
 	}
 	var out strings.Builder
-	failed, rows := gate(&out, budgets, results, 0.25, "budgets.json")
+	failed, rows := gate(&out, budgets, results, 0.25, 1, "budgets.json")
 	if !failed {
 		t.Fatalf("want failure from the 1-alloc overrun of a 0 budget; output:\n%s", out.String())
 	}
@@ -68,7 +68,7 @@ func TestGateAllocOverrideAndRatchet(t *testing.T) {
 func TestGateMissingBenchmarkNamesBudgetFile(t *testing.T) {
 	budgets := map[string]budget{"BenchmarkGone": {NsPerOp: 100}}
 	var out strings.Builder
-	failed, rows := gate(&out, budgets, map[string]result{}, 0.25, "my_budgets.json")
+	failed, rows := gate(&out, budgets, map[string]result{}, 0.25, 1, "my_budgets.json")
 	if !failed {
 		t.Fatal("missing benchmark must fail the gate")
 	}
@@ -84,19 +84,66 @@ func TestParseBenchReader(t *testing.T) {
 	in := strings.NewReader(`goos: linux
 BenchmarkEventThroughput-4   	17983382	        63.2 ns/op	       0 B/op	       0 allocs/op
 BenchmarkMapCompletion   	     100	   3000000 ns/op	  500000 B/op	     572 allocs/op
+BenchmarkEventThroughput-4   	17983382	        70.5 ns/op	       0 B/op	       0 allocs/op
 PASS
 `)
 	got, err := parseBench(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, ok := got["BenchmarkEventThroughput"]
-	if !ok || ev.nsPerOp != 63.2 || !ev.hasAllocs || ev.allocsPerOp != 0 {
-		t.Errorf("EventThroughput = %+v, ok=%v", ev, ok)
+	evs := got["BenchmarkEventThroughput"]
+	if len(evs) != 2 || evs[0].nsPerOp != 63.2 || !evs[0].hasAllocs || evs[0].allocsPerOp != 0 || evs[1].nsPerOp != 70.5 {
+		t.Errorf("EventThroughput runs = %+v, want 63.2 then 70.5 ns/op", evs)
 	}
 	mc := got["BenchmarkMapCompletion"]
-	if mc.nsPerOp != 3000000 || mc.allocsPerOp != 572 || !mc.hasBytes || mc.bytesPerOp != 500000 {
+	if len(mc) != 1 || mc[0].nsPerOp != 3000000 || mc[0].allocsPerOp != 572 || !mc[0].hasBytes || mc[0].bytesPerOp != 500000 {
 		t.Errorf("MapCompletion = %+v", mc)
+	}
+}
+
+// The calibration runs' mean over the stored reference scales the ns/op
+// ceilings and nothing else; no stored reference leaves them unscaled,
+// and a stored one with no calibration run in the input is an error.
+func TestCalibrationScalesNsCeilings(t *testing.T) {
+	var out strings.Builder
+	scale, err := calibrationScale(&out, []result{{nsPerOp: 900}, {nsPerOp: 1100}}, 500)
+	if err != nil || scale != 2 {
+		t.Fatalf("scale = %v, %v; want 2 (mean 1000 over reference 500)", scale, err)
+	}
+	if !strings.Contains(out.String(), "x2.000") {
+		t.Errorf("calibration line should report the factor; got %q", out.String())
+	}
+	if s, err := calibrationScale(&out, nil, 0); err != nil || s != 1 {
+		t.Errorf("no reference: scale %v, %v; want 1", s, err)
+	}
+	if _, err := calibrationScale(&out, nil, 500); err == nil || !strings.Contains(err.Error(), calibrationBench) {
+		t.Errorf("a reference without calibration runs should fail naming %s; got %v", calibrationBench, err)
+	}
+
+	i64 := func(v int64) *int64 { return &v }
+	budgets := map[string]budget{
+		// Limit 100 x 2 x 1.25 = 250 ns/op at scale 2.
+		"BenchmarkNs":    {NsPerOp: 100, AllocsPerOp: 10},
+		"BenchmarkSlow":  {NsPerOp: 100, AllocsPerOp: 10},
+		"BenchmarkAlloc": {NsPerOp: 100, AllocsPerOp: 10},
+		"BenchmarkBytes": {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: i64(1000)},
+	}
+	results := map[string]result{
+		"BenchmarkNs":    {nsPerOp: 240, allocsPerOp: 10, hasAllocs: true},
+		"BenchmarkSlow":  {nsPerOp: 260, allocsPerOp: 10, hasAllocs: true},
+		"BenchmarkAlloc": {nsPerOp: 50, allocsPerOp: 13, hasAllocs: true},
+		"BenchmarkBytes": {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1300, hasBytes: true},
+	}
+	out.Reset()
+	_, rows := gate(&out, budgets, results, 0.25, 2, "budgets.json")
+	for name, want := range map[string]bool{"BenchmarkNs": true, "BenchmarkSlow": false,
+		"BenchmarkAlloc": false, "BenchmarkBytes": false} {
+		if rows[name].OK != want {
+			t.Errorf("%s ok = %v, want %v; output:\n%s", name, rows[name].OK, want, out.String())
+		}
+	}
+	if !strings.Contains(out.String(), "x2.000 host -> limit 250.0") {
+		t.Errorf("an ns/op failure should show the scaled limit; output:\n%s", out.String())
 	}
 }
 
@@ -118,7 +165,7 @@ func TestGateBytesPerOp(t *testing.T) {
 		"BenchmarkLoosest": {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 2000, hasBytes: true},
 	}
 	var out strings.Builder
-	failed, rows := gate(&out, budgets, results, 0.25, "budgets.json")
+	failed, rows := gate(&out, budgets, results, 0.25, 1, "budgets.json")
 	if !failed {
 		t.Fatalf("want a failure; output:\n%s", out.String())
 	}
@@ -206,15 +253,18 @@ func TestTrendAppendAndMarkdown(t *testing.T) {
 func TestLoadBudgetsTolerancePct(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "b.json")
-	doc := `{"bench_budgets":{"budgets":{
+	doc := `{"bench_budgets":{"calibration_ns_per_op":462000,"budgets":{
 		"BenchmarkA":{"ns_per_op":10,"allocs_per_op":1},
 		"BenchmarkB":{"ns_per_op":20,"allocs_per_op":2,"tolerance_pct":40,"bytes_per_op":4096}}}}`
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	budgets, err := loadBudgets(path)
+	budgets, calRef, err := loadBudgets(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if calRef != 462000 {
+		t.Errorf("calibration reference = %v, want 462000", calRef)
 	}
 	if budgets["BenchmarkA"].TolerancePct != nil {
 		t.Errorf("BenchmarkA should have no override")
@@ -252,20 +302,22 @@ func FuzzParseBench(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for name, r := range got {
-			line := fmt.Sprintf("%s-2\t100\t%s ns/op", name, strconv.FormatFloat(r.nsPerOp, 'f', -1, 64))
-			if r.hasBytes {
-				line += fmt.Sprintf("\t%d B/op", r.bytesPerOp)
-			}
-			if r.hasAllocs {
-				line += fmt.Sprintf("\t%d allocs/op", r.allocsPerOp)
-			}
-			again, err := parseBench(strings.NewReader(line))
-			if err != nil {
-				t.Fatalf("%q (from %s %+v) does not re-parse: %v", line, name, r, err)
-			}
-			if len(again) != 1 || again[name] != r {
-				t.Fatalf("%q (from %s %+v) re-parses as %+v", line, name, r, again)
+		for name, runs := range got {
+			for _, r := range runs {
+				line := fmt.Sprintf("%s-2\t100\t%s ns/op", name, strconv.FormatFloat(r.nsPerOp, 'f', -1, 64))
+				if r.hasBytes {
+					line += fmt.Sprintf("\t%d B/op", r.bytesPerOp)
+				}
+				if r.hasAllocs {
+					line += fmt.Sprintf("\t%d allocs/op", r.allocsPerOp)
+				}
+				again, err := parseBench(strings.NewReader(line))
+				if err != nil {
+					t.Fatalf("%q (from %s %+v) does not re-parse: %v", line, name, r, err)
+				}
+				if len(again) != 1 || len(again[name]) != 1 || again[name][0] != r {
+					t.Fatalf("%q (from %s %+v) re-parses as %+v", line, name, r, again)
+				}
 			}
 		}
 	})

@@ -123,7 +123,7 @@ func (jt *JobTracker) scanSource(j *Job, sp Split) data.Source {
 // reads: the FilterFingerprint contract makes their outputs identical,
 // but the cache never relies on an unverified declaration across
 // modes. Full mode returns the spec key unchanged, preserving the
-// seed's sharing exactly.
+// seed's sharing exactly. Submit resolves it once per job (Job.memo).
 func (jt *JobTracker) effMemo(j *Job) string {
 	memo := j.Spec.MemoKey
 	if memo == "" {

@@ -171,6 +171,12 @@ type Job struct {
 
 	output []KeyValue
 
+	// memo is the job's effective memo key (JobTracker.effMemo) and
+	// memoTab its table in the runtime's MapOutputCache, both resolved
+	// at Submit: "" and nil when the job does not memoise.
+	memo    string
+	memoTab *memoTable
+
 	// mapDurations records completed map attempt durations, feeding the
 	// speculative-execution median.
 	mapDurations []float64

@@ -404,6 +404,10 @@ func (jt *JobTracker) Submit(spec JobSpec, splits []Split) *Job {
 		j.numReduces = 1
 	}
 	j.mapOutput = make([][]mapChunk, j.numReduces)
+	j.memo = jt.effMemo(j)
+	if cache := jt.cfg.MapOutputCache; cache != nil && j.memo != "" {
+		j.memoTab = cache.table(j.memo)
+	}
 	for r := 0; r < j.numReduces; r++ {
 		j.reduceTasks = append(j.reduceTasks, &ReduceTask{Job: j, Index: r, Node: -1})
 	}

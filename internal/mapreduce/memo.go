@@ -14,6 +14,10 @@ import (
 // computes the output and every later job — on any JobTracker sharing
 // the cache — reuses it.
 //
+// The cache holds one table per memo key. A job resolves its table once
+// at Submit, so a map's lookup hashes the split's source pointer, not
+// the key string.
+//
 // Simulated cost accounting is untouched by memoization: the runtime
 // charges I/O and CPU from split metadata before execMapper runs, so a
 // cache hit changes real wall-clock only, never virtual time or
@@ -29,37 +33,51 @@ import (
 // goroutines.
 type MapOutputCache struct {
 	mu     sync.Mutex
-	m      map[memoKey]*Collector
+	tables map[string]*memoTable
 	hits   uint64
 	misses uint64
 }
 
-type memoKey struct {
-	src data.Source
-	job string
+// memoTable is one memo key's cached outputs by split source. Its map
+// is guarded by the owning cache's mutex.
+type memoTable struct {
+	c *MapOutputCache
+	m map[data.Source]*Collector
 }
 
 // NewMapOutputCache returns an empty cache.
 func NewMapOutputCache() *MapOutputCache {
-	return &MapOutputCache{m: make(map[memoKey]*Collector)}
+	return &MapOutputCache{tables: make(map[string]*memoTable)}
 }
 
-func (c *MapOutputCache) lookup(src data.Source, job string) (*Collector, bool) {
+// table returns key's table, creating it empty on first use.
+func (c *MapOutputCache) table(key string) *memoTable {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out, ok := c.m[memoKey{src, job}]
+	t := c.tables[key]
+	if t == nil {
+		t = &memoTable{c: c, m: make(map[data.Source]*Collector)}
+		c.tables[key] = t
+	}
+	return t
+}
+
+func (t *memoTable) lookup(src data.Source) (*Collector, bool) {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	out, ok := t.m[src]
 	if ok {
-		c.hits++
+		t.c.hits++
 	} else {
-		c.misses++
+		t.c.misses++
 	}
 	return out, ok
 }
 
-func (c *MapOutputCache) store(src data.Source, job string, out *Collector) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[memoKey{src, job}] = out
+func (t *memoTable) store(src data.Source, out *Collector) {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	t.m[src] = out
 }
 
 // Stats returns the lookup hit/miss counts so far.

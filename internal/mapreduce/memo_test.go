@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestMapOutputCacheMemoisesAcrossJobs(t *testing.T) {
 	}
 
 	// An empty MemoKey opts out of memoization entirely.
-	before := len(cache.m)
+	before := cache.entries()
 	job4 := r.jt.Submit(countingSpec("", &execs), SplitsForFile(f))
 	if !RunUntilDone(r.eng, job4, 1e6) || job4.State() != StateSucceeded {
 		t.Fatalf("job4: state=%v failure=%q", job4.State(), job4.Failure())
@@ -100,8 +101,8 @@ func TestMapOutputCacheMemoisesAcrossJobs(t *testing.T) {
 	if got := execs.Load(); got != 24 {
 		t.Fatalf("empty MemoKey was memoised: executions = %d, want 24", got)
 	}
-	if len(cache.m) != before {
-		t.Fatalf("empty MemoKey stored entries: len %d -> %d", before, len(cache.m))
+	if cache.entries() != before {
+		t.Fatalf("empty MemoKey stored entries: len %d -> %d", before, cache.entries())
 	}
 }
 
@@ -156,34 +157,113 @@ func TestMapOutputCacheDoesNotChangeVirtualTime(t *testing.T) {
 }
 
 // Trackers on separate goroutines may share one cache over the same
-// sources; run under -race.
+// sources, and their jobs one memo table; run under -race.
 func TestMapOutputCacheConcurrentTrackers(t *testing.T) {
 	cache := NewMapOutputCache()
 	srcs := makeSrcs(8, 100)
 	var execs atomic.Int64
-	results := make(chan int, 4)
+	results := make(chan *Job, 4)
 	for g := 0; g < 4; g++ {
 		go func() {
 			r := newMemoRig(t, cache)
 			f, err := r.fs.Create("in", srcs, 1)
 			if err != nil {
-				results <- -1
+				results <- nil
 				return
 			}
 			job := r.jt.Submit(countingSpec("memo|conc", &execs), SplitsForFile(f))
 			if !RunUntilDone(r.eng, job, 1e6) || job.State() != StateSucceeded {
-				results <- -1
+				results <- nil
 				return
 			}
-			results <- len(job.Output())
+			results <- job
 		}()
 	}
+	var tab *memoTable
 	for g := 0; g < 4; g++ {
-		if n := <-results; n != 800 {
-			t.Fatalf("concurrent tracker output = %d, want 800", n)
+		j := <-results
+		if j == nil || len(j.Output()) != 800 {
+			t.Fatalf("concurrent tracker job failed or lost output")
+		}
+		if tab == nil {
+			tab = j.memoTab
+		}
+		if j.memoTab == nil || j.memoTab != tab {
+			t.Fatalf("trackers' jobs with one memo key hold different tables")
 		}
 	}
-	if got := len(cache.m); got != 8 {
+	if got := cache.entries(); got != 8 {
 		t.Fatalf("cache entries = %d, want 8 (shared sources dedupe across trackers)", got)
 	}
+	if hits, misses := cache.Stats(); hits+misses != 32 || misses < 8 {
+		t.Fatalf("hits %d + misses %d, want 32 lookups with at least the 8 first ones missing", hits, misses)
+	}
+}
+
+// Jobs resolve one table per effective memo key — jobs with one key
+// share it, each input path of a fingerprinted key has its own, an
+// empty key has none — and lookups count the hits and misses a single
+// map keyed by (source, effective key) would: a random sequence of
+// jobs checked against that model.
+func TestMemoTablesMatchFlatMap(t *testing.T) {
+	cache := NewMapOutputCache()
+	r := newMemoRig(t, cache)
+	files := []*dfs.File{makeStatFile(t, r, 5), r.makeFile(t, "plain", 3, 10)}
+	type flatKey struct {
+		src data.Source
+		key string
+	}
+	seen := map[flatKey]bool{}
+	tables := map[string]*memoTable{}
+	var wantHits, wantMisses uint64
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < 40; i++ {
+		key := []string{"", "a|v1", "b|v1"}[rng.Intn(3)]
+		mode := []string{InputPathFull, InputPathSkip, InputPathIndex}[rng.Intn(3)]
+		f := files[rng.Intn(len(files))]
+		job := runPathJob(t, r, f, mode, key)
+		eff := key
+		if key != "" && mode != InputPathFull {
+			eff += "|path=" + mode
+		}
+		if job.memo != eff {
+			t.Fatalf("job %d: memo %q, want %q", i, job.memo, eff)
+		}
+		if key == "" {
+			if job.memoTab != nil {
+				t.Fatalf("job %d: a job without a memo key holds a table", i)
+			}
+			continue
+		}
+		if prev, ok := tables[eff]; ok && prev != job.memoTab {
+			t.Fatalf("job %d: two jobs with key %q hold different tables", i, eff)
+		}
+		tables[eff] = job.memoTab
+		for _, sp := range SplitsForFile(f) {
+			k := flatKey{sp.Block.Source, eff}
+			if seen[k] {
+				wantHits++
+			} else {
+				wantMisses++
+				seen[k] = true
+			}
+		}
+	}
+	if hits, misses := cache.Stats(); hits != wantHits || misses != wantMisses {
+		t.Fatalf("stats %d hits, %d misses; the flat map counts %d, %d", hits, misses, wantHits, wantMisses)
+	}
+	if len(cache.tables) != len(tables) || cache.entries() != len(seen) {
+		t.Fatalf("%d tables of %d entries, want %d of %d", len(cache.tables), cache.entries(), len(tables), len(seen))
+	}
+}
+
+// entries counts the cached outputs across every table.
+func (c *MapOutputCache) entries() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, tab := range c.tables {
+		n += len(tab.m)
+	}
+	return n
 }

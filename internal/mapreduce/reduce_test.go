@@ -345,16 +345,22 @@ func TestSharedMapOutputUnmodified(t *testing.T) {
 		}
 		return j
 	}
+	type memoKey struct {
+		src data.Source
+		key string
+	}
 	snapshot := func(cache *MapOutputCache) map[memoKey]string {
 		cache.mu.Lock()
 		defer cache.mu.Unlock()
-		snap := make(map[memoKey]string, len(cache.m))
-		for k, c := range cache.m {
-			var b strings.Builder
-			for _, kv := range c.Pairs() {
-				fmt.Fprintf(&b, "%q=%s;", kv.Key, kv.Value)
+		snap := make(map[memoKey]string)
+		for key, tab := range cache.tables {
+			for src, c := range tab.m {
+				var b strings.Builder
+				for _, kv := range c.Pairs() {
+					fmt.Fprintf(&b, "%q=%s;", kv.Key, kv.Value)
+				}
+				snap[memoKey{src, key}] = b.String()
 			}
-			snap[k] = b.String()
 		}
 		return snap
 	}
@@ -401,8 +407,10 @@ func TestSharedMapOutputUnmodified(t *testing.T) {
 		add(fmt.Sprintf("job %d output", i), j.Output())
 	}
 	cache.mu.Lock()
-	for k, c := range cache.m {
-		add(fmt.Sprintf("memo %v", k.src), c.Pairs())
+	for _, tab := range cache.tables {
+		for src, c := range tab.m {
+			add(fmt.Sprintf("memo %v", src), c.Pairs())
+		}
 	}
 	cache.mu.Unlock()
 	for a := range spans {

@@ -35,14 +35,14 @@ import (
 // the job made no purity declaration).
 func (jt *JobTracker) submitScan(t *MapTask) *executor.Future {
 	pool := jt.cfg.ScanExecutor
-	memo := jt.effMemo(t.Job)
+	memo := t.Job.memo
 	if !pool.Enabled() || memo == "" {
 		return nil // purity gate: impure jobs never enter the pool
 	}
 	src := t.Split.Block.Source
-	cache := jt.cfg.MapOutputCache
-	if cache != nil {
-		if out, ok := cache.lookup(src, memo); ok {
+	tab := t.Job.memoTab
+	if tab != nil {
+		if out, ok := tab.lookup(src); ok {
 			jt.tracer.Inc(trace.CounterMemoHits, 1)
 			return executor.Resolved(out)
 		}
@@ -58,8 +58,8 @@ func (jt *JobTracker) submitScan(t *MapTask) *executor.Future {
 	scanSrc := jt.scanSource(t.Job, t.Split)
 	return pool.Submit(executor.Key{Source: src, Memo: memo}, func() (any, error) {
 		out, err := scanSplit(spec, conf, idx, scanSrc)
-		if err == nil && cache != nil {
-			cache.store(src, memo, out)
+		if err == nil && tab != nil {
+			tab.store(src, out)
 		}
 		return out, err
 	})

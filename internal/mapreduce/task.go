@@ -342,7 +342,7 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 	// Every chunk inherits the collector's sorted hint: a partition
 	// of a key-sorted output is key-sorted too.
 	pairs := out.Pairs()
-	shared := scan != nil || (jt.cfg.MapOutputCache != nil && j.Spec.MemoKey != "")
+	shared := scan != nil || j.memoTab != nil
 	if j.numReduces == 1 {
 		c := mapChunk{node: tt.node.ID, bytes: out.Bytes(), sorted: !out.unsorted}
 		if shared {
@@ -425,16 +425,16 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 // simulated I/O and CPU for the attempt were already charged by the
 // phase chain, so a cache hit only skips the real record scan.
 func (jt *JobTracker) execMapper(t *MapTask) (*Collector, error) {
-	if cache, key := jt.cfg.MapOutputCache, jt.effMemo(t.Job); cache != nil && key != "" {
+	if tab := t.Job.memoTab; tab != nil {
 		src := t.Split.Block.Source
-		if out, ok := cache.lookup(src, key); ok {
+		if out, ok := tab.lookup(src); ok {
 			jt.tracer.Inc(trace.CounterMemoHits, 1)
 			return out, nil
 		}
 		jt.tracer.Inc(trace.CounterMemoMisses, 1)
 		out, err := jt.runMapper(t)
 		if err == nil {
-			cache.store(src, key, out)
+			tab.store(src, out)
 		}
 		return out, err
 	}

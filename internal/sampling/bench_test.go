@@ -80,3 +80,16 @@ func BenchmarkPlantedMapSplit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSplitShuffle is a sampling job's split draw at Provider.Init:
+// one pooled generator reseeded, then one shuffle of a 160-split table
+// (dynbench's z=2 tables have 160 partitions). Each op uses a new seed,
+// as each job does.
+func BenchmarkSplitShuffle(b *testing.B) {
+	splits := make([]mapreduce.Split, 160)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shuffleSplits(splits, int64(i)*7919)
+	}
+}

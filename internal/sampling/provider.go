@@ -3,36 +3,11 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
-	"sync"
 
 	"dynamicmr/internal/core"
 	"dynamicmr/internal/mapreduce"
 )
-
-// rngPool recycles the generators of the per-job split shuffles and
-// reservoir draws. Seeding a pooled one replays exactly the sequence
-// rand.New(rand.NewSource(seed)) gives, without allocating the ~5 KB
-// source each job.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-
-// seededRand returns a pooled generator seeded with seed. Return it to
-// rngPool when done.
-func seededRand(seed int64) *rand.Rand {
-	rng := rngPool.Get().(*rand.Rand)
-	rng.Seed(seed)
-	return rng
-}
-
-// shuffleSplits permutes splits with a generator seeded with seed.
-func shuffleSplits(splits []mapreduce.Split, seed int64) {
-	rng := seededRand(seed)
-	rng.Shuffle(len(splits), func(i, j int) {
-		splits[i], splits[j] = splits[j], splits[i]
-	})
-	rngPool.Put(rng)
-}
 
 // informedOrder stably reorders already-shuffled splits so the
 // statistically promising ones (more zone-map matches for the

@@ -37,14 +37,13 @@ type Event struct {
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
-	now     float64
-	seq     uint64
-	queue   []*Event
-	stopped bool
+	now   float64
+	seq   uint64
+	queue []*Event
 	// free holds fired/canceled Event objects for reuse. The DES hot
-	// loop schedules and cancels millions of events (every resource
-	// reschedule cancels and re-arms its completion event); recycling
-	// them removes that allocation churn from the hot path.
+	// loop schedules and fires millions of events (every map attempt's
+	// phases and heartbeats); recycling them removes that allocation
+	// churn from the hot path.
 	free []*Event
 	// processed counts events that have fired, for diagnostics.
 	processed uint64
@@ -69,12 +68,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // At schedules fn at absolute virtual time t. Scheduling in the past
 // panics: it would break causality and always indicates a bug.
 func (e *Engine) At(t float64, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if math.IsNaN(t) {
-		panic("sim: scheduling event at NaN time")
-	}
+	e.checkTime(t)
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -93,6 +87,32 @@ func (e *Engine) At(t float64, fn func()) *Event {
 // After schedules fn d seconds from now. Negative d panics.
 func (e *Engine) After(d float64, fn func()) *Event {
 	return e.At(e.now+d, fn)
+}
+
+// checkTime panics on a time At or rekey must not schedule at.
+func (e *Engine) checkTime(t float64) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if math.IsNaN(t) {
+		panic("sim: scheduling event at NaN time")
+	}
+}
+
+// rekey moves the pending event ev to time t in place. It gives ev the
+// sequence number Cancel followed by At(t, ev's callback) would give
+// the new event, so every later pop is the same as under that pair: the
+// heap pops in (time, seq) order and those keys are unique, so where ev
+// sits in the heap cannot change which event pops next.
+func (e *Engine) rekey(ev *Event, t float64) {
+	e.checkTime(t)
+	ev.time, ev.seq = t, e.seq
+	e.seq++
+	i := ev.index
+	e.siftUp(i)
+	if ev.index == i {
+		e.siftDown(i)
+	}
 }
 
 // Cancel removes a pending event. Canceling an already-fired or
@@ -133,28 +153,20 @@ func (e *Engine) RealBlock(fn func()) {
 // spent stalled inside RealBlock calls.
 func (e *Engine) BlockedReal() time.Duration { return e.blockedReal }
 
-// Run processes events until the queue is empty or stopped is set.
+// Run processes events until the queue is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		e.step()
 	}
 }
 
 // RunUntil processes events with time <= t, then advances the clock to t.
 // Events scheduled at exactly t do fire.
-//
-// Stopped-clock semantics: when stopped is set mid-run, the clock is left
-// at the last fired event's time rather than advancing to t — a
-// stopped engine reports the virtual time it actually reached, and
-// events still queued between Now() and t remain schedulable without
-// appearing to be in the past. A regression test pins this behaviour.
 func (e *Engine) RunUntil(t float64) {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped && e.queue[0].time <= t {
+	for len(e.queue) > 0 && e.queue[0].time <= t {
 		e.step()
 	}
-	if !e.stopped && t > e.now {
+	if t > e.now {
 		e.now = t
 	}
 }

@@ -145,50 +145,6 @@ func TestRunUntilAdvancesClockToBound(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(1, func() { fired++; e.stopped = true })
-	e.At(2, func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d after Stop, want 1", fired)
-	}
-	// Run can be resumed.
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d after resume, want 2", fired)
-	}
-}
-
-// Pins RunUntil's stopped-clock semantics: when stopped is set mid-run the
-// clock stays at the last fired event's time instead of advancing to
-// the bound, and the remaining events stay queued.
-func TestRunUntilStoppedClockStaysAtLastEvent(t *testing.T) {
-	e := NewEngine()
-	e.At(1, func() { e.stopped = true })
-	fired := false
-	e.At(5, func() { fired = true })
-	e.RunUntil(10)
-	if e.Now() != 1 {
-		t.Fatalf("Now() = %v after Stop mid-run, want 1 (stopped clock must not advance to the bound)", e.Now())
-	}
-	if fired {
-		t.Fatal("event after Stop fired")
-	}
-	if len(e.queue) != 1 {
-		t.Fatalf("Pending() = %d, want 1", len(e.queue))
-	}
-	// Resuming drains the queue and then advances to the bound.
-	e.RunUntil(10)
-	if !fired {
-		t.Fatal("remaining event did not fire on resume")
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %v after resume, want 10", e.Now())
-	}
-}
-
 // Fired and canceled events return to the freelist and are reused by
 // later At calls with their canceled flag cleared.
 func TestFreelistRecyclesEvents(t *testing.T) {
@@ -362,4 +318,85 @@ func TestRealBlockAccumulatesAndGuardsClock(t *testing.T) {
 		e.At(1, func() {})
 		e.Run()
 	})
+}
+
+// rekey is Cancel + At without the round trip: one engine drives random
+// At, Cancel, rekey and step operations, a twin replaces each rekey by
+// Cancel + At of the same callback, and both fire the same events at
+// the same times in the same order. Times are drawn from a few values,
+// so most pops break a tie by sequence number.
+func TestRekeyMatchesCancelAt(t *testing.T) {
+	type fired struct {
+		id int
+		at float64
+	}
+	type twin struct {
+		e       *Engine
+		pending map[int]*Event
+		log     []fired
+	}
+	newTwin := func() *twin { return &twin{e: NewEngine(), pending: map[int]*Event{}} }
+	fn := func(tw *twin, id int) func() {
+		return func() {
+			delete(tw.pending, id)
+			tw.log = append(tw.log, fired{id, tw.e.Now()})
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := newTwin(), newTwin()
+		ids := []int{} // ids pending in both twins, in schedule order
+		next := 0
+		pick := func() (int, int) {
+			for {
+				i := rng.Intn(len(ids))
+				if _, ok := a.pending[ids[i]]; ok {
+					return i, ids[i]
+				}
+				ids = append(ids[:i], ids[i+1:]...)
+				if len(ids) == 0 {
+					return -1, -1
+				}
+			}
+		}
+		for op := 0; op < 4000; op++ {
+			when := a.e.Now() + float64(rng.Intn(3))*0.5
+			switch r := rng.Intn(10); {
+			case r < 4 || len(ids) == 0:
+				id := next
+				next++
+				a.pending[id] = a.e.At(when, fn(a, id))
+				b.pending[id] = b.e.At(when, fn(b, id))
+				ids = append(ids, id)
+			case r < 5:
+				if i, id := pick(); i >= 0 {
+					a.e.Cancel(a.pending[id])
+					b.e.Cancel(b.pending[id])
+					delete(a.pending, id)
+					delete(b.pending, id)
+					ids = append(ids[:i], ids[i+1:]...)
+				}
+			case r < 8:
+				if _, id := pick(); id >= 0 {
+					a.e.rekey(a.pending[id], when)
+					b.e.Cancel(b.pending[id])
+					b.pending[id] = b.e.At(when, fn(b, id))
+				}
+			default:
+				if a.e.Step() != b.e.Step() {
+					t.Fatalf("seed %d op %d: one twin's queue emptied first", seed, op)
+				}
+			}
+		}
+		a.e.Run()
+		b.e.Run()
+		if len(a.log) == 0 || len(a.log) != len(b.log) {
+			t.Fatalf("seed %d: rekey twin fired %d events, Cancel+At twin %d", seed, len(a.log), len(b.log))
+		}
+		for i := range a.log {
+			if a.log[i] != b.log[i] {
+				t.Fatalf("seed %d: pop %d: rekey twin fired %+v, Cancel+At twin %+v", seed, i, a.log[i], b.log[i])
+			}
+		}
+	}
 }

@@ -151,15 +151,17 @@ func (r *SharedResource) advance() {
 	}
 }
 
-// reschedule recomputes the single pending "next completion" event.
+// reschedule recomputes the single pending "next completion" event. A
+// pending one moves in place (Engine.rekey), which pops exactly as
+// cancelling it and arming a new one would.
 func (r *SharedResource) reschedule() {
-	if r.nextDone != nil {
-		r.eng.Cancel(r.nextDone)
-		r.nextDone = nil
-	}
 	r.nextTargets = r.nextTargets[:0]
 	n := len(r.active)
 	if n == 0 {
+		if r.nextDone != nil {
+			r.eng.Cancel(r.nextDone)
+			r.nextDone = nil
+		}
 		return
 	}
 	rate := r.rate(n)
@@ -175,6 +177,10 @@ func (r *SharedResource) reschedule() {
 		}
 	}
 	dt := minRem / rate
+	if r.nextDone != nil {
+		r.eng.rekey(r.nextDone, r.eng.Now()+dt)
+		return
+	}
 	r.nextDone = r.eng.After(dt, r.onComplete)
 }
 

@@ -177,6 +177,14 @@ func (t *Tracer) Record(s Span) {
 	defer t.mu.Unlock()
 	capacity := t.cfg.capacity()
 	if len(t.spans) < capacity {
+		if len(t.spans) == cap(t.spans) {
+			// Double up to capacity: append grows a large slice by a
+			// quarter at a time, allocating a full ring about five
+			// times over on its way to capacity.
+			grown := make([]Span, len(t.spans), min(max(2*cap(t.spans), 64), capacity))
+			copy(grown, t.spans)
+			t.spans = grown
+		}
 		t.spans = append(t.spans, s)
 		t.head = len(t.spans) % capacity
 		t.n = len(t.spans)

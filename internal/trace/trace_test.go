@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,6 +72,26 @@ func TestRingKeepsNewestAndCountsDropped(t *testing.T) {
 	}
 	if tr.Dropped() != 6 {
 		t.Fatalf("Dropped() = %d, want 6", tr.Dropped())
+	}
+}
+
+// The ring doubles up to its capacity, so filling it allocates under
+// twice its final size, and it keeps the newest spans once full.
+func TestRingGrowsByDoublingToCapacity(t *testing.T) {
+	tr := New(Config{Enabled: true, Capacity: 1000})
+	var caps []int
+	for i := 0; i < 1010; i++ {
+		tr.Record(Span{Name: SpanMapAttempt, Task: i})
+		if c := cap(tr.spans); len(caps) == 0 || caps[len(caps)-1] != c {
+			caps = append(caps, c)
+		}
+	}
+	if want := []int{64, 128, 256, 512, 1000}; !slices.Equal(caps, want) {
+		t.Fatalf("ring capacities %v, want %v", caps, want)
+	}
+	got := tr.Spans()
+	if len(got) != 1000 || got[0].Task != 10 || got[999].Task != 1009 || tr.Dropped() != 10 {
+		t.Fatalf("full ring holds %d spans, tasks %d..%d, %d dropped", len(got), got[0].Task, got[len(got)-1].Task, tr.Dropped())
 	}
 }
 
