@@ -39,13 +39,13 @@
 //
 // Ceilings in ns/op hold on any host through BenchmarkCalibrate
 // (calibrate_test.go), a fixed hash-and-sort task that shares no code
-// with the program. Run it before and after the gated benchmarks: when
-// bench_budgets stores its reference time, calibration_ns_per_op, the
+// with the program. Run it before and after the gated benchmarks: the
 // gate multiplies every ns/op ceiling by the mean of the input's
-// calibration runs over that reference, so a host half as fast gets
-// ceilings twice as high. allocs/op and B/op ceilings are not scaled.
-// A stored reference with no calibration run in the input fails the
-// gate.
+// calibration runs over bench_budgets' reference time,
+// calibration_ns_per_op, so a host half as fast gets ceilings twice as
+// high. allocs/op and B/op ceilings are not scaled. A budgets file
+// without a positive reference, or an input without a calibration run,
+// fails the gate.
 //
 // With -trend, each gated run also appends one NDJSON record (schema
 // dynamicmr.trend/1) to FILE — per-benchmark ns/op + allocs/op against
@@ -113,8 +113,8 @@ type trendRecord struct {
 	GitRev string `json:"git_rev,omitempty"`
 	Pass   bool   `json:"pass"`
 	// CalibrationScale is the factor the run's ns/op ceilings were
-	// multiplied by; absent when the budgets store no reference.
-	CalibrationScale float64               `json:"calibration_scale,omitempty"`
+	// multiplied by.
+	CalibrationScale float64               `json:"calibration_scale"`
 	Benchmarks       map[string]trendBench `json:"benchmarks"`
 }
 
@@ -167,14 +167,12 @@ func main() {
 
 	if *trendPath != "" {
 		rec := trendRecord{
-			Schema:     trendSchemaVersion,
-			UnixMS:     time.Now().UnixMilli(),
-			GitRev:     *rev,
-			Pass:       !failed,
-			Benchmarks: rows,
-		}
-		if calRef > 0 {
-			rec.CalibrationScale = scale
+			Schema:           trendSchemaVersion,
+			UnixMS:           time.Now().UnixMilli(),
+			GitRev:           *rev,
+			Pass:             !failed,
+			CalibrationScale: scale,
+			Benchmarks:       rows,
 		}
 		if err := appendTrend(*trendPath, rec); err != nil {
 			fatal(err)
@@ -201,15 +199,12 @@ func main() {
 
 // calibrationScale returns the factor the ns/op ceilings are
 // multiplied by: the mean ns/op of the calibration runs over ref, the
-// reference stored with the budgets, or 1 when none is stored. It
-// reports the factor on w.
+// reference stored with the budgets (positive; loadBudgets checks it).
+// It reports the factor on w.
 func calibrationScale(w io.Writer, runs []result, ref float64) (float64, error) {
-	if ref <= 0 {
-		return 1, nil
-	}
 	if len(runs) == 0 {
-		return 0, fmt.Errorf("the budgets store a %s reference, but the input has no %s run (run it before and after the gated benchmarks)",
-			calibrationBench, calibrationBench)
+		return 0, fmt.Errorf("the input has no %s run (run it before and after the gated benchmarks)",
+			calibrationBench)
 	}
 	sum := 0.0
 	for _, r := range runs {
@@ -254,12 +249,8 @@ func gate(w io.Writer, budgets map[string]budget, results map[string]result,
 		allocLimit := int64(math.Floor(float64(bud.AllocsPerOp) * (1 + tol)))
 		ok = true
 		if res.nsPerOp > nsLimit {
-			scaleNote := ""
-			if scale != 1 {
-				scaleNote = fmt.Sprintf(", x%.3f host", scale)
-			}
-			fmt.Fprintf(w, "FAIL %s: %.1f ns/op exceeds budget %.1f ns/op (+%d%% tolerance%s%s -> limit %.1f)\n",
-				name, res.nsPerOp, bud.NsPerOp, int(tol*100), tolNote, scaleNote, nsLimit)
+			fmt.Fprintf(w, "FAIL %s: %.1f ns/op exceeds budget %.1f ns/op (+%d%% tolerance%s, x%.3f host -> limit %.1f)\n",
+				name, res.nsPerOp, bud.NsPerOp, int(tol*100), tolNote, scale, nsLimit)
 			ok, failed = false, true
 		}
 		if res.hasAllocs && res.allocsPerOp > allocLimit {
@@ -359,8 +350,9 @@ func parseBench(r io.Reader) (map[string][]result, error) {
 }
 
 // loadBudgets extracts the bench_budgets object's ceilings and
-// calibration reference (0 when absent), ignoring the rest of the
-// trajectory file.
+// calibration reference, ignoring the rest of the trajectory file. A
+// missing, zero or negative reference is an error: without it the gate
+// could not scale its ns/op ceilings to the host.
 func loadBudgets(path string) (map[string]budget, float64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -374,6 +366,10 @@ func loadBudgets(path string) (map[string]budget, float64, error) {
 	}
 	if err := json.Unmarshal(buf, &doc); err != nil {
 		return nil, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	if ref := doc.BenchBudgets.CalibrationNsPerOp; ref <= 0 {
+		return nil, 0, fmt.Errorf("%s: bench_budgets.calibration_ns_per_op is %v; it must be the positive %s reference time",
+			path, ref, calibrationBench)
 	}
 	return doc.BenchBudgets.Budgets, doc.BenchBudgets.CalibrationNsPerOp, nil
 }

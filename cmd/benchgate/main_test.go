@@ -102,8 +102,8 @@ PASS
 }
 
 // The calibration runs' mean over the stored reference scales the ns/op
-// ceilings and nothing else; no stored reference leaves them unscaled,
-// and a stored one with no calibration run in the input is an error.
+// ceilings and nothing else. A budgets file without a positive
+// reference, or an input without a calibration run, is an error.
 func TestCalibrationScalesNsCeilings(t *testing.T) {
 	var out strings.Builder
 	scale, err := calibrationScale(&out, []result{{nsPerOp: 900}, {nsPerOp: 1100}}, 500)
@@ -113,11 +113,19 @@ func TestCalibrationScalesNsCeilings(t *testing.T) {
 	if !strings.Contains(out.String(), "x2.000") {
 		t.Errorf("calibration line should report the factor; got %q", out.String())
 	}
-	if s, err := calibrationScale(&out, nil, 0); err != nil || s != 1 {
-		t.Errorf("no reference: scale %v, %v; want 1", s, err)
-	}
 	if _, err := calibrationScale(&out, nil, 500); err == nil || !strings.Contains(err.Error(), calibrationBench) {
-		t.Errorf("a reference without calibration runs should fail naming %s; got %v", calibrationBench, err)
+		t.Errorf("an input without calibration runs should fail naming %s; got %v", calibrationBench, err)
+	}
+	dir := t.TempDir()
+	for i, ref := range []string{``, `"calibration_ns_per_op":0,`, `"calibration_ns_per_op":-5,`, `"calibration_ns_per_0p":462000,`} {
+		path := filepath.Join(dir, fmt.Sprintf("b%d.json", i))
+		doc := `{"bench_budgets":{` + ref + `"budgets":{"BenchmarkA":{"ns_per_op":10,"allocs_per_op":1}}}}`
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := loadBudgets(path); err == nil || !strings.Contains(err.Error(), "calibration_ns_per_op") {
+			t.Errorf("budgets %s: want an error naming calibration_ns_per_op, got %v", doc, err)
+		}
 	}
 
 	i64 := func(v int64) *int64 { return &v }

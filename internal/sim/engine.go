@@ -68,7 +68,12 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // At schedules fn at absolute virtual time t. Scheduling in the past
 // panics: it would break causality and always indicates a bug.
 func (e *Engine) At(t float64, fn func()) *Event {
-	e.checkTime(t)
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if math.IsNaN(t) {
+		panic("sim: scheduling event at NaN time")
+	}
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -87,32 +92,6 @@ func (e *Engine) At(t float64, fn func()) *Event {
 // After schedules fn d seconds from now. Negative d panics.
 func (e *Engine) After(d float64, fn func()) *Event {
 	return e.At(e.now+d, fn)
-}
-
-// checkTime panics on a time At or rekey must not schedule at.
-func (e *Engine) checkTime(t float64) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if math.IsNaN(t) {
-		panic("sim: scheduling event at NaN time")
-	}
-}
-
-// rekey moves the pending event ev to time t in place. It gives ev the
-// sequence number Cancel followed by At(t, ev's callback) would give
-// the new event, so every later pop is the same as under that pair: the
-// heap pops in (time, seq) order and those keys are unique, so where ev
-// sits in the heap cannot change which event pops next.
-func (e *Engine) rekey(ev *Event, t float64) {
-	e.checkTime(t)
-	ev.time, ev.seq = t, e.seq
-	e.seq++
-	i := ev.index
-	e.siftUp(i)
-	if ev.index == i {
-		e.siftDown(i)
-	}
 }
 
 // Cancel removes a pending event. Canceling an already-fired or
@@ -304,4 +283,26 @@ func (e *Engine) siftDown(i int) {
 	}
 	e.queue[i] = ev
 	ev.index = i
+}
+
+// rekey moves the pending event ev to time t in place. It gives ev the
+// sequence number Cancel followed by At(t, ev's callback) would give
+// the new event, so every later pop is the same as under that pair: the
+// heap pops in (time, seq) order and those keys are unique, so where ev
+// sits in the heap cannot change which event pops next. It panics on
+// the times At panics on.
+func (e *Engine) rekey(ev *Event, t float64) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if math.IsNaN(t) {
+		panic("sim: scheduling event at NaN time")
+	}
+	ev.time, ev.seq = t, e.seq
+	e.seq++
+	i := ev.index
+	e.siftUp(i)
+	if ev.index == i {
+		e.siftDown(i)
+	}
 }
