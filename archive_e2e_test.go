@@ -168,7 +168,7 @@ func TestDiffScanWorkersTwinRuns(t *testing.T) {
 	for _, cd := range rep.CounterDeltas {
 		deltas[cd.Name] = cd.Delta
 	}
-	if deltas[trace.CounterScanAsync] <= 0 {
+	if deltas[trace.CounterScanAsync.String()] <= 0 {
 		t.Errorf("pooled run should join async scans; counter deltas: %v", deltas)
 	}
 }
@@ -276,10 +276,10 @@ func TestDiffFullVsSkipScanRuns(t *testing.T) {
 	for _, cd := range rep.CounterDeltas {
 		deltas[cd.Name] = cd.Delta
 	}
-	if deltas[trace.CounterScanBlocksSkipped] <= 0 {
+	if deltas[trace.CounterScanBlocksSkipped.String()] <= 0 {
 		t.Errorf("skip run should skip blocks; counter deltas: %v", deltas)
 	}
-	if deltas[trace.CounterScanBlocksRead] >= 0 {
+	if deltas[trace.CounterScanBlocksRead.String()] >= 0 {
 		t.Errorf("skip run should read fewer blocks; counter deltas: %v", deltas)
 	}
 }

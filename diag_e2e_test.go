@@ -47,7 +47,7 @@ func TestClusterDiagnose(t *testing.T) {
 			t.Errorf("job %d: makespan %g", j.JobID, j.MakespanS)
 		}
 	}
-	if rep.Counters[trace.CounterPolicyEvals] == 0 {
+	if rep.Counters[trace.CounterPolicyEvals.String()] == 0 {
 		t.Error("policy evaluation counter missing from report")
 	}
 }

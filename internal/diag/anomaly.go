@@ -49,8 +49,8 @@ func jobAnomalies(j *JobTrace, cfg Config) []Anomaly {
 // executor keeps blocking the simulation thread (undersized pool or
 // scan-bound workload).
 func clusterAnomalies(counters map[string]int64, cfg Config) []Anomaly {
-	stalls := counters[trace.CounterScanStalls]
-	async := counters[trace.CounterScanAsync]
+	stalls := counters[trace.CounterScanStalls.String()]
+	async := counters[trace.CounterScanAsync.String()]
 	if async <= 0 || stalls <= 0 {
 		return nil
 	}

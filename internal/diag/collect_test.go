@@ -276,7 +276,7 @@ func TestJobTraceMatchesReferenceCollector(t *testing.T) {
 	jobsSeen, pathNodes := 0, 0
 	for iter := 0; iter < 400; iter++ {
 		spans, decs := g.stream(1 + rng.Intn(6))
-		counters := map[string]int64{trace.CounterScanAsync: 4, trace.CounterScanStalls: int64(rng.Intn(5))}
+		counters := map[string]int64{trace.CounterScanAsync.String(): 4, trace.CounterScanStalls.String(): int64(rng.Intn(5))}
 		cfg := Config{StragglerMinAttempts: 1 + rng.Intn(4), StragglerSigma: 0.5 + rng.Float64()}
 		want := referenceAnalyze(spans, decs, counters, 3, cfg)
 		got := Analyze(spans, decs, counters, 3, cfg)

@@ -258,15 +258,15 @@ func TestSpeculativeWaste(t *testing.T) {
 // TestScanStallAnomaly triggers the cluster-level stall-ratio rule.
 func TestScanStallAnomaly(t *testing.T) {
 	counters := map[string]int64{
-		trace.CounterScanAsync:  100,
-		trace.CounterScanStalls: 80,
+		trace.CounterScanAsync.String():  100,
+		trace.CounterScanStalls.String(): 80,
 	}
 	rep := Analyze(nil, nil, counters, 0, Config{})
 	if len(rep.ClusterAnomalies) != 1 || rep.ClusterAnomalies[0].Kind != AnomalyScanStalls {
 		t.Fatalf("want one scan-stalls anomaly, got %+v", rep.ClusterAnomalies)
 	}
 	// Below the ratio: quiet.
-	counters[trace.CounterScanStalls] = 10
+	counters[trace.CounterScanStalls.String()] = 10
 	rep = Analyze(nil, nil, counters, 0, Config{})
 	if len(rep.ClusterAnomalies) != 0 {
 		t.Fatalf("want no anomalies at 10%% stalls, got %+v", rep.ClusterAnomalies)

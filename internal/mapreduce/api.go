@@ -20,13 +20,21 @@ type KeyValue struct {
 // custom counters; the Input Provider consumes the built-in ones, and
 // user code may report additional statistics the same way).
 type Collector struct {
-	pairs    []KeyValue
-	bytes    int64
+	pairs []KeyValue
+	bytes int64
+	// marks are Emit's checkpoints of bytes: marks[i] is the size of the
+	// first (i+1)·markEvery pairs. A reduce sizes the kept prefix of a
+	// map output from them (mapChunk.prefixBytes), so they hold only for
+	// a collector every pair of which came through Emit.
+	marks    []int64
 	counters map[string]int64
 	// unsorted is set once an emitted key is less than its predecessor;
 	// map completion hands the hint on to the shuffle chunks.
 	unsorted bool
 }
+
+// markEvery is how many emitted pairs a Collector checkpoint covers.
+const markEvery = 64
 
 // Inc adds delta to the named user counter.
 func (c *Collector) Inc(name string, delta int64) {
@@ -46,6 +54,9 @@ func (c *Collector) Emit(key string, value data.Record) {
 	}
 	c.pairs = append(c.pairs, KeyValue{Key: key, Value: value})
 	c.bytes += int64(len(key) + value.EncodedSize())
+	if len(c.pairs)%markEvery == 0 {
+		c.marks = append(c.marks, c.bytes)
+	}
 }
 
 // Grow ensures room for n more pairs without reallocating, so a reduce

@@ -123,18 +123,44 @@ type ReduceTask struct {
 	Index    int
 	Attempts int
 	Node     int
+
+	// out is the task's output collector, part of the task so that a
+	// reduce allocates none; the attempt hands its pairs on as it ends.
+	out Collector
 }
 
 // mapChunk is one completed map task's output destined for a reduce
 // partition, tagged with the producing node for shuffle cost accounting.
 // bytes is the encoded size of pairs (the sum of len(key) +
 // EncodedSize), and sorted is set when the pairs are known to be in
-// key order, so reduceGroups need not check them.
+// key order, so reduceGroups need not check them. out is the map output
+// collector when pairs are its pairs from the first on (a shared
+// single-reduce output), so that its checkpoints size a prefix. The
+// fields are laid out to keep the struct at 48 bytes: a job's chunk
+// arrays grow one chunk per completed map.
 type mapChunk struct {
-	node   int
 	pairs  []KeyValue
 	bytes  int64
+	out    *Collector
+	node   int32
 	sorted bool
+}
+
+// prefixBytes returns the encoded size of the chunk's first n pairs:
+// its collector's last checkpoint at or before n when it has one, plus
+// the at most markEvery-1 pairs after it, each sized.
+func (c *mapChunk) prefixBytes(n int) int64 {
+	var b int64
+	i := 0
+	if c.out != nil {
+		if m := min(n/markEvery, len(c.out.marks)); m > 0 {
+			i, b = m*markEvery, c.out.marks[m-1]
+		}
+	}
+	for _, kv := range c.pairs[i:n] {
+		b += int64(len(kv.Key) + kv.Value.EncodedSize())
+	}
+	return b
 }
 
 // Job is a submitted MapReduce job.

@@ -23,19 +23,20 @@ const (
 	geomUnsorted           // chunks in emit order
 )
 
-// randomChunks builds 0–40 chunks of 0–60 pairs over 1–6 distinct keys
-// ("" among the candidates). Every value is a distinct record, so any
-// reordering within a key shows in the output. Each chunk carries its
-// real byte count, as map completion computes it, and about half the
-// chunks that really are key-sorted carry the sorted hint.
-func randomChunks(rng *rand.Rand, geom int) []mapChunk {
+// randomChunks builds 0–40 chunks of 0–maxPairs pairs over 1–6
+// distinct keys ("" among the candidates). Every value is a distinct
+// record, so any reordering within a key shows in the output. Each
+// chunk carries its real byte count, as map completion computes it,
+// and about half the chunks that really are key-sorted carry the sorted
+// hint.
+func randomChunks(rng *rand.Rand, geom, maxPairs int) []mapChunk {
 	pool := []string{"", "a", "ab", "b", "c", "zz"}
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	keys := pool[:1+rng.Intn(len(pool))]
 	chunks := make([]mapChunk, rng.Intn(41))
 	var all []string
 	for c := range chunks {
-		n := rng.Intn(61)
+		n := rng.Intn(maxPairs + 1)
 		for i := 0; i < n; i++ {
 			all = append(all, keys[rng.Intn(len(keys))])
 		}
@@ -114,7 +115,7 @@ func TestReduceGroupsProperty(t *testing.T) {
 	sentinel := data.NewRecord(kvSchema, []data.Value{data.Int(-1), data.Int(-1)})
 	for trial := 0; trial < 300; trial++ {
 		geom := trial % 3
-		chunks := randomChunks(rng, geom)
+		chunks := randomChunks(rng, geom, 60)
 		want := referenceGroups(chunks)
 		var seen []refGroup
 		reducers := map[string]Reducer{
@@ -187,6 +188,54 @@ func TestReduceGroupsProperty(t *testing.T) {
 	}
 }
 
+// TestReducePrefixBytesFromCheckpoints: reducePrefix sizes a run's
+// kept prefix from its map output collector's checkpoints, and the byte
+// count must equal the pair-by-pair sum when the kept prefix ends just
+// before, on and just after each of the run's checkpoints, and at a
+// random limit, whose pairs are also checked. The runs have the shapes
+// of TestReducePrefixProperty's random ones, grown past several
+// checkpoints. Each is emitted under one key, as a sampling job's are,
+// with values of random length, through a collector whose pairs the
+// chunk shares, as a single-reduce map output's chunk does.
+func TestReducePrefixBytesFromCheckpoints(t *testing.T) {
+	if size := unsafe.Sizeof(mapChunk{}); size != 48 {
+		t.Fatalf("mapChunk is %d bytes, past its 48-byte size class", size)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		chunks := randomChunks(rng, geomInOrder, 300)
+		var total int64
+		var limits []int64
+		for i, ch := range chunks {
+			c := new(Collector)
+			for j := range ch.pairs {
+				c.Emit("k", data.NewRecord(kvSchema, []data.Value{
+					data.Int(total + int64(j)), data.Str(strings.Repeat("v", rng.Intn(12)))}))
+			}
+			chunks[i] = mapChunk{pairs: c.pairs[:len(c.pairs):len(c.pairs)], bytes: c.bytes, out: c, sorted: true}
+			for m := int64(markEvery); m <= int64(len(c.pairs)); m += markEvery {
+				limits = append(limits, total+m-1, total+m, total+m+1)
+			}
+			total += int64(len(c.pairs))
+		}
+		limits = append([]int64{rng.Int63n(total + 1)}, limits...)
+		for i, limit := range limits {
+			out := new(Collector)
+			reducePrefix(chunks, limit, out)
+			var want int64
+			for _, kv := range out.Pairs() {
+				want += int64(len(kv.Key) + kv.Value.EncodedSize())
+			}
+			if out.Bytes() != want {
+				t.Fatalf("trial %d limit %d: %d output bytes, want %d", trial, limit, out.Bytes(), want)
+			}
+			if i == 0 && !samePairs(out.Pairs(), referenceOutput(chunks, limit)) {
+				t.Fatalf("trial %d limit %d: output differs from the reference", trial, limit)
+			}
+		}
+	}
+}
+
 // firstK is a prefix reducer keeping each key group's first k values,
 // as sampling.Reducer does without Random. calls counts Reduce calls,
 // which the runtime never makes.
@@ -216,7 +265,7 @@ func TestReducePrefixProperty(t *testing.T) {
 	r := newRig(t, nil)
 	for trial := 0; trial < 600; trial++ {
 		geom := trial % 3
-		chunks := randomChunks(rng, geom)
+		chunks := randomChunks(rng, geom, 60)
 		total := 0
 		for _, c := range chunks {
 			total += len(c.pairs)

@@ -74,6 +74,7 @@ func recycleCollector(c *Collector) {
 	clear(c.pairs) // release record references before reuse
 	c.pairs = c.pairs[:0]
 	c.bytes = 0
+	c.marks = c.marks[:0]
 	c.counters = nil
 	c.unsorted = false
 	collectorPool.Put(c)

@@ -344,9 +344,9 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 	pairs := out.Pairs()
 	shared := scan != nil || j.memoTab != nil
 	if j.numReduces == 1 {
-		c := mapChunk{node: tt.node.ID, bytes: out.Bytes(), sorted: !out.unsorted}
+		c := mapChunk{node: int32(tt.node.ID), bytes: out.Bytes(), sorted: !out.unsorted}
 		if shared {
-			c.pairs = pairs[:len(pairs):len(pairs)]
+			c.pairs, c.out = pairs[:len(pairs):len(pairs)], out
 		} else {
 			c.pairs = append(make([]KeyValue, 0, len(pairs)), pairs...)
 		}
@@ -361,7 +361,7 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 		}
 		for p, n := range counts {
 			if n > 0 {
-				byPart[p] = mapChunk{node: tt.node.ID, pairs: make([]KeyValue, 0, n), sorted: !out.unsorted}
+				byPart[p] = mapChunk{node: int32(tt.node.ID), pairs: make([]KeyValue, 0, n), sorted: !out.unsorted}
 			}
 		}
 		for _, kv := range pairs {
@@ -551,7 +551,7 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 	var shuffleBytes, totalPairs int64
 	for _, c := range chunks {
 		totalPairs += int64(len(c.pairs))
-		if c.node != tt.node.ID {
+		if int(c.node) != tt.node.ID {
 			shuffleBytes += c.bytes
 		}
 	}
@@ -619,6 +619,7 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 			j.output = append(j.output, out.Pairs()...)
 			jt.keepOutput(out.Pairs())
 		}
+		*out = Collector{}
 		// Reduce CPU for the user function, then the output write.
 		work := float64(totalPairs) * reduceCPUPerRecordS
 		tt.node.CPU.Submit(work, writeOutput(outBytes))
@@ -637,8 +638,9 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 }
 
 // execReducer groups the partition's pairs by key and runs the user's
-// reduce logic for real. The output is built in an array from the
-// tracker's kept outputs when one fits (see reduceGroups).
+// reduce logic for real, into the task's collector. The output is built
+// in an array from the tracker's kept outputs when one fits (see
+// reduceGroups).
 func (jt *JobTracker) execReducer(t *ReduceTask, chunks []mapChunk) (*Collector, error) {
 	j := t.Job
 	var reducer Reducer
@@ -648,7 +650,7 @@ func (jt *JobTracker) execReducer(t *ReduceTask, chunks []mapChunk) (*Collector,
 	if reducer == nil {
 		reducer = IdentityReducer
 	}
-	out := new(Collector)
+	out := &t.out
 	if err := jt.reduceGroups(chunks, reducer, out); err != nil {
 		return nil, err
 	}
@@ -825,12 +827,14 @@ func mergeSortedChunks(chunks []mapChunk, total int) []KeyValue {
 // key-sorted, in-order runs to out. A run in which no group can pass
 // limit is appended whole and adds its byte count. A run under one key,
 // which every sampling job's runs are, keeps a prefix: it is appended
-// in one copy and adds the kept pairs' sizes, or none once its group is
-// full. Only the kept pairs of any other run are sized, through Emit.
+// in one copy and adds the kept pairs' size (prefixBytes), or none once
+// its group is full. Only the kept pairs of any other run are sized,
+// through Emit.
 func reducePrefix(runs []mapChunk, limit int64, out *Collector) {
 	var key string // the current group's key
 	var seen int64 // the current group's values so far
-	for _, c := range runs {
+	for i := range runs {
+		c := &runs[i]
 		n := int64(len(c.pairs))
 		if n == 0 {
 			continue
@@ -840,11 +844,8 @@ func reducePrefix(runs []mapChunk, limit int64, out *Collector) {
 		}
 		if seen+n > limit && c.pairs[n-1].Key == key {
 			if seen < limit {
-				kept := c.pairs[:limit-seen]
-				out.pairs = append(out.pairs, kept...)
-				for _, kv := range kept {
-					out.bytes += int64(len(kv.Key) + kv.Value.EncodedSize())
-				}
+				out.pairs = append(out.pairs, c.pairs[:limit-seen]...)
+				out.bytes += c.prefixBytes(int(limit - seen))
 			}
 			seen += n
 			continue

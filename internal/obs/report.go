@@ -59,15 +59,21 @@ type Report struct {
 // runs are strided down to roughly this many snapshots (the last one
 // always kept) so paper-scale reports stay a viewable size. Full
 // fidelity remains available in the archive's snapshot records.
-const maxReportSamples = 600
+// maxNodeSamples bounds each per-node small multiple the same way: a
+// vertex every four pixels or so of its 258-pixel plot, where a full
+// /live window would draw one per pixel for each of 10 nodes.
+const (
+	maxReportSamples = 600
+	maxNodeSamples   = 60
+)
 
-// thinSnaps strides snaps down to at most maxReportSamples+1 entries.
-func thinSnaps(snaps []Snapshot) []Snapshot {
-	if len(snaps) <= maxReportSamples {
+// thinSnaps strides snaps down to at most n+1 entries.
+func thinSnaps(snaps []Snapshot, n int) []Snapshot {
+	if len(snaps) <= n {
 		return snaps
 	}
-	stride := (len(snaps) + maxReportSamples - 1) / maxReportSamples
-	out := make([]Snapshot, 0, maxReportSamples+1)
+	stride := (len(snaps) + n - 1) / n
+	out := make([]Snapshot, 0, n+1)
 	for i := 0; i < len(snaps); i += stride {
 		out = append(out, snaps[i])
 	}
@@ -364,7 +370,7 @@ func (r *Report) writeHTML(w io.Writer, f pageFrame) error {
 
 		// The charts and the data table draw a stride of a long series.
 		v := *r
-		v.Snaps = thinSnaps(r.Snaps)
+		v.Snaps = thinSnaps(r.Snaps, maxReportSamples)
 		xmin, xmax := v.timeAxis()
 		markers := append(v.decisionMarkers(), v.alertMarkers()...)
 		wide := chartGeom{w: 920, h: 230, left: 52, right: 16, top: 12, bottom: 26, xmin: xmin, xmax: xmax, ymax: 100}
@@ -533,12 +539,14 @@ func (r *Report) writeGrowthSection(b *strings.Builder, g chartGeom) {
 }
 
 // writeNodeSection renders per-node small multiples: CPU and map-slot
-// occupancy per node on a shared percent axis.
+// occupancy per node on a shared percent axis, over a stride of at most
+// maxNodeSamples snapshots.
 func (r *Report) writeNodeSection(b *strings.Builder, xmin, xmax float64) {
 	if len(r.Snaps) == 0 || len(r.Snaps[0].Nodes) == 0 {
 		return
 	}
 	n := len(r.Snaps[0].Nodes)
+	snaps := thinSnaps(r.Snaps, maxNodeSamples)
 	b.WriteString("<section>\n<h2>Per-node utilization</h2>\n")
 	legend(b, []series{
 		{name: "CPU util", colorVar: "--series-1"},
@@ -548,7 +556,7 @@ func (r *Report) writeNodeSection(b *strings.Builder, xmin, xmax float64) {
 	for i := 0; i < n; i++ {
 		cpu := series{name: "CPU util", colorVar: "--series-1"}
 		slot := series{name: "Map slots", colorVar: "--series-2"}
-		for _, s := range r.Snaps {
+		for _, s := range snaps {
 			if i < len(s.Nodes) {
 				cpu.pts = append(cpu.pts, point{s.Time, s.Nodes[i].CPUUtilPct})
 				slot.pts = append(slot.pts, point{s.Time, s.Nodes[i].MapSlotPct})

@@ -58,15 +58,17 @@ func TestThinSnaps(t *testing.T) {
 	for i := range snaps {
 		snaps[i].Time = float64(i)
 	}
-	out := thinSnaps(snaps)
-	if len(out) > maxReportSamples+1 {
-		t.Fatalf("thinned to %d, cap is %d", len(out), maxReportSamples+1)
-	}
-	if out[0].Time != 0 || out[len(out)-1].Time != 1999 {
-		t.Fatalf("endpoints lost: first %v last %v", out[0].Time, out[len(out)-1].Time)
-	}
-	if got := thinSnaps(snaps[:10]); len(got) != 10 {
-		t.Fatalf("short series thinned: %d", len(got))
+	for _, n := range []int{maxReportSamples, maxNodeSamples} {
+		out := thinSnaps(snaps, n)
+		if len(out) > n+1 {
+			t.Fatalf("thinned to %d, cap is %d", len(out), n+1)
+		}
+		if out[0].Time != 0 || out[len(out)-1].Time != 1999 {
+			t.Fatalf("endpoints lost: first %v last %v", out[0].Time, out[len(out)-1].Time)
+		}
+		if got := thinSnaps(snaps[:10], n); len(got) != 10 {
+			t.Fatalf("short series thinned: %d", len(got))
+		}
 	}
 }
 

@@ -132,6 +132,44 @@ func TestQueriesAndLiveEndpoints(t *testing.T) {
 	}
 }
 
+// TestLiveFullWindowSize: once the /live window holds its full
+// liveRecentSnaps snapshots, the page stays small enough to refresh
+// every 2 s. The per-node small multiples draw a stride of the window,
+// as long archived reports do.
+func TestLiveFullWindowSize(t *testing.T) {
+	eng, _, fs, jt := rig(t, true)
+	f := mkFile(t, fs, "in", 8, 100)
+	s := NewSampler(jt, Config{IntervalS: 1})
+	s.Start()
+	reg := qstats.NewRegistry(jt)
+	srv := NewServer(s, reg, nil)
+	for i := 0; s.SnapshotCount() <= liveRecentSnaps+20; i++ {
+		id := reg.AllocID()
+		conf := mapreduce.NewJobConf()
+		conf.SetInt(mapreduce.ConfSampleSize, 50)
+		conf.Set(mapreduce.ConfDynamicPolicy, "LA")
+		conf.Set(mapreduce.ConfQueryID, id)
+		job := jt.Submit(mapreduce.JobSpec{Conf: conf, NewMapper: echoMapper}, mapreduce.SplitsForFile(f))
+		reg.Register(id, job, fmt.Sprintf("SELECT V FROM t LIMIT 50 -- %d", i), job.ScheduledMaps())
+		mapreduce.RunUntilDone(eng, job, 1e6)
+		eng.RunUntil(eng.Now() + 10)
+	}
+	srv.Publish()
+	if got := len(srv.publishedState().recent); got != liveRecentSnaps {
+		t.Fatalf("published window holds %d snapshots, want %d", got, liveRecentSnaps)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/live", nil))
+	body := rec.Body.String()
+	if !strings.Contains(body, "Per-node utilization") {
+		t.Fatal("/live has no per-node charts")
+	}
+	const maxBytes = 300 << 10
+	if len(body) > maxBytes {
+		t.Fatalf("/live of a full window is %d bytes, over %d", len(body), maxBytes)
+	}
+}
+
 // TestLiveClipsQueryTextByRunes: /live shortens a long query text to
 // 60 characters, and a multibyte character across that cut must not
 // be split into invalid UTF-8.

@@ -238,3 +238,55 @@ func TestRegistryViewsUnderConcurrency(t *testing.T) {
 		t.Fatal("a concurrent reader changed the final dump")
 	}
 }
+
+// TestPartialBatchWaitsForAView: finishing fewer queries than a batch
+// starts no diagnosis goroutine, and reading their outcomes, as the
+// tsdb tick does each interval, neither waits for nor diagnoses them.
+// The next Dump diagnoses them all.
+func TestPartialBatchWaitsForAView(t *testing.T) {
+	eng, fs, jt := rig(t, true)
+	f := mkFile(t, fs, "in", 12, 60)
+	r := NewRegistry(jt)
+	var jobs []*mapreduce.Job
+	for i := 0; i < diagBatch-1; i++ {
+		job, _ := submitTracked(t, r, jt, f, int64(50+10*i), "LA")
+		jobs = append(jobs, job)
+	}
+	if !mapreduce.RunAllUntilDone(eng, jobs, 1e7) {
+		t.Fatal("queries did not finish")
+	}
+	idle := func(when string) {
+		t.Helper()
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if r.diagRunning || len(r.diagQueue) != diagBatch-1 {
+			t.Fatalf("%s: diagnosis goroutine running %v, %d queued; want idle with %d queued",
+				when, r.diagRunning, len(r.diagQueue), diagBatch-1)
+		}
+		for _, rec := range r.records {
+			if rec.Diagnosis != nil || rec.DiagError != "" {
+				t.Fatalf("%s: %s diagnosed", when, rec.ID)
+			}
+		}
+	}
+	idle("after the finishes")
+	outs, next := r.OutcomesSince(nil, 0)
+	if len(outs) != diagBatch-1 || next != diagBatch-1 {
+		t.Fatalf("OutcomesSince: %d outcomes, cursor %d; want %d", len(outs), next, diagBatch-1)
+	}
+	for i, o := range outs {
+		if o.Policy != "LA" || o.LatencyVirtualS <= 0 || o.Rows == 0 {
+			t.Fatalf("outcome %d: %+v", i, o)
+		}
+	}
+	idle("after OutcomesSince")
+	d := r.Dump()
+	if len(d.Queries) != diagBatch-1 {
+		t.Fatalf("Dump: %d queries", len(d.Queries))
+	}
+	for _, q := range d.Queries {
+		if q.Diagnosis == nil {
+			t.Fatalf("Dump: %s has no diagnosis: %s", q.ID, q.DiagError)
+		}
+	}
+}

@@ -18,11 +18,13 @@
 //
 // The diagnosis is the one part of a finish that does not run on the
 // engine goroutine. A finish publishes every other field and queues the
-// record with the trace entries drained for it; a goroutine that runs
-// only while that queue is non-empty diagnoses queued records oldest
-// first with one reusable diag.JobTrace and sets Diagnosis or
-// DiagError. Dump, Summaries, FinishedSince and Find wait for the queue
-// to empty, so no view shows a finished record without its diagnosis.
+// record with the trace entries drained for it. Once diagBatch records
+// are queued, a goroutine diagnoses them oldest first with one reusable
+// diag.JobTrace and sets Diagnosis or DiagError. Dump and FinishedSince
+// wait for the queue to empty, starting the goroutine for a partial
+// batch, so no view shows a finished record without its diagnosis.
+// OutcomesSince, the tsdb tick's read, never waits: it reads only
+// fields a finish sets.
 //
 // Consumers: internal/obs serves the registry on /queries, /live and
 // /metrics; cmd/dynmr dumps it on shutdown and renders `dynmr top`;
@@ -32,8 +34,10 @@
 package qstats
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"dynamicmr/internal/diag"
@@ -64,6 +68,17 @@ const DefaultMaxRecords = 10000
 // DefaultQPSWindowS is the sliding wall-clock window for the per-policy
 // QPS gauge, in seconds.
 const DefaultQPSWindowS = 60.0
+
+// diagBatch is how many queued records start the diagnosis goroutine.
+// maxFree bounds the idle trace buffers of each kind the registry keeps
+// for reuse. It is above what a closed loop of ten users holds at once
+// (its in-flight queries, a batch queued and a batch being diagnosed),
+// so steady state allocates none, and the extra buffers of a backlog
+// are not kept.
+const (
+	diagBatch = 8
+	maxFree   = 32
+)
 
 // QueryRecord is the lifecycle and attribution record of one query.
 // Timestamps with the VT suffix are virtual seconds; Wall timestamps
@@ -186,19 +201,29 @@ type Registry struct {
 
 	spanCursor     int64
 	decisionCursor int
-	drained        []trace.Span // AppendSpansSince buffer, reused per drain
 
-	// Finished records awaiting their diagnosis, oldest first, are
-	// diagQueue[diagHead:]; a goroutine runs exactly while it is
-	// non-empty and broadcasts diagDone (on mu) when it empties.
-	// collector is that goroutine's; freeSpans and freeDecisions hold
-	// per-query buffers for reuse.
+	// diagQueue holds finished records awaiting their diagnosis, oldest
+	// first. The diagnosis goroutine runs while diagRunning, takes the
+	// queue a batch at a time, and broadcasts diagDone (on mu) when it
+	// stops; diagWaiters counts views waiting for it, which make it run
+	// until the queue is empty. freeSpans and freeDecisions hold
+	// per-query buffers for reuse, at most maxFree each.
 	diagQueue     []*QueryRecord
-	diagHead      int
+	diagRunning   bool
+	diagWaiters   int
 	diagDone      sync.Cond
-	collector     diag.JobTrace
 	freeSpans     [][]trace.Span
 	freeDecisions [][]trace.PolicyDecision
+	// spanHint and decisionHint are the most entries a finished query
+	// held: the capacity a buffer is made with when its free list is
+	// empty, so that it need not grow as it fills.
+	spanHint, decisionHint int
+	// The diagnosis goroutine's own state, which only the one running
+	// touches: the spare queue array it swaps in for a taken batch, the
+	// batch's results and the reused collector.
+	diagSpare []*QueryRecord
+	diagOut   []diagResult
+	collector diag.JobTrace
 
 	policies []*policyAgg
 	byPolicy map[string]*policyAgg
@@ -377,6 +402,8 @@ func (r *Registry) finishLocked(rec *QueryRecord, vt float64) {
 	}
 
 	rec.ProviderEvals = len(rec.decisions)
+	r.spanHint = max(r.spanHint, len(rec.spans))
+	r.decisionHint = max(r.decisionHint, len(rec.decisions))
 	for _, s := range rec.spans {
 		switch s.Name {
 		case trace.SpanMapAttempt:
@@ -390,8 +417,8 @@ func (r *Registry) finishLocked(rec *QueryRecord, vt float64) {
 
 	if r.jt.Tracer().Enabled() {
 		r.diagQueue = append(r.diagQueue, rec)
-		if len(r.diagQueue) == 1 { // the queue was empty
-			go r.diagnoseQueued()
+		if len(r.diagQueue) >= diagBatch && !r.diagRunning {
+			r.startDiagLocked()
 		}
 	}
 
@@ -453,96 +480,130 @@ func (r *Registry) Abandon(job *mapreduce.Job, reason string) {
 }
 
 // drainLocked advances the trace cursors, appending fresh spans and
-// policy decisions to the in-flight record they belong to. Entries for
-// jobs the registry is not tracking (estimation jobs, finished jobs'
-// stragglers) are discarded.
+// policy decisions to the in-flight record they belong to: each is
+// copied once, from the tracer's ring or log into the record's buffer.
+// Entries for jobs the registry is not tracking (estimation jobs,
+// finished jobs' stragglers) are discarded.
 func (r *Registry) drainLocked() {
 	tr := r.jt.Tracer()
 	if !tr.Enabled() {
 		return
 	}
-	r.drained, r.spanCursor = tr.AppendSpansSince(r.drained[:0], r.spanCursor)
-	for _, s := range r.drained {
-		if s.Job < 0 {
-			continue
-		}
-		if rec := r.inflight[s.Job]; rec != nil {
-			if rec.spans == nil {
-				rec.spans = popFree(&r.freeSpans)
+	a, b, next := tr.SpansSince(r.spanCursor)
+	r.spanCursor = next
+	for _, run := range [2][]trace.Span{a, b} {
+		for i := range run {
+			s := &run[i]
+			if s.Job < 0 {
+				continue
 			}
-			rec.spans = append(rec.spans, s)
+			if rec := r.inflight[s.Job]; rec != nil {
+				if rec.spans == nil {
+					rec.spans = popFree(&r.freeSpans, r.spanHint)
+				}
+				rec.spans = append(rec.spans, *s)
+			}
 		}
 	}
 	decs := tr.PolicyDecisionsSince(r.decisionCursor)
 	r.decisionCursor += len(decs)
-	for _, d := range decs {
+	for i := range decs {
+		d := &decs[i]
 		if rec := r.inflight[d.JobID]; rec != nil {
 			if rec.decisions == nil {
-				rec.decisions = popFree(&r.freeDecisions)
+				rec.decisions = popFree(&r.freeDecisions, r.decisionHint)
 			}
-			rec.decisions = append(rec.decisions, d)
+			rec.decisions = append(rec.decisions, *d)
 		}
 	}
 }
 
-// diagnoseQueued diagnoses queued records oldest first until the queue
-// is empty, running the collector without holding r.mu. finishLocked
-// starts it when the queue becomes non-empty; since it only exits with
-// r.mu held and the queue empty, at most one runs at a time.
+// diagResult is one diagnosis the goroutine computed, set on its record
+// under the lock.
+type diagResult struct {
+	d   *diag.JobDiagnosis
+	err error
+}
+
+// startDiagLocked starts the diagnosis goroutine; it must not be
+// running.
+func (r *Registry) startDiagLocked() {
+	r.diagRunning = true
+	go r.diagnoseQueued()
+}
+
+// diagnoseQueued diagnoses the queue a batch at a time, oldest first,
+// running the collector without holding r.mu: whole batches, and
+// whatever is queued while a view waits. Only one runs at a time: it is
+// started with diagRunning set, and clears it with r.mu held.
 func (r *Registry) diagnoseQueued() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.diagHead < len(r.diagQueue) {
-		rec := r.diagQueue[r.diagHead]
+	for len(r.diagQueue) >= diagBatch || (len(r.diagQueue) > 0 && r.diagWaiters > 0) {
+		batch := r.diagQueue
+		r.diagQueue = r.diagSpare[:0]
 		r.mu.Unlock()
+		out := r.diagOut[:0]
 		c := &r.collector
-		c.Reset(rec.JobID)
-		for _, s := range rec.spans {
-			c.Add(s)
+		for _, rec := range batch {
+			c.Reset(rec.JobID)
+			for i := range rec.spans {
+				c.Add(rec.spans[i])
+			}
+			for i := range rec.decisions {
+				c.AddDecision(rec.decisions[i])
+			}
+			d, err := c.Diagnose(diag.Config{})
+			out = append(out, diagResult{d, err})
 		}
-		for _, d := range rec.decisions {
-			c.AddDecision(d)
-		}
-		d, err := c.Diagnose(diag.Config{})
 		r.mu.Lock()
-		if err != nil {
-			rec.DiagError = err.Error()
-		} else {
-			rec.Diagnosis = d
+		for i, rec := range batch {
+			if err := out[i].err; err != nil {
+				rec.DiagError = err.Error()
+			} else {
+				rec.Diagnosis = out[i].d
+			}
+			r.recycleLocked(rec)
 		}
-		r.recycleLocked(rec)
-		r.diagQueue[r.diagHead] = nil
-		r.diagHead++
+		clear(batch)
+		clear(out)
+		r.diagSpare, r.diagOut = batch[:0], out[:0]
 	}
-	r.diagQueue, r.diagHead = r.diagQueue[:0], 0
+	r.diagRunning = false
 	r.diagDone.Broadcast()
 }
 
 // waitDiagnosedLocked blocks until every finished record has its
-// diagnosis.
+// diagnosis, starting the goroutine for a partial batch.
 func (r *Registry) waitDiagnosedLocked() {
-	for len(r.diagQueue) > 0 {
+	r.diagWaiters++
+	for len(r.diagQueue) > 0 || r.diagRunning {
+		if !r.diagRunning {
+			r.startDiagLocked()
+		}
 		r.diagDone.Wait()
 	}
+	r.diagWaiters--
 }
 
-// recycleLocked returns a record's trace buffers to the free lists.
+// recycleLocked returns a record's trace buffers to the free lists,
+// keeping at most maxFree of each.
 func (r *Registry) recycleLocked(rec *QueryRecord) {
-	if rec.spans != nil {
+	if rec.spans != nil && len(r.freeSpans) < maxFree {
 		r.freeSpans = append(r.freeSpans, rec.spans[:0])
 	}
-	if rec.decisions != nil {
+	if rec.decisions != nil && len(r.freeDecisions) < maxFree {
 		r.freeDecisions = append(r.freeDecisions, rec.decisions[:0])
 	}
 	rec.spans, rec.decisions = nil, nil
 }
 
-// popFree takes a buffer off a free list, or returns nil when it is
-// empty.
-func popFree[T any](free *[][]T) []T {
+// popFree takes a buffer off a free list, or makes one of capacity
+// hint when it is empty.
+func popFree[T any](free *[][]T, hint int) []T {
 	n := len(*free)
 	if n == 0 {
-		return nil
+		return make([]T, 0, hint)
 	}
 	b := (*free)[n-1]
 	(*free)[n-1] = nil
@@ -588,16 +649,42 @@ func (r *Registry) FinishedSince(seq int64) ([]QueryRecord, int64) {
 	return out, next
 }
 
+// Outcome is the part of a finished query's record that its finish
+// sets and nothing changes after: what a trend or an SLO window reads.
+type Outcome struct {
+	Policy          string
+	FinishVT        float64
+	LatencyVirtualS float64
+	Matches         int64
+	OvershootRows   int64
+	Rows            int
+}
+
+// OutcomesSince appends the outcomes of the finished queries at
+// sequence >= seq to dst, and returns it with the next cursor, as
+// FinishedSince does. It never waits for a diagnosis, so the engine
+// goroutine (the tsdb tick) reads finished queries without blocking on
+// the diagnosis goroutine.
+func (r *Registry) OutcomesSince(dst []Outcome, seq int64) ([]Outcome, int64) {
+	if r == nil {
+		return dst, seq
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	next := r.dropped + int64(len(r.records))
+	for _, rec := range r.records[min(max(seq-r.dropped, 0), int64(len(r.records))):] {
+		dst = append(dst, Outcome{Policy: rec.Policy, FinishVT: rec.FinishVT, LatencyVirtualS: rec.LatencyVirtualS,
+			Matches: rec.Matches, OvershootRows: rec.OvershootRows, Rows: rec.Rows})
+	}
+	return dst, next
+}
+
 func (r *Registry) inflightLocked() []QueryRecord {
 	out := make([]QueryRecord, 0, len(r.inflight))
 	for _, rec := range r.inflight {
 		out = append(out, *rec)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].JobID < out[j-1].JobID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b QueryRecord) int { return cmp.Compare(a.JobID, b.JobID) })
 	return out
 }
 

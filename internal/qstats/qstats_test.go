@@ -308,7 +308,7 @@ func BenchmarkQueryRecord(b *testing.B) {
 			SplitsTotal: 12, job: job,
 		}
 		r.inflight[job.ID] = rec
-		rec.spans = append(popFree(&r.freeSpans), spans...)
+		rec.spans = append(popFree(&r.freeSpans, len(spans)), spans...)
 		r.started++
 		r.finishLocked(rec, job.FinishTime)
 		r.waitDiagnosedLocked()

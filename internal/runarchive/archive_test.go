@@ -52,7 +52,7 @@ func randomTracer(r *rand.Rand, nJobs int) (*trace.Tracer, float64) {
 		})
 	}
 	for i := 0; i < r.Intn(6); i++ {
-		tr.Inc(fmt.Sprintf("test.counter_%d", i), r.Int63n(1e6))
+		tr.Inc(trace.Counter(i), r.Int63n(1e6))
 	}
 	for i := 0; i < r.Intn(4); i++ {
 		tr.SetGauge(fmt.Sprintf("test.gauge_%d", i), r.Float64()*1e9)

@@ -57,37 +57,26 @@ func (t *Tracer) RecordPolicyDecision(d PolicyDecision) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.decisions = append(t.decisions, d)
-	t.reg.counters[CounterPolicyEvals]++
-	t.mu.Unlock()
+	t.Inc(CounterPolicyEvals, 1)
 }
 
-// PolicyDecisions returns a copy of the audit log in record order.
-func (t *Tracer) PolicyDecisions() []PolicyDecision {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]PolicyDecision(nil), t.decisions...)
-}
+// PolicyDecisions returns the audit log in record order. Like
+// PolicyDecisionsSince it aliases the log instead of copying it.
+func (t *Tracer) PolicyDecisions() []PolicyDecision { return t.PolicyDecisionsSince(0) }
 
-// PolicyDecisionsSince copies the audit log entries from index from
-// onward (clamped to the log's bounds), so a periodic sampler consumes
+// PolicyDecisionsSince returns the audit log entries from index from
+// onward (clamped to the log's bounds), so a periodic consumer reads
 // the log incrementally instead of re-copying the whole history every
-// tick.
+// tick. The result aliases the log without copying it: a recorded
+// entry never changes and the log only grows, so the result stays
+// valid, but it must not be modified. Its capacity is its length, so
+// appending to it copies.
 func (t *Tracer) PolicyDecisionsSince(from int) []PolicyDecision {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(t.decisions) {
-		return nil
-	}
-	return append([]PolicyDecision(nil), t.decisions[from:]...)
+	n := len(t.decisions)
+	from = min(max(from, 0), n)
+	return t.decisions[from:n:n]
 }

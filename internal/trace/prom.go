@@ -141,10 +141,9 @@ func (t *Tracer) PromFamilies(prefix string) []PromFamily {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	fams := make([]PromFamily, 0, len(t.reg.counters)+len(t.reg.gauges)+4*len(t.reg.hists))
-	for name, v := range t.reg.counters {
+	counters := t.Counters()
+	fams := make([]PromFamily, 0, len(counters)+len(t.reg.gauges)+4*len(t.reg.hists))
+	for name, v := range counters {
 		fams = append(fams, PromFamily{
 			Name:    prefix + name + "_total",
 			Help:    "Registry counter " + name + ".",
@@ -160,7 +159,11 @@ func (t *Tracer) PromFamilies(prefix string) []PromFamily {
 			Samples: []PromSample{{Value: g.Last}},
 		})
 	}
-	for name, h := range t.reg.hists {
+	for i, h := range t.reg.hists {
+		if h.Count == 0 {
+			continue
+		}
+		name := histNames[i]
 		fams = append(fams,
 			PromFamily{
 				Name:    prefix + name + "_count",

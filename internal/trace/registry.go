@@ -4,42 +4,92 @@ import (
 	"math"
 )
 
-// Well-known registry metric names emitted by the runtime. The
-// registry is open — any name may be used — but these are the ones the
-// instrumentation produces and tests assert on.
+// Counter names one of the runtime's registry counters. Each has a
+// fixed slot in the registry, so an increment is an array write; its
+// String is the counter's name in Counters, archives, /metrics and
+// tsdb series.
+type Counter uint8
+
+// The counters the runtime emits.
 const (
-	CounterHeartbeats     = "heartbeats"
-	CounterJobsSubmitted  = "jobs.submitted"
-	CounterJobsFinished   = "jobs.finished"
-	CounterMapAttempts    = "map.attempts"
-	CounterMapFailed      = "map.failed"
-	CounterMapKilled      = "map.killed"
-	CounterMapSpeculative = "map.speculative"
-	CounterMapLocal       = "map.local"
-	CounterMapNonLocal    = "map.nonlocal"
-	CounterPolicyEvals    = "policy.evaluations"
+	CounterHeartbeats Counter = iota
+	CounterJobsSubmitted
+	CounterJobsFinished
+	CounterMapAttempts
+	CounterMapFailed
+	CounterMapKilled
+	CounterMapSpeculative
+	CounterMapLocal
+	CounterMapNonLocal
+	CounterPolicyEvals
 	// CounterScanAsync counts map attempts whose record scan was joined
 	// from the scan executor; CounterScanStalls counts the subset whose
 	// join actually blocked on real compute (real time slower than
 	// simulated time).
-	CounterScanAsync  = "map.scan_async"
-	CounterScanStalls = "map.scan_stalls"
+	CounterScanAsync
+	CounterScanStalls
 	// CounterScanBlocksRead / CounterScanBlocksSkipped count statistics
 	// sub-blocks map attempts read vs. skipped via the zone map (the
 	// skip/index input paths); under the full path nothing is skipped.
-	CounterScanBlocksRead    = "scan.blocks_read"
-	CounterScanBlocksSkipped = "scan.blocks_skipped"
+	CounterScanBlocksRead
+	CounterScanBlocksSkipped
 	// Map-output memo metrics (internal/mapreduce.MapOutputCache):
 	// memo_hits/memo_misses surface the memo cache's Stats() per
 	// runtime: one increment per lookup, from either the scan-executor
 	// submit path or the inline execMapper path.
-	CounterMemoHits   = "engine.memo_hits"
-	CounterMemoMisses = "engine.memo_misses"
+	CounterMemoHits
+	CounterMemoMisses
 
-	HistMapDuration    = "map.duration_s"
-	HistMapQueueWait   = "map.queue_wait_s"
-	HistReduceDuration = "reduce.duration_s"
+	numCounters
+)
 
+var counterNames = [numCounters]string{
+	CounterHeartbeats:        "heartbeats",
+	CounterJobsSubmitted:     "jobs.submitted",
+	CounterJobsFinished:      "jobs.finished",
+	CounterMapAttempts:       "map.attempts",
+	CounterMapFailed:         "map.failed",
+	CounterMapKilled:         "map.killed",
+	CounterMapSpeculative:    "map.speculative",
+	CounterMapLocal:          "map.local",
+	CounterMapNonLocal:       "map.nonlocal",
+	CounterPolicyEvals:       "policy.evaluations",
+	CounterScanAsync:         "map.scan_async",
+	CounterScanStalls:        "map.scan_stalls",
+	CounterScanBlocksRead:    "scan.blocks_read",
+	CounterScanBlocksSkipped: "scan.blocks_skipped",
+	CounterMemoHits:          "engine.memo_hits",
+	CounterMemoMisses:        "engine.memo_misses",
+}
+
+// String returns the counter's registry name.
+func (c Counter) String() string { return counterNames[c] }
+
+// Hist names one of the runtime's registry histograms, each in a fixed
+// slot like a Counter.
+type Hist uint8
+
+// The histograms the runtime emits.
+const (
+	HistMapDuration Hist = iota
+	HistMapQueueWait
+	HistReduceDuration
+
+	numHists
+)
+
+var histNames = [numHists]string{
+	HistMapDuration:    "map.duration_s",
+	HistMapQueueWait:   "map.queue_wait_s",
+	HistReduceDuration: "reduce.duration_s",
+}
+
+// String returns the histogram's registry name.
+func (h Hist) String() string { return histNames[h] }
+
+// Gauge names published by the obs sampler. Gauges are set once per
+// sample interval, not per task, so they stay keyed by name.
+const (
 	GaugeCPUUtilPct      = "cluster.cpu_util_pct"
 	GaugeDiskReadKBs     = "cluster.disk_read_kb_s"
 	GaugeNetworkUtilPct  = "cluster.network_util_pct"
@@ -73,52 +123,58 @@ type GaugeSnapshot struct {
 	Count int64
 }
 
-// registry is the counter/gauge/histogram store behind a Tracer. It has
-// no lock of its own: the Tracer's mutex guards it.
+// registry is the counter/gauge/histogram store behind a Tracer.
+// touched marks the counters ever incremented, a zero delta included:
+// only those are listed, as a name-keyed map would list them. A
+// histogram is listed once its Count is non-zero.
 type registry struct {
-	counters map[string]int64
+	counters [numCounters]int64
+	touched  [numCounters]bool
+	hists    [numHists]HistogramSnapshot
 	gauges   map[string]*GaugeSnapshot
-	hists    map[string]*HistogramSnapshot
 }
 
 func newRegistry() registry {
-	return registry{
-		counters: make(map[string]int64),
-		gauges:   make(map[string]*GaugeSnapshot),
-		hists:    make(map[string]*HistogramSnapshot),
+	r := registry{gauges: make(map[string]*GaugeSnapshot)}
+	for i := range r.hists {
+		r.hists[i] = HistogramSnapshot{Min: math.Inf(1), Max: math.Inf(-1)}
 	}
+	return r
 }
 
-// Inc adds delta to the named counter.
-func (t *Tracer) Inc(name string, delta int64) {
+// Inc adds delta to the counter.
+func (t *Tracer) Inc(c Counter, delta int64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.reg.counters[name] += delta
+	t.reg.counters[c] += delta
+	t.reg.touched[c] = true
 }
 
-// Counter returns the named counter's value (0 when never incremented).
-func (t *Tracer) Counter(name string) int64 {
+// Counter returns the counter's value (0 when never incremented).
+func (t *Tracer) Counter(c Counter) int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.reg.counters[name]
+	return t.reg.counters[c]
 }
 
-// Counters returns a copy of every counter.
+// Counters returns every counter ever incremented, by name.
 func (t *Tracer) Counters() map[string]int64 {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]int64, len(t.reg.counters))
-	for k, v := range t.reg.counters {
-		out[k] = v
+	n := 0
+	for _, ok := range t.reg.touched {
+		if ok {
+			n++
+		}
+	}
+	out := make(map[string]int64, n)
+	for c, v := range t.reg.counters {
+		if t.reg.touched[c] {
+			out[counterNames[c]] = v
+		}
 	}
 	return out
 }
@@ -129,8 +185,6 @@ func (t *Tracer) SetGauge(name string, v float64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	g := t.reg.gauges[name]
 	if g == nil {
 		g = &GaugeSnapshot{Min: math.Inf(1), Max: math.Inf(-1)}
@@ -152,8 +206,6 @@ func (t *Tracer) Gauges() map[string]GaugeSnapshot {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make(map[string]GaugeSnapshot, len(t.reg.gauges))
 	for k, v := range t.reg.gauges {
 		out[k] = *v
@@ -161,39 +213,27 @@ func (t *Tracer) Gauges() map[string]GaugeSnapshot {
 	return out
 }
 
-// Observe folds a value into the named histogram.
-func (t *Tracer) Observe(name string, v float64) {
+// Observe folds a value into the histogram.
+func (t *Tracer) Observe(h Hist, v float64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.reg.hists[name]
-	if h == nil {
-		h = &HistogramSnapshot{Min: math.Inf(1), Max: math.Inf(-1)}
-		t.reg.hists[name] = h
+	s := &t.reg.hists[h]
+	s.Count++
+	s.Sum += v
+	if v < s.Min {
+		s.Min = v
 	}
-	h.Count++
-	h.Sum += v
-	if v < h.Min {
-		h.Min = v
-	}
-	if v > h.Max {
-		h.Max = v
+	if v > s.Max {
+		s.Max = v
 	}
 }
 
-// Histogram returns the named histogram's snapshot and whether any
-// value was ever observed.
-func (t *Tracer) Histogram(name string) (HistogramSnapshot, bool) {
-	if t == nil {
+// Histogram returns the histogram's snapshot and whether any value was
+// ever observed.
+func (t *Tracer) Histogram(h Hist) (HistogramSnapshot, bool) {
+	if t == nil || t.reg.hists[h].Count == 0 {
 		return HistogramSnapshot{}, false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.reg.hists[name]
-	if h == nil {
-		return HistogramSnapshot{}, false
-	}
-	return *h, true
+	return t.reg.hists[h], true
 }

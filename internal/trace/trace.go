@@ -14,9 +14,14 @@
 // Every method is safe on a nil *Tracer and does nothing, so
 // instrumentation sites call unconditionally; a disabled run costs one
 // nil check per site.
+//
+// A Tracer has a single owner, like the sim.Engine it records: it takes
+// no lock. Every JobTracker builds its own, so concurrent engines never
+// share one. Only the goroutine that drives the engine writes to it,
+// and a reader either is that goroutine or holds the driver's lock
+// while the engine is still, as obs.Server.Publish, the end-of-run
+// flushes and post-run reads do.
 package trace
-
-import "sync"
 
 // DefaultCapacity is the span ring capacity for a Config zero value
 // (oldest spans are evicted beyond it; see Tracer.Dropped).
@@ -135,19 +140,13 @@ type MetricSample struct {
 
 // Tracer records spans, policy decisions, metric samples, counters and
 // histograms. A nil Tracer is the disabled state: every method is a
-// no-op and Enabled reports false.
-//
-// The simulation engine is single-threaded, but experiments run many
-// engines concurrently and exporters may be called from test
-// goroutines, so the Tracer locks internally.
+// no-op and Enabled reports false. It is not safe for concurrent use;
+// see the package comment for who may call it.
 type Tracer struct {
-	mu sync.Mutex
-
-	cfg     Config
-	spans   []Span // ring storage, capacity cfg.capacity()
-	head    int    // next write position
-	n       int    // occupied entries (<= cap)
-	dropped int64
+	capacity int    // of the span ring: cfg.capacity()
+	spans    []Span // ring storage, filled in order up to capacity
+	head     int    // next write position once the ring is full
+	dropped  int64
 
 	decisions []PolicyDecision
 	samples   []MetricSample
@@ -161,7 +160,7 @@ func New(cfg Config) *Tracer {
 	if !cfg.Enabled {
 		return nil
 	}
-	return &Tracer{cfg: cfg, reg: newRegistry()}
+	return &Tracer{capacity: cfg.capacity(), reg: newRegistry()}
 }
 
 // Enabled reports whether the tracer records anything. It is the
@@ -173,25 +172,22 @@ func (t *Tracer) Record(s Span) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	capacity := t.cfg.capacity()
-	if len(t.spans) < capacity {
+	if len(t.spans) < t.capacity {
 		if len(t.spans) == cap(t.spans) {
 			// Double up to capacity: append grows a large slice by a
 			// quarter at a time, allocating a full ring about five
 			// times over on its way to capacity.
-			grown := make([]Span, len(t.spans), min(max(2*cap(t.spans), 64), capacity))
+			grown := make([]Span, len(t.spans), min(max(2*cap(t.spans), 64), t.capacity))
 			copy(grown, t.spans)
 			t.spans = grown
 		}
 		t.spans = append(t.spans, s)
-		t.head = len(t.spans) % capacity
-		t.n = len(t.spans)
 		return
 	}
 	t.spans[t.head] = s
-	t.head = (t.head + 1) % capacity
+	if t.head++; t.head == len(t.spans) {
+		t.head = 0
+	}
 	t.dropped++
 }
 
@@ -200,70 +196,51 @@ func (t *Tracer) Instant(name, cat string, ts float64, job, task, node int) {
 	t.Record(Span{Name: name, Cat: cat, Start: ts, End: ts, Job: job, Task: task, Node: node})
 }
 
-// Spans returns the buffered spans oldest-first.
+// Spans returns a copy of the buffered spans oldest-first.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, 0, t.n)
-	if t.n < len(t.spans) || t.n < t.cfg.capacity() {
-		out = append(out, t.spans[:t.n]...)
-		return out
-	}
-	out = append(out, t.spans[t.head:]...)
-	out = append(out, t.spans[:t.head]...)
-	return out
+	a, b, _ := t.SpansSince(0)
+	return append(append(make([]Span, 0, len(a)+len(b)), a...), b...)
 }
 
 // SpanCount returns the total number of spans ever recorded (buffered
 // plus evicted): the sequence number the next Record call will receive.
-// Pairing it with AppendSpansSince lets incremental consumers (the
-// qstats registry) poll cheaply without copying the whole ring.
 func (t *Tracer) SpanCount() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int64(t.n) + t.dropped
+	return int64(len(t.spans)) + t.dropped
 }
 
-// AppendSpansSince appends the spans recorded at sequence >= from that
-// are still buffered (oldest-first) to dst, and returns the extended
-// slice plus the new cursor (the total recorded count). Spans evicted
-// from the ring before being read are silently skipped — callers
-// needing loss detection compare the requested cursor against
-// SpanCount minus the buffered length. Passing the previous result
-// truncated to zero length reuses its storage, so a polling consumer
-// copies each span once and allocates only when a batch outgrows the
-// buffer.
-func (t *Tracer) AppendSpansSince(dst []Span, from int64) ([]Span, int64) {
+// SpansSince returns the spans recorded at sequence >= from that are
+// still buffered, oldest-first, as at most two runs of the ring (b is
+// empty unless the read wraps), plus the new cursor: the total
+// recorded count. Spans evicted before being read are skipped; a
+// caller that needs to detect the loss compares from with SpanCount
+// minus the buffered length. The runs alias the ring, so they copy
+// nothing, must not be modified, and are only valid until the next
+// Record: a polling consumer (the qstats registry) copies each span
+// once, straight to where it keeps it.
+func (t *Tracer) SpansSince(from int64) (a, b []Span, next int64) {
 	if t == nil {
-		return dst, 0
+		return nil, nil, 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	total := int64(t.n) + t.dropped
-	oldest := total - int64(t.n)
-	if from < oldest {
-		from = oldest
-	}
+	total := int64(len(t.spans)) + t.dropped
+	oldest := t.dropped
+	from = max(from, oldest)
 	if from >= total {
-		return dst, total
+		return nil, nil, total
 	}
-	if t.n < len(t.spans) || t.n < t.cfg.capacity() {
-		// Ring not yet wrapped: sequence i lives at index i.
-		return append(dst, t.spans[from:total]...), total
-	}
-	// Wrapped ring: the oldest sequence lives at head.
+	// The oldest buffered sequence lives at index 0 until the ring
+	// wraps, and at head after (head is 0 until then).
 	start := (t.head + int(from-oldest)) % len(t.spans)
-	if start+int(total-from) <= len(t.spans) {
-		return append(dst, t.spans[start:start+int(total-from)]...), total
+	if end := start + int(total-from); end <= len(t.spans) {
+		return t.spans[start:end:end], nil, total
 	}
-	dst = append(dst, t.spans[start:]...)
-	return append(dst, t.spans[:int(total-from)-(len(t.spans)-start)]...), total
+	wrapped := int(total-from) - (len(t.spans) - start)
+	return t.spans[start:], t.spans[:wrapped:wrapped], total
 }
 
 // Dropped returns how many spans were evicted from the full ring.
@@ -271,8 +248,6 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.dropped
 }
 
@@ -281,8 +256,6 @@ func (t *Tracer) RecordMetricSample(m MetricSample) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.samples = append(t.samples, m)
 }
 
@@ -291,7 +264,5 @@ func (t *Tracer) MetricSamples() []MetricSample {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return append([]MetricSample(nil), t.samples...)
 }

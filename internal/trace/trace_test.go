@@ -109,49 +109,48 @@ func TestRingPartiallyFilled(t *testing.T) {
 	}
 }
 
-// TestAppendSpansSinceIncrementalCursor drives the cursor API through
-// every ring state: partial fill, exact fill, wrapped with losses, a
-// read that straddles the wrap point, and a stale cursor older than the
-// retained window. Every read after the first reuses one buffer.
-func TestAppendSpansSinceIncrementalCursor(t *testing.T) {
+// TestSpansSinceIncrementalCursor drives the cursor API through every
+// ring state: partial fill, exact fill, wrapped with losses, a read
+// that straddles the wrap point, and a stale cursor older than the
+// retained window. Every read returns views of the ring, not copies.
+func TestSpansSinceIncrementalCursor(t *testing.T) {
 	tr := New(Config{Enabled: true, Capacity: 4})
-	tasks := func(spans []Span) []int {
-		out := []int{}
-		for _, s := range spans {
-			out = append(out, s.Task)
-		}
-		return out
-	}
-	want := func(what string, got []Span, cur int64, wantTasks []int, wantCur int64) {
+	want := func(what string, from int64, wantTasks []int, wantCur int64) {
 		t.Helper()
-		if g := tasks(got); !reflect.DeepEqual(g, wantTasks) || cur != wantCur {
-			t.Fatalf("%s: tasks %v cursor %d, want %v cursor %d", what, g, cur, wantTasks, wantCur)
+		a, b, cur := tr.SpansSince(from)
+		got := []int{}
+		for _, s := range append(append([]Span(nil), a...), b...) {
+			got = append(got, s.Task)
+		}
+		if !reflect.DeepEqual(got, wantTasks) || cur != wantCur {
+			t.Fatalf("%s: tasks %v cursor %d, want %v cursor %d", what, got, cur, wantTasks, wantCur)
+		}
+		for _, run := range [][]Span{a, b} {
+			aliased := len(run) == 0
+			for i := range tr.spans {
+				aliased = aliased || &run[0] == &tr.spans[i]
+			}
+			if !aliased {
+				t.Fatalf("%s: a run does not alias the ring", what)
+			}
 		}
 	}
 
-	buf, cur := tr.AppendSpansSince(nil, 0)
-	want("empty ring", buf, cur, []int{}, 0)
+	want("empty ring", 0, []int{}, 0)
 
 	// Partial fill: sequences 0..2.
 	for i := 0; i < 3; i++ {
 		tr.Record(Span{Name: SpanQueueWait, Task: i})
 	}
-	buf, cur = tr.AppendSpansSince(buf[:0], 0)
-	want("partial fill", buf, cur, []int{0, 1, 2}, 3)
-	buf, cur = tr.AppendSpansSince(buf[:0], cur)
-	want("caught-up cursor", buf, cur, []int{}, 3)
-
-	// The buffer is appended to, not overwritten.
-	prefix := []Span{{Name: "mine", Task: -7}}
-	got, _ := tr.AppendSpansSince(prefix, 1)
-	want("append keeps dst", got, 3, []int{-7, 1, 2}, 3)
+	want("partial fill", 0, []int{0, 1, 2}, 3)
+	want("caught-up cursor", 3, []int{}, 3)
+	want("mid cursor", 1, []int{1, 2}, 3)
 
 	// Fill past capacity: sequences 3..9, ring retains 6..9.
 	for i := 3; i < 10; i++ {
 		tr.Record(Span{Name: SpanQueueWait, Task: i})
 	}
-	buf, cur = tr.AppendSpansSince(buf[:0], cur)
-	want("wrapped ring", buf, cur, []int{6, 7, 8, 9}, 10)
+	want("wrapped ring", 3, []int{6, 7, 8, 9}, 10)
 	if tr.SpanCount() != 10 {
 		t.Fatalf("SpanCount = %d, want 10", tr.SpanCount())
 	}
@@ -159,21 +158,23 @@ func TestAppendSpansSinceIncrementalCursor(t *testing.T) {
 	// Mid-window cursor on a wrapped ring (retains 7..10; 7 sits in
 	// the last slot, 8..10 in the first three).
 	tr.Record(Span{Name: SpanQueueWait, Task: 10})
-	reused := &buf[0]
-	buf, cur = tr.AppendSpansSince(buf[:0], 9)
-	want("mid-window read", buf, cur, []int{9, 10}, 11)
+	want("mid-window read", 9, []int{9, 10}, 11)
 
 	// A stale cursor (0) clamps to the oldest retained sequence, and the
-	// read straddles the wrap point.
-	buf, cur = tr.AppendSpansSince(buf[:0], 0)
-	want("stale cursor", buf, cur, []int{7, 8, 9, 10}, 11)
-	if &buf[0] != reused {
-		t.Fatal("a read that fits the buffer reallocated it")
+	// read straddles the wrap point: two runs.
+	want("stale cursor", 0, []int{7, 8, 9, 10}, 11)
+	if a, b, _ := tr.SpansSince(0); len(a) != 1 || len(b) != 3 {
+		t.Fatalf("straddling read split %d+%d, want 1+3", len(a), len(b))
+	}
+	// The runs are capacity-capped: appending to one cannot overwrite
+	// the ring.
+	if a, _, _ := tr.SpansSince(9); cap(a) != len(a) {
+		t.Fatalf("run capacity %d past its length %d", cap(a), len(a))
 	}
 
-	// Nil tracer is safe and leaves dst alone.
-	if got, cur := (*Tracer)(nil).AppendSpansSince(prefix, 5); len(got) != 1 || cur != 0 {
-		t.Fatalf("nil tracer AppendSpansSince = %v, %d", got, cur)
+	// Nil tracer is safe.
+	if a, b, cur := (*Tracer)(nil).SpansSince(5); a != nil || b != nil || cur != 0 {
+		t.Fatalf("nil tracer SpansSince = %v, %v, %d", a, b, cur)
 	}
 	if (*Tracer)(nil).SpanCount() != 0 {
 		t.Fatal("nil tracer SpanCount != 0")
@@ -187,7 +188,7 @@ func TestRegistryCountersAndHistograms(t *testing.T) {
 	if got := tr.Counter(CounterMapAttempts); got != 5 {
 		t.Fatalf("counter = %d", got)
 	}
-	if got := tr.Counter("never-touched"); got != 0 {
+	if got := tr.Counter(CounterMapFailed); got != 0 {
 		t.Fatalf("untouched counter = %d", got)
 	}
 	for _, v := range []float64{2, 8, 5} {
@@ -200,8 +201,39 @@ func TestRegistryCountersAndHistograms(t *testing.T) {
 	if h.Count != 3 || h.Sum != 15 || h.Min != 2 || h.Max != 8 {
 		t.Fatalf("histogram = %+v", h)
 	}
-	if _, ok := tr.Histogram("never-touched"); ok {
+	if _, ok := tr.Histogram(HistReduceDuration); ok {
 		t.Fatal("phantom histogram")
+	}
+}
+
+// TestCountersListTouchedNames: Counters lists exactly the counters
+// ever incremented, a zero delta included, under their names, as the
+// name-keyed registry it replaced did; archives, /metrics and tsdb
+// series take their key sets from it.
+func TestCountersListTouchedNames(t *testing.T) {
+	tr := New(Config{Enabled: true})
+	if got := tr.Counters(); len(got) != 0 {
+		t.Fatalf("fresh tracer lists counters %v", got)
+	}
+	tr.Inc(CounterScanBlocksRead, 3)
+	tr.Inc(CounterScanBlocksSkipped, 0)
+	tr.RecordPolicyDecision(PolicyDecision{Verdict: VerdictGrow})
+	want := map[string]int64{"scan.blocks_read": 3, "scan.blocks_skipped": 0, "policy.evaluations": 1}
+	if got := tr.Counters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counters() = %v, want %v", got, want)
+	}
+	var names []string
+	for _, f := range tr.PromFamilies("") {
+		names = append(names, f.Name)
+	}
+	slices.Sort(names)
+	if want := []string{"policy.evaluations_total", "scan.blocks_read_total", "scan.blocks_skipped_total"}; !slices.Equal(names, want) {
+		t.Fatalf("PromFamilies() = %v, want %v", names, want)
+	}
+	for c := Counter(0); c < numCounters; c++ {
+		if c.String() == "" {
+			t.Fatalf("counter %d has no name", c)
+		}
 	}
 }
 

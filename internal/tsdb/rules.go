@@ -244,8 +244,8 @@ func (db *DB) ruleValue(rs *ruleState, now float64) (v float64, ok bool) {
 		}
 		return (last.V - prev.V) / (last.T - prev.T), true
 	case KindSLOBurn:
-		// Trim the window, then burn = % of finished queries over the
-		// objective.
+		// Trim the window in place, then burn = % of finished queries
+		// over the objective.
 		cut := now - r.window()
 		w := rs.window
 		i := 0
@@ -253,7 +253,7 @@ func (db *DB) ruleValue(rs *ruleState, now float64) (v float64, ok bool) {
 			i++
 		}
 		if i > 0 {
-			w = append(w[:0:0], w[i:]...)
+			w = w[:copy(w, w[i:])]
 			rs.window = w
 		}
 		if len(w) == 0 {

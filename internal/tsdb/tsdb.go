@@ -78,9 +78,11 @@ type DB struct {
 
 	// Derived-series state: the previous map-duration histogram
 	// snapshot (per-split cost is its delta), the finished-query
-	// cursor, and the previous tick time (rate denominators).
+	// cursor and the buffer its reads reuse, and the previous tick time
+	// (rate denominators).
 	prevMapHist trace.HistogramSnapshot
 	qseq        int64
+	outcomes    []qstats.Outcome
 	lastTick    float64
 
 	rules   []*ruleState
@@ -235,8 +237,10 @@ func (db *DB) collect(now float64) {
 			db.put(now, "query.latency_p50_s."+p.Policy, p.VirtualP50S)
 			db.put(now, "query.latency_p99_s."+p.Policy, p.VirtualP99S)
 		}
-		recs, next := db.qs.FinishedSince(db.qseq)
-		db.qseq = next
+		// Finished queries' outcomes are final at their finish, so the
+		// tick never waits for their diagnoses.
+		db.outcomes, db.qseq = db.qs.OutcomesSince(db.outcomes[:0], db.qseq)
+		recs := db.outcomes
 		if dt := now - db.lastTick; dt > 0 && len(recs) > 0 {
 			var matches, over, rows int64
 			for _, q := range recs {
@@ -255,7 +259,7 @@ func (db *DB) collect(now float64) {
 
 // feedWindows pushes newly finished queries into every slo_burn rule's
 // trailing window.
-func (db *DB) feedWindows(recs []qstats.QueryRecord) {
+func (db *DB) feedWindows(recs []qstats.Outcome) {
 	for _, rs := range db.rules {
 		if rs.rule.Kind != KindSLOBurn {
 			continue

@@ -209,11 +209,11 @@ func TestSLOBurnRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := func(policy string, finish, lat float64) qstats.QueryRecord {
-		return qstats.QueryRecord{Policy: policy, FinishVT: finish, LatencyVirtualS: lat}
+	q := func(policy string, finish, lat float64) qstats.Outcome {
+		return qstats.Outcome{Policy: policy, FinishVT: finish, LatencyVirtualS: lat}
 	}
 	// 1 of 3 LA queries over objective (other-policy record ignored).
-	db.feedWindows([]qstats.QueryRecord{q("LA", 5, 3), q("LA", 6, 20), q("LA", 7, 4), q("Hadoop", 8, 99)})
+	db.feedWindows([]qstats.Outcome{q("LA", 5, 3), q("LA", 6, 20), q("LA", 7, 4), q("Hadoop", 8, 99)})
 	db.evaluate(10)
 	if p, ok := db.Latest("slo.slo.burn_pct"); !ok || math.Abs(p.V-100.0/3) > 1e-9 {
 		t.Fatalf("burn series = %+v, %v", p, ok)
@@ -222,7 +222,7 @@ func TestSLOBurnRule(t *testing.T) {
 		t.Fatalf("33%% burn fired at 50%% threshold: %+v", d.Active)
 	}
 	// Two more breaches push burn to 60%.
-	db.feedWindows([]qstats.QueryRecord{q("LA", 11, 30), q("LA", 12, 30)})
+	db.feedWindows([]qstats.Outcome{q("LA", 11, 30), q("LA", 12, 30)})
 	db.evaluate(15)
 	if d := db.AlertsDump(); len(d.Active) != 1 || d.Active[0].Rule != "slo" {
 		t.Fatalf("60%% burn did not fire: %+v", d.Active)
