@@ -47,21 +47,30 @@ func TestGateAllocOverrideAndRatchet(t *testing.T) {
 		"BenchmarkZeroAlloc": {NsPerOp: 100, AllocsPerOp: 0, TolerancePct: f64(100)},
 		// Faster than budget always passes.
 		"BenchmarkFast": {NsPerOp: 100, AllocsPerOp: 10},
+		// floor(192 x 1.05) = 201 allocs/op, whatever the ns/op
+		// tolerance: its 40% would have allowed 268.
+		"BenchmarkAtCeiling": {NsPerOp: 100, AllocsPerOp: 192, TolerancePct: f64(40)},
+		"BenchmarkCreep":     {NsPerOp: 100, AllocsPerOp: 192, TolerancePct: f64(40)},
 	}
 	results := map[string]result{
 		"BenchmarkZeroAlloc": {nsPerOp: 50, allocsPerOp: 1, hasAllocs: true},
 		"BenchmarkFast":      {nsPerOp: 1, allocsPerOp: 0, hasAllocs: true},
+		"BenchmarkAtCeiling": {nsPerOp: 130, allocsPerOp: 201, hasAllocs: true},
+		"BenchmarkCreep":     {nsPerOp: 50, allocsPerOp: 202, hasAllocs: true},
 	}
 	var out strings.Builder
 	failed, rows := gate(&out, budgets, results, 0.25, 1, "budgets.json")
 	if !failed {
 		t.Fatalf("want failure from the 1-alloc overrun of a 0 budget; output:\n%s", out.String())
 	}
-	if rows["BenchmarkZeroAlloc"].OK {
-		t.Errorf("BenchmarkZeroAlloc should fail: 1 alloc against a pinned-zero budget")
+	for name, want := range map[string]bool{"BenchmarkZeroAlloc": false, "BenchmarkFast": true,
+		"BenchmarkAtCeiling": true, "BenchmarkCreep": false} {
+		if rows[name].OK != want {
+			t.Errorf("%s ok = %v, want %v; output:\n%s", name, rows[name].OK, want, out.String())
+		}
 	}
-	if !rows["BenchmarkFast"].OK {
-		t.Errorf("BenchmarkFast should pass: budgets are ratchets, faster is fine")
+	if !strings.Contains(out.String(), "202 allocs/op exceeds budget 192 allocs/op (+5% -> limit 201)") {
+		t.Errorf("an allocs/op failure should show the +5%% limit; output:\n%s", out.String())
 	}
 }
 
@@ -137,10 +146,12 @@ func TestCalibrationScalesNsCeilings(t *testing.T) {
 		"BenchmarkBytes": {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: i64(1000)},
 	}
 	results := map[string]result{
-		"BenchmarkNs":    {nsPerOp: 240, allocsPerOp: 10, hasAllocs: true},
-		"BenchmarkSlow":  {nsPerOp: 260, allocsPerOp: 10, hasAllocs: true},
-		"BenchmarkAlloc": {nsPerOp: 50, allocsPerOp: 13, hasAllocs: true},
-		"BenchmarkBytes": {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1300, hasBytes: true},
+		"BenchmarkNs":   {nsPerOp: 240, allocsPerOp: 10, hasAllocs: true},
+		"BenchmarkSlow": {nsPerOp: 260, allocsPerOp: 10, hasAllocs: true},
+		// Allocation ceilings do not scale: floor(10 x 1.05) = 10 and
+		// 1050 B/op at any scale.
+		"BenchmarkAlloc": {nsPerOp: 50, allocsPerOp: 11, hasAllocs: true},
+		"BenchmarkBytes": {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1051, hasBytes: true},
 	}
 	out.Reset()
 	_, rows := gate(&out, budgets, results, 0.25, 2, "budgets.json")
@@ -158,7 +169,7 @@ func TestCalibrationScalesNsCeilings(t *testing.T) {
 func TestGateBytesPerOp(t *testing.T) {
 	i64 := func(v int64) *int64 { return &v }
 	budgets := map[string]budget{
-		// 25% tolerance: limit 1250 B/op.
+		// +5%: limit 1050 B/op, under any ns/op tolerance.
 		"BenchmarkUnder":   {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: i64(1000)},
 		"BenchmarkOver":    {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: i64(1000)},
 		"BenchmarkNoMem":   {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: i64(1000)},
@@ -166,11 +177,11 @@ func TestGateBytesPerOp(t *testing.T) {
 		"BenchmarkLoosest": {NsPerOp: 100, AllocsPerOp: 10, BytesPerOp: i64(1000), TolerancePct: f64(100)},
 	}
 	results := map[string]result{
-		"BenchmarkUnder":   {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1250, hasBytes: true},
+		"BenchmarkUnder":   {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1050, hasBytes: true},
 		"BenchmarkOver":    {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1251, hasBytes: true},
 		"BenchmarkNoMem":   {nsPerOp: 50},
 		"BenchmarkNoCeil":  {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1 << 40, hasBytes: true},
-		"BenchmarkLoosest": {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 2000, hasBytes: true},
+		"BenchmarkLoosest": {nsPerOp: 50, allocsPerOp: 10, hasAllocs: true, bytesPerOp: 1051, hasBytes: true},
 	}
 	var out strings.Builder
 	failed, rows := gate(&out, budgets, results, 0.25, 1, "budgets.json")
@@ -178,7 +189,7 @@ func TestGateBytesPerOp(t *testing.T) {
 		t.Fatalf("want a failure; output:\n%s", out.String())
 	}
 	for name, want := range map[string]bool{"BenchmarkUnder": true, "BenchmarkOver": false,
-		"BenchmarkNoMem": false, "BenchmarkNoCeil": true, "BenchmarkLoosest": true} {
+		"BenchmarkNoMem": false, "BenchmarkNoCeil": true, "BenchmarkLoosest": false} {
 		if rows[name].OK != want {
 			t.Errorf("%s ok = %v, want %v; output:\n%s", name, rows[name].OK, want, out.String())
 		}

@@ -97,7 +97,7 @@ func WithMultiUserSlots() Option {
 // WithFairScheduler replaces the default FIFO scheduler with the Fair
 // Scheduler, with a 5 s (virtual) locality wait.
 func WithFairScheduler() Option {
-	return func(c *config) { c.scheduler = mapreduce.NewFairScheduler(5) }
+	return func(c *config) { c.scheduler = mapreduce.NewFairScheduler() }
 }
 
 // WithRuntime replaces the MapReduce runtime configuration (task

@@ -31,9 +31,6 @@ type AdaptiveSelector struct {
 	// LoadHigh and LoadLow bound the occupied-slot fraction that maps
 	// onto the spectrum (defaults 0.75 / 0.25).
 	LoadHigh, LoadLow float64
-
-	switches  int
-	lastIndex int
 }
 
 // NewAdaptiveSelector returns a selector over the default spectrum.
@@ -47,7 +44,7 @@ func NewAdaptiveSelector() *AdaptiveSelector {
 		}
 		spectrum = append(spectrum, p)
 	}
-	return &AdaptiveSelector{Spectrum: spectrum, LoadHigh: 0.75, LoadLow: 0.25, lastIndex: -1}
+	return &AdaptiveSelector{Spectrum: spectrum, LoadHigh: 0.75, LoadLow: 0.25}
 }
 
 // Pick selects the policy for the current conditions. estSelectivity
@@ -93,12 +90,6 @@ func (a *AdaptiveSelector) Pick(cs mapreduce.ClusterStatus, estSelectivity, need
 	}
 	if idx >= len(a.Spectrum) {
 		idx = len(a.Spectrum) - 1
-	}
-	if idx != a.lastIndex {
-		if a.lastIndex >= 0 {
-			a.switches++
-		}
-		a.lastIndex = idx
 	}
 	return a.Spectrum[idx]
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"dynamicmr/internal/mapreduce"
@@ -44,16 +45,16 @@ func TestSelectorLowYieldStepsAggressive(t *testing.T) {
 	}
 }
 
-func TestSelectorCountsSwitches(t *testing.T) {
+// TestSelectorSwitchesWithLoad: one selector keeps its pick while
+// conditions hold and switches when the load changes.
+func TestSelectorSwitchesWithLoad(t *testing.T) {
 	s := NewAdaptiveSelector()
-	s.Pick(cs(0, 40), -1, 0)
-	s.Pick(cs(0, 40), -1, 0)
-	if s.switches != 0 {
-		t.Fatalf("stable conditions counted %d switches", s.switches)
+	var picks []string
+	for _, c := range []mapreduce.ClusterStatus{cs(0, 40), cs(0, 40), cs(40, 40), cs(40, 40), cs(0, 40)} {
+		picks = append(picks, s.Pick(c, -1, 0).Name)
 	}
-	s.Pick(cs(40, 40), -1, 0)
-	if s.switches != 1 {
-		t.Fatalf("switches = %d, want 1", s.switches)
+	if want := []string{PolicyHA, PolicyHA, PolicyC, PolicyC, PolicyHA}; !slices.Equal(picks, want) {
+		t.Fatalf("picks %v, want %v", picks, want)
 	}
 }
 

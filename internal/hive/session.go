@@ -135,18 +135,10 @@ func (s *Session) Execute(sql string) (*Result, error) {
 		}
 		return &Result{Kind: ResultText, Text: plan.explain()}, nil
 	case *SelectStmt:
-		plan, err := s.plan(st)
+		plan, client, job, err := s.submitSelect(st, sql)
 		if err != nil {
 			return nil, err
 		}
-		if s.stats.Enabled() {
-			plan.queryID = s.stats.AllocID()
-		}
-		client, job, err := plan.submit()
-		if err != nil {
-			return nil, err
-		}
-		s.stats.Register(plan.queryID, job, sql, len(plan.splits))
 		log := s.jt.Logger()
 		if log.Enabled(context.Background(), slog.LevelInfo) {
 			args := []any{
@@ -213,19 +205,27 @@ func (s *Session) SubmitAsync(sql string) (*core.JobClient, *mapreduce.Job, erro
 	if !ok {
 		return nil, nil, fmt.Errorf("hive: SubmitAsync needs a SELECT, got %T", stmt)
 	}
+	_, client, job, err := s.submitSelect(sel, sql)
+	return client, job, err
+}
+
+// submitSelect plans a SELECT, gives it a query ID when the registry is
+// on, submits its job and registers it: the steps Execute and
+// SubmitAsync share.
+func (s *Session) submitSelect(sel *SelectStmt, sql string) (*queryPlan, *core.JobClient, *mapreduce.Job, error) {
 	plan, err := s.plan(sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if s.stats.Enabled() {
 		plan.queryID = s.stats.AllocID()
 	}
 	client, job, err := plan.submit()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	s.stats.Register(plan.queryID, job, sql, len(plan.splits))
-	return client, job, nil
+	return plan, client, job, nil
 }
 
 func (s *Session) deadline() float64 {

@@ -94,11 +94,6 @@ type MapTask struct {
 	// Attempts counts launches so far (failures requeue the task;
 	// speculation races a second attempt).
 	Attempts int
-	// Local records whether the latest attempt reads a node-local
-	// replica.
-	Local bool
-	// Node is the node of the latest attempt, -1 when idle.
-	Node int
 
 	completed bool
 	running   []*mapAttempt
@@ -117,15 +112,26 @@ type MapTask struct {
 	prev, next      *MapTask
 }
 
-// ReduceTask is one reduce partition's task.
+// ReduceTask is one reduce partition's task. It runs one attempt: a
+// failed reducer fails its job, so a reduce is never re-executed. The
+// attempt's state is therefore part of the task, and a launch allocates
+// nothing.
 type ReduceTask struct {
 	Job      *Job
 	Index    int
 	Attempts int
-	Node     int
 
-	// out is the task's output collector, part of the task so that a
-	// reduce allocates none; the attempt hands its pairs on as it ends.
+	// att is the attempt, its next bound to advance at Submit. chunks
+	// are the partition's map outputs, pairs their pair count and
+	// shuffleBytes the bytes of those from other nodes; outBytes is the
+	// reducer output's size, which the output write charges.
+	att          attempt
+	chunks       []mapChunk
+	pairs        int64
+	shuffleBytes int64
+	outBytes     int64
+	// out is the attempt's output collector; the attempt hands its pairs
+	// on as it ends.
 	out Collector
 }
 
@@ -192,7 +198,6 @@ type Job struct {
 	mapOutput      [][]mapChunk
 	reduceTasks    []*ReduceTask
 	pendingReduces []*ReduceTask
-	runningReduces map[*ReduceTask]struct{}
 	reducesDone    int
 
 	output []KeyValue

@@ -214,8 +214,10 @@ type JobTracker struct {
 
 	listeners []func(TaskEvent)
 
-	// picks is the built-in schedulers' AssignMaps result buffer.
-	picks []*MapTask
+	// picks and reducePicks are the built-in schedulers' AssignMaps and
+	// AssignReduces result buffers.
+	picks       []*MapTask
+	reducePicks []*ReduceTask
 
 	// keptOutputs holds retired jobs' output arrays, cleared, for later
 	// reduces to build their outputs in (see takeOutput).
@@ -388,16 +390,15 @@ func (jt *JobTracker) Submit(spec JobSpec, splits []Split) *Job {
 		panic("mapreduce: JobSpec.NewMapper is required")
 	}
 	j := &Job{
-		ID:             jt.nextJobID,
-		Spec:           spec,
-		Conf:           conf,
-		Name:           conf.Get(ConfJobName, fmt.Sprintf("job-%d", jt.nextJobID)),
-		User:           conf.Get(ConfUser, "default"),
-		Dynamic:        conf.GetBool(ConfDynamicJob, false),
-		numReduces:     int(conf.GetInt(ConfNumReduces, 1)),
-		runningMaps:    make(map[*MapTask]struct{}),
-		runningReduces: make(map[*ReduceTask]struct{}),
-		SubmitTime:     jt.eng.Now(),
+		ID:          jt.nextJobID,
+		Spec:        spec,
+		Conf:        conf,
+		Name:        conf.Get(ConfJobName, fmt.Sprintf("job-%d", jt.nextJobID)),
+		User:        conf.Get(ConfUser, "default"),
+		Dynamic:     conf.GetBool(ConfDynamicJob, false),
+		numReduces:  int(conf.GetInt(ConfNumReduces, 1)),
+		runningMaps: make(map[*MapTask]struct{}),
+		SubmitTime:  jt.eng.Now(),
 	}
 	jt.nextJobID++
 	if j.numReduces < 1 {
@@ -409,7 +410,9 @@ func (jt *JobTracker) Submit(spec JobSpec, splits []Split) *Job {
 		j.memoTab = cache.table(j.memo)
 	}
 	for r := 0; r < j.numReduces; r++ {
-		j.reduceTasks = append(j.reduceTasks, &ReduceTask{Job: j, Index: r, Node: -1})
+		t := &ReduceTask{Job: j, Index: r, att: attempt{job: j, index: r, reduce: true}}
+		t.att.next = t.advance
+		j.reduceTasks = append(j.reduceTasks, t)
 	}
 	jt.jobs = append(jt.jobs, j)
 	jt.addSplits(j, splits)
@@ -454,7 +457,7 @@ func (jt *JobTracker) AddSplits(j *Job, splits []Split) error {
 
 func (jt *JobTracker) addSplits(j *Job, splits []Split) {
 	for _, s := range splits {
-		t := &MapTask{Job: j, Index: j.scheduled, Split: s, Node: -1, enqueued: jt.eng.Now()}
+		t := &MapTask{Job: j, Index: j.scheduled, Split: s, enqueued: jt.eng.Now()}
 		t.running = t.runningBuf[:0]
 		j.scheduled++
 		j.pushPending(t)
@@ -625,13 +628,6 @@ func (jt *JobTracker) accrueSlots() {
 func (jt *JobTracker) changeMapSlots(delta int) {
 	jt.accrueSlots()
 	jt.occupiedMapSlots += delta
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // partition assigns a key to a reduce partition (Hadoop's hash

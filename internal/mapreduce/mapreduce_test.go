@@ -449,7 +449,7 @@ func TestFIFOOrdersJobs(t *testing.T) {
 }
 
 func TestFairSharesBetweenUsers(t *testing.T) {
-	r := newRig(t, NewFairScheduler(0))
+	r := newRig(t, fairWaiting(0))
 	mk := func(name, user string) *Job {
 		f := r.makeFile(t, name, 80, 10)
 		conf := NewJobConf()
@@ -587,7 +587,7 @@ func TestRetire(t *testing.T) {
 }
 
 func TestRetireUnderFairScheduler(t *testing.T) {
-	r := newRig(t, NewFairScheduler(5))
+	r := newRig(t, NewFairScheduler())
 	f := r.makeFile(t, "in", 4, 10)
 	job := r.jt.Submit(JobSpec{NewMapper: func(*JobConf) Mapper { return dummyKeyMapper{} }}, SplitsForFile(f))
 	RunUntilDone(r.eng, job, 1e6)

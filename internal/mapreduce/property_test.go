@@ -52,7 +52,7 @@ func TestRandomJobGeometryProperty(t *testing.T) {
 		}
 		var sched TaskScheduler
 		if rng.Intn(2) == 0 {
-			sched = NewFairScheduler(float64(rng.Intn(6)))
+			sched = fairWaiting(float64(rng.Intn(6)))
 		}
 		jt := NewJobTracker(cl, cfg, sched)
 		conf := NewJobConf()
@@ -107,7 +107,7 @@ func TestConcurrentJobsProperty(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := cluster.New(eng, cluster.PaperConfig())
 	fs := dfs.New(cl)
-	jt := NewJobTracker(cl, DefaultConfig(), NewFairScheduler(2))
+	jt := NewJobTracker(cl, DefaultConfig(), fairWaiting(2))
 	schema := data.NewSchema("JOB", "V")
 
 	const jobs = 5

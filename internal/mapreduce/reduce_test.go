@@ -138,7 +138,7 @@ func TestReduceGroupsProperty(t *testing.T) {
 			seen = nil
 			j := &Job{Conf: NewJobConf(),
 				Spec: JobSpec{NewReducer: func(*JobConf) Reducer { return red }}}
-			out, err := r.jt.execReducer(&ReduceTask{Job: j}, chunks)
+			out, err := r.jt.execReducer(&ReduceTask{Job: j, chunks: chunks})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,6 +200,9 @@ func TestReduceGroupsProperty(t *testing.T) {
 func TestReducePrefixBytesFromCheckpoints(t *testing.T) {
 	if size := unsafe.Sizeof(mapChunk{}); size != 48 {
 		t.Fatalf("mapChunk is %d bytes, past its 48-byte size class", size)
+	}
+	if size := unsafe.Sizeof(mapAttempt{}); size > 184 {
+		t.Fatalf("mapAttempt is %d bytes, over the 184 it has kept in the 192-byte size class", size)
 	}
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
@@ -288,7 +291,7 @@ func TestReducePrefixProperty(t *testing.T) {
 			ctx := fmt.Sprintf("trial %d geom %d reducer %s", trial, geom, tc.name)
 			run := func(red Reducer) *Collector {
 				j := &Job{Conf: NewJobConf(), Spec: JobSpec{NewReducer: func(*JobConf) Reducer { return red }}}
-				out, err := r.jt.execReducer(&ReduceTask{Job: j}, chunks)
+				out, err := r.jt.execReducer(&ReduceTask{Job: j, chunks: chunks})
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}

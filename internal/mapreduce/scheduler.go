@@ -58,23 +58,26 @@ func (s *FIFOScheduler) AssignMaps(jt *JobTracker, tt *TaskTracker, max int) []*
 	return out
 }
 
-// AssignReduces implements TaskScheduler.
+// AssignReduces implements TaskScheduler with assignReduces.
 func (s *FIFOScheduler) AssignReduces(jt *JobTracker, tt *TaskTracker, max int) []*ReduceTask {
-	var out []*ReduceTask
+	return assignReduces(jt, max)
+}
+
+// assignReduces is both built-in schedulers' AssignReduces: reduces
+// have no locality, so it returns up to max pending reduces of the jobs
+// in their reduce phase, in submission order. The result is the
+// tracker's buffer, valid until the next call.
+func assignReduces(jt *JobTracker, max int) []*ReduceTask {
+	out := jt.reducePicks[:0]
 	for _, j := range jt.jobs {
-		if j.Done() || j.state != StateReducePhase {
-			continue
+		if len(out) == max {
+			break
 		}
-		for _, t := range j.pendingReduces {
-			if len(out) >= max {
-				return out
-			}
-			out = append(out, t)
-		}
-		if len(out) >= max {
-			return out
+		if j.state == StateReducePhase {
+			out = append(out, j.pendingReduces[:min(max-len(out), len(j.pendingReduces))]...)
 		}
 	}
+	jt.reducePicks = out
 	return out
 }
 
@@ -84,17 +87,22 @@ type fairJobState struct {
 	waitStart float64
 }
 
+// localityWaitS is the Fair Scheduler's locality wait: the longest a
+// job holds out for a node-local slot before it accepts a non-local
+// assignment.
+const localityWaitS = 5.0
+
 // FairScheduler implements the Fair Scheduler of §V-F: per-user pools
 // receive equal shares of the map slots; the most-starved pool is served
-// first; and delay scheduling holds a job back for up to LocalityWaitS
+// first; and delay scheduling holds a job back for up to localityWaitS
 // when it has no node-local split for the offering tracker, trading
 // slot occupancy for locality (the paper measures 88% locality at 18%
 // occupancy versus FIFO's 57% at 44%).
 type FairScheduler struct {
-	// LocalityWaitS is the maximum time a job waits for a local slot
-	// before accepting a non-local assignment.
-	LocalityWaitS float64
-	state         map[*Job]*fairJobState
+	// wait is localityWaitS, which this package's tests vary (<= 0
+	// disables delay scheduling).
+	wait  float64
+	state map[*Job]*fairJobState
 	// pools is poolOrder's result, reused by its next call.
 	pools []fairPool
 }
@@ -109,10 +117,9 @@ type fairPool struct {
 	firstID int
 }
 
-// NewFairScheduler returns a Fair Scheduler with the given locality
-// wait (<= 0 disables delay scheduling).
-func NewFairScheduler(localityWaitS float64) *FairScheduler {
-	return &FairScheduler{LocalityWaitS: localityWaitS, state: make(map[*Job]*fairJobState)}
+// NewFairScheduler returns a Fair Scheduler.
+func NewFairScheduler() *FairScheduler {
+	return &FairScheduler{wait: localityWaitS, state: make(map[*Job]*fairJobState)}
 }
 
 // Name implements TaskScheduler.
@@ -196,7 +203,7 @@ func (s *FairScheduler) pickMap(jt *JobTracker, tt *TaskTracker, now float64) *M
 				st.waiting = false
 				return t
 			}
-			if s.LocalityWaitS <= 0 {
+			if s.wait <= 0 {
 				return j.nextPending()
 			}
 			if !st.waiting {
@@ -204,7 +211,7 @@ func (s *FairScheduler) pickMap(jt *JobTracker, tt *TaskTracker, now float64) *M
 				st.waitStart = now
 				continue // hold out for locality; try next job
 			}
-			if now-st.waitStart >= s.LocalityWaitS {
+			if now-st.waitStart >= s.wait {
 				st.waiting = false
 				return j.nextPending()
 			}
@@ -214,23 +221,7 @@ func (s *FairScheduler) pickMap(jt *JobTracker, tt *TaskTracker, now float64) *M
 	return nil
 }
 
-// AssignReduces implements TaskScheduler (reduces have no locality;
-// pools are served most-starved first).
+// AssignReduces implements TaskScheduler with assignReduces.
 func (s *FairScheduler) AssignReduces(jt *JobTracker, tt *TaskTracker, max int) []*ReduceTask {
-	var out []*ReduceTask
-	for _, j := range jt.jobs {
-		if j.Done() || j.state != StateReducePhase {
-			continue
-		}
-		for _, t := range j.pendingReduces {
-			if len(out) >= max {
-				return out
-			}
-			out = append(out, t)
-		}
-		if len(out) >= max {
-			return out
-		}
-	}
-	return out
+	return assignReduces(jt, max)
 }

@@ -178,6 +178,14 @@ func (r *refTracker) fairAssignMaps(tt *TaskTracker, max int) []*MapTask {
 	return out
 }
 
+// fairWaiting returns a Fair Scheduler whose locality wait is wait
+// seconds instead of localityWaitS.
+func fairWaiting(wait float64) *FairScheduler {
+	s := NewFairScheduler()
+	s.wait = wait
+	return s
+}
+
 // pendingOrder lists a job's pending queue front to back.
 func pendingOrder(j *Job) []*MapTask {
 	var out []*MapTask
@@ -206,7 +214,7 @@ func TestAssignMapsMatchesReference(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				wait = float64(1 + rng.Intn(3))
 			}
-			sched = NewFairScheduler(wait)
+			sched = fairWaiting(wait)
 		}
 		jt := NewJobTracker(cl, DefaultConfig(), sched)
 		ref := &refTracker{jt: jt, byJob: map[*Job]*refJob{}, wait: wait, state: map[*Job]*fairJobState{}}
@@ -216,7 +224,7 @@ func TestAssignMapsMatchesReference(t *testing.T) {
 			for _, n := range rng.Perm(cluster.Nodes)[:1+rng.Intn(3)] {
 				reps = append(reps, dfs.Location{Node: n})
 			}
-			mt := &MapTask{Job: j, Index: j.scheduled, Split: Split{Block: &dfs.Block{Replicas: reps}}, Node: -1}
+			mt := &MapTask{Job: j, Index: j.scheduled, Split: Split{Block: &dfs.Block{Replicas: reps}}}
 			j.scheduled++
 			j.pushPending(mt)
 			ref.byJob[j].pendingMaps = append(ref.byJob[j].pendingMaps, mt)

@@ -5,43 +5,111 @@ import (
 	"slices"
 
 	"dynamicmr/internal/data"
+	"dynamicmr/internal/dfs"
 	"dynamicmr/internal/mapreduce/executor"
 	"dynamicmr/internal/sim"
 	"dynamicmr/internal/trace"
 )
 
-// mapAttempt is one execution of a MapTask on a tracker. A task may
-// have a second, speculative attempt racing the first; the loser is
-// killed mid-flight.
-type mapAttempt struct {
-	jt          *JobTracker
-	task        *MapTask
-	tt          *TaskTracker
-	local       bool
-	loc         dfsLocation
-	speculative bool
-	startTime   float64
-	// seq is the attempt ordinal (task.Attempts at launch); later
-	// launches advance task.Attempts, so trace spans capture it here.
-	seq int
-	// charge is the read cost fixed at launch; the read phase and the
-	// completion accounting both use it.
-	charge scanCharge
+// attempt is what map and reduce attempts share: where and when the
+// attempt runs, the phase span it has open, and its stage chain. Each
+// kind's advance ends the stage in progress and starts the next; next
+// is advance, bound once, and is the callback every stage's timer or
+// resource demand fires.
+type attempt struct {
+	tt  *TaskTracker
+	job *Job
 	// phase/phaseStart track the open trace phase span; phase is ""
 	// when tracing is disabled or no phase is open.
 	phase      string
 	phaseStart float64
+	startTime  float64
+	next       func()
+	// index is the task's; seq is the attempt ordinal (the task's
+	// Attempts at launch, which later launches advance).
+	index, seq  int
+	stage       attemptStage
+	reduce      bool
+	speculative bool
+}
 
-	// stage is the step in progress; next is advance, bound once at
-	// launch, and is the callback every step's timer or demand fires.
-	stage attemptStage
-	next  func()
+// attemptStage is the step an attempt is in: startup, then a map's read
+// and CPU stages or a reduce's shuffle, sort, reduce CPU and output write.
+type attemptStage uint8
+
+const (
+	stageStartup attemptStage = iota
+	stageDiskRead
+	stageNetRead
+	stageCPU
+	stageShuffle
+	stageSort
+	stageReduceCPU
+	stageOutputWrite
+)
+
+// span returns a span of the attempt's, from start to end.
+func (a *attempt) span(name string, start, end float64, outcome string) trace.Span {
+	cat := trace.CatMap
+	if a.reduce {
+		cat = trace.CatReduce
+	}
+	return trace.Span{Name: name, Cat: cat, Start: start, End: end, Job: a.job.ID, Task: a.index,
+		Attempt: a.seq, Node: a.tt.node.ID, Speculative: a.speculative, Outcome: outcome}
+}
+
+// tracePhase closes the attempt's open phase span, if any, and opens
+// next ("" closes without opening). No-op when tracing is disabled.
+func (a *attempt) tracePhase(next string) {
+	jt := a.tt.jt
+	if !jt.tracer.Enabled() {
+		return
+	}
+	now := jt.eng.Now()
+	if a.phase != "" {
+		jt.tracer.Record(a.span(a.phase, a.phaseStart, now, ""))
+	}
+	a.phase, a.phaseStart = next, now
+}
+
+// end records the attempt's enclosing map-attempt or reduce-attempt
+// span, from its start to now, and returns now.
+func (a *attempt) end(outcome string) float64 {
+	jt := a.tt.jt
+	now := jt.eng.Now()
+	if jt.tracer.Enabled() {
+		name := trace.SpanMapAttempt
+		if a.reduce {
+			name = trace.SpanReduceAttempt
+		}
+		jt.tracer.Record(a.span(name, a.startTime, now, outcome))
+	}
+	return now
+}
+
+// submit enters stage by demanding work from res; the demand's
+// completion calls next.
+func (a *attempt) submit(stage attemptStage, res *sim.SharedResource, work float64) *sim.Demand {
+	a.stage = stage
+	return res.Submit(work, a.next)
+}
+
+// mapAttempt is one execution of a MapTask on a tracker. A task may
+// have a second, speculative attempt racing the first; the loser is
+// killed mid-flight. Its fields are laid out to keep it at 184 bytes or
+// less, in the 192-byte size class: every launch allocates one.
+type mapAttempt struct {
+	attempt
+	task *MapTask
+	loc  dfs.Location
+	// charge is the read cost fixed at launch; the read phase and the
+	// completion accounting both use it.
+	charge scanCharge
 
 	// in-flight stage handles for cancellation
 	timer  *sim.Event
 	res    *sim.SharedResource
 	demand *sim.Demand
-	killed bool
 
 	// scan is the attempt's asynchronous record scan on the executor
 	// pool (nil when the scan runs inline: no pool, or an impure job).
@@ -49,25 +117,9 @@ type mapAttempt struct {
 	// results are reusable, so the pool finishes the work in the
 	// background and memoises it for whoever needs it next.
 	scan *executor.Future
-}
 
-// tracePhase closes the attempt's open phase span, if any, and opens
-// next ("" closes without opening). No-op when tracing is disabled.
-func (jt *JobTracker) tracePhase(att *mapAttempt, next string) {
-	if !jt.tracer.Enabled() {
-		return
-	}
-	now := jt.eng.Now()
-	if att.phase != "" {
-		jt.tracer.Record(trace.Span{Name: att.phase, Cat: trace.CatMap,
-			Start: att.phaseStart, End: now, Job: att.task.Job.ID, Task: att.task.Index,
-			Attempt: att.seq, Node: att.tt.node.ID, Speculative: att.speculative})
-	}
-	att.phase, att.phaseStart = next, now
+	local, killed bool
 }
-
-// dfsLocation mirrors dfs.Location without importing the package here.
-type dfsLocation struct{ Node, Disk int }
 
 // launchMap runs a map attempt on the tracker's node. The attempt's
 // timeline: slot occupied → startup latency → split read (local disk,
@@ -89,24 +141,18 @@ func (jt *JobTracker) startAttempt(tt *TaskTracker, t *MapTask, speculative bool
 	j := t.Job
 	j.runningMaps[t] = struct{}{}
 	t.Attempts++
-	t.Node = tt.node.ID
 
 	loc, local := t.Split.Block.LocalTo(tt.node.ID)
 	if !local {
 		loc = t.Split.Block.Primary()
 	}
-	t.Local = local
-
 	att := &mapAttempt{
-		jt:          jt,
-		task:        t,
-		tt:          tt,
-		local:       local,
-		loc:         dfsLocation{Node: loc.Node, Disk: loc.Disk},
-		speculative: speculative,
-		startTime:   jt.eng.Now(),
-		seq:         t.Attempts,
-		charge:      jt.scanCharge(j, t.Split),
+		attempt: attempt{tt: tt, job: j, startTime: jt.eng.Now(), index: t.Index, seq: t.Attempts,
+			speculative: speculative},
+		task:   t,
+		loc:    loc,
+		charge: jt.scanCharge(j, t.Split),
+		local:  local,
 	}
 	att.next = att.advance
 	t.running = append(t.running, att)
@@ -124,32 +170,20 @@ func (jt *JobTracker) startAttempt(tt *TaskTracker, t *MapTask, speculative bool
 			tr.Instant(trace.EventSpeculativeLaunch, trace.CatMap, att.startTime, j.ID, t.Index, tt.node.ID)
 			tr.Inc(trace.CounterMapSpeculative, 1)
 		} else {
-			tr.Record(trace.Span{Name: trace.SpanQueueWait, Cat: trace.CatMap,
-				Start: t.enqueued, End: att.startTime, Job: j.ID, Task: t.Index,
-				Attempt: att.seq, Node: tt.node.ID})
+			tr.Record(att.span(trace.SpanQueueWait, t.enqueued, att.startTime, ""))
 			tr.Observe(trace.HistMapQueueWait, att.startTime-t.enqueued)
 		}
 		tr.Inc(trace.CounterMapAttempts, 1)
 	}
-	jt.tracePhase(att, trace.SpanStartup)
+	att.tracePhase(trace.SpanStartup)
 	att.timer = jt.eng.After(jt.cfg.Costs.TaskStartupS, att.next)
 }
-
-// attemptStage is the step a map attempt is in.
-type attemptStage uint8
-
-const (
-	stageStartup attemptStage = iota
-	stageDiskRead
-	stageNetRead
-	stageCPU
-)
 
 // advance ends the attempt's current stage and starts the next: startup
 // → disk read (→ network read from a remote disk) → CPU → completion.
 // A killed attempt's pending stage never starts.
 func (att *mapAttempt) advance() {
-	jt := att.jt
+	jt := att.tt.jt
 	switch att.stage {
 	case stageStartup:
 		att.timer = nil
@@ -159,23 +193,23 @@ func (att *mapAttempt) advance() {
 		// The read is committed: every attempt reaching its read phase
 		// pays for its blocks, like the disk I/O below.
 		ch := att.charge
-		j := att.task.Job
+		j := att.job
 		j.Counters.ScanBlocksRead += ch.blocksRead
 		j.Counters.ScanBlocksSkipped += ch.blocksSkipped
 		if tr := jt.tracer; tr.Enabled() {
 			tr.Inc(trace.CounterScanBlocksRead, ch.blocksRead)
 			tr.Inc(trace.CounterScanBlocksSkipped, ch.blocksSkipped)
 		}
-		jt.tracePhase(att, trace.SpanDiskRead)
-		att.submit(stageDiskRead, jt.cluster.Node(att.loc.Node).Disks[att.loc.Disk], ch.bytes)
+		att.tracePhase(trace.SpanDiskRead)
+		att.enter(stageDiskRead, jt.cluster.Node(att.loc.Node).Disks[att.loc.Disk], ch.bytes)
 	case stageDiskRead:
 		if att.killed {
 			return
 		}
 		if !att.local {
 			// Remote read: source disk, then the fabric.
-			jt.tracePhase(att, trace.SpanNetRead)
-			att.submit(stageNetRead, jt.cluster.Network, att.charge.bytes)
+			att.tracePhase(trace.SpanNetRead)
+			att.enter(stageNetRead, jt.cluster.Network, att.charge.bytes)
 			return
 		}
 		att.startCPU()
@@ -192,15 +226,15 @@ func (att *mapAttempt) advance() {
 
 // startCPU charges the attempt's map CPU on its node.
 func (att *mapAttempt) startCPU() {
-	att.jt.tracePhase(att, trace.SpanMapCPU)
-	work := float64(att.charge.records) * att.jt.cfg.Costs.MapCPUPerRecordS
-	att.submit(stageCPU, att.tt.node.CPU, work)
+	att.tracePhase(trace.SpanMapCPU)
+	work := float64(att.charge.records) * att.tt.jt.cfg.Costs.MapCPUPerRecordS
+	att.enter(stageCPU, att.tt.node.CPU, work)
 }
 
-// submit enters stage by demanding work from res.
-func (att *mapAttempt) submit(stage attemptStage, res *sim.SharedResource, work float64) {
-	att.stage, att.res = stage, res
-	att.demand = res.Submit(work, att.next)
+// enter enters stage by demanding work from res, and keeps the demand
+// for killAttempt to withdraw.
+func (att *mapAttempt) enter(stage attemptStage, res *sim.SharedResource, work float64) {
+	att.res, att.demand = res, att.submit(stage, res, work)
 }
 
 // killAttempt cancels an in-flight attempt and frees its slot.
@@ -218,17 +252,14 @@ func (jt *JobTracker) killAttempt(att *mapAttempt) {
 		att.res.Cancel(att.demand)
 		att.res, att.demand = nil, nil
 	}
-	att.task.Job.Counters.KilledAttempts++
-	jt.emit(TaskEvent{Type: EventMapKilled, JobID: att.task.Job.ID, TaskIndex: att.task.Index,
+	j := att.job
+	j.Counters.KilledAttempts++
+	jt.emit(TaskEvent{Type: EventMapKilled, JobID: j.ID, TaskIndex: att.index,
 		Node: att.tt.node.ID, Speculative: att.speculative})
-	jt.tracePhase(att, "")
+	att.tracePhase("")
+	now := att.end(trace.OutcomeKilled)
 	if tr := jt.tracer; tr.Enabled() {
-		now := jt.eng.Now()
-		tr.Record(trace.Span{Name: trace.SpanMapAttempt, Cat: trace.CatMap,
-			Start: att.startTime, End: now, Job: att.task.Job.ID, Task: att.task.Index,
-			Attempt: att.seq, Node: att.tt.node.ID, Speculative: att.speculative,
-			Outcome: trace.OutcomeKilled})
-		tr.Instant(trace.EventMapKilled, trace.CatMap, now, att.task.Job.ID, att.task.Index, att.tt.node.ID)
+		tr.Instant(trace.EventMapKilled, trace.CatMap, now, j.ID, att.index, att.tt.node.ID)
 		tr.Inc(trace.CounterMapKilled, 1)
 	}
 	jt.releaseAttempt(att)
@@ -243,7 +274,6 @@ func (jt *JobTracker) releaseAttempt(att *mapAttempt) {
 	}
 	if len(t.running) == 0 {
 		delete(t.Job.runningMaps, t)
-		t.Node = -1
 	}
 	att.tt.changeMapSlots(-1)
 	jt.changeMapSlots(-1)
@@ -258,7 +288,7 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 	t := att.task
 	j := t.Job
 	tt := att.tt
-	jt.tracePhase(att, "")
+	att.tracePhase("")
 	jt.releaseAttempt(att)
 	att.killed = true // no further stages may run
 	scan := att.scan
@@ -267,10 +297,7 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 	if j.Done() || t.completed {
 		// Job failed mid-flight, or a sibling attempt won the race in
 		// the same instant; the slot is already free.
-		jt.tracer.Record(trace.Span{Name: trace.SpanMapAttempt, Cat: trace.CatMap,
-			Start: att.startTime, End: jt.eng.Now(), Job: j.ID, Task: t.Index,
-			Attempt: att.seq, Node: tt.node.ID, Speculative: att.speculative,
-			Outcome: trace.OutcomeLate})
+		att.end(trace.OutcomeLate)
 		jt.assign(tt)
 		return
 	}
@@ -297,12 +324,8 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 		j.Counters.FailedMapAttempts++
 		jt.emit(TaskEvent{Type: EventMapFailed, JobID: j.ID, TaskIndex: t.Index,
 			Node: tt.node.ID, Attempt: t.Attempts, Speculative: att.speculative})
+		now := att.end(trace.OutcomeFailed)
 		if tr := jt.tracer; tr.Enabled() {
-			now := jt.eng.Now()
-			tr.Record(trace.Span{Name: trace.SpanMapAttempt, Cat: trace.CatMap,
-				Start: att.startTime, End: now, Job: j.ID, Task: t.Index,
-				Attempt: att.seq, Node: tt.node.ID, Speculative: att.speculative,
-				Outcome: trace.OutcomeFailed})
 			tr.Instant(trace.EventMapFailed, trace.CatMap, now, j.ID, t.Index, tt.node.ID)
 			tr.Inc(trace.CounterMapFailed, 1)
 		}
@@ -401,12 +424,8 @@ func (jt *JobTracker) finishMapAttempt(att *mapAttempt) {
 
 	jt.emit(TaskEvent{Type: EventMapFinished, JobID: j.ID, TaskIndex: t.Index,
 		Node: tt.node.ID, Attempt: t.Attempts, Speculative: att.speculative})
+	now := att.end(trace.OutcomeOK)
 	if tr := jt.tracer; tr.Enabled() {
-		now := jt.eng.Now()
-		tr.Record(trace.Span{Name: trace.SpanMapAttempt, Cat: trace.CatMap,
-			Start: att.startTime, End: now, Job: j.ID, Task: t.Index,
-			Attempt: att.seq, Node: tt.node.ID, Speculative: att.speculative,
-			Outcome: trace.OutcomeOK})
 		tr.Observe(trace.HistMapDuration, now-att.startTime)
 		if att.local {
 			tr.Inc(trace.CounterMapLocal, 1)
@@ -528,9 +547,9 @@ func combine(spec JobSpec, conf *JobConf, out *Collector) (*Collector, error) {
 	return combined, nil
 }
 
-// launchReduce runs a reduce attempt: slot occupied → startup → shuffle
-// (remote chunks over the network) → sort CPU → user reducer → output
-// write to local disk → completion.
+// launchReduce runs the task's attempt: slot occupied → startup →
+// shuffle (remote chunks over the network) → sort CPU → user reducer →
+// reduce CPU → output write to local disk → completion.
 func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 	j := t.Job
 	for i, x := range j.pendingReduces {
@@ -539,79 +558,51 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 			break
 		}
 	}
-	j.runningReduces[t] = struct{}{}
 	t.Attempts++
-	t.Node = tt.node.ID
 	tt.changeReduceSlots(+1)
 	jt.occupiedReduceSlots++
 	jt.emit(TaskEvent{Type: EventReduceStarted, JobID: j.ID, TaskIndex: t.Index,
 		Node: tt.node.ID, Attempt: t.Attempts})
 
-	chunks := j.mapOutput[t.Index]
-	var shuffleBytes, totalPairs int64
-	for _, c := range chunks {
-		totalPairs += int64(len(c.pairs))
+	t.chunks = j.mapOutput[t.Index]
+	for _, c := range t.chunks {
+		t.pairs += int64(len(c.pairs))
 		if int(c.node) != tt.node.ID {
-			shuffleBytes += c.bytes
+			t.shuffleBytes += c.bytes
 		}
 	}
+	a := &t.att
+	a.tt, a.startTime, a.seq = tt, jt.eng.Now(), t.Attempts
+	a.tracePhase(trace.SpanStartup)
+	jt.eng.After(jt.cfg.Costs.TaskStartupS, a.next)
+}
 
-	// Phase spans: mark(name) closes the interval elapsed since the
-	// previous mark under that name, walking startup → shuffle → sort →
-	// reduce CPU → output write as each stage's continuation fires.
-	tr := jt.tracer
-	attStart := jt.eng.Now()
-	attNo := t.Attempts
-	phaseT := attStart
-	mark := func(name string) {
-		if !tr.Enabled() {
-			return
-		}
-		now := jt.eng.Now()
-		tr.Record(trace.Span{Name: name, Cat: trace.CatReduce, Start: phaseT, End: now,
-			Job: j.ID, Task: t.Index, Attempt: attNo, Node: tt.node.ID})
-		phaseT = now
-	}
-
-	finish := func() {
-		mark(trace.SpanOutputWrite)
-		if tr.Enabled() {
-			now := jt.eng.Now()
-			tr.Record(trace.Span{Name: trace.SpanReduceAttempt, Cat: trace.CatReduce,
-				Start: attStart, End: now, Job: j.ID, Task: t.Index, Attempt: attNo,
-				Node: tt.node.ID, Outcome: trace.OutcomeOK})
-			tr.Observe(trace.HistReduceDuration, now-attStart)
-		}
-		jt.finishReduce(tt, t)
-	}
-
-	writeOutput := func(outBytes int64) func() {
-		return func() {
-			mark(trace.SpanReduceCPU)
-			// Output written to one of the node's disks (round-robin by
-			// task index).
-			disk := tt.node.Disks[t.Index%len(tt.node.Disks)]
-			disk.Submit(float64(outBytes), finish)
-		}
-	}
-	runReducer := func() {
-		mark(trace.SpanSort)
-		out, err := jt.execReducer(t, chunks)
+// advance ends the reduce attempt's current stage and starts the next:
+// startup → shuffle → sort → the user reducer, then its CPU → output
+// write → completion. A reducer error ends the attempt after the sort.
+func (t *ReduceTask) advance() {
+	a := &t.att
+	jt := a.tt.jt
+	switch a.stage {
+	case stageStartup:
+		a.tracePhase(trace.SpanShuffle)
+		t.Job.Counters.ShuffleBytes += t.shuffleBytes
+		a.submit(stageShuffle, jt.cluster.Network, float64(t.shuffleBytes))
+	case stageShuffle:
+		a.tracePhase(trace.SpanSort)
+		a.submit(stageSort, a.tt.node.CPU, float64(t.pairs)*sortCPUPerRecordS)
+	case stageSort:
+		a.tracePhase("")
+		out, err := jt.execReducer(t)
 		if err != nil {
-			tr.Record(trace.Span{Name: trace.SpanReduceAttempt, Cat: trace.CatReduce,
-				Start: attStart, End: jt.eng.Now(), Job: j.ID, Task: t.Index, Attempt: attNo,
-				Node: tt.node.ID, Outcome: trace.OutcomeFailed})
-			jt.failJob(j, fmt.Sprintf("reduce task %d failed: %v", t.Index, err))
-			tt.changeReduceSlots(-1)
-			jt.occupiedReduceSlots--
-			delete(j.runningReduces, t)
-			jt.assign(tt)
+			jt.finishReduce(t, err)
 			return
 		}
-		t.Job.Counters.ReduceInputRecs += totalPairs
-		t.Job.Counters.ReduceOutputRecs += int64(out.Len())
-		t.Job.Counters.mergeUser(out.UserCounters())
-		outBytes := out.Bytes()
+		j := t.Job
+		j.Counters.ReduceInputRecs += t.pairs
+		j.Counters.ReduceOutputRecs += int64(out.Len())
+		j.Counters.mergeUser(out.UserCounters())
+		t.outBytes = out.Bytes()
 		if j.output == nil {
 			// The first reduce to finish hands its array to the job.
 			j.output = out.Pairs()
@@ -621,27 +612,26 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 		}
 		*out = Collector{}
 		// Reduce CPU for the user function, then the output write.
-		work := float64(totalPairs) * reduceCPUPerRecordS
-		tt.node.CPU.Submit(work, writeOutput(outBytes))
+		a.tracePhase(trace.SpanReduceCPU)
+		a.submit(stageReduceCPU, a.tt.node.CPU, float64(t.pairs)*reduceCPUPerRecordS)
+	case stageReduceCPU:
+		// Output written to one of the node's disks (round-robin by
+		// task index).
+		a.tracePhase(trace.SpanOutputWrite)
+		a.submit(stageOutputWrite, a.tt.node.Disks[t.Index%len(a.tt.node.Disks)], float64(t.outBytes))
+	case stageOutputWrite:
+		a.tracePhase("")
+		now := a.end(trace.OutcomeOK)
+		jt.tracer.Observe(trace.HistReduceDuration, now-a.startTime)
+		jt.finishReduce(t, nil)
 	}
-	sortPhase := func() {
-		mark(trace.SpanShuffle)
-		work := float64(totalPairs) * sortCPUPerRecordS
-		tt.node.CPU.Submit(work, runReducer)
-	}
-	shufflePhase := func() {
-		mark(trace.SpanStartup)
-		j.Counters.ShuffleBytes += shuffleBytes
-		jt.cluster.Network.Submit(float64(shuffleBytes), sortPhase)
-	}
-	jt.eng.After(jt.cfg.Costs.TaskStartupS, shufflePhase)
 }
 
-// execReducer groups the partition's pairs by key and runs the user's
+// execReducer groups the task's chunks by key and runs the user's
 // reduce logic for real, into the task's collector. The output is built
 // in an array from the tracker's kept outputs when one fits (see
 // reduceGroups).
-func (jt *JobTracker) execReducer(t *ReduceTask, chunks []mapChunk) (*Collector, error) {
+func (jt *JobTracker) execReducer(t *ReduceTask) (*Collector, error) {
 	j := t.Job
 	var reducer Reducer
 	if j.Spec.NewReducer != nil {
@@ -651,7 +641,7 @@ func (jt *JobTracker) execReducer(t *ReduceTask, chunks []mapChunk) (*Collector,
 		reducer = IdentityReducer
 	}
 	out := &t.out
-	if err := jt.reduceGroups(chunks, reducer, out); err != nil {
+	if err := jt.reduceGroups(t.chunks, reducer, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -875,22 +865,24 @@ func reducePrefix(runs []mapChunk, limit int64, out *Collector) {
 	}
 }
 
-// finishReduce reports a reduce completion and finalises the job when
-// all partitions are done.
-func (jt *JobTracker) finishReduce(tt *TaskTracker, t *ReduceTask) {
-	j := t.Job
-	delete(j.runningReduces, t)
+// finishReduce ends the task's attempt and frees its slot. A reducer
+// error fails the job first; otherwise the last partition to finish
+// completes the job once the slot is free.
+func (jt *JobTracker) finishReduce(t *ReduceTask, err error) {
+	j, tt := t.Job, t.att.tt
+	if err != nil {
+		t.att.end(trace.OutcomeFailed)
+		jt.failJob(j, fmt.Sprintf("reduce task %d failed: %v", t.Index, err))
+	}
 	tt.changeReduceSlots(-1)
 	jt.occupiedReduceSlots--
-	if j.Done() {
-		jt.assign(tt)
-		return
-	}
-	j.reducesDone++
-	jt.emit(TaskEvent{Type: EventReduceFinished, JobID: j.ID, TaskIndex: t.Index,
-		Node: tt.node.ID, Attempt: t.Attempts})
-	if j.reducesDone == j.numReduces {
-		jt.completeJob(j)
+	if !j.Done() {
+		j.reducesDone++
+		jt.emit(TaskEvent{Type: EventReduceFinished, JobID: j.ID, TaskIndex: t.Index,
+			Node: tt.node.ID, Attempt: t.Attempts})
+		if j.reducesDone == j.numReduces {
+			jt.completeJob(j)
+		}
 	}
 	jt.assign(tt)
 }

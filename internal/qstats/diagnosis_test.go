@@ -131,10 +131,11 @@ func TestPerQueryDiagnosesMatchPostRunReport(t *testing.T) {
 }
 
 // runViews runs 60 tracked queries submitted at staggered virtual
-// times. With reader set, a second goroutine loops over Dump and
-// FinishedSince while the engine runs, and fails the test
-// if any finished record it sees lacks a diagnosis. It returns the
-// final dump with its wall-clock fields cleared.
+// times. With reader set, a second goroutine loops over Dump,
+// OutcomesSince, PolicyStats and Totals while the engine runs, and
+// fails the test if a finished record in a dump lacks a diagnosis or
+// the outcome cursor skips or repeats a query. It returns the final
+// dump with its wall-clock fields cleared.
 func runViews(t *testing.T, reader bool) Dump {
 	eng, fs, jt := rig(t, true)
 	f := mkFile(t, fs, "in", 12, 60)
@@ -159,15 +160,6 @@ func runViews(t *testing.T, reader bool) Dump {
 		go func() {
 			defer wg.Done()
 			var seq int64
-			check := func(view string, recs []QueryRecord) bool {
-				for _, q := range recs {
-					if q.State != StateRunning && q.Diagnosis == nil && q.DiagError == "" {
-						t.Errorf("%s returned finished %s without a diagnosis", view, q.ID)
-						return false
-					}
-				}
-				return true
-			}
 			for {
 				select {
 				case <-stop:
@@ -177,11 +169,20 @@ func runViews(t *testing.T, reader bool) Dump {
 				simMu.Lock()
 				d := r.Dump()
 				simMu.Unlock()
-				since, next := r.FinishedSince(seq)
-				seq = next
-				if !check("Dump", d.Queries) || !check("FinishedSince", since) {
+				for _, q := range d.Queries {
+					if q.State != StateRunning && q.Diagnosis == nil && q.DiagError == "" {
+						t.Errorf("Dump returned finished %s without a diagnosis", q.ID)
+						return
+					}
+				}
+				outs, next := r.OutcomesSince(nil, seq)
+				if next-seq != int64(len(outs)) {
+					t.Errorf("OutcomesSince(%d) returned %d outcomes and cursor %d", seq, len(outs), next)
 					return
 				}
+				seq = next
+				r.PolicyStats()
+				r.Totals()
 			}
 		}()
 	}

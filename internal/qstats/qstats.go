@@ -20,11 +20,11 @@
 // engine goroutine. A finish publishes every other field and queues the
 // record with the trace entries drained for it. Once diagBatch records
 // are queued, a goroutine diagnoses them oldest first with one reusable
-// diag.JobTrace and sets Diagnosis or DiagError. Dump and FinishedSince
-// wait for the queue to empty, starting the goroutine for a partial
-// batch, so no view shows a finished record without its diagnosis.
-// OutcomesSince, the tsdb tick's read, never waits: it reads only
-// fields a finish sets.
+// diag.JobTrace and sets Diagnosis or DiagError. Dump waits for the
+// queue to empty, starting the goroutine for a partial batch, so no
+// view shows a finished record without its diagnosis. OutcomesSince,
+// the tsdb tick's read, never waits: it reads only fields a finish
+// sets.
 //
 // Consumers: internal/obs serves the registry on /queries, /live and
 // /metrics; cmd/dynmr dumps it on shutdown and renders `dynmr top`;
@@ -621,34 +621,6 @@ func (r *Registry) Totals() (started, finished, failed int64) {
 	return r.started, r.finished, r.failed
 }
 
-// FinishedSince returns copies of the finished-query records whose
-// absolute sequence number (position in the finished stream, counting
-// records already trimmed from retention) is >= seq, plus the next
-// cursor value. Records that were trimmed before the caller caught up
-// are simply gone — the cursor stays monotonic, so incremental
-// consumers (the tsdb SLO-burn windows) never see a record twice.
-func (r *Registry) FinishedSince(seq int64) ([]QueryRecord, int64) {
-	if r == nil {
-		return nil, seq
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.waitDiagnosedLocked()
-	next := r.dropped + int64(len(r.records))
-	if seq >= next {
-		return nil, next
-	}
-	i := seq - r.dropped
-	if i < 0 {
-		i = 0
-	}
-	out := make([]QueryRecord, 0, int64(len(r.records))-i)
-	for _, rec := range r.records[i:] {
-		out = append(out, *rec)
-	}
-	return out, next
-}
-
 // Outcome is the part of a finished query's record that its finish
 // sets and nothing changes after: what a trend or an SLO window reads.
 type Outcome struct {
@@ -661,10 +633,13 @@ type Outcome struct {
 }
 
 // OutcomesSince appends the outcomes of the finished queries at
-// sequence >= seq to dst, and returns it with the next cursor, as
-// FinishedSince does. It never waits for a diagnosis, so the engine
-// goroutine (the tsdb tick) reads finished queries without blocking on
-// the diagnosis goroutine.
+// sequence >= seq to dst, and returns it with the next cursor. A
+// query's sequence is its position in the finished stream, counting
+// records already trimmed from retention: trimmed records are gone, but
+// the cursor stays monotonic, so an incremental reader (the tsdb
+// SLO-burn windows) never sees a record twice. It never waits for a
+// diagnosis, so the engine goroutine (the tsdb tick) reads finished
+// queries without blocking on the diagnosis goroutine.
 func (r *Registry) OutcomesSince(dst []Outcome, seq int64) ([]Outcome, int64) {
 	if r == nil {
 		return dst, seq

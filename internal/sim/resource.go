@@ -25,7 +25,6 @@ type Demand struct {
 // of a PS queue.
 type SharedResource struct {
 	eng        *Engine
-	name       string
 	capacity   float64
 	maxPerUser float64
 
@@ -50,7 +49,8 @@ type SharedResource struct {
 
 // NewSharedResource creates a processor-sharing resource. maxPerUser <= 0
 // means "no per-user cap" (each user may consume the full capacity when
-// alone).
+// alone). name only labels the panic for a capacity that is not
+// positive.
 func NewSharedResource(eng *Engine, name string, capacity, maxPerUser float64) *SharedResource {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: resource %q capacity must be positive, got %v", name, capacity))
@@ -58,7 +58,7 @@ func NewSharedResource(eng *Engine, name string, capacity, maxPerUser float64) *
 	if maxPerUser <= 0 {
 		maxPerUser = capacity
 	}
-	r := &SharedResource{eng: eng, name: name, capacity: capacity, maxPerUser: maxPerUser}
+	r := &SharedResource{eng: eng, capacity: capacity, maxPerUser: maxPerUser}
 	r.onComplete = r.complete
 	return r
 }

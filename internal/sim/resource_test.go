@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -28,6 +29,22 @@ func TestUncappedSingleDemandUsesFullCapacity(t *testing.T) {
 	e.Run()
 	if !almostEqual(doneAt, 2, 1e-9) {
 		t.Fatalf("done at %v, want 2", doneAt)
+	}
+}
+
+// TestCapacityPanicNamesResource: a capacity that is not positive
+// panics, and the message names the resource.
+func TestCapacityPanicNamesResource(t *testing.T) {
+	for _, capacity := range []float64{0, -1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := `sim: resource "node3.disk1" capacity must be positive`; !strings.HasPrefix(msg, want) {
+					t.Errorf("capacity %v: panic %q, want it to start with %q", capacity, msg, want)
+				}
+			}()
+			NewSharedResource(NewEngine(), "node3.disk1", capacity, 0)
+		}()
 	}
 }
 

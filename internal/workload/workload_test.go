@@ -194,7 +194,7 @@ func TestEventGuard(t *testing.T) {
 }
 
 func TestFairSchedulerWorkload(t *testing.T) {
-	r := newRig(t, 2, mapreduce.NewFairScheduler(5))
+	r := newRig(t, 2, mapreduce.NewFairScheduler())
 	users := []*User{r.samplingUser(t, 0, "LA"), r.samplingUser(t, 1, "LA")}
 	res, err := Run(r.eng, users, Config{WarmupS: 100, MeasureS: 600})
 	if err != nil {
