@@ -195,7 +195,7 @@ func WithQueryStats() Option {
 }
 
 // WithTimeSeries attaches the in-process time-series engine
-// (internal/tsdb): every tsdb.DefaultIntervalS (5) virtual seconds it
+// (internal/tsdb): every tsdb.IntervalS (5) virtual seconds it
 // folds the trace registry's counters and gauges, the cluster's
 // queue/slot state, the per-policy qstats aggregates and the derived
 // per-query series (match-arrival rate, per-split scan cost, overshoot

@@ -9,11 +9,11 @@ import (
 
 // jobAnomalies runs the per-job detectors: map-attempt stragglers and
 // speculative-kill waste.
-func jobAnomalies(j *JobTrace, cfg Config) []Anomaly {
+func jobAnomalies(j *JobTrace) []Anomaly {
 	var out []Anomaly
-	if n := len(j.okMaps); n >= cfg.StragglerMinAttempts {
+	if n := len(j.okMaps); n >= stragglerMinAttempts {
 		mean, sd := meanStd(j.okMaps)
-		thr := mean + cfg.StragglerSigma*sd
+		thr := mean + stragglerSigma*sd
 		if sd > 0 {
 			for _, s := range j.okMaps {
 				if d := s.Duration(); d > thr {
@@ -22,7 +22,7 @@ func jobAnomalies(j *JobTrace, cfg Config) []Anomaly {
 						Task: s.Task, Attempt: s.Attempt, Node: s.Node,
 						Value: d, Threshold: thr,
 						Detail: fmt.Sprintf("map attempt ran %.3gs vs phase mean %.3gs±%.3gs (k=%g)",
-							d, mean, sd, cfg.StragglerSigma),
+							d, mean, sd, stragglerSigma),
 					})
 				}
 			}
@@ -48,19 +48,19 @@ func jobAnomalies(j *JobTrace, cfg Config) []Anomaly {
 // map.scan_stalls / map.scan_async ratio means the async scan
 // executor keeps blocking the simulation thread (undersized pool or
 // scan-bound workload).
-func clusterAnomalies(counters map[string]int64, cfg Config) []Anomaly {
+func clusterAnomalies(counters map[string]int64) []Anomaly {
 	stalls := counters[trace.CounterScanStalls.String()]
 	async := counters[trace.CounterScanAsync.String()]
 	if async <= 0 || stalls <= 0 {
 		return nil
 	}
 	ratio := float64(stalls) / float64(async)
-	if ratio < cfg.ScanStallRatio {
+	if ratio < scanStallRatio {
 		return nil
 	}
 	return []Anomaly{{
 		Kind: AnomalyScanStalls, Job: -1, Task: -1, Attempt: 0, Node: -1,
-		Value: ratio, Threshold: cfg.ScanStallRatio,
+		Value: ratio, Threshold: scanStallRatio,
 		Detail: fmt.Sprintf("%d of %d async scans stalled the simulation thread; consider more -scan-workers",
 			stalls, async),
 	}}

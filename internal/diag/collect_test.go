@@ -19,16 +19,15 @@ type jobData = JobTrace
 
 // referenceAnalyze is Analyze over the reference collector.
 func referenceAnalyze(spans []trace.Span, decisions []trace.PolicyDecision,
-	counters map[string]int64, dropped int64, cfg Config) *Report {
-	cfg = cfg.withDefaults()
+	counters map[string]int64, dropped int64) *Report {
 	jobs := collectJobs(spans, decisions)
 	rep := &Report{Schema: SchemaVersion, Counters: counters, DroppedSpans: dropped}
 	for _, j := range jobs {
-		d := diagnoseJob(j, cfg)
+		d := diagnoseJob(j)
 		rep.Jobs = append(rep.Jobs, d)
 	}
 	sort.Slice(rep.Jobs, func(a, b int) bool { return rep.Jobs[a].JobID < rep.Jobs[b].JobID })
-	rep.ClusterAnomalies = clusterAnomalies(counters, cfg)
+	rep.ClusterAnomalies = clusterAnomalies(counters)
 	return rep
 }
 
@@ -215,6 +214,19 @@ func (g streamGen) job(id int) ([]trace.Span, []trace.PolicyDecision) {
 			spans = append(spans, rest[at:]...)
 		}
 	}
+	// Some jobs carry sixteen short ok maps and one long one, whose
+	// z-score of 4 clears the straggler rule's 3 unless the job's other
+	// maps widen the spread.
+	if rng.Intn(4) == 0 {
+		for task := 100; task <= 116; task++ {
+			end := submit + 0.5
+			if task == 116 {
+				end = finish
+			}
+			spans = append(spans, trace.Span{Name: trace.SpanMapAttempt, Cat: trace.CatMap, Start: submit, End: end,
+				Job: id, Task: task, Attempt: 1, Node: task % 8, Outcome: trace.OutcomeOK})
+		}
+	}
 	// A phase-named span outside the map/reduce categories and a
 	// non-attempt span must both be ignored.
 	spans = append(spans,
@@ -273,13 +285,12 @@ func TestJobTraceMatchesReferenceCollector(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	g := streamGen{rng: rng}
 	var reused JobTrace
-	jobsSeen, pathNodes := 0, 0
+	jobsSeen, pathNodes, stragglers := 0, 0, 0
 	for iter := 0; iter < 400; iter++ {
 		spans, decs := g.stream(1 + rng.Intn(6))
 		counters := map[string]int64{trace.CounterScanAsync.String(): 4, trace.CounterScanStalls.String(): int64(rng.Intn(5))}
-		cfg := Config{StragglerMinAttempts: 1 + rng.Intn(4), StragglerSigma: 0.5 + rng.Float64()}
-		want := referenceAnalyze(spans, decs, counters, 3, cfg)
-		got := Analyze(spans, decs, counters, 3, cfg)
+		want := referenceAnalyze(spans, decs, counters, 3)
+		got := Analyze(spans, decs, counters, 3)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("stream %d: Analyze differs from the reference collector\ngot  %+v\nwant %+v", iter, got, want)
 		}
@@ -287,6 +298,11 @@ func TestJobTraceMatchesReferenceCollector(t *testing.T) {
 		for _, d := range want.Jobs {
 			byJob[d.JobID] = d
 			pathNodes += len(d.CriticalPath)
+			for _, a := range d.Anomalies {
+				if a.Kind == AnomalyStraggler {
+					stragglers++
+				}
+			}
 		}
 		jobsSeen += len(want.Jobs)
 		ids := map[int]bool{}
@@ -309,7 +325,7 @@ func TestJobTraceMatchesReferenceCollector(t *testing.T) {
 					reused.AddDecision(d)
 				}
 			}
-			d, err := reused.Diagnose(cfg)
+			d, err := reused.Diagnose()
 			ref, ok := byJob[id]
 			switch {
 			case !ok:
@@ -330,7 +346,7 @@ func TestJobTraceMatchesReferenceCollector(t *testing.T) {
 	}
 	// The streams must actually reach the diagnoses they are meant to
 	// compare.
-	if jobsSeen < 1000 || pathNodes < 4*jobsSeen {
-		t.Fatalf("weak streams: %d jobs diagnosed, %d path nodes", jobsSeen, pathNodes)
+	if jobsSeen < 1000 || pathNodes < 4*jobsSeen || stragglers < 50 {
+		t.Fatalf("weak streams: %d jobs diagnosed, %d path nodes, %d stragglers", jobsSeen, pathNodes, stragglers)
 	}
 }

@@ -52,7 +52,7 @@ func variantTrace() ([]trace.Span, []trace.PolicyDecision) {
 // ID so the test also covers query-keyed alignment.
 func side(t *testing.T, label string, spans []trace.Span, decisions []trace.PolicyDecision) RunSide {
 	t.Helper()
-	rep := Analyze(spans, decisions, nil, 0, Config{})
+	rep := Analyze(spans, decisions, nil, 0)
 	if err := rep.CheckInvariants(); err != nil {
 		t.Fatalf("%s invariants: %v", label, err)
 	}

@@ -174,47 +174,40 @@ type Report struct {
 	DroppedSpans int64 `json:"dropped_spans"`
 }
 
-// Config tunes the analyzers. The zero value selects defaults.
-type Config struct {
-	// StragglerSigma is k in the "duration > mean + k*sigma" straggler
-	// rule. Default 3.
-	StragglerSigma float64
-	// StragglerMinAttempts is the minimum number of completed map
-	// attempts in a job before the straggler rule applies. Default 4.
-	StragglerMinAttempts int
-	// ScanStallRatio is the map.scan_stalls / map.scan_async fraction
-	// above which a cluster scan-stall anomaly is reported. Default
-	// 0.5.
-	ScanStallRatio float64
-}
+// The analyzers' thresholds.
+const (
+	// stragglerSigma is k in the "duration > mean + k*sigma" straggler
+	// rule.
+	stragglerSigma = 3.0
+	// stragglerMinAttempts is the minimum number of completed map
+	// attempts in a job before the straggler rule applies.
+	stragglerMinAttempts = 4
+	// scanStallRatio is the map.scan_stalls / map.scan_async fraction
+	// above which a cluster scan-stall anomaly is reported.
+	scanStallRatio = 0.5
+)
 
-func (c Config) withDefaults() Config {
-	if c.StragglerSigma <= 0 {
-		c.StragglerSigma = 3
-	}
-	if c.StragglerMinAttempts <= 0 {
-		c.StragglerMinAttempts = 4
-	}
-	if c.ScanStallRatio <= 0 {
-		c.ScanStallRatio = 0.5
-	}
-	return c
-}
-
-// FromTracer diagnoses every job recorded by tr using the default
-// Config. It returns nil when tracing is disabled (nil tracer).
+// FromTracer diagnoses every job recorded by tr. It returns nil when
+// tracing is disabled (nil tracer). It reads the span ring in place,
+// so the caller holds the engine still, as every flush does.
 func FromTracer(tr *trace.Tracer) *Report {
 	if !tr.Enabled() {
 		return nil
 	}
-	return Analyze(tr.Spans(), tr.PolicyDecisions(), tr.Counters(), tr.Dropped(), Config{})
+	first, second, _ := tr.SpansSince(0)
+	return analyze(tr.PolicyDecisions(), tr.Counters(), tr.Dropped(), first, second)
 }
 
 // Analyze builds a Report from raw trace data. spans must be in
 // recording order (Tracer.Spans() order); decisions likewise.
 func Analyze(spans []trace.Span, decisions []trace.PolicyDecision,
-	counters map[string]int64, dropped int64, cfg Config) *Report {
-	cfg = cfg.withDefaults()
+	counters map[string]int64, dropped int64) *Report {
+	return analyze(decisions, counters, dropped, spans)
+}
+
+// analyze is Analyze over spans split into runs, fed in order.
+func analyze(decisions []trace.PolicyDecision, counters map[string]int64,
+	dropped int64, runs ...[]trace.Span) *Report {
 	byID := make(map[int]*JobTrace)
 	get := func(id int) *JobTrace {
 		j := byID[id]
@@ -225,9 +218,11 @@ func Analyze(spans []trace.Span, decisions []trace.PolicyDecision,
 		}
 		return j
 	}
-	for _, s := range spans {
-		if s.Job >= 0 {
-			get(s.Job).Add(s)
+	for _, run := range runs {
+		for _, s := range run {
+			if s.Job >= 0 {
+				get(s.Job).Add(s)
+			}
 		}
 	}
 	for _, d := range decisions {
@@ -238,11 +233,11 @@ func Analyze(spans []trace.Span, decisions []trace.PolicyDecision,
 		// Jobs without an enclosing job span (still running, or the
 		// span was evicted) cannot be diagnosed; skip them.
 		if j.finished() {
-			rep.Jobs = append(rep.Jobs, j.diagnose(cfg))
+			rep.Jobs = append(rep.Jobs, j.diagnose())
 		}
 	}
 	sort.Slice(rep.Jobs, func(a, b int) bool { return rep.Jobs[a].JobID < rep.Jobs[b].JobID })
-	rep.ClusterAnomalies = clusterAnomalies(counters, cfg)
+	rep.ClusterAnomalies = clusterAnomalies(counters)
 	return rep
 }
 
@@ -369,15 +364,15 @@ func (j *JobTrace) AddDecision(d trace.PolicyDecision) {
 // finished reports whether the job's enclosing span has been added.
 func (j *JobTrace) finished() bool { return !math.IsNaN(j.span.Start) }
 
-// Diagnose diagnoses the collected job with cfg. The returned
+// Diagnose diagnoses the collected job. The returned
 // diagnosis has passed CheckInvariants; it shares no memory with the
 // collector, so the collector can be Reset while the diagnosis is in
 // use.
-func (j *JobTrace) Diagnose(cfg Config) (*JobDiagnosis, error) {
+func (j *JobTrace) Diagnose() (*JobDiagnosis, error) {
 	if !j.finished() {
 		return nil, fmt.Errorf("diag: no finished job %d in trace slice (%d spans)", j.id, j.nspans)
 	}
-	d := j.diagnose(cfg.withDefaults())
+	d := j.diagnose()
 	if err := d.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("job %d: %w", j.id, err)
 	}
@@ -386,7 +381,7 @@ func (j *JobTrace) Diagnose(cfg Config) (*JobDiagnosis, error) {
 
 // diagnose attaches each attempt's phase chain (sorted by Start) and
 // queue wait, sorts the decision times, and runs diagnoseJob.
-func (j *JobTrace) diagnose(cfg Config) JobDiagnosis {
+func (j *JobTrace) diagnose() JobDiagnosis {
 	for i := range j.attempts {
 		a := &j.attempts[i]
 		a.phases, a.queueWait = nil, nil
@@ -404,10 +399,10 @@ func (j *JobTrace) diagnose(cfg Config) JobDiagnosis {
 	}
 	sort.Float64s(j.growTimes)
 	sort.Float64s(j.waitTimes)
-	return diagnoseJob(j, cfg)
+	return diagnoseJob(j)
 }
 
-func diagnoseJob(j *JobTrace, cfg Config) JobDiagnosis {
+func diagnoseJob(j *JobTrace) JobDiagnosis {
 	d := JobDiagnosis{
 		JobID:     j.id,
 		Outcome:   j.span.Outcome,
@@ -422,7 +417,7 @@ func diagnoseJob(j *JobTrace, cfg Config) JobDiagnosis {
 	for _, n := range d.CriticalPath {
 		d.Breakdown.add(n)
 	}
-	d.Anomalies = jobAnomalies(j, cfg)
+	d.Anomalies = jobAnomalies(j)
 	return d
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -60,7 +62,7 @@ func goldenTrace() ([]trace.Span, []trace.PolicyDecision) {
 // two-wave trace: every node kind, boundary and attribution.
 func TestGoldenCriticalPath(t *testing.T) {
 	spans, decisions := goldenTrace()
-	rep := Analyze(spans, decisions, nil, 0, Config{})
+	rep := Analyze(spans, decisions, nil, 0)
 	if err := rep.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
@@ -144,7 +146,7 @@ func TestSlotWaitGap(t *testing.T) {
 	decisions = []trace.PolicyDecision{
 		{Time: 0, JobID: 0, Policy: "LA", Verdict: trace.VerdictInit, Added: 2},
 	}
-	rep := Analyze(spans, decisions, nil, 0, Config{})
+	rep := Analyze(spans, decisions, nil, 0)
 	if err := rep.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
@@ -174,7 +176,7 @@ func TestWaitVerdictClassifiesGap(t *testing.T) {
 		{Time: 0, JobID: 0, Policy: "LA", Verdict: trace.VerdictInit, Added: 1},
 		{Time: 24, JobID: 0, Policy: "LA", Verdict: trace.VerdictWait},
 	}
-	rep := Analyze(spans, decisions, nil, 0, Config{})
+	rep := Analyze(spans, decisions, nil, 0)
 	j := rep.Jobs[0]
 	for _, n := range j.CriticalPath {
 		if n.Start == 20 && n.End == 30 && n.Kind != KindProviderWait {
@@ -183,22 +185,25 @@ func TestWaitVerdictClassifiesGap(t *testing.T) {
 	}
 }
 
-// TestStragglerDetection plants one slow map among nine fast ones and
-// expects exactly it to be flagged at k=2.
+// TestStragglerDetection plants one slow map among nineteen fast ones
+// and expects exactly it to be flagged at k=3, then checks that a lone
+// outlier among ten, which can never clear 3 sigma, is not.
 func TestStragglerDetection(t *testing.T) {
-	spans := []trace.Span{
-		span(trace.SpanJob, trace.CatJob, 0, 120, 3, -1, 0, -1, trace.OutcomeOK),
+	withStraggler := func(fast int) []trace.Span {
+		spans := []trace.Span{
+			span(trace.SpanJob, trace.CatJob, 0, 120, 3, -1, 0, -1, trace.OutcomeOK),
+		}
+		for i := 0; i < fast; i++ {
+			spans = append(spans,
+				span(trace.SpanMapAttempt, trace.CatMap, 0, 10, 3, i, 1, i%4, trace.OutcomeOK))
+		}
+		// The straggler takes 100s.
+		return append(spans,
+			span(trace.SpanMapAttempt, trace.CatMap, 0, 100, 3, fast, 1, 1, trace.OutcomeOK),
+			span(trace.SpanReduceAttempt, trace.CatReduce, 100, 120, 3, 0, 1, 0, trace.OutcomeOK))
 	}
-	for i := 0; i < 9; i++ {
-		spans = append(spans,
-			span(trace.SpanMapAttempt, trace.CatMap, 0, 10, 3, i, 1, i%4, trace.OutcomeOK))
-	}
-	// The straggler: task 9 takes 100s (mean 19, sd 27; 100 > 19+2*27).
-	spans = append(spans,
-		span(trace.SpanMapAttempt, trace.CatMap, 0, 100, 3, 9, 1, 1, trace.OutcomeOK),
-		span(trace.SpanReduceAttempt, trace.CatReduce, 100, 120, 3, 0, 1, 0, trace.OutcomeOK))
-
-	rep := Analyze(spans, nil, nil, 0, Config{StragglerSigma: 2})
+	// Nineteen fast maps: mean 14.5, sd 19.6; 100 > 14.5+3*19.6.
+	rep := Analyze(withStraggler(19), nil, nil, 0)
 	if len(rep.Jobs) != 1 {
 		t.Fatalf("want 1 job, got %d", len(rep.Jobs))
 	}
@@ -212,18 +217,18 @@ func TestStragglerDetection(t *testing.T) {
 		t.Fatalf("want exactly 1 straggler, got %d: %+v", len(stragglers), stragglers)
 	}
 	s := stragglers[0]
-	if s.Task != 9 || s.Value != 100 {
-		t.Errorf("straggler should be task 9 (100s), got task %d value %g", s.Task, s.Value)
+	if s.Task != 19 || s.Value != 100 {
+		t.Errorf("straggler should be task 19 (100s), got task %d value %g", s.Task, s.Value)
 	}
 	if s.Value <= s.Threshold {
 		t.Errorf("straggler value %g must exceed its threshold %g", s.Value, s.Threshold)
 	}
 
-	// At the default k=3 the same trace is quiet (100 < 19+3*27).
-	rep = Analyze(spans, nil, nil, 0, Config{})
+	// Nine fast maps: mean 19, sd 27; 100 < 19+3*27, so the trace is quiet.
+	rep = Analyze(withStraggler(9), nil, nil, 0)
 	for _, a := range rep.Jobs[0].Anomalies {
 		if a.Kind == AnomalyStraggler {
-			t.Errorf("no straggler expected at k=3, got %+v", a)
+			t.Errorf("no straggler expected among ten at k=3, got %+v", a)
 		}
 	}
 }
@@ -240,7 +245,7 @@ func TestSpeculativeWaste(t *testing.T) {
 	k2.Speculative = true
 	spans = append(spans, k1, k2)
 
-	rep := Analyze(spans, nil, nil, 0, Config{})
+	rep := Analyze(spans, nil, nil, 0)
 	var waste []Anomaly
 	for _, a := range rep.Jobs[0].Anomalies {
 		if a.Kind == AnomalySpeculativeWaste {
@@ -261,13 +266,13 @@ func TestScanStallAnomaly(t *testing.T) {
 		trace.CounterScanAsync.String():  100,
 		trace.CounterScanStalls.String(): 80,
 	}
-	rep := Analyze(nil, nil, counters, 0, Config{})
+	rep := Analyze(nil, nil, counters, 0)
 	if len(rep.ClusterAnomalies) != 1 || rep.ClusterAnomalies[0].Kind != AnomalyScanStalls {
 		t.Fatalf("want one scan-stalls anomaly, got %+v", rep.ClusterAnomalies)
 	}
 	// Below the ratio: quiet.
 	counters[trace.CounterScanStalls.String()] = 10
-	rep = Analyze(nil, nil, counters, 0, Config{})
+	rep = Analyze(nil, nil, counters, 0)
 	if len(rep.ClusterAnomalies) != 0 {
 		t.Fatalf("want no anomalies at 10%% stalls, got %+v", rep.ClusterAnomalies)
 	}
@@ -284,7 +289,7 @@ func TestFailedAttemptOnPath(t *testing.T) {
 		span(trace.SpanQueueWait, trace.CatMap, 18, 20, 2, 0, 2, 1, ""),
 		span(trace.SpanMapAttempt, trace.CatMap, 20, 40, 2, 0, 2, 1, trace.OutcomeOK),
 	}
-	rep := Analyze(spans, nil, nil, 0, Config{})
+	rep := Analyze(spans, nil, nil, 0)
 	if err := rep.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
@@ -309,7 +314,7 @@ func TestUntracedFiller(t *testing.T) {
 		span(trace.SpanMapAttempt, trace.CatMap, 0, 30, 4, 0, 1, 0, trace.OutcomeOK),
 		// No phase spans recorded (simulating ring eviction).
 	}
-	rep := Analyze(spans, nil, nil, 0, Config{})
+	rep := Analyze(spans, nil, nil, 0)
 	if err := rep.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
@@ -326,7 +331,7 @@ func TestJobsWithoutJobSpanSkipped(t *testing.T) {
 	spans := []trace.Span{
 		span(trace.SpanMapAttempt, trace.CatMap, 0, 10, 9, 0, 1, 0, trace.OutcomeOK),
 	}
-	rep := Analyze(spans, nil, nil, 0, Config{})
+	rep := Analyze(spans, nil, nil, 0)
 	if len(rep.Jobs) != 0 {
 		t.Fatalf("unfinished job must be skipped, got %+v", rep.Jobs)
 	}
@@ -335,7 +340,7 @@ func TestJobsWithoutJobSpanSkipped(t *testing.T) {
 // TestWriteJSONShape locks the wire names CI greps for.
 func TestWriteJSONShape(t *testing.T) {
 	spans, decisions := goldenTrace()
-	rep := Analyze(spans, decisions, map[string]int64{"jobs.finished": 1}, 0, Config{})
+	rep := Analyze(spans, decisions, map[string]int64{"jobs.finished": 1}, 0)
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -362,7 +367,7 @@ func TestWriteJSONShape(t *testing.T) {
 // TestWriteTextRenders smoke-checks the human rendering.
 func TestWriteTextRenders(t *testing.T) {
 	spans, decisions := goldenTrace()
-	rep := Analyze(spans, decisions, map[string]int64{"map.attempts": 2}, 0, Config{})
+	rep := Analyze(spans, decisions, map[string]int64{"map.attempts": 2}, 0)
 	var buf bytes.Buffer
 	if err := rep.WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -378,7 +383,7 @@ func TestWriteTextRenders(t *testing.T) {
 // TestWriteJobsCSV locks the CSV header and one data row.
 func TestWriteJobsCSV(t *testing.T) {
 	spans, decisions := goldenTrace()
-	rep := Analyze(spans, decisions, nil, 0, Config{})
+	rep := Analyze(spans, decisions, nil, 0)
 	var buf bytes.Buffer
 	if err := rep.WriteJobsCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -424,12 +429,12 @@ func TestBreakdownComponentsOrder(t *testing.T) {
 // CheckInvariants to object.
 func TestInvariantViolationDetected(t *testing.T) {
 	spans, decisions := goldenTrace()
-	rep := Analyze(spans, decisions, nil, 0, Config{})
+	rep := Analyze(spans, decisions, nil, 0)
 	rep.Jobs[0].Breakdown.ShuffleS += 5 // break the sum
 	if err := rep.CheckInvariants(); err == nil {
 		t.Fatal("corrupted breakdown must fail CheckInvariants")
 	}
-	rep = Analyze(spans, decisions, nil, 0, Config{})
+	rep = Analyze(spans, decisions, nil, 0)
 	rep.Jobs[0].CriticalPath[3].End += 1 // break the tiling
 	if err := rep.CheckInvariants(); err == nil {
 		t.Fatal("corrupted path tiling must fail CheckInvariants")
@@ -446,5 +451,36 @@ func TestMeanStd(t *testing.T) {
 	mean, sd := meanStd(spans)
 	if mean != 15 || math.Abs(sd-5) > 1e-12 {
 		t.Errorf("want mean 15 sd 5, got %g %g", mean, sd)
+	}
+}
+
+// TestFromTracerReadsWrappedRing: FromTracer, which reads the span
+// ring in place as two runs once it wraps, reports what Analyze does
+// over the tracer's copied spans.
+func TestFromTracerReadsWrappedRing(t *testing.T) {
+	g := streamGen{rng: rand.New(rand.NewSource(3))}
+	tr := trace.New(trace.Config{Enabled: true})
+	for iter := 0; tr.Dropped() < 5000; iter++ {
+		spans, decs := g.stream(1 + g.rng.Intn(6))
+		for _, s := range spans {
+			if s.Job >= 0 {
+				s.Job += 10 * iter
+			}
+			tr.Record(s)
+		}
+		for _, d := range decs {
+			d.JobID += 10 * iter
+			tr.RecordPolicyDecision(d)
+		}
+	}
+	if _, b, _ := tr.SpansSince(0); len(b) == 0 {
+		t.Fatal("the ring read is a single run; want a wrapped ring")
+	}
+	want := Analyze(tr.Spans(), tr.PolicyDecisions(), tr.Counters(), tr.Dropped())
+	if got := FromTracer(tr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromTracer differs from Analyze over the copied spans\ngot  %+v\nwant %+v", got, want)
+	}
+	if len(want.Jobs) < 100 {
+		t.Fatalf("only %d jobs diagnosed", len(want.Jobs))
 	}
 }

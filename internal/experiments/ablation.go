@@ -3,12 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"dynamicmr"
 	"dynamicmr/internal/core"
-	"dynamicmr/internal/mapreduce"
-	"dynamicmr/internal/sampling"
-	"dynamicmr/internal/tpch"
-	"dynamicmr/internal/workload"
 )
 
 // The ablations probe the design choices DESIGN.md calls out beyond
@@ -17,58 +12,36 @@ import (
 // conservative/aggressive dial Table I samples at five points), and
 // the §VII runtime-adaptive policy extension.
 
-// singleUserRun executes one dynamic sampling job on a fresh idle
-// cluster under the given policy and provider wrapping, returning the
-// finished job and its client.
-func (o Options) singleUserRun(sh *sweepShared, z float64, pol *core.Policy,
-	wrap func(core.InputProvider) core.InputProvider, conf *mapreduce.JobConf, seed int64) (*core.JobClient, error) {
-	scale := o.Scales[len(o.Scales)-1]
-	ds, err := sh.cache.get(o.datasetSpec(scale, z, fmt.Sprintf("lineitem_%dx_z%g", scale, z), 0))
+// policySweep runs the single-user job once per point on the z-skewed
+// table, under the policy pol builds for that point, and adds row's
+// cells for each point to t in point order. It is the body of the
+// interval, threshold and grab-scale ablations.
+func policySweep(opt Options, t *Table, z float64, points []float64,
+	pol func(x float64) *core.Policy, row func(x float64, client *core.JobClient) []any) (*Table, error) {
+	clients, err := sweep(opt, points, func(sh *sweepShared, x float64) (*core.JobClient, error) {
+		_, client, err := opt.singleUser(sh, opt.ablationJob(z, pol(x)))
+		return client, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	c, err := sh.cluster()
-	if err != nil {
-		return nil, err
+	for i, client := range clients {
+		t.AddRow(row(points[i], client)...)
 	}
-	f, err := c.Load(ds.Name(), ds)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := tpch.LineItemSchema.Project("L_ORDERKEY", "L_PARTKEY", "L_SUPPKEY")
-	if err != nil {
-		return nil, err
-	}
-	spec, err := sampling.NewJobSpec(ds.Predicate(), o.SampleK, proj, conf)
-	if err != nil {
-		return nil, err
-	}
-	var provider core.InputProvider = sampling.NewProvider(o.SampleK, seed)
-	if wrap != nil {
-		provider = wrap(provider)
-	}
-	client, err := core.SubmitDynamic(c.JobTracker(), spec, mapreduce.SplitsForFile(f), provider, pol)
-	if err != nil {
-		return nil, err
-	}
-	if !mapreduce.RunUntilDone(c.Engine(), client.Job(), 1e8) {
-		return nil, fmt.Errorf("ablation job stuck under %s", pol.Name)
-	}
-	if client.Job().State() == mapreduce.StateFailed {
-		return nil, fmt.Errorf("ablation job failed: %s", client.Job().Failure())
-	}
-	return client, nil
+	return t, nil
+}
+
+// evaluationsRow is the interval and threshold ablations' row: the
+// point, response time, provider evaluations and partitions processed.
+func evaluationsRow(x float64, client *core.JobClient) []any {
+	j := client.Job()
+	return []any{x, j.ResponseTime(), client.Evaluations(), j.CompletedMaps()}
 }
 
 // AblationInterval sweeps the EvaluationInterval for the LA policy:
 // too-short intervals buy little, too-long ones stall the job between
 // increments (§III-B parameter 1).
 func AblationInterval(opt Options) (*Table, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	sh := opt.newSweepShared()
-	defer sh.close()
 	base, err := core.DefaultRegistry().Get(core.PolicyLA)
 	if err != nil {
 		return nil, err
@@ -80,40 +53,19 @@ func AblationInterval(opt Options) (*Table, error) {
 			"§III-B: short intervals re-evaluate needlessly; long intervals leave the job waiting after its input drains",
 		},
 	}
-	intervals := []float64{1, 2, 4, 8, 16, 32}
-	clients := make([]*core.JobClient, len(intervals))
-	err = runCells(opt.parallelism(), len(intervals), func(i int) error {
-		pol := &core.Policy{
-			Name:                fmt.Sprintf("LA-%gs", intervals[i]),
-			EvaluationIntervalS: intervals[i],
+	return policySweep(opt, t, 1, []float64{1, 2, 4, 8, 16, 32}, func(x float64) *core.Policy {
+		return &core.Policy{
+			Name:                fmt.Sprintf("LA-%gs", x),
+			EvaluationIntervalS: x,
 			WorkThresholdPct:    base.WorkThresholdPct,
 			GrabLimitExpr:       base.GrabLimitExpr,
 		}
-		client, err := opt.singleUserRun(sh, 1, pol, nil, nil, opt.Seed)
-		if err != nil {
-			return err
-		}
-		clients[i] = client
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, client := range clients {
-		j := client.Job()
-		t.AddRow(intervals[i], j.ResponseTime(), client.Evaluations(), j.CompletedMaps())
-	}
-	return t, nil
+	}, evaluationsRow)
 }
 
 // AblationThreshold sweeps the WorkThreshold (§III-B parameter 2) for
 // a fixed interval and grab limit.
 func AblationThreshold(opt Options) (*Table, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	sh := opt.newSweepShared()
-	defer sh.close()
 	t := &Table{
 		Title:   "Ablation: work threshold (LA grab limit, 4s interval, single user, moderate skew)",
 		Columns: []string{"Threshold (%)", "Response (s)", "Evaluations", "Partitions"},
@@ -121,30 +73,14 @@ func AblationThreshold(opt Options) (*Table, error) {
 			"higher thresholds suppress provider consultations; the idle-liveness override keeps the job from stalling outright",
 		},
 	}
-	thresholds := []float64{0, 5, 10, 15, 25, 50}
-	clients := make([]*core.JobClient, len(thresholds))
-	err := runCells(opt.parallelism(), len(thresholds), func(i int) error {
-		pol := &core.Policy{
-			Name:                fmt.Sprintf("LA-t%g", thresholds[i]),
+	return policySweep(opt, t, 1, []float64{0, 5, 10, 15, 25, 50}, func(x float64) *core.Policy {
+		return &core.Policy{
+			Name:                fmt.Sprintf("LA-t%g", x),
 			EvaluationIntervalS: 4,
-			WorkThresholdPct:    thresholds[i],
+			WorkThresholdPct:    x,
 			GrabLimitExpr:       "AS > 0 ? 0.2*AS : 0.1*TS",
 		}
-		client, err := opt.singleUserRun(sh, 1, pol, nil, nil, opt.Seed)
-		if err != nil {
-			return err
-		}
-		clients[i] = client
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, client := range clients {
-		j := client.Job()
-		t.AddRow(thresholds[i], j.ResponseTime(), client.Evaluations(), j.CompletedMaps())
-	}
-	return t, nil
+	}, evaluationsRow)
 }
 
 // AblationGrabScale sweeps the grab-limit scale f in "f*AS": the
@@ -152,11 +88,6 @@ func AblationThreshold(opt Options) (*Table, error) {
 // measured single-user (where aggression wins) — the counterpart of
 // Figure 5's discrete policy points.
 func AblationGrabScale(opt Options) (*Table, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	sh := opt.newSweepShared()
-	defer sh.close()
 	t := &Table{
 		Title:   "Ablation: grab-limit scale f (limit = f*AS, single user, high skew)",
 		Columns: []string{"f", "Response (s)", "Partitions", "Records read (M)"},
@@ -164,30 +95,17 @@ func AblationGrabScale(opt Options) (*Table, error) {
 			"small f reads least but pays rounds; large f overcomes skew by covering more partitions per step (§V-C)",
 		},
 	}
-	scales := []float64{0.05, 0.1, 0.2, 0.5, 1.0}
-	clients := make([]*core.JobClient, len(scales))
-	err := runCells(opt.parallelism(), len(scales), func(i int) error {
-		pol := &core.Policy{
-			Name:                fmt.Sprintf("f=%g", scales[i]),
+	return policySweep(opt, t, 2, []float64{0.05, 0.1, 0.2, 0.5, 1.0}, func(x float64) *core.Policy {
+		return &core.Policy{
+			Name:                fmt.Sprintf("f=%g", x),
 			EvaluationIntervalS: 4,
 			WorkThresholdPct:    0,
-			GrabLimitExpr:       fmt.Sprintf("%g*AS", scales[i]),
+			GrabLimitExpr:       fmt.Sprintf("%g*AS", x),
 		}
-		client, err := opt.singleUserRun(sh, 2, pol, nil, nil, opt.Seed)
-		if err != nil {
-			return err
-		}
-		clients[i] = client
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, client := range clients {
+	}, func(x float64, client *core.JobClient) []any {
 		j := client.Job()
-		t.AddRow(scales[i], j.ResponseTime(), j.CompletedMaps(), float64(j.Counters.MapInputRecords)/1e6)
-	}
-	return t, nil
+		return []any{x, j.ResponseTime(), j.CompletedMaps(), float64(j.Counters.MapInputRecords) / 1e6}
+	})
 }
 
 // AblationAdaptive compares the §VII runtime-adaptive policy against
@@ -196,13 +114,7 @@ func AblationGrabScale(opt Options) (*Table, error) {
 // multi-user workload (conservative territory). The adaptive job
 // should land near the winner in both.
 func AblationAdaptive(opt Options) (*Table, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	sh := opt.newSweepShared()
-	defer sh.close()
 	reg := core.DefaultRegistry()
-
 	t := &Table{
 		Title:   "Ablation: runtime-adaptive policy (§VII future work) vs fixed policies",
 		Columns: []string{"Policy", "Idle-cluster response (s)", "Multi-user throughput (jobs/hour)"},
@@ -210,91 +122,49 @@ func AblationAdaptive(opt Options) (*Table, error) {
 			"adaptive should approach HA's response when idle and the conservative policies' throughput when shared",
 		},
 	}
-
-	type row struct {
-		name  string
-		fixed string // registry policy, or "" for adaptive
-	}
-	rows := []row{{"C", core.PolicyC}, {"HA", core.PolicyHA}, {"Adaptive", ""}}
-
+	// The fixed rows name a registry policy; "Adaptive" routes through
+	// the adaptive provider in both regimes.
+	rows := []string{core.PolicyC, core.PolicyHA, "Adaptive"}
 	type measurement struct {
 		idle float64
 		tp   float64
 	}
-	out := make([]measurement, len(rows))
-	err := runCells(opt.parallelism(), len(rows), func(i int) error {
-		r := rows[i]
+	out, err := sweep(opt, rows, func(sh *sweepShared, policy string) (measurement, error) {
 		// Regime 1: idle cluster, single job.
-		var client *core.JobClient
-		var err error
-		if r.fixed != "" {
-			pol, perr := reg.Get(r.fixed)
-			if perr != nil {
-				return perr
-			}
-			client, err = opt.singleUserRun(sh, 1, pol, nil, nil, opt.Seed)
+		var j singleJob
+		if policy == "Adaptive" {
+			j = opt.ablationJob(1, core.AdaptiveEnvelopePolicy())
+			j.wrap = func(p core.InputProvider) core.InputProvider { return core.NewAdaptiveProvider(p) }
 		} else {
-			client, err = opt.singleUserRun(sh, 1, core.AdaptiveEnvelopePolicy(),
-				func(p core.InputProvider) core.InputProvider { return core.NewAdaptiveProvider(p) }, nil, opt.Seed)
+			pol, err := reg.Get(policy)
+			if err != nil {
+				return measurement{}, err
+			}
+			j = opt.ablationJob(1, pol)
 		}
+		_, client, err := opt.singleUser(sh, j)
 		if err != nil {
-			return err
+			return measurement{}, err
 		}
-		out[i].idle = client.Job().ResponseTime()
-
-		// Regime 2: homogeneous multi-user workload.
-		polName := r.fixed
-		if polName == "" {
-			polName = "Adaptive"
-		}
-		tp, err := adaptiveWorkloadThroughput(opt, sh, polName)
+		// Regime 2: the homogeneous multi-user workload of Figure 6.
+		_, res, _, err := opt.closedLoop(sh, loopCell{
+			name:     "ablation adaptive (" + policy + ")",
+			table:    func(u int) string { return fmt.Sprintf("li_ad_u%d", u) },
+			seedStep: 19,
+			policy:   policy,
+			sampling: opt.Users,
+		})
 		if err != nil {
-			return err
+			return measurement{}, err
 		}
-		out[i].tp = tp
-		return nil
+		cs, _ := res.Class("Sampling")
+		return measurement{idle: client.Job().ResponseTime(), tp: cs.ThroughputJobsPerHour}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range rows {
-		t.AddRow(r.name, out[i].idle, out[i].tp)
+	for i, policy := range rows {
+		t.AddRow(policy, out[i].idle, out[i].tp)
 	}
 	return t, nil
-}
-
-// adaptiveWorkloadThroughput runs the Figure 6 homogeneous workload
-// under the named policy ("Adaptive" routes through the adaptive
-// provider) and returns jobs/hour.
-func adaptiveWorkloadThroughput(opt Options, sh *sweepShared, policy string) (float64, error) {
-	c, err := sh.cluster(dynamicmr.WithMultiUserSlots())
-	if err != nil {
-		return 0, err
-	}
-	users := make([]*workload.User, opt.Users)
-	for u := 0; u < opt.Users; u++ {
-		name := fmt.Sprintf("li_ad_u%d", u)
-		ds, err := sh.cache.get(opt.workloadSpec(0, name, int64(u+1)*19))
-		if err != nil {
-			return 0, err
-		}
-		if _, err := c.Load(name, ds); err != nil {
-			return 0, err
-		}
-		sess := c.Session(fmt.Sprintf("user%d", u))
-		sess.Set("dynamic.job.policy", policy)
-		users[u] = &workload.User{
-			Name:  fmt.Sprintf("user%d", u),
-			Class: "Sampling",
-			Query: fmt.Sprintf("SELECT L_ORDERKEY, L_PARTKEY, L_SUPPKEY FROM %s WHERE %s LIMIT %d",
-				name, ds.Predicate(), opt.SampleK),
-			Session: sess,
-		}
-	}
-	res, err := workload.Run(c.Engine(), users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
-	if err != nil {
-		return 0, err
-	}
-	cs, _ := res.Class("Sampling")
-	return cs.ThroughputJobsPerHour, nil
 }

@@ -62,19 +62,21 @@ func AblationInputPath(opt Options) (*Table, error) {
 					sh.close()
 					return nil, err
 				}
-				// core.SubmitDynamic bypasses the Hive session, so the mode
-				// must ride the job conf explicitly for the provider to see
-				// it (informed ordering keys off ConfInputPath = index).
-				conf := mapreduce.NewJobConf()
-				conf.Set(mapreduce.ConfInputPath, mode)
-				client, err := mopt.singleUserRun(sh, z, pol, nil, conf, mopt.Seed)
+				// The single-user job is submitted below the Hive session,
+				// so the mode must ride the job conf explicitly for the
+				// provider to see it (informed ordering keys off
+				// ConfInputPath = index).
+				j := mopt.ablationJob(z, pol)
+				j.conf = mapreduce.NewJobConf()
+				j.conf.Set(mapreduce.ConfInputPath, mode)
+				_, client, err := mopt.singleUser(sh, j)
 				if err != nil {
 					sh.close()
 					return nil, fmt.Errorf("ablation input path (%s, z=%g, %s): %w", mode, z, name, err)
 				}
-				j := client.Job()
-				t.AddRow(mode, z, name, j.ResponseTime(), j.CompletedMaps(),
-					j.Counters.ScanBlocksRead, j.Counters.ScanBlocksSkipped)
+				job := client.Job()
+				t.AddRow(mode, z, name, job.ResponseTime(), job.CompletedMaps(),
+					job.Counters.ScanBlocksRead, job.Counters.ScanBlocksSkipped)
 			}
 		}
 		sh.close()

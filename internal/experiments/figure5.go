@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"dynamicmr/internal/core"
-	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/runarchive"
-	"dynamicmr/internal/sampling"
-	"dynamicmr/internal/tpch"
 )
 
 // Figure5Cell is one (skew, scale, policy) measurement.
@@ -36,13 +33,6 @@ type Figure5Result struct {
 // measure response time, averaged over opt.Runs runs; Figure 5(d)'s
 // partitions-processed series comes from the same runs.
 func Figure5(opt Options) (*Figure5Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	sh := opt.newSweepShared()
-	defer sh.close()
-	reg := core.DefaultRegistry()
-
 	type cellSpec struct {
 		z      float64
 		scale  int
@@ -56,15 +46,9 @@ func Figure5(opt Options) (*Figure5Result, error) {
 			}
 		}
 	}
-	cells := make([]Figure5Cell, len(specs))
-	err := runCells(opt.parallelism(), len(specs), func(i int) error {
-		s := specs[i]
-		cell, err := figure5Cell(opt, sh, reg, s.z, s.scale, s.policy)
-		if err != nil {
-			return err
-		}
-		cells[i] = cell
-		return nil
+	reg := core.DefaultRegistry()
+	cells, err := sweep(opt, specs, func(sh *sweepShared, s cellSpec) (Figure5Cell, error) {
+		return figure5Cell(opt, sh, reg, s.z, s.scale, s.policy)
 	})
 	if err != nil {
 		return nil, err
@@ -76,10 +60,6 @@ func Figure5(opt Options) (*Figure5Result, error) {
 // opt.Runs runs, each on a fresh idle cluster.
 func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 	z float64, scale int, polName string) (Figure5Cell, error) {
-	ds, err := sh.cache.get(opt.datasetSpec(scale, z, fmt.Sprintf("lineitem_%dx_z%g", scale, z), 0))
-	if err != nil {
-		return Figure5Cell{}, err
-	}
 	pol, err := reg.Get(polName)
 	if err != nil {
 		return Figure5Cell{}, err
@@ -94,41 +74,12 @@ func figure5Cell(opt Options, sh *sweepShared, reg *core.Registry,
 		if last {
 			samplingS = 2
 		}
-		c, err := sh.cluster(opt.observed(samplingS)...) // single-user: 4 slots/node
-		if err != nil {
-			return Figure5Cell{}, err
-		}
-		f, err := c.Load(ds.Name(), ds)
-		if err != nil {
-			return Figure5Cell{}, err
-		}
-		proj, err := tpch.LineItemSchema.Project("L_ORDERKEY", "L_PARTKEY", "L_SUPPKEY")
-		if err != nil {
-			return Figure5Cell{}, err
-		}
-		spec, err := sampling.NewJobSpec(ds.Predicate(), opt.SampleK, proj, nil)
-		if err != nil {
-			return Figure5Cell{}, err
-		}
-		provider := sampling.NewProvider(opt.SampleK, opt.Seed+int64(run)*101+int64(scale))
-		splits := mapreduce.SplitsForFile(f)
-		client, err := core.SubmitDynamic(c.JobTracker(), spec, splits, provider, pol)
+		j := singleJob{scale: scale, z: z, pol: pol, seed: opt.Seed + int64(run)*101 + int64(scale)}
+		c, client, err := opt.singleUser(sh, j, opt.observed(samplingS)...)
 		if err != nil {
 			return Figure5Cell{}, err
 		}
 		job := client.Job()
-		// Figure 5 submits below the hive layer, so an alerting cell's
-		// query registry is fed by hand — slo_burn rules need finished
-		// queries.
-		if qs := c.QueryStats(); qs.Enabled() {
-			qs.Register(qs.AllocID(), job, "", len(splits))
-		}
-		if !mapreduce.RunUntilDone(c.Engine(), job, 1e8) {
-			return Figure5Cell{}, fmt.Errorf("figure5: job stuck (z=%g scale=%d policy=%s)", z, scale, pol.Name)
-		}
-		if job.State() == mapreduce.StateFailed {
-			return Figure5Cell{}, fmt.Errorf("figure5: job failed: %s", job.Failure())
-		}
 		cell.ResponseS += job.ResponseTime()
 		cell.PartitionsProcessed += float64(job.CompletedMaps())
 		cell.SampleSize += float64(len(job.Output()))

@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"dynamicmr"
-	"dynamicmr/internal/obs"
-	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/trace"
-	"dynamicmr/internal/workload"
 )
 
 // Figure6Cell is one (policy, skew) multi-user measurement.
@@ -32,11 +28,6 @@ type Figure6Result struct {
 // cluster; throughput plus 30-second-interval CPU and disk readings per
 // policy, for uniform and highly-skewed distributions.
 func Figure6(opt Options) (*Figure6Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	sh := opt.newSweepShared()
-	defer sh.close()
 	type cellSpec struct {
 		z      float64
 		policy string
@@ -47,14 +38,9 @@ func Figure6(opt Options) (*Figure6Result, error) {
 			specs = append(specs, cellSpec{z: z, policy: pol})
 		}
 	}
-	cells := make([]Figure6Cell, len(specs))
-	err := runCells(opt.parallelism(), len(specs), func(i int) error {
-		cell, _, err := figure6Cell(opt, sh, specs[i].z, specs[i].policy)
-		if err != nil {
-			return err
-		}
-		cells[i] = cell
-		return nil
+	cells, err := sweep(opt, specs, func(sh *sweepShared, s cellSpec) (Figure6Cell, error) {
+		cell, _, err := figure6Cell(opt, sh, s.z, s.policy)
+		return cell, err
 	})
 	if err != nil {
 		return nil, err
@@ -65,50 +51,24 @@ func Figure6(opt Options) (*Figure6Result, error) {
 // figure6Cell runs one (skew, policy) cell and returns its measurement
 // and its utilization timeline.
 func figure6Cell(opt Options, sh *sweepShared, z float64, policy string) (Figure6Cell, []trace.MetricSample, error) {
-	c, err := sh.cluster(append(opt.observed(obs.DefaultIntervalS), dynamicmr.WithMultiUserSlots())...)
-	if err != nil {
-		return Figure6Cell{}, nil, err
-	}
-	users := make([]*workload.User, opt.Users)
-	for u := 0; u < opt.Users; u++ {
-		// Per-user dataset copy (§V-D: "each works against a different
-		// copy of the dataset").
-		name := fmt.Sprintf("lineitem_u%d_z%g", u, z)
-		ds, err := sh.cache.get(opt.workloadSpec(z, name, int64(u+1)*13))
-		if err != nil {
-			return Figure6Cell{}, nil, err
-		}
-		if _, err := c.Load(name, ds); err != nil {
-			return Figure6Cell{}, nil, err
-		}
-		sess := c.Session(fmt.Sprintf("user%d", u))
-		sess.Set("dynamic.job.policy", policy)
-		pred := ds.Predicate().String()
-		users[u] = &workload.User{
-			Name:    fmt.Sprintf("user%d", u),
-			Class:   "Sampling",
-			Query:   fmt.Sprintf("SELECT L_ORDERKEY, L_PARTKEY, L_SUPPKEY FROM %s WHERE %s LIMIT %d", name, pred, opt.SampleK),
-			Session: sess,
-		}
-	}
-	// A sampled cluster polls already; an unsampled one starts here.
-	c.JobTracker().SampleUtilization()
-	results, err := workload.Run(c.Engine(), users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
-	if err != nil {
-		return Figure6Cell{}, nil, fmt.Errorf("figure6 (z=%g policy=%s): %w", z, policy, err)
-	}
-	timeline := c.JobTracker().UtilizationTimeline()
-	cpu, disk, occ := utilizationAverages(timeline, opt.WarmupS)
-	if err := opt.archive(c, fmt.Sprintf("figure6_z%g_%s", z, policy), runarchive.RunConfig{
-		Policy: policy,
-		Params: map[string]string{
+	_, results, timeline, err := opt.closedLoop(sh, loopCell{
+		name:     fmt.Sprintf("figure6_z%g_%s", z, policy),
+		table:    func(u int) string { return fmt.Sprintf("lineitem_u%d_z%g", u, z) },
+		z:        z,
+		seedStep: 13,
+		policy:   policy,
+		sampling: opt.Users,
+		figure:   true,
+		params: map[string]string{
 			"figure": "6",
 			"z":      fmt.Sprintf("%g", z),
 			"users":  fmt.Sprintf("%d", opt.Users),
 		},
-	}); err != nil {
+	})
+	if err != nil {
 		return Figure6Cell{}, nil, err
 	}
+	cpu, disk, occ := utilizationAverages(timeline, opt.WarmupS)
 	cs, _ := results.Class("Sampling")
 	return Figure6Cell{
 		Policy:       policy,

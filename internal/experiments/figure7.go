@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"dynamicmr"
-	"dynamicmr/internal/obs"
-	"dynamicmr/internal/runarchive"
 	"dynamicmr/internal/trace"
-	"dynamicmr/internal/workload"
 )
 
 // Figure7Cell is one (sampling fraction, policy) heterogeneous
@@ -49,11 +45,6 @@ func Figure8(opt Options) (*Figure7Result, error) {
 }
 
 func heterogeneous(opt Options, fair bool, schedName string) (*Figure7Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	sh := opt.newSweepShared()
-	defer sh.close()
 	type cellSpec struct {
 		frac   float64
 		policy string
@@ -64,14 +55,9 @@ func heterogeneous(opt Options, fair bool, schedName string) (*Figure7Result, er
 			specs = append(specs, cellSpec{frac: frac, policy: pol})
 		}
 	}
-	cells := make([]Figure7Cell, len(specs))
-	err := runCells(opt.parallelism(), len(specs), func(i int) error {
-		cell, _, err := heterogeneousCell(opt, sh, fair, specs[i].frac, specs[i].policy)
-		if err != nil {
-			return err
-		}
-		cells[i] = cell
-		return nil
+	cells, err := sweep(opt, specs, func(sh *sweepShared, s cellSpec) (Figure7Cell, error) {
+		cell, _, err := heterogeneousCell(opt, sh, fair, s.frac, s.policy)
+		return cell, err
 	})
 	if err != nil {
 		return nil, err
@@ -81,17 +67,12 @@ func heterogeneous(opt Options, fair bool, schedName string) (*Figure7Result, er
 
 // heterogeneousCell runs one (fraction, policy) cell, under the Fair
 // Scheduler with a 5 s locality wait when fair, and returns its
-// measurement and its utilization timeline.
+// measurement and its utilization timeline. Both classes query a
+// uniform match distribution (§V-E: "the predicate used for sampling
+// jobs corresponds to a uniform distribution"; non-sampling queries
+// are 0.05% select-project).
 func heterogeneousCell(opt Options, sh *sweepShared, fair bool,
 	frac float64, policy string) (Figure7Cell, []trace.MetricSample, error) {
-	opts := append(opt.observed(obs.DefaultIntervalS), dynamicmr.WithMultiUserSlots())
-	if fair {
-		opts = append(opts, dynamicmr.WithFairScheduler())
-	}
-	c, err := sh.cluster(opts...)
-	if err != nil {
-		return Figure7Cell{}, nil, err
-	}
 	nSampling := int(frac*float64(opt.Users) + 0.5)
 	if nSampling < 1 {
 		nSampling = 1
@@ -99,60 +80,28 @@ func heterogeneousCell(opt Options, sh *sweepShared, fair bool,
 	if nSampling > opt.Users {
 		nSampling = opt.Users
 	}
-	users := make([]*workload.User, 0, opt.Users)
-	for u := 0; u < opt.Users; u++ {
-		// Uniform match distribution for both classes (§V-E: "the
-		// predicate used for sampling jobs corresponds to a uniform
-		// distribution"; non-sampling queries are 0.05% select-project).
-		name := fmt.Sprintf("lineitem_u%d", u)
-		ds, err := sh.cache.get(opt.workloadSpec(0, name, int64(u+1)*17))
-		if err != nil {
-			return Figure7Cell{}, nil, err
-		}
-		if _, err := c.Load(name, ds); err != nil {
-			return Figure7Cell{}, nil, err
-		}
-		sess := c.Session(fmt.Sprintf("user%d", u))
-		pred := ds.Predicate().String()
-		if u < nSampling {
-			sess.Set("dynamic.job.policy", policy)
-			users = append(users, &workload.User{
-				Name:    fmt.Sprintf("user%d", u),
-				Class:   "Sampling",
-				Query:   fmt.Sprintf("SELECT L_ORDERKEY, L_PARTKEY, L_SUPPKEY FROM %s WHERE %s LIMIT %d", name, pred, opt.SampleK),
-				Session: sess,
-			})
-		} else {
-			users = append(users, &workload.User{
-				Name:    fmt.Sprintf("user%d", u),
-				Class:   "Non-Sampling",
-				Query:   fmt.Sprintf("SELECT L_ORDERKEY, L_PARTKEY, L_SUPPKEY FROM %s WHERE %s", name, pred),
-				Session: sess,
-			})
-		}
-	}
-	// A sampled cluster polls already; an unsampled one starts here.
-	c.JobTracker().SampleUtilization()
-	results, err := workload.Run(c.Engine(), users, workload.Config{WarmupS: opt.WarmupS, MeasureS: opt.MeasureS})
-	if err != nil {
-		return Figure7Cell{}, nil, fmt.Errorf("heterogeneous (frac=%g policy=%s): %w", frac, policy, err)
-	}
-	timeline := c.JobTracker().UtilizationTimeline()
-	_, _, occ := utilizationAverages(timeline, opt.WarmupS)
 	fig := "figure7"
 	if fair {
 		fig = "figure8"
 	}
-	if err := opt.archive(c, fmt.Sprintf("%s_frac%g_%s", fig, frac, policy), runarchive.RunConfig{
-		Policy: policy,
-		Params: map[string]string{
+	c, results, timeline, err := opt.closedLoop(sh, loopCell{
+		name:     fmt.Sprintf("%s_frac%g_%s", fig, frac, policy),
+		table:    func(u int) string { return fmt.Sprintf("lineitem_u%d", u) },
+		seedStep: 17,
+		policy:   policy,
+		sampling: nSampling,
+		fair:     fair,
+		figure:   true,
+		params: map[string]string{
 			"figure":   fig,
 			"fraction": fmt.Sprintf("%g", frac),
 			"users":    fmt.Sprintf("%d", opt.Users),
 		},
-	}); err != nil {
+	})
+	if err != nil {
 		return Figure7Cell{}, nil, err
 	}
+	_, _, occ := utilizationAverages(timeline, opt.WarmupS)
 	samp, _ := results.Class("Sampling")
 	scan, _ := results.Class("Non-Sampling")
 	var locality float64

@@ -185,14 +185,6 @@ func (o Options) workloadSpec(z float64, name string, seedOffset int64) dataset.
 	return spec
 }
 
-// parallelism returns the effective worker count for runCells.
-func (o Options) parallelism() int {
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
-}
-
 // rowsPerScale returns the effective rows per unit scale.
 func (o Options) rowsPerScale() int64 {
 	if o.RowsPerScaleOverride > 0 {

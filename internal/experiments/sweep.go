@@ -52,6 +52,28 @@ func (o Options) newSweepShared() *sweepShared {
 // the pool is the sweep's.
 func (s *sweepShared) close() { s.pool.Close() }
 
+// sweep runs one figure's or ablation's cells: it validates opt, builds
+// the sweep's shared state, runs cell on every spec through runCells at
+// opt's parallelism and returns the results in spec order, closing the
+// scan pool once the cells have drained.
+func sweep[S, R any](opt Options, specs []S, cell func(sh *sweepShared, s S) (R, error)) ([]R, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	sh := opt.newSweepShared()
+	defer sh.close()
+	out := make([]R, len(specs))
+	err := runCells(opt.Parallelism, len(specs), func(i int) error {
+		r, err := cell(sh, specs[i])
+		out[i] = r
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // cluster builds one cell's cluster: the 4-slot-per-node §V-A testbed
 // with FIFO scheduling unless opts say otherwise.
 func (s *sweepShared) cluster(opts ...dynamicmr.Option) (*dynamicmr.Cluster, error) {

@@ -81,7 +81,7 @@ func Figure4(opt Options) (*Table, error) {
 	matches := int64(float64(5*opt.rowsPerScale())*opt.Selectivity + 0.5)
 	zs := []float64{0, 1, 2}
 	counts := make([][]int64, len(zs))
-	if err := runCells(opt.parallelism(), len(zs), func(i int) error {
+	if err := runCells(opt.Parallelism, len(zs), func(i int) error {
 		counts[i] = skew.Counts(matches, zs[i], n, opt.Seed)
 		return nil
 	}); err != nil {

@@ -449,7 +449,7 @@ func TestFIFOOrdersJobs(t *testing.T) {
 }
 
 func TestFairSharesBetweenUsers(t *testing.T) {
-	r := newRig(t, fairWaiting(0))
+	r := newRig(t, NewFairScheduler())
 	mk := func(name, user string) *Job {
 		f := r.makeFile(t, name, 80, 10)
 		conf := NewJobConf()

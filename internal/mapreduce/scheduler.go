@@ -99,9 +99,6 @@ const localityWaitS = 5.0
 // slot occupancy for locality (the paper measures 88% locality at 18%
 // occupancy versus FIFO's 57% at 44%).
 type FairScheduler struct {
-	// wait is localityWaitS, which this package's tests vary (<= 0
-	// disables delay scheduling).
-	wait  float64
 	state map[*Job]*fairJobState
 	// pools is poolOrder's result, reused by its next call.
 	pools []fairPool
@@ -119,7 +116,7 @@ type fairPool struct {
 
 // NewFairScheduler returns a Fair Scheduler.
 func NewFairScheduler() *FairScheduler {
-	return &FairScheduler{wait: localityWaitS, state: make(map[*Job]*fairJobState)}
+	return &FairScheduler{state: make(map[*Job]*fairJobState)}
 }
 
 // Name implements TaskScheduler.
@@ -203,15 +200,12 @@ func (s *FairScheduler) pickMap(jt *JobTracker, tt *TaskTracker, now float64) *M
 				st.waiting = false
 				return t
 			}
-			if s.wait <= 0 {
-				return j.nextPending()
-			}
 			if !st.waiting {
 				st.waiting = true
 				st.waitStart = now
 				continue // hold out for locality; try next job
 			}
-			if now-st.waitStart >= s.wait {
+			if now-st.waitStart >= localityWaitS {
 				st.waiting = false
 				return j.nextPending()
 			}

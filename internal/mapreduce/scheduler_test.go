@@ -16,13 +16,14 @@ import (
 // taking each pick out of a pending slice and putting it back in front
 // when the call returns. It keeps its own pending slices and Fair
 // waiting state and reads everything else (jobs, users, running maps,
-// the clock) from the tracker under test.
+// the clock) from the tracker under test. expired counts the Fair picks
+// made once a job's locality wait ran out.
 type refTracker struct {
-	jt    *JobTracker
-	jobs  []*refJob
-	byJob map[*Job]*refJob
-	wait  float64
-	state map[*Job]*fairJobState
+	jt      *JobTracker
+	jobs    []*refJob
+	byJob   map[*Job]*refJob
+	state   map[*Job]*fairJobState
+	expired int
 }
 
 type refJob struct {
@@ -152,18 +153,15 @@ func (r *refTracker) fairAssignMaps(tt *TaskTracker, max int) []*MapTask {
 					st.waiting = false
 					break search
 				}
-				if r.wait <= 0 {
-					picked = j.pendingMaps[0]
-					break search
-				}
 				if !st.waiting {
 					st.waiting = true
 					st.waitStart = now
 					continue
 				}
-				if now-st.waitStart >= r.wait {
+				if now-st.waitStart >= localityWaitS {
 					picked = j.pendingMaps[0]
 					st.waiting = false
+					r.expired++
 					break search
 				}
 			}
@@ -178,14 +176,6 @@ func (r *refTracker) fairAssignMaps(tt *TaskTracker, max int) []*MapTask {
 	return out
 }
 
-// fairWaiting returns a Fair Scheduler whose locality wait is wait
-// seconds instead of localityWaitS.
-func fairWaiting(wait float64) *FairScheduler {
-	s := NewFairScheduler()
-	s.wait = wait
-	return s
-}
-
 // pendingOrder lists a job's pending queue front to back.
 func pendingOrder(j *Job) []*MapTask {
 	var out []*MapTask
@@ -197,27 +187,24 @@ func pendingOrder(j *Job) []*MapTask {
 
 // TestAssignMapsMatchesReference runs FIFO and Fair AssignMaps against
 // refTracker over random jobs, users, pending queues, replica nodes,
-// running maps and locality waits, several scheduling rounds each, with
+// running maps and clock advances, several scheduling rounds each, with
 // failed tasks requeued and splits added between rounds. Every round
 // must pick the same tasks in the same order, leave the same pending
 // order once the picks launch, and (Fair) the same waiting state.
 func TestAssignMapsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	users := []string{"ann", "bob", "cyd", "dee"}
+	expired := 0
 	for trial := 0; trial < 600; trial++ {
 		fair := trial%2 == 1
 		eng := sim.NewEngine()
 		cl := cluster.New(eng, cluster.PaperConfig())
 		var sched TaskScheduler = NewFIFOScheduler()
-		wait := 0.0
 		if fair {
-			if rng.Intn(3) > 0 {
-				wait = float64(1 + rng.Intn(3))
-			}
-			sched = fairWaiting(wait)
+			sched = NewFairScheduler()
 		}
 		jt := NewJobTracker(cl, DefaultConfig(), sched)
-		ref := &refTracker{jt: jt, byJob: map[*Job]*refJob{}, wait: wait, state: map[*Job]*fairJobState{}}
+		ref := &refTracker{jt: jt, byJob: map[*Job]*refJob{}, state: map[*Job]*fairJobState{}}
 		nUsers := 1 + rng.Intn(len(users))
 		addTask := func(j *Job) {
 			var reps []dfs.Location
@@ -259,8 +246,8 @@ func TestAssignMapsMatchesReference(t *testing.T) {
 				want = ref.fifoAssignMaps(tt, max)
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("trial %d round %d (fair=%v wait=%v max=%d node=%d): picked %v, reference %v",
-					trial, round, fair, wait, max, tt.node.ID, taskIDs(got), taskIDs(want))
+				t.Fatalf("trial %d round %d (fair=%v max=%d node=%d): picked %v, reference %v",
+					trial, round, fair, max, tt.node.ID, taskIDs(got), taskIDs(want))
 			}
 			// Launch every pick, as JobTracker.assign does.
 			for _, p := range got {
@@ -299,6 +286,12 @@ func TestAssignMapsMatchesReference(t *testing.T) {
 				addTask(jt.jobs[rng.Intn(len(jt.jobs))])
 			}
 		}
+		expired += ref.expired
+	}
+	// The rounds advance the clock past the 5 s locality wait often
+	// enough to take the non-local pick after it.
+	if expired < 100 {
+		t.Fatalf("only %d picks after an expired locality wait", expired)
 	}
 }
 

@@ -212,7 +212,7 @@ func TestPublishedEndpointsDoNotBlock(t *testing.T) {
 	s := NewSampler(jt, Config{IntervalS: 1})
 	s.Start()
 	reg := qstats.NewRegistry(jt)
-	db, err := tsdb.New(jt, tsdb.Config{IntervalS: 1, Rules: []tsdb.Rule{
+	db, err := tsdb.New(jt, tsdb.Config{Rules: []tsdb.Rule{
 		{Name: "jobs-high", Kind: tsdb.KindThreshold, Series: "cluster.running_jobs", Value: 1e9},
 	}})
 	if err != nil {
@@ -224,7 +224,7 @@ func TestPublishedEndpointsDoNotBlock(t *testing.T) {
 
 	id := reg.AllocID()
 	stepped := make(chan struct{})
-	go func() { // the engine's goroutine: one query, then a publish
+	go func() { // the engine's goroutine: one query, a tsdb tick, then a publish
 		defer close(stepped)
 		conf := mapreduce.NewJobConf()
 		conf.SetInt(mapreduce.ConfSampleSize, 50)
@@ -233,6 +233,7 @@ func TestPublishedEndpointsDoNotBlock(t *testing.T) {
 		job := jt.Submit(mapreduce.JobSpec{Conf: conf, NewMapper: echoMapper}, mapreduce.SplitsForFile(f))
 		reg.Register(id, job, "SELECT V FROM t LIMIT 50", job.ScheduledMaps())
 		mapreduce.RunUntilDone(eng, job, 1e6)
+		eng.RunUntil(eng.Now() + tsdb.IntervalS)
 		srv.Publish()
 	}()
 

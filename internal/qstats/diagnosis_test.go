@@ -47,7 +47,7 @@ func TestPerQueryDiagnosesMatchPostRunReport(t *testing.T) {
 			cl := cluster.New(eng, ccfg)
 			cfg := mapreduce.DefaultConfig()
 			cfg.Costs.MapCPUPerRecordS = 2e-3
-			cfg.Trace = trace.Config{Enabled: true, Capacity: 1 << 20}
+			cfg.Trace = trace.Config{Enabled: true}
 			cfg.SpeculativeExecution = speculative
 			cfg.FailureInjector = func(j *mapreduce.Job, mt *mapreduce.MapTask) bool {
 				return mt.Attempts == 1 && (mt.Index+j.ID)%5 == 2

@@ -553,7 +553,7 @@ func (r *Registry) diagnoseQueued() {
 			for i := range rec.decisions {
 				c.AddDecision(rec.decisions[i])
 			}
-			d, err := c.Diagnose(diag.Config{})
+			d, err := c.Diagnose()
 			out = append(out, diagResult{d, err})
 		}
 		r.mu.Lock()

@@ -260,8 +260,9 @@ type Source struct {
 // the precondition for diff-by-construction in Compare. When
 // src.Diagnosis is nil, New computes it with diag.Analyze from the
 // copies of the tracer's spans, decisions and counters the archive
-// keeps (as diag.FromTracer would from copies of its own), so the
-// report's Counters is the archive's Counters map.
+// keeps, so the report's Counters is the archive's Counters map. The
+// archive keeps its own copy of the spans because it outlives the
+// stillness of the engine that diag.FromTracer's in-place read needs.
 func New(src Source) (*Archive, error) {
 	if !src.Tracer.Enabled() {
 		return nil, fmt.Errorf("runarchive: archiving requires an enabled tracer")
@@ -287,7 +288,7 @@ func New(src Source) (*Archive, error) {
 		Alerts:    src.Alerts,
 	}
 	if a.Diagnosis == nil {
-		a.Diagnosis = diag.Analyze(a.Spans, a.Decisions, a.Counters, a.Manifest.DroppedSpans, diag.Config{})
+		a.Diagnosis = diag.Analyze(a.Spans, a.Decisions, a.Counters, a.Manifest.DroppedSpans)
 	}
 	if err := a.Diagnosis.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("runarchive: diagnosis invariants: %w", err)

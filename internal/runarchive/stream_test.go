@@ -268,7 +268,7 @@ func TestWriteFileRemovesFailedArchive(t *testing.T) {
 
 // TestNewDiagnosesItsOwnCopy: New without a diagnosis analyzes the span,
 // decision and counter copies it keeps, and the report equals the one
-// diag.FromTracer computes from copies of its own.
+// diag.FromTracer computes from the tracer's ring in place.
 func TestNewDiagnosesItsOwnCopy(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		tr, vt := randomTracer(rand.New(rand.NewSource(seed)), 1+int(seed)*3)

@@ -76,26 +76,28 @@ type Estimate struct {
 	RelativeError float64
 }
 
+// The estimator's stopping rule: a 95% normal-approximation interval,
+// and at least minMatches matches observed, so zero-match prefixes
+// don't terminate the job with a degenerate interval.
+const (
+	z95        = 1.96
+	minMatches = 30
+)
+
 // EstimatorProvider is the statistics-harness Input Provider: it keeps
 // adding randomly-chosen partitions (within the policy's grab limit)
 // until the estimate p̂ = matches/records satisfies
 //
-//	z · sqrt(p̂(1-p̂)/records) ≤ MaxRelErr · p̂
+//	z95 · sqrt(p̂(1-p̂)/records) ≤ MaxRelErr · p̂
 //
-// with at least MinMatches matches observed (so zero-match prefixes
-// don't terminate the job with a degenerate interval).
+// with at least minMatches matches observed.
 type EstimatorProvider struct {
 	// MaxRelErr is the target relative half-width (e.g. 0.1 = ±10%).
 	MaxRelErr float64
-	// Confidence selects z: 0 means 95% (z = 1.96).
-	Confidence float64
-	// MinMatches guards against early termination (default 30).
-	MinMatches int64
 	// Seed drives the random partition order.
 	Seed int64
 
-	splits []mapreduce.Split
-	cursor int
+	splitDraw
 }
 
 // NewEstimatorProvider builds the provider for a target relative error.
@@ -103,62 +105,17 @@ func NewEstimatorProvider(maxRelErr float64, seed int64) *EstimatorProvider {
 	return &EstimatorProvider{MaxRelErr: maxRelErr, Seed: seed}
 }
 
-// z returns the normal quantile for the configured confidence.
-func (p *EstimatorProvider) z() float64 {
-	switch p.Confidence {
-	case 0, 0.95:
-		return 1.96
-	case 0.90:
-		return 1.645
-	case 0.99:
-		return 2.576
-	default:
-		// Coarse fallback for other confidences.
-		return 1.96
-	}
-}
-
-// Init implements core.InputProvider.
+// Init implements core.InputProvider. Informed ordering biases the
+// estimator: the early prefix over-represents match-rich partitions, so
+// p̂ starts high and the stopping rule can fire sooner than a uniform
+// draw justifies. That is the index input path's explicit trade (fast
+// biased statistics); leave it off for unbiased estimates.
 func (p *EstimatorProvider) Init(all []mapreduce.Split, conf *mapreduce.JobConf) error {
 	if p.MaxRelErr <= 0 || p.MaxRelErr >= 1 {
 		return fmt.Errorf("sampling: estimator MaxRelErr %v outside (0,1)", p.MaxRelErr)
 	}
-	if p.MinMatches == 0 {
-		p.MinMatches = 30
-	}
-	p.splits = append([]mapreduce.Split(nil), all...)
-	shuffleSplits(p.splits, p.Seed)
-	// Informed ordering biases the estimator: the early prefix
-	// over-represents match-rich partitions, so p̂ starts high and the
-	// stopping rule can fire sooner than a uniform draw justifies. That
-	// is the flag's explicit trade (fast biased statistics); leave the
-	// flag off for unbiased estimates.
-	if fp, ok := informedGrab(conf); ok {
-		informedOrder(p.splits, fp)
-	}
-	p.cursor = 0
+	p.draw(all, p.Seed, conf)
 	return nil
-}
-
-// InitialSplits implements core.InputProvider. Grabs beyond the
-// remaining unscanned splits clamp to the remainder (see take): no
-// split is duplicated or dropped under any ordering.
-func (p *EstimatorProvider) InitialSplits(grab int) []mapreduce.Split {
-	return p.take(grab)
-}
-
-// take clamps n to [0, remaining] and advances the cursor; see
-// Provider.take for the no-duplicate/no-drop contract.
-func (p *EstimatorProvider) take(n int) []mapreduce.Split {
-	if n < 0 {
-		n = 0
-	}
-	if rem := len(p.splits) - p.cursor; n > rem {
-		n = rem
-	}
-	out := p.splits[p.cursor : p.cursor+n]
-	p.cursor += n
-	return out
 }
 
 // Estimate is p̂ = matches/records with its normal-approximation
@@ -170,7 +127,7 @@ func (p *EstimatorProvider) Estimate(matches, records int64) Estimate {
 	if records > 0 {
 		phat := float64(matches) / float64(records)
 		est.Selectivity = phat
-		est.HalfWidth = p.z() * math.Sqrt(phat*(1-phat)/float64(records))
+		est.HalfWidth = z95 * math.Sqrt(phat*(1-phat)/float64(records))
 		if phat > 0 {
 			est.RelativeError = est.HalfWidth / phat
 		}
@@ -181,10 +138,10 @@ func (p *EstimatorProvider) Estimate(matches, records int64) Estimate {
 // Next implements core.InputProvider.
 func (p *EstimatorProvider) Next(rep core.Report) (core.Response, []mapreduce.Split) {
 	est := p.Estimate(rep.Job.UserCounters[CounterMatches], rep.Job.MapInputRecords)
-	if est.Selectivity > 0 && est.Matches >= p.MinMatches && est.RelativeError <= p.MaxRelErr {
+	if est.Selectivity > 0 && est.Matches >= minMatches && est.RelativeError <= p.MaxRelErr {
 		return core.EndOfInput, nil
 	}
-	if p.cursor >= len(p.splits) {
+	if p.Remaining() == 0 {
 		return core.EndOfInput, nil
 	}
 	if rep.GrabLimit <= 0 {

@@ -130,12 +130,12 @@ func TestEstimatorWaitsAtZeroGrab(t *testing.T) {
 	}
 }
 
+// TestEstimatorConfidenceLevels: the interval is the 95% normal
+// approximation, z = 1.96.
 func TestEstimatorConfidenceLevels(t *testing.T) {
-	for conf, wantZ := range map[float64]float64{0: 1.96, 0.95: 1.96, 0.90: 1.645, 0.99: 2.576} {
-		p := &EstimatorProvider{MaxRelErr: 0.1, Confidence: conf}
-		if got := p.z(); got != wantZ {
-			t.Errorf("z(%v) = %v, want %v", conf, got, wantZ)
-		}
+	est := NewEstimatorProvider(0.1, 1).Estimate(100, 10_000)
+	if want := 1.96 * math.Sqrt(0.01*0.99/10_000); est.Selectivity != 0.01 || math.Abs(est.HalfWidth-want) > 1e-15 {
+		t.Fatalf("estimate %+v, want p̂ 0.01 and half width %v", est, want)
 	}
 }
 

@@ -30,14 +30,55 @@ func informedOrder(splits []mapreduce.Split, fingerprint string) {
 	})
 }
 
-// informedGrab reports whether the conf opts into informed grab
-// ordering, returning the predicate fingerprint to order by.
-func informedGrab(conf *mapreduce.JobConf) (string, bool) {
-	if conf == nil || conf.Get(mapreduce.ConfInputPath, "") != mapreduce.InputPathIndex {
-		return "", false
+// splitDraw is the split order both Input Providers hand out: a copy
+// of the input shuffled with the provider's seed (§IV: "the initial
+// input and all subsequent increments are chosen randomly with a
+// uniform distribution from the set of un-processed input
+// partitions"), reordered by informedOrder under the index input path,
+// and a cursor over it. Its InitialSplits implements
+// core.InputProvider's for both.
+type splitDraw struct {
+	splits []mapreduce.Split
+	cursor int // splits[:cursor] have been handed out
+}
+
+// draw replaces the order with a fresh draw of all.
+func (d *splitDraw) draw(all []mapreduce.Split, seed int64, conf *mapreduce.JobConf) {
+	d.splits = append([]mapreduce.Split(nil), all...)
+	shuffleSplits(d.splits, seed)
+	if conf != nil && conf.Get(mapreduce.ConfInputPath, "") == mapreduce.InputPathIndex {
+		if fp := conf.Get(mapreduce.ConfPredicate, ""); fp != "" {
+			informedOrder(d.splits, fp)
+		}
 	}
-	fp := conf.Get(mapreduce.ConfPredicate, "")
-	return fp, fp != ""
+	d.cursor = 0
+}
+
+// InitialSplits hands out the first grab splits. Like every grab, a
+// grab larger than the remaining unscanned splits is clamped to the
+// remainder (see take): under any ordering — shuffled or informed —
+// each split is handed out exactly once, never duplicated or dropped.
+func (d *splitDraw) InitialSplits(grab int) []mapreduce.Split {
+	return d.take(grab)
+}
+
+// Remaining returns the number of partitions not yet handed out.
+func (d *splitDraw) Remaining() int { return len(d.splits) - d.cursor }
+
+// take advances the cursor over the split order and returns the next n
+// splits. n is clamped to [0, Remaining()]: a grab exceeding the
+// unscanned remainder returns exactly the remainder, so the union of
+// all grabs is the exact input set with no duplicates and no drops.
+func (d *splitDraw) take(n int) []mapreduce.Split {
+	if n < 0 {
+		n = 0
+	}
+	if rem := d.Remaining(); n > rem {
+		n = rem
+	}
+	out := d.splits[d.cursor : d.cursor+n]
+	d.cursor += n
+	return out
 }
 
 // Provider is the sampling Input Provider (§IV). It draws increments
@@ -47,15 +88,12 @@ func informedGrab(conf *mapreduce.JobConf) (string, bool) {
 // and converts the remaining match deficit into a number of splits —
 // bounded by the policy's grab limit at each step.
 type Provider struct {
-	// K is the required sample size; read from the JobConf at Init if
-	// zero.
+	// K is the required sample size; it must be positive.
 	K int64
 	// Seed drives the random split order.
 	Seed int64
 
-	splits    []mapreduce.Split // randomly permuted
-	cursor    int               // splits[:cursor] have been handed out
-	totalRecs int64             // records across all splits
+	splitDraw
 }
 
 // NewProvider creates a provider for sample size k.
@@ -64,55 +102,13 @@ func NewProvider(k int64, seed int64) *Provider {
 }
 
 // Init implements core.InputProvider: receive the complete input
-// partition set and permute it uniformly at random (§IV: "the initial
-// input and all subsequent increments are chosen randomly with a
-// uniform distribution from the set of un-processed input partitions").
+// partition set and draw its random order.
 func (p *Provider) Init(all []mapreduce.Split, conf *mapreduce.JobConf) error {
-	if p.K == 0 && conf != nil {
-		p.K = conf.GetInt(mapreduce.ConfSampleSize, 0)
-	}
 	if p.K <= 0 {
 		return fmt.Errorf("sampling: provider needs a positive sample size")
 	}
-	p.splits = append([]mapreduce.Split(nil), all...)
-	shuffleSplits(p.splits, p.Seed)
-	if fp, ok := informedGrab(conf); ok {
-		informedOrder(p.splits, fp)
-	}
-	p.totalRecs = 0
-	for _, s := range p.splits {
-		p.totalRecs += s.NumRecords()
-	}
-	p.cursor = 0
+	p.draw(all, p.Seed, conf)
 	return nil
-}
-
-// InitialSplits implements core.InputProvider. Like every grab, a grab
-// larger than the remaining unscanned splits is clamped to the
-// remainder (see take): under any ordering — shuffled or informed —
-// each split is handed out exactly once, never duplicated or dropped.
-func (p *Provider) InitialSplits(grab int) []mapreduce.Split {
-	return p.take(grab)
-}
-
-// Remaining returns the number of partitions not yet handed out.
-func (p *Provider) Remaining() int { return len(p.splits) - p.cursor }
-
-// take advances the cursor over the (permuted, possibly
-// informed-ordered) split sequence and returns the next n splits. n is
-// clamped to [0, Remaining()]: a grab exceeding the unscanned remainder
-// returns exactly the remainder, so the union of all grabs is the exact
-// input set with no duplicates and no drops.
-func (p *Provider) take(n int) []mapreduce.Split {
-	if n < 0 {
-		n = 0
-	}
-	if rem := p.Remaining(); n > rem {
-		n = rem
-	}
-	out := p.splits[p.cursor : p.cursor+n]
-	p.cursor += n
-	return out
 }
 
 // Next implements core.InputProvider — the §IV estimation procedure.
@@ -150,9 +146,6 @@ func (p *Provider) Next(rep core.Report) (core.Response, []mapreduce.Split) {
 	// Input Provider computes the expected number of records in each
 	// split").
 	recsPerSplit := float64(js.MapInputRecords) / float64(js.CompletedMaps)
-	if recsPerSplit <= 0 {
-		recsPerSplit = float64(p.totalRecs) / float64(len(p.splits))
-	}
 
 	// Expected output from pending (scheduled but unfinished) maps.
 	pendingMaps := js.ScheduledMaps - js.CompletedMaps

@@ -45,20 +45,18 @@ func report(completed, scheduled int, inputRecs, outputRecs int64, grab int) cor
 	}
 }
 
+// TestProviderInitRequiresK: a non-positive K is an error, even when
+// the JobConf carries a sample size.
 func TestProviderInitRequiresK(t *testing.T) {
-	p := NewProvider(0, 1)
-	if err := p.Init(fakeSplits(2, 5), nil); err == nil {
-		t.Fatal("k=0 accepted without conf")
-	}
-	// K can come from the JobConf.
 	conf := mapreduce.NewJobConf()
 	conf.SetInt(mapreduce.ConfSampleSize, 77)
-	p = NewProvider(0, 1)
-	if err := p.Init(fakeSplits(2, 5), conf); err != nil {
-		t.Fatal(err)
+	for _, k := range []int64{0, -1} {
+		if err := NewProvider(k, 1).Init(fakeSplits(2, 5), conf); err == nil {
+			t.Fatalf("k=%d accepted", k)
+		}
 	}
-	if p.K != 77 {
-		t.Fatalf("K = %d", p.K)
+	if err := NewProvider(77, 1).Init(fakeSplits(2, 5), nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

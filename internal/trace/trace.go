@@ -23,9 +23,12 @@
 // flushes and post-run reads do.
 package trace
 
-// DefaultCapacity is the span ring capacity for a Config zero value
-// (oldest spans are evicted beyond it; see Tracer.Dropped).
-const DefaultCapacity = 1 << 16
+// RingCapacity bounds the span ring: oldest spans are evicted beyond
+// it (see Tracer.Dropped). The policy audit log and the metric
+// timeline are not ring-bounded: they are the ground truth experiments
+// re-read, and they grow by one entry per evaluation / poll interval,
+// not per task.
+const RingCapacity = 1 << 16
 
 // Config tunes the tracing subsystem. It is embedded in
 // mapreduce.Config as the single switch for the whole layer.
@@ -33,18 +36,6 @@ type Config struct {
 	// Enabled turns tracing on; when false no Tracer is constructed
 	// and every instrumentation site reduces to a nil check.
 	Enabled bool
-	// Capacity bounds the span ring (default DefaultCapacity). The
-	// policy audit log and the metric timeline are not ring-bounded:
-	// they are the ground truth experiments re-read, and they grow by
-	// one entry per evaluation / poll interval, not per task.
-	Capacity int
-}
-
-func (c Config) capacity() int {
-	if c.Capacity > 0 {
-		return c.Capacity
-	}
-	return DefaultCapacity
 }
 
 // Span names emitted by the runtime. A map attempt's timeline is
@@ -143,7 +134,7 @@ type MetricSample struct {
 // no-op and Enabled reports false. It is not safe for concurrent use;
 // see the package comment for who may call it.
 type Tracer struct {
-	capacity int    // of the span ring: cfg.capacity()
+	capacity int    // of the span ring: RingCapacity
 	spans    []Span // ring storage, filled in order up to capacity
 	head     int    // next write position once the ring is full
 	dropped  int64
@@ -160,7 +151,7 @@ func New(cfg Config) *Tracer {
 	if !cfg.Enabled {
 		return nil
 	}
-	return &Tracer{capacity: cfg.capacity(), reg: newRegistry()}
+	return &Tracer{capacity: RingCapacity, reg: newRegistry()}
 }
 
 // Enabled reports whether the tracer records anything. It is the

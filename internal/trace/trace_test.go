@@ -45,19 +45,22 @@ func TestNewDisabledReturnsNil(t *testing.T) {
 	}
 }
 
+// newRing returns an enabled tracer whose span ring holds capacity
+// spans, so the ring tests can fill and wrap it cheaply.
+func newRing(capacity int) *Tracer {
+	tr := New(Config{Enabled: true})
+	tr.capacity = capacity
+	return tr
+}
+
 func TestConfigDefaults(t *testing.T) {
-	var c Config
-	if c.capacity() != DefaultCapacity {
-		t.Fatalf("capacity() = %d", c.capacity())
-	}
-	c = Config{Capacity: 8}
-	if c.capacity() != 8 {
-		t.Fatalf("override ignored: %d", c.capacity())
+	if c := New(Config{Enabled: true}).capacity; c != RingCapacity {
+		t.Fatalf("ring capacity %d, want %d", c, RingCapacity)
 	}
 }
 
 func TestRingKeepsNewestAndCountsDropped(t *testing.T) {
-	tr := New(Config{Enabled: true, Capacity: 4})
+	tr := newRing(4)
 	for i := 0; i < 10; i++ {
 		tr.Record(Span{Name: SpanMapAttempt, Start: float64(i), End: float64(i) + 1, Task: i})
 	}
@@ -78,7 +81,7 @@ func TestRingKeepsNewestAndCountsDropped(t *testing.T) {
 // The ring doubles up to its capacity, so filling it allocates under
 // twice its final size, and it keeps the newest spans once full.
 func TestRingGrowsByDoublingToCapacity(t *testing.T) {
-	tr := New(Config{Enabled: true, Capacity: 1000})
+	tr := newRing(1000)
 	var caps []int
 	for i := 0; i < 1010; i++ {
 		tr.Record(Span{Name: SpanMapAttempt, Task: i})
@@ -96,7 +99,7 @@ func TestRingGrowsByDoublingToCapacity(t *testing.T) {
 }
 
 func TestRingPartiallyFilled(t *testing.T) {
-	tr := New(Config{Enabled: true, Capacity: 8})
+	tr := newRing(8)
 	for i := 0; i < 3; i++ {
 		tr.Record(Span{Name: SpanQueueWait, Task: i})
 	}
@@ -114,7 +117,7 @@ func TestRingPartiallyFilled(t *testing.T) {
 // that straddles the wrap point, and a stale cursor older than the
 // retained window. Every read returns views of the ring, not copies.
 func TestSpansSinceIncrementalCursor(t *testing.T) {
-	tr := New(Config{Enabled: true, Capacity: 4})
+	tr := newRing(4)
 	want := func(what string, from int64, wantTasks []int, wantCur int64) {
 		t.Helper()
 		a, b, cur := tr.SpansSince(from)

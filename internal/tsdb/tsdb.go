@@ -40,11 +40,11 @@ const SchemaVersion = "dynamicmr.tsdb/1"
 // /alerts payload, the archive's alert log and `dynmr render alerts`).
 const AlertsSchemaVersion = "dynamicmr.alerts/1"
 
-// DefaultIntervalS is the collection cadence in virtual seconds.
-const DefaultIntervalS = 5.0
+// IntervalS is the collection cadence in virtual seconds.
+const IntervalS = 5.0
 
-// rawCapacity is the per-series raw ring size (at the default
-// interval: 30 virtual minutes of full-resolution history).
+// rawCapacity is the per-series raw ring size (30 virtual minutes of
+// full-resolution history).
 const rawCapacity = 360
 
 // maxAlertEvents bounds the alert log; the oldest half is dropped (and
@@ -55,11 +55,10 @@ const maxAlertEvents = 1024
 // hours, 10-minute buckets for 40.
 var resolutions = [...]Resolution{{StepS: 60, Capacity: 240}, {StepS: 600, Capacity: 240}}
 
-// Config parameterizes New. A zero IntervalS takes DefaultIntervalS;
-// Rules may be empty (trends without alerts).
+// Config parameterizes New. Rules may be empty (trends without
+// alerts).
 type Config struct {
-	IntervalS float64
-	Rules     []Rule
+	Rules []Rule
 }
 
 // DB is one run's time-series engine. It is not internally locked: the
@@ -67,9 +66,8 @@ type Config struct {
 // driver lock that gates engine stepping (the obs.Sampler discipline). All
 // methods are safe on a nil *DB — the disabled state costs a nil check.
 type DB struct {
-	jt  *mapreduce.JobTracker
-	qs  *qstats.Registry
-	cfg Config
+	jt *mapreduce.JobTracker
+	qs *qstats.Registry
 
 	running bool
 
@@ -94,12 +92,8 @@ type DB struct {
 // same checks ParseRules applies); an invalid rule is an error, never
 // silently dropped.
 func New(jt *mapreduce.JobTracker, cfg Config) (*DB, error) {
-	if cfg.IntervalS <= 0 {
-		cfg.IntervalS = DefaultIntervalS
-	}
 	db := &DB{
 		jt:       jt,
-		cfg:      cfg,
 		series:   make(map[string]*Series),
 		lastTick: jt.Engine().Now(),
 	}
@@ -135,9 +129,9 @@ func (db *DB) Start() {
 	var tick func()
 	tick = func() {
 		db.tick()
-		eng.After(db.cfg.IntervalS, tick)
+		eng.After(IntervalS, tick)
 	}
-	eng.After(db.cfg.IntervalS, tick)
+	eng.After(IntervalS, tick)
 }
 
 // tick is one collection + evaluation pass on the engine goroutine.
@@ -341,7 +335,7 @@ func (db *DB) Dump() Dump {
 	if db == nil {
 		return Dump{Schema: SchemaVersion}
 	}
-	d := Dump{Schema: SchemaVersion, VirtualTimeS: db.jt.Engine().Now(), IntervalS: db.cfg.IntervalS}
+	d := Dump{Schema: SchemaVersion, VirtualTimeS: db.jt.Engine().Now(), IntervalS: IntervalS}
 	names := append([]string(nil), db.order...)
 	sort.Strings(names)
 	for _, name := range names {

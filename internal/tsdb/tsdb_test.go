@@ -244,7 +244,7 @@ func TestCollectEndToEnd(t *testing.T) {
 	eng, fs, jt := rig(t)
 	f := mkFile(t, fs, "in", 8, 100)
 	reg := qstats.NewRegistry(jt)
-	db, err := New(jt, Config{IntervalS: 1})
+	db, err := New(jt, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCollectEndToEnd(t *testing.T) {
 	eng.RunUntil(eng.Now() + 5)
 
 	d := db.Dump()
-	if d.Schema != SchemaVersion || d.IntervalS != 1 {
+	if d.Schema != SchemaVersion || d.IntervalS != IntervalS {
 		t.Fatalf("dump header: %+v", d)
 	}
 	want := map[string]bool{
@@ -304,15 +304,15 @@ func TestCollectEndToEnd(t *testing.T) {
 }
 
 // TestFlushCatchesPostTickFinish: short runs stop the clock the moment
-// the last job completes, so a query finishing between ticks is
-// invisible to the scheduled collection — Flush must deliver it to the
-// slo_burn window and fire the rule, and a second Flush at the same
-// virtual time must be a no-op.
+// the last job completes, after the last 5 s tick, so a query finishing
+// between ticks is invisible to the scheduled collection — Flush must
+// deliver it to the slo_burn window and fire the rule, and a second
+// Flush at the same virtual time must be a no-op.
 func TestFlushCatchesPostTickFinish(t *testing.T) {
 	eng, fs, jt := rig(t)
 	f := mkFile(t, fs, "in", 8, 100)
 	reg := qstats.NewRegistry(jt)
-	db, err := New(jt, Config{IntervalS: 1e6, Rules: []Rule{
+	db, err := New(jt, Config{Rules: []Rule{
 		{Name: "latency-slo", Kind: KindSLOBurn, ObjectiveS: 1e-6},
 	}})
 	if err != nil {
@@ -330,9 +330,9 @@ func TestFlushCatchesPostTickFinish(t *testing.T) {
 	reg.Register(id, job, "SELECT V FROM t LIMIT 50", job.ScheduledMaps())
 	mapreduce.RunUntilDone(eng, job, 1e6)
 
-	// The huge interval guarantees no scheduled tick ever ran.
+	// The clock stopped at the finish, so no scheduled tick saw it.
 	if d := db.AlertsDump(); len(d.Events) != 0 {
-		t.Fatalf("tick ran before Flush: %+v", d.Events)
+		t.Fatalf("a tick saw the finish before Flush: %+v", d.Events)
 	}
 	db.Flush()
 	d := db.AlertsDump()
