@@ -11,8 +11,8 @@ import (
 // BuildArchive snapshots the run into a cross-run archive (schema
 // dynamicmr.archive/1): every trace span, the policy decision audit
 // log, the utilization timeline, the sampler's snapshots (after its
-// last partial interval) when WithUtilizationSampling was on,
-// counters/gauges, the invariant-checked per-job diagnosis, the
+// last partial interval) when WithUtilizationSampling was on, the
+// counters, the invariant-checked per-job diagnosis, the
 // per-query registry dump when WithQueryStats was on, the time series
 // and alert log when WithTimeSeries was on, and the run configuration.
 // Fields of cfg the cluster knows better than the caller — input path,
@@ -42,8 +42,6 @@ func (c *Cluster) BuildArchive(label string, cfg runarchive.RunConfig) (*runarch
 	if cfg.GitRev == "" {
 		cfg.GitRev = runarchive.GitRev()
 	}
-	// The sampler takes its last partial interval first, so the tsdb
-	// flush below folds the gauges it publishes.
 	snaps := c.sampler.Cut()
 	var queries *qstats.Dump
 	if c.qstats.Enabled() {

@@ -18,7 +18,7 @@ import (
 // format, not just the in-memory structs.
 func archiveTwinRun(t *testing.T, workers int) *runarchive.Archive {
 	t.Helper()
-	c, err := NewCluster(WithTracing(trace.Config{}), WithQueryStats(), WithScanWorkers(workers))
+	c, err := NewCluster(WithTracing(), WithQueryStats(), WithScanWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func archiveTwinRun(t *testing.T, workers int) *runarchive.Archive {
 func TestArchiveOverhead(t *testing.T) {
 	const runs = 5
 	run := func(archive bool) (time.Duration, float64) {
-		c, err := NewCluster(WithTracing(trace.Config{}))
+		c, err := NewCluster(WithTracing())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestDiffScanWorkersTwinRuns(t *testing.T) {
 // cold partitions off the critical path.
 func archivePathRun(t *testing.T, path string) *runarchive.Archive {
 	t.Helper()
-	c, err := NewCluster(WithTracing(trace.Config{}), WithQueryStats(), WithInputPath(path))
+	c, err := NewCluster(WithTracing(), WithQueryStats(), WithInputPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}

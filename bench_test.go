@@ -8,8 +8,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"dynamicmr/internal/trace"
 )
 
 // BenchmarkEstimateSelectivity measures the §VI statistics-harness
@@ -105,7 +103,7 @@ func TestTracingDisabledOverhead(t *testing.T) {
 	// cache and JIT-less warmup alone.
 	runQuickstart(t)
 	off, offV := minWall()
-	on, onV := minWall(WithTracing(trace.Config{}))
+	on, onV := minWall(WithTracing())
 
 	if math.Abs(offV-onV) > 0.01*onV {
 		t.Fatalf("tracing changed the virtual timeline: off=%vs on=%vs", offV, onV)
@@ -133,9 +131,9 @@ func TestSamplerOverhead(t *testing.T) {
 		}
 		return best, virtual
 	}
-	runQuickstart(t, WithTracing(trace.Config{}))
-	base, baseV := minWall(WithTracing(trace.Config{}))
-	on, onV := minWall(WithTracing(trace.Config{}), WithUtilizationSampling(5))
+	runQuickstart(t, WithTracing())
+	base, baseV := minWall(WithTracing())
+	on, onV := minWall(WithTracing(), WithUtilizationSampling(5))
 
 	if math.Abs(baseV-onV) > 0.01*baseV {
 		t.Fatalf("sampling changed the virtual timeline: base=%vs on=%vs", baseV, onV)

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"dynamicmr"
-	"dynamicmr/internal/trace"
 )
 
 // explainMain runs `dynmr explain`: execute one or more sampling
@@ -28,7 +27,7 @@ func explainMain(args []string) {
 		usage(err)
 	}
 
-	opts := []dynamicmr.Option{dynamicmr.WithTracing(trace.Config{})}
+	opts := []dynamicmr.Option{dynamicmr.WithTracing()}
 	if *spec {
 		opts = append(opts, dynamicmr.WithSpeculativeExecution())
 	}

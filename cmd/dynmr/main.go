@@ -31,7 +31,7 @@
 // optional). With -archive-out, the run archive (schema
 // dynamicmr.archive/1, gzip NDJSON: trace spans, policy decisions,
 // utilization samples, the utilization sampler's per-node snapshots,
-// diagnoses, query stats, counters/gauges, the time series and alert
+// diagnoses, query stats, counters, the time series and alert
 // log when -alert-rules is set, and the run config) is written at
 // exit. It is the one output file every view renders from:
 // `dynmr render KIND ARCHIVE` writes the per-query stats dump (qstats,

@@ -60,7 +60,7 @@
 // holding the cell's trace spans, Input Provider decisions, 30-second
 // utilization samples, the sampler's per-node snapshots (every 2 s in
 // the single-user figure-5 cells, every 30 s in the workload figures),
-// per-job diagnoses, counters/gauges and run config. The sampler reads
+// per-job diagnoses, counters and run config. The sampler reads
 // the cluster passively, so the tables are byte-identical with or
 // without the flag. The diagnosis invariants — critical path tiles the
 // makespan, breakdown components sum to it — are enforced per cell.

@@ -17,7 +17,7 @@ import (
 // TestClusterDiagnose: the facade produces an invariant-clean report
 // for the quickstart query, with a non-trivial critical path.
 func TestClusterDiagnose(t *testing.T) {
-	c, err := NewCluster(WithTracing(trace.Config{}))
+	c, err := NewCluster(WithTracing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestLoggingE2E(t *testing.T) {
 func TestDiagnoseOverhead(t *testing.T) {
 	const runs = 5
 	run := func(diagnose bool) (time.Duration, float64) {
-		c, err := NewCluster(WithTracing(trace.Config{}))
+		c, err := NewCluster(WithTracing())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestDiagnoseOverhead(t *testing.T) {
 // TestDiagnoseAgainstReport cross-checks the facade report with a
 // manual diag.FromTracer build: both views must agree on job count.
 func TestDiagnoseAgainstReport(t *testing.T) {
-	c, err := NewCluster(WithTracing(trace.Config{}))
+	c, err := NewCluster(WithTracing())
 	if err != nil {
 		t.Fatal(err)
 	}

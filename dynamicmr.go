@@ -139,14 +139,11 @@ func WithInputPath(mode string) Option {
 	return func(c *config) { c.runtime.InputPath = mode }
 }
 
-// WithTracing enables the tracing/metrics subsystem with the given
-// configuration (Enabled is forced on). The collected spans, policy
-// audit log and utilization timeline are available via Tracer().
-func WithTracing(tc trace.Config) Option {
-	return func(c *config) {
-		tc.Enabled = true
-		c.runtime.Trace = tc
-	}
+// WithTracing enables the tracing/metrics subsystem. The collected
+// spans, policy audit log and utilization timeline are available via
+// Tracer().
+func WithTracing() Option {
+	return func(c *config) { c.runtime.Trace.Enabled = true }
 }
 
 // WithLogging routes the runtime's structured log stream — job
@@ -168,9 +165,8 @@ func WithLogging(w io.Writer, level slog.Leveler) Option {
 // 30 s cadence) it snapshots per-node CPU, disk and slot occupancy and
 // queue depths. The series backs Sampler(), the obs.Server endpoints
 // and BuildArchive's snapshot records, which `dynmr render report`
-// charts; combine with WithTracing for the slot-occupancy Gantt and
-// gauge registry. Sampling never changes the cluster's virtual
-// timeline.
+// charts; combine with WithTracing for the slot-occupancy Gantt.
+// Sampling never changes the cluster's virtual timeline.
 func WithUtilizationSampling(intervalS float64) Option {
 	return func(c *config) {
 		c.sample = true
@@ -196,11 +192,13 @@ func WithQueryStats() Option {
 
 // WithTimeSeries attaches the in-process time-series engine
 // (internal/tsdb): every tsdb.IntervalS (5) virtual seconds it
-// folds the trace registry's counters and gauges, the cluster's
-// queue/slot state, the per-policy qstats aggregates and the derived
-// per-query series (match-arrival rate, per-split scan cost, overshoot
-// ratio) into fixed-capacity downsampling ring buffers.
-// Tracing is forced on (the counters and gauges are the main feed).
+// folds the trace registry's counters, the cluster's queue/slot state
+// and its CPU, disk and network utilization over the interval, the
+// per-policy qstats aggregates and the derived per-query series
+// (per-policy finishes per virtual second, match-arrival rate,
+// per-split scan cost, overshoot ratio) into fixed-capacity
+// downsampling ring buffers. Tracing is forced on (the counters are
+// the main feed).
 // Read the engine via TSDB(); dynmr serve exposes it on /tsdb and as
 // the trend charts of /live and the run report.
 //
@@ -287,9 +285,9 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		if cfg.runtime.Trace.Enabled {
 			// A traced runtime polls from its first submission anyway.
 			// Armed first, the poll fires before the sampler at every
-			// 30 s instant they share, so the sampler's
-			// sim.processed_events gauge counts the poll's event: the
-			// order the figure 6-8 cell archives were recorded in.
+			// 30 s instant they share, so a loop that stops at its
+			// window's end (workload.Run, at 4200 s in paper-mode
+			// figures 6-8) has the same last reading sampled or not.
 			jt.SampleUtilization()
 		}
 		c.sampler = obs.NewSampler(c.jt, obs.Config{IntervalS: cfg.sampleInterval})

@@ -9,7 +9,6 @@ import (
 	"dynamicmr/internal/core"
 	"dynamicmr/internal/dataset"
 	"dynamicmr/internal/mapreduce"
-	"dynamicmr/internal/trace"
 )
 
 func clusterConfigZero() cluster.Config { return cluster.Config{} }
@@ -260,21 +259,26 @@ func TestLoadSharesDataset(t *testing.T) {
 
 // TestSampledTracedClusterPollsFirst: a traced cluster built with the
 // utilization sampler arms the §V-D poll before the sampler, so at
-// every 30 s instant they share the poll fires first and the sampler's
-// processed-events gauge counts it: on an idle cluster, 2 events (poll,
-// sampler) by t=30 and 4 by t=60. An untraced sampled cluster starts no
+// every 30 s instant they share the poll fires first. A driver that
+// steps until the clock reaches 60 s, as workload.Run stops at the end
+// of its window, has the poll's 60 s reading while the sampler's 60 s
+// snapshot is still to come. An untraced sampled cluster starts no
 // poll, whose reads settle the accounts they read.
 func TestSampledTracedClusterPollsFirst(t *testing.T) {
-	c, err := NewCluster(WithTracing(trace.Config{}), WithUtilizationSampling(mapreduce.UtilizationIntervalS))
+	c, err := NewCluster(WithTracing(), WithUtilizationSampling(mapreduce.UtilizationIntervalS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Engine().RunUntil(65)
-	if g := c.Tracer().Gauges()[trace.GaugeProcessedEvents]; g.Count != 2 || g.Min != 2 || g.Last != 4 {
-		t.Fatalf("processed-events gauge %+v, want readings 2 and 4", g)
+	for c.Now() < 60 {
+		if !c.Engine().Step() {
+			t.Fatal("event queue drained")
+		}
 	}
-	if n := len(c.JobTracker().UtilizationTimeline()); n != 2 {
-		t.Fatalf("poll readings = %d, want 2", n)
+	if tl := c.JobTracker().UtilizationTimeline(); len(tl) != 2 || tl[0].Time != 30 || tl[1].Time != 60 {
+		t.Fatalf("poll readings %+v, want readings at 30 s and 60 s", tl)
+	}
+	if n := len(c.Sampler().Snapshots()); n != 1 {
+		t.Fatalf("sampler snapshots at the poll's 60 s reading = %d, want 1", n)
 	}
 
 	c, err = NewCluster(WithUtilizationSampling(mapreduce.UtilizationIntervalS))

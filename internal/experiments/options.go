@@ -59,7 +59,7 @@ type Options struct {
 	// cell, cut by Cluster.BuildArchive (figure5_*.archive.gz, ...;
 	// schema dynamicmr.archive/1) capturing the cell's spans, policy
 	// decisions, utilization samples and per-node snapshots, diagnoses,
-	// counters/gauges, query stats and alert log (with AlertRules) and
+	// counters, query stats and alert log (with AlertRules) and
 	// run config, for `dynmr render` views (the HTML report among them)
 	// and `dynmr diff` regression attribution between sweeps. The
 	// sampler ticks every 2 s in figure 5's final run and every 30 s in
@@ -93,7 +93,7 @@ type Options struct {
 	// the cell's virtual clock in every figure 5-8 cell (the
 	// cmd/experiments -alert-rules flag); ablation cells run none.
 	// Alerting enables tracing in those cells — the engine's series
-	// are fed from the trace counters/gauges — and wires a per-cell
+	// are fed from the trace counters — and wires a per-cell
 	// qstats registry so slo_burn rules see finished queries. Like
 	// archiving, alerting changes real wall-clock time only;
 	// tables and CSVs stay byte-identical. With ArchiveDir, each cell's

@@ -11,7 +11,6 @@ import (
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/mapreduce/executor"
 	"dynamicmr/internal/runarchive"
-	"dynamicmr/internal/trace"
 	"dynamicmr/internal/vlog"
 )
 
@@ -89,7 +88,7 @@ func (s *sweepShared) cluster(opts ...dynamicmr.Option) (*dynamicmr.Cluster, err
 func (o Options) observed(samplingS float64) []dynamicmr.Option {
 	var opts []dynamicmr.Option
 	if o.ArchiveDir != "" {
-		opts = append(opts, dynamicmr.WithTracing(trace.Config{}))
+		opts = append(opts, dynamicmr.WithTracing())
 		if samplingS > 0 {
 			opts = append(opts, dynamicmr.WithUtilizationSampling(samplingS))
 		}

@@ -274,8 +274,6 @@ func (s *Sampler) sample() {
 	snap.RunningJobs = st.RunningJobs
 	s.lastNet, s.lastClusCPU, s.lastClusDsk, s.lastT = net, clusCPU, clusDsk, now
 	s.snaps = append(s.snaps, snap)
-
-	s.publishGauges(snap)
 }
 
 // policyFold aggregates the Input Provider audit log per policy, in
@@ -314,25 +312,6 @@ func (f *policyFold) states() []PolicyState {
 		out = append(out, *f.state[name])
 	}
 	return out
-}
-
-// publishGauges mirrors the snapshot's cluster-level readings into the
-// tracer's gauge registry, which PromFamilies then exposes on /metrics.
-func (s *Sampler) publishGauges(snap Snapshot) {
-	tr := s.jt.Tracer()
-	if !tr.Enabled() {
-		return
-	}
-	tr.SetGauge(trace.GaugeCPUUtilPct, snap.CPUUtilPct)
-	tr.SetGauge(trace.GaugeDiskReadKBs, snap.DiskReadKBs)
-	tr.SetGauge(trace.GaugeNetworkUtilPct, snap.NetworkUtilPct)
-	tr.SetGauge(trace.GaugeMapSlotPct, snap.MapSlotPct)
-	tr.SetGauge(trace.GaugeReduceSlotPct, snap.ReduceSlotPct)
-	tr.SetGauge(trace.GaugeQueuedMaps, float64(snap.QueuedMaps))
-	tr.SetGauge(trace.GaugeQueuedReduces, float64(snap.QueuedReduces))
-	tr.SetGauge(trace.GaugeRunningJobs, float64(snap.RunningJobs))
-	tr.SetGauge(trace.GaugeVirtualTime, snap.Time)
-	tr.SetGauge(trace.GaugeProcessedEvents, float64(s.jt.Engine().Processed()))
 }
 
 // Snapshots returns the recorded time series.

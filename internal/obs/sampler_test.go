@@ -210,29 +210,6 @@ func TestSamplerIdleAndRestart(t *testing.T) {
 	}
 }
 
-// TestGaugesPublished: sampling with tracing on mirrors cluster-level
-// readings into the tracer's gauge registry.
-func TestGaugesPublished(t *testing.T) {
-	eng, _, fs, jt := rig(t, true)
-	f := mkFile(t, fs, "in", 8, 200)
-	s := NewSampler(jt, Config{IntervalS: 1})
-	s.Start()
-	job := jt.Submit(mapreduce.JobSpec{NewMapper: nopMapper}, mapreduce.SplitsForFile(f))
-	mapreduce.RunUntilDone(eng, job, 1e6)
-	eng.RunUntil(eng.Now() + 2)
-
-	g, ok := jt.Tracer().Gauges()[trace.GaugeCPUUtilPct]
-	if !ok {
-		t.Fatal("CPU gauge never set")
-	}
-	if g.Max <= 0 {
-		t.Fatalf("CPU gauge max = %v, want > 0 during a job", g.Max)
-	}
-	if _, ok := jt.Tracer().Gauges()[trace.GaugeVirtualTime]; !ok {
-		t.Fatal("virtual-time gauge never set")
-	}
-}
-
 // TestSnapshotsSince pins the incremental cursor contract: consumers
 // (the serve loop's published /live window) read only the new tail,
 // never re-copying the whole series.

@@ -146,10 +146,10 @@ func (s *Server) Handler() http.Handler {
 }
 
 // promFamilies assembles the full exposition set: registry families
-// (counters, gauges, histogram scalars), live queue gauges, per-node
-// families from the latest snapshot, per-policy families folded from
-// the decision log, and — when a query registry is attached — the
-// per-policy latency histograms and query counters.
+// (counters, histogram scalars), live queue gauges, cluster and
+// per-node utilization from the latest snapshot, per-policy families
+// folded from the decision log, and — when a query registry is
+// attached — the per-policy latency histograms and query counters.
 func (s *Server) promFamilies() []trace.PromFamily {
 	jt := s.samp.JobTracker()
 	tr := jt.Tracer()
@@ -196,6 +196,11 @@ func (s *Server) promFamilies() []trace.PromFamily {
 	if !ok {
 		return fams
 	}
+	gauge("dynmr.cluster.cpu_util_pct", "Cluster CPU utilisation over the last sample interval.", snap.CPUUtilPct)
+	gauge("dynmr.cluster.disk_read_kb_s", "Cluster mean per-disk transfer rate over the last sample interval.", snap.DiskReadKBs)
+	gauge("dynmr.cluster.network_util_pct", "Network fabric utilisation over the last sample interval.", snap.NetworkUtilPct)
+	gauge("dynmr.cluster.map_slot_pct", "Cluster map-slot occupancy over the last sample interval.", snap.MapSlotPct)
+	gauge("dynmr.cluster.reduce_slot_pct", "Cluster reduce-slot occupancy over the last sample interval.", snap.ReduceSlotPct)
 	node := func(name, help string, val func(NodeSample) float64) {
 		f := trace.PromFamily{Name: name, Help: help, Type: trace.PromGauge}
 		for _, ns := range snap.Nodes {

@@ -65,6 +65,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dynmr_node_cpu_util_pct{node="0"} `,
 		`dynmr_node_map_slots_used{node="9"} `,
 		"dynmr_cluster_cpu_util_pct ",
+		"dynmr_cluster_disk_read_kb_s ",
+		"dynmr_cluster_network_util_pct ",
+		"dynmr_cluster_map_slot_pct ",
+		"dynmr_cluster_reduce_slot_pct ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)

@@ -2,8 +2,8 @@
 // versioned, self-contained file capturing everything one run's
 // observability stack produced — trace spans, the Input Provider
 // decision audit log, the utilization timeline, the obs sampler's
-// per-node snapshots, the counter/gauge registry, per-job diagnoses
-// and the per-query registry dump — plus
+// per-node snapshots, the counter registry, per-job diagnoses, the
+// per-query registry dump, the time series and the alert log — plus
 // the run configuration that produced it (policy, input path, scan
 // workers, seed, git revision). It is the one output file of a run:
 // Render regenerates each single-run view from it (`dynmr render`),
@@ -52,7 +52,6 @@ const (
 	recSample    = "sample"
 	recSnapshot  = "snapshot"
 	recCounters  = "counters"
-	recGauges    = "gauges"
 	recDiagnosis = "diag"
 	recQueries   = "qstats"
 	recSeries    = "tsdb"
@@ -195,15 +194,6 @@ type sampleRecord struct {
 	SlotOccupancyPct float64 `json:"slot_occupancy_pct"`
 }
 
-// gaugeRecord is the wire form of trace.GaugeSnapshot.
-type gaugeRecord struct {
-	Last  float64 `json:"last"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	Sum   float64 `json:"sum"`
-	Count int64   `json:"count"`
-}
-
 // Archive is one run's bundle in memory.
 type Archive struct {
 	Manifest  Manifest
@@ -214,7 +204,6 @@ type Archive struct {
 	// JSON form is the record); nil when the run had no sampler.
 	Snapshots []obs.Snapshot
 	Counters  map[string]int64
-	Gauges    map[string]trace.GaugeSnapshot
 	// Diagnosis is the per-job diag report (schema dynamicmr.diag/1)
 	// computed at write time, so diffing does not re-run the analyzer.
 	Diagnosis *diag.Report
@@ -233,7 +222,7 @@ type Archive struct {
 // pre-computed layers.
 type Source struct {
 	Label string
-	// Tracer supplies spans, decisions, samples, counters and gauges.
+	// Tracer supplies spans, decisions, samples and counters.
 	// It must be enabled.
 	Tracer *trace.Tracer
 	// Diagnosis overrides the diag report; nil runs diag.FromTracer.
@@ -281,7 +270,6 @@ func New(src Source) (*Archive, error) {
 		Samples:   src.Tracer.MetricSamples(),
 		Snapshots: src.Snapshots,
 		Counters:  src.Tracer.Counters(),
-		Gauges:    src.Tracer.Gauges(),
 		Diagnosis: src.Diagnosis,
 		Queries:   src.Queries,
 		Series:    src.Series,
@@ -535,13 +523,6 @@ func (a *Archive) encodeStream(out chan<- writeChunk, free <-chan []byte) {
 	if err == nil && len(a.Counters) > 0 {
 		err = c.emit(recCounters, a.Counters)
 	}
-	if err == nil && len(a.Gauges) > 0 {
-		gs := make(map[string]gaugeRecord, len(a.Gauges))
-		for k, g := range a.Gauges {
-			gs[k] = gaugeRecord{Last: g.Last, Min: g.Min, Max: g.Max, Sum: g.Sum, Count: g.Count}
-		}
-		err = c.emit(recGauges, gs)
-	}
 	if err == nil && a.Diagnosis != nil {
 		err = c.emit(recDiagnosis, a.Diagnosis)
 	}
@@ -709,13 +690,10 @@ func Load(r io.Reader) (*Archive, error) {
 	if first {
 		return nil, fmt.Errorf("runarchive: empty archive (no manifest)")
 	}
-	// Write omits empty counter/gauge records; normalize to the non-nil
-	// maps New produces so load(write(a)) == a.
+	// Write omits an empty counters record; normalize to the non-nil
+	// map New produces so load(write(a)) == a.
 	if a.Counters == nil {
 		a.Counters = map[string]int64{}
-	}
-	if a.Gauges == nil {
-		a.Gauges = map[string]trace.GaugeSnapshot{}
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -726,8 +704,8 @@ func Load(r io.Reader) (*Archive, error) {
 // decodeRecord files the data of one record of the given kind, read by
 // decode, in a. first is set for the archive's first record, which must
 // be the manifest. It reports false, without calling decode, for a kind
-// Load skips: unknown kinds are forward compatibility for minor
-// additions within schema /1.
+// Load skips: an unknown kind (forward compatibility within schema /1)
+// or an older archive's "gauges" record.
 func (a *Archive) decodeRecord(kind string, first bool, decode func(any) error) (bool, error) {
 	if first && kind != recManifest {
 		return false, fmt.Errorf("runarchive: first record is %q, want %q", kind, recManifest)
@@ -772,15 +750,6 @@ func (a *Archive) decodeRecord(kind string, first bool, decode func(any) error) 
 	case recCounters:
 		if err := decode(&a.Counters); err != nil {
 			return false, fmt.Errorf("runarchive: counters record: %w", err)
-		}
-	case recGauges:
-		var gs map[string]gaugeRecord
-		if err := decode(&gs); err != nil {
-			return false, fmt.Errorf("runarchive: gauges record: %w", err)
-		}
-		a.Gauges = make(map[string]trace.GaugeSnapshot, len(gs))
-		for k, g := range gs {
-			a.Gauges[k] = trace.GaugeSnapshot{Last: g.Last, Min: g.Min, Max: g.Max, Sum: g.Sum, Count: g.Count}
 		}
 	case recDiagnosis:
 		a.Diagnosis = &diag.Report{}

@@ -17,7 +17,7 @@ import (
 // randomTracer populates an enabled tracer with r-sized randomized but
 // diagnosis-valid content: nJobs simple one-map jobs (every phase
 // boundary tiled so CheckInvariants holds), a decision log, metric
-// samples, counters and gauges.
+// samples and counters.
 func randomTracer(r *rand.Rand, nJobs int) (*trace.Tracer, float64) {
 	tr := trace.New(trace.Config{Enabled: true})
 	now := 0.0
@@ -53,10 +53,6 @@ func randomTracer(r *rand.Rand, nJobs int) (*trace.Tracer, float64) {
 	}
 	for i := 0; i < r.Intn(6); i++ {
 		tr.Inc(trace.Counter(i), r.Int63n(1e6))
-	}
-	for i := 0; i < r.Intn(4); i++ {
-		tr.SetGauge(fmt.Sprintf("test.gauge_%d", i), r.Float64()*1e9)
-		tr.SetGauge(fmt.Sprintf("test.gauge_%d", i), r.Float64()*1e9)
 	}
 	return tr, now
 }
@@ -107,9 +103,6 @@ func TestArchiveRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(loaded.Counters, a.Counters) {
 			t.Fatalf("seed %d: counters do not round-trip\n got %v\nwant %v", seed, loaded.Counters, a.Counters)
-		}
-		if !reflect.DeepEqual(loaded.Gauges, a.Gauges) {
-			t.Fatalf("seed %d: gauges do not round-trip", seed)
 		}
 		if !reflect.DeepEqual(loaded.Diagnosis, a.Diagnosis) {
 			t.Fatalf("seed %d: diagnosis does not round-trip", seed)

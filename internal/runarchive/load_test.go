@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynamicmr/internal/trace"
 	"dynamicmr/internal/tsdb"
 )
 
@@ -72,7 +73,7 @@ func TestLoadRecordShapes(t *testing.T) {
 	for _, k := range kinds {
 		seen[k] = true
 	}
-	for _, k := range []string{recManifest, recSpan, recDecision, recCounters, recGauges, recDiagnosis, recQueries, recSeries, recAlerts} {
+	for _, k := range []string{recManifest, recSpan, recDecision, recCounters, recDiagnosis, recQueries, recSeries, recAlerts} {
 		if !seen[k] {
 			t.Fatalf("the archive has no %s record", k)
 		}
@@ -118,5 +119,38 @@ func TestLoadRecordShapes(t *testing.T) {
 		if _, err := Load(bytes.NewReader(gzipLines(lines))); err == nil {
 			t.Fatalf("Load accepted a record with %s after its decoded payload", late[1:])
 		}
+	}
+}
+
+// TestLoadSkipsOlderGaugesRecord: archives written before the tracer's
+// gauge registry went carry a "gauges" record after the counters. Load
+// must accept one, and the loaded archive must write the bytes of the
+// same archive without it.
+func TestLoadSkipsOlderGaugesRecord(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	tr, vt := randomTracer(r, 3)
+	tr.Inc(trace.CounterHeartbeats, 1)
+	a, err := New(Source{Label: "older", Tracer: tr, VirtualTimeS: vt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rewrite(t, a)
+	kinds, payloads := ndjsonRecords(t, want)
+	var lines []string
+	for i, k := range kinds {
+		lines = append(lines, `{"t":"`+k+`","d":`+payloads[i]+`}`)
+		if k == recCounters {
+			lines = append(lines, `{"t":"gauges","d":{"cluster.cpu_util_pct":{"last":12.5,"min":0,"max":40,"sum":52.5,"count":3}}}`)
+		}
+	}
+	if len(lines) != len(kinds)+1 {
+		t.Fatal("the archive has no counters record to follow")
+	}
+	b, err := Load(bytes.NewReader(gzipLines(lines)))
+	if err != nil {
+		t.Fatalf("archive with a gauges record rejected: %v", err)
+	}
+	if got := rewrite(t, b); !bytes.Equal(got, want) {
+		t.Fatalf("the loaded archive writes other bytes (%d vs %d)", len(got), len(want))
 	}
 }

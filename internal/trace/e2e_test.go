@@ -16,7 +16,7 @@ import (
 // and the JobClient's decision log: every map/reduce attempt and every
 // policy decision must appear exactly once.
 func TestChromeTraceCrossChecksRuntime(t *testing.T) {
-	c, err := dynamicmr.NewCluster(dynamicmr.WithTracing(trace.Config{}))
+	c, err := dynamicmr.NewCluster(dynamicmr.WithTracing())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,32 +133,24 @@ func writePromSample(w io.Writer, name string, s PromSample) error {
 }
 
 // PromFamilies converts the tracer's registry into exposition families:
-// counters become <prefix><name>_total counters, gauges become plain
-// gauges, histograms explode into _count/_sum counters plus _min/_max
-// gauges (the registry keeps scalar aggregates, not buckets). Names are
-// sanitized, families sorted by WritePrometheus.
+// counters become <prefix><name>_total counters, histograms explode
+// into _count/_sum counters plus _min/_max gauges (the registry keeps
+// scalar aggregates, not buckets). Names are sanitized, families sorted
+// by WritePrometheus.
 func (t *Tracer) PromFamilies(prefix string) []PromFamily {
 	if t == nil {
 		return nil
 	}
-	counters := t.Counters()
-	fams := make([]PromFamily, 0, len(counters)+len(t.reg.gauges)+4*len(t.reg.hists))
-	for name, v := range counters {
+	fams := make([]PromFamily, 0, int(NumCounters)+4*len(t.reg.hists))
+	t.EachCounter(func(c Counter, v int64) {
+		name := c.String()
 		fams = append(fams, PromFamily{
 			Name:    prefix + name + "_total",
 			Help:    "Registry counter " + name + ".",
 			Type:    PromCounter,
 			Samples: []PromSample{{Value: float64(v)}},
 		})
-	}
-	for name, g := range t.reg.gauges {
-		fams = append(fams, PromFamily{
-			Name:    prefix + name,
-			Help:    "Registry gauge " + name + " (most recent level).",
-			Type:    PromGauge,
-			Samples: []PromSample{{Value: g.Last}},
-		})
-	}
+	})
 	for i, h := range t.reg.hists {
 		if h.Count == 0 {
 			continue

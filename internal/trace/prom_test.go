@@ -101,7 +101,6 @@ dynmr_query_latency_wall_s_count{policy="LA"} 5
 func TestPromFamiliesFromRegistry(t *testing.T) {
 	tr := New(Config{Enabled: true})
 	tr.Inc(CounterMapAttempts, 12)
-	tr.SetGauge(GaugeCPUUtilPct, 55.5)
 	tr.Observe(HistMapDuration, 2)
 	tr.Observe(HistMapDuration, 6)
 
@@ -113,8 +112,6 @@ func TestPromFamiliesFromRegistry(t *testing.T) {
 	for _, line := range []string{
 		"# TYPE dynmr_map_attempts_total counter",
 		"dynmr_map_attempts_total 12",
-		"# TYPE dynmr_cluster_cpu_util_pct gauge",
-		"dynmr_cluster_cpu_util_pct 55.5",
 		"dynmr_map_duration_s_count 2",
 		"dynmr_map_duration_s_sum 8",
 		"dynmr_map_duration_s_min 2",

@@ -40,10 +40,11 @@ const (
 	CounterMemoHits
 	CounterMemoMisses
 
-	numCounters
+	// NumCounters is the number of counter slots.
+	NumCounters
 )
 
-var counterNames = [numCounters]string{
+var counterNames = [NumCounters]string{
 	CounterHeartbeats:        "heartbeats",
 	CounterJobsSubmitted:     "jobs.submitted",
 	CounterJobsFinished:      "jobs.finished",
@@ -87,21 +88,6 @@ var histNames = [numHists]string{
 // String returns the histogram's registry name.
 func (h Hist) String() string { return histNames[h] }
 
-// Gauge names published by the obs sampler. Gauges are set once per
-// sample interval, not per task, so they stay keyed by name.
-const (
-	GaugeCPUUtilPct      = "cluster.cpu_util_pct"
-	GaugeDiskReadKBs     = "cluster.disk_read_kb_s"
-	GaugeNetworkUtilPct  = "cluster.network_util_pct"
-	GaugeMapSlotPct      = "cluster.map_slot_pct"
-	GaugeReduceSlotPct   = "cluster.reduce_slot_pct"
-	GaugeQueuedMaps      = "cluster.queued_map_tasks"
-	GaugeQueuedReduces   = "cluster.queued_reduce_tasks"
-	GaugeRunningJobs     = "cluster.running_jobs"
-	GaugeVirtualTime     = "sim.virtual_time_s"
-	GaugeProcessedEvents = "sim.processed_events"
-)
-
 // HistogramSnapshot summarises one histogram's observations.
 type HistogramSnapshot struct {
 	Count int64
@@ -110,32 +96,18 @@ type HistogramSnapshot struct {
 	Max   float64
 }
 
-// GaugeSnapshot summarises one gauge's history of set values: the most
-// recent value plus min/max/avg aggregation over every Set since the
-// tracer was created. Unlike a histogram a gauge is a point-in-time
-// level (slots in use, queue depth), so Last is the primary reading and
-// the aggregates describe the level's range over the run.
-type GaugeSnapshot struct {
-	Last  float64
-	Min   float64
-	Max   float64
-	Sum   float64
-	Count int64
-}
-
-// registry is the counter/gauge/histogram store behind a Tracer.
-// touched marks the counters ever incremented, a zero delta included:
-// only those are listed, as a name-keyed map would list them. A
-// histogram is listed once its Count is non-zero.
+// registry is the counter/histogram store behind a Tracer. touched
+// marks the counters ever incremented, a zero delta included: only
+// those are listed, as a name-keyed map would list them. A histogram is
+// listed once its Count is non-zero.
 type registry struct {
-	counters [numCounters]int64
-	touched  [numCounters]bool
+	counters [NumCounters]int64
+	touched  [NumCounters]bool
 	hists    [numHists]HistogramSnapshot
-	gauges   map[string]*GaugeSnapshot
 }
 
 func newRegistry() registry {
-	r := registry{gauges: make(map[string]*GaugeSnapshot)}
+	var r registry
 	for i := range r.hists {
 		r.hists[i] = HistogramSnapshot{Min: math.Inf(1), Max: math.Inf(-1)}
 	}
@@ -159,57 +131,27 @@ func (t *Tracer) Counter(c Counter) int64 {
 	return t.reg.counters[c]
 }
 
+// EachCounter calls fn with every counter ever incremented and its
+// value, in slot order. It builds nothing, so a periodic reader (the
+// tsdb tick) walks the registry without allocating.
+func (t *Tracer) EachCounter(fn func(c Counter, v int64)) {
+	if t == nil {
+		return
+	}
+	for c, v := range t.reg.counters {
+		if t.reg.touched[c] {
+			fn(Counter(c), v)
+		}
+	}
+}
+
 // Counters returns every counter ever incremented, by name.
 func (t *Tracer) Counters() map[string]int64 {
 	if t == nil {
 		return nil
 	}
-	n := 0
-	for _, ok := range t.reg.touched {
-		if ok {
-			n++
-		}
-	}
-	out := make(map[string]int64, n)
-	for c, v := range t.reg.counters {
-		if t.reg.touched[c] {
-			out[counterNames[c]] = v
-		}
-	}
-	return out
-}
-
-// SetGauge records the named gauge's current level and folds it into
-// the gauge's min/max/avg aggregates.
-func (t *Tracer) SetGauge(name string, v float64) {
-	if t == nil {
-		return
-	}
-	g := t.reg.gauges[name]
-	if g == nil {
-		g = &GaugeSnapshot{Min: math.Inf(1), Max: math.Inf(-1)}
-		t.reg.gauges[name] = g
-	}
-	g.Last = v
-	g.Sum += v
-	g.Count++
-	if v < g.Min {
-		g.Min = v
-	}
-	if v > g.Max {
-		g.Max = v
-	}
-}
-
-// Gauges returns a copy of every gauge snapshot.
-func (t *Tracer) Gauges() map[string]GaugeSnapshot {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]GaugeSnapshot, len(t.reg.gauges))
-	for k, v := range t.reg.gauges {
-		out[k] = *v
-	}
+	out := make(map[string]int64, NumCounters)
+	t.EachCounter(func(c Counter, v int64) { out[c.String()] = v })
 	return out
 }
 

@@ -233,7 +233,7 @@ func TestCountersListTouchedNames(t *testing.T) {
 	if want := []string{"policy.evaluations_total", "scan.blocks_read_total", "scan.blocks_skipped_total"}; !slices.Equal(names, want) {
 		t.Fatalf("PromFamilies() = %v, want %v", names, want)
 	}
-	for c := Counter(0); c < numCounters; c++ {
+	for c := Counter(0); c < NumCounters; c++ {
 		if c.String() == "" {
 			t.Fatalf("counter %d has no name", c)
 		}

@@ -208,6 +208,8 @@ type ruleState struct {
 	// window holds an slo_burn rule's trailing finished-query
 	// observations (finish time, whether the objective was exceeded).
 	window []burnObs
+	// burn is an slo_burn rule's series, created at its first value.
+	burn *Series
 }
 
 type burnObs struct {

@@ -1,25 +1,24 @@
 // Package tsdb is the in-process time-series engine: fixed-capacity
 // downsampling ring buffers (raw points plus min/max/sum/count rollups
-// per resolution step) on the virtual clock, fed incrementally from the
-// trace registry's counters and gauges, the qstats per-policy
-// latency/QPS aggregates, the JobTracker's cluster status, and derived
-// per-query series (match-arrival rate, per-split scan cost, overshoot
-// ratio, in-flight count). On top sits the alert/SLO layer: declarative
-// rules (threshold, rate-of-change, latency-objective burn) evaluated
-// at every collection tick, producing a bounded firing/resolved event
-// log with the stable schema AlertsSchemaVersion.
+// per resolution step) on the virtual clock, fed at each tick from the
+// JobTracker's cluster status, the cluster's CPU, disk and network
+// service integrals (means over the tick), the engine's clock, the
+// trace registry's counters, the qstats per-policy latency aggregates,
+// and derived per-query series (finishes per virtual second per
+// policy, match-arrival rate, per-split scan cost, overshoot ratio,
+// in-flight count). On top sits the alert/SLO layer: declarative rules
+// (threshold, rate-of-change, latency-objective burn) evaluated at
+// every collection tick, producing a bounded firing/resolved event log
+// with the stable schema AlertsSchemaVersion.
 //
 // The engine never samples on its own threads: Start schedules a
 // self-renewing virtual tick on the simulation engine, exactly like the
 // obs utilization sampler, so every collection and evaluation runs on
-// the engine goroutine under the driver's lock. Snapshot methods (Dump,
-// AlertsDump, Latest) must run under the same discipline — the obs
-// server serializes them behind its simulation mutex and publishes
-// pre-rendered payloads for lock-free scraping.
-//
-// tsdb sits below obs in the import graph (it imports trace, qstats and
-// mapreduce only), so obs utilization readings reach it through the
-// cluster.* gauges the sampler already publishes into the tracer.
+// the engine goroutine under the driver's lock. Like the sampler's, its
+// integral reads are passive, so a tick cannot move a completion.
+// Snapshot methods (Dump, AlertsDump, Latest) must run under the same
+// discipline — the obs server serializes them behind its simulation
+// mutex and publishes pre-rendered payloads for lock-free scraping.
 package tsdb
 
 import (
@@ -27,6 +26,7 @@ import (
 	"io"
 	"sort"
 
+	"dynamicmr/internal/cluster"
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/qstats"
 	"dynamicmr/internal/trace"
@@ -74,14 +74,21 @@ type DB struct {
 	series map[string]*Series
 	order  []string
 
+	// Series resolved once: one per registry counter, by slot, and
+	// three per policy qstats lists.
+	counters [trace.NumCounters]*Series
+	policies map[string]*policySeries
+
 	// Derived-series state: the previous map-duration histogram
 	// snapshot (per-split cost is its delta), the finished-query
-	// cursor and the buffer its reads reuse, and the previous tick time
-	// (rate denominators).
-	prevMapHist trace.HistogramSnapshot
-	qseq        int64
-	outcomes    []qstats.Outcome
-	lastTick    float64
+	// cursor and the buffer its reads reuse, the cluster's CPU, disk
+	// and network integrals at the previous tick (utilization means are
+	// their deltas), and the previous tick time (rate denominators).
+	prevMapHist                trace.HistogramSnapshot
+	qseq                       int64
+	outcomes                   []qstats.Outcome
+	lastCPU, lastDisk, lastNet float64
+	lastTick                   float64
 
 	rules   []*ruleState
 	events  []AlertEvent
@@ -95,8 +102,11 @@ func New(jt *mapreduce.JobTracker, cfg Config) (*DB, error) {
 	db := &DB{
 		jt:       jt,
 		series:   make(map[string]*Series),
+		policies: make(map[string]*policySeries),
 		lastTick: jt.Engine().Now(),
 	}
+	cl := jt.Cluster()
+	db.lastCPU, db.lastDisk, db.lastNet = cl.CPUUsedIntegral(), cl.DiskUsedIntegral(), cl.NetworkUsedIntegral()
 	if err := ValidateRules(cfg.Rules); err != nil {
 		return nil, err
 	}
@@ -134,9 +144,14 @@ func (db *DB) Start() {
 	eng.After(IntervalS, tick)
 }
 
-// tick is one collection + evaluation pass on the engine goroutine.
+// tick is one collection + evaluation pass on the engine goroutine
+// over the virtual time since the last pass. It does nothing when no
+// time has passed, as when a Flush ran at the same instant.
 func (db *DB) tick() {
 	now := db.jt.Engine().Now()
+	if now <= db.lastTick {
+		return
+	}
 	db.collect(now)
 	db.evaluate(now)
 	db.lastTick = now
@@ -151,14 +166,9 @@ func (db *DB) tick() {
 // (same locking discipline). No-op if the clock has not moved since
 // the last pass.
 func (db *DB) Flush() {
-	if db == nil || !db.running {
-		return
+	if db != nil && db.running {
+		db.tick()
 	}
-	now := db.jt.Engine().Now()
-	if now <= db.lastTick {
-		return
-	}
-	db.tick()
 }
 
 // at returns (creating on first use) the named series.
@@ -176,20 +186,12 @@ func (db *DB) put(t float64, name string, v float64) {
 	db.at(name).Append(t, v)
 }
 
-// ownsName reports whether collect derives the series directly from
-// the JobTracker, so the sampler-published tracer gauge of the same
-// name must be skipped (one series per name, one writer per tick).
-func ownsName(name string) bool {
-	switch name {
-	case "cluster.running_jobs", "cluster.queued_map_tasks", "cluster.queued_reduce_tasks",
-		"cluster.map_slot_pct", "cluster.reduce_slot_pct":
-		return true
-	}
-	return false
-}
+// policySeries is one listed policy's series.
+type policySeries struct{ qps, p50, p99 *Series }
 
 // collect appends one point per source series at virtual time now.
 func (db *DB) collect(now float64) {
+	dt := now - db.lastTick
 	st := db.jt.ClusterStatus()
 	db.put(now, "cluster.running_jobs", float64(st.RunningJobs))
 	db.put(now, "cluster.queued_map_tasks", float64(st.QueuedMapTasks))
@@ -200,21 +202,26 @@ func (db *DB) collect(now float64) {
 	if st.TotalReduceSlots > 0 {
 		db.put(now, "cluster.reduce_slot_pct", float64(st.OccupiedReduces)/float64(st.TotalReduceSlots)*100)
 	}
+	// Utilization means over the tick, in the obs sampler's units.
+	cl := db.jt.Cluster()
+	cpu, disk, net := cl.CPUUsedIntegral(), cl.DiskUsedIntegral(), cl.NetworkUsedIntegral()
+	db.put(now, "cluster.cpu_util_pct", 100*(cpu-db.lastCPU)/(cl.CPUCapacity()*dt))
+	db.put(now, "cluster.disk_read_kb_s", (disk-db.lastDisk)/dt/float64(cluster.TotalDisks)/1024)
+	db.put(now, "cluster.network_util_pct", 100*(net-db.lastNet)/(cl.NetworkCapacity()*dt))
+	db.lastCPU, db.lastDisk, db.lastNet = cpu, disk, net
+	db.put(now, "sim.virtual_time_s", now)
+	db.put(now, "sim.processed_events", float64(db.jt.Engine().Processed()))
 
 	if tr := db.jt.Tracer(); tr.Enabled() {
-		// Every registry counter and gauge becomes a series under its
-		// own name: scan.blocks_read/skipped, engine.memo_hits/misses
-		// and the cluster utilization gauges the obs sampler publishes
-		// all arrive through this one path.
-		for name, v := range tr.Counters() {
-			db.put(now, name, float64(v))
-		}
-		for name, g := range tr.Gauges() {
-			if ownsName(name) {
-				continue
+		// Every registry counter becomes a series under its own name:
+		// scan.blocks_read/skipped and engine.memo_hits/misses arrive
+		// through this one path.
+		tr.EachCounter(func(c trace.Counter, v int64) {
+			if db.counters[c] == nil {
+				db.counters[c] = db.at(c.String())
 			}
-			db.put(now, name, g.Last)
-		}
+			db.counters[c].Append(now, float64(v))
+		})
 		if h, ok := tr.Histogram(trace.HistMapDuration); ok {
 			if dc := h.Count - db.prevMapHist.Count; dc > 0 {
 				db.put(now, "query.split_cost_s", (h.Sum-db.prevMapHist.Sum)/float64(dc))
@@ -226,16 +233,30 @@ func (db *DB) collect(now float64) {
 	if db.qs.Enabled() {
 		started, finished, _ := db.qs.Totals()
 		db.put(now, "query.in_flight", float64(started-finished))
-		for _, p := range db.qs.PolicyStats() {
-			db.put(now, "query.qps."+p.Policy, p.QPS)
-			db.put(now, "query.latency_p50_s."+p.Policy, p.VirtualP50S)
-			db.put(now, "query.latency_p99_s."+p.Policy, p.VirtualP99S)
-		}
 		// Finished queries' outcomes are final at their finish, so the
 		// tick never waits for their diagnoses.
 		db.outcomes, db.qseq = db.qs.OutcomesSince(db.outcomes[:0], db.qseq)
 		recs := db.outcomes
-		if dt := now - db.lastTick; dt > 0 && len(recs) > 0 {
+		for _, p := range db.qs.PolicyStats() {
+			ps := db.policies[p.Policy]
+			if ps == nil {
+				ps = &policySeries{db.at("query.qps." + p.Policy),
+					db.at("query.latency_p50_s." + p.Policy), db.at("query.latency_p99_s." + p.Policy)}
+				db.policies[p.Policy] = ps
+			}
+			// Finishes per virtual second over the tick, not qstats'
+			// host-clock QPS window.
+			n := 0
+			for _, q := range recs {
+				if q.Policy == p.Policy {
+					n++
+				}
+			}
+			ps.qps.Append(now, float64(n)/dt)
+			ps.p50.Append(now, p.VirtualP50S)
+			ps.p99.Append(now, p.VirtualP99S)
+		}
+		if len(recs) > 0 {
 			var matches, over, rows int64
 			for _, q := range recs {
 				matches += q.Matches
@@ -272,7 +293,10 @@ func (db *DB) evaluate(now float64) {
 	for _, rs := range db.rules {
 		v, ok := db.ruleValue(rs, now)
 		if rs.rule.Kind == KindSLOBurn && ok {
-			db.put(now, "slo."+rs.rule.Name+".burn_pct", v)
+			if rs.burn == nil {
+				rs.burn = db.at("slo." + rs.rule.Name + ".burn_pct")
+			}
+			rs.burn.Append(now, v)
 		}
 		cond := ok && compare(rs.rule.op(), v, rs.rule.threshold())
 		db.transition(rs, now, v, cond)

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"dynamicmr/internal/cluster"
@@ -266,12 +267,17 @@ func TestCollectEndToEnd(t *testing.T) {
 		t.Fatalf("dump header: %+v", d)
 	}
 	want := map[string]bool{
-		"cluster.running_jobs":   false,
-		"cluster.map_slot_pct":   false,
-		"query.in_flight":        false,
-		"query.qps.LA":           false,
-		"query.latency_p99_s.LA": false,
-		"query.split_cost_s":     false,
+		"cluster.running_jobs":     false,
+		"cluster.map_slot_pct":     false,
+		"cluster.cpu_util_pct":     false,
+		"cluster.disk_read_kb_s":   false,
+		"cluster.network_util_pct": false,
+		"sim.virtual_time_s":       false,
+		"sim.processed_events":     false,
+		"query.in_flight":          false,
+		"query.qps.LA":             false,
+		"query.latency_p99_s.LA":   false,
+		"query.split_cost_s":       false,
 	}
 	for _, s := range d.Series {
 		if _, ok := want[s.Name]; ok {
@@ -288,6 +294,10 @@ func TestCollectEndToEnd(t *testing.T) {
 		if !seen {
 			t.Errorf("series %s missing from dump", name)
 		}
+	}
+	// Without a sampler, the tick reads the CPU integral itself.
+	if b := db.series["cluster.cpu_util_pct"].Buckets(0); len(b) == 0 || b[0].Max <= 0 {
+		t.Errorf("cluster.cpu_util_pct buckets %+v, want CPU use during the job", b)
 	}
 	// The dump is JSON-stable.
 	buf, err := json.Marshal(d)
@@ -354,5 +364,92 @@ func BenchmarkSeriesAppend(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Append(float64(i), float64(i%97))
+	}
+}
+
+// submitAt submits a query of the policy at virtual time at: a job
+// over no splits, which runs only its reduce and finishes about a
+// second later.
+func submitAt(eng *sim.Engine, jt *mapreduce.JobTracker, reg *qstats.Registry, at float64, policy string) {
+	eng.RunUntil(at)
+	conf := mapreduce.NewJobConf()
+	conf.Set(mapreduce.ConfDynamicPolicy, policy)
+	job := jt.Submit(mapreduce.JobSpec{Conf: conf, NewMapper: echoMapper}, nil)
+	reg.Register(reg.AllocID(), job, "SELECT V FROM t", 0)
+}
+
+// TestQPSCountsVirtualFinishes: a policy's query.qps series is its
+// finishes over the tick's virtual interval, and a listed policy with
+// none in a tick reads 0.
+func TestQPSCountsVirtualFinishes(t *testing.T) {
+	eng, _, jt := rig(t)
+	reg := qstats.NewRegistry(jt)
+	db, err := New(jt, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetQueryStats(reg)
+	db.Start()
+	for _, at := range []float64{0, 1, 2} {
+		submitAt(eng, jt, reg, at, "LA")
+	}
+	submitAt(eng, jt, reg, 6, "HA")
+	eng.RunUntil(10)
+	finishes, _ := reg.OutcomesSince(nil, 0)
+	var at []float64
+	for _, q := range finishes {
+		at = append(at, q.FinishVT)
+	}
+	if len(at) != 4 || at[2] >= 5 || at[3] <= 5 || at[3] > 10 {
+		t.Fatalf("finish times %v, want three LA finishes before 5 s and HA's in (5, 10]", at)
+	}
+	for name, want := range map[string][]Point{
+		"query.qps.LA": {{T: 5, V: 0.6}, {T: 10, V: 0}},
+		"query.qps.HA": {{T: 10, V: 0.2}},
+	} {
+		s := db.series[name]
+		if s == nil {
+			t.Fatalf("no %s series", name)
+		}
+		if got := s.Points(); !slices.Equal(got, want) {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestWarmTickAllocatesOnlyPolicyStats: once every series exists, a
+// tick that fires no transition resolves no name and builds no map;
+// its one allocation is the slice qstats' PolicyStats returns.
+func TestWarmTickAllocatesOnlyPolicyStats(t *testing.T) {
+	eng, _, jt := rig(t)
+	reg := qstats.NewRegistry(jt)
+	db, err := New(jt, Config{Rules: []Rule{
+		{Name: "jobs-high", Kind: KindThreshold, Series: "cluster.running_jobs", Value: 1e9},
+		{Name: "latency-slo", Kind: KindSLOBurn, ObjectiveS: 1e9, WindowS: 1e9},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetQueryStats(reg)
+	db.Start()
+	submitAt(eng, jt, reg, 0, "LA")
+	submitAt(eng, jt, reg, 1, "HA")
+	eng.RunUntil(60)
+	series := len(db.series)
+	now := eng.Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		now += IntervalS
+		db.collect(now)
+		db.evaluate(now)
+		db.lastTick = now
+	})
+	if allocs > 1 {
+		t.Errorf("a warm tick allocated %v times, want at most 1", allocs)
+	}
+	if len(db.series) != series || len(db.events) != 0 {
+		t.Fatalf("the measured ticks added %d series and %d alert events", len(db.series)-series, len(db.events))
+	}
+	if db.counters[trace.CounterJobsFinished] == nil || db.policies["HA"] == nil || db.rules[1].burn == nil {
+		t.Fatal("the warm-up resolved no counter, policy or rule series")
 	}
 }

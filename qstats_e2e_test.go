@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dynamicmr/internal/qstats"
-	"dynamicmr/internal/trace"
 )
 
 // TestQueryStatsE2E is the acceptance run: 50 queries through the
@@ -120,7 +119,7 @@ func TestQueryStatsE2E(t *testing.T) {
 // cheap.
 func TestQueryStatsNeutralWhenDisabled(t *testing.T) {
 	run := func(enabled bool) (float64, string) {
-		opts := []Option{WithTracing(trace.Config{})}
+		opts := []Option{WithTracing()}
 		if enabled {
 			opts = append(opts, WithQueryStats())
 		}
@@ -163,7 +162,7 @@ func TestQueryStatsNeutralWhenDisabled(t *testing.T) {
 func TestQueryStatsOverhead(t *testing.T) {
 	const runs = 5
 	run := func(stats bool) (time.Duration, float64) {
-		opts := []Option{WithTracing(trace.Config{})}
+		opts := []Option{WithTracing()}
 		if stats {
 			opts = append(opts, WithQueryStats())
 		}

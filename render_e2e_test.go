@@ -78,7 +78,7 @@ func chromeExport(tr *trace.Tracer) func(io.Writer) error {
 // diagnosis as text, JSON and CSV, the tracer's Chrome export and its
 // utilization timeline CSV.
 func TestRenderMatchesLiveWriters(t *testing.T) {
-	c, cut, a := renderRun(t, 3, WithTracing(trace.Config{}), WithTimeSeries(tsdb.Rule{
+	c, cut, a := renderRun(t, 3, WithTracing(), WithTimeSeries(tsdb.Rule{
 		Name: "latency-slo", Kind: tsdb.KindSLOBurn, ObjectiveS: 0.001, Severity: "page",
 	}))
 	if a.Queries == nil || len(a.Queries.Queries) != 3 || a.Alerts == nil || len(a.Alerts.Events) == 0 {
@@ -123,7 +123,7 @@ func TestRenderMatchesLiveWriters(t *testing.T) {
 // iteration order), and they match the export rendered from the
 // tracer's archive.
 func TestChromeTraceDeterministic(t *testing.T) {
-	c, _, a := renderRun(t, 8, WithTracing(trace.Config{}))
+	c, _, a := renderRun(t, 8, WithTracing())
 	first := written(t, chromeExport(c.Tracer()))
 	for i := 0; i < 10; i++ {
 		if again := written(t, chromeExport(c.Tracer())); !bytes.Equal(again, first) {
@@ -140,11 +140,11 @@ func TestChromeTraceDeterministic(t *testing.T) {
 // exactly what a tsdb engine without rules dumps at the same instant —
 // and an archive without samples renders a header-only timeline.
 func TestRenderMissingSections(t *testing.T) {
-	_, _, bare := renderRun(t, 1, WithTracing(trace.Config{}))
+	_, _, bare := renderRun(t, 1, WithTracing())
 	if bare.Queries != nil || bare.Alerts != nil {
 		t.Fatal("tracing-only archive carries qstats or alerts")
 	}
-	ruleless, _, _ := renderRun(t, 1, WithTracing(trace.Config{}), WithTimeSeries())
+	ruleless, _, _ := renderRun(t, 1, WithTracing(), WithTimeSeries())
 	if got, want := rendered(t, bare, "alerts"), written(t, ruleless.TSDB().AlertsDump().WriteJSON); !bytes.Equal(got, want) {
 		t.Errorf("empty alerts render:\n%s\nwant:\n%s", got, want)
 	}
@@ -181,7 +181,7 @@ func TestRenderReport(t *testing.T) {
 		}
 	}
 
-	_, _, bare := renderRun(t, 1, WithTracing(trace.Config{}))
+	_, _, bare := renderRun(t, 1, WithTracing())
 	plain := rendered(t, bare, "report")
 	if bytes.Contains(plain, []byte("Cluster utilization")) || !bytes.Contains(plain, []byte("Slot occupancy")) {
 		t.Error("a sampler-less archive must render the Gantt without the utilization charts")

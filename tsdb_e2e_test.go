@@ -10,7 +10,6 @@ import (
 
 	"dynamicmr/internal/obs"
 	"dynamicmr/internal/runarchive"
-	"dynamicmr/internal/trace"
 	"dynamicmr/internal/tsdb"
 )
 
@@ -20,7 +19,7 @@ import (
 // The collection tick adds engine events, but never changes a job's.
 func TestTSDBNeutralWhenDisabled(t *testing.T) {
 	run := func(enabled bool) (float64, string) {
-		opts := []Option{WithTracing(trace.Config{})}
+		opts := []Option{WithTracing()}
 		if enabled {
 			opts = append(opts, WithTimeSeries())
 		}
@@ -67,7 +66,7 @@ func TestTSDBOverhead(t *testing.T) {
 		{Name: "latency-slo", Kind: tsdb.KindSLOBurn, ObjectiveS: 1e9},
 	}
 	run := func(on bool) (time.Duration, float64) {
-		opts := []Option{WithTracing(trace.Config{}), WithQueryStats()}
+		opts := []Option{WithTracing(), WithQueryStats()}
 		if on {
 			opts = append(opts, WithTimeSeries(rules...))
 		}
