@@ -9,6 +9,7 @@ import (
 	"dynamicmr/internal/core"
 	"dynamicmr/internal/dataset"
 	"dynamicmr/internal/mapreduce"
+	"dynamicmr/internal/obs"
 )
 
 func clusterConfigZero() cluster.Config { return cluster.Config{} }
@@ -288,6 +289,52 @@ func TestSampledTracedClusterPollsFirst(t *testing.T) {
 	c.Engine().RunUntil(65)
 	if n := len(c.JobTracker().UtilizationTimeline()); n != 0 {
 		t.Fatalf("untraced sampled cluster polled %d times", n)
+	}
+}
+
+// TestPollAndSamplerShareOneAccount: the §V-D poll and the obs sampler
+// turn one slot account into interval means with one reader
+// (mapreduce.UtilizationCursor), so at every 30 s instant they share,
+// the poll's reading equals the snapshot's cluster means exactly — CPU,
+// disk and slot occupancy alike.
+func TestPollAndSamplerShareOneAccount(t *testing.T) {
+	c, err := NewCluster(WithTracing(), WithUtilizationSampling(mapreduce.UtilizationIntervalS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.LoadLineItem("lineitem", DatasetSpec{
+		Scale: 1, Skew: 1, Selectivity: 0.002, Rows: 200_000, Partitions: 40, Seed: 5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	policies := []string{core.PolicyHadoop, core.PolicyLA, core.PolicyHA}
+	for i := 0; c.Now() < 5*mapreduce.UtilizationIntervalS; i++ {
+		if _, err := c.Sample("lineitem", "L_QUANTITY > 50", 300, policies[i%len(policies)], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Engine().RunUntil(c.Now() + mapreduce.UtilizationIntervalS)
+	snaps := make(map[float64]obs.Snapshot)
+	for _, s := range c.Sampler().Snapshots() {
+		snaps[s.Time] = s
+	}
+	shared, loaded := 0, 0
+	for _, p := range c.JobTracker().UtilizationTimeline() {
+		s, ok := snaps[p.Time]
+		if !ok {
+			continue
+		}
+		shared++
+		if p.SlotOccupancyPct > 0 && p.SlotOccupancyPct < 100 {
+			loaded++
+		}
+		if p.CPUUtilPct != s.CPUUtilPct || p.DiskReadKBs != s.DiskReadKBs || p.SlotOccupancyPct != s.MapSlotPct {
+			t.Errorf("at %v s the poll read %+v, the snapshot CPU %v, disk %v, map slots %v",
+				p.Time, p, s.CPUUtilPct, s.DiskReadKBs, s.MapSlotPct)
+		}
+	}
+	if loaded < 3 {
+		t.Fatalf("%d shared instants, %d under partial load; want at least 3 under load", shared, loaded)
 	}
 }
 

@@ -120,15 +120,15 @@ func TestAdaptiveEnvelopePolicy(t *testing.T) {
 		t.Fatal("envelope must not throttle evaluations")
 	}
 	// Idle cluster: HA's grab (max(0.5*40, 40) = 40).
-	if g, _ := p.GrabLimit(40, 40); g != 40 {
+	if g, _ := p.GrabLimitWith(40, 40, 0); g != 40 {
 		t.Fatalf("idle grab = %d, want 40", g)
 	}
 	// Mid load: the LA/MA blend (0.35*20 = 7).
-	if g, _ := p.GrabLimit(20, 40); g != 7 {
+	if g, _ := p.GrabLimitWith(20, 40, 0); g != 7 {
 		t.Fatalf("mid-load grab = %d, want 7", g)
 	}
 	// Saturated: C's grab (0.1*4 = 0.4 -> ceil 1).
-	if g, _ := p.GrabLimit(4, 40); g != 1 {
+	if g, _ := p.GrabLimitWith(4, 40, 0); g != 1 {
 		t.Fatalf("loaded grab = %d, want 1", g)
 	}
 }

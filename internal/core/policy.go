@@ -44,9 +44,10 @@ type Policy struct {
 }
 
 // Compile parses GrabLimitExpr; it must be called (directly or via
-// Registry/Builtins) before GrabLimit. Recompiling an already-compiled
-// policy is a no-op unless the expression text changed, so concurrent
-// submitters sharing one registry never re-publish the pointer.
+// Registry/Builtins) before GrabLimitWith. Recompiling an
+// already-compiled policy is a no-op unless the expression text
+// changed, so concurrent submitters sharing one registry never
+// re-publish the pointer.
 func (p *Policy) Compile() error {
 	if p.Name == "" {
 		return fmt.Errorf("core: policy needs a name")
@@ -69,19 +70,13 @@ func (p *Policy) Compile() error {
 	return nil
 }
 
-// GrabLimit evaluates the policy's grab limit for the given slot
-// availability. The result is a whole number of partitions (ceil of the
-// formula), never negative; math.MaxInt for unbounded, which is also
-// what any value too large for an int means. A formula that evaluates
-// to NaN (inf-inf, 0*inf) is an error.
-func (p *Policy) GrabLimit(availableSlots, totalSlots int) (int, error) {
-	return p.GrabLimitWith(availableSlots, totalSlots, 0)
-}
-
-// GrabLimitWith additionally binds QT — the cluster-wide queued
-// (scheduled but slot-less) map task count — for formulas that react
-// to backlog rather than instantaneous slot availability (the adaptive
-// envelope uses it; Table I's formulas ignore it).
+// GrabLimitWith evaluates the policy's grab limit at AS available and
+// TS total map slots and QT queued map tasks (scheduled but slot-less,
+// cluster-wide: the adaptive envelope reacts to this backlog, Table I's
+// formulas ignore it). The result is a whole number of partitions (ceil
+// of the formula), never negative; math.MaxInt for unbounded, which is
+// also what any value too large for an int means. A formula that
+// evaluates to NaN (inf-inf, 0*inf) is an error.
 func (p *Policy) GrabLimitWith(availableSlots, totalSlots, queuedTasks int) (int, error) {
 	e := p.compiled.Load()
 	if e == nil || e.String() != p.GrabLimitExpr {

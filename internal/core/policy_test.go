@@ -53,7 +53,7 @@ func TestTableIGrabLimits(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := mustGet(t, r, c.policy)
-		got, err := p.GrabLimit(c.as, 40)
+		got, err := p.GrabLimitWith(c.as, 40, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestTableIGrabLimits(t *testing.T) {
 
 func TestGrabLimitCeil(t *testing.T) {
 	p := &Policy{Name: "x", EvaluationIntervalS: 1, GrabLimitExpr: "0.1*AS"}
-	got, err := p.GrabLimit(15, 40) // 1.5 -> 2
+	got, err := p.GrabLimitWith(15, 40, 0) // 1.5 -> 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestUnbounded(t *testing.T) {
 	r := DefaultRegistry()
 	hadoop, c := mustGet(t, r, PolicyHadoop), mustGet(t, r, PolicyC)
 	for as := 0; as <= 40; as++ {
-		if lim, err := hadoop.GrabLimit(as, 40); err != nil || lim != math.MaxInt {
+		if lim, err := hadoop.GrabLimitWith(as, 40, 0); err != nil || lim != math.MaxInt {
 			t.Errorf("Hadoop GrabLimit(AS=%d) = %d, %v; want unbounded", as, lim, err)
 		}
-		if lim, err := c.GrabLimit(as, 40); err != nil || lim == math.MaxInt {
+		if lim, err := c.GrabLimitWith(as, 40, 0); err != nil || lim == math.MaxInt {
 			t.Errorf("C GrabLimit(AS=%d) = %d, %v; want bounded", as, lim, err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestPolicyValidation(t *testing.T) {
 func TestGrabLimitNaNIsError(t *testing.T) {
 	for _, expr := range []string{"inf-inf", "AS*inf"} {
 		p := &Policy{Name: "nan", EvaluationIntervalS: 4, GrabLimitExpr: expr}
-		if got, err := p.GrabLimit(0, 40); err == nil {
+		if got, err := p.GrabLimitWith(0, 40, 0); err == nil {
 			t.Errorf("%s: GrabLimit = %d, want an error", expr, got)
 		}
 	}
@@ -140,7 +140,7 @@ func TestGrabLimitNaNIsError(t *testing.T) {
 func TestGrabLimitClampsToMaxInt(t *testing.T) {
 	for _, expr := range []string{"1e300", "TS*1e18", "9.3e18"} {
 		p := &Policy{Name: "big", EvaluationIntervalS: 4, GrabLimitExpr: expr}
-		got, err := p.GrabLimit(10, 40)
+		got, err := p.GrabLimitWith(10, 40, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", expr, err)
 		}
@@ -218,8 +218,8 @@ func TestPolicyXMLRoundTrip(t *testing.T) {
 		}
 	}
 	// Behaviour preserved too.
-	ga, _ := mustGet(t, r, PolicyMA).GrabLimit(10, 40)
-	gb, _ := mustGet(t, r2, PolicyMA).GrabLimit(10, 40)
+	ga, _ := mustGet(t, r, PolicyMA).GrabLimitWith(10, 40, 0)
+	gb, _ := mustGet(t, r2, PolicyMA).GrabLimitWith(10, 40, 0)
 	if ga != gb {
 		t.Fatalf("grab limits diverge after round trip: %d vs %d", ga, gb)
 	}

@@ -128,9 +128,9 @@ type TaskTracker struct {
 	mapUsed     int
 	reduceUsed  int
 
-	// Per-node occupied-slot-second integrals (the node-level analogue
-	// of JobTracker.mapSlotIntegral), accrued lazily on every slot
-	// change so the obs sampler can derive per-node occupancy.
+	// Occupied-slot-second integrals, accrued lazily on every slot
+	// change: the cluster's one slot account, which ClusterStatus and
+	// UtilizationCursor sum over the trackers.
 	mapSlotIntegral    float64
 	reduceSlotIntegral float64
 	lastSlotChange     float64
@@ -201,13 +201,6 @@ type JobTracker struct {
 
 	jobs      []*Job
 	nextJobID int
-
-	occupiedMapSlots    int
-	occupiedReduceSlots int
-	// mapSlotIntegral accumulates occupied-map-slot-seconds for the
-	// §V-F slot-occupancy metric.
-	mapSlotIntegral float64
-	lastSlotChange  float64
 
 	totalLocalMaps    int64
 	totalNonLocalMaps int64
@@ -585,49 +578,26 @@ func (jt *JobTracker) Status(j *Job) JobStatus {
 
 // ClusterStatus snapshots cluster capacity and load.
 func (jt *JobTracker) ClusterStatus() ClusterStatus {
-	queued := 0
-	queuedReduces := 0
-	running := 0
+	st := ClusterStatus{TotalMapSlots: jt.cluster.Cfg.TotalMapSlots(),
+		TotalReduceSlots: cluster.Nodes * cluster.ReduceSlotsPerNode}
 	for _, j := range jt.jobs {
 		if !j.Done() {
-			running++
-			queued += j.nPending
-			queuedReduces += len(j.pendingReduces)
+			st.RunningJobs++
+			st.QueuedMapTasks += j.nPending
+			st.QueuedReduceTasks += len(j.pendingReduces)
 		}
 	}
-	return ClusterStatus{
-		TotalMapSlots:     jt.cluster.Cfg.TotalMapSlots(),
-		OccupiedMapSlots:  jt.occupiedMapSlots,
-		TotalReduceSlots:  cluster.Nodes * cluster.ReduceSlotsPerNode,
-		OccupiedReduces:   jt.occupiedReduceSlots,
-		RunningJobs:       running,
-		QueuedMapTasks:    queued,
-		QueuedReduceTasks: queuedReduces,
+	for _, tt := range jt.trackers {
+		st.OccupiedMapSlots += tt.mapUsed
+		st.OccupiedReduces += tt.reduceUsed
 	}
-}
-
-// MapSlotOccupancyIntegral returns accumulated occupied-map-slot-seconds
-// up to now; (Δintegral / (totalSlots·Δt)) is the §V-F "slot occupancy".
-func (jt *JobTracker) MapSlotOccupancyIntegral() float64 {
-	jt.accrueSlots()
-	return jt.mapSlotIntegral
+	return st
 }
 
 // LocalityStats returns cluster-lifetime local and non-local completed
 // map counts (§V-F's "locality" metric).
 func (jt *JobTracker) LocalityStats() (local, nonLocal int64) {
 	return jt.totalLocalMaps, jt.totalNonLocalMaps
-}
-
-func (jt *JobTracker) accrueSlots() {
-	now := jt.eng.Now()
-	jt.mapSlotIntegral += float64(jt.occupiedMapSlots) * (now - jt.lastSlotChange)
-	jt.lastSlotChange = now
-}
-
-func (jt *JobTracker) changeMapSlots(delta int) {
-	jt.accrueSlots()
-	jt.occupiedMapSlots += delta
 }
 
 // partition assigns a key to a reduce partition (Hadoop's hash

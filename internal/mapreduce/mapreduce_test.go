@@ -483,7 +483,11 @@ func TestSlotOccupancyIntegralGrows(t *testing.T) {
 	f := r.makeFile(t, "in", 10, 10)
 	job := r.jt.Submit(JobSpec{NewMapper: func(*JobConf) Mapper { return dummyKeyMapper{} }}, SplitsForFile(f))
 	RunUntilDone(r.eng, job, 1e6)
-	if r.jt.MapSlotOccupancyIntegral() <= 0 {
+	var occupied float64
+	for _, tt := range r.jt.TaskTrackers() {
+		occupied += tt.MapSlotIntegral()
+	}
+	if occupied <= 0 {
 		t.Fatal("occupancy integral did not grow")
 	}
 	local, nonLocal := r.jt.LocalityStats()

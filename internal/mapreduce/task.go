@@ -162,7 +162,6 @@ func (jt *JobTracker) startAttempt(tt *TaskTracker, t *MapTask, speculative bool
 	att.scan = jt.submitScan(t)
 
 	tt.changeMapSlots(+1)
-	jt.changeMapSlots(+1)
 	jt.emit(TaskEvent{Type: EventMapStarted, JobID: j.ID, TaskIndex: t.Index,
 		Node: tt.node.ID, Attempt: t.Attempts, Speculative: speculative})
 	if tr := jt.tracer; tr.Enabled() {
@@ -276,7 +275,6 @@ func (jt *JobTracker) releaseAttempt(att *mapAttempt) {
 		delete(t.Job.runningMaps, t)
 	}
 	att.tt.changeMapSlots(-1)
-	jt.changeMapSlots(-1)
 }
 
 // finishMapAttempt runs the real user mapper, applies failure
@@ -560,7 +558,6 @@ func (jt *JobTracker) launchReduce(tt *TaskTracker, t *ReduceTask) {
 	}
 	t.Attempts++
 	tt.changeReduceSlots(+1)
-	jt.occupiedReduceSlots++
 	jt.emit(TaskEvent{Type: EventReduceStarted, JobID: j.ID, TaskIndex: t.Index,
 		Node: tt.node.ID, Attempt: t.Attempts})
 
@@ -653,8 +650,7 @@ func (jt *JobTracker) execReducer(t *ReduceTask) (*Collector, error) {
 // When every chunk is key-sorted — hinted sorted at map completion, or
 // checked here — and successive chunks' key ranges are in order, the
 // concatenation already is that order and the chunks are walked in
-// place; sorted chunks with overlapping ranges are merged
-// (mergeSortedChunks); anything else is sorted (sortPairs).
+// place; anything else is sorted (sortPairs).
 //
 // out starts empty and gets the smallest kept output array that holds
 // the output's bound: min(pairs, limit) for a PrefixReducer, the pair
@@ -666,7 +662,7 @@ func (jt *JobTracker) execReducer(t *ReduceTask) (*Collector, error) {
 // values reallocates instead of overwriting the next group. Groups stay
 // valid after the call: nothing reuses the buffer.
 func (jt *JobTracker) reduceGroups(chunks []mapChunk, reducer Reducer, out *Collector) error {
-	total, sorted, ordered := 0, true, true
+	total, inOrder := 0, true
 	var bytes int64
 	var last *KeyValue // the previous non-empty chunk's last pair
 	for _, c := range chunks {
@@ -675,26 +671,23 @@ func (jt *JobTracker) reduceGroups(chunks []mapChunk, reducer Reducer, out *Coll
 		}
 		total += len(c.pairs)
 		bytes += c.bytes
-		if !sorted {
+		if !inOrder {
 			continue
 		}
 		for i := 1; !c.sorted && i < len(c.pairs); i++ {
 			if c.pairs[i-1].Key > c.pairs[i].Key {
-				sorted = false
+				inOrder = false
 				break
 			}
 		}
 		if last != nil && last.Key > c.pairs[0].Key {
-			ordered = false
+			inOrder = false
 		}
 		last = &c.pairs[len(c.pairs)-1]
 	}
 	runs := chunks
-	switch {
-	case !sorted:
+	if !inOrder {
 		runs = []mapChunk{{pairs: sortPairs(chunks), bytes: bytes}}
-	case !ordered:
-		runs = []mapChunk{{pairs: mergeSortedChunks(chunks, total), bytes: bytes}}
 	}
 	if pr, ok := reducer.(PrefixReducer); ok {
 		if limit, ok := pr.PrefixLimit(); ok {
@@ -729,88 +722,6 @@ func (jt *JobTracker) reduceGroups(chunks []mapChunk, reducer Reducer, out *Coll
 		return reducer.Reduce(key, vals[start:n:n], out)
 	}
 	return nil
-}
-
-// mergeSortedChunks merges one partition's key-sorted chunk runs, total
-// pairs in all, into a single key-sorted slice with exact
-// preallocation: a k-way merge on a binary min-heap of chunk heads,
-// O(n log k). Ties across chunks resolve to the lower chunk position,
-// which together with the per-run order reproduces exactly what
-// sortPairs (stable sort of the concatenation in chunk order) would
-// produce — without the O(n log n) sort on the reduce hot path. Chunks
-// whose key ranges are already in order need no merge at all;
-// reduceGroups walks them in place.
-func mergeSortedChunks(chunks []mapChunk, total int) []KeyValue {
-	pairs := make([]KeyValue, 0, total)
-	type head struct {
-		chunk int
-		idx   int
-	}
-	heap := make([]head, 0, len(chunks))
-	less := func(a, b head) bool {
-		ka, kb := chunks[a.chunk].pairs[a.idx].Key, chunks[b.chunk].pairs[b.idx].Key
-		if ka != kb {
-			return ka < kb
-		}
-		return a.chunk < b.chunk
-	}
-	siftDown := func(i int) {
-		for {
-			l := 2*i + 1
-			if l >= len(heap) {
-				return
-			}
-			if r := l + 1; r < len(heap) && less(heap[r], heap[l]) {
-				l = r
-			}
-			if !less(heap[l], heap[i]) {
-				return
-			}
-			heap[i], heap[l] = heap[l], heap[i]
-			i = l
-		}
-	}
-	for c := range chunks {
-		if len(chunks[c].pairs) > 0 {
-			heap = append(heap, head{chunk: c})
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(heap) > 0 && len(pairs) < total {
-		top := heap[0]
-		run := chunks[top.chunk].pairs
-		// Gallop: drain the winning chunk while its next key still beats
-		// every other head (only the runner-up matters in a binary heap).
-		stop := len(run)
-		if len(heap) > 1 {
-			next := heap[1]
-			if len(heap) > 2 && less(heap[2], next) {
-				next = heap[2]
-			}
-			nk := chunks[next.chunk].pairs[next.idx].Key
-			for i := top.idx; i < stop; i++ {
-				k := run[i].Key
-				if k > nk || (k == nk && top.chunk > next.chunk) {
-					stop = i
-					break
-				}
-			}
-		}
-		pairs = append(pairs, run[top.idx:stop]...)
-		if stop < len(run) {
-			heap[0].idx = stop
-			siftDown(0)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-			if len(heap) > 0 {
-				siftDown(0)
-			}
-		}
-	}
-	return pairs
 }
 
 // reducePrefix appends each key group's first limit pairs of the
@@ -875,7 +786,6 @@ func (jt *JobTracker) finishReduce(t *ReduceTask, err error) {
 		jt.failJob(j, fmt.Sprintf("reduce task %d failed: %v", t.Index, err))
 	}
 	tt.changeReduceSlots(-1)
-	jt.occupiedReduceSlots--
 	if !j.Done() {
 		j.reducesDone++
 		jt.emit(TaskEvent{Type: EventReduceFinished, JobID: j.ID, TaskIndex: t.Index,

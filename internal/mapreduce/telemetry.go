@@ -9,60 +9,102 @@ import (
 // "CPU utilization (%) and disk reads (Kbs/sec) at 30 second intervals".
 const UtilizationIntervalS = 30.0
 
-// UtilizationCursor turns the cluster's monotonic service integrals
-// into interval averages: each Advance reports the mean utilization
-// since the previous Advance (or since construction), in the units the
-// paper reports — CPU percent of total core capacity, per-disk KB/s,
-// and percent of map slots occupied.
+// Utilization is the cluster's mean load over the IntervalS virtual
+// seconds that end at Time, in the units the paper reports: CPU percent
+// of total core capacity, per-disk KB/s, percent of network capacity and
+// percent of map and reduce slots occupied (§V-F's slot occupancy is
+// MapSlotPct).
+type Utilization struct {
+	Time, IntervalS                                                    float64
+	CPUUtilPct, DiskReadKBs, NetworkUtilPct, MapSlotPct, ReduceSlotPct float64
+}
+
+// NodeUtilization is one node's means, against the node's own capacity.
+type NodeUtilization struct{ CPUUtilPct, DiskReadKBs, MapSlotPct, ReduceSlotPct float64 }
+
+// nodeIntegrals are one node's service integrals at a reading.
+type nodeIntegrals struct{ cpu, disk, mapSlot, reduceSlot float64 }
+
+func (tt *TaskTracker) integrals() nodeIntegrals {
+	return nodeIntegrals{tt.node.CPUUsedIntegral(), tt.node.DiskUsedIntegral(), tt.MapSlotIntegral(), tt.ReduceSlotIntegral()}
+}
+
+// UtilizationCursor turns the cluster's monotonic service integrals into
+// interval means: each Advance reports the mean load since the previous
+// Advance (or since construction). It is the one reader behind the §V-D
+// poll, the obs sampler and the tsdb tick, so they agree wherever their
+// intervals do. It reads passively (sim.SharedResource.UsedIntegral and
+// the TaskTrackers' slot integrals add the accrual since the last change
+// to their result), so a cursor never moves a completion.
 type UtilizationCursor struct {
-	jt                                 *JobTracker
-	lastT, lastCPU, lastDisk, lastSlot float64
+	jt                                *JobTracker
+	lastT, lastCPU, lastDisk, lastNet float64
+	last                              []nodeIntegrals
 }
 
 // NewUtilizationCursor starts a cursor with its baseline at now.
 func (jt *JobTracker) NewUtilizationCursor() *UtilizationCursor {
-	c := &UtilizationCursor{jt: jt, lastT: jt.eng.Now()}
-	c.lastCPU, c.lastDisk, c.lastSlot = c.read()
+	cl := jt.cluster
+	c := &UtilizationCursor{jt: jt, lastT: jt.eng.Now(), last: make([]nodeIntegrals, len(jt.trackers)),
+		lastCPU: cl.CPUUsedIntegral(), lastDisk: cl.DiskUsedIntegral(), lastNet: cl.NetworkUsedIntegral()}
+	for i, tt := range jt.trackers {
+		c.last[i] = tt.integrals()
+	}
 	return c
 }
 
-// read returns the CPU, disk and map-slot integrals at now. It is the
-// one reader that settles the accounts it reads: it applies the node
-// CPU and disk service accrued so far before reading them, where every
-// other reader (the obs sampler) leaves them as they are. Settling
-// rounds a demand's remaining work at the poll instant and so moves
-// later completions in the last bits. The figure 5-8 goldens
-// (experiments_quick_output.txt and the cell archives) were recorded
-// with it; dropping it moves quick figure 6 (uniform) HA and Hadoop
-// from 1278 to 1281 jobs/hour, which is a model change.
-func (c *UtilizationCursor) read() (cpu, disk, slot float64) {
-	for _, n := range c.jt.cluster.Nodes {
+// Advance returns the cluster's means since the previous call; ok is
+// false, and the baseline stays, when no virtual time has passed. A
+// non-nil nodes (one entry per node, in node order) also receives each
+// node's means. A cluster slot mean is the trackers' summed
+// occupied-slot-seconds over total slots × the interval.
+func (c *UtilizationCursor) Advance(nodes []NodeUtilization) (u Utilization, ok bool) {
+	jt, cl := c.jt, c.jt.cluster
+	now := jt.eng.Now()
+	dt := now - c.lastT
+	if dt <= 0 {
+		return u, false
+	}
+	var mapSlotS, reduceSlotS float64
+	for i, tt := range jt.trackers {
+		cur, last := tt.integrals(), c.last[i]
+		mapSlotS += cur.mapSlot - last.mapSlot
+		reduceSlotS += cur.reduceSlot - last.reduceSlot
+		if nodes != nil {
+			nodes[i] = NodeUtilization{
+				CPUUtilPct:    100 * (cur.cpu - last.cpu) / (tt.node.CPUCapacity() * dt),
+				DiskReadKBs:   (cur.disk - last.disk) / dt / float64(len(tt.node.Disks)) / 1024,
+				MapSlotPct:    100 * (cur.mapSlot - last.mapSlot) / (float64(tt.mapSlots) * dt),
+				ReduceSlotPct: 100 * (cur.reduceSlot - last.reduceSlot) / (float64(tt.reduceSlots) * dt),
+			}
+		}
+		c.last[i] = cur
+	}
+	cpu, disk, net := cl.CPUUsedIntegral(), cl.DiskUsedIntegral(), cl.NetworkUsedIntegral()
+	u = Utilization{Time: now, IntervalS: dt,
+		CPUUtilPct:     100 * (cpu - c.lastCPU) / (cl.CPUCapacity() * dt),
+		DiskReadKBs:    (disk - c.lastDisk) / dt / float64(cluster.TotalDisks) / 1024,
+		NetworkUtilPct: 100 * (net - c.lastNet) / (cl.NetworkCapacity() * dt),
+		MapSlotPct:     100 * mapSlotS / (float64(cl.Cfg.TotalMapSlots()) * dt),
+		ReduceSlotPct:  100 * reduceSlotS / (float64(cluster.Nodes*cluster.ReduceSlotsPerNode) * dt),
+	}
+	c.lastT, c.lastCPU, c.lastDisk, c.lastNet = now, cpu, disk, net
+	return u, true
+}
+
+// settleNodes applies the node CPU and disk service accrued so far. Only
+// the §V-D poll calls it: settling rounds a demand's remaining work at
+// the poll instant and so moves later completions in the last bits. The
+// figure 5-8 goldens were recorded with it; dropping it moves quick
+// figure 6 (uniform) HA and Hadoop from 1278 to 1281 jobs/hour, which is
+// a model change.
+func (jt *JobTracker) settleNodes() {
+	for _, n := range jt.cluster.Nodes {
 		n.CPU.Settle()
 		for _, d := range n.Disks {
 			d.Settle()
 		}
 	}
-	return c.jt.cluster.CPUUsedIntegral(), c.jt.cluster.DiskUsedIntegral(), c.jt.MapSlotOccupancyIntegral()
-}
-
-// Advance reads the integrals and returns the interval average since
-// the previous call; ok is false when no virtual time has passed.
-func (c *UtilizationCursor) Advance() (p trace.MetricSample, ok bool) {
-	jt := c.jt
-	now := jt.eng.Now()
-	dt := now - c.lastT
-	cpu, disk, slot := c.read()
-	if dt > 0 {
-		ok = true
-		p = trace.MetricSample{
-			Time:             now,
-			CPUUtilPct:       100 * (cpu - c.lastCPU) / (jt.cluster.CPUCapacity() * dt),
-			DiskReadKBs:      (disk - c.lastDisk) / dt / float64(cluster.TotalDisks) / 1024,
-			SlotOccupancyPct: 100 * (slot - c.lastSlot) / (float64(jt.cluster.Cfg.TotalMapSlots()) * dt),
-		}
-	}
-	c.lastT, c.lastCPU, c.lastDisk, c.lastSlot = now, cpu, disk, slot
-	return p, ok
 }
 
 // SampleUtilization starts the utilization poll: from now on, every
@@ -71,18 +113,22 @@ func (c *UtilizationCursor) Advance() (p trace.MetricSample, ok bool) {
 // the tracer). It is idempotent — a second call, or the traced runtime's
 // own start on first submission, never adds a second loop.
 //
-// The poll is opt-in because every reading settles the node CPU and
-// disk accounts (see UtilizationCursor.read); a runtime nobody polls
-// keeps its virtual timeline bit-for-bit.
+// The poll is opt-in because it settles the node CPU and disk accounts
+// when it starts and before every reading (see settleNodes); a runtime
+// nobody polls keeps its virtual timeline bit-for-bit.
 func (jt *JobTracker) SampleUtilization() {
 	if jt.polling {
 		return
 	}
 	jt.polling = true
+	jt.settleNodes()
 	cur := jt.NewUtilizationCursor()
 	var tick func()
 	tick = func() {
-		if p, ok := cur.Advance(); ok {
+		jt.settleNodes()
+		if u, ok := cur.Advance(nil); ok {
+			p := trace.MetricSample{Time: u.Time, CPUUtilPct: u.CPUUtilPct,
+				DiskReadKBs: u.DiskReadKBs, SlotOccupancyPct: u.MapSlotPct}
 			jt.utilization = append(jt.utilization, p)
 			jt.tracer.RecordMetricSample(p)
 		}

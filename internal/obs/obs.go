@@ -8,24 +8,22 @@
 // the `dynmr diff -html` page), and a Prometheus/JSON HTTP surface
 // (see server.go).
 //
-// The sampler reads the same monotonic service integrals the paper's
-// §V-D monitoring tables are computed from, so a snapshot's interval
-// averages agree with the end-of-run scalars by construction: the sum
-// over snapshots of occupancy·Δt equals the occupied-slot-second
-// integral, which equals the sum of attempt span durations.
+// The sampler's interval means come from mapreduce.UtilizationCursor,
+// the one reader behind the §V-D poll and the tsdb tick too, so a
+// snapshot agrees with the poll at every instant they share, and the sum
+// over snapshots of occupancy·Δt equals the TaskTrackers'
+// occupied-slot-second integrals, which equal the sum of attempt span
+// durations.
 //
-// Sampling cannot change a run's virtual timeline. The sampler reads
-// every integral passively (sim.SharedResource.UsedIntegral adds the
-// accrued service to its result instead of settling it into the active
-// demands, and the slot integrals likewise), so no demand's remaining
-// work is rounded at a tick. Its ticks are extra engine events, and the
-// engine orders events by (time, sequence), so they never reorder the
-// others. Only the §V-D poll settles what it reads
-// (mapreduce.UtilizationCursor).
+// Sampling cannot change a run's virtual timeline: the cursor reads
+// every integral passively, so no demand's remaining work is rounded at
+// a tick, and the ticks are extra engine events, which the engine orders
+// by (time, sequence), so they never reorder the others. Only the §V-D
+// poll settles the accounts it reads
+// (mapreduce.JobTracker.SampleUtilization).
 package obs
 
 import (
-	"dynamicmr/internal/cluster"
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/trace"
 )
@@ -126,7 +124,7 @@ type Snapshot struct {
 
 // Sampler snapshots the cluster at a fixed virtual interval. It is
 // driven by the engine's event loop (Start schedules a self-renewing
-// tick), reads only monotonic integrals and instantaneous counters, and
+// tick), reads a utilization cursor and instantaneous counters, and
 // never mutates simulation state (see the package doc).
 //
 // The sampler is single-writer: the goroutine that drives the engine
@@ -135,15 +133,9 @@ type Sampler struct {
 	jt       *mapreduce.JobTracker
 	interval float64
 
-	// Integral baselines from the previous tick.
-	lastT       float64
-	lastCPU     []float64
-	lastDisk    []float64
-	lastMapInt  []float64
-	lastRedInt  []float64
-	lastNet     float64
-	lastClusCPU float64
-	lastClusDsk float64
+	// cur is nil until Start; nodes receives its per-node means.
+	cur   *mapreduce.UtilizationCursor
+	nodes []mapreduce.NodeUtilization
 
 	snaps []Snapshot
 }
@@ -154,14 +146,15 @@ func NewSampler(jt *mapreduce.JobTracker, cfg Config) *Sampler {
 	return &Sampler{jt: jt, interval: cfg.interval()}
 }
 
-// Start initialises baselines at the current virtual time and
-// schedules the periodic tick. It is a no-op once started, so a
-// sampler never runs two tick loops.
+// Start sets the baseline at the current virtual time and schedules
+// the periodic tick. It is a no-op once started, so a sampler never
+// runs two tick loops.
 func (s *Sampler) Start() {
-	if s.lastCPU != nil {
+	if s.cur != nil {
 		return
 	}
-	s.rebase()
+	s.cur = s.jt.NewUtilizationCursor()
+	s.nodes = make([]mapreduce.NodeUtilization, len(s.jt.TaskTrackers()))
 	var tick func()
 	tick = func() {
 		s.sample()
@@ -180,99 +173,37 @@ func (s *Sampler) Cut() []Snapshot {
 	if s == nil {
 		return nil
 	}
-	if s.lastCPU != nil {
+	if s.cur != nil {
 		s.sample()
 	}
 	return s.Snapshots()
 }
 
-// rebase captures integral baselines at now.
-func (s *Sampler) rebase() {
-	jt := s.jt
-	cl := jt.Cluster()
-	n := len(cl.Nodes)
-	s.lastT = jt.Engine().Now()
-	s.lastCPU = make([]float64, n)
-	s.lastDisk = make([]float64, n)
-	s.lastMapInt = make([]float64, n)
-	s.lastRedInt = make([]float64, n)
-	trackers := jt.TaskTrackers()
-	for i, node := range cl.Nodes {
-		s.lastCPU[i] = node.CPUUsedIntegral()
-		s.lastDisk[i] = node.DiskUsedIntegral()
-		s.lastMapInt[i] = trackers[i].MapSlotIntegral()
-		s.lastRedInt[i] = trackers[i].ReduceSlotIntegral()
-	}
-	s.lastNet = cl.NetworkUsedIntegral()
-	s.lastClusCPU = cl.CPUUsedIntegral()
-	s.lastClusDsk = cl.DiskUsedIntegral()
-}
-
-// sample takes one snapshot and advances the baselines.
+// sample advances the cursor and records one snapshot.
 func (s *Sampler) sample() {
-	jt := s.jt
-	cl := jt.Cluster()
-	now := jt.Engine().Now()
-	dt := now - s.lastT
-	if dt <= 0 {
+	u, ok := s.cur.Advance(s.nodes)
+	if !ok {
 		return
 	}
-	trackers := jt.TaskTrackers()
-	snap := Snapshot{Time: now, IntervalS: dt, Nodes: make([]NodeSample, len(cl.Nodes))}
-	for i, node := range cl.Nodes {
-		tt := trackers[i]
-		cpu := node.CPUUsedIntegral()
-		disk := node.DiskUsedIntegral()
-		mapInt := tt.MapSlotIntegral()
-		redInt := tt.ReduceSlotIntegral()
-		ns := NodeSample{
-			Node:            node.ID,
-			CPUUtilPct:      100 * (cpu - s.lastCPU[i]) / (node.CPUCapacity() * dt),
-			DiskReadKBs:     (disk - s.lastDisk[i]) / dt / float64(len(node.Disks)) / 1024,
-			MapSlotsUsed:    tt.MapSlotsUsed(),
-			MapSlots:        tt.MapSlots(),
-			ReduceSlotsUsed: tt.ReduceSlotsUsed(),
-			ReduceSlots:     tt.ReduceSlots(),
-		}
-		if tt.MapSlots() > 0 {
-			ns.MapSlotPct = 100 * (mapInt - s.lastMapInt[i]) / (float64(tt.MapSlots()) * dt)
-		}
-		if tt.ReduceSlots() > 0 {
-			ns.ReduceSlotPct = 100 * (redInt - s.lastRedInt[i]) / (float64(tt.ReduceSlots()) * dt)
-		}
-		snap.Nodes[i] = ns
-		s.lastCPU[i], s.lastDisk[i], s.lastMapInt[i], s.lastRedInt[i] = cpu, disk, mapInt, redInt
+	st := s.jt.ClusterStatus()
+	snap := Snapshot{
+		Time: u.Time, IntervalS: u.IntervalS, Nodes: make([]NodeSample, len(s.nodes)),
+		CPUUtilPct: u.CPUUtilPct, DiskReadKBs: u.DiskReadKBs, NetworkUtilPct: u.NetworkUtilPct,
+		MapSlotPct: u.MapSlotPct, ReduceSlotPct: u.ReduceSlotPct,
+		OccupiedMapSlots: st.OccupiedMapSlots, TotalMapSlots: st.TotalMapSlots,
+		OccupiedReduceSlots: st.OccupiedReduces, TotalReduceSlots: st.TotalReduceSlots,
+		QueuedMaps: st.QueuedMapTasks, QueuedReduces: st.QueuedReduceTasks, RunningJobs: st.RunningJobs,
 	}
-
-	net := cl.NetworkUsedIntegral()
-	clusCPU := cl.CPUUsedIntegral()
-	clusDsk := cl.DiskUsedIntegral()
-	st := jt.ClusterStatus()
-	snap.CPUUtilPct = 100 * (clusCPU - s.lastClusCPU) / (cl.CPUCapacity() * dt)
-	snap.DiskReadKBs = (clusDsk - s.lastClusDsk) / dt / float64(cluster.TotalDisks) / 1024
-	snap.NetworkUtilPct = 100 * (net - s.lastNet) / (cl.NetworkCapacity() * dt)
-	if st.TotalMapSlots > 0 {
-		var used float64
-		for _, ns := range snap.Nodes {
-			used += ns.MapSlotPct * float64(ns.MapSlots)
+	for i, tt := range s.jt.TaskTrackers() {
+		m := s.nodes[i]
+		snap.Nodes[i] = NodeSample{
+			Node:       s.jt.Cluster().Nodes[i].ID,
+			CPUUtilPct: m.CPUUtilPct, DiskReadKBs: m.DiskReadKBs,
+			MapSlotPct: m.MapSlotPct, ReduceSlotPct: m.ReduceSlotPct,
+			MapSlotsUsed: tt.MapSlotsUsed(), MapSlots: tt.MapSlots(),
+			ReduceSlotsUsed: tt.ReduceSlotsUsed(), ReduceSlots: tt.ReduceSlots(),
 		}
-		snap.MapSlotPct = used / float64(st.TotalMapSlots)
 	}
-	if st.TotalReduceSlots > 0 {
-		var used float64
-		for _, ns := range snap.Nodes {
-			used += ns.ReduceSlotPct * float64(ns.ReduceSlots)
-		}
-		snap.ReduceSlotPct = used / float64(st.TotalReduceSlots)
-	}
-	snap.OccupiedMapSlots = st.OccupiedMapSlots
-	snap.TotalMapSlots = st.TotalMapSlots
-	snap.OccupiedReduceSlots = st.OccupiedReduces
-	snap.TotalReduceSlots = st.TotalReduceSlots
-	snap.QueuedMaps = st.QueuedMapTasks
-	snap.QueuedReduces = st.QueuedReduceTasks
-	snap.RunningJobs = st.RunningJobs
-	s.lastNet, s.lastClusCPU, s.lastClusDsk, s.lastT = net, clusCPU, clusDsk, now
 	s.snaps = append(s.snaps, snap)
 }
 

@@ -1,21 +1,21 @@
 // Package tsdb is the in-process time-series engine: fixed-capacity
 // downsampling ring buffers (raw points plus min/max/sum/count rollups
 // per resolution step) on the virtual clock, fed at each tick from the
-// JobTracker's cluster status, the cluster's CPU, disk and network
-// service integrals (means over the tick), the engine's clock, the
-// trace registry's counters, the qstats per-policy latency aggregates,
-// and derived per-query series (finishes per virtual second per
-// policy, match-arrival rate, per-split scan cost, overshoot ratio,
-// in-flight count). On top sits the alert/SLO layer: declarative rules
-// (threshold, rate-of-change, latency-objective burn) evaluated at
-// every collection tick, producing a bounded firing/resolved event log
-// with the stable schema AlertsSchemaVersion.
+// JobTracker's cluster status, a mapreduce.UtilizationCursor (the
+// cluster's CPU, disk, network and slot means over the tick), the
+// engine's clock, the trace registry's counters, the qstats per-policy
+// latency aggregates, and derived per-query series (finishes per
+// virtual second per policy, match-arrival rate, per-split scan cost,
+// overshoot ratio, in-flight count). On top sits the alert/SLO layer:
+// declarative rules (threshold, rate-of-change, latency-objective burn)
+// evaluated at every collection tick, producing a bounded
+// firing/resolved event log with the stable schema AlertsSchemaVersion.
 //
 // The engine never samples on its own threads: Start schedules a
 // self-renewing virtual tick on the simulation engine, exactly like the
 // obs utilization sampler, so every collection and evaluation runs on
 // the engine goroutine under the driver's lock. Like the sampler's, its
-// integral reads are passive, so a tick cannot move a completion.
+// cursor reads passively, so a tick cannot move a completion.
 // Snapshot methods (Dump, AlertsDump, Latest) must run under the same
 // discipline — the obs server serializes them behind its simulation
 // mutex and publishes pre-rendered payloads for lock-free scraping.
@@ -26,7 +26,6 @@ import (
 	"io"
 	"sort"
 
-	"dynamicmr/internal/cluster"
 	"dynamicmr/internal/mapreduce"
 	"dynamicmr/internal/qstats"
 	"dynamicmr/internal/trace"
@@ -79,16 +78,15 @@ type DB struct {
 	counters [trace.NumCounters]*Series
 	policies map[string]*policySeries
 
+	// cur gives each tick its interval and utilization means.
+	cur *mapreduce.UtilizationCursor
+
 	// Derived-series state: the previous map-duration histogram
-	// snapshot (per-split cost is its delta), the finished-query
-	// cursor and the buffer its reads reuse, the cluster's CPU, disk
-	// and network integrals at the previous tick (utilization means are
-	// their deltas), and the previous tick time (rate denominators).
-	prevMapHist                trace.HistogramSnapshot
-	qseq                       int64
-	outcomes                   []qstats.Outcome
-	lastCPU, lastDisk, lastNet float64
-	lastTick                   float64
+	// snapshot (per-split cost is its delta), and the finished-query
+	// cursor and the buffer its reads reuse.
+	prevMapHist trace.HistogramSnapshot
+	qseq        int64
+	outcomes    []qstats.Outcome
 
 	rules   []*ruleState
 	events  []AlertEvent
@@ -101,12 +99,10 @@ type DB struct {
 func New(jt *mapreduce.JobTracker, cfg Config) (*DB, error) {
 	db := &DB{
 		jt:       jt,
+		cur:      jt.NewUtilizationCursor(),
 		series:   make(map[string]*Series),
 		policies: make(map[string]*policySeries),
-		lastTick: jt.Engine().Now(),
 	}
-	cl := jt.Cluster()
-	db.lastCPU, db.lastDisk, db.lastNet = cl.CPUUsedIntegral(), cl.DiskUsedIntegral(), cl.NetworkUsedIntegral()
 	if err := ValidateRules(cfg.Rules); err != nil {
 		return nil, err
 	}
@@ -148,13 +144,10 @@ func (db *DB) Start() {
 // over the virtual time since the last pass. It does nothing when no
 // time has passed, as when a Flush ran at the same instant.
 func (db *DB) tick() {
-	now := db.jt.Engine().Now()
-	if now <= db.lastTick {
-		return
+	if u, ok := db.cur.Advance(nil); ok {
+		db.collect(u)
+		db.evaluate(u.Time)
 	}
-	db.collect(now)
-	db.evaluate(now)
-	db.lastTick = now
 }
 
 // Flush runs one final collection + evaluation pass at the current
@@ -189,26 +182,21 @@ func (db *DB) put(t float64, name string, v float64) {
 // policySeries is one listed policy's series.
 type policySeries struct{ qps, p50, p99 *Series }
 
-// collect appends one point per source series at virtual time now.
-func (db *DB) collect(now float64) {
-	dt := now - db.lastTick
+// collect appends one point per source series at the end of the tick
+// u covers.
+func (db *DB) collect(u mapreduce.Utilization) {
+	now, dt := u.Time, u.IntervalS
 	st := db.jt.ClusterStatus()
 	db.put(now, "cluster.running_jobs", float64(st.RunningJobs))
 	db.put(now, "cluster.queued_map_tasks", float64(st.QueuedMapTasks))
 	db.put(now, "cluster.queued_reduce_tasks", float64(st.QueuedReduceTasks))
-	if st.TotalMapSlots > 0 {
-		db.put(now, "cluster.map_slot_pct", float64(st.OccupiedMapSlots)/float64(st.TotalMapSlots)*100)
-	}
-	if st.TotalReduceSlots > 0 {
-		db.put(now, "cluster.reduce_slot_pct", float64(st.OccupiedReduces)/float64(st.TotalReduceSlots)*100)
-	}
-	// Utilization means over the tick, in the obs sampler's units.
-	cl := db.jt.Cluster()
-	cpu, disk, net := cl.CPUUsedIntegral(), cl.DiskUsedIntegral(), cl.NetworkUsedIntegral()
-	db.put(now, "cluster.cpu_util_pct", 100*(cpu-db.lastCPU)/(cl.CPUCapacity()*dt))
-	db.put(now, "cluster.disk_read_kb_s", (disk-db.lastDisk)/dt/float64(cluster.TotalDisks)/1024)
-	db.put(now, "cluster.network_util_pct", 100*(net-db.lastNet)/(cl.NetworkCapacity()*dt))
-	db.lastCPU, db.lastDisk, db.lastNet = cpu, disk, net
+	// Means over the tick, from the cursor the obs sampler and the §V-D
+	// poll advance too.
+	db.put(now, "cluster.map_slot_pct", u.MapSlotPct)
+	db.put(now, "cluster.reduce_slot_pct", u.ReduceSlotPct)
+	db.put(now, "cluster.cpu_util_pct", u.CPUUtilPct)
+	db.put(now, "cluster.disk_read_kb_s", u.DiskReadKBs)
+	db.put(now, "cluster.network_util_pct", u.NetworkUtilPct)
 	db.put(now, "sim.virtual_time_s", now)
 	db.put(now, "sim.processed_events", float64(db.jt.Engine().Processed()))
 

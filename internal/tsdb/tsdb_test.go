@@ -418,8 +418,11 @@ func TestQPSCountsVirtualFinishes(t *testing.T) {
 }
 
 // TestWarmTickAllocatesOnlyPolicyStats: once every series exists, a
-// tick that fires no transition resolves no name and builds no map;
-// its one allocation is the slice qstats' PolicyStats returns.
+// tick that fires no transition resolves no name and builds no map, and
+// its utilization cursor allocates nothing; its one allocation is the
+// slice qstats' PolicyStats returns. Each measured run moves the clock
+// one tick, through the idle trackers' heartbeats, which allocate
+// nothing either.
 func TestWarmTickAllocatesOnlyPolicyStats(t *testing.T) {
 	eng, _, jt := rig(t)
 	reg := qstats.NewRegistry(jt)
@@ -436,12 +439,8 @@ func TestWarmTickAllocatesOnlyPolicyStats(t *testing.T) {
 	submitAt(eng, jt, reg, 1, "HA")
 	eng.RunUntil(60)
 	series := len(db.series)
-	now := eng.Now()
 	allocs := testing.AllocsPerRun(100, func() {
-		now += IntervalS
-		db.collect(now)
-		db.evaluate(now)
-		db.lastTick = now
+		eng.RunUntil(eng.Now() + IntervalS)
 	})
 	if allocs > 1 {
 		t.Errorf("a warm tick allocated %v times, want at most 1", allocs)
@@ -451,5 +450,59 @@ func TestWarmTickAllocatesOnlyPolicyStats(t *testing.T) {
 	}
 	if db.counters[trace.CounterJobsFinished] == nil || db.policies["HA"] == nil || db.rules[1].burn == nil {
 		t.Fatal("the warm-up resolved no counter, policy or rule series")
+	}
+}
+
+// TestSlotSeriesAreTickMeans: cluster.map_slot_pct and
+// cluster.reduce_slot_pct are means over each tick, like the other
+// utilization series, not the occupancy at the tick instant. A job
+// whose attempts fill and free slots inside one tick must read, at
+// every tick, the slot-seconds its attempt spans occupied in it over
+// total slots × the tick.
+func TestSlotSeriesAreTickMeans(t *testing.T) {
+	eng, fs, jt := rig(t)
+	f := mkFile(t, fs, "in", 8, 100)
+	db, err := New(jt, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Start()
+	eng.RunUntil(1)
+	spec := mapreduce.JobSpec{NewMapper: echoMapper, Conf: mapreduce.NewJobConf()}
+	spec.Conf.SetInt(mapreduce.ConfNumReduces, 2)
+	job := jt.Submit(spec, mapreduce.SplitsForFile(f))
+	mapreduce.RunUntilDone(eng, job, 1e6)
+	eng.RunUntil(eng.Now() + 2*IntervalS)
+
+	st := jt.ClusterStatus()
+	for _, c := range []struct {
+		series, span string
+		slots        int
+	}{
+		{"cluster.map_slot_pct", trace.SpanMapAttempt, st.TotalMapSlots},
+		{"cluster.reduce_slot_pct", trace.SpanReduceAttempt, st.TotalReduceSlots},
+	} {
+		busy := 0
+		for _, p := range db.series[c.series].Points() {
+			var slotS float64
+			for _, sp := range jt.Tracer().Spans() {
+				if sp.Name == c.span {
+					slotS += max(0, min(sp.End, p.T)-max(sp.Start, p.T-IntervalS))
+				}
+			}
+			want := 100 * slotS / (float64(c.slots) * IntervalS)
+			if math.Abs(p.V-want) > 1e-9*want {
+				t.Errorf("%s at %v s = %v, want %v from the attempt spans", c.series, p.T, p.V, want)
+			}
+			if want > 0 {
+				busy++
+			}
+		}
+		if busy == 0 {
+			t.Errorf("%s: no tick held an attempt", c.series)
+		}
+	}
+	if n := jt.ClusterStatus(); n.OccupiedMapSlots != 0 || n.OccupiedReduces != 0 {
+		t.Fatalf("slots still occupied at the end: %+v", n)
 	}
 }
